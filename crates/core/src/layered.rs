@@ -11,36 +11,45 @@
 //!    or (for spilled segments) a disk read
 //!    ([`ProvStore::layer_filtered`]);
 //! 2. every touched vertex runs its incremental local fixpoint;
-//! 3. fresh tuples of shipped predicates travel one hop — to
-//!    out-neighbours for forward queries, to in-neighbours for backward
-//!    ones — and are joined by their receivers in the next round.
+//! 3. fresh tuples of shipped predicates travel one hop, to the union of
+//!    the vertex's out- and in-neighbours (a superset of every
+//!    analytic's communication graph), and are joined by their receivers
+//!    in the next round.
 //!
 //! After the last layer a **fixpoint flush** keeps evaluating and
 //! shipping until no vertex holds an unprocessed replica: multi-hop
 //! joins that close in the final layer still need their replicas to
-//! travel the remaining hops. (The previous implementation ran exactly
-//! one post-layer evaluation pass and silently dropped any shippable
-//! tuples it derived, so such joins returned incomplete results.)
+//! travel the remaining hops.
 //!
 //! # Parallelism and determinism
 //!
-//! Each round's touched set is partitioned into contiguous vertex-range
-//! chunks by the degree-weighted [`ChunkTable`] (the same layout the
-//! engine's flat message plane uses) and processed by a worker pool with
-//! chunk-granular work stealing. Rounds are bulk-synchronous: workers
-//! record the replicas a vertex ships into a per-chunk outbox, and the
-//! merge step applies all outboxes *after* the round, in chunk order.
-//! Because chunks are contiguous ascending ranges, chunk order **is**
-//! ascending source-vertex order regardless of the chunk layout — so the
-//! injection sequence into every receiving partition, and therefore
-//! every relation's insertion order and every counter, is identical at
-//! any thread count. The sequential path runs the same round protocol
-//! (one worker, same outboxes), so `threads = 1` is the reference, not a
-//! special case.
+//! The vertex range is cut into contiguous chunks by the degree-weighted
+//! [`ChunkTable`] (the layout the engine's flat message plane uses) and
+//! every chunk's vertex states live, for the whole run, in a slab owned
+//! by one worker of a pool spawned once per replay (chunk `c` belongs to
+//! worker `c mod threads`; the calling thread is worker 0 and reads the
+//! store). A round is three phases, each run by every worker over its own
+//! chunks and closed by a barrier:
 //!
-//! Vertex states live in a sparse map keyed by the vertices actually
-//! touched — replaying a small capture over a big graph no longer
-//! allocates a [`QueryState`] per graph vertex.
+//! * **inject** — the coordinator has bucketed the layer's tuples by
+//!   owner chunk; each worker inserts its buckets;
+//! * **eval** — each worker evaluates its pending vertices in ascending
+//!   order and records what they ship in the chunk's outbox;
+//! * **apply** — each worker walks *all* outboxes in chunk order and
+//!   applies the entries whose (sorted) neighbour list cuts its range.
+//!
+//! Chunks are contiguous ascending ranges, so outboxes in chunk order
+//! **are** ascending source-vertex order whatever the chunk layout: every
+//! receiving partition sees its replicas in the same sequence, and so
+//! every relation's insertion order and every counter is identical at any
+//! thread count. `threads = 1` runs the same protocol on the calling
+//! thread; it is the reference, not a special case. Outboxes, inboxes
+//! and pending lists keep their buffers from round to round.
+//!
+//! A slab holds states only for vertices actually touched (plus one
+//! `u32` per vertex of a touched chunk to find them) — replaying a small
+//! capture over a big graph does not allocate a [`QueryState`] per graph
+//! vertex.
 //!
 //! The driver is the same per-vertex machinery as online evaluation
 //! ([`crate::state::QueryState`]); only the tuple source differs (replay
@@ -48,6 +57,7 @@
 //!
 //! [`ProvStore::layer_filtered`]: ariadne_provenance::ProvStore::layer_filtered
 
+use crate::barrier::Barrier;
 use crate::columns::column_masks;
 use crate::compile::CompiledQuery;
 use crate::session::AriadneError;
@@ -56,7 +66,11 @@ use ariadne_graph::{ChunkTable, Csr, VertexId};
 use ariadne_obs::trace::{self, Level};
 use ariadne_pql::{Database, Direction, EvalStats, Evaluator, PqlError, Tuple};
 use ariadne_provenance::{Degradation, LayerFilter, ProvStore, ReadPolicy};
-use std::collections::{BTreeSet, HashMap};
+use std::any::Any;
+use std::collections::BTreeSet;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
 /// Cached global-registry handles for layered-replay metrics. Round,
@@ -165,8 +179,8 @@ pub struct LayeredConfig {
     /// Worker threads per round. `1` runs the same round protocol on
     /// the calling thread.
     pub threads: usize,
-    /// Chunks per worker thread: more chunks give the work-stealing
-    /// loop finer grains to balance skewed touched sets with.
+    /// Chunks per worker thread. Chunks are dealt to the workers round
+    /// robin, so more of them interleave a skewed touched set more finely.
     pub chunks_per_thread: usize,
     /// Restrict layer reads to the predicates the query references
     /// (EDBs plus IDB names, so replayed persisted derivations still
@@ -213,7 +227,7 @@ impl LayeredConfig {
 }
 
 /// The outcome of a layered evaluation.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LayeredRun {
     /// Merged query tables across vertices.
     pub query_results: Database,
@@ -268,44 +282,392 @@ pub struct LayeredRun {
 impl LayeredRun {
     fn empty(threads: usize) -> Self {
         LayeredRun {
-            query_results: Database::new(),
-            layers: 0,
-            flush_rounds: 0,
-            shipped_tuples: 0,
-            injected_tuples: 0,
-            evaluated_vertices: 0,
-            segments_read: 0,
-            segments_skipped: 0,
-            bytes_read: 0,
-            bytes_skipped: 0,
-            cols_skipped: 0,
-            col_bytes_skipped: 0,
             threads,
-            query_stats: EvalStats::default(),
-            phase_inject_ns: 0,
-            phase_eval_ns: 0,
-            phase_merge_ns: 0,
-            degradation: Degradation::default(),
-            layer_range: (0, 0),
+            ..LayeredRun::default()
         }
     }
 }
 
-/// What one vertex shipped in a round: its fresh tuples of shipped
-/// predicates and the (sorted, deduplicated) neighbours they travel to.
-struct ShipEntry {
+/// What one chunk's vertices shipped in a round, flattened so the buffers
+/// are reused: per shipping vertex (ascending) a sorted, deduplicated
+/// neighbour list and one run of fresh tuples per shipped predicate.
+/// Entries and runs record where their slices *end*; each starts where
+/// the previous one ended.
+#[derive(Default)]
+struct Outbox {
+    /// Per shipping vertex: ends of its `neighbors` and `runs` slices.
+    entries: Vec<(usize, usize)>,
     neighbors: Vec<VertexId>,
-    fresh: Vec<(String, Vec<Tuple>)>,
+    /// Per run: index into [`Pool::shipped_preds`], end of its `tuples`.
+    runs: Vec<(usize, usize)>,
+    tuples: Vec<Tuple>,
 }
 
-/// Everything a worker produced for one chunk of the touched set, in
-/// ascending vertex order. Merged strictly in chunk order.
-struct ChunkOutput {
-    states: Vec<(usize, QueryState)>,
-    ship: Vec<ShipEntry>,
+impl Outbox {
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.neighbors.clear();
+        self.runs.clear();
+        self.tuples.clear();
+    }
+
+    /// Record the fresh shippable tuples of `vertex`; returns how many
+    /// replicas that ships (tuples × neighbours).
+    fn collect(&mut self, pool: &Pool<'_>, vertex: VertexId, state: &mut QueryState) -> usize {
+        let own = ariadne_pql::Value::Id(vertex.0);
+        let (runs_from, tuples_from) = (self.runs.len(), self.tuples.len());
+        for (p, pred) in pool.shipped_preds.iter().enumerate() {
+            let before = self.tuples.len();
+            // Only tuples located here ship: replicas are not forwarded.
+            let fresh = state.fresh_window(pred, true).iter();
+            self.tuples
+                .extend(fresh.filter(|t| t.first() == Some(&own)).cloned());
+            if self.tuples.len() > before {
+                self.runs.push((p, self.tuples.len()));
+            }
+        }
+        if self.runs.len() == runs_from {
+            return 0;
+        }
+        // Route replicas over both edge directions: analytics like WCC
+        // message their in-neighbours too, so the communication graph is
+        // a superset of the out-adjacency. Shipping to a superset of the
+        // true routes is always sound (replicas are true tuples at their
+        // true locations); receivers whose message predicates don't join
+        // them simply ignore them. Both lists are sorted: merge them.
+        let neighbors_from = self.neighbors.len();
+        let (a, b) = (pool.graph.out_neighbors(vertex), pool.graph.in_neighbors(vertex));
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() || j < b.len() {
+            let next = match (a.get(i), b.get(j)) {
+                (Some(&x), Some(&y)) => x.min(y),
+                (Some(&x), None) | (None, Some(&x)) => x,
+                (None, None) => unreachable!("loop condition"),
+            };
+            i += usize::from(a.get(i) == Some(&next));
+            j += usize::from(b.get(j) == Some(&next));
+            self.neighbors.push(next);
+        }
+        self.entries.push((self.neighbors.len(), self.runs.len()));
+        (self.tuples.len() - tuples_from) * (self.neighbors.len() - neighbors_from)
+    }
+}
+
+/// One touched vertex of a slab.
+struct Slot {
+    vertex: usize,
+    /// Whether the slot is already in [`Slab::pending`].
+    queued: bool,
+    state: QueryState,
+}
+
+/// The states of one chunk's touched vertices. Owned by one worker for
+/// the whole run.
+#[derive(Default)]
+struct Slab {
+    chunk: usize,
+    /// The chunk's vertex range `lo..hi`.
+    lo: usize,
+    hi: usize,
+    /// `vertex - lo` → slot index + 1, `0` for an untouched vertex.
+    /// Allocated zeroed at the chunk's first touch, so pages of vertices
+    /// never touched are never written.
+    slot_of: Vec<u32>,
+    slots: Vec<Slot>,
+    /// Slots to evaluate next round, each at most once.
+    pending: Vec<u32>,
+    /// How many leading slots own pre-injected layer-0 tuples (backward
+    /// replay); they are evaluated when the replay reaches layer 0.
+    preloaded: usize,
     evaluated: usize,
     shipped: usize,
     stats: EvalStats,
+}
+
+impl Slab {
+    fn slot(&mut self, vertex: usize) -> usize {
+        if self.slot_of.is_empty() {
+            self.slot_of = vec![0; self.hi - self.lo];
+        }
+        let entry = &mut self.slot_of[vertex - self.lo];
+        if *entry == 0 {
+            self.slots.push(Slot {
+                vertex,
+                queued: false,
+                state: QueryState::new(),
+            });
+            *entry = u32::try_from(self.slots.len()).expect("a chunk holds < 2^32 vertices");
+        }
+        *entry as usize - 1
+    }
+
+    fn enqueue(&mut self, slot: usize) {
+        if !std::mem::replace(&mut self.slots[slot].queued, true) {
+            self.pending.push(slot as u32);
+        }
+    }
+
+    /// Insert this chunk's bucket of the layer.
+    fn inject(&mut self, pool: &Pool<'_>, plan: Plan) {
+        let preds = pool.layer_preds.read().expect("layer preds lock");
+        let mut inbox = pool.inboxes[self.chunk].lock().expect("inbox lock");
+        for (pred, vertex, tuple) in inbox.drain(..) {
+            let slot = self.slot(vertex);
+            self.slots[slot].state.db.insert(&preds[pred], tuple);
+            if !plan.preload {
+                self.enqueue(slot);
+            }
+        }
+        if plan.preload {
+            self.preloaded = self.slots.len();
+        }
+        if plan.wake_preloaded {
+            (0..self.preloaded).for_each(|slot| self.enqueue(slot));
+        }
+    }
+
+    /// Evaluate the pending vertices in ascending order, recording what
+    /// each ships in the chunk's outbox instead of delivering in place
+    /// (rounds are bulk-synchronous).
+    fn evaluate(&mut self, pool: &Pool<'_>) -> Result<(), PqlError> {
+        let mut outbox = pool.outboxes[self.chunk].write().expect("outbox lock");
+        outbox.clear();
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.sort_unstable_by_key(|&slot| self.slots[slot as usize].vertex);
+        let _span = trace::span(
+            Level::Trace,
+            "layered",
+            "chunk",
+            &[("chunk", self.chunk.into()), ("vertices", pending.len().into())],
+        );
+        for &slot in &pending {
+            let slot = &mut self.slots[slot as usize];
+            slot.queued = false;
+            let vertex = VertexId(slot.vertex as u64);
+            slot.state.inject_statics(pool.graph, vertex, pool.needed_statics);
+            slot.state.evaluate_stats(pool.evaluator, vertex, &mut self.stats)?;
+            self.shipped += outbox.collect(pool, vertex, &mut slot.state);
+        }
+        self.evaluated += pending.len();
+        pending.clear();
+        self.pending = pending;
+        Ok(())
+    }
+
+    /// Deliver every replica addressed to this chunk: all outboxes in
+    /// chunk order, so each receiver sees its sources ascending.
+    fn apply(&mut self, pool: &Pool<'_>) {
+        for outbox in &pool.outboxes {
+            let outbox = outbox.read().expect("outbox lock");
+            let (mut neighbors_from, mut runs_from, mut tuples_from) = (0, 0, 0);
+            for &(neighbors_to, runs_to) in &outbox.entries {
+                let neighbors = &outbox.neighbors[neighbors_from..neighbors_to];
+                let mine = &neighbors[neighbors.partition_point(|v| v.index() < self.lo)
+                    ..neighbors.partition_point(|v| v.index() < self.hi)];
+                for &(pred, tuples_to) in &outbox.runs[runs_from..runs_to] {
+                    let tuples = &outbox.tuples[tuples_from..tuples_to];
+                    for nb in mine {
+                        let slot = self.slot(nb.index());
+                        let state = &mut self.slots[slot].state;
+                        state.inject(pool.shipped_preds[pred], tuples.iter().cloned());
+                        self.enqueue(slot);
+                    }
+                    tuples_from = tuples_to;
+                }
+                (neighbors_from, runs_from) = (neighbors_to, runs_to);
+            }
+        }
+        if !self.pending.is_empty() {
+            pool.pending.store(true, Ordering::SeqCst);
+        }
+    }
+}
+
+/// What the coordinator tells the pool before each round's first barrier.
+#[derive(Clone, Copy, Default)]
+struct Plan {
+    /// No more rounds: workers return.
+    exit: bool,
+    /// Inject without queueing the owners (layer-0 pre-injection).
+    preload: bool,
+    /// Queue the pre-injected owners (the replay reached layer 0).
+    wake_preloaded: bool,
+    /// The coordinator's innermost span; chunk spans hang off it.
+    ctx: trace::SpanContext,
+}
+
+/// Why a run stops early: a typed evaluation error, or a panic carried
+/// to the coordinator so no worker is left parked on a barrier.
+enum Failure {
+    Pql(PqlError),
+    Panic(Box<dyn Any + Send>),
+}
+
+/// What the workers of one replay share. Mutable vertex state is not
+/// here: it sits in the [`Slab`]s, each held by exactly one worker.
+struct Pool<'a> {
+    graph: &'a Csr,
+    evaluator: &'a Evaluator,
+    needed_statics: &'a BTreeSet<String>,
+    /// Shipped predicates in `BTreeSet` (sorted) order — fixed, so every
+    /// vertex ships and receives them in the same predicate order.
+    shipped_preds: Vec<&'a str>,
+    table: ChunkTable,
+    barrier: Barrier,
+    /// Written by the coordinator while every worker waits for the round.
+    plan: Mutex<Plan>,
+    /// Predicates of the layer being injected; inbox entries index it.
+    layer_preds: RwLock<Vec<String>>,
+    /// Per chunk: `(predicate, owner, tuple)` of the layer, in store order.
+    inboxes: Vec<Mutex<Vec<(usize, usize, Tuple)>>>,
+    /// Per chunk: written by its owner in eval, read by all in apply.
+    outboxes: Vec<RwLock<Outbox>>,
+    /// The failure of the lowest-numbered chunk, so the error a run
+    /// reports does not depend on thread timing.
+    failure: Mutex<Option<(usize, Failure)>>,
+    /// Whether any slab has vertices to evaluate next round.
+    pending: AtomicBool,
+}
+
+/// Releases the workers when the coordinator leaves — by return, `?` or
+/// unwinding. The coordinator only ever leaves between rounds, where
+/// every worker waits on the round barrier.
+struct Release<'p, 'a>(&'p Pool<'a>);
+
+impl Drop for Release<'_, '_> {
+    fn drop(&mut self) {
+        if let Ok(mut plan) = self.0.plan.lock() {
+            plan.exit = true;
+        }
+        self.0.barrier.wait();
+    }
+}
+
+impl Pool<'_> {
+    /// A worker thread: one round per plan until told to exit.
+    fn work(&self, mut share: Vec<&mut Slab>) {
+        loop {
+            self.barrier.wait();
+            let plan = *self.plan.lock().expect("plan lock");
+            if plan.exit {
+                return;
+            }
+            let _ctx = plan.ctx.enter();
+            self.phases(&mut share, plan);
+        }
+    }
+
+    /// The three phases of a round over `share`; returns when each ended
+    /// (every thread's phase ends at a barrier all of them pass).
+    fn phases(&self, share: &mut [&mut Slab], plan: Plan) -> [Instant; 3] {
+        self.each(share, |slab| {
+            slab.inject(self, plan);
+            Ok(())
+        });
+        self.barrier.wait();
+        let injected = Instant::now();
+        self.each(share, |slab| slab.evaluate(self));
+        self.barrier.wait();
+        let evaluated = Instant::now();
+        // A failed eval leaves outboxes half-written; the run is over.
+        if self.failure.lock().expect("failure lock").is_none() {
+            self.each(share, |slab| {
+                slab.apply(self);
+                Ok(())
+            });
+        }
+        self.barrier.wait();
+        [injected, evaluated, Instant::now()]
+    }
+
+    /// Run `f` over the slabs of `share` in chunk order, stopping at the
+    /// first that fails or panics; that failure is recorded, never thrown,
+    /// so the thread still reaches the phase barrier.
+    fn each(
+        &self,
+        share: &mut [&mut Slab],
+        mut f: impl FnMut(&mut Slab) -> Result<(), PqlError>,
+    ) {
+        for slab in share {
+            let failure = match catch_unwind(AssertUnwindSafe(|| f(slab))) {
+                Ok(Ok(())) => continue,
+                Ok(Err(e)) => Failure::Pql(e),
+                Err(payload) => Failure::Panic(payload),
+            };
+            let mut first = self.failure.lock().expect("failure lock");
+            if first.as_ref().is_none_or(|(chunk, _)| slab.chunk < *chunk) {
+                *first = Some((slab.chunk, failure));
+            }
+            return;
+        }
+    }
+
+    /// Coordinator: read `layer` and bucket its tuples by owner chunk.
+    /// Tuples for vertices outside the graph are skipped, not a panic.
+    fn load(
+        &self,
+        store: &ProvStore,
+        layer: u32,
+        filter: &LayerFilter,
+        config: &LayeredConfig,
+        run: &mut LayeredRun,
+    ) -> Result<(), AriadneError> {
+        let read = store
+            .layer_read_with(layer, filter, config.read_policy)
+            .map_err(AriadneError::Store)?;
+        run.segments_read += read.segments_read;
+        run.segments_skipped += read.segments_skipped;
+        run.bytes_read += read.bytes_read;
+        run.bytes_skipped += read.bytes_skipped;
+        run.cols_skipped += read.cols_skipped;
+        run.col_bytes_skipped += read.col_bytes_skipped;
+        run.degradation.absorb(&read.degradation);
+        let mut preds = self.layer_preds.write().expect("layer preds lock");
+        preds.clear();
+        let mut inboxes: Vec<_> = self
+            .inboxes
+            .iter()
+            .map(|inbox| inbox.lock().expect("inbox lock"))
+            .collect();
+        for (pred, tuples) in read.tuples {
+            for t in tuples {
+                let owner = t.first().and_then(|v| v.as_id()).map(|v| v as usize);
+                if let Some(vi) = owner.filter(|&vi| vi < self.graph.num_vertices()) {
+                    run.injected_tuples += 1;
+                    inboxes[self.table.chunk_of(vi)].push((preds.len(), vi, t));
+                }
+            }
+            preds.push(pred);
+        }
+        Ok(())
+    }
+
+    /// Coordinator: run one round with the pool and account its phases;
+    /// `started` is when the round's inject work (the layer read) began.
+    fn round(
+        &self,
+        share: &mut [&mut Slab],
+        plan: Plan,
+        started: Instant,
+        run: &mut LayeredRun,
+    ) -> Result<(), AriadneError> {
+        let plan = Plan {
+            ctx: trace::current_context(),
+            ..plan
+        };
+        *self.plan.lock().expect("plan lock") = plan;
+        self.pending.store(false, Ordering::SeqCst);
+        self.barrier.wait();
+        let [injected, evaluated, applied] = self.phases(share, plan);
+        run.phase_inject_ns += (injected - started).as_nanos() as u64;
+        run.phase_eval_ns += (evaluated - injected).as_nanos() as u64;
+        run.phase_merge_ns += (applied - evaluated).as_nanos() as u64;
+        match self.failure.lock().expect("failure lock").take() {
+            Some((_, Failure::Pql(e))) => Err(AriadneError::Pql(e)),
+            Some((_, Failure::Panic(payload))) => resume_unwind(payload),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Evaluate `query` over the captured `store` in layered fashion with
@@ -398,19 +760,34 @@ pub fn run_layered_range(
     }
 
     let chunks = threads.saturating_mul(config.chunks_per_thread.max(1)).max(1);
-    let mut driver = Driver {
+    let table = ChunkTable::degree_weighted(graph, chunks, 1);
+    let mut slabs: Vec<Slab> = (0..table.num_chunks())
+        .map(|chunk| {
+            let (lo, hi) = table.bounds(chunk);
+            Slab {
+                chunk,
+                lo,
+                hi,
+                ..Slab::default()
+            }
+        })
+        .collect();
+    let pool = Pool {
         graph,
         evaluator: query.evaluator().as_ref(),
         needed_statics: &analyzed.edbs,
-        shipped_preds: analyzed.shipped.iter().cloned().collect(),
-        table: ChunkTable::degree_weighted(graph, chunks, 1),
-        threads,
-        states: HashMap::new(),
-        pending: BTreeSet::new(),
-        run: LayeredRun::empty(threads),
+        shipped_preds: analyzed.shipped.iter().map(String::as_str).collect(),
+        barrier: Barrier::new(threads),
+        plan: Mutex::new(Plan::default()),
+        layer_preds: RwLock::new(Vec::new()),
+        inboxes: slabs.iter().map(|_| Mutex::default()).collect(),
+        outboxes: slabs.iter().map(|_| RwLock::default()).collect(),
+        failure: Mutex::new(None),
+        pending: AtomicBool::new(false),
+        table,
     };
-
-    driver.run.layer_range = (layer_lo, layer_hi);
+    let mut run = LayeredRun::empty(threads);
+    run.layer_range = (layer_lo, layer_hi);
     let span = trace::span(
         Level::Debug,
         "layered",
@@ -424,107 +801,105 @@ pub fn run_layered_range(
         ],
     );
 
-    // Descending replay visits layer 0 last, but layer 0 carries the
-    // *structural* annotations of the compact representation (static
-    // relations like Query 11's `prov_edges`, graph EDBs, initial
-    // values) that backward rules join at every layer. Pre-inject it:
-    // sound because derivations are monotone and directed backward
-    // queries are negation-free over layer data.
-    let mut layer0_owners: BTreeSet<usize> = BTreeSet::new();
-    if !ascending && layer_lo == 0 {
-        let t0 = Instant::now();
-        let read = store
-            .layer_read_with(0, &filter, config.read_policy)
-            .map_err(AriadneError::Store)?;
-        driver.account_read(&read);
-        for (pred, tuples) in read.tuples {
-            for t in tuples {
-                if let Some(vi) = driver.owner(&t) {
-                    driver.run.injected_tuples += 1;
-                    driver.states.entry(vi).or_default().db.insert(&pred, t);
-                    layer0_owners.insert(vi);
-                }
-            }
-        }
-        driver.run.phase_inject_ns += t0.elapsed().as_nanos() as u64;
+    // Chunk `c` belongs to worker `c % threads` for the whole run; the
+    // calling thread is worker 0 and the coordinator.
+    let mut shares: Vec<Vec<&mut Slab>> = (0..threads).map(|_| Vec::new()).collect();
+    for slab in &mut slabs {
+        shares[slab.chunk % threads].push(slab);
     }
+    std::thread::scope(|scope| -> Result<(), AriadneError> {
+        let mut shares = shares.into_iter();
+        let mut mine = shares.next().expect("threads >= 1");
+        for share in shares {
+            let pool = &pool;
+            scope.spawn(move || pool.work(share));
+        }
+        let _release = Release(&pool);
 
-    let order: Box<dyn Iterator<Item = u32>> = if ascending {
-        Box::new(layer_lo..=layer_hi)
-    } else {
-        Box::new((layer_lo..=layer_hi).rev())
-    };
-    for layer in order {
-        driver.run.layers += 1;
-        obs_handles::rounds().inc();
-        let _layer_span = trace::span(
-            Level::Trace,
-            "layered",
-            "layer",
-            &[("layer", u64::from(layer).into())],
-        );
-        // 1. Inject this layer's tuples into their owners.
-        let t0 = Instant::now();
-        let mut touched = std::mem::take(&mut driver.pending);
-        if !ascending && layer == 0 {
-            // Already injected up front; just evaluate the owners.
-            touched.extend(layer0_owners.iter().copied());
+        // Descending replay visits layer 0 last, but layer 0 carries the
+        // *structural* annotations of the compact representation (static
+        // relations like Query 11's `prov_edges`, graph EDBs, initial
+        // values) that backward rules join at every layer. Pre-inject it:
+        // sound because derivations are monotone and directed backward
+        // queries are negation-free over layer data.
+        let preloaded = !ascending && layer_lo == 0;
+        if preloaded {
+            let t0 = Instant::now();
+            pool.load(store, 0, &filter, config, &mut run)?;
+            let preload = Plan {
+                preload: true,
+                ..Plan::default()
+            };
+            pool.round(&mut mine, preload, t0, &mut run)?;
+        }
+
+        let order: Box<dyn Iterator<Item = u32>> = if ascending {
+            Box::new(layer_lo..=layer_hi)
         } else {
-            let read = store
-                .layer_read_with(layer, &filter, config.read_policy)
-                .map_err(AriadneError::Store)?;
-            driver.account_read(&read);
-            for (pred, tuples) in read.tuples {
-                for t in tuples {
-                    if let Some(vi) = driver.owner(&t) {
-                        driver.run.injected_tuples += 1;
-                        driver.states.entry(vi).or_default().db.insert(&pred, t);
-                        touched.insert(vi);
+            Box::new((layer_lo..=layer_hi).rev())
+        };
+        for layer in order {
+            run.layers += 1;
+            obs_handles::rounds().inc();
+            let _layer_span = trace::span(
+                Level::Trace,
+                "layered",
+                "layer",
+                &[("layer", u64::from(layer).into())],
+            );
+            // Inject this layer's tuples into their owners (layer 0 of a
+            // descending replay is already in: just wake its owners),
+            // evaluate everything touched, ship the fresh tuples.
+            let t0 = Instant::now();
+            let wake_preloaded = preloaded && layer == 0;
+            if !wake_preloaded {
+                pool.load(store, layer, &filter, config, &mut run)?;
+            }
+            let plan = Plan {
+                wake_preloaded,
+                ..Plan::default()
+            };
+            pool.round(&mut mine, plan, t0, &mut run)?;
+        }
+
+        // Fixpoint flush: vertices holding just-delivered replicas keep
+        // evaluating *and shipping* until nothing is pending — a
+        // multi-hop join closing in the last layer still needs its
+        // replicas to travel the remaining hops. Terminates because
+        // shipping marks advance monotonically: each (vertex, predicate,
+        // tuple) ships at most once, so rounds without fresh derivations
+        // leave nothing pending.
+        while pool.pending.load(Ordering::SeqCst) {
+            run.flush_rounds += 1;
+            obs_handles::flush_rounds().inc();
+            pool.round(&mut mine, Plan::default(), Instant::now(), &mut run)?;
+        }
+        Ok(())
+    })?;
+
+    // Merge IDB results in ascending vertex order (slabs are in chunk
+    // order), moving the tuples out of the slabs.
+    let _merge_span = trace::span(Level::Trace, "layered", "merge_results", &[]);
+    let t0 = Instant::now();
+    for mut slab in slabs {
+        run.evaluated_vertices += slab.evaluated;
+        run.shipped_tuples += slab.shipped;
+        run.query_stats.merge(&slab.stats);
+        slab.slots.sort_unstable_by_key(|slot| slot.vertex);
+        for slot in slab.slots {
+            for (name, rel) in slot.state.db.into_relations() {
+                if analyzed.idbs.contains_key(&name) && !rel.is_empty() {
+                    let merged = run.query_results.relation_mut(&name, rel.arity());
+                    for t in rel.into_tuples() {
+                        merged.insert(t);
                     }
                 }
             }
         }
-        driver.run.phase_inject_ns += t0.elapsed().as_nanos() as u64;
-
-        // 2. Evaluate touched vertices; 3. ship their fresh tuples into
-        // the next round's pending set.
-        driver.round(touched)?;
     }
-
-    // Fixpoint flush: vertices holding just-delivered replicas keep
-    // evaluating *and shipping* until the pending set drains — a
-    // multi-hop join closing in the last layer still needs its replicas
-    // to travel the remaining hops. Terminates because shipping marks
-    // advance monotonically: each (vertex, predicate, tuple) ships at
-    // most once, so rounds without fresh derivations drain `pending`.
-    while !driver.pending.is_empty() {
-        driver.run.flush_rounds += 1;
-        obs_handles::flush_rounds().inc();
-        let touched = std::mem::take(&mut driver.pending);
-        driver.round(touched)?;
-    }
-
-    // Merge IDB results in ascending vertex order.
-    let _merge_span = trace::span(Level::Trace, "layered", "merge_results", &[]);
-    let t0 = Instant::now();
-    let mut merged = Database::new();
-    let mut owners: Vec<&usize> = driver.states.keys().collect();
-    owners.sort_unstable();
-    for vi in owners {
-        let state = &driver.states[vi];
-        for (name, rel) in state.db.iter() {
-            if analyzed.idbs.contains_key(name) {
-                for t in rel.scan() {
-                    merged.insert(name, t.clone());
-                }
-            }
-        }
-    }
-    driver.run.phase_merge_ns += t0.elapsed().as_nanos() as u64;
+    run.phase_merge_ns += t0.elapsed().as_nanos() as u64;
     drop(_merge_span);
 
-    let mut run = driver.run;
-    run.query_results = merged;
     obs_handles::injected_tuples().add(run.injected_tuples as u64);
     obs_handles::evaluated_vertices().add(run.evaluated_vertices as u64);
     obs_handles::shipped_tuples().add(run.shipped_tuples as u64);
@@ -550,247 +925,6 @@ pub fn run_layered_range(
         ],
     );
     Ok(run)
-}
-
-/// The per-run replay state shared by layer rounds and flush rounds.
-struct Driver<'a> {
-    graph: &'a Csr,
-    evaluator: &'a Evaluator,
-    needed_statics: &'a BTreeSet<String>,
-    /// Shipped predicates in `BTreeSet` (sorted) order — fixed, so every
-    /// vertex takes and injects them in the same predicate order.
-    shipped_preds: Vec<String>,
-    table: ChunkTable,
-    threads: usize,
-    /// Sparse vertex states, keyed by touched vertices only.
-    states: HashMap<usize, QueryState>,
-    /// Vertices holding replicas delivered this round, to evaluate next
-    /// round.
-    pending: BTreeSet<usize>,
-    run: LayeredRun,
-}
-
-impl Driver<'_> {
-    /// The in-range owning vertex of a stored tuple, if any (tuples for
-    /// vertices outside the graph are skipped, not a panic).
-    fn owner(&self, t: &[ariadne_pql::Value]) -> Option<usize> {
-        let v = t.first().and_then(|v| v.as_id())?;
-        let vi = v as usize;
-        (vi < self.graph.num_vertices()).then_some(vi)
-    }
-
-    fn account_read(&mut self, read: &ariadne_provenance::LayerRead) {
-        self.run.segments_read += read.segments_read;
-        self.run.segments_skipped += read.segments_skipped;
-        self.run.bytes_read += read.bytes_read;
-        self.run.bytes_skipped += read.bytes_skipped;
-        self.run.cols_skipped += read.cols_skipped;
-        self.run.col_bytes_skipped += read.col_bytes_skipped;
-        self.run.degradation.absorb(&read.degradation);
-    }
-
-    /// One bulk-synchronous evaluation round over `touched`: partition
-    /// by chunk, evaluate chunks (in parallel when configured), then
-    /// merge outboxes in chunk order — which is ascending source-vertex
-    /// order, the determinism anchor.
-    fn round(&mut self, touched: BTreeSet<usize>) -> Result<(), AriadneError> {
-        if touched.is_empty() {
-            return Ok(());
-        }
-        let t0 = Instant::now();
-        // Group the (ascending) touched set by chunk; contiguous chunk
-        // ranges make this a single linear sweep.
-        let mut groups: Vec<Vec<(usize, QueryState)>> = Vec::new();
-        let mut current_chunk = usize::MAX;
-        for vi in touched {
-            let c = self.table.chunk_of(vi);
-            if c != current_chunk {
-                current_chunk = c;
-                groups.push(Vec::new());
-            }
-            let state = self.states.remove(&vi).unwrap_or_default();
-            groups.last_mut().expect("group just pushed").push((vi, state));
-        }
-
-        let outputs = if self.threads <= 1 || groups.len() <= 1 {
-            let mut outs = Vec::with_capacity(groups.len());
-            for group in groups {
-                outs.push(self.process_group(group).map_err(AriadneError::Pql)?);
-            }
-            outs
-        } else {
-            self.process_groups_parallel(groups)
-                .map_err(AriadneError::Pql)?
-        };
-        self.run.phase_eval_ns += t0.elapsed().as_nanos() as u64;
-
-        // Merge in chunk order = ascending source-vertex order. All
-        // states go back into the map *before* any injection: a shipped
-        // replica may target a vertex evaluated this round, and
-        // injecting into a fresh default entry would lose its state when
-        // the chunk re-insert arrived later.
-        let t1 = Instant::now();
-        for out in &outputs {
-            self.run.evaluated_vertices += out.evaluated;
-            self.run.shipped_tuples += out.shipped;
-            self.run.query_stats.merge(&out.stats);
-        }
-        let mut ships = Vec::with_capacity(outputs.len());
-        for out in outputs {
-            for (vi, state) in out.states {
-                self.states.insert(vi, state);
-            }
-            ships.push(out.ship);
-        }
-        for ship in ships {
-            for entry in ship {
-                for (pred, tuples) in &entry.fresh {
-                    for &nb in &entry.neighbors {
-                        self.states
-                            .entry(nb.index())
-                            .or_default()
-                            .inject(pred, tuples.iter().cloned());
-                        self.pending.insert(nb.index());
-                    }
-                }
-            }
-        }
-        self.run.phase_merge_ns += t1.elapsed().as_nanos() as u64;
-        Ok(())
-    }
-
-    /// Evaluate one chunk's vertices in ascending order, recording what
-    /// each ships into the chunk outbox instead of injecting in place
-    /// (rounds are bulk-synchronous).
-    fn process_group(
-        &self,
-        group: Vec<(usize, QueryState)>,
-    ) -> Result<ChunkOutput, PqlError> {
-        process_group(
-            self.graph,
-            self.evaluator,
-            self.needed_statics,
-            &self.shipped_preds,
-            group,
-        )
-    }
-
-    /// Work-stealing worker pool over the chunk groups: each worker
-    /// claims the next unprocessed group. Outputs land in per-group
-    /// slots, so merge order is chunk order no matter which worker
-    /// processed what.
-    fn process_groups_parallel(
-        &self,
-        groups: Vec<Vec<(usize, QueryState)>>,
-    ) -> Result<Vec<ChunkOutput>, PqlError> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-
-        /// A chunk group handed to whichever worker claims it.
-        type GroupCell = Mutex<Option<Vec<(usize, QueryState)>>>;
-
-        let inputs: Vec<GroupCell> = groups.into_iter().map(|g| Mutex::new(Some(g))).collect();
-        let outputs: Vec<Mutex<Option<Result<ChunkOutput, PqlError>>>> =
-            (0..inputs.len()).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.threads.min(inputs.len());
-        // Capture only `Sync` borrows in the worker closure: `Driver`
-        // itself holds `QueryState`s (interior-mutable relation indexes),
-        // which are `Send` — moved through the input cells — but not
-        // `Sync`.
-        let (graph, evaluator) = (self.graph, self.evaluator);
-        let (needed_statics, shipped_preds) = (self.needed_statics, &self.shipped_preds);
-        // Workers carry the caller's span context across the thread
-        // boundary, so per-chunk spans hang off the enclosing layer
-        // span in the drained trace tree.
-        let ctx = trace::current_context();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let _ctx = ctx.enter();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= inputs.len() {
-                            break;
-                        }
-                        let group = inputs[idx]
-                            .lock()
-                            .expect("input lock")
-                            .take()
-                            .expect("group claimed once");
-                        let _chunk_span = trace::span(
-                            Level::Trace,
-                            "layered",
-                            "chunk",
-                            &[("chunk", idx.into()), ("vertices", group.len().into())],
-                        );
-                        let result =
-                            process_group(graph, evaluator, needed_statics, shipped_preds, group);
-                        *outputs[idx].lock().expect("output lock") = Some(result);
-                    }
-                });
-            }
-        });
-        outputs
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("output lock")
-                    .expect("worker filled every claimed slot")
-            })
-            .collect()
-    }
-}
-
-/// The chunk evaluation kernel (free function so worker threads can call
-/// it with only `Sync` borrows).
-fn process_group(
-    graph: &Csr,
-    evaluator: &Evaluator,
-    needed_statics: &BTreeSet<String>,
-    shipped_preds: &[String],
-    group: Vec<(usize, QueryState)>,
-) -> Result<ChunkOutput, PqlError> {
-    let mut out = ChunkOutput {
-        states: Vec::with_capacity(group.len()),
-        ship: Vec::new(),
-        evaluated: 0,
-        shipped: 0,
-        stats: EvalStats::default(),
-    };
-    for (vi, mut state) in group {
-        let vertex = VertexId(vi as u64);
-        state.inject_statics(graph, vertex, needed_statics);
-        state.evaluate_stats(evaluator, vertex, &mut out.stats)?;
-        out.evaluated += 1;
-        if !shipped_preds.is_empty() {
-            let fresh = state.take_shippable(shipped_preds.iter(), vertex);
-            if !fresh.is_empty() {
-                // Route replicas over both edge directions: analytics
-                // like WCC message their in-neighbours too, so the
-                // communication graph is a superset of the
-                // out-adjacency. Shipping to a superset of the true
-                // routes is always sound (replicas are true tuples at
-                // their true locations); receivers whose message
-                // predicates don't join them simply ignore them.
-                let mut neighbors: Vec<VertexId> = graph
-                    .out_neighbors(vertex)
-                    .iter()
-                    .chain(graph.in_neighbors(vertex))
-                    .copied()
-                    .collect();
-                neighbors.sort_unstable();
-                neighbors.dedup();
-                out.shipped += fresh
-                    .iter()
-                    .map(|(_, t)| t.len() * neighbors.len())
-                    .sum::<usize>();
-                out.ship.push(ShipEntry { neighbors, fresh });
-            }
-        }
-        out.states.push((vi, state));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -42,6 +42,7 @@
 //! assert!(run.query_results.sorted("problem").is_empty()); // invariant holds
 //! ```
 
+mod barrier;
 pub mod capture;
 pub mod columns;
 pub mod compile;

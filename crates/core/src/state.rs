@@ -34,8 +34,13 @@ impl QueryState {
 
     /// Inject a batch of tuples into a relation (deduplicated).
     pub fn inject(&mut self, pred: &str, tuples: impl IntoIterator<Item = Tuple>) {
+        let mut tuples = tuples.into_iter().peekable();
+        let Some(first) = tuples.peek() else {
+            return;
+        };
+        let rel = self.db.relation_mut(pred, first.len());
         for t in tuples {
-            self.db.insert(pred, t);
+            rel.insert(t);
         }
     }
 
@@ -128,31 +133,38 @@ impl QueryState {
         let mut out = Vec::new();
         for pred in preds {
             let pred = pred.as_ref();
-            let Some(rel) = self.db.relation(pred) else {
-                continue;
-            };
-            let len = rel.len();
-            let marks = if shipping {
-                &mut self.ship_marks
-            } else {
-                &mut self.persist_marks
-            };
-            let mark = marks.entry(pred.to_string()).or_insert(0);
-            if *mark >= len {
-                continue;
-            }
-            let fresh: Vec<Tuple> = rel
-                .scan_from(*mark)
+            let fresh: Vec<Tuple> = self
+                .fresh_window(pred, shipping)
                 .iter()
                 .filter(|t| t.first() == Some(&own))
                 .cloned()
                 .collect();
-            *mark = len;
             if !fresh.is_empty() {
                 out.push((pred.to_string(), fresh));
             }
         }
         out
+    }
+
+    /// Everything appended to `pred` since its shipping (or persistence)
+    /// mark, replicas included; advances the mark to the relation's end.
+    pub(crate) fn fresh_window(&mut self, pred: &str, shipping: bool) -> &[Tuple] {
+        let Some(rel) = self.db.relation(pred) else {
+            return &[];
+        };
+        let marks = if shipping {
+            &mut self.ship_marks
+        } else {
+            &mut self.persist_marks
+        };
+        let from = match marks.get_mut(pred) {
+            Some(mark) => std::mem::replace(mark, rel.len()),
+            None => {
+                marks.insert(pred.to_string(), rel.len());
+                0
+            }
+        };
+        rel.scan_from(from)
     }
 }
 

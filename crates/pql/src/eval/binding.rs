@@ -96,14 +96,17 @@ pub fn for_each_valuation_steps<'r>(
     pivot: Option<&Pivot>,
     emit: &mut dyn FnMut(&Env<'r>),
 ) -> Result<(), PqlError> {
-    let mut stats = ScanStats::default();
-    for_each_valuation_steps_stats(rule, steps, db, udfs, seed, pivot, emit, &mut stats)
+    let mut scratch = ScanScratch::default();
+    let mut env = seed.clone();
+    for_each_valuation_steps_stats(rule, steps, db, udfs, &mut env, pivot, emit, &mut scratch)
 }
 
-/// Scan-scratch efficiency counters for one rule invocation.
+/// Scan-scratch efficiency counters of one [`ScanScratch`].
 ///
-/// Purely a function of the join structure and the data — deterministic
-/// across thread counts — because the pool is private to the invocation.
+/// Purely a function of the join structure, the data and the sequence of
+/// invocations that shared the scratch — deterministic across thread
+/// counts — because a scratch is private to one evaluation step of one
+/// database.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Buffer requests served from the recycled pool.
@@ -120,37 +123,36 @@ impl ScanStats {
     }
 }
 
-/// Like [`for_each_valuation_steps`], additionally accumulating the
-/// invocation's [`ScanStats`] into `stats`.
+/// Like [`for_each_valuation_steps`], drawing its scan buffers from (and
+/// counting into) a caller-owned `scratch`, so consecutive invocations
+/// recycle each other's buffers instead of going back to the allocator.
+/// `env` holds the seed bindings and is handed back as it came.
 #[allow(clippy::too_many_arguments)]
 pub fn for_each_valuation_steps_stats<'r>(
     rule: &'r AnalyzedRule,
     steps: &'r [Step],
     db: &Database,
     udfs: &UdfRegistry,
-    seed: &Env<'r>,
+    env: &mut Env<'r>,
     pivot: Option<&Pivot>,
     emit: &mut dyn FnMut(&Env<'r>),
-    stats: &mut ScanStats,
+    scratch: &mut ScanScratch,
 ) -> Result<(), PqlError> {
-    let mut env = seed.clone();
-    let mut scratch = ScanScratch::default();
-    let result = descend(rule, steps, db, udfs, 0, &mut env, pivot, &mut scratch, emit);
-    stats.merge(scratch.stats);
-    result
+    descend(rule, steps, db, udfs, 0, env, pivot, scratch, emit)
 }
 
-/// Reusable scan buffers threaded through [`descend`].
+/// Reusable scan buffers threaded through rule evaluation.
 ///
 /// Scans are the inner loop of semi-naive join evaluation: every probe
 /// used to clone the relation's posting list and allocate fresh
 /// column/key/binding vectors. These buffers amortize all of that to one
-/// allocation per recursion depth per rule invocation. `cols`/`key` are
-/// only live while probing (dead before the recursive call), so a single
-/// pair serves every depth; the per-depth buffers round-trip through
-/// `pools`, a stack of recycled `Vec`s.
+/// allocation per recursion depth per scratch; the evaluator keeps one
+/// scratch per evaluation step, so a vertex's rule firings share it.
+/// `cols`/`key` are only live while probing (dead before the recursive
+/// call), so a single pair serves every depth; the per-depth buffers
+/// round-trip through `pools`, a stack of recycled `Vec`s.
 #[derive(Default)]
-struct ScanScratch {
+pub struct ScanScratch {
     /// Bound column positions of the scan currently probing.
     cols: Vec<usize>,
     /// Key values aligned with `cols`.
@@ -164,6 +166,11 @@ struct ScanScratch {
 }
 
 impl ScanScratch {
+    /// Pool hit/miss counters since the scratch was created.
+    pub fn stats(&self) -> ScanStats {
+        self.stats
+    }
+
     fn take(&mut self) -> Vec<usize> {
         match self.pools.pop() {
             Some(mut v) => {
@@ -276,7 +283,13 @@ fn descend<'r>(
             // the relation safely.
             let mut candidates = scratch.take();
             if cols.is_empty() {
-                candidates.extend(0..rel.len());
+                // A delta step draws from its window alone: O(|Δ|), not
+                // O(|R|) skipped one by one below.
+                let len = rel.len();
+                candidates.extend(match &window {
+                    Some(w) => w.start.min(len)..w.end.min(len),
+                    None => 0..len,
+                });
             } else {
                 rel.select_into(&cols, &key, &mut candidates);
             }

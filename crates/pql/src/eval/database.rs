@@ -24,9 +24,12 @@ impl Database {
 
     /// Ensure relation `name` exists with the given arity and return it.
     pub fn relation_mut(&mut self, name: &str, arity: usize) -> &mut Relation {
-        self.relations
-            .entry(name.to_string())
-            .or_insert_with(|| Relation::new(arity))
+        // `entry` wants an owned key; only the first insert of a
+        // predicate pays for one.
+        if !self.relations.contains_key(name) {
+            self.relations.insert(name.to_string(), Relation::new(arity));
+        }
+        self.relations.get_mut(name).expect("present or just inserted")
     }
 
     /// The relation named `name`, if it exists.
@@ -54,6 +57,11 @@ impl Database {
     /// Iterate relations in name order (deterministic).
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Relation)> {
         self.relations.iter().map(|(k, v)| (k.as_str(), v))
+    }
+
+    /// Consume the database into its relations, in name order.
+    pub fn into_relations(self) -> impl Iterator<Item = (String, Relation)> {
+        self.relations.into_iter()
     }
 
     /// Sorted copy of a relation's tuples — convenient for assertions

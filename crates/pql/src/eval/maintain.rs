@@ -42,7 +42,7 @@
 #![warn(missing_docs)]
 use crate::analysis::Step;
 use crate::error::PqlError;
-use crate::eval::binding::{for_each_valuation_steps_stats, Pivot, ScanStats};
+use crate::eval::binding::{for_each_valuation_steps_stats, Pivot, ScanScratch};
 use crate::eval::database::Database;
 use crate::eval::relation::Tuple;
 use crate::eval::seminaive::{head_tuple, seed_env, EvalState, EvalStats, Evaluator};
@@ -275,15 +275,15 @@ impl Evaluator {
                         if let Step::Scan { pred, .. } = &mut steps[0] {
                             *pred = shadow_del(pred);
                         }
-                        let seed = seed_env(rule, loc);
+                        let mut seed = seed_env(rule, loc);
                         let mut dead: Vec<Tuple> = Vec::new();
-                        let mut scan = ScanStats::default();
+                        let mut scratch = ScanScratch::default();
                         for_each_valuation_steps_stats(
                             rule,
                             &steps,
                             db,
                             self.udfs(),
-                            &seed,
+                            &mut seed,
                             Some(&Pivot {
                                 step: 0,
                                 window: from..to,
@@ -293,11 +293,11 @@ impl Evaluator {
                                     dead.push(t);
                                 }
                             },
-                            &mut scan,
+                            &mut scratch,
                         )?;
                         report.stats.rule_firings += 1;
-                        report.stats.scratch_reuse += scan.reuse;
-                        report.stats.scratch_alloc += scan.alloc;
+                        report.stats.scratch_reuse += scratch.stats().reuse;
+                        report.stats.scratch_alloc += scratch.stats().alloc;
                         for t in dead {
                             if db.relation(&rule.pred).is_some_and(|r| r.contains(&t)) {
                                 let shadow = shadow_del(&rule.pred);

@@ -1,29 +1,167 @@
 //! Tuple storage: deterministic, deduplicated relations with lazy
 //! incremental hash indexes.
 //!
-//! Tuples are kept in insertion order (so evaluation is deterministic
-//! regardless of hash seeds) with a hash set for O(1) dedup. Indexes on
-//! arbitrary column subsets are built on first use and maintained
-//! incrementally on insert; they live behind a `RefCell` because the
-//! evaluator reads relations through shared references while joining.
+//! Every tuple is stored **once**, in insertion order, in one `Vec`; scans
+//! and probe results follow that order, so evaluation is deterministic.
+//! Dedup and the per-column-subset indexes are the same structure, a
+//! `Chains` table of *row ids* chained by the hash of the tuple's values
+//! at some columns — no tuple or key is ever cloned into a second
+//! container. Hashing is a fixed multiplicative hash rather than SipHash:
+//! a hash only picks which rows get compared, rows of one chain are kept
+//! in ascending order and every hit is verified against the stored tuple,
+//! so no hash value (or collision) can reach a result or a counter.
+//!
+//! Most relations of a per-vertex database hold a handful of tuples. Up to
+//! `SMALL` tuples a relation has no `Chains` at all: `insert`,
+//! `contains` and the probes are linear scans. The dedup table is built
+//! when the relation outgrows `SMALL`; a column index is built on the
+//! first probe after that and maintained incrementally on insert. Indexes
+//! live behind a `RefCell` because the evaluator reads relations through
+//! shared references while joining.
 
 use crate::eval::value::Value;
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 
 /// A relation tuple.
 pub type Tuple = Vec<Value>;
 
-type Index = HashMap<Vec<Value>, Vec<usize>>;
+/// Largest relation served by linear scans alone. A scan of this many
+/// short tuples costs about what hashing one and walking its chain does.
+const SMALL: usize = 12;
+
+/// Fx-style multiplicative hasher; deterministic across runs and hosts.
+#[derive(Default)]
+struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u8(&mut self, i: u8) {
+        self.write_u64(u64::from(i));
+    }
+    fn write_u64(&mut self, i: u64) {
+        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+fn hash_values<'a>(values: impl Iterator<Item = &'a Value>) -> u64 {
+    let mut hasher = MulHasher::default();
+    for v in values {
+        v.hash(&mut hasher);
+    }
+    hasher.finish()
+}
+
+/// Whether `tuple` holds `key` at `cols`.
+fn matches(tuple: &[Value], cols: &[usize], key: &[Value]) -> bool {
+    cols.iter().zip(key).all(|(&c, k)| tuple[c] == *k)
+}
+
+/// Row ids chained by the hash of each row's values at `cols`. Bucket and
+/// link entries are `row + 1`, `0` meaning none. A chain lists its rows in
+/// ascending order (rows are appended at the tail and relinked in row
+/// order on growth), so probes return matches in insertion order.
+#[derive(Clone, Debug)]
+struct Chains {
+    cols: Vec<usize>,
+    /// `(head, tail)` per bucket; the length is a power of two.
+    buckets: Vec<(u32, u32)>,
+    /// Per row: the next row of its bucket's chain.
+    next: Vec<u32>,
+    /// Per row: its key hash, so growth never rehashes and a chain walk
+    /// compares tuples only on a full hash match.
+    hashes: Vec<u64>,
+}
+
+impl Chains {
+    fn build(cols: Vec<usize>, tuples: &[Tuple]) -> Self {
+        let mut chains = Chains {
+            cols,
+            buckets: vec![(0, 0); tuples.len().next_power_of_two().max(16)],
+            next: Vec::with_capacity(tuples.len()),
+            hashes: Vec::with_capacity(tuples.len()),
+        };
+        for t in tuples {
+            chains.push(chains.key_hash(t));
+        }
+        chains
+    }
+
+    fn key_hash(&self, tuple: &[Value]) -> u64 {
+        hash_values(self.cols.iter().map(|&c| &tuple[c]))
+    }
+
+    /// The multiplication leaves its entropy in the high bits.
+    fn bucket(&self, hash: u64) -> usize {
+        (hash >> (64 - self.buckets.len().trailing_zeros())) as usize
+    }
+
+    /// Append the next row (its id is the number of rows so far), whose
+    /// key hashes to `hash`.
+    fn push(&mut self, hash: u64) {
+        if self.hashes.len() >= self.buckets.len() {
+            self.buckets = vec![(0, 0); self.buckets.len() * 2];
+            for row in 0..self.hashes.len() {
+                self.link(row);
+            }
+        }
+        self.hashes.push(hash);
+        self.next.push(0);
+        self.link(self.hashes.len() - 1);
+    }
+
+    fn link(&mut self, row: usize) {
+        let id = u32::try_from(row + 1).expect("relation holds fewer than 2^32 tuples");
+        self.next[row] = 0;
+        let b = self.bucket(self.hashes[row]);
+        match self.buckets[b] {
+            (0, _) => self.buckets[b] = (id, id),
+            (_, tail) => {
+                self.next[tail as usize - 1] = id;
+                self.buckets[b].1 = id;
+            }
+        }
+    }
+
+    /// Rows whose key hash equals `hash`, ascending. Callers verify the
+    /// key itself against the stored tuple.
+    fn rows(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        let mut at = self.buckets[self.bucket(hash)].0;
+        std::iter::from_fn(move || {
+            while at != 0 {
+                let row = at as usize - 1;
+                at = self.next[row];
+                if self.hashes[row] == hash {
+                    return Some(row);
+                }
+            }
+            None
+        })
+    }
+}
 
 /// A deduplicated, insertion-ordered set of tuples of fixed arity.
 #[derive(Debug, Default)]
 pub struct Relation {
     arity: usize,
     tuples: Vec<Tuple>,
-    seen: HashSet<Tuple>,
-    /// Lazily built indexes keyed by the (sorted) column positions.
-    indexes: RefCell<HashMap<Vec<usize>, Index>>,
+    /// Chains over all columns; `Some` exactly while `len() > SMALL`.
+    dedup: Option<Chains>,
+    /// Lazily built indexes over (sorted) column subsets; empty while
+    /// `len() <= SMALL`.
+    indexes: RefCell<Vec<Chains>>,
 }
 
 impl Relation {
@@ -61,23 +199,39 @@ impl Relation {
             "arity mismatch inserting into relation of arity {}",
             self.arity
         );
-        if self.seen.contains(&tuple) {
-            return false;
+        match &mut self.dedup {
+            Some(dedup) => {
+                let hash = hash_values(tuple.iter());
+                if dedup.rows(hash).any(|row| self.tuples[row] == tuple) {
+                    return false;
+                }
+                dedup.push(hash);
+                for index in self.indexes.get_mut() {
+                    index.push(index.key_hash(&tuple));
+                }
+                self.tuples.push(tuple);
+            }
+            None => {
+                if self.tuples.contains(&tuple) {
+                    return false;
+                }
+                self.tuples.push(tuple);
+                if self.tuples.len() > SMALL {
+                    self.reindex();
+                }
+            }
         }
-        let idx = self.tuples.len();
-        // Maintain existing indexes incrementally.
-        for (cols, index) in self.indexes.borrow_mut().iter_mut() {
-            let key: Vec<Value> = cols.iter().map(|&c| tuple[c].clone()).collect();
-            index.entry(key).or_default().push(idx);
-        }
-        self.seen.insert(tuple.clone());
-        self.tuples.push(tuple);
         true
     }
 
     /// Whether the relation contains `tuple`.
     pub fn contains(&self, tuple: &[Value]) -> bool {
-        self.seen.contains(tuple)
+        match &self.dedup {
+            Some(dedup) => dedup
+                .rows(hash_values(tuple.iter()))
+                .any(|row| self.tuples[row] == tuple),
+            None => self.tuples.iter().any(|t| t == tuple),
+        }
     }
 
     /// All tuples in insertion order.
@@ -90,8 +244,13 @@ impl Relation {
         &self.tuples[from.min(self.tuples.len())..]
     }
 
-    /// Indices of tuples matching `key` values at `cols` (builds the
-    /// index on first use). `cols` must be sorted and non-empty.
+    /// Consume the relation into its tuples, in insertion order.
+    pub fn into_tuples(self) -> Vec<Tuple> {
+        self.tuples
+    }
+
+    /// Indices of tuples matching `key` values at `cols`, ascending.
+    /// `cols` must be sorted and non-empty.
     ///
     /// Allocates a fresh `Vec` per probe; the join inner loop uses
     /// [`Relation::select_into`] instead, which reuses a caller buffer.
@@ -108,16 +267,15 @@ impl Relation {
     /// relation (self-joins) while iterating `out`.
     pub fn select_into(&self, cols: &[usize], key: &[Value], out: &mut Vec<usize>) {
         out.clear();
-        let mut indexes = self.indexes.borrow_mut();
-        let index = self.index_for(&mut indexes, cols);
-        if let Some(postings) = index.get(key) {
-            out.extend_from_slice(postings);
-        }
+        self.probe(cols, key, |row| {
+            out.push(row);
+            false
+        });
     }
 
     /// Whether any tuple matching `key` at `cols` satisfies `pred`
     /// (short-circuits on the first witness). Existence-only scans use
-    /// this to probe the borrowed index without materializing matches.
+    /// this to probe without materializing matches.
     ///
     /// `pred` must not re-enter this relation's index (the internal
     /// borrow is held while it runs); the evaluator only checks delta
@@ -126,35 +284,28 @@ impl Relation {
         &self,
         cols: &[usize],
         key: &[Value],
-        mut pred: impl FnMut(usize) -> bool,
+        pred: impl FnMut(usize) -> bool,
     ) -> bool {
-        let mut indexes = self.indexes.borrow_mut();
-        let index = self.index_for(&mut indexes, cols);
-        index
-            .get(key)
-            .is_some_and(|postings| postings.iter().any(|&idx| pred(idx)))
+        self.probe(cols, key, pred)
     }
 
-    /// The index over `cols`, built on first use. `cols` must be sorted
-    /// and non-empty.
-    fn index_for<'a>(
-        &self,
-        indexes: &'a mut HashMap<Vec<usize>, Index>,
-        cols: &[usize],
-    ) -> &'a Index {
+    /// Feed the rows matching `key` at `cols` to `stop`, ascending, until
+    /// it returns true; returns whether it did. A small relation is
+    /// scanned; otherwise the index over `cols` is built on first use.
+    fn probe(&self, cols: &[usize], key: &[Value], mut stop: impl FnMut(usize) -> bool) -> bool {
         debug_assert!(!cols.is_empty());
         debug_assert!(cols.windows(2).all(|w| w[0] < w[1]));
-        // `entry(cols.to_vec())` would clone `cols` on every probe; only
-        // pay that on the build path.
-        if !indexes.contains_key(cols) {
-            let mut idx: Index = HashMap::new();
-            for (i, t) in self.tuples.iter().enumerate() {
-                let key: Vec<Value> = cols.iter().map(|&c| t[c].clone()).collect();
-                idx.entry(key).or_default().push(i);
-            }
-            indexes.insert(cols.to_vec(), idx);
+        let mut hit = |row: usize| matches(&self.tuples[row], cols, key) && stop(row);
+        if self.dedup.is_none() {
+            return (0..self.tuples.len()).any(hit);
         }
-        &indexes[cols]
+        let mut indexes = self.indexes.borrow_mut();
+        let at = indexes.iter().position(|i| i.cols == cols).unwrap_or_else(|| {
+            indexes.push(Chains::build(cols.to_vec(), &self.tuples));
+            indexes.len() - 1
+        });
+        let found = indexes[at].rows(hash_values(key.iter())).any(&mut hit);
+        found
     }
 
     /// The tuple at `idx`.
@@ -175,8 +326,7 @@ impl Relation {
         self.tuples.retain(|t| keep(t));
         let removed = before - self.tuples.len();
         if removed > 0 {
-            self.seen = self.tuples.iter().cloned().collect();
-            self.indexes.borrow_mut().clear();
+            self.reindex();
         }
         removed
     }
@@ -184,12 +334,18 @@ impl Relation {
     /// Drop every tuple, keeping the arity. Indexes are dropped too.
     pub fn clear(&mut self) {
         self.tuples.clear();
-        self.seen.clear();
-        self.indexes.borrow_mut().clear();
+        self.reindex();
+    }
+
+    /// Re-establish the `dedup`/`indexes` invariants after rows moved.
+    fn reindex(&mut self) {
+        self.indexes.get_mut().clear();
+        self.dedup = (self.tuples.len() > SMALL)
+            .then(|| Chains::build((0..self.arity).collect(), &self.tuples));
     }
 
     /// Approximate heap footprint of the stored tuples in bytes (index
-    /// and dedup-set overhead excluded; this measures provenance payload,
+    /// and dedup-table overhead excluded; this measures provenance payload,
     /// the quantity Tables 3 and 4 report).
     pub fn byte_size(&self) -> usize {
         self.tuples
@@ -205,8 +361,8 @@ impl Clone for Relation {
         Relation {
             arity: self.arity,
             tuples: self.tuples.clone(),
-            seen: self.seen.clone(),
-            indexes: RefCell::new(HashMap::new()),
+            dedup: self.dedup.clone(),
+            indexes: RefCell::new(Vec::new()),
         }
     }
 }
@@ -318,5 +474,131 @@ mod tests {
         let c = r.clone();
         assert_eq!(c.len(), 1);
         assert_eq!(c.select(&[0], &[Value::Int(1)]), vec![0]);
+    }
+
+    /// The model the relation is checked against: insertion order in a
+    /// `Vec`, membership in a `BTreeSet`.
+    #[derive(Default)]
+    struct Model {
+        order: Vec<Tuple>,
+        set: std::collections::BTreeSet<Tuple>,
+    }
+
+    impl Model {
+        fn rows(&self, cols: &[usize], key: &[Value]) -> Vec<usize> {
+            let hit = |t: &Tuple| cols.iter().zip(key).all(|(&c, k)| t[c] == *k);
+            (0..self.order.len()).filter(|&i| hit(&self.order[i])).collect()
+        }
+    }
+
+    /// Few enough values that inserts repeat and probes hit, of every
+    /// kind whose equality or hashing is not the derived one: floats by
+    /// bit pattern (`-0.0 != 0.0`, `NaN == NaN`), shared strings and
+    /// lists, `Unit`, and `Id` vs `Int` of the same number.
+    fn palette(i: u8) -> Value {
+        match i % 10 {
+            0 => Value::Id(1),
+            1 => Value::Int(1),
+            2 => Value::Float(0.0),
+            3 => Value::Float(-0.0),
+            4 => Value::Float(f64::NAN),
+            5 => Value::str("k"),
+            6 => Value::str("k\0"), // hashes like "k": see the collision test
+            7 => Value::floats(&[1.0, 2.0]),
+            8 => Value::Unit,
+            _ => Value::Bool(true),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
+
+        /// Random operation sequences agree with the model after every
+        /// step. Ten values in two columns give up to 100 distinct
+        /// tuples, so sequences grow past `SMALL` (building dedup and
+        /// indexes), `retain` shrinks them back below it, and the probes
+        /// that follow every step run on whichever side they landed.
+        #[test]
+        fn agrees_with_vec_and_set_model(
+            ops in proptest::collection::vec((0u8..16, 0u8..10, 0u8..10), 1..120),
+        ) {
+            let mut rel = Relation::new(2);
+            let mut model = Model::default();
+            let mut buf = Vec::new();
+            for (op, a, b) in ops {
+                let tuple = vec![palette(a), palette(b)];
+                match op {
+                    // Inserts dominate so relations actually grow.
+                    0..=8 => {
+                        let new = model.set.insert(tuple.clone());
+                        if new {
+                            model.order.push(tuple.clone());
+                        }
+                        proptest::prop_assert_eq!(rel.insert(tuple.clone()), new);
+                    }
+                    9 | 10 => {
+                        let keep = |t: &Tuple| t[usize::from(op - 9)] != palette(a);
+                        let before = model.order.len();
+                        model.order.retain(keep);
+                        model.set.retain(keep);
+                        proptest::prop_assert_eq!(rel.retain(keep), before - model.order.len());
+                    }
+                    11 => rel = rel.clone(),
+                    12 if a == 0 => {
+                        rel.clear();
+                        model = Model::default();
+                    }
+                    _ => {
+                        let from = usize::from(b);
+                        let expect = model.rows(&[1], &[palette(a)]);
+                        proptest::prop_assert_eq!(
+                            rel.matches_any(&[1], &[palette(a)], |row| row >= from),
+                            expect.iter().any(|&row| row >= from)
+                        );
+                    }
+                }
+                proptest::prop_assert_eq!(rel.scan(), &model.order[..]);
+                proptest::prop_assert_eq!(rel.len() > SMALL, rel.dedup.is_some());
+                proptest::prop_assert_eq!(rel.contains(&tuple), model.set.contains(&tuple));
+                proptest::prop_assert_eq!(rel.select(&[0], &tuple[..1]), model.rows(&[0], &tuple[..1]));
+                rel.select_into(&[0, 1], &tuple, &mut buf);
+                proptest::prop_assert_eq!(&buf, &model.rows(&[0, 1], &tuple));
+            }
+        }
+    }
+
+    /// 512 distinct tuples with one and the same hash: `MulHasher` pads a
+    /// string's last word with zeros, so trailing NULs do not change it.
+    /// All of them sit in one chain at any table size; dedup and probes
+    /// must tell them apart by comparing tuples.
+    #[test]
+    fn equal_hashes_are_told_apart_by_the_chain_walk() {
+        let keys: Vec<Value> = (0..8).map(|n| Value::str(&format!("k{}", "\0".repeat(n)))).collect();
+        let mut tuples = Vec::new();
+        for a in &keys {
+            for b in &keys {
+                for c in &keys {
+                    tuples.push(vec![a.clone(), b.clone(), c.clone()]);
+                }
+            }
+        }
+        let hash = hash_values(tuples[0].iter());
+        assert!(tuples.iter().all(|t| hash_values(t.iter()) == hash));
+
+        let mut rel = Relation::new(3);
+        assert!(tuples.iter().all(|t| rel.insert(t.clone())));
+        assert!(tuples.iter().all(|t| !rel.insert(t.clone())));
+        assert_eq!(rel.scan(), &tuples[..]);
+        assert!(!rel.contains(&[keys[0].clone(), keys[0].clone(), Value::str("j")]));
+        // Column probes walk the same chain and still return exactly
+        // their rows, ascending.
+        let expect: Vec<usize> = (0..512).filter(|i| i / 64 == 2).collect();
+        assert_eq!(rel.select(&[0], &keys[2..3]), expect);
+        assert_eq!(rel.select(&[0, 1, 2], &tuples[77]), vec![77]);
+        // Shrinking rebuilds the chains over the survivors.
+        assert_eq!(rel.retain(|t| t[2] == keys[5]), 448);
+        assert_eq!(rel.len(), 64);
+        assert!(rel.contains(&tuples[5]) && !rel.contains(&tuples[6]));
+        assert!(rel.insert(tuples[6].clone()));
     }
 }

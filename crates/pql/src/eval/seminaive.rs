@@ -19,7 +19,7 @@ use crate::analysis::{AnalyzedQuery, AnalyzedRule, Step};
 use crate::ast::{AggFunc, HeadArg};
 use crate::error::PqlError;
 use crate::eval::binding::{
-    eval_term, for_each_valuation_steps_stats, Env, Pivot, ScanStats,
+    eval_term, for_each_valuation_steps_stats, Env, Pivot, ScanScratch, ScanStats,
 };
 use crate::eval::database::Database;
 use crate::eval::udf::UdfRegistry;
@@ -130,8 +130,10 @@ impl EvalStats {
 /// Per-database incremental evaluation state (delta frontiers).
 #[derive(Clone, Debug, Default)]
 pub struct EvalState {
-    /// (stratum, predicate) → number of tuples already consumed.
-    frontiers: BTreeMap<(usize, String), usize>,
+    /// Per stratum: predicate → number of tuples already consumed.
+    /// Nested (not keyed by `(stratum, String)`) so a lookup borrows the
+    /// predicate name instead of cloning it.
+    frontiers: Vec<BTreeMap<String, usize>>,
     /// Scan-free rules that have produced their output already.
     ran_scan_free: HashSet<usize>,
     /// Aggregate rule → total body-relation size at its last evaluation;
@@ -147,7 +149,8 @@ impl EvalState {
         let frontiers = self
             .frontiers
             .iter()
-            .map(|((s, p), n)| (*s, p.clone(), *n))
+            .enumerate()
+            .flat_map(|(s, preds)| preds.iter().map(move |(p, n)| (s, p.clone(), *n)))
             .collect();
         let mut scan_free: Vec<usize> = self.ran_scan_free.iter().copied().collect();
         scan_free.sort_unstable();
@@ -161,8 +164,15 @@ impl EvalState {
         ran_scan_free: Vec<usize>,
         agg_input_sizes: Vec<(usize, usize)>,
     ) -> Self {
+        let mut nested: Vec<BTreeMap<String, usize>> = Vec::new();
+        for (s, p, n) in frontiers {
+            if nested.len() <= s {
+                nested.resize_with(s + 1, BTreeMap::new);
+            }
+            nested[s].insert(p, n);
+        }
         EvalState {
-            frontiers: frontiers.into_iter().map(|(s, p, n)| ((s, p), n)).collect(),
+            frontiers: nested,
             ran_scan_free: ran_scan_free.into_iter().collect(),
             agg_input_sizes: agg_input_sizes.into_iter().collect(),
         }
@@ -266,7 +276,11 @@ impl Evaluator {
         stats: &mut EvalStats,
     ) -> Result<(), PqlError> {
         let mut local = EvalStats::default();
-        let result = self.step_stratum_inner(db, state, loc, stratum_idx, &mut local);
+        // One scratch for every rule firing of this step.
+        let mut scratch = ScanScratch::default();
+        let result =
+            self.step_stratum_inner(db, state, loc, stratum_idx, &mut local, &mut scratch);
+        local.absorb_scan(scratch.stats());
         local.record_obs();
         stats.merge(&local);
         result
@@ -279,6 +293,7 @@ impl Evaluator {
         loc: Option<&Value>,
         stratum_idx: usize,
         stats: &mut EvalStats,
+        scratch: &mut ScanScratch,
     ) -> Result<(), PqlError> {
         {
             let stratum = &self.query.strata[stratum_idx];
@@ -297,7 +312,7 @@ impl Evaluator {
                         })
                         .sum();
                     if state.agg_input_sizes.get(&ri) != Some(&input_size) {
-                        self.eval_aggregate_rule(rule, db, loc, stats)?;
+                        self.eval_aggregate_rule(rule, db, loc, stats, scratch)?;
                         state.agg_input_sizes.insert(ri, input_size);
                     }
                 }
@@ -310,20 +325,24 @@ impl Evaluator {
                     && !rule.steps.iter().any(|s| matches!(s, Step::Scan { .. }))
                     && state.ran_scan_free.insert(ri)
                 {
-                    self.eval_rule_full(rule, db, loc, stats)?;
+                    self.eval_rule_full(rule, db, loc, stats, scratch)?;
                 }
             }
 
             // Semi-naive fixpoint for the stratum's non-aggregate rules.
+            if state.frontiers.len() <= stratum_idx {
+                state.frontiers.resize_with(stratum_idx + 1, BTreeMap::new);
+            }
+            let frontiers = &mut state.frontiers[stratum_idx];
+            let mut starts: BTreeMap<&str, usize> = BTreeMap::new();
             loop {
                 stats.fixpoint_rounds += 1;
                 // Snapshot current lengths: this iteration's delta window
                 // ends here; later insertions belong to the next one.
-                let mut starts: BTreeMap<String, usize> = BTreeMap::new();
                 for &ri in stratum {
                     for step in &self.query.rules[ri].steps {
                         if let Step::Scan { pred, .. } | Step::Neg { pred, .. } = step {
-                            starts.entry(pred.clone()).or_insert_with(|| db.len(pred));
+                            starts.insert(pred, db.len(pred));
                         }
                     }
                 }
@@ -337,12 +356,8 @@ impl Evaluator {
                         let Step::Scan { pred, .. } = step else {
                             continue;
                         };
-                        let from = state
-                            .frontiers
-                            .get(&(stratum_idx, pred.clone()))
-                            .copied()
-                            .unwrap_or(0);
-                        let to = starts.get(pred).copied().unwrap_or(0);
+                        let from = frontiers.get(pred).copied().unwrap_or(0);
+                        let to = starts.get(pred.as_str()).copied().unwrap_or(0);
                         if from >= to {
                             continue;
                         }
@@ -357,17 +372,17 @@ impl Evaluator {
                                 window: from..to,
                             },
                             stats,
+                            scratch,
                         )?;
                     }
                 }
                 // Advance this stratum's frontiers to the snapshot.
-                for (pred, &to) in &starts {
-                    let f = state
-                        .frontiers
-                        .entry((stratum_idx, pred.clone()))
-                        .or_insert(0);
-                    if *f < to {
-                        *f = to;
+                for (&pred, &to) in &starts {
+                    match frontiers.get_mut(pred) {
+                        Some(f) => *f = to.max(*f),
+                        None => {
+                            frontiers.insert(pred.to_string(), to);
+                        }
                     }
                 }
                 if !any_delta {
@@ -385,27 +400,26 @@ impl Evaluator {
         db: &mut Database,
         loc: Option<&Value>,
         stats: &mut EvalStats,
+        scratch: &mut ScanScratch,
     ) -> Result<(), PqlError> {
-        let seed = seed_env(rule, loc);
+        let mut seed = seed_env(rule, loc);
         let mut derived: Vec<Vec<Value>> = Vec::new();
-        let mut scan = ScanStats::default();
         for_each_valuation_steps_stats(
             rule,
             &rule.steps,
             db,
             &self.udfs,
-            &seed,
+            &mut seed,
             None,
             &mut |env| {
                 if let Some(tuple) = head_tuple(rule, env) {
                     derived.push(tuple);
                 }
             },
-            &mut scan,
+            scratch,
         )?;
         stats.rule_firings += 1;
         stats.derived_tuples += derived.len() as u64;
-        stats.absorb_scan(scan);
         for tuple in derived {
             db.insert(&rule.pred, tuple);
         }
@@ -421,8 +435,9 @@ impl Evaluator {
         loc: Option<&Value>,
         pivot: Pivot,
         stats: &mut EvalStats,
+        scratch: &mut ScanScratch,
     ) -> Result<(), PqlError> {
-        let seed = seed_env(rule, loc);
+        let mut seed = seed_env(rule, loc);
         let mut derived: Vec<Vec<Value>> = Vec::new();
         let variant = rule
             .pivot_variants
@@ -433,24 +448,22 @@ impl Evaluator {
             step: 0,
             window: pivot.window,
         };
-        let mut scan = ScanStats::default();
         for_each_valuation_steps_stats(
             rule,
             &variant.steps,
             db,
             &self.udfs,
-            &seed,
+            &mut seed,
             Some(&fronted),
             &mut |env| {
                 if let Some(tuple) = head_tuple(rule, env) {
                     derived.push(tuple);
                 }
             },
-            &mut scan,
+            scratch,
         )?;
         stats.rule_firings += 1;
         stats.derived_tuples += derived.len() as u64;
-        stats.absorb_scan(scan);
         for tuple in derived {
             db.insert(&rule.pred, tuple);
         }
@@ -468,17 +481,17 @@ impl Evaluator {
         db: &mut Database,
         loc: Option<&Value>,
         stats: &mut EvalStats,
+        scratch: &mut ScanScratch,
     ) -> Result<(), PqlError> {
-        let seed = seed_env(rule, loc);
+        let mut seed = seed_env(rule, loc);
         let mut projected: BTreeSet<(Vec<Value>, Vec<Value>)> = BTreeSet::new();
         let mut failed = false;
-        let mut scan = ScanStats::default();
         for_each_valuation_steps_stats(
             rule,
             &rule.steps,
             db,
             &self.udfs,
-            &seed,
+            &mut seed,
             None,
             &mut |env| {
                 let mut group = Vec::new();
@@ -499,10 +512,9 @@ impl Evaluator {
                     projected.insert((group, aggs));
                 }
             },
-            &mut scan,
+            scratch,
         )?;
         stats.rule_firings += 1;
-        stats.absorb_scan(scan);
         if failed {
             return Err(PqlError::analysis(
                 rule.line,
