@@ -119,8 +119,8 @@ fn size_row(
 /// A session whose store is pinned to the v1 (row-major) segment
 /// format. Tables 3–4 reproduce the *paper's* accounting — the raw
 /// captured-tuple footprint — which the v2 columnar compression would
-/// understate (its savings are measured separately by the `segments`
-/// perf section).
+/// understate (its savings show in the benchmark's
+/// `store_bytes_per_tuple`).
 fn v1_session(w: &Workloads) -> ariadne::Ariadne {
     let mut a = w.ariadne.clone();
     a.store = a.store.with_format(ariadne_provenance::SegmentFormat::V1);

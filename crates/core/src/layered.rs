@@ -79,91 +79,76 @@ use std::time::Instant;
 /// so they are flagged deterministic; phase timings are wall-clock and
 /// are not.
 mod obs_handles {
-    use ariadne_obs::metrics::{Counter, Histogram};
-    use std::sync::OnceLock;
+    use ariadne_obs::{static_counter, static_histogram};
 
-    macro_rules! layered_counter {
-        ($fn_name:ident, $name:literal, $help:literal, $det:expr) => {
-            pub fn $fn_name() -> &'static Counter {
-                static H: OnceLock<Counter> = OnceLock::new();
-                H.get_or_init(|| ariadne_obs::registry().counter($name, $help, $det))
-            }
-        };
-    }
-
-    macro_rules! layered_histogram {
-        ($fn_name:ident, $name:literal, $help:literal) => {
-            pub fn $fn_name() -> &'static Histogram {
-                static H: OnceLock<Histogram> = OnceLock::new();
-                H.get_or_init(|| ariadne_obs::registry().histogram($name, $help, false))
-            }
-        };
-    }
-
-    layered_histogram!(
+    static_histogram!(
         query_latency,
         "layered_query_latency_ns",
-        "end-to-end wall-clock nanoseconds per layered query replay"
+        "end-to-end wall-clock nanoseconds per layered query replay",
+        false
     );
-    layered_histogram!(
+    static_histogram!(
         inject_latency,
         "layered_inject_latency_ns",
-        "per-query wall-clock nanoseconds reading and injecting layers"
+        "per-query wall-clock nanoseconds reading and injecting layers",
+        false
     );
-    layered_histogram!(
+    static_histogram!(
         eval_latency,
         "layered_eval_latency_ns",
-        "per-query wall-clock nanoseconds in evaluation rounds"
+        "per-query wall-clock nanoseconds in evaluation rounds",
+        false
     );
-    layered_histogram!(
+    static_histogram!(
         merge_latency,
         "layered_merge_latency_ns",
-        "per-query wall-clock nanoseconds merging outboxes and results"
+        "per-query wall-clock nanoseconds merging outboxes and results",
+        false
     );
 
-    layered_counter!(
+    static_counter!(
         rounds,
         "layered_rounds_total",
         "layer rounds replayed by layered evaluation",
         true
     );
-    layered_counter!(
+    static_counter!(
         flush_rounds,
         "layered_flush_rounds_total",
         "post-layer fixpoint flush rounds until shipped replicas drain",
         true
     );
-    layered_counter!(
+    static_counter!(
         injected_tuples,
         "layered_injected_tuples_total",
         "stored tuples injected into vertex partitions during replay",
         true
     );
-    layered_counter!(
+    static_counter!(
         evaluated_vertices,
         "layered_evaluated_vertices_total",
         "vertex-local fixpoint evaluations across all rounds",
         true
     );
-    layered_counter!(
+    static_counter!(
         shipped_tuples,
         "layered_shipped_tuples_total",
         "replica tuples shipped one hop between vertices",
         true
     );
-    layered_counter!(
+    static_counter!(
         phase_inject_ns,
         "layered_phase_inject_ns_total",
         "nanoseconds spent reading and injecting layers (wall clock)",
         false
     );
-    layered_counter!(
+    static_counter!(
         phase_eval_ns,
         "layered_phase_eval_ns_total",
         "nanoseconds spent in per-vertex evaluation rounds (wall clock)",
         false
     );
-    layered_counter!(
+    static_counter!(
         phase_merge_ns,
         "layered_phase_merge_ns_total",
         "nanoseconds spent merging per-chunk outboxes (wall clock)",

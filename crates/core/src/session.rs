@@ -5,7 +5,7 @@ use crate::compile::CompiledQuery;
 use crate::custom::CustomProv;
 use crate::layered::{run_layered_with, LayeredConfig, LayeredRun};
 use crate::naive::{run_centralized, run_naive, NaiveRun};
-use crate::online::{OnlineConfig, OnlineProgram, OnlineRun, Persist};
+use crate::online::{OnlineConfig, OnlineProgram, OnlineRun, OnlineState, Persist};
 use ariadne_graph::Csr;
 use ariadne_pql::{Database, Direction, PqlError};
 use ariadne_provenance::{ProvEncode, ProvStore, StoreConfig, StoreError, StoreWriter};
@@ -116,6 +116,10 @@ impl From<EngineError> for AriadneError {
     }
 }
 
+/// What the engine returns for an analytic wrapped in an
+/// [`OnlineProgram`].
+type WrappedRun<V> = RunResult<OnlineState<V>>;
+
 /// The Ariadne system handle: engine and store configuration plus the
 /// evaluation-mode entry points.
 #[derive(Clone, Debug)]
@@ -216,24 +220,9 @@ impl Ariadne {
         A::V: ProvEncode,
         A::M: ProvEncode,
     {
-        if !query.direction().supports_online() {
-            return Err(AriadneError::UnsupportedMode {
-                mode: "online",
-                direction: query.direction(),
-            });
-        }
-        let analyzed = query.query();
-        let config = OnlineConfig {
-            evaluator: Some(query.evaluator().clone()),
-            needed: Arc::new(analyzed.edbs.clone()),
-            shipped: Arc::new(analyzed.shipped.clone()),
-            persist: None,
-            custom,
-        };
-        let program = OnlineProgram::new(analytic, config);
-        let result = Engine::new(self.engine.clone()).run(&program, graph);
-        check_query_failure(&program)?;
-        Ok(finish_online(result, &analyzed.idbs, program.query_stats()))
+        self.online_engine(analytic, query, custom, |engine, program| {
+            Ok(engine.run(program, graph))
+        })
     }
 
     /// Online evaluation with barrier checkpoints: like
@@ -252,7 +241,7 @@ impl Ariadne {
         A::V: ProvEncode + Snapshot,
         A::M: ProvEncode + Snapshot,
     {
-        self.online_engine(analytic, graph, query, |engine, program, graph| {
+        self.online_engine(analytic, query, None, |engine, program| {
             engine.run_checkpointed(program, graph)
         })
     }
@@ -272,29 +261,25 @@ impl Ariadne {
         A::V: ProvEncode + Snapshot,
         A::M: ProvEncode + Snapshot,
     {
-        self.online_engine(analytic, graph, query, |engine, program, graph| {
+        self.online_engine(analytic, query, None, |engine, program| {
             engine.resume(program, graph)
         })
     }
 
-    /// Shared driver for the checkpointed/resumed online variants.
+    /// Shared driver for every online variant; `drive` is the engine
+    /// call (plain, checkpointed or resuming).
     fn online_engine<A, F>(
         &self,
         analytic: &A,
-        graph: &Csr,
         query: &CompiledQuery,
+        custom: Option<Arc<dyn CustomProv<A>>>,
         drive: F,
     ) -> Result<OnlineRun<A::V>, AriadneError>
     where
         A: VertexProgram,
-        A::V: ProvEncode + Snapshot,
-        A::M: ProvEncode + Snapshot,
-        F: FnOnce(
-            &Engine,
-            &OnlineProgram<'_, A>,
-            &Csr,
-        )
-            -> Result<RunResult<crate::online::OnlineState<A::V>>, EngineError>,
+        A::V: ProvEncode,
+        A::M: ProvEncode,
+        F: FnOnce(&Engine, &OnlineProgram<'_, A>) -> Result<WrappedRun<A::V>, EngineError>,
     {
         if !query.direction().supports_online() {
             return Err(AriadneError::UnsupportedMode {
@@ -308,11 +293,10 @@ impl Ariadne {
             needed: Arc::new(analyzed.edbs.clone()),
             shipped: Arc::new(analyzed.shipped.clone()),
             persist: None,
-            custom: None,
+            custom,
         };
         let program = OnlineProgram::new(analytic, config);
-        let engine = Engine::new(self.engine.clone());
-        let result = drive(&engine, &program, graph).map_err(AriadneError::Engine)?;
+        let result = drive(&Engine::new(self.engine.clone()), &program)?;
         check_query_failure(&program)?;
         Ok(finish_online(result, &analyzed.idbs, program.query_stats()))
     }
@@ -345,47 +329,13 @@ impl Ariadne {
         A::V: ProvEncode,
         A::M: ProvEncode,
     {
-        if !spec.supports_online() {
-            let direction = spec
-                .query
-                .as_ref()
-                .map(|q| q.direction())
-                .unwrap_or(Direction::Local);
-            return Err(AriadneError::UnsupportedMode {
-                mode: "capture",
-                direction,
-            });
-        }
-        let writer = StoreWriter::spawn(self.store.clone());
-        let persist = Persist {
-            sender: writer.sender(),
-            preds: Arc::new(spec.persist_preds()),
-        };
-        let shipped: BTreeSet<String> = spec
-            .query
-            .as_ref()
-            .map(|q| q.query().shipped.clone())
-            .unwrap_or_default();
-        let config = OnlineConfig {
-            evaluator: spec.query.as_ref().map(|q| q.evaluator().clone()),
-            needed: Arc::new(spec.needed()),
-            shipped: Arc::new(shipped),
-            persist: Some(persist),
+        self.capture_engine(
+            analytic,
+            spec,
             custom,
-        };
-        let program = OnlineProgram::new(analytic, config);
-        let result = Engine::new(self.engine.clone()).run(&program, graph);
-        // Drain the writer before deciding the outcome so its thread
-        // never leaks; a query failure takes precedence over store state.
-        let store = writer.finish();
-        check_query_failure(&program)?;
-        let store = store.map_err(AriadneError::Store)?;
-        Ok(CaptureRun {
-            values: result.values.into_iter().map(|s| s.value).collect(),
-            store,
-            metrics: result.metrics,
-            query_stats: program.query_stats(),
-        })
+            StoreWriter::spawn,
+            |engine, program| Ok(engine.run(program, graph)),
+        )
     }
 
     /// Capture with barrier checkpoints: like [`Ariadne::capture`], but
@@ -403,7 +353,13 @@ impl Ariadne {
         A::V: ProvEncode + Snapshot,
         A::M: ProvEncode + Snapshot,
     {
-        self.capture_engine(analytic, graph, spec, false)
+        self.capture_engine(
+            analytic,
+            spec,
+            None,
+            StoreWriter::spawn,
+            |engine, program| engine.run_checkpointed(program, graph),
+        )
     }
 
     /// Resume a crashed [`Ariadne::capture_checkpointed`] run: the engine
@@ -422,21 +378,31 @@ impl Ariadne {
         A::V: ProvEncode + Snapshot,
         A::M: ProvEncode + Snapshot,
     {
-        self.capture_engine(analytic, graph, spec, true)
+        self.capture_engine(
+            analytic,
+            spec,
+            None,
+            StoreWriter::spawn_resuming,
+            |engine, program| engine.resume(program, graph),
+        )
     }
 
-    /// Shared driver for the checkpointed/resumed capture variants.
-    fn capture_engine<A>(
+    /// Shared driver for every capture variant; `spawn_writer` opens the
+    /// store (fresh, or re-attached to a crashed run's spool) and `drive`
+    /// is the engine call (plain, checkpointed or resuming).
+    fn capture_engine<A, F>(
         &self,
         analytic: &A,
-        graph: &Csr,
         spec: &CaptureSpec,
-        resuming: bool,
+        custom: Option<Arc<dyn CustomProv<A>>>,
+        spawn_writer: fn(StoreConfig) -> StoreWriter,
+        drive: F,
     ) -> Result<CaptureRun<A::V>, AriadneError>
     where
         A: VertexProgram,
-        A::V: ProvEncode + Snapshot,
-        A::M: ProvEncode + Snapshot,
+        A::V: ProvEncode,
+        A::M: ProvEncode,
+        F: FnOnce(&Engine, &OnlineProgram<'_, A>) -> Result<WrappedRun<A::V>, EngineError>,
     {
         if !spec.supports_online() {
             let direction = spec
@@ -449,11 +415,7 @@ impl Ariadne {
                 direction,
             });
         }
-        let writer = if resuming {
-            StoreWriter::spawn_resuming(self.store.clone())
-        } else {
-            StoreWriter::spawn(self.store.clone())
-        };
+        let writer = spawn_writer(self.store.clone());
         let persist = Persist {
             sender: writer.sender(),
             preds: Arc::new(spec.persist_preds()),
@@ -468,17 +430,15 @@ impl Ariadne {
             needed: Arc::new(spec.needed()),
             shipped: Arc::new(shipped),
             persist: Some(persist),
-            custom: None,
+            custom,
         };
         let program = OnlineProgram::new(analytic, config);
-        let engine = Engine::new(self.engine.clone());
-        let result = if resuming {
-            engine.resume(&program, graph)
-        } else {
-            engine.run_checkpointed(&program, graph)
-        };
+        let result = drive(&Engine::new(self.engine.clone()), &program);
+        // Drain the writer before deciding the outcome so its thread
+        // never leaks; an engine or query failure takes precedence over
+        // store state.
         let store = writer.finish();
-        let result = result.map_err(AriadneError::Engine)?;
+        let result = result?;
         check_query_failure(&program)?;
         let store = store.map_err(AriadneError::Store)?;
         Ok(CaptureRun {
@@ -555,7 +515,7 @@ fn check_query_failure<A: VertexProgram>(program: &OnlineProgram<'_, A>) -> Resu
 /// query result tables (IDB relations only; transient EDB partitions are
 /// working state, not results).
 fn finish_online<V>(
-    result: RunResult<crate::online::OnlineState<V>>,
+    result: WrappedRun<V>,
     idbs: &std::collections::BTreeMap<String, usize>,
     query_stats: ariadne_pql::EvalStats,
 ) -> OnlineRun<V> {

@@ -79,8 +79,8 @@ impl Partitioner for RangePartitioner {
 /// single empty chunk so the engine loop stays uniform.
 ///
 /// Two constructors:
-/// - [`ChunkTable::uniform`] cuts ~equal *vertex* counts (the historical
-///   layout, kept for the naive message plane and as a fallback);
+/// - [`ChunkTable::uniform`] cuts ~equal *vertex* counts (needs no
+///   graph);
 /// - [`ChunkTable::degree_weighted`] cuts ~equal *edge* work using the CSR
 ///   out-degree prefix sums, so one hub-heavy chunk of a power-law graph
 ///   doesn't serialize the superstep.

@@ -74,6 +74,46 @@ pub fn registry() -> &'static Registry {
     Registry::global()
 }
 
+/// Declare `pub fn $fn_name() -> &'static $ty`: a handle into the global
+/// [`registry`], registered on first call and cached in a `OnceLock`, so
+/// an instrumentation site costs one atomic load after that.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! static_handle {
+    ($fn_name:ident, $ty:ident, $register:ident, $name:expr, $help:expr, $det:expr) => {
+        pub fn $fn_name() -> &'static $crate::metrics::$ty {
+            static H: ::std::sync::OnceLock<$crate::metrics::$ty> = ::std::sync::OnceLock::new();
+            H.get_or_init(|| $crate::registry().$register($name, $help, $det))
+        }
+    };
+}
+
+/// `static_counter!(fn_name, "metric_name", "help", deterministic)`
+/// declares `pub fn fn_name() -> &'static Counter`, a cached handle to
+/// that counter in the global [`registry`].
+#[macro_export]
+macro_rules! static_counter {
+    ($fn_name:ident, $name:expr, $help:expr, $det:expr) => {
+        $crate::static_handle!($fn_name, Counter, counter, $name, $help, $det);
+    };
+}
+
+/// [`static_counter!`] for a [`Gauge`].
+#[macro_export]
+macro_rules! static_gauge {
+    ($fn_name:ident, $name:expr, $help:expr, $det:expr) => {
+        $crate::static_handle!($fn_name, Gauge, gauge, $name, $help, $det);
+    };
+}
+
+/// [`static_counter!`] for a [`Histogram`].
+#[macro_export]
+macro_rules! static_histogram {
+    ($fn_name:ident, $name:expr, $help:expr, $det:expr) => {
+        $crate::static_handle!($fn_name, Histogram, histogram, $name, $help, $det);
+    };
+}
+
 /// Serialize tests that mutate the process-global trace state (filter,
 /// rings); shared across this crate's test modules.
 #[cfg(test)]

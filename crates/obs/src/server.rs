@@ -41,7 +41,6 @@
 //! not a malformed request. [`HttpServer::shutdown`] stops accepting,
 //! drains in-flight requests, and joins every thread.
 
-use crate::metrics::Counter;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -61,26 +60,19 @@ pub const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Cached handles for the server's own metrics (it eats its own food).
 mod obs_handles {
-    use super::*;
+    use crate::static_counter;
 
-    macro_rules! http_counter {
-        ($fn_name:ident, $name:literal, $help:literal) => {
-            pub fn $fn_name() -> &'static Counter {
-                static H: OnceLock<Counter> = OnceLock::new();
-                H.get_or_init(|| crate::registry().counter($name, $help, false))
-            }
-        };
-    }
-
-    http_counter!(
+    static_counter!(
         requests,
         "obs_http_requests_total",
-        "HTTP requests accepted by the exposition server"
+        "HTTP requests accepted by the exposition server",
+        false
     );
-    http_counter!(
+    static_counter!(
         bad_requests,
         "obs_http_bad_requests_total",
-        "HTTP requests rejected as malformed (400) or unsupported (404/405)"
+        "HTTP requests rejected as malformed (400) or unsupported (404/405)",
+        false
     );
 }
 

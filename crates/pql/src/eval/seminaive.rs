@@ -31,47 +31,43 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 /// delta window sizes — which is a function of the query and the data
 /// alone, so every counter here is flagged deterministic.
 mod obs_handles {
-    use ariadne_obs::metrics::Counter;
-    use std::sync::OnceLock;
+    use ariadne_obs::static_counter;
 
-    macro_rules! pql_counter {
-        ($fn_name:ident, $name:literal, $help:literal) => {
-            pub fn $fn_name() -> &'static Counter {
-                static H: OnceLock<Counter> = OnceLock::new();
-                H.get_or_init(|| ariadne_obs::registry().counter($name, $help, true))
-            }
-        };
-    }
-
-    pql_counter!(
+    static_counter!(
         rule_firings,
         "pql_rule_firings_total",
-        "semi-naive rule evaluations (full, pivoted and aggregate)"
+        "semi-naive rule evaluations (full, pivoted and aggregate)",
+        true
     );
-    pql_counter!(
+    static_counter!(
         derived_tuples,
         "pql_derived_tuples_total",
-        "tuples inserted into IDB relations by rule heads"
+        "tuples inserted into IDB relations by rule heads",
+        true
     );
-    pql_counter!(
+    static_counter!(
         delta_tuples,
         "pql_delta_tuples_total",
-        "tuples consumed from delta windows by pivoted evaluations"
+        "tuples consumed from delta windows by pivoted evaluations",
+        true
     );
-    pql_counter!(
+    static_counter!(
         fixpoint_rounds,
         "pql_fixpoint_rounds_total",
-        "semi-naive fixpoint loop iterations (including the closing empty round)"
+        "semi-naive fixpoint loop iterations (including the closing empty round)",
+        true
     );
-    pql_counter!(
+    static_counter!(
         scratch_reuse,
         "pql_scratch_reuse_total",
-        "scan-scratch buffer requests served from the recycled pool"
+        "scan-scratch buffer requests served from the recycled pool",
+        true
     );
-    pql_counter!(
+    static_counter!(
         scratch_alloc,
         "pql_scratch_alloc_total",
-        "scan-scratch buffer requests that allocated fresh"
+        "scan-scratch buffer requests that allocated fresh",
+        true
     );
 }
 

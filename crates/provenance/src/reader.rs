@@ -32,32 +32,25 @@ use std::path::Path;
 /// *decoded* record/tuple counters over in `store.rs` stay deterministic
 /// regardless of backend; `tests/backend_invariance.rs` pins that.
 mod obs_handles {
-    use ariadne_obs::metrics::Counter;
-    use std::sync::OnceLock;
+    use ariadne_obs::static_counter;
 
-    macro_rules! read_counter {
-        ($fn_name:ident, $name:literal, $help:literal) => {
-            pub fn $fn_name() -> &'static Counter {
-                static H: OnceLock<Counter> = OnceLock::new();
-                H.get_or_init(|| ariadne_obs::registry().counter($name, $help, false))
-            }
-        };
-    }
-
-    read_counter!(
+    static_counter!(
         extent_reads,
         "store_extent_reads_total",
-        "segment extent reads served by any backend"
+        "segment extent reads served by any backend",
+        false
     );
-    read_counter!(
+    static_counter!(
         mmap_bytes,
         "store_mmap_bytes_total",
-        "extent bytes served borrowed from read-only file mappings"
+        "extent bytes served borrowed from read-only file mappings",
+        false
     );
-    read_counter!(
+    static_counter!(
         buffered_bytes,
         "store_buffered_bytes_total",
-        "extent bytes served by seek+read into owned buffers"
+        "extent bytes served by seek+read into owned buffers",
+        false
     );
 }
 

@@ -23,44 +23,33 @@ use std::time::Instant;
 
 /// Cached handles for admission metrics.
 mod obs_handles {
-    use ariadne_obs::metrics::{Counter, Gauge};
-    use std::sync::OnceLock;
+    use ariadne_obs::{static_counter, static_gauge};
 
-    macro_rules! serve_counter {
-        ($fn_name:ident, $name:literal, $help:literal) => {
-            pub fn $fn_name() -> &'static Counter {
-                static H: OnceLock<Counter> = OnceLock::new();
-                H.get_or_init(|| ariadne_obs::registry().counter($name, $help, false))
-            }
-        };
-    }
-
-    serve_counter!(
+    static_counter!(
         admitted,
         "serve_admitted_total",
-        "queries admitted past quota and capacity gates"
+        "queries admitted past quota and capacity gates",
+        false
     );
-    serve_counter!(
+    static_counter!(
         rejected_quota,
         "serve_rejected_quota_total",
-        "queries rejected 429 by a per-tenant token bucket"
+        "queries rejected 429 by a per-tenant token bucket",
+        false
     );
-    serve_counter!(
+    static_counter!(
         rejected_busy,
         "serve_rejected_busy_total",
-        "queries shed 503 by the in-flight capacity gate"
+        "queries shed 503 by the in-flight capacity gate",
+        false
     );
 
-    pub fn queue_depth() -> &'static Gauge {
-        static H: OnceLock<Gauge> = OnceLock::new();
-        H.get_or_init(|| {
-            ariadne_obs::registry().gauge(
-                "serve_queue_depth",
-                "queries currently admitted and executing",
-                false,
-            )
-        })
-    }
+    static_gauge!(
+        queue_depth,
+        "serve_queue_depth",
+        "queries currently admitted and executing",
+        false
+    );
 }
 
 /// Admission knobs. See the module docs for semantics.

@@ -41,50 +41,37 @@ use std::sync::Arc;
 
 /// Cached handles for the cache's own metrics.
 mod obs_handles {
-    use ariadne_obs::metrics::{Counter, Gauge};
-    use std::sync::OnceLock;
+    use ariadne_obs::{static_counter, static_gauge};
 
-    macro_rules! serve_counter {
-        ($fn_name:ident, $name:literal, $help:literal) => {
-            pub fn $fn_name() -> &'static Counter {
-                static H: OnceLock<Counter> = OnceLock::new();
-                H.get_or_init(|| ariadne_obs::registry().counter($name, $help, false))
-            }
-        };
-    }
-    macro_rules! serve_gauge {
-        ($fn_name:ident, $name:literal, $help:literal) => {
-            pub fn $fn_name() -> &'static Gauge {
-                static H: OnceLock<Gauge> = OnceLock::new();
-                H.get_or_init(|| ariadne_obs::registry().gauge($name, $help, false))
-            }
-        };
-    }
-
-    serve_counter!(
+    static_counter!(
         hits,
         "serve_cache_hits_total",
-        "query requests answered from the replay cache (0 store bytes read)"
+        "query requests answered from the replay cache (0 store bytes read)",
+        false
     );
-    serve_counter!(
+    static_counter!(
         misses,
         "serve_cache_misses_total",
-        "query requests that had to replay the store"
+        "query requests that had to replay the store",
+        false
     );
-    serve_counter!(
+    static_counter!(
         evicted_bytes,
         "serve_cache_evicted_bytes_total",
-        "materialized result bytes evicted from the replay cache"
+        "materialized result bytes evicted from the replay cache",
+        false
     );
-    serve_gauge!(
+    static_gauge!(
         bytes,
         "serve_cache_bytes",
-        "materialized result bytes currently held by the replay cache"
+        "materialized result bytes currently held by the replay cache",
+        false
     );
-    serve_gauge!(
+    static_gauge!(
         entries,
         "serve_cache_entries",
-        "result sequences currently held by the replay cache"
+        "result sequences currently held by the replay cache",
+        false
     );
 }
 

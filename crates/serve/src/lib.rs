@@ -43,32 +43,25 @@ use std::sync::{Arc, Mutex, RwLock};
 
 /// Cached handles for service-level metrics.
 mod obs_handles {
-    use ariadne_obs::metrics::Counter;
-    use std::sync::OnceLock;
+    use ariadne_obs::static_counter;
 
-    macro_rules! serve_counter {
-        ($fn_name:ident, $name:literal, $help:literal) => {
-            pub fn $fn_name() -> &'static Counter {
-                static H: OnceLock<Counter> = OnceLock::new();
-                H.get_or_init(|| ariadne_obs::registry().counter($name, $help, false))
-            }
-        };
-    }
-
-    serve_counter!(
+    static_counter!(
         queries,
         "serve_queries_total",
-        "query pages served (cache hits included)"
+        "query pages served (cache hits included)",
+        false
     );
-    serve_counter!(
+    static_counter!(
         rows,
         "serve_rows_returned_total",
-        "result rows returned across all pages"
+        "result rows returned across all pages",
+        false
     );
-    serve_counter!(
+    static_counter!(
         replay_bytes,
         "serve_replay_bytes_total",
-        "encoded store bytes decoded by service-initiated replays (cache hits add zero)"
+        "encoded store bytes decoded by service-initiated replays (cache hits add zero)",
+        false
     );
 }
 

@@ -5,17 +5,14 @@
 //! inbox merging scans workers in a fixed order — so message delivery
 //! order never depends on thread scheduling. Tests rely on this.
 //!
-//! Two message-plane implementations share that contract
-//! ([`MessagePlane`]):
-//!
-//! * **Flat** (the default): per-(worker, destination-chunk) outbox
-//!   buffers recycled across supersteps, a flat offset-table inbox per
-//!   chunk filled by a two-pass counting scatter (messages move, they are
-//!   never cloned), degree-weighted chunk boundaries cut from the CSR
-//!   out-degree prefix sums, and *sender-side* combining for combiners
-//!   that declare themselves [`Combiner::is_exact`].
-//! * **Naive**: the original per-vertex `Vec<Vec<_>>` plane, kept
-//!   byte-for-byte in behaviour as an A/B baseline for the perf harness.
+//! The message plane is flat: per-(worker, destination-chunk) outbox
+//! buffers recycled across supersteps, a flat offset-table inbox per
+//! chunk filled by a two-pass counting scatter (messages move, they are
+//! never cloned), degree-weighted chunk boundaries cut from the CSR
+//! out-degree prefix sums, and *sender-side* combining for combiners
+//! that declare themselves [`Combiner::is_exact`]. The per-vertex
+//! `Vec<Vec<_>>` inbox layout survives only as the checkpoint wire
+//! format ([`EngineCheckpoint::inbox`]).
 //!
 //! Combining policy (see [`Combiner::is_exact`] for the full argument):
 //! sender-side combining partitions the per-destination fold by chunk
@@ -25,11 +22,11 @@
 //! order, which keeps N-thread runs bit-identical to 1-thread runs and
 //! combined runs bit-identical to uncombined capture runs.
 //!
-//! Aggregator reductions in the flat plane are folded per fixed-size
-//! *sender block* (a function of the graph size only) and merged in
-//! global block order at the barrier, so floating-point aggregates are
-//! also bit-identical at every thread count; chunk boundaries are aligned
-//! to the block size to make blocks nest inside chunks.
+//! Aggregator reductions are folded per fixed-size *sender block* (a
+//! function of the graph size only) and merged in global block order at
+//! the barrier, so floating-point aggregates are also bit-identical at
+//! every thread count; chunk boundaries are aligned to the block size to
+//! make blocks nest inside chunks.
 
 use crate::aggregate::{AggValue, Aggregates};
 use crate::checkpoint::{
@@ -55,121 +52,98 @@ use std::time::{Duration, Instant};
 /// timings and sender-combine hits depend on wall clock and chunk
 /// layout respectively and are flagged non-deterministic.
 mod obs_handles {
-    use ariadne_obs::metrics::Counter;
-    use std::sync::OnceLock;
+    use ariadne_obs::static_counter;
 
-    macro_rules! engine_counter {
-        ($fn_name:ident, $name:literal, $help:literal, $det:expr) => {
-            pub fn $fn_name() -> &'static Counter {
-                static H: OnceLock<Counter> = OnceLock::new();
-                H.get_or_init(|| ariadne_obs::registry().counter($name, $help, $det))
-            }
-        };
-    }
-
-    engine_counter!(
+    static_counter!(
         supersteps,
         "engine_supersteps_total",
         "supersteps executed across all runs",
         true
     );
-    engine_counter!(
+    static_counter!(
         active_vertices,
         "engine_active_vertices_total",
         "vertex activations (compute calls)",
         true
     );
-    engine_counter!(
+    static_counter!(
         messages_sent,
         "engine_messages_sent_total",
         "messages sent (post-combining)",
         true
     );
-    engine_counter!(
+    static_counter!(
         messages_delivered,
         "engine_messages_delivered_total",
         "messages delivered into inboxes",
         true
     );
-    engine_counter!(
+    static_counter!(
         message_bytes,
         "engine_message_bytes_total",
         "approximate message payload bytes sent",
         true
     );
-    engine_counter!(
+    static_counter!(
         buffered_messages,
         "engine_buffered_messages_total",
         "messages materialized in outbox buffers (chunk-layout dependent)",
         false
     );
-    engine_counter!(
+    static_counter!(
         sender_combine_hits,
         "engine_sender_combine_hits_total",
         "sends folded into an existing outbox slot at the sender (chunk-layout dependent)",
         false
     );
-    engine_counter!(
+    static_counter!(
         phase_compute_ns,
         "engine_phase_compute_ns_total",
         "wall nanoseconds in the compute phase",
         false
     );
-    engine_counter!(
+    static_counter!(
         phase_combine_ns,
         "engine_phase_combine_ns_total",
         "wall nanoseconds in delivery-side combining",
         false
     );
-    engine_counter!(
+    static_counter!(
         phase_scatter_ns,
         "engine_phase_scatter_ns_total",
         "wall nanoseconds in message transpose and inbox scatter",
         false
     );
-    engine_counter!(
+    static_counter!(
         phase_barrier_ns,
         "engine_phase_barrier_ns_total",
         "wall nanoseconds in barrier bookkeeping",
         false
     );
-    engine_counter!(
+    static_counter!(
         checkpoint_writes,
         "engine_checkpoint_writes_total",
         "checkpoint snapshots written at barriers",
         true
     );
-    engine_counter!(
+    static_counter!(
         checkpoint_write_ns,
         "engine_checkpoint_write_ns_total",
         "wall nanoseconds writing checkpoint snapshots",
         false
     );
-    engine_counter!(
+    static_counter!(
         faults_injected,
         "engine_faults_injected_total",
         "scripted faults fired (kills, corruptions)",
         true
     );
-    engine_counter!(
+    static_counter!(
         resumes,
         "engine_resumes_total",
         "runs resumed from a checkpoint snapshot",
         true
     );
-}
-
-/// Which message-plane implementation a run uses.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum MessagePlane {
-    /// Flat recycled buffers, degree-weighted chunking and sender-side
-    /// combining for exact combiners (the default).
-    #[default]
-    Flat,
-    /// The historical per-vertex `Vec` plane: fresh nested allocations
-    /// every superstep and a `clone` per delivered message. Kept as the
-    /// A/B baseline the bench harness measures the flat plane against.
-    Naive,
 }
 
 /// Engine-level run configuration.
@@ -182,17 +156,13 @@ pub struct EngineConfig {
     /// Whether to honour the program's message combiner. Ariadne turns
     /// this off when per-source message provenance must be preserved.
     pub use_combiner: bool,
-    /// Which message-plane implementation to run (default
-    /// [`MessagePlane::Flat`]). Both planes produce identical values,
-    /// aggregates and superstep counts.
-    pub plane: MessagePlane,
     /// Barrier snapshotting; honoured by [`Engine::run_checkpointed`]
     /// and [`Engine::resume`] ([`Engine::run`] never touches disk).
     pub checkpoint: Option<CheckpointConfig>,
     /// Scripted fault injection; honoured by the fallible entry points
     /// only. `None` costs one branch per superstep.
     pub fault: Option<Arc<FaultPlan>>,
-    /// Optional pre-built chunk table for the flat plane. Callers that
+    /// Optional pre-built chunk table. Callers that
     /// run the same (or an incrementally mutated) graph repeatedly — the
     /// mutable session re-running after a mutation batch — pass the
     /// previous epoch's table here, rebalanced only when a batch skewed
@@ -209,7 +179,6 @@ impl Default for EngineConfig {
             threads: 1,
             max_supersteps: 10_000,
             use_combiner: true,
-            plane: MessagePlane::Flat,
             checkpoint: None,
             fault: None,
             chunk_hint: None,
@@ -341,8 +310,9 @@ impl Engine {
     /// consults the fault plan, regardless of configuration. Use
     /// [`Engine::run_checkpointed`] for fault-tolerant execution.
     pub fn run<P: VertexProgram>(&self, program: &P, graph: &Csr) -> RunResult<P::V> {
-        let state = fresh_state(program, graph);
-        match self.drive(program, graph, state, &mut NoSink, None) {
+        let table = self.chunk_table(graph);
+        let state = fresh_state(program, graph, &table);
+        match self.drive_flat(program, graph, table, state, &mut NoSink, None) {
             Ok(result) => result,
             Err(e) => unreachable!("no sink and no faults: drive cannot fail ({e})"),
         }
@@ -367,8 +337,9 @@ impl Engine {
         P::V: Snapshot,
         P::M: Snapshot,
     {
-        let state = fresh_state(program, graph);
-        self.drive_checkpointed(program, graph, state, true)
+        let table = self.chunk_table(graph);
+        let state = fresh_state(program, graph, &table);
+        self.drive_checkpointed(program, graph, table, state, true)
     }
 
     /// Resume from the newest valid snapshot under the configured
@@ -415,9 +386,9 @@ impl Engine {
         }
         // The value table can match the graph while the inbox table does
         // not (a hand-built or bit-rotted checkpoint: the CRC covers
-        // bytes, not cross-field invariants). Left unchecked, the flat
-        // plane's partition-table walk runs off the short inbox and
-        // panics mid-superstep — validate it here, typed.
+        // bytes, not cross-field invariants). Left unchecked, a worker
+        // would read past the short inbox mid-superstep — validate it
+        // here, typed.
         if checkpoint.inbox.len() != graph.num_vertices() {
             return Err(EngineError::InboxMismatch {
                 snapshot_inboxes: checkpoint.inbox.len(),
@@ -434,14 +405,15 @@ impl Engine {
                 ("vertices", checkpoint.values.len().into()),
             ],
         );
+        let table = self.chunk_table(graph);
         let state = LoopState {
             superstep: checkpoint.superstep,
             values: checkpoint.values,
-            inbox: InboxRepr::PerVertex(checkpoint.inbox),
+            inbox: flat_inbox(checkpoint.inbox, &table),
             aggregates: checkpoint.aggregates,
             metrics: checkpoint.metrics,
         };
-        self.drive_checkpointed(program, graph, state, false)
+        self.drive_checkpointed(program, graph, table, state, false)
     }
 
     /// Shared fallible driver: installs the snapshot sink (when
@@ -450,6 +422,7 @@ impl Engine {
         &self,
         program: &P,
         graph: &Csr,
+        table: ChunkTable,
         state: LoopState<P>,
         write_initial: bool,
     ) -> Result<RunResult<P::V>, EngineError>
@@ -465,66 +438,17 @@ impl Engine {
                     write_state_snapshot(cfg, fault, &state)?;
                 }
                 let mut sink = DirSink { cfg, fault };
-                self.drive(program, graph, state, &mut sink, fault)
+                self.drive_flat(program, graph, table, state, &mut sink, fault)
             }
-            None => self.drive(program, graph, state, &mut NoSink, fault),
+            None => self.drive_flat(program, graph, table, state, &mut NoSink, fault),
         }
     }
 
-    /// Dispatch to the configured message plane. Both planes implement
-    /// the same deterministic BSP loop; see the module docs for how they
-    /// differ mechanically.
-    fn drive<P: VertexProgram>(
-        &self,
-        program: &P,
-        graph: &Csr,
-        st: LoopState<P>,
-        sink: &mut dyn BarrierSink<P>,
-        fault: Option<&FaultPlan>,
-    ) -> Result<RunResult<P::V>, EngineError> {
-        if graph.num_vertices() == 0 {
-            return Ok(RunResult {
-                values: st.values,
-                metrics: st.metrics,
-                aggregates: st.aggregates,
-            });
-        }
-        match self.config.plane {
-            MessagePlane::Flat => self.drive_flat(program, graph, st, sink, fault),
-            MessagePlane::Naive => self.drive_naive(program, graph, st, sink, fault),
-        }
-    }
-
-    /// The flat message plane.
-    ///
-    /// Per superstep: phase 1 runs each chunk's vertices against a
-    /// read-only flat inbox, buffering sends into recycled per-(worker,
-    /// destination-chunk) buffers (combined at the sender for exact
-    /// combiners); phase 2 counts arrivals per destination, then moves
-    /// every envelope into a flat `ChunkInbox` with a counting scatter.
-    /// The pair of inbox sets is double-buffered, so after the first few
-    /// supersteps the steady state allocates nothing.
-    fn drive_flat<P: VertexProgram>(
-        &self,
-        program: &P,
-        graph: &Csr,
-        mut st: LoopState<P>,
-        sink: &mut dyn BarrierSink<P>,
-        fault: Option<&FaultPlan>,
-    ) -> Result<RunResult<P::V>, EngineError> {
-        let start = Instant::now();
-        let base_elapsed = st.metrics.elapsed;
+    /// The chunk layout for a run over `graph`: the configured
+    /// [`EngineConfig::chunk_hint`] when it is usable, otherwise
+    /// degree-weighted chunks, one per worker thread.
+    fn chunk_table(&self, graph: &Csr) -> ChunkTable {
         let n = graph.num_vertices();
-
-        let combiner = if self.config.use_combiner {
-            program.combiner()
-        } else {
-            None
-        };
-        // Sender-side combining regroups the per-destination fold by
-        // chunk layout; only exact combiners are bit-stable under that.
-        let sender_combining = combiner.as_deref().is_some_and(|c| c.is_exact());
-        let threads = self.config.threads.max(1).min(n);
         // The aggregate block size depends on the graph only, never the
         // thread count; chunk boundaries snap to it so blocks nest in
         // chunks and the barrier merge happens in global block order.
@@ -540,28 +464,63 @@ impl Engine {
                     .iter()
                     .all(|s| s % block == 0)
         };
-        let table = match &self.config.chunk_hint {
+        match &self.config.chunk_hint {
             Some(hint) if hint_ok(hint) => (**hint).clone(),
-            _ => ChunkTable::degree_weighted(graph, threads, block),
+            _ => {
+                let threads = self.config.threads.clamp(1, n.max(1));
+                ChunkTable::degree_weighted(graph, threads, block)
+            }
+        }
+    }
+
+    /// The BSP loop, over the chunk layout `table` that `st.inbox` was
+    /// built for.
+    ///
+    /// Per superstep: phase 1 runs each chunk's vertices against a
+    /// read-only flat inbox, buffering sends into recycled per-(worker,
+    /// destination-chunk) buffers (combined at the sender for exact
+    /// combiners); phase 2 counts arrivals per destination, then moves
+    /// every envelope into a flat `ChunkInbox` with a counting scatter.
+    /// The pair of inbox sets is double-buffered, so after the first few
+    /// supersteps the steady state allocates nothing.
+    fn drive_flat<P: VertexProgram>(
+        &self,
+        program: &P,
+        graph: &Csr,
+        table: ChunkTable,
+        mut st: LoopState<P>,
+        sink: &mut dyn BarrierSink<P>,
+        fault: Option<&FaultPlan>,
+    ) -> Result<RunResult<P::V>, EngineError> {
+        let n = graph.num_vertices();
+        if n == 0 {
+            return Ok(RunResult {
+                values: st.values,
+                metrics: st.metrics,
+                aggregates: st.aggregates,
+            });
+        }
+        let start = Instant::now();
+        let base_elapsed = st.metrics.elapsed;
+
+        let combiner = if self.config.use_combiner {
+            program.combiner()
+        } else {
+            None
         };
+        // Sender-side combining regroups the per-destination fold by
+        // chunk layout; only exact combiners are bit-stable under that.
+        let sender_combining = combiner.as_deref().is_some_and(|c| c.is_exact());
+        let block = sender_block_size(n);
         let num_chunks = table.num_chunks();
         debug_assert_eq!(table.num_vertices(), n);
         let max_supersteps = self.config.max_supersteps.min(program.max_supersteps());
         let always_active = program.always_active();
 
-        // This plane keeps the inbox flat; fresh and resumed states
-        // arrive per-vertex and are converted once here. The flat data
-        // is the concatenation of per-vertex lists in vertex order, so
-        // the conversion is layout-only: resume stays bit-identical.
-        let repr = std::mem::replace(&mut st.inbox, InboxRepr::PerVertex(Vec::new()));
-        st.inbox = InboxRepr::Flat(repr.into_flat(&table));
-
         // Recycled buffers: the spare inbox set double-buffers against
         // `st.inbox`; outbox shells and dedup maps round-trip through
         // pools; `cursors` is per-destination-chunk scatter scratch.
-        let mut spare: Vec<ChunkInbox<P::M>> = (0..num_chunks)
-            .map(|c| ChunkInbox::empty(table.bounds(c)))
-            .collect();
+        let mut spare: Vec<ChunkInbox<P::M>> = empty_inbox(&table);
         let mut box_pool: Vec<Vec<(VertexId, Envelope<P::M>)>> = Vec::new();
         let mut dedup_pool: Vec<DedupTable> = Vec::new();
         let mut cursors: Vec<Vec<usize>> = (0..num_chunks).map(|_| Vec::new()).collect();
@@ -592,10 +551,7 @@ impl Engine {
             let mut worker_out: Vec<FlatWorkerOutput<P::M>> = Vec::with_capacity(num_chunks);
             let mut active_total = 0usize;
             {
-                let inbox_chunks: &[ChunkInbox<P::M>] = match &st.inbox {
-                    InboxRepr::Flat(v) => v,
-                    InboxRepr::PerVertex(_) => unreachable!("flat plane keeps a flat inbox"),
-                };
+                let inbox_chunks: &[ChunkInbox<P::M>] = &st.inbox;
                 let value_chunks = split_by_table(&mut st.values, &table);
                 let agg_ref = &st.aggregates;
                 let table_ref = &table;
@@ -757,9 +713,7 @@ impl Engine {
             // Swap the freshly-delivered inbox set in; the one compute
             // just read becomes next superstep's spare (its contents are
             // cleared, capacity kept, at the next delivery).
-            if let InboxRepr::Flat(cur) = &mut st.inbox {
-                std::mem::swap(cur, &mut spare);
-            }
+            std::mem::swap(&mut st.inbox, &mut spare);
 
             st.metrics.supersteps.push(SuperstepMetrics {
                 superstep,
@@ -805,280 +759,6 @@ impl Engine {
             "engine",
             "run_complete",
             &[
-                ("plane", "flat".into()),
-                ("supersteps", st.metrics.num_supersteps().into()),
-                ("messages", st.metrics.total_messages().into()),
-                ("elapsed_ns", st.metrics.elapsed.into()),
-            ],
-        );
-        Ok(RunResult {
-            values: st.values,
-            metrics: st.metrics,
-            aggregates: st.aggregates,
-        })
-    }
-
-    /// The naive message plane: the engine's original superstep loop,
-    /// preserved as a measurable baseline (fresh nested `Vec` allocations
-    /// each superstep, one clone per delivered message, uniform vertex
-    /// chunking, delivery-side combining only).
-    fn drive_naive<P: VertexProgram>(
-        &self,
-        program: &P,
-        graph: &Csr,
-        mut st: LoopState<P>,
-        sink: &mut dyn BarrierSink<P>,
-        fault: Option<&FaultPlan>,
-    ) -> Result<RunResult<P::V>, EngineError> {
-        let start = Instant::now();
-        let base_elapsed = st.metrics.elapsed;
-        let n = graph.num_vertices();
-
-        // This plane keeps the inbox per-vertex (a flat-repr state can
-        // only reach here if a caller round-trips state between planes,
-        // but the normalization is cheap insurance).
-        let pv = std::mem::replace(&mut st.inbox, InboxRepr::PerVertex(Vec::new()))
-            .into_per_vertex();
-        st.inbox = InboxRepr::PerVertex(pv);
-
-        let combiner = if self.config.use_combiner {
-            program.combiner()
-        } else {
-            None
-        };
-        let threads = self.config.threads.max(1).min(n);
-        let chunk_size = n.div_ceil(threads);
-        // chunks_mut may yield fewer chunks than `threads` when n is not
-        // an exact multiple; outbox routing must agree with the actual
-        // chunk count or trailing buffers would never be delivered.
-        let num_chunks = n.div_ceil(chunk_size);
-        let max_supersteps = self.config.max_supersteps.min(program.max_supersteps());
-        let always_active = program.always_active();
-
-        loop {
-            let step_start = Instant::now();
-            let superstep = st.superstep;
-
-            if let Some(f) = fault {
-                if f.take_kill(superstep) {
-                    obs_handles::faults_injected().inc();
-                    trace::event(
-                        Level::Warn,
-                        "engine::fault",
-                        "injected_crash",
-                        &[("superstep", superstep.into())],
-                    );
-                    return Err(EngineError::InjectedCrash { superstep });
-                }
-            }
-
-            // Phase 1: compute. Workers own contiguous chunks of values
-            // and inboxes; each produces per-destination-chunk outboxes.
-            let t_compute = Instant::now();
-            let mut worker_out: Vec<OutboxSet<P::M>> = Vec::with_capacity(threads);
-            let mut worker_aggs: Vec<Aggregates> = Vec::with_capacity(threads);
-            let mut active_total = 0usize;
-
-            {
-                let inbox_vec = match &mut st.inbox {
-                    InboxRepr::PerVertex(v) => v,
-                    InboxRepr::Flat(_) => unreachable!("naive plane keeps a per-vertex inbox"),
-                };
-                let value_chunks: Vec<&mut [P::V]> = st.values.chunks_mut(chunk_size).collect();
-                let inbox_chunks: Vec<&mut [Vec<Envelope<P::M>>]> =
-                    inbox_vec.chunks_mut(chunk_size).collect();
-                let agg_ref = &st.aggregates;
-                let results: Vec<WorkerOutput<P::M>> = if threads == 1 {
-                    value_chunks
-                        .into_iter()
-                        .zip(inbox_chunks)
-                        .enumerate()
-                        .map(|(w, (vals, boxes))| {
-                            run_chunk::<P>(
-                                program,
-                                graph,
-                                superstep,
-                                always_active,
-                                w * chunk_size,
-                                vals,
-                                boxes,
-                                agg_ref,
-                                num_chunks,
-                                chunk_size,
-                            )
-                        })
-                        .collect()
-                } else {
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = value_chunks
-                            .into_iter()
-                            .zip(inbox_chunks)
-                            .enumerate()
-                            .map(|(w, (vals, boxes))| {
-                                scope.spawn(move || {
-                                    run_chunk::<P>(
-                                        program,
-                                        graph,
-                                        superstep,
-                                        always_active,
-                                        w * chunk_size,
-                                        vals,
-                                        boxes,
-                                        agg_ref,
-                                        num_chunks,
-                                        chunk_size,
-                                    )
-                                })
-                            })
-                            .collect();
-                        handles.into_iter().map(|h| h.join().unwrap()).collect()
-                    })
-                };
-                for out in results {
-                    active_total += out.active;
-                    worker_out.push(out.outboxes);
-                    worker_aggs.push(out.aggregates);
-                }
-            }
-
-            let mut phases = PhaseTimes {
-                compute: t_compute.elapsed(),
-                ..PhaseTimes::default()
-            };
-
-            // Barrier: merge aggregates.
-            let t_barrier = Instant::now();
-            for wa in &worker_aggs {
-                st.aggregates.merge_current(wa);
-            }
-            phases.barrier += t_barrier.elapsed();
-
-            // Phase 2: deliver messages into next-superstep inboxes.
-            // Parallel over destination chunks — worker t merges every
-            // producer's buffer for chunk t. Deterministic: producers are
-            // scanned in a fixed order and each buffer is already in
-            // vertex order, so delivery order never depends on
-            // scheduling.
-            let deliver_chunk = |t: usize, inbox_chunk: &mut [Vec<Envelope<P::M>>]| {
-                let base = t * chunk_size;
-                // Delivered is counted from the destination side (inbox
-                // occupancy delta) so `sent == delivered` is a real
-                // cross-check of the routing, not a copied number.
-                let pre_len: usize = inbox_chunk.iter().map(|s| s.len()).sum();
-                let mut sent = 0usize;
-                let mut bytes = 0usize;
-                let mut buffered = 0usize;
-                let mut buffered_bytes = 0usize;
-                for w_out in &worker_out {
-                    for (to, env) in &w_out[t] {
-                        let slot = &mut inbox_chunk[to.index() - base];
-                        let incoming = program.message_bytes(&env.msg);
-                        buffered += 1;
-                        buffered_bytes += incoming;
-                        match (&combiner, slot.last_mut()) {
-                            (Some(c), Some(acc)) => {
-                                // Combining replaced the slot; the metric
-                                // counts post-combining stored messages at
-                                // their *final* size, so re-measure the
-                                // accumulator after the merge (a combiner
-                                // may grow or shrink it).
-                                let before = program.message_bytes(&acc.msg);
-                                c.combine(&mut acc.msg, &env.msg);
-                                acc.src = Envelope::<P::M>::COMBINED;
-                                let after = program.message_bytes(&acc.msg);
-                                bytes = bytes - before + after;
-                            }
-                            _ => {
-                                slot.push(env.clone());
-                                sent += 1;
-                                bytes += incoming;
-                            }
-                        }
-                    }
-                }
-                let post_len: usize = inbox_chunk.iter().map(|s| s.len()).sum();
-                DeliverCounts {
-                    sent,
-                    bytes,
-                    buffered,
-                    buffered_bytes,
-                    delivered: post_len - pre_len,
-                }
-            };
-            let t_deliver = Instant::now();
-            let counts = {
-                let inbox_vec = match &mut st.inbox {
-                    InboxRepr::PerVertex(v) => v,
-                    InboxRepr::Flat(_) => unreachable!("naive plane keeps a per-vertex inbox"),
-                };
-                let inbox_chunks: Vec<&mut [Vec<Envelope<P::M>>]> =
-                    inbox_vec.chunks_mut(chunk_size).collect();
-                let counts: Vec<DeliverCounts> = if threads == 1 {
-                    inbox_chunks
-                        .into_iter()
-                        .enumerate()
-                        .map(|(t, chunk)| deliver_chunk(t, chunk))
-                        .collect()
-                } else {
-                    let deliver_chunk = &deliver_chunk;
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = inbox_chunks
-                            .into_iter()
-                            .enumerate()
-                            .map(|(t, chunk)| scope.spawn(move || deliver_chunk(t, chunk)))
-                            .collect();
-                        handles.into_iter().map(|h| h.join().unwrap()).collect()
-                    })
-                };
-                counts
-                    .into_iter()
-                    .fold(DeliverCounts::default(), DeliverCounts::merge)
-            };
-            // The naive plane combines at delivery only; its delivery
-            // wall time is combiner folding when a combiner is active.
-            if combiner.is_some() {
-                phases.combine += t_deliver.elapsed();
-            } else {
-                phases.scatter += t_deliver.elapsed();
-            }
-
-            st.metrics.supersteps.push(SuperstepMetrics {
-                superstep,
-                active_vertices: active_total,
-                messages_sent: counts.sent,
-                messages_delivered: counts.delivered,
-                message_bytes: counts.bytes,
-                buffered_messages: counts.buffered,
-                buffered_bytes: counts.buffered_bytes,
-                elapsed: step_start.elapsed(),
-                phases,
-                checkpoint: Duration::ZERO,
-            });
-            record_superstep_obs(&st.metrics.supersteps[st.metrics.supersteps.len() - 1]);
-
-            // Termination checks at the barrier.
-            let halted = program.should_halt(superstep, &st.aggregates);
-            st.aggregates.rotate();
-            let no_traffic = counts.sent == 0 && !always_active;
-            st.superstep = superstep + 1;
-            if halted || no_traffic || st.superstep >= max_supersteps {
-                break;
-            }
-
-            st.metrics.elapsed = base_elapsed + start.elapsed();
-            let t_ckpt = Instant::now();
-            if sink.on_barrier(&st)? {
-                record_checkpoint_time(&mut st.metrics, superstep, t_ckpt.elapsed());
-            }
-        }
-
-        st.metrics.elapsed = base_elapsed + start.elapsed();
-        trace::event(
-            Level::Info,
-            "engine",
-            "run_complete",
-            &[
-                ("plane", "naive".into()),
                 ("supersteps", st.metrics.num_supersteps().into()),
                 ("messages", st.metrics.total_messages().into()),
                 ("elapsed_ns", st.metrics.elapsed.into()),
@@ -1129,62 +809,33 @@ impl<M> ChunkInbox<M> {
     }
 }
 
-/// The engine's inbox, in whichever layout the active plane uses.
-///
-/// Checkpoints always serialize the per-vertex layout (the two encode
-/// byte-identically via [`write_inbox_snap`]), so snapshot files are
-/// plane-agnostic and the flat plane resumes bit-identically.
-enum InboxRepr<M> {
-    /// One `Vec` per vertex (naive plane, fresh/resumed state).
-    PerVertex(Vec<Vec<Envelope<M>>>),
-    /// One flat buffer per chunk (flat plane).
-    Flat(Vec<ChunkInbox<M>>),
+/// One empty inbox per chunk of `table`.
+fn empty_inbox<M>(table: &ChunkTable) -> Vec<ChunkInbox<M>> {
+    (0..table.num_chunks())
+        .map(|c| ChunkInbox::empty(table.bounds(c)))
+        .collect()
 }
 
-impl<M> InboxRepr<M> {
-    /// Convert to the per-vertex layout, preserving per-vertex message
-    /// order exactly.
-    fn into_per_vertex(self) -> Vec<Vec<Envelope<M>>> {
-        match self {
-            InboxRepr::PerVertex(v) => v,
-            InboxRepr::Flat(chunks) => {
-                let mut out = Vec::new();
-                for chunk in chunks {
-                    let ChunkInbox { starts, data, .. } = chunk;
-                    let mut iter = data.into_iter();
-                    for w in starts.windows(2) {
-                        out.push(iter.by_ref().take(w[1] - w[0]).collect());
-                    }
-                }
-                out
-            }
+/// Lay a checkpoint's per-vertex inbox out flat for `table`'s chunking,
+/// preserving per-vertex message order exactly (the flat data is the
+/// concatenation of the per-vertex lists in vertex order), so a resumed
+/// run is bit-identical.
+///
+/// Resume validates inbox length against the graph before any state
+/// reaches here ([`EngineError::InboxMismatch`]), so a short inbox is an
+/// internal-invariant breach, not a reachable input state; it still
+/// degrades to empty inboxes rather than panicking a worker.
+fn flat_inbox<M>(per_vertex: Vec<Vec<Envelope<M>>>, table: &ChunkTable) -> Vec<ChunkInbox<M>> {
+    debug_assert_eq!(per_vertex.len(), table.num_vertices());
+    let mut iter = per_vertex.into_iter();
+    let mut chunks = empty_inbox(table);
+    for inbox in &mut chunks {
+        for i in 0..inbox.vertex_count() {
+            inbox.data.extend(iter.next().unwrap_or_default());
+            inbox.starts[i + 1] = inbox.data.len();
         }
     }
-
-    /// Convert to the flat layout for `table`'s chunking, preserving
-    /// per-vertex message order exactly.
-    ///
-    /// Resume validates inbox length against the graph before any state
-    /// reaches here ([`EngineError::InboxMismatch`]), so a short inbox
-    /// is an internal-invariant breach, not a reachable input state; it
-    /// still degrades to empty inboxes rather than panicking a worker.
-    fn into_flat(self, table: &ChunkTable) -> Vec<ChunkInbox<M>> {
-        let per_vertex = self.into_per_vertex();
-        debug_assert_eq!(per_vertex.len(), table.num_vertices());
-        let mut iter = per_vertex.into_iter();
-        let mut chunks = Vec::with_capacity(table.num_chunks());
-        for c in 0..table.num_chunks() {
-            let bounds = table.bounds(c);
-            let mut inbox = ChunkInbox::empty(bounds);
-            for i in 0..(bounds.1 - bounds.0) {
-                let msgs = iter.next().unwrap_or_default();
-                inbox.data.extend(msgs);
-                inbox.starts[i + 1] = inbox.data.len();
-            }
-            chunks.push(inbox);
-        }
-        chunks
-    }
+    chunks
 }
 
 /// Mutable engine state that is live across a barrier — exactly what a
@@ -1194,8 +845,9 @@ struct LoopState<P: VertexProgram> {
     superstep: u32,
     /// Vertex values.
     values: Vec<P::V>,
-    /// Messages delivered for superstep `superstep`.
-    inbox: InboxRepr<P::M>,
+    /// Messages delivered for superstep `superstep`, one flat buffer per
+    /// chunk of the run's chunk table.
+    inbox: Vec<ChunkInbox<P::M>>,
     /// Aggregator state (rotated: `previous` holds the last barrier's
     /// reductions).
     aggregates: Aggregates,
@@ -1203,25 +855,22 @@ struct LoopState<P: VertexProgram> {
     metrics: RunMetrics,
 }
 
-/// Initial state for a fresh run of `program` over `graph`.
-fn fresh_state<P: VertexProgram>(program: &P, graph: &Csr) -> LoopState<P> {
+/// Initial state for a fresh run of `program` over `graph`, with an
+/// empty inbox per chunk of `table`.
+fn fresh_state<P: VertexProgram>(program: &P, graph: &Csr, table: &ChunkTable) -> LoopState<P> {
     let n = graph.num_vertices();
     LoopState {
         superstep: 0,
         values: (0..n)
             .map(|i| program.init(VertexId(i as u64), graph))
             .collect(),
-        inbox: InboxRepr::PerVertex((0..n).map(|_| Vec::new()).collect()),
+        inbox: empty_inbox(table),
         aggregates: Aggregates::new(program.aggregators()),
         metrics: RunMetrics::default(),
     }
 }
 
-/// The aggregate/sender block size for a graph with `n` vertices: a pure
-/// function of the graph (never the thread count), so per-block aggregate
-/// folds are identical at every parallelism level. ~128 blocks keeps the
-/// barrier merge negligible while bounding partial-flush overhead.
-/// The chunk-boundary alignment quantum the flat plane requires for a
+/// The chunk-boundary alignment quantum the engine requires for a
 /// graph of `n` vertices: chunk tables passed via
 /// [`EngineConfig::chunk_hint`] must align interior boundaries to this
 /// (pass it as the `align` argument of `ChunkTable::degree_weighted` /
@@ -1230,6 +879,10 @@ pub fn chunk_align(n: usize) -> usize {
     sender_block_size(n)
 }
 
+/// The aggregate/sender block size for a graph with `n` vertices: a pure
+/// function of the graph (never the thread count), so per-block aggregate
+/// folds are identical at every parallelism level. ~128 blocks keeps the
+/// barrier merge negligible while bounding partial-flush overhead.
 fn sender_block_size(n: usize) -> usize {
     (n / 128).max(16)
 }
@@ -1348,23 +1001,19 @@ where
     }
 }
 
-/// Encode the inbox exactly as `Vec<Vec<Envelope<M>>>::write_snap` would,
-/// from either layout: outer vertex count, then per vertex a length
-/// prefix and its envelopes. Keeps snapshot files plane-agnostic.
-fn write_inbox_snap<M: Snapshot>(inbox: &InboxRepr<M>, out: &mut Vec<u8>) {
-    match inbox {
-        InboxRepr::PerVertex(v) => v.write_snap(out),
-        InboxRepr::Flat(chunks) => {
-            let n: usize = chunks.iter().map(|c| c.vertex_count()).sum();
-            n.write_snap(out);
-            for chunk in chunks {
-                for i in 0..chunk.vertex_count() {
-                    let msgs = chunk.msgs(i);
-                    msgs.len().write_snap(out);
-                    for e in msgs {
-                        e.write_snap(out);
-                    }
-                }
+/// Encode the flat inbox exactly as `Vec<Vec<Envelope<M>>>::write_snap`
+/// would ([`EngineCheckpoint::inbox`]'s layout): outer vertex count, then
+/// per vertex a length prefix and its envelopes. Snapshot files therefore
+/// do not depend on the chunk layout.
+fn write_inbox_snap<M: Snapshot>(chunks: &[ChunkInbox<M>], out: &mut Vec<u8>) {
+    let n: usize = chunks.iter().map(|c| c.vertex_count()).sum();
+    n.write_snap(out);
+    for chunk in chunks {
+        for i in 0..chunk.vertex_count() {
+            let msgs = chunk.msgs(i);
+            msgs.len().write_snap(out);
+            for e in msgs {
+                e.write_snap(out);
             }
         }
     }
@@ -1448,55 +1097,7 @@ fn truncate_snapshot_file(path: &std::path::Path) -> Result<(), EngineError> {
     std::fs::write(path, &bytes[..bytes.len() / 2]).map_err(io)
 }
 
-struct WorkerOutput<M> {
-    /// Outboxes indexed by destination chunk.
-    outboxes: OutboxSet<M>,
-    aggregates: Aggregates,
-    active: usize,
-}
-
-/// Execute one superstep for a contiguous chunk of vertices (naive plane).
-#[allow(clippy::too_many_arguments)]
-fn run_chunk<P: VertexProgram>(
-    program: &P,
-    graph: &Csr,
-    superstep: u32,
-    always_active: bool,
-    base: usize,
-    values: &mut [P::V],
-    inboxes: &mut [Vec<Envelope<P::M>>],
-    global_aggs: &Aggregates,
-    num_chunks: usize,
-    chunk_size: usize,
-) -> WorkerOutput<P::M> {
-    let mut ctx = EngineContext {
-        superstep,
-        vertex: VertexId(0),
-        graph,
-        outboxes: (0..num_chunks).map(|_| Vec::new()).collect(),
-        local_aggs: global_aggs.fresh_local(),
-        global_aggs,
-        chunk_size,
-        num_vertices: graph.num_vertices(),
-    };
-    let mut active = 0usize;
-    for (offset, value) in values.iter_mut().enumerate() {
-        let v = VertexId((base + offset) as u64);
-        let msgs = std::mem::take(&mut inboxes[offset]);
-        if superstep == 0 || always_active || !msgs.is_empty() {
-            active += 1;
-            ctx.vertex = v;
-            program.compute(&mut ctx, value, &msgs);
-        }
-    }
-    WorkerOutput {
-        outboxes: ctx.outboxes,
-        aggregates: ctx.local_aggs,
-        active,
-    }
-}
-
-/// One flat-plane worker's superstep output.
+/// One worker's superstep output.
 struct FlatWorkerOutput<M> {
     /// Outboxes indexed by destination chunk (post sender-combining).
     outboxes: OutboxSet<M>,
@@ -1512,12 +1113,11 @@ struct FlatWorkerOutput<M> {
     combine_hits: u64,
 }
 
-/// Execute one superstep for a contiguous chunk of vertices (flat plane).
+/// Execute one superstep for a contiguous chunk of vertices.
 ///
-/// The inbox is read immutably (the flat plane double-buffers inbox sets
-/// instead of `mem::take`-ing per-vertex vectors) and aggregate
-/// contributions are flushed per sender block so the barrier can merge
-/// them in a thread-count-independent order.
+/// The inbox is read immutably (the driver double-buffers inbox sets)
+/// and aggregate contributions are flushed per sender block so the
+/// barrier can merge them in a thread-count-independent order.
 #[allow(clippy::too_many_arguments)]
 fn run_chunk_flat<P: VertexProgram>(
     program: &P,
@@ -1742,61 +1342,7 @@ fn deliver_chunk_flat<P: VertexProgram>(
     }
 }
 
-/// The engine's own [`Context`] implementation (naive plane).
-struct EngineContext<'a, M> {
-    superstep: u32,
-    vertex: VertexId,
-    graph: &'a Csr,
-    /// Per-destination-chunk message buffers.
-    outboxes: OutboxSet<M>,
-    local_aggs: Aggregates,
-    global_aggs: &'a Aggregates,
-    chunk_size: usize,
-    num_vertices: usize,
-}
-
-impl<M> Context<M> for EngineContext<'_, M> {
-    fn superstep(&self) -> u32 {
-        self.superstep
-    }
-
-    fn vertex(&self) -> VertexId {
-        self.vertex
-    }
-
-    fn graph(&self) -> &Csr {
-        self.graph
-    }
-
-    fn send(&mut self, to: VertexId, msg: M) {
-        assert!(
-            to.index() < self.num_vertices,
-            "message sent to nonexistent vertex {to} (graph has {} vertices)",
-            self.num_vertices
-        );
-        // In-range destinations always land in a real chunk:
-        // `to.index() < n <= num_chunks * chunk_size`, so the quotient is
-        // below `num_chunks`. (The old `.min(len - 1)` clamp here could
-        // only ever have masked a routing bug silently.)
-        let chunk = to.index() / self.chunk_size;
-        debug_assert!(
-            chunk < self.outboxes.len(),
-            "destination {to} routed past the last chunk ({} chunks)",
-            self.outboxes.len()
-        );
-        self.outboxes[chunk].push((to, Envelope::new(self.vertex, msg)));
-    }
-
-    fn aggregate(&mut self, name: &str, value: AggValue) {
-        self.local_aggs.contribute(name, value);
-    }
-
-    fn prev_aggregate(&self, name: &str) -> Option<AggValue> {
-        self.global_aggs.previous(name)
-    }
-}
-
-/// The flat plane's [`Context`] implementation.
+/// The engine's own [`Context`] implementation.
 ///
 /// Routing uses the chunk table's boundary search (each destination maps
 /// into exactly one chunk, debug-asserted there). When an exact sender
@@ -1940,52 +1486,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_plane_matches_flat() {
-        let g = ariadne_graph::generators::rmat(ariadne_graph::generators::RmatConfig {
-            scale: 8,
-            edge_factor: 4,
-            ..Default::default()
-        });
-        for threads in [1usize, 4] {
-            let flat = Engine::new(EngineConfig {
-                threads,
-                ..EngineConfig::default()
-            })
-            .run(&MinFlood, &g);
-            let naive = Engine::new(EngineConfig {
-                threads,
-                plane: MessagePlane::Naive,
-                ..EngineConfig::default()
-            })
-            .run(&MinFlood, &g);
-            assert_eq!(flat.values, naive.values);
-            assert_eq!(flat.supersteps(), naive.supersteps());
-            // MinFlood has no combiner, so even the buffered accounting
-            // must agree between the planes.
-            for (a, b) in flat.metrics.supersteps.iter().zip(&naive.metrics.supersteps) {
-                assert_eq!(
-                    (
-                        a.active_vertices,
-                        a.messages_sent,
-                        a.message_bytes,
-                        a.buffered_messages,
-                        a.buffered_bytes
-                    ),
-                    (
-                        b.active_vertices,
-                        b.messages_sent,
-                        b.message_bytes,
-                        b.buffered_messages,
-                        b.buffered_bytes
-                    ),
-                    "superstep {} diverged ({threads} threads)",
-                    a.superstep
-                );
-            }
-        }
-    }
-
-    #[test]
     fn thread_count_does_not_change_metrics() {
         let g = ariadne_graph::generators::rmat(ariadne_graph::generators::RmatConfig {
             scale: 8,
@@ -2078,7 +1578,7 @@ mod tests {
 
     #[test]
     fn float_aggregates_bit_identical_across_threads() {
-        // f64 sums are grouping-sensitive; the flat plane's per-block
+        // f64 sums are grouping-sensitive; the per-block
         // partial merge must make them thread-invariant anyway.
         let g = ariadne_graph::generators::rmat(ariadne_graph::generators::RmatConfig {
             scale: 8,
@@ -2172,26 +1672,6 @@ mod tests {
         let _ = Engine::new(EngineConfig::sequential()).run(&Bad, &g);
     }
 
-    #[test]
-    #[should_panic(expected = "nonexistent vertex")]
-    fn send_out_of_range_panics_naive() {
-        struct Bad;
-        impl VertexProgram for Bad {
-            type V = ();
-            type M = ();
-            fn init(&self, _: VertexId, _: &Csr) {}
-            fn compute(&self, ctx: &mut dyn Context<()>, _: &mut (), _: &[Envelope<()>]) {
-                ctx.send(VertexId(999), ());
-            }
-        }
-        let g = path(2);
-        let _ = Engine::new(EngineConfig {
-            plane: MessagePlane::Naive,
-            ..EngineConfig::sequential()
-        })
-        .run(&Bad, &g);
-    }
-
     /// Min-combined flood: same fixpoint, fewer stored messages.
     struct CombinedFlood;
     impl VertexProgram for CombinedFlood {
@@ -2234,28 +1714,24 @@ mod tests {
 
     #[test]
     fn sender_side_combining_reduces_buffering() {
-        // Two same-chunk senders, one destination. The flat plane's
-        // exact Min combiner merges at the sender (1 buffered envelope);
-        // the naive plane buffers both and merges only at delivery.
+        // Two same-chunk senders, one destination. The exact Min
+        // combiner merges at the sender: one envelope is ever buffered,
+        // where the uncombined run buffers both sends.
         let mut b = GraphBuilder::new();
         b.add_edge(VertexId(0), VertexId(2), 1.0);
         b.add_edge(VertexId(1), VertexId(2), 1.0);
         let g = b.build();
 
-        let flat = Engine::new(EngineConfig::default()).run(&CombinedFlood, &g);
-        let naive = Engine::new(EngineConfig {
-            plane: MessagePlane::Naive,
+        let combined = Engine::new(EngineConfig::default()).run(&CombinedFlood, &g);
+        let raw = Engine::new(EngineConfig {
+            use_combiner: false,
             ..EngineConfig::default()
         })
         .run(&CombinedFlood, &g);
-        assert_eq!(flat.values, naive.values);
-        assert_eq!(flat.metrics.total_messages(), naive.metrics.total_messages());
-        assert!(
-            flat.metrics.total_buffered_messages() < naive.metrics.total_buffered_messages(),
-            "flat buffered {} should undercut naive {}",
-            flat.metrics.total_buffered_messages(),
-            naive.metrics.total_buffered_messages()
-        );
+        assert_eq!(combined.values, raw.values);
+        let (c0, r0) = (&combined.metrics.supersteps[0], &raw.metrics.supersteps[0]);
+        assert_eq!((c0.buffered_messages, c0.messages_sent), (1, 1));
+        assert_eq!((r0.buffered_messages, r0.messages_sent), (2, 2));
     }
 
     #[test]
@@ -2330,19 +1806,13 @@ mod tests {
         b.add_edge(VertexId(1), VertexId(2), 1.0);
         let g = b.build();
 
-        for plane in [MessagePlane::Flat, MessagePlane::Naive] {
-            let r = Engine::new(EngineConfig {
-                plane,
-                ..EngineConfig::default()
-            })
-            .run(&ConcatProgram, &g);
-            let s0 = &r.metrics.supersteps[0];
-            assert_eq!(s0.messages_sent, 1, "{plane:?}: one stored message");
-            assert_eq!(s0.message_bytes, 16, "{plane:?}: post-combine size");
-            assert_eq!(s0.buffered_messages, 2, "{plane:?}: both envelopes buffered");
-            assert_eq!(s0.buffered_bytes, 16, "{plane:?}");
-            assert_eq!(r.values[2], 2, "{plane:?}: both ids arrived");
-        }
+        let r = Engine::new(EngineConfig::default()).run(&ConcatProgram, &g);
+        let s0 = &r.metrics.supersteps[0];
+        assert_eq!(s0.messages_sent, 1, "one stored message");
+        assert_eq!(s0.message_bytes, 16, "post-combine size");
+        assert_eq!(s0.buffered_messages, 2, "both envelopes buffered");
+        assert_eq!(s0.buffered_bytes, 16);
+        assert_eq!(r.values[2], 2, "both ids arrived");
     }
 
     #[test]
@@ -2425,6 +1895,72 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Never sends: the inbox a run starts with is the one it ends with.
+    struct Silent;
+    impl VertexProgram for Silent {
+        type V = u64;
+        type M = u64;
+        fn init(&self, v: VertexId, _: &Csr) -> u64 {
+            v.0
+        }
+        fn compute(&self, _: &mut dyn Context<u64>, value: &mut u64, _: &[Envelope<u64>]) {
+            *value += 1;
+        }
+    }
+
+    /// Both ways a run starts build the flat inbox directly for the
+    /// run's chunk table: a fresh run gets one empty inbox per chunk
+    /// (and a run that never sends terminates on it), a resumed run lays
+    /// the checkpoint's per-vertex lists out flat — re-encoding to the
+    /// same wire bytes — and finishes bit-identically.
+    #[test]
+    fn fresh_and_resumed_runs_build_the_flat_inbox_directly() {
+        let g = cycle(100);
+        for threads in [1usize, 3] {
+            let engine = Engine::new(EngineConfig::parallel(threads));
+            let table = engine.chunk_table(&g);
+            assert_eq!(table.num_chunks(), threads);
+
+            let fresh = fresh_state(&Silent, &g, &table);
+            assert_eq!(fresh.inbox.len(), threads);
+            assert!(fresh.inbox.iter().all(|c| c.data.is_empty()));
+            let covered: usize = fresh.inbox.iter().map(|c| c.vertex_count()).sum();
+            assert_eq!(covered, 100);
+            let r = engine.run(&Silent, &g);
+            assert_eq!(r.supersteps(), 1, "{threads} threads");
+            assert_eq!(r.metrics.total_messages(), 0);
+            assert_eq!(r.values, (1..=100).collect::<Vec<u64>>());
+
+            let per_vertex: Vec<Vec<Envelope<u64>>> = (0..100u64)
+                .map(|v| (0..v % 3).map(|k| Envelope::new(VertexId(k), v)).collect())
+                .collect();
+            let mut wire = Vec::new();
+            per_vertex.write_snap(&mut wire);
+            let mut flat = Vec::new();
+            write_inbox_snap(&flat_inbox(per_vertex, &table), &mut flat);
+            assert_eq!(flat, wire, "{threads} threads: inbox wire bytes");
+
+            let dir = std::env::temp_dir().join(format!(
+                "ariadne-engine-flat-inbox-{}-{threads}",
+                std::process::id()
+            ));
+            std::fs::remove_dir_all(&dir).ok();
+            let plan = FaultPlan::new();
+            plan.kill_at_superstep(5);
+            let engine = Engine::new(EngineConfig {
+                checkpoint: Some(CheckpointConfig::new(&dir, 2)),
+                fault: Some(plan),
+                ..EngineConfig::parallel(threads)
+            });
+            assert!(engine.run_checkpointed(&MinFlood, &g).is_err());
+            let resumed = engine.resume(&MinFlood, &g).expect("resume");
+            let baseline = Engine::new(EngineConfig::sequential()).run(&MinFlood, &g);
+            assert_eq!(resumed.values, baseline.values, "{threads} threads");
+            assert_eq!(resumed.supersteps(), baseline.supersteps());
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
     #[test]
     fn resume_without_config_is_typed_error() {
         let g = path(2);
@@ -2438,33 +1974,27 @@ mod tests {
     /// Regression: a snapshot whose value table matches the graph but
     /// whose inbox table is short (CRC-valid bytes, inconsistent
     /// cross-field state — hand-built or bit-rotted) used to panic with
-    /// "inbox shorter than partition table" inside the flat plane's
-    /// partition walk. Resume must reject it with a typed error on both
-    /// planes instead.
+    /// "inbox shorter than partition table" inside the partition walk.
+    /// Resume must reject it with a typed error instead.
     #[test]
     fn resume_from_inconsistent_inbox_is_typed_error() {
         let g = cycle(8);
-        for plane in [MessagePlane::Flat, MessagePlane::Naive] {
-            let ckpt: EngineCheckpoint<u64, u64> = EngineCheckpoint {
-                superstep: 1,
-                values: vec![0u64; g.num_vertices()],
-                inbox: vec![Vec::new(); g.num_vertices() - 3],
-                aggregates: Aggregates::new(Vec::new()),
-                metrics: RunMetrics::default(),
-            };
-            let engine = Engine::new(EngineConfig {
-                plane,
-                ..EngineConfig::default()
-            });
-            match engine.resume_from(&MinFlood, &g, ckpt) {
-                Err(EngineError::InboxMismatch {
-                    snapshot_inboxes,
-                    graph_vertices,
-                }) => {
-                    assert_eq!((snapshot_inboxes, graph_vertices), (5, 8), "{plane:?}");
-                }
-                other => panic!("{plane:?}: expected InboxMismatch, got {other:?}"),
+        let ckpt: EngineCheckpoint<u64, u64> = EngineCheckpoint {
+            superstep: 1,
+            values: vec![0u64; g.num_vertices()],
+            inbox: vec![Vec::new(); g.num_vertices() - 3],
+            aggregates: Aggregates::new(Vec::new()),
+            metrics: RunMetrics::default(),
+        };
+        let engine = Engine::new(EngineConfig::default());
+        match engine.resume_from(&MinFlood, &g, ckpt) {
+            Err(EngineError::InboxMismatch {
+                snapshot_inboxes,
+                graph_vertices,
+            }) => {
+                assert_eq!((snapshot_inboxes, graph_vertices), (5, 8));
             }
+            other => panic!("expected InboxMismatch, got {other:?}"),
         }
     }
 

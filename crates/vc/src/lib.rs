@@ -15,13 +15,13 @@
 //!
 //! Parallel execution splits vertices into contiguous chunks with a
 //! deterministic two-phase superstep (compute, then per-destination-chunk
-//! delivery): N-thread runs equal 1-thread runs exactly. The default
-//! [`MessagePlane::Flat`] plane balances chunks by **out-degree weight**
-//! (so R-MAT hubs at low ids no longer serialize one worker), combines
-//! messages **sender-side** for exact combiners, and moves messages
-//! through recycled flat buffers — all without giving up bit-identical
-//! determinism at every thread count. Determinism and provenance-faithful
-//! message identity remain prioritized over peak scalability.
+//! delivery): N-thread runs equal 1-thread runs exactly. The message
+//! plane balances chunks by **out-degree weight** (so R-MAT hubs at low
+//! ids do not serialize one worker), combines messages **sender-side**
+//! for exact combiners, and moves messages through recycled flat buffers
+//! — all without giving up bit-identical determinism at every thread
+//! count. Determinism and provenance-faithful message identity remain
+//! prioritized over peak scalability.
 //!
 //! Crucially for Ariadne, the engine is **never modified** for provenance:
 //! the [`Context`] trait lets a wrapper program interpose on message sends
@@ -76,7 +76,7 @@ pub use checkpoint::{
     Snapshot, SNAPSHOT_VERSION,
 };
 pub use context::Context;
-pub use engine::{chunk_align, Engine, EngineConfig, MessagePlane, RunResult};
+pub use engine::{chunk_align, Engine, EngineConfig, RunResult};
 pub use incremental::{IncrementalMode, IncrementalRun};
 pub use fault::FaultPlan;
 pub use message::{Combiner, Envelope, MaxCombiner, MinCombiner, SumCombiner};

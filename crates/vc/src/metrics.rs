@@ -64,7 +64,7 @@ pub struct SuperstepMetrics {
     /// superstep. Exactly equals `messages_sent`: delivery happens in
     /// the same barrier and nothing is dropped. Tracked separately (and
     /// counted at the delivery site, not the send site) so tests can
-    /// assert the conservation law per plane instead of assuming it.
+    /// assert the conservation law instead of assuming it.
     pub messages_delivered: usize,
     /// Approximate bytes of message payloads sent.
     pub message_bytes: usize,

@@ -1,4 +1,4 @@
-//! Cross-thread-count determinism of the flat message plane.
+//! Cross-thread-count determinism of the engine and of layered replay.
 //!
 //! The engine's contract is that an N-thread run is **bit-identical** to
 //! the sequential reference — values, aggregates, superstep counts and
@@ -13,10 +13,11 @@
 //! depends on the chunk layout under sender-side combining.
 
 use ariadne_analytics::als::{Als, AlsConfig};
+use ariadne_analytics::reference::{dijkstra, pagerank_power_iteration};
 use ariadne_analytics::{PageRank, Sssp, Wcc};
 use ariadne_graph::generators::{rmat, BipartiteRatings, RatingsConfig, RmatConfig};
 use ariadne_graph::{Csr, VertexId};
-use ariadne_vc::{Engine, EngineConfig, MessagePlane, RunResult, VertexProgram};
+use ariadne_vc::{Engine, EngineConfig, RunResult, VertexProgram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -127,12 +128,13 @@ fn wcc_deterministic_across_threads() {
 
 /// Message conservation: every message routed into an outbox is observed
 /// in a destination inbox — `messages_sent == messages_delivered` per
-/// superstep, on both planes, with and without combiners, at every
-/// thread count. Both counters are computed at *independent* sites
-/// (routing side vs. inbox occupancy), so this is a real cross-check of
-/// the delivery pipeline, not a restatement.
+/// superstep, with and without combiners, at every thread count. Both
+/// counters are computed at *independent* sites (routing side vs. inbox
+/// occupancy), so this is a real cross-check of the delivery pipeline,
+/// not a restatement. The values it delivered are checked against the
+/// sequential oracles, which never touch the engine.
 #[test]
-fn messages_sent_equal_messages_delivered_on_both_planes() {
+fn messages_sent_equal_messages_delivered() {
     let g = graph();
     let pr = PageRank {
         supersteps: 8,
@@ -141,31 +143,31 @@ fn messages_sent_equal_messages_delivered_on_both_planes() {
     let mut rng = StdRng::seed_from_u64(41);
     let weighted = graph().map_weights(|_, _, _| 0.05 + rng.gen::<f64>());
     let sssp = Sssp::new(VertexId(0));
+    let oracles = [
+        ("pagerank", pagerank_power_iteration(&g, pr.damping, 8)),
+        ("sssp", dijkstra(&weighted, VertexId(0))),
+    ];
 
-    for plane in [MessagePlane::Flat, MessagePlane::Naive] {
-        for use_combiner in [true, false] {
-            for t in [1, 2, 7] {
-                let config = EngineConfig {
-                    threads: t,
-                    use_combiner,
-                    plane,
-                    ..EngineConfig::default()
-                };
-                for (name, metrics) in [
-                    ("pagerank", Engine::new(config.clone()).run(&pr, &g).metrics),
-                    (
-                        "sssp",
-                        Engine::new(config.clone()).run(&sssp, &weighted).metrics,
-                    ),
-                ] {
-                    for s in &metrics.supersteps {
-                        assert_eq!(
-                            s.messages_sent, s.messages_delivered,
-                            "{name} [{plane:?} combiner={use_combiner} t={t}]: \
-                             superstep {} lost or duplicated messages",
-                            s.superstep
-                        );
-                    }
+    for use_combiner in [true, false] {
+        for t in [1, 2, 7] {
+            let runs = [
+                run(&pr, &g, t, use_combiner),
+                run(&sssp, &weighted, t, use_combiner),
+            ];
+            for ((name, oracle), r) in oracles.iter().zip(&runs) {
+                for s in &r.metrics.supersteps {
+                    assert_eq!(
+                        s.messages_sent, s.messages_delivered,
+                        "{name} [combiner={use_combiner} t={t}]: \
+                         superstep {} lost or duplicated messages",
+                        s.superstep
+                    );
+                }
+                for (v, (a, b)) in r.values.iter().zip(oracle).enumerate() {
+                    assert!(
+                        (a.is_infinite() && b.is_infinite()) || (a - b).abs() < 1e-9,
+                        "{name} [combiner={use_combiner} t={t}]: vertex {v} is {a}, oracle {b}"
+                    );
                 }
             }
         }
@@ -177,59 +179,44 @@ fn messages_sent_equal_messages_delivered_on_both_planes() {
 /// (`buffered_bytes == message_bytes` per superstep). With a combiner,
 /// delivery-side folding makes the stored traffic a strict lower bound
 /// (`message_bytes < buffered_bytes`), and sender-side combining — which
-/// engages only for *exact* combiners like SSSP's min, and only on the
-/// flat plane — additionally shrinks what the outboxes ever materialize:
-/// the flat plane's `buffered_bytes` must come in strictly below the
-/// naive plane's for the same run.
+/// engages only for *exact* combiners like SSSP's min — additionally
+/// shrinks what the outboxes ever materialize: SSSP sends the same
+/// messages with and without its combiner, so the combined run's
+/// `buffered_bytes` must come in strictly below the uncombined run's.
 #[test]
 fn buffered_bytes_track_combiner_activity() {
     let mut rng = StdRng::seed_from_u64(41);
     let weighted = graph().map_weights(|_, _, _| 0.05 + rng.gen::<f64>());
     let sssp = Sssp::new(VertexId(0));
 
-    let run_with = |plane: MessagePlane, use_combiner: bool| {
-        Engine::new(EngineConfig {
-            threads: 2,
-            use_combiner,
-            plane,
-            ..EngineConfig::default()
-        })
-        .run(&sssp, &weighted)
-        .metrics
-    };
-
     // No combiner: buffered == logical, exactly, per superstep.
-    for plane in [MessagePlane::Flat, MessagePlane::Naive] {
-        let m = run_with(plane, false);
-        for s in &m.supersteps {
-            assert_eq!(
-                s.buffered_bytes, s.message_bytes,
-                "[{plane:?} capture]: superstep {} buffered more than it sent",
-                s.superstep
-            );
-            assert_eq!(s.buffered_messages, s.messages_sent);
-        }
+    let raw = run(&sssp, &weighted, 2, false).metrics;
+    for s in &raw.supersteps {
+        assert_eq!(
+            s.buffered_bytes, s.message_bytes,
+            "[capture]: superstep {} buffered more than it sent",
+            s.superstep
+        );
+        assert_eq!(s.buffered_messages, s.messages_sent);
     }
 
     // Exact combiner active: folding strictly compresses the traffic.
-    let flat = run_with(MessagePlane::Flat, true);
-    let naive = run_with(MessagePlane::Naive, true);
+    let combined = run(&sssp, &weighted, 2, true).metrics;
     assert!(
-        flat.total_message_bytes() < flat.total_buffered_bytes(),
+        combined.total_message_bytes() < combined.total_buffered_bytes(),
         "combined stored bytes should be strictly below buffered bytes"
     );
-    // Sender-side combining (flat plane only) materializes strictly less
-    // than the naive plane's raw per-source buffering.
     assert!(
-        flat.total_buffered_bytes() < naive.total_buffered_bytes(),
+        combined.total_buffered_bytes() < raw.total_buffered_bytes(),
         "sender-side exact combining should shrink outbox materialization \
-         (flat {} vs naive {})",
-        flat.total_buffered_bytes(),
-        naive.total_buffered_bytes()
+         (combined {} vs uncombined {})",
+        combined.total_buffered_bytes(),
+        raw.total_buffered_bytes()
     );
-    // Logical traffic still agrees across planes.
-    assert_eq!(flat.total_message_bytes(), naive.total_message_bytes());
-    assert_eq!(flat.total_messages(), naive.total_messages());
+    // Logical traffic agrees with the t=1 run.
+    let seq = run(&sssp, &weighted, 1, true).metrics;
+    assert_eq!(combined.total_message_bytes(), seq.total_message_bytes());
+    assert_eq!(combined.total_messages(), seq.total_messages());
 }
 
 /// Run-local deterministic observability counters are bit-identical
@@ -350,6 +337,97 @@ fn layered_deterministic_across_threads() {
         .expect("someone was active in the last superstep");
     let back = queries::backward_lineage(VertexId(target), sigma).unwrap();
     assert_layered_thread_invariant("sssp/backward", &g, &capture.store, &back);
+}
+
+/// The same SSSP capture replays identically however the store holds
+/// it: every record format, in memory or spilled (the v3 spool compacted
+/// into a generation file), under both read backends, at every thread
+/// count — result tables, round structure, work counters and
+/// [`ariadne_pql::EvalStats`]. Only the bytes read may differ, and the
+/// compacted v3 spool must serve the lineage with strictly fewer than
+/// the v2 spool.
+#[test]
+fn layered_replay_is_format_and_backend_invariant() {
+    use ariadne::session::Ariadne;
+    use ariadne::{queries, CaptureSpec, LayeredConfig, LayeredRun, ReadBackend, StoreConfig};
+    use ariadne_provenance::SegmentFormat;
+
+    let mut rng = StdRng::seed_from_u64(41);
+    let g = graph().map_weights(|_, _, _| 0.05 + rng.gen::<f64>());
+    let alpha = g.max_out_degree_vertex().unwrap();
+    let root =
+        std::env::temp_dir().join(format!("ariadne-format-invariance-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+
+    let mut reference: Option<LayeredRun> = None;
+    let mut spool_bytes_read = Vec::new();
+    for format in [SegmentFormat::V1, SegmentFormat::V2, SegmentFormat::V3] {
+        for spilled in [false, true] {
+            // Only a spool has files for the mmap backend to map.
+            let (config, backends) = if spilled {
+                let dir = root.join(format!("{format:?}"));
+                (
+                    StoreConfig::spilling(0, dir),
+                    &[ReadBackend::Buffered, ReadBackend::Mmap][..],
+                )
+            } else {
+                (StoreConfig::in_memory(), &[ReadBackend::Buffered][..])
+            };
+            let session = Ariadne {
+                store: config.with_format(format),
+                ..Ariadne::default()
+            };
+            let mut store = session
+                .capture(&Sssp::new(VertexId(0)), &g, &CaptureSpec::full())
+                .unwrap()
+                .store;
+            if spilled && format == SegmentFormat::V3 {
+                assert!(store.compact().unwrap().tuples > 0);
+            }
+            let query = queries::backward_lineage(alpha, store.max_superstep().unwrap()).unwrap();
+            for &backend in backends {
+                store.set_read_backend(backend);
+                for t in [1, 2, 3, 7] {
+                    let tag = format!("{format:?} spilled={spilled} {backend:?} t={t}");
+                    let run = session
+                        .layered_with(&g, &store, &query, &LayeredConfig::parallel(t))
+                        .unwrap();
+                    if spilled && backend == ReadBackend::Buffered && t == 1 {
+                        spool_bytes_read.push(run.bytes_read);
+                    }
+                    let Some(r) = &reference else {
+                        reference = Some(run);
+                        continue;
+                    };
+                    for pred in query.query().idbs.keys() {
+                        assert_eq!(
+                            run.query_results.sorted(pred),
+                            r.query_results.sorted(pred),
+                            "{tag}: {pred} differs"
+                        );
+                    }
+                    assert_eq!(
+                        (run.layers, run.flush_rounds, run.shipped_tuples),
+                        (r.layers, r.flush_rounds, r.shipped_tuples),
+                        "{tag}: round structure differs"
+                    );
+                    assert_eq!(
+                        (
+                            run.injected_tuples,
+                            run.evaluated_vertices,
+                            &run.query_stats
+                        ),
+                        (r.injected_tuples, r.evaluated_vertices, &r.query_stats),
+                        "{tag}: work counters differ"
+                    );
+                }
+            }
+        }
+    }
+    assert!(reference.unwrap().query_results.len("back_lineage") > 0);
+    let (v2, v3) = (spool_bytes_read[1], spool_bytes_read[2]);
+    assert!(v3 < v2, "compacted v3 read {v3} bytes, v2 spool {v2}");
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
