@@ -95,11 +95,14 @@ where
     }
 }
 
+/// One layer as read back: superstep, then (predicate, tuples) pairs.
+type Layer = (u32, Vec<(String, Vec<ariadne_pql::Tuple>)>);
+
 /// Logical content of every layer in canonical (sorted) tuple order —
 /// the form layer equivalence is defined over: multi-threaded captures
 /// ingest per-chunk buffers in arrival order, so raw in-layer order is
 /// not deterministic even between two cold runs of the same capture.
-fn all_layers(store: &ProvStore) -> Vec<(u32, Vec<(String, Vec<ariadne_pql::Tuple>)>)> {
+fn all_layers(store: &ProvStore) -> Vec<Layer> {
     let mut out = Vec::new();
     if let Some(max) = store.max_superstep() {
         for s in 0..=max {

@@ -4,6 +4,7 @@
 
 use crate::metrics::{MetricsSnapshot, SampleValue};
 use crate::trace::{Event, Value};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Render a registry snapshot in the Prometheus text exposition format
@@ -118,9 +119,15 @@ fn write_value(out: &mut String, v: &Value) {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Escape `s` for use inside a JSON string literal (quotes, backslash,
+/// control chars; no surrounding quotes). The one escaper every
+/// hand-rolled JSON writer in the workspace shares; borrows `s` when
+/// nothing needs escaping.
+pub fn escape(s: &str) -> Cow<'_, str> {
+    if !s.chars().any(|c| matches!(c, '"' | '\\') || (c as u32) < 0x20) {
+        return Cow::Borrowed(s);
+    }
+    let mut out = String::with_capacity(s.len() + 8);
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -134,7 +141,7 @@ fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
+    Cow::Owned(out)
 }
 
 #[cfg(test)]

@@ -1,0 +1,451 @@
+//! Record framing: the checksummed frame every stored batch travels in,
+//! the walk over a concatenation of frames, and the per-version payload
+//! decode dispatch.
+//!
+//! Every batch is framed as a **checksummed record** — a magic header,
+//! the payload length, a CRC32 of the payload, and a footer magic:
+//!
+//! ```text
+//! +--------+---------+----------------+---------+--------+
+//! | "ARSG" | len u64 | CRC32(payload) | payload | "GSRA" |   v1 (row-major)
+//! | "ARS2" | len u64 | CRC32(payload) | payload | "2SRA" |   v2 (columnar)
+//! | "ARSZ" | len u64 | CRC32(payload) | payload | "ZSRA" |   v3 (LZ block)
+//! +--------+---------+----------------+---------+--------+
+//! ```
+//!
+//! Corrupted records surface as typed [`StoreError::Corrupt`] values
+//! naming the file — never a panic.
+//!
+//! # Segment formats
+//!
+//! Three payload formats share the framing, dispatched by the record's
+//! **version byte** (the fourth magic byte; see [`FRAME_MAGICS`]):
+//!
+//! * **v1**: the row-major tagged encoding of [`crate::codec`] — one
+//!   record per ingest batch.
+//! * **v2**: the columnar encoding of [`crate::columnar`] — ingest
+//!   batches accumulate in a per-segment *pending* buffer and are
+//!   **packed** into one columnar record once
+//!   [`PACK_THRESHOLD`](crate::store::PACK_THRESHOLD) tuples arrive (or
+//!   at spill/finish time), with a per-column
+//!   [`Encoding`](crate::columnar::Encoding) chosen by a stats pass at
+//!   pack time.
+//! * **v3**: an LZ-compressed block (see [`crate::v3`]) stacked *under*
+//!   the v2 per-column encodings — the payload is an inner version tag,
+//!   the raw length, and the compressed inner payload. Writers emit the
+//!   compressed frame only when it is strictly smaller than the plain
+//!   one, so a v3 store degrades to v2 frames on incompressible data.
+//!
+//! [`StoreConfig::format`](crate::StoreConfig::format) selects the write
+//! format; **readers always accept every format**, record by record, so
+//! a spool written by an older incarnation reopens under a newer store
+//! and its segments decode unchanged — and a resumed capture appends
+//! newer records after the sealed older ones in the same logical
+//! segment.
+
+use crate::codec::decode_tuples_masked;
+use crate::columnar::{decode_columnar, ColumnStat};
+use crate::obs_handles;
+use crate::store::{Degradation, StoreError};
+use crate::v3;
+use ariadne_obs::trace::{self, Level};
+use ariadne_pql::Tuple;
+use ariadne_vc::checkpoint::crc32;
+use std::path::Path;
+
+/// The opening and closing magic of each frame version, indexed by
+/// `version - 1`: v1 row-major, v2 columnar, v3 LZ-compressed. The
+/// fourth byte of the opening magic is the version byte readers
+/// dispatch on; the closing magic is the truncation tripwire.
+pub const FRAME_MAGICS: [([u8; 4], [u8; 4]); 3] = [
+    (*b"ARSG", *b"GSRA"),
+    (*b"ARS2", *b"2SRA"),
+    (*b"ARSZ", *b"ZSRA"),
+];
+/// Per-record framing overhead in bytes (header + len + crc + footer).
+pub(crate) const RECORD_OVERHEAD: usize = 4 + 8 + 4 + 4;
+
+/// The frame version whose opening magic is `magic`, if any.
+fn frame_version(magic: &[u8]) -> Option<u8> {
+    let at = FRAME_MAGICS.iter().position(|(open, _)| open == magic)?;
+    Some(at as u8 + 1)
+}
+
+/// Append one checksummed record of frame `version` (1, 2 or 3) framing
+/// `payload` to `buf`. A v3 payload is already the inner-version-tagged
+/// compressed form from [`v3::make_compressed_payload`].
+pub(crate) fn append_frame(buf: &mut Vec<u8>, version: u8, payload: &[u8]) {
+    let (open, close) = FRAME_MAGICS[usize::from(version) - 1];
+    buf.extend_from_slice(&open);
+    buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    buf.extend_from_slice(&crc32(payload).to_le_bytes());
+    buf.extend_from_slice(payload);
+    buf.extend_from_slice(&close);
+}
+
+/// Append `raw` (an inner payload of `inner_version` 1 = row-major or
+/// 2 = columnar) as either a compressed v3 frame — when compression
+/// strictly wins — or the plain frame of its native version.
+pub(crate) fn append_frame_best(buf: &mut Vec<u8>, inner_version: u8, raw: &[u8]) {
+    match v3::make_compressed_payload(inner_version, raw) {
+        Some(packed) => {
+            obs_handles::lz_records().inc();
+            obs_handles::lz_saved_bytes().add((raw.len() - packed.len()) as u64);
+            append_frame(buf, 3, &packed);
+        }
+        None => append_frame(buf, inner_version, raw),
+    }
+}
+
+/// How [`walk_records`] reacts to a record that fails validation.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum WalkMode {
+    /// First failure is a typed error (sealed segments, default reads).
+    Strict,
+    /// A failure whose damage extends to end-of-data (truncated header
+    /// or payload overrunning the buffer — the signature of a torn
+    /// write) stops the walk and reports a torn tail; any other failure
+    /// is still a typed error. Used on unsealed tails at resume/scrub.
+    Salvage,
+    /// Any failure is counted and skipped, resyncing to the next fully
+    /// valid record. Used by `ReadPolicy::Degraded` reads.
+    Degraded,
+}
+
+/// One validated record frame inside a byte stream.
+struct Frame<'a> {
+    /// Frame version per the magic's version byte (a v3 frame tags its
+    /// inner version in the payload).
+    version: u8,
+    payload: &'a [u8],
+    /// Offset just past this record's footer.
+    next: usize,
+}
+
+/// Why a frame failed validation.
+struct FrameError {
+    /// The failure region extends to end-of-data — what a torn (crash-
+    /// truncated) write leaves behind. A complete-but-invalid frame
+    /// (CRC mismatch, bad magic/footer) is *not* torn: truncation
+    /// cannot produce it, so it is real corruption.
+    torn: bool,
+    detail: String,
+}
+
+/// Validate the record frame starting at `off`: magic, length, CRC,
+/// footer. Does not decode the payload.
+fn try_frame(data: &[u8], off: usize) -> Result<Frame<'_>, FrameError> {
+    if data.len() - off < RECORD_OVERHEAD {
+        return Err(FrameError {
+            torn: true,
+            detail: format!(
+                "truncated record header at offset {off} ({} trailing bytes)",
+                data.len() - off
+            ),
+        });
+    }
+    let Some(version) = frame_version(&data[off..off + 4]) else {
+        return Err(FrameError {
+            torn: false,
+            detail: format!("bad record magic at offset {off}"),
+        });
+    };
+    let len = u64::from_le_bytes(data[off + 4..off + 12].try_into().unwrap()) as usize;
+    let stored_crc = u32::from_le_bytes(data[off + 12..off + 16].try_into().unwrap());
+    let body_start = off + 16;
+    let footer_start = match body_start.checked_add(len) {
+        Some(e) if e + 4 <= data.len() => e,
+        _ => {
+            return Err(FrameError {
+                torn: true,
+                detail: format!(
+                    "record at offset {off} claims {len} payload bytes past end of data"
+                ),
+            })
+        }
+    };
+    let payload = &data[body_start..footer_start];
+    let actual_crc = crc32(payload);
+    if actual_crc != stored_crc {
+        obs_handles::checksum_failures().inc();
+        trace::event(
+            Level::Error,
+            "store",
+            "checksum_failure",
+            &[
+                ("offset", off.into()),
+                ("stored_crc", u64::from(stored_crc).into()),
+                ("computed_crc", u64::from(actual_crc).into()),
+            ],
+        );
+        return Err(FrameError {
+            torn: false,
+            detail: format!(
+                "CRC mismatch at offset {off}: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
+            ),
+        });
+    }
+    if data[footer_start..footer_start + 4] != FRAME_MAGICS[usize::from(version) - 1].1 {
+        obs_handles::checksum_failures().inc();
+        return Err(FrameError {
+            torn: false,
+            detail: format!("bad record footer at offset {footer_start}"),
+        });
+    }
+    Ok(Frame {
+        version,
+        payload,
+        next: footer_start + 4,
+    })
+}
+
+/// Non-tuple outcomes of decoding a stretch of records.
+#[derive(Debug, Default)]
+pub(crate) struct DecodeCounts {
+    /// Column blocks skipped via the mask (v2) or
+    /// [`Value::Unit`](ariadne_pql::Value::Unit)-filled column positions
+    /// per record (v1 masked reads count 0 here — v1 has no skippable
+    /// blocks, only skipped values).
+    pub cols_skipped: usize,
+    /// Encoded bytes of skipped v2 column blocks.
+    pub col_bytes_skipped: usize,
+}
+
+impl DecodeCounts {
+    pub(crate) fn absorb(&mut self, other: &DecodeCounts) {
+        self.cols_skipped += other.cols_skipped;
+        self.col_bytes_skipped += other.col_bytes_skipped;
+    }
+}
+
+/// The outcome of walking a stretch of records.
+#[derive(Debug, Default)]
+pub(crate) struct WalkOutcome {
+    pub counts: DecodeCounts,
+    /// Records fully validated and decoded.
+    pub records: usize,
+    /// Tuples appended to `out`.
+    pub tuples: usize,
+    /// Offset just past the last valid record — the truncation point a
+    /// salvage should cut back to.
+    pub valid_end: usize,
+    /// Set under [`WalkMode::Salvage`] when trailing bytes formed a
+    /// torn (crash-truncated) partial record; holds the failure detail.
+    pub torn_tail: Option<String>,
+    /// Damage skipped under [`WalkMode::Degraded`].
+    pub damage: Degradation,
+}
+
+/// Decode a concatenation of checksummed records, appending decoded
+/// tuples to `out`. The record's version byte dispatches between the
+/// payload decoders; a mixed stream (v1 records sealed by a previous
+/// incarnation followed by freshly packed v2 ones) is valid. `origin`
+/// names the data source in errors. `mask`, when given, is the
+/// keep-mask applied to every record; `stats`, when given, accumulates
+/// per-column encode accounting from v2 records (spool resume
+/// rebuilding a segment's column index). `mode` selects how validation
+/// failures are handled — see [`WalkMode`].
+pub(crate) fn walk_records(
+    data: &[u8],
+    origin: &Path,
+    out: &mut Vec<Tuple>,
+    mask: Option<&[bool]>,
+    mut stats: Option<&mut Vec<ColumnStat>>,
+    mode: WalkMode,
+) -> Result<WalkOutcome, StoreError> {
+    let corrupt = |detail: String| StoreError::Corrupt {
+        path: origin.to_path_buf(),
+        detail,
+    };
+    let mut o = WalkOutcome::default();
+    let mut off = 0usize;
+    while off < data.len() {
+        let failure = match try_frame(data, off) {
+            Ok(frame) => {
+                // The frame is CRC-valid; a payload decode failure here
+                // is real corruption (or a decoder bug), never a torn
+                // tail — treat it like a complete-but-invalid frame.
+                match decode_frame(&frame, mask, stats.as_deref_mut(), out, &mut o.counts) {
+                    Ok(tuples) => {
+                        obs_handles::records_verified().inc();
+                        o.records += 1;
+                        o.tuples += tuples;
+                        off = frame.next;
+                        o.valid_end = off;
+                        continue;
+                    }
+                    Err(detail) => FrameError {
+                        torn: false,
+                        detail,
+                    },
+                }
+            }
+            Err(e) => e,
+        };
+        match mode {
+            WalkMode::Salvage if failure.torn => {
+                o.torn_tail = Some(failure.detail);
+                return Ok(o);
+            }
+            WalkMode::Strict | WalkMode::Salvage => return Err(corrupt(failure.detail)),
+            WalkMode::Degraded => {
+                // Resync: scan forward for the next offset holding a
+                // fully valid frame; everything in between is damage.
+                let next = (off + 1..(data.len() + 1).saturating_sub(RECORD_OVERHEAD)).find(|&p| {
+                    frame_version(&data[p..p + 4]).is_some() && try_frame(data, p).is_ok()
+                });
+                let end = next.unwrap_or(data.len());
+                o.damage.records_skipped += 1;
+                o.damage.bytes_skipped += end - off;
+                o.damage
+                    .note(format!("{}: {}", origin.display(), failure.detail));
+                off = end;
+            }
+        }
+    }
+    Ok(o)
+}
+
+/// [`walk_records`] for verification alone: every CRC checked, every
+/// payload decoded, the tuples discarded.
+pub(crate) fn verify_records(
+    data: &[u8],
+    origin: &Path,
+    mode: WalkMode,
+) -> Result<WalkOutcome, StoreError> {
+    walk_records(data, origin, &mut Vec::new(), None, None, mode)
+}
+
+/// Fold `cols` (one record's or file's per-column accounting) into the
+/// running per-segment totals `agg`, growing `agg` to fit.
+pub(crate) fn absorb_cols(agg: &mut Vec<ColumnStat>, cols: &[ColumnStat]) {
+    if agg.len() < cols.len() {
+        agg.resize(cols.len(), ColumnStat::default());
+    }
+    for (a, c) in agg.iter_mut().zip(cols) {
+        a.absorb(c);
+    }
+}
+
+/// Decode one validated frame's payload into `out`, returning the tuple
+/// count appended, or the failure detail.
+fn decode_frame(
+    frame: &Frame<'_>,
+    mask: Option<&[bool]>,
+    stats: Option<&mut Vec<ColumnStat>>,
+    out: &mut Vec<Tuple>,
+    counts: &mut DecodeCounts,
+) -> Result<usize, String> {
+    // A v3 frame decompresses to an inner v1/v2 payload, then decodes
+    // like the plain frame of that version. The frame CRC covered the
+    // compressed form, so a decompression failure here is corruption
+    // that slipped a CRC collision (or a decoder bug) — reported, not
+    // panicked.
+    let (version, decompressed);
+    let payload: &[u8] = if frame.version == 3 {
+        let (inner, raw) = v3::decode_compressed_payload(frame.payload)?;
+        version = inner;
+        decompressed = raw;
+        &decompressed
+    } else {
+        version = frame.version;
+        frame.payload
+    };
+    let before = out.len();
+    if version == 2 {
+        let read = decode_columnar(payload, mask, out).map_err(|e| {
+            // A failed decode may have appended partial rows; drop them
+            // so Degraded-mode skips leave no half-decoded tuples.
+            out.truncate(before);
+            format!("columnar decode failed: {e}")
+        })?;
+        counts.cols_skipped += read.cols_skipped;
+        counts.col_bytes_skipped += read.col_bytes_skipped;
+        if let Some(stats) = stats {
+            absorb_cols(stats, &read.columns);
+        }
+    } else {
+        let batch = bytes::Bytes::copy_from_slice(payload);
+        out.extend(
+            decode_tuples_masked(batch, mask).map_err(|e| format!("tuple decode failed: {e}"))?,
+        );
+        // v1 records skip masked values one at a time; count the
+        // masked columns per non-empty record (the v2 analogue of a
+        // skipped column block) even though the byte savings are not
+        // tracked at this granularity.
+        if out.len() > before {
+            if let Some(m) = mask {
+                counts.cols_skipped += m.iter().filter(|k| !**k).count();
+            }
+        }
+    }
+    Ok(out.len() - before)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spool::segment_path;
+    use crate::store::tests::{temp_dir, tuple};
+    use crate::store::{LayerFilter, ProvStore, ReadPolicy, StoreConfig};
+
+    #[test]
+    fn corrupted_spill_file_is_typed_error() {
+        let dir = temp_dir("corrupt-spill");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut store = ProvStore::new(StoreConfig::spilling(8, dir.clone()));
+        store
+            .ingest(0, "value", (0..20).map(|v| tuple(v, 0)).collect())
+            .unwrap();
+        assert!(store.spills() > 0);
+        // Flip a byte inside the spilled payload.
+        let path = segment_path(&dir, 0, "value");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        match store.layer(0) {
+            Err(StoreError::Corrupt { path: p, detail }) => {
+                assert_eq!(p, path);
+                assert!(
+                    detail.contains("CRC") || detail.contains("magic") || detail.contains("footer"),
+                    "unexpected detail: {detail}"
+                );
+            }
+            other => panic!("expected corrupt error, got {other:?}"),
+        }
+        // Truncation is also typed, not a panic.
+        std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
+        assert!(matches!(store.layer(0), Err(StoreError::Corrupt { .. })));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Degraded reads skip damaged records, resync to the next valid
+    /// one, and report exactly what was lost; Strict reads of the same
+    /// store fail typed.
+    #[test]
+    fn degraded_read_skips_and_reports_damage() {
+        let dir = temp_dir("degraded-read");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut store = ProvStore::new(StoreConfig::spilling(0, dir.clone()));
+        store
+            .ingest(0, "value", (0..10).map(|v| tuple(v, 0)).collect())
+            .unwrap();
+        store
+            .ingest(0, "value", (10..20).map(|v| tuple(v, 0)).collect())
+            .unwrap();
+        let path = segment_path(&dir, 0, "value");
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[RECORD_OVERHEAD / 2] ^= 0xFF; // inside the first record's header
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(store.layer(0), Err(StoreError::Corrupt { .. })));
+        let read = store
+            .layer_read_with(0, &LayerFilter::all(), ReadPolicy::Degraded)
+            .unwrap();
+        assert_eq!(read.tuples[0].1.len(), 10, "second record survives");
+        assert_eq!(read.degradation.records_skipped, 1);
+        assert!(read.degradation.bytes_skipped > 0);
+        assert!(!read.degradation.details.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

@@ -6,9 +6,17 @@
 //!   vertex-superstep of execution (the *compact representation*: tuples
 //!   annotating input-graph vertices rather than an unfolded node per
 //!   vertex-superstep).
-//! * [`store`] — the captured-provenance store: per-superstep segments,
-//!   byte accounting for Tables 3–4, and spill-to-disk with an async
-//!   writer thread (the paper's asynchronous HDFS offload).
+//! * [`store`] — the captured-provenance store facade ([`ProvStore`]):
+//!   per-superstep segments, ingest and pack, layer reads, and byte
+//!   accounting for Tables 3–4. Each storage decision behind it lives
+//!   in one sibling module: [`frame`] (the checksummed record frame,
+//!   its magic table, the record walk and payload decode dispatch),
+//!   [`spool`] (file naming, the directory listing, atomic publish,
+//!   salvage/quarantine, spill IO, reopening a spool), [`scrub`] (the
+//!   one verifier behind [`scrub_spool`] and [`ProvStore::scrub`]),
+//!   [`compact`] (the crash-safe generation rewrite), [`writer`] (the
+//!   async ingestion thread — the paper's asynchronous HDFS offload)
+//!   and [`epoch`] (delta epochs appended after a graph mutation).
 //! * [`unfold`] — materializing the *unfolded* provenance graph (a node
 //!   per vertex-superstep, evolution and message edges) and its layer
 //!   decomposition (Definition 5.1), used by the naive mode and by tests
@@ -21,7 +29,7 @@
 //!   for column-selective replay reads.
 //! * [`v3`] — the v3 on-disk structures: LZ-compressed record frames,
 //!   indexed generation-file footers, and the spool manifest published
-//!   by [`store::ProvStore::compact`].
+//!   by [`ProvStore::compact`].
 //! * [`reader`] — pluggable segment read backends (buffered default,
 //!   zero-copy mmap opt-in).
 
@@ -29,13 +37,19 @@
 
 pub mod codec;
 pub mod columnar;
+pub mod compact;
 pub mod edb;
-pub mod epoch;
 pub mod encode;
+pub mod epoch;
+pub mod frame;
+mod obs_handles;
 pub mod reader;
+pub mod scrub;
+pub mod spool;
 pub mod store;
 pub mod unfold;
 pub mod v3;
+pub mod writer;
 
 pub use columnar::{ColumnStat, Encoding};
 pub use edb::{static_graph_edbs, EdbTracker, VertexStepRecord};

@@ -1,0 +1,977 @@
+//! The on-disk spool: file naming, the directory listing, atomic
+//! publish, salvage and quarantine, spill IO with bounded retries, and
+//! reopening a spool a previous incarnation left behind.
+//!
+//! # Layout
+//!
+//! The spool directory is created lazily on the first spill, and spill
+//! IO failures carry the offending path. It distinguishes two segment
+//! states. `seg-*.bin` files are **unsealed append tails**: a crash can
+//! tear their final record, so [`ProvStore::resume_from_spool`]
+//! *salvages* a torn tail — the original bytes are backed up to a
+//! `.torn` sidecar, the file is truncated back to the last record
+//! boundary, and the retained records are counted as
+//! `store_salvaged_records`. `seg-*.seal` files are **sealed segments**
+//! written only via temp-file + atomic rename under
+//! [`Durability::Seal`]; they are either complete or absent, so any
+//! damage inside one is real corruption and validation stays strict.
+//! Compaction adds `gen-*.ars3` generation files and the `index.ars`
+//! manifest (see [`crate::compact`]); a repairing scrub moves
+//! irrecoverable files into `quarantine/` (see [`crate::scrub`]).
+//!
+//! # Durability
+//!
+//! [`StoreConfig::durability`](crate::StoreConfig::durability) selects
+//! how hard spills push bytes to stable storage (no fsync,
+//! fsync-per-spill, or atomic sealed rewrites); see [`Durability`] for
+//! the exact contract per level. Every atomically published file — a
+//! sealed segment, a generation file, the manifest — goes through the
+//! same two halves: write a `.tmp` sibling and fsync it, then rename it
+//! into place and fsync the directory.
+//!
+//! # Recovery
+//!
+//! After a crash, [`ProvStore::resume_from_spool`] re-attaches the
+//! segment files a previous incarnation left behind (validating every
+//! record) and marks them **sealed**: re-ingesting a sealed layer during
+//! replay is an idempotent no-op, so a resumed capture run does not
+//! duplicate already-persisted provenance.
+
+use crate::frame::{absorb_cols, walk_records, WalkMode};
+use crate::obs_handles;
+use crate::reader::{read_extent, ReadBackend};
+use crate::store::{DiskFile, Durability, ProvStore, Segment, StoreConfig, StoreError};
+use crate::v3;
+use ariadne_obs::trace::{self, Level};
+use ariadne_vc::FaultPlan;
+use std::collections::BTreeSet;
+use std::fs::{File, OpenOptions};
+use std::io::Write;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
+
+/// A `map_err` adapter naming the file or directory an IO failure
+/// touched.
+pub(crate) fn io_err(path: &Path) -> impl Fn(std::io::Error) -> StoreError + '_ {
+    move |source| StoreError::Io {
+        path: path.to_path_buf(),
+        source,
+    }
+}
+
+/// The final component of `path` as a string (empty when there is none).
+pub(crate) fn file_name(path: &Path) -> String {
+    path.file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_default()
+}
+
+/// The unsealed (append-tail) spool file for a (superstep, predicate)
+/// segment.
+pub(crate) fn segment_path(dir: &Path, superstep: u32, pred: &str) -> PathBuf {
+    dir.join(format!("seg-{superstep}-{pred}.bin"))
+}
+
+/// The sealed (atomic-rename) spool file for a (superstep, predicate)
+/// segment, written under [`Durability::Seal`].
+pub(crate) fn sealed_segment_path(dir: &Path, superstep: u32, pred: &str) -> PathBuf {
+    dir.join(format!("seg-{superstep}-{pred}.seal"))
+}
+
+/// `path` with `suffix` appended to its file name.
+fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.as_os_str().to_os_string();
+    name.push(suffix);
+    PathBuf::from(name)
+}
+
+/// The sidecar holding a torn tail's original bytes before salvage
+/// truncated it (kept for forensics; ignored by resume).
+pub(crate) fn torn_sidecar_path(path: &Path) -> PathBuf {
+    with_suffix(path, ".torn")
+}
+
+/// The subdirectory scrub repairs move irrecoverable segments into.
+pub(crate) fn quarantine_dir(dir: &Path) -> PathBuf {
+    dir.join("quarantine")
+}
+
+/// The spool-level manifest file naming live generation files.
+pub(crate) fn manifest_path(dir: &Path) -> PathBuf {
+    dir.join(v3::MANIFEST_NAME)
+}
+
+/// Parse a spool file name back into its (superstep, predicate) key and
+/// whether the file is a sealed (`.seal`) segment. `.torn` sidecars
+/// parse as `None` and are ignored.
+fn parse_segment_name(name: &str) -> Option<(u32, String, bool)> {
+    let stem = name.strip_prefix("seg-")?;
+    let (stem, sealed) = match stem.strip_suffix(".seal") {
+        Some(s) => (s, true),
+        None => (stem.strip_suffix(".bin")?, false),
+    };
+    let (step, pred) = stem.split_once('-')?;
+    Some((step.parse().ok()?, pred.to_string(), sealed))
+}
+
+/// One `seg-*` file of a [`SpoolListing`].
+pub(crate) struct SegFile {
+    pub key: (u32, String),
+    pub path: PathBuf,
+    /// A `.seal` file (atomic rename) rather than a `.bin` append tail.
+    pub sealed: bool,
+}
+
+/// A spool directory's files, classified by role.
+#[derive(Default)]
+pub(crate) struct SpoolListing {
+    /// Leftovers of an interrupted seal or compaction write. Both
+    /// protocols only publish via rename, so a temp file is always
+    /// garbage.
+    pub tmp: Vec<PathBuf>,
+    /// Whether the spool manifest exists.
+    pub manifest: bool,
+    /// Compaction generation files, in name order.
+    pub gens: Vec<PathBuf>,
+    /// Segment files in key order, a sealed part before its unsealed
+    /// tail (the order their records were written in).
+    pub segs: Vec<SegFile>,
+}
+
+/// List and classify the spool directory; `None` when it does not
+/// exist. `.torn` sidecars, `quarantine/` and foreign files are left
+/// out.
+pub(crate) fn list_spool(dir: &Path) -> Result<Option<SpoolListing>, StoreError> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(e) => e,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(io_err(dir)(e)),
+    };
+    let mut listing = SpoolListing::default();
+    for entry in entries {
+        let path = entry.map_err(io_err(dir))?.path();
+        let name = file_name(&path);
+        if name.ends_with(".tmp") {
+            listing.tmp.push(path);
+        } else if name == v3::MANIFEST_NAME {
+            listing.manifest = true;
+        } else if v3::parse_gen_name(&name).is_some() {
+            listing.gens.push(path);
+        } else if let Some((step, pred, sealed)) = parse_segment_name(&name) {
+            listing.segs.push(SegFile {
+                key: (step, pred),
+                path,
+                sealed,
+            });
+        }
+    }
+    listing.gens.sort();
+    listing
+        .segs
+        .sort_by(|a, b| (&a.key, !a.sealed).cmp(&(&b.key, !b.sealed)));
+    Ok(Some(listing))
+}
+
+/// Read a whole spool file.
+pub(crate) fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
+    std::fs::read(path).map_err(io_err(path))
+}
+
+/// First half of an atomic publish: write `bytes` to `path`'s `.tmp`
+/// sibling and fsync it. Nothing is visible under `path` until
+/// [`publish`] renames the returned temp file into place.
+pub(crate) fn write_temp(path: &Path, bytes: &[u8]) -> std::io::Result<PathBuf> {
+    let tmp = with_suffix(path, ".tmp");
+    let mut file = File::create(&tmp)?;
+    file.write_all(bytes)?;
+    timed_sync(&file)?;
+    Ok(tmp)
+}
+
+/// Second half of an atomic publish: rename `tmp` over `path`, then
+/// fsync the directory entry.
+pub(crate) fn publish(dir: &Path, tmp: &Path, path: &Path) -> std::io::Result<()> {
+    std::fs::rename(tmp, path)?;
+    let _ = timed_sync_dir(dir);
+    Ok(())
+}
+
+/// Write `bytes` to `path` atomically: [`write_temp`], then [`publish`].
+pub(crate) fn write_atomic(dir: &Path, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    write_temp(path, bytes)
+        .and_then(|tmp| publish(dir, &tmp, path))
+        .map_err(io_err(path))
+}
+
+/// Salvage a torn unsealed tail: back the original bytes up to a
+/// `.torn` sidecar, then truncate the file to `valid_end` (the last
+/// record boundary), keeping `records` whole records. The sidecar write
+/// happens first so the pre-salvage bytes are never lost.
+pub(crate) fn salvage_truncate(
+    path: &Path,
+    original: &[u8],
+    valid_end: usize,
+    records: usize,
+) -> Result<(), StoreError> {
+    let sidecar = torn_sidecar_path(path);
+    std::fs::write(&sidecar, original).map_err(io_err(&sidecar))?;
+    OpenOptions::new()
+        .write(true)
+        .truncate(false) // keep the valid prefix; set_len cuts the tail
+        .open(path)
+        .and_then(|f| f.set_len(valid_end as u64))
+        .map_err(io_err(path))?;
+    obs_handles::salvaged_records().add(records as u64);
+    Ok(())
+}
+
+/// Move a corrupt segment file into the spool's `quarantine/`
+/// subdirectory, returning its new path.
+pub(crate) fn quarantine_file(dir: &Path, path: &Path) -> Result<PathBuf, StoreError> {
+    let qdir = quarantine_dir(dir);
+    std::fs::create_dir_all(&qdir).map_err(io_err(&qdir))?;
+    let dest = qdir.join(path.file_name().unwrap_or_default());
+    std::fs::rename(path, &dest).map_err(io_err(path))?;
+    obs_handles::quarantined_segments().inc();
+    trace::event(
+        Level::Warn,
+        "store",
+        "segment_quarantined",
+        &[
+            ("from", path.display().to_string().as_str().into()),
+            ("to", dest.display().to_string().as_str().into()),
+        ],
+    );
+    Ok(dest)
+}
+
+/// Default number of retries for transient spill IO failures
+/// (interrupted/timed-out/would-block), with 1/2/4 ms backoff.
+const DEFAULT_SPILL_RETRIES: u32 = 3;
+
+/// Whether an IO failure is worth retrying. Disk-full and permission
+/// errors are not: retrying cannot fix them.
+fn is_transient_io(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::Interrupted
+            | std::io::ErrorKind::TimedOut
+            | std::io::ErrorKind::WouldBlock
+    )
+}
+
+/// Run a spill IO operation with bounded retry-with-backoff on
+/// transient failures. `op` must be idempotent (each attempt redoes the
+/// whole operation from scratch). A scripted
+/// [`FaultPlan::transient_io_failures`] budget injects failures before
+/// the real operation runs.
+fn with_spill_retries<T>(
+    fault: Option<&FaultPlan>,
+    path: &Path,
+    mut op: impl FnMut() -> std::io::Result<T>,
+) -> Result<T, StoreError> {
+    let mut delay = Duration::from_millis(1);
+    let mut attempt = 0u32;
+    loop {
+        let result = match fault {
+            Some(f) if f.take_transient_io_failure() => Err(std::io::Error::new(
+                std::io::ErrorKind::Interrupted,
+                "injected transient io failure",
+            )),
+            _ => op(),
+        };
+        match result {
+            Ok(v) => return Ok(v),
+            Err(e) if attempt < DEFAULT_SPILL_RETRIES && is_transient_io(&e) => {
+                attempt += 1;
+                obs_handles::io_retries().inc();
+                trace::event(
+                    Level::Warn,
+                    "store",
+                    "spill_io_retry",
+                    &[
+                        ("attempt", u64::from(attempt).into()),
+                        ("error", e.to_string().into()),
+                    ],
+                );
+                std::thread::sleep(delay);
+                delay *= 2;
+            }
+            Err(e) => return Err(io_err(path)(e)),
+        }
+    }
+}
+
+/// `fsync` a file, charging the wall time to `store_fsync_ns`.
+fn timed_sync(file: &File) -> std::io::Result<()> {
+    let t0 = Instant::now();
+    let r = file.sync_all();
+    obs_handles::fsync_ns().add(t0.elapsed().as_nanos() as u64);
+    r
+}
+
+/// `fsync` a directory's entry table, charging `store_fsync_ns`.
+pub(crate) fn timed_sync_dir(dir: &Path) -> std::io::Result<()> {
+    let t0 = Instant::now();
+    let r = File::open(dir).and_then(|f| f.sync_all());
+    obs_handles::fsync_ns().add(t0.elapsed().as_nanos() as u64);
+    r
+}
+
+/// Count a scripted fault firing and trace it under `store::fault`.
+pub(crate) fn note_fault(name: &'static str, fields: &[(&'static str, trace::Value)]) {
+    obs_handles::faults_injected().inc();
+    trace::event(Level::Warn, "store::fault", name, fields);
+}
+
+impl ProvStore {
+    /// Re-open a store over the spool directory a previous incarnation
+    /// spilled into, validating every record of every segment file.
+    ///
+    /// Unsealed `seg-*.bin` tails are **salvaged** when they end in a
+    /// torn (crash-truncated) partial record: the original bytes are
+    /// backed up to a `.torn` sidecar, the file is truncated back to
+    /// the last record boundary, and the retained records count as
+    /// salvaged. Damage *inside* a file — and any damage in an
+    /// atomically written `seg-*.seal` segment — is real corruption and
+    /// fails typed. Files under `quarantine/` are registered so strict
+    /// reads of their layers fail with [`StoreError::Quarantined`].
+    ///
+    /// Recovered segments are **sealed**: subsequent [`ProvStore::ingest`]
+    /// calls for their (superstep, predicate) keys are dropped, which
+    /// makes replaying already-persisted layers after a crash idempotent.
+    /// A missing or empty spool directory yields an empty store.
+    pub fn resume_from_spool(config: StoreConfig) -> Result<Self, StoreError> {
+        let mut store = ProvStore::new(config);
+        let Some(dir) = store.config.spool_dir.clone() else {
+            return Ok(store);
+        };
+        let Some(mut listing) = list_spool(&dir)? else {
+            return Ok(store);
+        };
+        for tmp in &listing.tmp {
+            let _ = std::fs::remove_file(tmp);
+        }
+        if listing.manifest {
+            // A manifest governs which generation files are live and
+            // which segment files a completed compaction superseded. A
+            // corrupt manifest fails typed — `scrub --repair` rebuilds
+            // it from the generation files' own footers.
+            let mpath = manifest_path(&dir);
+            let bytes = read_file(&mpath)?;
+            obs_handles::manifest_reads().inc();
+            let manifest = v3::parse_manifest(&bytes).map_err(|e| StoreError::Corrupt {
+                path: mpath.clone(),
+                detail: format!("spool manifest: {e}"),
+            })?;
+            store.generation = manifest.generation;
+            // Superseded segment files still on disk were about to be
+            // deleted when the compaction crashed (after the manifest
+            // swap); finish the deletion and drop them from the walk.
+            let superseded: BTreeSet<&str> =
+                manifest.superseded.iter().map(String::as_str).collect();
+            listing.segs.retain(|seg| {
+                let stale = superseded.contains(file_name(&seg.path).as_str());
+                if stale {
+                    let _ = std::fs::remove_file(&seg.path);
+                }
+                !stale
+            });
+            // Generation files the manifest does not list are orphans of
+            // a superseded generation or of a compaction that crashed
+            // before its manifest swap; the listed files are
+            // authoritative, so orphans are deleted.
+            for path in &listing.gens {
+                let name = file_name(path);
+                if !manifest.live.iter().any(|g| g.name == name) {
+                    let _ = std::fs::remove_file(path);
+                }
+            }
+            // Register each live file's extents straight from the
+            // manifest's footer mirror — metadata only, no record bytes
+            // touched. The file's presence and size are still checked
+            // so a half-deleted spool fails typed instead of at first
+            // read.
+            for info in &manifest.live {
+                let gpath = dir.join(&info.name);
+                let size = std::fs::metadata(&gpath)
+                    .map(|m| m.len())
+                    .map_err(io_err(&gpath))?;
+                if size != info.size {
+                    return Err(StoreError::Corrupt {
+                        path: gpath,
+                        detail: format!("manifest records {} bytes, file has {size}", info.size),
+                    });
+                }
+                for e in &info.entries {
+                    store.attach_recovered(
+                        (e.superstep, e.pred.clone()),
+                        DiskFile::extent(&gpath, e),
+                    );
+                }
+            }
+            // Keys whose data a scrub repair quarantined out of a
+            // generation file: the quarantined file's name no longer
+            // parses to a key, so the manifest carries them.
+            for lost in &manifest.lost {
+                store.raise_max_step(lost.superstep);
+                store.quarantined.insert(
+                    (lost.superstep, lost.pred.clone()),
+                    quarantine_dir(&dir).join(&lost.quarantine),
+                );
+            }
+        } else {
+            // Generation files without a manifest are leftovers of a
+            // compaction that crashed before publishing: the old segment
+            // files are still authoritative, so the orphans are deleted.
+            for path in &listing.gens {
+                let _ = std::fs::remove_file(path);
+            }
+        }
+        for SegFile { key, path, sealed } in listing.segs {
+            let data = read_file(&path)?;
+            let mut tuples = Vec::new();
+            let mut cols = Vec::new();
+            let mode = if sealed {
+                WalkMode::Strict
+            } else {
+                WalkMode::Salvage
+            };
+            let walked = walk_records(&data, &path, &mut tuples, None, Some(&mut cols), mode)?;
+            let mut kept = data.len();
+            if let Some(detail) = walked.torn_tail {
+                salvage_truncate(&path, &data, walked.valid_end, walked.records)?;
+                kept = walked.valid_end;
+                store.salvaged += walked.records;
+                trace::event(
+                    Level::Warn,
+                    "store",
+                    "torn_tail_salvaged",
+                    &[
+                        ("path", path.display().to_string().as_str().into()),
+                        ("records_kept", walked.records.into()),
+                        ("bytes_cut", (data.len() - walked.valid_end).into()),
+                        ("detail", detail.as_str().into()),
+                    ],
+                );
+            }
+            let seg = store.attach_recovered(
+                key,
+                DiskFile {
+                    path,
+                    offset: 0,
+                    bytes: kept,
+                    tuples: tuples.len(),
+                    atomic: sealed,
+                    compacted: false,
+                },
+            );
+            absorb_cols(&mut seg.cols, &cols);
+        }
+        // Register segments a scrub repair moved into quarantine/, so
+        // reads of their layers know data is missing.
+        if let Ok(entries) = std::fs::read_dir(quarantine_dir(&dir)) {
+            for entry in entries.flatten() {
+                let name = entry.file_name();
+                if let Some((step, pred, _)) = parse_segment_name(&name.to_string_lossy()) {
+                    store.raise_max_step(step);
+                    store.quarantined.insert((step, pred), entry.path());
+                }
+            }
+        }
+        store.rebuild_epochs()?;
+        obs_handles::resumes().inc();
+        obs_handles::sealed_segments().add(store.segments.len() as u64);
+        trace::event(
+            Level::Info,
+            "store",
+            "resumed_from_spool",
+            &[
+                ("segments", store.segments.len().into()),
+                ("tuples", store.tuples.into()),
+                ("disk_bytes", store.disk_bytes.into()),
+                ("salvaged_records", store.salvaged.into()),
+                ("quarantined_segments", store.quarantined.len().into()),
+            ],
+        );
+        Ok(store)
+    }
+
+    /// Register `file` as content of `key` recovered from the spool:
+    /// counted, sealed against re-ingest, and — unless it holds no
+    /// tuples, like a tail salvaged down to zero records — raising the
+    /// cached max superstep, exactly as a repairing
+    /// [`ProvStore::scrub`] of the live store would leave it.
+    fn attach_recovered(&mut self, key: (u32, String), file: DiskFile) -> &mut Segment {
+        self.tuples += file.tuples;
+        self.disk_bytes += file.bytes;
+        if file.tuples > 0 {
+            self.raise_max_step(key.0);
+        }
+        let seg = self.segments.entry(key).or_default();
+        seg.sealed = true;
+        seg.disk.files.push(file);
+        seg
+    }
+
+    /// The IO half of a spill write: push `mem` (records of segment
+    /// `key`, taken out of it by the caller) to the spool under the
+    /// configured durability level and return the segment's new
+    /// disk-file list. `attempt` is the spill ordinal scripted faults
+    /// key on. Does not touch segment state.
+    pub(crate) fn spill_io(
+        &self,
+        dir: &Path,
+        key: &(u32, String),
+        mem: &[u8],
+        mem_tuples: usize,
+        attempt: u64,
+    ) -> Result<Vec<DiskFile>, StoreError> {
+        let fault = self.config.fault.as_deref();
+        let existing = &self.segments[key].disk.files;
+        if let Some(fault) = fault {
+            if fault.take_enospc((self.disk_bytes + mem.len()) as u64) {
+                note_fault("injected_enospc", &[("disk_bytes", self.disk_bytes.into())]);
+                return Err(StoreError::Io {
+                    path: segment_path(dir, key.0, &key.1),
+                    source: std::io::Error::other("injected ENOSPC: no space left on device"),
+                });
+            }
+        }
+        // A scripted bit flip silently corrupts the bytes on their way
+        // to disk (scrub-detection tests); a torn write persists only a
+        // prefix and then fails like a crash.
+        let mut payload = std::borrow::Cow::Borrowed(mem);
+        let mut torn_at: Option<usize> = None;
+        if let Some(fault) = fault {
+            if fault.take_bit_flip(attempt) {
+                let mut owned = payload.into_owned();
+                let mid = owned.len() / 2;
+                if let Some(b) = owned.get_mut(mid) {
+                    *b ^= 0x01;
+                }
+                note_fault(
+                    "injected_bit_flip",
+                    &[("attempt", attempt.into()), ("offset", mid.into())],
+                );
+                payload = std::borrow::Cow::Owned(owned);
+            }
+            if let Some(keep) = fault.take_torn_write(attempt) {
+                note_fault(
+                    "injected_torn_write",
+                    &[("attempt", attempt.into()), ("keep_bytes", keep.into())],
+                );
+                torn_at = Some(keep.min(payload.len()));
+            }
+        }
+
+        match self.config.durability {
+            Durability::None | Durability::Spill => {
+                let path = segment_path(dir, key.0, &key.1);
+                let fsync = self.config.durability == Durability::Spill;
+                let new_file = !path.exists();
+                // Append whole records to the unsealed tail. The write
+                // is made retry-idempotent by truncating back to the
+                // pre-write length before every attempt.
+                let before = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+                with_spill_retries(fault, &path, || {
+                    let mut file = OpenOptions::new()
+                        .create(true)
+                        .write(true)
+                        .truncate(false) // set_len below resets to the pre-write length
+                        .open(&path)?;
+                    file.set_len(before)?;
+                    std::io::Seek::seek(&mut file, std::io::SeekFrom::Start(before))?;
+                    if let Some(keep) = torn_at {
+                        // Crash mid-record: persist the prefix, fail.
+                        file.write_all(&payload[..keep])?;
+                        let _ = file.sync_all();
+                        return Err(std::io::Error::other(
+                            "injected torn write (crash mid-record)",
+                        ));
+                    }
+                    file.write_all(&payload)?;
+                    if fsync {
+                        timed_sync(&file)?;
+                    }
+                    Ok(())
+                })?;
+                if fsync && new_file {
+                    let _ = timed_sync_dir(dir);
+                }
+                let mut files = existing.to_vec();
+                match files.iter_mut().find(|f| f.path == path) {
+                    Some(f) => {
+                        f.bytes += mem.len();
+                        f.tuples += mem_tuples;
+                    }
+                    None => files.push(DiskFile {
+                        path,
+                        offset: 0,
+                        bytes: mem.len(),
+                        tuples: mem_tuples,
+                        atomic: false,
+                        compacted: false,
+                    }),
+                }
+                Ok(files)
+            }
+            Durability::Seal => {
+                // Atomic full rewrite: old sealed bytes (plus any .bin
+                // tail left by a previous, less-durable incarnation) and
+                // the new records land in a temp file that is synced and
+                // renamed over the .seal path. The spool never holds a
+                // torn sealed segment — write amplification proportional
+                // to the segment size is the price.
+                let seal_path = sealed_segment_path(dir, key.0, &key.1);
+                // Compacted generation extents are owned by the spool
+                // manifest, not by this segment's seal: absorbing their
+                // bytes would duplicate the records on the next resume
+                // (the generation file stays manifest-listed). They
+                // remain independent leading parts; only plain segment
+                // files are absorbed into the rewrite.
+                let (kept, absorbed): (Vec<DiskFile>, Vec<DiskFile>) =
+                    existing.iter().cloned().partition(|f| f.compacted);
+                let mut full = Vec::new();
+                for f in &absorbed {
+                    let data =
+                        read_extent(ReadBackend::Buffered, &f.path, f.offset, f.bytes, f.atomic)
+                            .map_err(io_err(&f.path))?;
+                    full.extend_from_slice(&data);
+                }
+                full.extend_from_slice(&payload);
+                with_spill_retries(fault, &seal_path, || {
+                    if let Some(keep) = torn_at {
+                        // Crash mid-seal: only the temp file is torn;
+                        // the published .seal is untouched.
+                        write_temp(&seal_path, &full[..full.len() - payload.len() + keep])?;
+                        return Err(std::io::Error::other(
+                            "injected torn write (crash mid-seal)",
+                        ));
+                    }
+                    let tmp = write_temp(&seal_path, &full)?;
+                    publish(dir, &tmp, &seal_path)
+                })?;
+                // Absorbed files are now part of the sealed rewrite;
+                // remove a stale .bin tail so resume does not double
+                // count it.
+                for f in &absorbed {
+                    if !f.atomic && f.path != seal_path {
+                        let _ = std::fs::remove_file(&f.path);
+                    }
+                }
+                let absorbed_tuples: usize = absorbed.iter().map(|f| f.tuples).sum();
+                let mut files = kept;
+                files.push(DiskFile {
+                    path: seal_path,
+                    offset: 0,
+                    bytes: full.len(),
+                    tuples: absorbed_tuples + mem_tuples,
+                    atomic: true,
+                    compacted: false,
+                });
+                Ok(files)
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scrub::scrub_spool;
+    use crate::store::tests::{temp_dir, tuple};
+    use crate::store::SegmentFormat;
+    use std::sync::Arc;
+
+    #[test]
+    fn spool_dir_created_lazily() {
+        let dir = temp_dir("lazy-spool");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut store = ProvStore::new(StoreConfig::spilling(1 << 20, dir.clone()));
+        store.ingest(0, "value", vec![tuple(1, 1)]).unwrap();
+        assert!(!dir.exists(), "no spill yet, so no directory yet");
+        let mut store = ProvStore::new(StoreConfig::spilling(8, dir.clone()));
+        store
+            .ingest(0, "value", (0..20).map(|v| tuple(v, 0)).collect())
+            .unwrap();
+        assert!(dir.exists(), "first spill creates the directory");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_from_spool_seals_and_dedups() {
+        let dir = temp_dir("resume-spool");
+        std::fs::remove_dir_all(&dir).ok();
+        // First incarnation spills two layers fully, then "crashes".
+        let mut store = ProvStore::new(StoreConfig::spilling(0, dir.clone()));
+        store
+            .ingest(0, "value", (0..10).map(|v| tuple(v, 0)).collect())
+            .unwrap();
+        store
+            .ingest(1, "value", (0..10).map(|v| tuple(v, 1)).collect())
+            .unwrap();
+        let persisted = store.tuple_count();
+        drop(store);
+
+        // Second incarnation recovers the spool and replays layer 0 and
+        // 1 (idempotent) plus a genuinely new layer 2.
+        let mut store =
+            ProvStore::resume_from_spool(StoreConfig::spilling(0, dir.clone())).unwrap();
+        assert_eq!(store.tuple_count(), persisted);
+        assert_eq!(store.sealed_segments(), 2);
+        store
+            .ingest(0, "value", (0..10).map(|v| tuple(v, 0)).collect())
+            .unwrap();
+        store
+            .ingest(1, "value", (0..10).map(|v| tuple(v, 1)).collect())
+            .unwrap();
+        store
+            .ingest(2, "value", (0..10).map(|v| tuple(v, 2)).collect())
+            .unwrap();
+        assert_eq!(store.tuple_count(), persisted + 10, "replay deduplicated");
+        for s in 0..3u32 {
+            assert_eq!(store.layer(s).unwrap()[0].1.len(), 10, "layer {s}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_from_missing_spool_is_empty_store() {
+        let dir = temp_dir("resume-missing");
+        std::fs::remove_dir_all(&dir).ok();
+        let store = ProvStore::resume_from_spool(StoreConfig::spilling(0, dir)).unwrap();
+        assert_eq!(store.tuple_count(), 0);
+    }
+
+    /// A v1 spool written by the pr4-era code (format = V1) reopens and
+    /// decodes under a v2-default store, and the resumed capture appends
+    /// v2 records into the same logical segments.
+    #[test]
+    fn v1_spool_resumes_under_v2_store() {
+        let dir = temp_dir("v1-compat");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut old =
+            ProvStore::new(StoreConfig::spilling(0, dir.clone()).with_format(SegmentFormat::V1));
+        old.ingest(0, "value", (0..10).map(|v| tuple(v, 0)).collect())
+            .unwrap();
+        old.ingest(1, "value", (0..10).map(|v| tuple(v, 1)).collect())
+            .unwrap();
+        drop(old);
+
+        // New incarnation writes v2 by default.
+        let mut store =
+            ProvStore::resume_from_spool(StoreConfig::spilling(0, dir.clone())).unwrap();
+        assert_eq!(store.config.format, SegmentFormat::V2);
+        assert_eq!(store.tuple_count(), 20);
+        assert_eq!(store.sealed_segments(), 2);
+        // Pure-v1 segments report no column stats.
+        assert!(store.segment_index().all(|s| s.columns.is_empty()));
+        // Replayed layers 0/1 are idempotent no-ops; layer 2 is new and
+        // lands as a packed v2 record in the same spool.
+        for s in 0..2u32 {
+            store
+                .ingest(s, "value", (0..10).map(|v| tuple(v, s as i64)).collect())
+                .unwrap();
+        }
+        store
+            .ingest(2, "value", (0..10).map(|v| tuple(v, 2)).collect())
+            .unwrap();
+        for s in 0..3u32 {
+            assert_eq!(store.layer(s).unwrap()[0].1.len(), 10, "layer {s}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A segment file can hold v1 records followed by v2 records; the
+    /// per-record version byte dispatches the decoder.
+    #[test]
+    fn mixed_v1_v2_records_in_one_segment() {
+        let dir = temp_dir("mixed-records");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut v1 =
+            ProvStore::new(StoreConfig::spilling(0, dir.clone()).with_format(SegmentFormat::V1));
+        v1.ingest(0, "value", (0..5).map(|v| tuple(v, 0)).collect())
+            .unwrap();
+        drop(v1);
+        // Append v2 records to the same (superstep, pred) segment file.
+        // (Unsealed: reopened via a plain new store that spills to the
+        // same path.)
+        let mut v2 = ProvStore::new(StoreConfig::spilling(0, dir.clone()));
+        v2.ingest(0, "value", (5..12).map(|v| tuple(v, 0)).collect())
+            .unwrap();
+        drop(v2);
+        let store = ProvStore::resume_from_spool(StoreConfig::spilling(0, dir.clone())).unwrap();
+        let layer = store.layer(0).unwrap();
+        assert_eq!(layer[0].1.len(), 12);
+        assert_eq!(layer[0].1[11], tuple(11, 0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// [`Durability::Seal`] writes only atomic `.seal` files — never an
+    /// append tail — and repeated spills of the same segment rewrite the
+    /// sealed file with the full content.
+    #[test]
+    fn seal_durability_writes_only_atomic_files() {
+        let dir = temp_dir("seal-atomic");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut store =
+            ProvStore::new(StoreConfig::spilling(0, dir.clone()).with_durability(Durability::Seal));
+        store
+            .ingest(0, "value", (0..10).map(|v| tuple(v, 0)).collect())
+            .unwrap();
+        store
+            .ingest(0, "value", (10..20).map(|v| tuple(v, 0)).collect())
+            .unwrap();
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            names.iter().all(|n| n.ends_with(".seal")),
+            "only sealed files expected, got {names:?}"
+        );
+        assert_eq!(names.len(), 1, "rewrite replaces, never accumulates");
+        let resumed = ProvStore::resume_from_spool(StoreConfig::spilling(0, dir.clone())).unwrap();
+        assert_eq!(resumed.layer(0).unwrap()[0].1.len(), 20);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A torn (crash-truncated) unsealed tail is salvaged on resume: the
+    /// valid prefix survives, the original bytes land in a `.torn`
+    /// sidecar, and the salvage is counted.
+    #[test]
+    fn torn_unsealed_tail_salvaged_on_resume() {
+        let dir = temp_dir("torn-salvage");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut store = ProvStore::new(StoreConfig::spilling(0, dir.clone()));
+        store
+            .ingest(0, "value", (0..10).map(|v| tuple(v, 0)).collect())
+            .unwrap();
+        store
+            .ingest(0, "value", (10..20).map(|v| tuple(v, 0)).collect())
+            .unwrap();
+        drop(store);
+        let path = segment_path(&dir, 0, "value");
+        let bytes = std::fs::read(&path).unwrap();
+        // Cut into the middle of the second record: a torn tail.
+        std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
+        let store = ProvStore::resume_from_spool(StoreConfig::spilling(0, dir.clone())).unwrap();
+        assert_eq!(store.salvaged_records(), 1, "the intact first record");
+        assert_eq!(store.layer(0).unwrap()[0].1.len(), 10, "valid prefix kept");
+        let sidecar = torn_sidecar_path(&path);
+        assert_eq!(
+            std::fs::read(&sidecar).unwrap().len(),
+            bytes.len() - 7,
+            "sidecar preserves the pre-salvage bytes"
+        );
+        // The salvaged file itself re-verifies clean.
+        assert!(scrub_spool(&dir, false).unwrap().is_clean());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Damage in a sealed (atomically renamed) segment is never a torn
+    /// tail: resume fails typed instead of salvaging.
+    #[test]
+    fn sealed_segment_damage_is_strict() {
+        let dir = temp_dir("seal-strict");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut store =
+            ProvStore::new(StoreConfig::spilling(0, dir.clone()).with_durability(Durability::Seal));
+        store
+            .ingest(0, "value", (0..10).map(|v| tuple(v, 0)).collect())
+            .unwrap();
+        drop(store);
+        let path = sealed_segment_path(&dir, 0, "value");
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
+        assert!(matches!(
+            ProvStore::resume_from_spool(StoreConfig::spilling(0, dir.clone())),
+            Err(StoreError::Corrupt { .. })
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Transient IO failures (interrupted syscalls) are retried with
+    /// backoff; the spill succeeds and the data round-trips.
+    #[test]
+    fn transient_spill_failures_are_retried() {
+        let dir = temp_dir("transient-retry");
+        std::fs::remove_dir_all(&dir).ok();
+        let plan = FaultPlan::new();
+        plan.transient_io_failures(2);
+        let mut store =
+            ProvStore::new(StoreConfig::spilling(0, dir.clone()).with_fault(Arc::clone(&plan)));
+        store
+            .ingest(0, "value", (0..10).map(|v| tuple(v, 0)).collect())
+            .unwrap();
+        assert!(store.spills() > 0, "spill succeeded after retries");
+        assert_eq!(store.layer(0).unwrap()[0].1.len(), 10);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Injected ENOSPC under the default [`OnSpillError::Abort`] policy
+    /// is a typed, non-retried error naming the segment path.
+    #[test]
+    fn enospc_aborts_typed_by_default() {
+        let dir = temp_dir("enospc-abort");
+        std::fs::remove_dir_all(&dir).ok();
+        let plan = FaultPlan::new();
+        plan.enospc_after_bytes(0);
+        let mut store =
+            ProvStore::new(StoreConfig::spilling(8, dir.clone()).with_fault(Arc::clone(&plan)));
+        let err = store
+            .ingest(0, "value", (0..20).map(|v| tuple(v, 0)).collect())
+            .unwrap_err();
+        match err {
+            StoreError::Io { path, source } => {
+                assert_eq!(path, segment_path(&dir, 0, "value"));
+                assert!(source.to_string().contains("ENOSPC"), "{source}");
+            }
+            other => panic!("expected typed Io error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An injected torn write fails the spill typed, and the resulting
+    /// spool (holding the partial record) salvages back to the last
+    /// record boundary on resume.
+    #[test]
+    fn injected_torn_write_salvages_on_resume() {
+        let dir = temp_dir("torn-inject");
+        std::fs::remove_dir_all(&dir).ok();
+        let plan = FaultPlan::new();
+        plan.torn_write_at(1, 5);
+        let mut store =
+            ProvStore::new(StoreConfig::spilling(0, dir.clone()).with_fault(Arc::clone(&plan)));
+        store
+            .ingest(0, "value", (0..10).map(|v| tuple(v, 0)).collect())
+            .unwrap();
+        let err = store
+            .ingest(0, "value", (10..20).map(|v| tuple(v, 0)).collect())
+            .unwrap_err();
+        assert!(matches!(err, StoreError::Io { .. }), "got {err:?}");
+        let resumed = ProvStore::resume_from_spool(StoreConfig::spilling(0, dir.clone())).unwrap();
+        assert_eq!(resumed.salvaged_records(), 1);
+        assert_eq!(resumed.layer(0).unwrap()[0].1.len(), 10, "clean prefix");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn injected_spill_failure_is_typed() {
+        let dir = temp_dir("spill-fault");
+        std::fs::remove_dir_all(&dir).ok();
+        let plan = FaultPlan::new();
+        plan.fail_spill_write(0);
+        let mut store =
+            ProvStore::new(StoreConfig::spilling(8, dir.clone()).with_fault(Arc::clone(&plan)));
+        let err = store
+            .ingest(0, "value", (0..20).map(|v| tuple(v, 0)).collect())
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            StoreError::InjectedSpillFailure { attempt: 0 }
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

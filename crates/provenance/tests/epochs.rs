@@ -9,8 +9,11 @@ fn t(vals: &[i64]) -> Tuple {
     vals.iter().map(|&v| Value::Int(v)).collect()
 }
 
+/// One layer as read back: superstep, then (predicate, tuples) pairs.
+type Layer = (u32, Vec<(String, Vec<Tuple>)>);
+
 /// Logical content of every layer, materialized.
-fn all_layers(store: &ProvStore) -> Vec<(u32, Vec<(String, Vec<Tuple>)>)> {
+fn all_layers(store: &ProvStore) -> Vec<Layer> {
     let mut out = Vec::new();
     if let Some(max) = store.max_superstep() {
         for s in 0..=max {

@@ -15,6 +15,7 @@
 //! `/healthz`).
 
 use crate::{QueryPage, QueryRequest, QueryService, ServeError};
+use ariadne_obs::export::escape;
 use ariadne_obs::{obs_route, Handler, Request, Response};
 use ariadne_pql::Value;
 use std::sync::Arc;
@@ -176,17 +177,7 @@ fn json_value(out: &mut String, v: &Value) {
 
 fn json_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    out.push_str(&escape(s));
     out.push('"');
 }
 

@@ -8,10 +8,10 @@
 
 use ariadne_pql::Value;
 use ariadne_provenance::{
-    compact_spool, scrub_spool, LayerFilter, ProvStore, ReadBackend, ReadPolicy, ScrubAction,
-    SegmentFormat, StoreConfig, StoreError,
+    compact_spool, scrub_spool, Durability, LayerFilter, ProvStore, ReadBackend, ReadPolicy,
+    ScrubAction, ScrubReport, SegmentFormat, StoreConfig, StoreError,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ariadne-salvage-{tag}-{}", std::process::id()))
@@ -511,4 +511,125 @@ fn repair_recomputes_max_superstep_when_highest_layer_drains() {
         StoreError::Quarantined { .. }
     ));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file under `dir` (recursively, so `quarantine/` and `.torn`
+/// sidecars count) as (path relative to `dir`, length).
+fn spool_tree(dir: &Path) -> Vec<(String, u64)> {
+    fn walk(root: &Path, at: &Path, out: &mut Vec<(String, u64)>) {
+        for entry in std::fs::read_dir(at).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                walk(root, &path, out);
+            } else {
+                let rel = path.strip_prefix(root).unwrap().display().to_string();
+                out.push((rel, std::fs::metadata(&path).unwrap().len()));
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(dir, dir, &mut out);
+    out.sort();
+    out
+}
+
+/// The online-vs-offline repair oracle: repairing a live store must
+/// equal repairing its spool offline and reopening it. Two identical
+/// spools are damaged the same way; one is repaired through a live
+/// `ProvStore::scrub(true)`, the other through `scrub_spool(dir, true)`
+/// followed by `resume_from_spool`. Reports, accounting, degraded reads
+/// of every layer and the files left on disk must all agree, and a
+/// second scrub of either side must come back clean.
+#[test]
+fn online_repair_equals_offline_repair_and_reopen() {
+    // Spool paths differ between the two sides; everything else in a
+    // report or a degradation note must not.
+    fn report_view(report: &ScrubReport, dir: &Path) -> String {
+        format!("{report:?}").replace(&dir.display().to_string(), "<spool>")
+    }
+    fn read_view(store: &ProvStore, layer: u32, dir: &Path) -> String {
+        let read = store
+            .layer_read_with(layer, &LayerFilter::all(), ReadPolicy::Degraded)
+            .unwrap();
+        format!("{read:?}").replace(&dir.display().to_string(), "<spool>")
+    }
+    fn truncate(path: &Path, len: impl Fn(usize) -> usize) {
+        let bytes = std::fs::read(path).unwrap();
+        std::fs::write(path, &bytes[..len(bytes.len())]).unwrap();
+    }
+    fn flip(path: &Path, at: impl Fn(usize) -> usize) {
+        let mut bytes = std::fs::read(path).unwrap();
+        let at = at(bytes.len());
+        bytes[at] ^= 0x01;
+        std::fs::write(path, &bytes).unwrap();
+    }
+
+    for cell in ["salvage-to-zero", "torn-bin-tail", "flipped-seal", "flipped-generation", "flipped-manifest"] {
+        // Three layers of two records each in `value`; `sent` stops a
+        // layer early, so draining seg-2-value drains the top layer.
+        let build = |dir: &PathBuf| -> ProvStore {
+            let _ = std::fs::remove_dir_all(dir);
+            let durability = match cell {
+                "flipped-seal" => Durability::Seal,
+                _ => Durability::None,
+            };
+            let mut store =
+                ProvStore::new(StoreConfig::spilling(0, dir.clone()).with_durability(durability));
+            for s in 0..3u32 {
+                for half in 0..2u64 {
+                    let rows = (half * 8..half * 8 + 8).map(|v| vec![Value::Id(v), Value::Int(s as i64)]);
+                    store.ingest(s, "value", rows.collect()).unwrap();
+                }
+                if s < 2 {
+                    store.ingest(s, "sent", vec![vec![Value::Id(1), Value::Id(2)]]).unwrap();
+                }
+            }
+            if matches!(cell, "flipped-generation" | "flipped-manifest") {
+                store.compact().unwrap();
+            }
+            store
+        };
+        let damage = |dir: &PathBuf| match cell {
+            "torn-bin-tail" => truncate(&dir.join("seg-1-value.bin"), |len| len - 5),
+            "flipped-seal" => flip(&dir.join("seg-1-value.seal"), |_| 20),
+            "flipped-generation" => flip(&dir.join("gen-1-0.ars3"), |_| 20),
+            "flipped-manifest" => flip(&dir.join("index.ars"), |len| len / 2),
+            _ => truncate(&dir.join("seg-2-value.bin"), |_| 7),
+        };
+        let live_dir = temp_dir(&format!("equiv-{cell}-live"));
+        let cold_dir = temp_dir(&format!("equiv-{cell}-cold"));
+        let mut live = build(&live_dir);
+        drop(build(&cold_dir));
+        assert_eq!(spool_tree(&live_dir), spool_tree(&cold_dir), "{cell}: spools start identical");
+        damage(&live_dir);
+        damage(&cold_dir);
+
+        let live_report = live.scrub(true).unwrap();
+        let cold_report = scrub_spool(&cold_dir, true).unwrap();
+        let cold = ProvStore::resume_from_spool(StoreConfig::spilling(0, cold_dir.clone())).unwrap();
+
+        assert!(!live_report.is_clean(), "{cell}: damage went undetected");
+        assert_eq!(
+            report_view(&live_report, &live_dir),
+            report_view(&cold_report, &cold_dir),
+            "{cell}: scrub reports"
+        );
+        assert_eq!(
+            (live.tuple_count(), live.disk_bytes(), live.quarantined_segments(), live.max_superstep()),
+            (cold.tuple_count(), cold.disk_bytes(), cold.quarantined_segments(), cold.max_superstep()),
+            "{cell}: tuples / disk bytes / quarantined / max superstep"
+        );
+        for layer in 0..3u32 {
+            assert_eq!(
+                read_view(&live, layer, &live_dir),
+                read_view(&cold, layer, &cold_dir),
+                "{cell}: degraded read of layer {layer}"
+            );
+        }
+        assert_eq!(spool_tree(&live_dir), spool_tree(&cold_dir), "{cell}: files left on disk");
+        assert!(live.scrub(false).unwrap().is_clean(), "{cell}: live re-scrub");
+        assert!(scrub_spool(&cold_dir, false).unwrap().is_clean(), "{cell}: offline re-scrub");
+        let _ = std::fs::remove_dir_all(&live_dir);
+        let _ = std::fs::remove_dir_all(&cold_dir);
+    }
 }
