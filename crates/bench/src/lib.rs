@@ -3,8 +3,7 @@
 //!
 //! Each `table*`/`fig*` function runs the same workloads, queries and
 //! evaluation modes as the corresponding paper experiment and returns
-//! structured rows; `src/bin/experiments.rs` prints them as tables and
-//! the Criterion benches in `benches/` time the hot paths.
+//! structured rows; `src/bin/experiments.rs` prints them as tables.
 //!
 //! Absolute numbers differ from the paper's Giraph cluster, but the
 //! *shape* — who wins, by roughly what factor, where modes fall over —

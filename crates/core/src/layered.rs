@@ -156,6 +156,10 @@ mod obs_handles {
     );
 }
 
+/// Chunks per worker thread. Chunks are dealt to the workers round
+/// robin, so more of them interleave a skewed touched set more finely.
+const CHUNKS_PER_THREAD: usize = 4;
+
 /// Tuning knobs for layered evaluation. The defaults reproduce the
 /// sequential reference; [`crate::session::Ariadne`] passes its engine
 /// thread count through.
@@ -164,9 +168,6 @@ pub struct LayeredConfig {
     /// Worker threads per round. `1` runs the same round protocol on
     /// the calling thread.
     pub threads: usize,
-    /// Chunks per worker thread. Chunks are dealt to the workers round
-    /// robin, so more of them interleave a skewed touched set more finely.
-    pub chunks_per_thread: usize,
     /// Restrict layer reads to the predicates the query references
     /// (EDBs plus IDB names, so replayed persisted derivations still
     /// inject). Skipped segments are never decoded or read from disk.
@@ -193,7 +194,6 @@ impl Default for LayeredConfig {
     fn default() -> Self {
         LayeredConfig {
             threads: 1,
-            chunks_per_thread: 4,
             prune: true,
             project: true,
             read_policy: ReadPolicy::Strict,
@@ -744,7 +744,7 @@ pub fn run_layered_range(
         }
     }
 
-    let chunks = threads.saturating_mul(config.chunks_per_thread.max(1)).max(1);
+    let chunks = threads.saturating_mul(CHUNKS_PER_THREAD);
     let table = ChunkTable::degree_weighted(graph, chunks, 1);
     let mut slabs: Vec<Slab> = (0..table.num_chunks())
         .map(|chunk| {

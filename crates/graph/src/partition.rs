@@ -78,12 +78,9 @@ impl Partitioner for RangePartitioner {
 /// empty chunks) except for the degenerate `n == 0` table, which keeps a
 /// single empty chunk so the engine loop stays uniform.
 ///
-/// Two constructors:
-/// - [`ChunkTable::uniform`] cuts ~equal *vertex* counts (needs no
-///   graph);
-/// - [`ChunkTable::degree_weighted`] cuts ~equal *edge* work using the CSR
-///   out-degree prefix sums, so one hub-heavy chunk of a power-law graph
-///   doesn't serialize the superstep.
+/// [`ChunkTable::degree_weighted`] cuts ~equal *edge* work using the CSR
+/// out-degree prefix sums, so one hub-heavy chunk of a power-law graph
+/// doesn't serialize the superstep.
 ///
 /// Boundaries can be snapped to multiples of an `align` quantum; the
 /// engine aligns chunks to its sender-block size so floating-point
@@ -94,28 +91,6 @@ pub struct ChunkTable {
 }
 
 impl ChunkTable {
-    /// Build a table of `chunks` ~equal-vertex chunks over `0..n`,
-    /// boundaries snapped to multiples of `align` (use `1` for none).
-    pub fn uniform(n: usize, chunks: usize, align: usize) -> Self {
-        assert!(chunks > 0, "need at least one chunk");
-        let align = align.max(1);
-        if n == 0 {
-            return ChunkTable { starts: vec![0, 0] };
-        }
-        let per = n.div_ceil(chunks).max(1);
-        let mut starts = vec![0];
-        let mut cut = 0usize;
-        while cut + per < n {
-            cut += per;
-            let snapped = Self::snap(cut, align, *starts.last().unwrap(), n);
-            if snapped > *starts.last().unwrap() && snapped < n {
-                starts.push(snapped);
-            }
-        }
-        starts.push(n);
-        ChunkTable { starts }
-    }
-
     /// Build a table of up to `chunks` chunks over the vertices of `csr`
     /// such that each chunk owns roughly equal work, where the work of
     /// vertex `v` is `1 + out_degree(v)` (the unit term keeps huge chunks
@@ -300,35 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_table_covers_everything() {
-        for n in [0usize, 1, 5, 16, 100, 101] {
-            for chunks in [1usize, 2, 3, 7, 16] {
-                let t = ChunkTable::uniform(n, chunks, 1);
-                assert_eq!(t.starts()[0], 0);
-                assert_eq!(t.num_vertices(), n);
-                assert!(t.num_chunks() >= 1);
-                assert!(t.num_chunks() <= chunks.max(1));
-                for c in 0..t.num_chunks() {
-                    let (s, e) = t.bounds(c);
-                    assert!(s <= e);
-                    for v in s..e {
-                        assert_eq!(t.chunk_of(v), c);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn uniform_alignment_respected() {
-        let t = ChunkTable::uniform(100, 7, 16);
-        for &s in &t.starts()[1..t.starts().len() - 1] {
-            assert_eq!(s % 16, 0, "interior boundary {s} not 16-aligned");
-        }
-        assert_eq!(t.num_vertices(), 100);
-    }
-
-    #[test]
     fn degree_weighted_balances_edges() {
         // A power-law-ish graph: vertex 0 is a hub with most of the edges.
         let mut b = GraphBuilder::new();
@@ -410,8 +356,7 @@ mod tests {
 
     #[test]
     fn rebalance_recuts_on_vertex_growth() {
-        let g1 = Csr::empty(10);
-        let t = ChunkTable::uniform(10, 2, 1);
+        let t = ChunkTable::degree_weighted(&Csr::empty(10), 2, 1);
         let g2 = Csr::empty(15);
         let (t2, recut) = t.rebalance(&g2, 0.5, 1);
         assert!(recut);
@@ -419,7 +364,6 @@ mod tests {
         let (same, recut) = t2.rebalance(&g2, 0.5, 1);
         assert!(!recut);
         assert_eq!(same.num_vertices(), 15);
-        let _ = g1;
     }
 
     #[test]
@@ -433,6 +377,9 @@ mod tests {
         b.ensure_vertex(VertexId(199));
         let g = b.build();
         let t = ChunkTable::degree_weighted(&g, 5, 8);
+        for &s in &t.starts()[1..t.num_chunks()] {
+            assert_eq!(s % 8, 0, "interior boundary {s} not 8-aligned");
+        }
         for v in 0..200usize {
             let linear = (0..t.num_chunks())
                 .find(|&c| {

@@ -202,6 +202,24 @@ impl Params {
     }
 }
 
+/// Parse a raw parameter string as the CLI's `--param k=v` and the
+/// query service's `params=` write it: `vN` is a vertex id, integers
+/// are `Int`, floats are `Float`, everything else is a string.
+pub fn parse_param_value(s: &str) -> Value {
+    if let Some(id) = s.strip_prefix('v') {
+        if let Ok(n) = id.parse::<u64>() {
+            return Value::Id(n);
+        }
+    }
+    if let Ok(n) = s.parse::<i64>() {
+        return Value::Int(n);
+    }
+    if let Ok(f) = s.parse::<f64>() {
+        return Value::Float(f);
+    }
+    Value::str(s)
+}
+
 impl fmt::Display for CmpOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -231,6 +249,15 @@ impl fmt::Display for ArithOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn param_value_grammar() {
+        assert_eq!(parse_param_value("v7"), Value::Id(7));
+        assert_eq!(parse_param_value("-3"), Value::Int(-3));
+        assert_eq!(parse_param_value("0.5"), Value::Float(0.5));
+        assert_eq!(parse_param_value("v7x"), Value::str("v7x"));
+        assert_eq!(parse_param_value("abc"), Value::str("abc"));
+    }
 
     #[test]
     fn head_helpers() {

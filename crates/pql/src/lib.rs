@@ -43,7 +43,7 @@ pub mod lexer;
 pub mod parser;
 
 pub use analysis::{analyze, AnalyzedQuery, Direction};
-pub use ast::{Params, Program};
+pub use ast::{parse_param_value, Params, Program};
 pub use catalog::{Catalog, EdbSchema};
 pub use error::PqlError;
 pub use explain::explain;

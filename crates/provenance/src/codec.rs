@@ -13,9 +13,13 @@
 //!   0x05 List    u32 len, value*
 //!   0x06 Unit
 //! ```
+//!
+//! Writers append to a `Vec<u8>`; readers consume the front of a
+//! `&mut &[u8]` through one bounds-checked `take`, which the columnar
+//! and v3 decoders share, so a stored byte is touched once and never
+//! copied into a staging buffer.
 
 use ariadne_pql::{Tuple, Value};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::sync::Arc;
 
 /// Serialization/deserialization errors.
@@ -41,71 +45,87 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// [`crate::v3`]'s parsers report `String` details; a short read
+/// becomes its text under `?`.
+impl From<CodecError> for String {
+    fn from(e: CodecError) -> String {
+        e.to_string()
+    }
+}
+
+/// Split the first `n` bytes off `input`, or fail without consuming
+/// anything. The one bounds check every stored byte is read through:
+/// row values here, column blocks and varints in [`crate::columnar`],
+/// footers, manifests and compressed payloads in [`crate::v3`].
+pub(crate) fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
+    if input.len() < n {
+        return Err(CodecError::Truncated);
+    }
+    let (head, tail) = input.split_at(n);
+    *input = tail;
+    Ok(head)
+}
+
+/// [`take`] exactly `N` bytes as an array, ready for `from_le_bytes`.
+pub(crate) fn take_array<const N: usize>(input: &mut &[u8]) -> Result<[u8; N], CodecError> {
+    Ok(take(input, N)?
+        .try_into()
+        .expect("take returned exactly N bytes"))
+}
+
 /// Append one value to `buf`.
-pub fn write_value(buf: &mut BytesMut, v: &Value) {
+pub fn write_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Id(x) => {
-            buf.put_u8(0x00);
-            buf.put_u64_le(*x);
+            buf.push(0x00);
+            buf.extend_from_slice(&x.to_le_bytes());
         }
         Value::Int(x) => {
-            buf.put_u8(0x01);
-            buf.put_i64_le(*x);
+            buf.push(0x01);
+            buf.extend_from_slice(&x.to_le_bytes());
         }
         Value::Float(x) => {
-            buf.put_u8(0x02);
-            buf.put_u64_le(x.to_bits());
+            buf.push(0x02);
+            buf.extend_from_slice(&x.to_bits().to_le_bytes());
         }
-        Value::Bool(x) => {
-            buf.put_u8(0x03);
-            buf.put_u8(u8::from(*x));
-        }
+        Value::Bool(x) => buf.extend_from_slice(&[0x03, u8::from(*x)]),
         Value::Str(s) => {
-            buf.put_u8(0x04);
-            buf.put_u32_le(s.len() as u32);
-            buf.put_slice(s.as_bytes());
+            buf.push(0x04);
+            buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            buf.extend_from_slice(s.as_bytes());
         }
         Value::List(items) => {
-            buf.put_u8(0x05);
-            buf.put_u32_le(items.len() as u32);
+            buf.push(0x05);
+            buf.extend_from_slice(&(items.len() as u32).to_le_bytes());
             for item in items.iter() {
                 write_value(buf, item);
             }
         }
-        Value::Unit => buf.put_u8(0x06),
+        Value::Unit => buf.push(0x06),
     }
 }
 
-/// Read one value from `buf`.
-pub fn read_value(buf: &mut Bytes) -> Result<Value, CodecError> {
-    if !buf.has_remaining() {
-        return Err(CodecError::Truncated);
-    }
-    let tag = buf.get_u8();
+/// Read one value off the front of `input`.
+pub fn read_value(input: &mut &[u8]) -> Result<Value, CodecError> {
+    let [tag] = take_array(input)?;
     Ok(match tag {
-        0x00 => Value::Id(get_u64(buf)?),
-        0x01 => Value::Int(get_u64(buf)? as i64),
-        0x02 => Value::Float(f64::from_bits(get_u64(buf)?)),
+        0x00 => Value::Id(u64::from_le_bytes(take_array(input)?)),
+        0x01 => Value::Int(i64::from_le_bytes(take_array(input)?)),
+        0x02 => Value::Float(f64::from_bits(u64::from_le_bytes(take_array(input)?))),
         0x03 => {
-            if !buf.has_remaining() {
-                return Err(CodecError::Truncated);
-            }
-            Value::Bool(buf.get_u8() != 0)
+            let [b] = take_array(input)?;
+            Value::Bool(b != 0)
         }
         0x04 => {
-            let len = get_u32(buf)? as usize;
-            if buf.remaining() < len {
-                return Err(CodecError::Truncated);
-            }
-            let bytes = buf.copy_to_bytes(len);
-            let s = std::str::from_utf8(&bytes).map_err(|_| CodecError::BadUtf8)?;
+            let len = u32::from_le_bytes(take_array(input)?) as usize;
+            let s = std::str::from_utf8(take(input, len)?).map_err(|_| CodecError::BadUtf8)?;
             Value::str(s)
         }
         0x05 => {
-            let len = get_u32(buf)? as usize;
+            let len = u32::from_le_bytes(take_array(input)?) as usize;
             let mut items = Vec::with_capacity(len.min(1 << 16));
             for _ in 0..len {
-                items.push(read_value(buf)?);
+                items.push(read_value(input)?);
             }
             Value::List(Arc::new(items))
         }
@@ -116,35 +136,23 @@ pub fn read_value(buf: &mut Bytes) -> Result<Value, CodecError> {
 
 /// Advance past one value without materializing it (column-masked reads
 /// of row-major v1 records).
-pub fn skip_value(buf: &mut Bytes) -> Result<(), CodecError> {
-    if !buf.has_remaining() {
-        return Err(CodecError::Truncated);
-    }
-    let tag = buf.get_u8();
+pub fn skip_value(input: &mut &[u8]) -> Result<(), CodecError> {
+    let [tag] = take_array(input)?;
     match tag {
         0x00..=0x02 => {
-            if buf.remaining() < 8 {
-                return Err(CodecError::Truncated);
-            }
-            buf.advance(8);
+            take(input, 8)?;
         }
         0x03 => {
-            if !buf.has_remaining() {
-                return Err(CodecError::Truncated);
-            }
-            buf.advance(1);
+            take(input, 1)?;
         }
         0x04 => {
-            let len = get_u32(buf)? as usize;
-            if buf.remaining() < len {
-                return Err(CodecError::Truncated);
-            }
-            buf.advance(len);
+            let len = u32::from_le_bytes(take_array(input)?) as usize;
+            take(input, len)?;
         }
         0x05 => {
-            let len = get_u32(buf)? as usize;
+            let len = u32::from_le_bytes(take_array(input)?);
             for _ in 0..len {
-                skip_value(buf)?;
+                skip_value(input)?;
             }
         }
         0x06 => {}
@@ -154,20 +162,20 @@ pub fn skip_value(buf: &mut Bytes) -> Result<(), CodecError> {
 }
 
 /// Serialize a batch of tuples.
-pub fn encode_tuples(tuples: &[Tuple]) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(tuples.len() as u32);
+pub fn encode_tuples(tuples: &[Tuple]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(&(tuples.len() as u32).to_le_bytes());
     for t in tuples {
-        buf.put_u32_le(t.len() as u32);
+        buf.extend_from_slice(&(t.len() as u32).to_le_bytes());
         for v in t {
             write_value(&mut buf, v);
         }
     }
-    buf.freeze()
+    buf
 }
 
 /// Deserialize a batch of tuples.
-pub fn decode_tuples(data: Bytes) -> Result<Vec<Tuple>, CodecError> {
+pub fn decode_tuples(data: &[u8]) -> Result<Vec<Tuple>, CodecError> {
     decode_tuples_masked(data, None)
 }
 
@@ -177,20 +185,21 @@ pub fn decode_tuples(data: Bytes) -> Result<Vec<Tuple>, CodecError> {
 /// preserving arity and row order. Positions past the end of the mask
 /// are kept.
 pub fn decode_tuples_masked(
-    mut data: Bytes,
+    mut data: &[u8],
     mask: Option<&[bool]>,
 ) -> Result<Vec<Tuple>, CodecError> {
-    let count = get_u32(&mut data)? as usize;
+    let input = &mut data;
+    let count = u32::from_le_bytes(take_array(input)?) as usize;
     let mut out = Vec::with_capacity(count.min(1 << 20));
     for _ in 0..count {
-        let arity = get_u32(&mut data)? as usize;
+        let arity = u32::from_le_bytes(take_array(input)?) as usize;
         let mut tuple = Vec::with_capacity(arity.min(64));
         for col in 0..arity {
             let keep = mask.is_none_or(|m| m.get(col).copied().unwrap_or(true));
             if keep {
-                tuple.push(read_value(&mut data)?);
+                tuple.push(read_value(input)?);
             } else {
-                skip_value(&mut data)?;
+                skip_value(input)?;
                 tuple.push(Value::Unit);
             }
         }
@@ -199,27 +208,13 @@ pub fn decode_tuples_masked(
     Ok(out)
 }
 
-fn get_u64(buf: &mut Bytes) -> Result<u64, CodecError> {
-    if buf.remaining() < 8 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(buf.get_u64_le())
-}
-
-fn get_u32(buf: &mut Bytes) -> Result<u32, CodecError> {
-    if buf.remaining() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(buf.get_u32_le())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn roundtrip(tuples: Vec<Tuple>) {
         let encoded = encode_tuples(&tuples);
-        let decoded = decode_tuples(encoded).unwrap();
+        let decoded = decode_tuples(&encoded).unwrap();
         assert_eq!(tuples, decoded);
     }
 
@@ -258,20 +253,13 @@ mod tests {
     fn truncation_detected() {
         let enc = encode_tuples(&[vec![Value::Int(1)]]);
         for cut in 0..enc.len() - 1 {
-            let sliced = enc.slice(0..cut);
-            assert!(decode_tuples(sliced).is_err(), "cut at {cut} accepted");
+            assert!(decode_tuples(&enc[..cut]).is_err(), "cut at {cut} accepted");
         }
     }
 
     #[test]
     fn bad_tag_detected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(1);
-        buf.put_u32_le(1);
-        buf.put_u8(0xFF);
-        assert_eq!(
-            decode_tuples(buf.freeze()),
-            Err(CodecError::BadTag(0xFF))
-        );
+        let buf = [1, 0, 0, 0, 1, 0, 0, 0, 0xFF];
+        assert_eq!(decode_tuples(&buf), Err(CodecError::BadTag(0xFF)));
     }
 }

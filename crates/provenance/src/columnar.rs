@@ -24,7 +24,9 @@
 //!
 //! Every column block is independently skippable via `enc_len`: a reader
 //! that does not need a column advances past it without materializing a
-//! single [`Value`] (see [`decode_columnar`]'s `mask`). Ragged batches
+//! single [`Value`] (see [`decode_columnar`]'s `mask`). Blocks are
+//! written straight into the payload's `Vec<u8>` and decoded in place
+//! through [`crate::codec`]'s slice reader. Ragged batches
 //! (mixed arities) have no columnar form and fall back to v1 records.
 //!
 //! Encoding choice is deterministic: among the applicable encodings the
@@ -32,9 +34,8 @@
 //! keys rely on [`Value`]'s total `Eq`/`Hash` (floats compare by bit
 //! pattern, so `NaN` payloads are safe dictionary keys).
 
-use crate::codec::{read_value, write_value, CodecError};
+use crate::codec::{read_value, take, take_array, write_value, CodecError};
 use ariadne_pql::{Tuple, Value};
-use bytes::{Bytes, BytesMut};
 use std::collections::HashMap;
 
 /// Maximum dictionary size considered by the stats pass. Columns with
@@ -182,13 +183,12 @@ fn varint_len(v: u64) -> usize {
     (64 - u64::leading_zeros(v | 1) as usize).div_ceil(7).max(1)
 }
 
-/// Read a LEB128 varint, advancing `off`.
-fn get_varint(data: &[u8], off: &mut usize) -> Result<u64, CodecError> {
+/// Read a LEB128 varint off the front of `input`.
+fn get_varint(input: &mut &[u8]) -> Result<u64, CodecError> {
     let mut out = 0u64;
     let mut shift = 0u32;
     loop {
-        let byte = *data.get(*off).ok_or(CodecError::Truncated)?;
-        *off += 1;
+        let [byte] = take_array(input)?;
         if shift >= 64 {
             return Err(CodecError::BadTag(byte));
         }
@@ -321,17 +321,12 @@ impl<'a> ColProfile<'a> {
         let mut block = Vec::new();
         match enc {
             Encoding::Plain => {
-                let mut buf = BytesMut::with_capacity(self.v1_bytes);
+                block.reserve(self.v1_bytes);
                 for v in &self.values {
-                    write_value(&mut buf, v);
+                    write_value(&mut block, v);
                 }
-                block.extend_from_slice(&buf);
             }
-            Encoding::Const => {
-                let mut buf = BytesMut::new();
-                write_value(&mut buf, self.distinct[0]);
-                block.extend_from_slice(&buf);
-            }
+            Encoding::Const => write_value(&mut block, self.distinct[0]),
             Encoding::DeltaId => {
                 let mut prev = 0i64;
                 for (k, v) in self.values.iter().enumerate() {
@@ -359,11 +354,9 @@ impl<'a> ColProfile<'a> {
             }
             Encoding::Dict => {
                 block.extend_from_slice(&(self.distinct.len() as u32).to_le_bytes());
-                let mut buf = BytesMut::new();
                 for v in &self.distinct {
-                    write_value(&mut buf, v);
+                    write_value(&mut block, v);
                 }
-                block.extend_from_slice(&buf);
                 for v in &self.values {
                     put_varint(&mut block, u64::from(self.index[*v]));
                 }
@@ -448,11 +441,9 @@ pub fn decode_columnar(
     mask: Option<&[bool]>,
     out: &mut Vec<Tuple>,
 ) -> Result<ColumnarRead, CodecError> {
-    if payload.len() < 6 {
-        return Err(CodecError::Truncated);
-    }
-    let arity = u16::from_le_bytes(payload[0..2].try_into().unwrap()) as usize;
-    let rows = u32::from_le_bytes(payload[2..6].try_into().unwrap()) as usize;
+    let mut input = payload;
+    let arity = u16::from_le_bytes(take_array(&mut input)?) as usize;
+    let rows = u32::from_le_bytes(take_array(&mut input)?) as usize;
     if arity == 0 || rows.saturating_mul(arity) > MAX_DECODE_CELLS {
         return Err(CodecError::Truncated);
     }
@@ -464,19 +455,10 @@ pub fn decode_columnar(
     // row count the payload cannot back. All-const records carry no
     // per-row bytes; they are bounded by [`MAX_DECODE_CELLS`] alone.
     {
-        let mut scan = 6usize;
+        let mut scan = input;
         for _ in 0..arity {
-            if payload.len() - scan < 5 {
-                return Err(CodecError::Truncated);
-            }
-            let enc =
-                Encoding::from_tag(payload[scan]).ok_or(CodecError::BadTag(payload[scan]))?;
-            let len = u32::from_le_bytes(payload[scan + 1..scan + 5].try_into().unwrap()) as usize;
-            scan += 5;
-            if payload.len() - scan < len {
-                return Err(CodecError::Truncated);
-            }
-            scan += len;
+            let (enc, block) = take_column(&mut scan)?;
+            let len = block.len();
             let rows_fit = match enc {
                 Encoding::Const => true,
                 Encoding::FloatRaw => len == rows.saturating_mul(8),
@@ -488,26 +470,16 @@ pub fn decode_columnar(
                 return Err(CodecError::Truncated);
             }
         }
-        if scan != payload.len() {
+        if !scan.is_empty() {
             return Err(CodecError::Truncated);
         }
     }
-    let mut off = 6usize;
     let start = out.len();
     out.extend(std::iter::repeat_with(|| Vec::with_capacity(arity)).take(rows));
     let mut read = ColumnarRead::default();
     for col in 0..arity {
-        if payload.len() - off < 5 {
-            return Err(CodecError::Truncated);
-        }
-        let enc = Encoding::from_tag(payload[off]).ok_or(CodecError::BadTag(payload[off]))?;
-        let len = u32::from_le_bytes(payload[off + 1..off + 5].try_into().unwrap()) as usize;
-        off += 5;
-        if payload.len() - off < len {
-            return Err(CodecError::Truncated);
-        }
-        let block = &payload[off..off + len];
-        off += len;
+        let (enc, block) = take_column(&mut input)?;
+        let len = block.len();
         let keep = mask.is_none_or(|m| m.get(col).copied().unwrap_or(true));
         if !keep {
             read.cols_skipped += 1;
@@ -531,105 +503,83 @@ pub fn decode_columnar(
             decoded_bytes,
         });
     }
-    if off != payload.len() {
-        return Err(CodecError::Truncated);
-    }
     Ok(read)
 }
 
+/// Split one column (`encoding u8, enc_len u32, block`) off `input`.
+fn take_column<'a>(input: &mut &'a [u8]) -> Result<(Encoding, &'a [u8]), CodecError> {
+    let [tag, len @ ..] = take_array::<5>(input)?;
+    let enc = Encoding::from_tag(tag).ok_or(CodecError::BadTag(tag))?;
+    Ok((enc, take(input, u32::from_le_bytes(len) as usize)?))
+}
+
 /// Decode one column block into `rows` values.
-fn decode_column(enc: Encoding, block: &[u8], rows: usize) -> Result<Vec<Value>, CodecError> {
+fn decode_column(enc: Encoding, mut block: &[u8], rows: usize) -> Result<Vec<Value>, CodecError> {
+    let input = &mut block;
     let mut vals = Vec::with_capacity(rows);
-    let push = |vals: &mut Vec<Value>, v: Value| vals.push(v);
     match enc {
         Encoding::Plain => {
-            let mut buf = Bytes::copy_from_slice(block);
             for _ in 0..rows {
-                let v = read_value(&mut buf)?;
-                push(&mut vals, v);
-            }
-            if !buf.is_empty() {
-                return Err(CodecError::Truncated);
+                vals.push(read_value(input)?);
             }
         }
         Encoding::Const => {
-            let mut buf = Bytes::copy_from_slice(block);
-            let v = read_value(&mut buf)?;
-            if !buf.is_empty() {
-                return Err(CodecError::Truncated);
-            }
-            for _ in 0..rows {
-                push(&mut vals, v.clone());
-            }
+            let v = read_value(input)?;
+            vals.resize(rows, v);
         }
         Encoding::DeltaId => {
-            let mut off = 0usize;
             let mut prev = 0i64;
             for k in 0..rows {
-                let raw = get_varint(block, &mut off)?;
+                let raw = get_varint(input)?;
                 let cur = if k == 0 {
                     raw as i64
                 } else {
                     prev.wrapping_add(unzigzag(raw))
                 };
                 prev = cur;
-                push(&mut vals, Value::Id(cur as u64));
-            }
-            if off != block.len() {
-                return Err(CodecError::Truncated);
+                vals.push(Value::Id(cur as u64));
             }
         }
         Encoding::DeltaInt => {
-            let mut off = 0usize;
             let mut prev = 0i64;
             for k in 0..rows {
-                let raw = get_varint(block, &mut off)?;
+                let raw = get_varint(input)?;
                 let cur = if k == 0 {
                     unzigzag(raw)
                 } else {
                     prev.wrapping_add(unzigzag(raw))
                 };
                 prev = cur;
-                push(&mut vals, Value::Int(cur));
-            }
-            if off != block.len() {
-                return Err(CodecError::Truncated);
+                vals.push(Value::Int(cur));
             }
         }
         Encoding::Dict => {
-            if block.len() < 4 {
-                return Err(CodecError::Truncated);
-            }
-            let dict_len = u32::from_le_bytes(block[0..4].try_into().unwrap()) as usize;
+            let dict_len = u32::from_le_bytes(take_array(input)?) as usize;
             if dict_len > DICT_MAX + 1 {
                 return Err(CodecError::Truncated);
             }
             let mut entries = Vec::with_capacity(dict_len);
-            let mut buf = Bytes::copy_from_slice(&block[4..]);
             for _ in 0..dict_len {
-                entries.push(read_value(&mut buf)?);
+                entries.push(read_value(input)?);
             }
-            // Index stream starts where the dictionary ended.
-            let idx_start = 4 + (block.len() - 4 - buf.len());
-            let mut off = idx_start;
             for _ in 0..rows {
-                let idx = get_varint(block, &mut off)? as usize;
-                let v = entries.get(idx).ok_or(CodecError::Truncated)?.clone();
-                push(&mut vals, v);
-            }
-            if off != block.len() {
-                return Err(CodecError::Truncated);
+                let idx = get_varint(input)? as usize;
+                vals.push(entries.get(idx).ok_or(CodecError::Truncated)?.clone());
             }
         }
         Encoding::FloatRaw => {
-            if block.len() != 8 * rows {
+            if input.len() != 8 * rows {
                 return Err(CodecError::Truncated);
             }
-            for chunk in block.chunks_exact(8) {
-                let bits = u64::from_le_bytes(chunk.try_into().unwrap());
-                push(&mut vals, Value::Float(f64::from_bits(bits)));
+            for _ in 0..rows {
+                let bits = u64::from_le_bytes(take_array(input)?);
+                vals.push(Value::Float(f64::from_bits(bits)));
             }
         }
+    }
+    // Every encoding accounts for its whole block.
+    if !input.is_empty() {
+        return Err(CodecError::Truncated);
     }
     Ok(vals)
 }
@@ -657,9 +607,9 @@ mod tests {
             let mut buf = Vec::new();
             put_varint(&mut buf, v);
             assert_eq!(buf.len(), varint_len(v), "len for {v}");
-            let mut off = 0;
-            assert_eq!(get_varint(&buf, &mut off).unwrap(), v);
-            assert_eq!(off, buf.len());
+            let mut input = buf.as_slice();
+            assert_eq!(get_varint(&mut input).unwrap(), v);
+            assert!(input.is_empty());
         }
     }
 

@@ -43,7 +43,7 @@
 //! newer records after the sealed older ones in the same logical
 //! segment.
 
-use crate::codec::decode_tuples_masked;
+use crate::codec::{decode_tuples_masked, take, take_array, CodecError};
 use crate::columnar::{decode_columnar, ColumnStat};
 use crate::obs_handles;
 use crate::store::{Degradation, StoreError};
@@ -135,7 +135,13 @@ struct FrameError {
 /// Validate the record frame starting at `off`: magic, length, CRC,
 /// footer. Does not decode the payload.
 fn try_frame(data: &[u8], off: usize) -> Result<Frame<'_>, FrameError> {
-    if data.len() - off < RECORD_OVERHEAD {
+    let mut input = &data[off..];
+    let header = if input.len() < RECORD_OVERHEAD {
+        Err(CodecError::Truncated)
+    } else {
+        take_header(&mut input)
+    };
+    let Ok((magic, len, stored_crc)) = header else {
         return Err(FrameError {
             torn: true,
             detail: format!(
@@ -143,28 +149,20 @@ fn try_frame(data: &[u8], off: usize) -> Result<Frame<'_>, FrameError> {
                 data.len() - off
             ),
         });
-    }
-    let Some(version) = frame_version(&data[off..off + 4]) else {
+    };
+    let Some(version) = frame_version(magic) else {
         return Err(FrameError {
             torn: false,
             detail: format!("bad record magic at offset {off}"),
         });
     };
-    let len = u64::from_le_bytes(data[off + 4..off + 12].try_into().unwrap()) as usize;
-    let stored_crc = u32::from_le_bytes(data[off + 12..off + 16].try_into().unwrap());
-    let body_start = off + 16;
-    let footer_start = match body_start.checked_add(len) {
-        Some(e) if e + 4 <= data.len() => e,
-        _ => {
-            return Err(FrameError {
-                torn: true,
-                detail: format!(
-                    "record at offset {off} claims {len} payload bytes past end of data"
-                ),
-            })
-        }
+    let (Ok(payload), Ok(footer)) = (take(&mut input, len), take(&mut input, 4)) else {
+        return Err(FrameError {
+            torn: true,
+            detail: format!("record at offset {off} claims {len} payload bytes past end of data"),
+        });
     };
-    let payload = &data[body_start..footer_start];
+    let next = data.len() - input.len();
     let actual_crc = crc32(payload);
     if actual_crc != stored_crc {
         obs_handles::checksum_failures().inc();
@@ -185,18 +183,28 @@ fn try_frame(data: &[u8], off: usize) -> Result<Frame<'_>, FrameError> {
             ),
         });
     }
-    if data[footer_start..footer_start + 4] != FRAME_MAGICS[usize::from(version) - 1].1 {
+    if footer != FRAME_MAGICS[usize::from(version) - 1].1 {
         obs_handles::checksum_failures().inc();
         return Err(FrameError {
             torn: false,
-            detail: format!("bad record footer at offset {footer_start}"),
+            detail: format!("bad record footer at offset {}", next - 4),
         });
     }
     Ok(Frame {
         version,
         payload,
-        next: footer_start + 4,
+        next,
     })
+}
+
+/// Split a frame header (opening magic, payload length, stored CRC) off
+/// `input`.
+fn take_header<'a>(input: &mut &'a [u8]) -> Result<(&'a [u8], usize, u32), CodecError> {
+    let magic = take(input, 4)?;
+    let len = u64::from_le_bytes(take_array(input)?);
+    let crc = u32::from_le_bytes(take_array(input)?);
+    // A length past `usize` is past end-of-data on any host.
+    Ok((magic, usize::try_from(len).unwrap_or(usize::MAX), crc))
 }
 
 /// Non-tuple outcomes of decoding a stretch of records.
@@ -365,9 +373,8 @@ fn decode_frame(
             absorb_cols(stats, &read.columns);
         }
     } else {
-        let batch = bytes::Bytes::copy_from_slice(payload);
         out.extend(
-            decode_tuples_masked(batch, mask).map_err(|e| format!("tuple decode failed: {e}"))?,
+            decode_tuples_masked(payload, mask).map_err(|e| format!("tuple decode failed: {e}"))?,
         );
         // v1 records skip masked values one at a time; count the
         // masked columns per non-empty record (the v2 analogue of a

@@ -21,7 +21,9 @@
 //! file. The trailer is parsed backwards from end-of-file: 4 magic
 //! bytes, a `u32` payload length, a `u32` CRC over the payload. Any bit
 //! flip — in the payload, the CRC, the length, or the magic — fails
-//! validation.
+//! validation. Footer, manifest and compressed-payload fields are all
+//! read through [`crate::codec`]'s bounds-checked slice reader; a short
+//! structure is a typed error, never an out-of-range index.
 //!
 //! The spool-level manifest (`index.ars`) names the live generation
 //! files (with their footer entries mirrored for O(log n) lookup), the
@@ -46,6 +48,7 @@
 //! balloon allocation. Writers use the compressed frame only when it is
 //! strictly smaller than the plain one.
 
+use crate::codec::{take, take_array};
 use ariadne_vc::checkpoint::crc32;
 
 /// Magic closing a v3 indexed footer (the last 4 bytes of a generation
@@ -127,50 +130,9 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Cursor { data, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.data.len() - self.pos < n {
-            return Err(format!(
-                "truncated structure: wanted {n} bytes at offset {}, {} remain",
-                self.pos,
-                self.data.len() - self.pos
-            ));
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, String> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "non-UTF-8 name".to_string())
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.data.len()
-    }
+fn read_str(input: &mut &[u8]) -> Result<String, String> {
+    let len = u16::from_le_bytes(take_array(input)?) as usize;
+    String::from_utf8(take(input, len)?.to_vec()).map_err(|_| "non-UTF-8 name".to_string())
 }
 
 fn put_entry(buf: &mut Vec<u8>, e: &FooterEntry) {
@@ -182,14 +144,14 @@ fn put_entry(buf: &mut Vec<u8>, e: &FooterEntry) {
     buf.extend_from_slice(&e.records.to_le_bytes());
 }
 
-fn read_entry(c: &mut Cursor<'_>) -> Result<FooterEntry, String> {
+fn read_entry(input: &mut &[u8]) -> Result<FooterEntry, String> {
     Ok(FooterEntry {
-        superstep: c.u32()?,
-        pred: c.str()?,
-        offset: c.u64()?,
-        len: c.u64()?,
-        tuples: c.u64()?,
-        records: c.u32()?,
+        superstep: u32::from_le_bytes(take_array(input)?),
+        pred: read_str(input)?,
+        offset: u64::from_le_bytes(take_array(input)?),
+        len: u64::from_le_bytes(take_array(input)?),
+        tuples: u64::from_le_bytes(take_array(input)?),
+        records: u32::from_le_bytes(take_array(input)?),
     })
 }
 
@@ -213,39 +175,38 @@ pub fn encode_footer(entries: &[FooterEntry]) -> Vec<u8> {
 /// the footer payload begins). Every byte of the trailer is load-
 /// bearing: a flipped magic, length, CRC, or payload byte all fail.
 pub fn parse_footer(data: &[u8]) -> Result<(Vec<FooterEntry>, usize), String> {
-    if data.len() < FOOTER_TRAILER {
+    let Some(body_len) = data.len().checked_sub(FOOTER_TRAILER) else {
         return Err(format!("file too short for a v3 footer ({} bytes)", data.len()));
-    }
-    if data[data.len() - 4..] != FOOTER_MAGIC {
+    };
+    let (body, mut trailer) = data.split_at(body_len);
+    let stored_crc = u32::from_le_bytes(take_array(&mut trailer)?);
+    let payload_len = u32::from_le_bytes(take_array(&mut trailer)?) as usize;
+    if trailer != FOOTER_MAGIC {
         return Err("bad footer magic".into());
     }
-    let len_at = data.len() - 8;
-    let payload_len = u32::from_le_bytes(data[len_at..len_at + 4].try_into().unwrap()) as usize;
-    if payload_len + FOOTER_TRAILER > data.len() {
+    let Some(payload_start) = body_len.checked_sub(payload_len) else {
         return Err(format!(
             "footer payload length {payload_len} overruns the {}-byte file",
             data.len()
         ));
-    }
-    let payload_start = data.len() - FOOTER_TRAILER - payload_len;
-    let payload = &data[payload_start..payload_start + payload_len];
-    let stored_crc = u32::from_le_bytes(data[len_at - 4..len_at].try_into().unwrap());
+    };
+    let payload = &body[payload_start..];
     let actual = crc32(payload);
     if stored_crc != actual {
         return Err(format!(
             "footer CRC mismatch: stored {stored_crc:#010x}, computed {actual:#010x}"
         ));
     }
-    let mut c = Cursor::new(payload);
-    let count = c.u32()? as usize;
+    let input = &mut &*payload;
+    let count = u32::from_le_bytes(take_array(input)?) as usize;
     if count > payload.len() {
         return Err(format!("footer claims {count} entries in {payload_len} bytes"));
     }
     let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
-        entries.push(read_entry(&mut c)?);
+        entries.push(read_entry(input)?);
     }
-    if !c.done() {
+    if !input.is_empty() {
         return Err("trailing bytes after footer entries".into());
     }
     // Entries must describe frame ranges inside the record region.
@@ -300,61 +261,62 @@ pub fn parse_manifest(data: &[u8]) -> Result<Manifest, String> {
     if data.len() < 9 {
         return Err(format!("manifest too short ({} bytes)", data.len()));
     }
-    if data[..4] != MANIFEST_MAGIC {
+    let mut payload = data;
+    if take(&mut payload, 4)? != MANIFEST_MAGIC {
         return Err("bad manifest magic".into());
     }
-    if data[4] != MANIFEST_VERSION {
-        return Err(format!("unknown manifest version {}", data[4]));
+    let [version] = take_array(&mut payload)?;
+    if version != MANIFEST_VERSION {
+        return Err(format!("unknown manifest version {version}"));
     }
-    let stored_crc = u32::from_le_bytes(data[5..9].try_into().unwrap());
-    let payload = &data[9..];
+    let stored_crc = u32::from_le_bytes(take_array(&mut payload)?);
     let actual = crc32(payload);
     if stored_crc != actual {
         return Err(format!(
             "manifest CRC mismatch: stored {stored_crc:#010x}, computed {actual:#010x}"
         ));
     }
-    let mut c = Cursor::new(payload);
-    let generation = c.u64()?;
-    let live_count = c.u32()? as usize;
+    let input = &mut &*payload;
+    let generation = u64::from_le_bytes(take_array(input)?);
+    let live_count = u32::from_le_bytes(take_array(input)?) as usize;
     if live_count > payload.len() {
         return Err(format!("manifest claims {live_count} live files"));
     }
     let mut live = Vec::with_capacity(live_count);
     for _ in 0..live_count {
-        let name = c.str()?;
-        let size = c.u64()?;
-        let entry_count = c.u32()? as usize;
+        let name = read_str(input)?;
+        let size = u64::from_le_bytes(take_array(input)?);
+        let entry_count = u32::from_le_bytes(take_array(input)?) as usize;
         if entry_count > payload.len() {
             return Err(format!("manifest claims {entry_count} entries"));
         }
         let mut entries = Vec::with_capacity(entry_count);
         for _ in 0..entry_count {
-            entries.push(read_entry(&mut c)?);
+            entries.push(read_entry(input)?);
         }
         live.push(GenFileInfo { name, size, entries });
     }
-    let superseded_count = c.u32()? as usize;
+    let superseded_count = u32::from_le_bytes(take_array(input)?) as usize;
     if superseded_count > payload.len() {
         return Err(format!("manifest claims {superseded_count} superseded files"));
     }
     let mut superseded = Vec::with_capacity(superseded_count);
     for _ in 0..superseded_count {
-        superseded.push(c.str()?);
+        superseded.push(read_str(input)?);
     }
-    let lost_count = c.u32()? as usize;
+    let lost_count = u32::from_le_bytes(take_array(input)?) as usize;
     if lost_count > payload.len() {
         return Err(format!("manifest claims {lost_count} lost keys"));
     }
     let mut lost = Vec::with_capacity(lost_count);
     for _ in 0..lost_count {
         lost.push(LostKey {
-            superstep: c.u32()?,
-            pred: c.str()?,
-            quarantine: c.str()?,
+            superstep: u32::from_le_bytes(take_array(input)?),
+            pred: read_str(input)?,
+            quarantine: read_str(input)?,
         });
     }
-    if !c.done() {
+    if !input.is_empty() {
         return Err("trailing bytes after manifest payload".into());
     }
     Ok(Manifest {
@@ -402,15 +364,16 @@ pub fn decode_compressed_payload(payload: &[u8]) -> Result<(u8, Vec<u8>), String
     if payload.len() < 5 {
         return Err(format!("compressed payload too short ({} bytes)", payload.len()));
     }
-    let inner = payload[0];
+    let mut packed = payload;
+    let [inner] = take_array(&mut packed)?;
     if inner != 1 && inner != 2 {
         return Err(format!("unknown inner record version {inner}"));
     }
-    let raw_len = u32::from_le_bytes(payload[1..5].try_into().unwrap()) as usize;
+    let raw_len = u32::from_le_bytes(take_array(&mut packed)?) as usize;
     if raw_len > V3_MAX_RAW {
         return Err(format!("raw length {raw_len} exceeds the {V3_MAX_RAW} bound"));
     }
-    let raw = minilz::decompress(&payload[5..], raw_len)
+    let raw = minilz::decompress(packed, raw_len)
         .map_err(|e| format!("LZ decompression failed: {e}"))?;
     if raw.len() != raw_len {
         return Err(format!(

@@ -9,7 +9,7 @@ use crate::obs_handles;
 use crate::store::{ProvStore, StoreConfig, StoreError};
 use ariadne_obs::trace::{self, Level};
 use ariadne_pql::Tuple;
-use crossbeam::channel::{unbounded, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -45,7 +45,7 @@ enum WriterMsg {
 /// [`StoreError::Corrupt`], never as silent corruption.
 pub struct StoreWriter {
     sender: Sender<WriterMsg>,
-    done: crossbeam::channel::Receiver<Result<ProvStore, StoreError>>,
+    done: Receiver<Result<ProvStore, StoreError>>,
     handle: JoinHandle<()>,
     /// Raised by a timed-out finish; the writer thread checks it between
     /// batches and stops ingesting once it is set.
@@ -98,8 +98,8 @@ impl StoreWriter {
         F: FnOnce() -> Result<ProvStore, StoreError> + Send + 'static,
     {
         use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-        let (sender, receiver) = unbounded();
-        let (done_tx, done_rx) = unbounded();
+        let (sender, receiver) = channel();
+        let (done_tx, done_rx) = channel();
         let abandoned = Arc::new(AtomicBool::new(false));
         let fence = Arc::clone(&abandoned);
         let pending = Arc::new(AtomicU64::new(0));
@@ -170,7 +170,7 @@ impl StoreWriter {
                 let _ = self.handle.join();
                 result
             }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+            Err(RecvTimeoutError::Timeout) => {
                 // Fence the writer before abandoning it so it stops
                 // ingesting at its next batch boundary instead of racing
                 // a subsequent resume_from_spool indefinitely.
@@ -189,7 +189,7 @@ impl StoreWriter {
                 );
                 Err(StoreError::FinishTimeout { timeout, pending })
             }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(StoreError::WriterDead),
+            Err(RecvTimeoutError::Disconnected) => Err(StoreError::WriterDead),
         }
     }
 }

@@ -24,7 +24,7 @@ proptest! {
     fn tuples_roundtrip(tuples in proptest::collection::vec(
         proptest::collection::vec(arb_value(), 0..6), 0..20)) {
         let encoded = encode_tuples(&tuples);
-        let decoded = decode_tuples(encoded).unwrap();
+        let decoded = decode_tuples(&encoded).unwrap();
         prop_assert_eq!(tuples, decoded);
     }
 
@@ -35,9 +35,8 @@ proptest! {
         proptest::collection::vec(arb_value(), 1..4), 1..6), cut in 0usize..64) {
         let encoded = encode_tuples(&tuples);
         if cut < encoded.len() {
-            let sliced = encoded.slice(0..cut);
             // Must error (all our encodings are length-prefixed).
-            prop_assert!(decode_tuples(sliced).is_err());
+            prop_assert!(decode_tuples(&encoded[..cut]).is_err());
         }
     }
 }

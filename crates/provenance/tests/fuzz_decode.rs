@@ -67,8 +67,8 @@ fn v1_decoder_survives_mutations() {
         } else {
             mutate(&mut rng, &valid)
         };
-        let _ = decode_tuples(bytes::Bytes::from(bytes.clone()));
-        let _ = decode_tuples_masked(bytes::Bytes::from(bytes), Some(&[true, false, true]));
+        let _ = decode_tuples(&bytes);
+        let _ = decode_tuples_masked(&bytes, Some(&[true, false, true]));
     }
 }
 

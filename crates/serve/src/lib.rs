@@ -35,7 +35,7 @@ use ariadne::{
     column_masks, compile, run_layered_range, CompiledQuery, LayeredConfig, ReadPolicy,
 };
 use ariadne_graph::Csr;
-use ariadne_pql::{Params, Tuple, Value};
+use ariadne_pql::{parse_param_value, Params, Tuple};
 use ariadne_provenance::{EpochStats, ProvStore};
 use std::collections::HashMap;
 use std::fmt;
@@ -68,7 +68,10 @@ mod obs_handles {
 /// Service knobs; the CLI `serve` subcommand maps flags onto this.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Worker threads per layered replay.
+    /// Worker threads for layered replay, shared by the requests in
+    /// flight: a miss that starts beside `n - 1` others replays on
+    /// `threads / n` (at least one), so concurrent misses split the
+    /// cores a lone miss would use instead of oversubscribing them.
     pub threads: usize,
     /// Byte budget for the materialized-result LRU cache.
     pub cache_budget_bytes: usize,
@@ -380,7 +383,7 @@ impl QueryService {
             (Some((lo, hi)), Some(max)) => (lo, hi.min(max)),
         };
 
-        let layered = LayeredConfig {
+        let mut layered = LayeredConfig {
             threads: self.config.threads,
             read_policy: self.config.read_policy,
             ..LayeredConfig::default()
@@ -400,6 +403,11 @@ impl QueryService {
         let (result, cache_hit) = match cached {
             Some(r) => (r, true),
             None => {
+                // A replay's workers meet at a barrier every phase: with
+                // more of them runnable than `threads`, a miss's latency
+                // depends on what it overlaps. `_guard` counts this one.
+                let beside = self.admission.in_flight().max(1);
+                layered.threads = (self.config.threads / beside).max(1);
                 let run = run_layered_range(
                     &self.graph,
                     &store,
@@ -532,24 +540,6 @@ pub fn query_fingerprint(src: &str, params: &[(&str, &str)]) -> u64 {
     fnv1a64(canon.as_bytes())
 }
 
-/// Parse a raw parameter string with the CLI's conventions: `vN` is a
-/// vertex id, integers are `Int`, floats are `Float`, everything else
-/// is a string.
-fn parse_param_value(s: &str) -> Value {
-    if let Some(id) = s.strip_prefix('v') {
-        if let Ok(n) = id.parse::<u64>() {
-            return Value::Id(n);
-        }
-    }
-    if let Ok(n) = s.parse::<i64>() {
-        return Value::Int(n);
-    }
-    if let Ok(f) = s.parse::<f64>() {
-        return Value::Float(f);
-    }
-    Value::str(s)
-}
-
 /// Stable signature of the replay's column masks + prune/project flags:
 /// anything that changes which stored columns are decoded changes the
 /// cached result's intermediate stats, so it distinguishes cache keys.
@@ -644,6 +634,27 @@ mod tests {
         // itself decoded nothing — rows are the same Arc.
         assert_eq!(warm.replay.bytes_read, cold.replay.bytes_read);
         assert_eq!(warm.rows(), cold.rows());
+    }
+
+    #[test]
+    fn concurrent_misses_share_the_replay_threads() {
+        let config = ServeConfig { threads: 4, cache_budget_bytes: 0, ..Default::default() };
+        let svc = service(6, config);
+        let req = QueryRequest { pql: Some(PQL), ..Default::default() };
+        let alone = svc.execute(&req).unwrap();
+        // Nothing is cached, so every request replays; whatever share of
+        // the threads a replay gets, its rows are the lone replay's.
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    for _ in 0..8 {
+                        let page = svc.execute(&req).unwrap();
+                        assert!(!page.cache_hit);
+                        assert_eq!(page.rows(), alone.rows());
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -312,7 +312,7 @@ impl Engine {
     pub fn run<P: VertexProgram>(&self, program: &P, graph: &Csr) -> RunResult<P::V> {
         let table = self.chunk_table(graph);
         let state = fresh_state(program, graph, &table);
-        match self.drive_flat(program, graph, table, state, &mut NoSink, None) {
+        match self.drive(program, graph, table, state, &mut NoSink, None) {
             Ok(result) => result,
             Err(e) => unreachable!("no sink and no faults: drive cannot fail ({e})"),
         }
@@ -438,9 +438,9 @@ impl Engine {
                     write_state_snapshot(cfg, fault, &state)?;
                 }
                 let mut sink = DirSink { cfg, fault };
-                self.drive_flat(program, graph, table, state, &mut sink, fault)
+                self.drive(program, graph, table, state, &mut sink, fault)
             }
-            None => self.drive_flat(program, graph, table, state, &mut NoSink, fault),
+            None => self.drive(program, graph, table, state, &mut NoSink, fault),
         }
     }
 
@@ -483,7 +483,7 @@ impl Engine {
     /// every envelope into a flat `ChunkInbox` with a counting scatter.
     /// The pair of inbox sets is double-buffered, so after the first few
     /// supersteps the steady state allocates nothing.
-    fn drive_flat<P: VertexProgram>(
+    fn drive<P: VertexProgram>(
         &self,
         program: &P,
         graph: &Csr,
@@ -548,7 +548,7 @@ impl Engine {
             // Phase 1: compute. Workers own contiguous degree-weighted
             // chunks of values and read the flat inbox immutably.
             let t_compute = Instant::now();
-            let mut worker_out: Vec<FlatWorkerOutput<P::M>> = Vec::with_capacity(num_chunks);
+            let mut worker_out: Vec<WorkerOutput<P::M>> = Vec::with_capacity(num_chunks);
             let mut active_total = 0usize;
             {
                 let inbox_chunks: &[ChunkInbox<P::M>] = &st.inbox;
@@ -568,60 +568,30 @@ impl Engine {
                         )
                     })
                     .collect();
-                let results: Vec<FlatWorkerOutput<P::M>> = if num_chunks == 1 {
+                let results = per_chunk(
                     value_chunks
                         .into_iter()
                         .zip(inbox_chunks)
                         .zip(prepped)
-                        .enumerate()
-                        .map(|(c, ((vals, ibx), (boxes, dedup)))| {
-                            run_chunk_flat::<P>(
-                                program,
-                                graph,
-                                superstep,
-                                always_active,
-                                table_ref.bounds(c),
-                                vals,
-                                ibx,
-                                agg_ref,
-                                table_ref,
-                                sender,
-                                block,
-                                boxes,
-                                dedup,
-                            )
-                        })
-                        .collect()
-                } else {
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = value_chunks
-                            .into_iter()
-                            .zip(inbox_chunks)
-                            .zip(prepped)
-                            .enumerate()
-                            .map(|(c, ((vals, ibx), (boxes, dedup)))| {
-                                scope.spawn(move || {
-                                    run_chunk_flat::<P>(
-                                        program,
-                                        graph,
-                                        superstep,
-                                        always_active,
-                                        table_ref.bounds(c),
-                                        vals,
-                                        ibx,
-                                        agg_ref,
-                                        table_ref,
-                                        sender,
-                                        block,
-                                        boxes,
-                                        dedup,
-                                    )
-                                })
-                            })
-                            .collect();
-                        handles.into_iter().map(|h| h.join().unwrap()).collect()
-                    })
-                };
+                        .enumerate(),
+                    |(c, ((vals, ibx), (boxes, dedup)))| {
+                        run_chunk::<P>(
+                            program,
+                            graph,
+                            superstep,
+                            always_active,
+                            table_ref.bounds(c),
+                            vals,
+                            ibx,
+                            agg_ref,
+                            table_ref,
+                            sender,
+                            block,
+                            boxes,
+                            dedup,
+                        )
+                    },
+                );
                 for out in results {
                     active_total += out.active;
                     worker_out.push(out);
@@ -666,30 +636,13 @@ impl Engine {
                 phases.scatter += t_transpose.elapsed();
                 let deliver = combiner.as_deref();
                 let t_deliver = Instant::now();
-                let counts: Vec<DeliverCounts> = if num_chunks == 1 {
+                let counts = per_chunk(
                     spare
                         .iter_mut()
                         .zip(transposed.iter_mut())
-                        .zip(cursors.iter_mut())
-                        .map(|((sp, bufs), cur)| {
-                            deliver_chunk_flat::<P>(program, deliver, sp, bufs, cur)
-                        })
-                        .collect()
-                } else {
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = spare
-                            .iter_mut()
-                            .zip(transposed.iter_mut())
-                            .zip(cursors.iter_mut())
-                            .map(|((sp, bufs), cur)| {
-                                scope.spawn(move || {
-                                    deliver_chunk_flat::<P>(program, deliver, sp, bufs, cur)
-                                })
-                            })
-                            .collect();
-                        handles.into_iter().map(|h| h.join().unwrap()).collect()
-                    })
-                };
+                        .zip(cursors.iter_mut()),
+                    |((sp, bufs), cur)| deliver_chunk::<P>(program, deliver, sp, bufs, cur),
+                );
                 // Delivery wall time is combiner folding when the
                 // program has a combiner, pure scatter otherwise.
                 if deliver.is_some() {
@@ -770,6 +723,26 @@ impl Engine {
             aggregates: st.aggregates,
         })
     }
+}
+
+/// Run `f` on every per-chunk item — inline for a single chunk, one
+/// scoped thread per chunk otherwise — collecting results in chunk
+/// order.
+fn per_chunk<T: Send, R: Send>(
+    items: impl ExactSizeIterator<Item = T>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    if items.len() == 1 {
+        return items.map(f).collect();
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items.map(|item| scope.spawn(move || f(item))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("chunk worker panicked"))
+            .collect()
+    })
 }
 
 /// Messages delivered for one destination chunk, stored flat.
@@ -1098,7 +1071,7 @@ fn truncate_snapshot_file(path: &std::path::Path) -> Result<(), EngineError> {
 }
 
 /// One worker's superstep output.
-struct FlatWorkerOutput<M> {
+struct WorkerOutput<M> {
     /// Outboxes indexed by destination chunk (post sender-combining).
     outboxes: OutboxSet<M>,
     /// Aggregate partials, one per sender block the chunk covers, in
@@ -1119,7 +1092,7 @@ struct FlatWorkerOutput<M> {
 /// and aggregate contributions are flushed per sender block so the
 /// barrier can merge them in a thread-count-independent order.
 #[allow(clippy::too_many_arguments)]
-fn run_chunk_flat<P: VertexProgram>(
+fn run_chunk<P: VertexProgram>(
     program: &P,
     graph: &Csr,
     superstep: u32,
@@ -1133,12 +1106,12 @@ fn run_chunk_flat<P: VertexProgram>(
     block: usize,
     outboxes: OutboxSet<P::M>,
     mut dedup: DedupTable,
-) -> FlatWorkerOutput<P::M> {
+) -> WorkerOutput<P::M> {
     let (start, end) = bounds;
     debug_assert_eq!(values.len(), end - start);
     debug_assert_eq!(inbox.vertex_count(), end - start);
     dedup.begin(graph.num_vertices());
-    let mut ctx = FlatContext {
+    let mut ctx = ChunkContext {
         superstep,
         vertex: VertexId(0),
         graph,
@@ -1172,7 +1145,7 @@ fn run_chunk_flat<P: VertexProgram>(
             ));
         }
     }
-    FlatWorkerOutput {
+    WorkerOutput {
         outboxes: ctx.outboxes,
         agg_blocks,
         dedup: ctx.dedup,
@@ -1215,7 +1188,7 @@ impl DeliverCounts {
 /// is pure moves into reserved capacity, so a panic can never expose
 /// uninitialized data (a panicking user combiner leaks the spare
 /// capacity's envelopes, which is safe).
-fn deliver_chunk_flat<P: VertexProgram>(
+fn deliver_chunk<P: VertexProgram>(
     program: &P,
     combiner: Option<&dyn Combiner<P::M>>,
     inbox: &mut ChunkInbox<P::M>,
@@ -1350,7 +1323,7 @@ fn deliver_chunk_flat<P: VertexProgram>(
 /// buffered for are folded in place instead of appended: a last-send
 /// fast path handles repeated sends to the same destination without a
 /// table probe, and the dense dedup table catches the rest.
-struct FlatContext<'a, M> {
+struct ChunkContext<'a, M> {
     superstep: u32,
     vertex: VertexId,
     graph: &'a Csr,
@@ -1370,7 +1343,7 @@ struct FlatContext<'a, M> {
     num_vertices: usize,
 }
 
-impl<M> Context<M> for FlatContext<'_, M> {
+impl<M> Context<M> for ChunkContext<'_, M> {
     fn superstep(&self) -> u32 {
         self.superstep
     }

@@ -41,7 +41,7 @@ use ariadne::{compile, CaptureSpec, CompiledQuery};
 use ariadne_analytics::{PageRank, Sssp, Wcc};
 use ariadne_graph::generators::{rmat, RmatConfig};
 use ariadne_graph::{io, Csr, VertexId};
-use ariadne_pql::{Database, Params, Value};
+use ariadne_pql::{parse_param_value, Database, Params, Value};
 use ariadne_provenance::ProvEncode;
 use ariadne_vc::VertexProgram;
 use std::process::exit;
@@ -382,21 +382,6 @@ fn parse_args() -> Options {
         }
     }
     o
-}
-
-fn parse_param_value(s: &str) -> Value {
-    if let Some(id) = s.strip_prefix('v') {
-        if let Ok(n) = id.parse::<u64>() {
-            return Value::Id(n);
-        }
-    }
-    if let Ok(n) = s.parse::<i64>() {
-        return Value::Int(n);
-    }
-    if let Ok(f) = s.parse::<f64>() {
-        return Value::Float(f);
-    }
-    Value::str(s)
 }
 
 fn load_graph(o: &Options) -> Csr {
