@@ -64,10 +64,9 @@ use crate::session::AriadneError;
 use crate::state::QueryState;
 use ariadne_graph::{ChunkTable, Csr, VertexId};
 use ariadne_obs::trace::{self, Level};
-use ariadne_pql::{Database, Direction, EvalStats, Evaluator, PqlError, Tuple};
-use ariadne_provenance::{Degradation, LayerFilter, ProvStore, ReadPolicy};
+use ariadne_pql::{Database, Direction, EvalScratch, EvalStats, Evaluator, PqlError, Tuple};
+use ariadne_provenance::{Degradation, EdbFlags, LayerFilter, ProvStore, ReadPolicy};
 use std::any::Any;
-use std::collections::BTreeSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, RwLock};
@@ -367,6 +366,8 @@ struct Slab {
     evaluated: usize,
     shipped: usize,
     stats: EvalStats,
+    /// Evaluation buffers shared by every vertex of the slab.
+    scratch: EvalScratch,
 }
 
 impl Slab {
@@ -429,8 +430,9 @@ impl Slab {
             let slot = &mut self.slots[slot as usize];
             slot.queued = false;
             let vertex = VertexId(slot.vertex as u64);
-            slot.state.inject_statics(pool.graph, vertex, pool.needed_statics);
-            slot.state.evaluate_stats(pool.evaluator, vertex, &mut self.stats)?;
+            slot.state.inject_statics(pool.graph, vertex, pool.statics);
+            slot.state
+                .evaluate_stats(pool.evaluator, vertex, &mut self.stats, &mut self.scratch)?;
             self.shipped += outbox.collect(pool, vertex, &mut slot.state);
         }
         self.evaluated += pending.len();
@@ -454,7 +456,7 @@ impl Slab {
                     for nb in mine {
                         let slot = self.slot(nb.index());
                         let state = &mut self.slots[slot].state;
-                        state.inject(pool.shipped_preds[pred], tuples.iter().cloned());
+                        state.inject(pool.shipped_preds[pred], tuples);
                         self.enqueue(slot);
                     }
                     tuples_from = tuples_to;
@@ -493,7 +495,8 @@ enum Failure {
 struct Pool<'a> {
     graph: &'a Csr,
     evaluator: &'a Evaluator,
-    needed_statics: &'a BTreeSet<String>,
+    /// Which static graph EDBs the query reads.
+    statics: EdbFlags,
     /// Shipped predicates in `BTreeSet` (sorted) order — fixed, so every
     /// vertex ships and receives them in the same predicate order.
     shipped_preds: Vec<&'a str>,
@@ -760,7 +763,7 @@ pub fn run_layered_range(
     let pool = Pool {
         graph,
         evaluator: query.evaluator().as_ref(),
-        needed_statics: &analyzed.edbs,
+        statics: EdbFlags::of(&analyzed.edbs),
         shipped_preds: analyzed.shipped.iter().map(String::as_str).collect(),
         barrier: Barrier::new(threads),
         plan: Mutex::new(Plan::default()),
@@ -920,6 +923,7 @@ mod tests {
     use ariadne_graph::generators::regular::path;
     use ariadne_pql::{Catalog, Params, UdfRegistry, Value};
     use ariadne_provenance::{ProvStore, StoreConfig};
+    use std::collections::BTreeSet;
 
     /// The standard catalog plus a test-local EDB predicate.
     fn catalog_with(pred: &str, arity: usize) -> Catalog {

@@ -24,7 +24,7 @@ use crate::session::AriadneError;
 use crate::state::QueryState;
 use ariadne_graph::{Csr, VertexId};
 use ariadne_pql::{Database, Value};
-use ariadne_provenance::{ProvStore, UnfoldedGraph};
+use ariadne_provenance::{EdbFlags, ProvStore, UnfoldedGraph};
 
 /// The outcome of a naive evaluation.
 #[derive(Debug)]
@@ -90,8 +90,9 @@ pub fn run_naive(
             }
         }
     }
+    let statics = EdbFlags::of(&analyzed.edbs);
     for v in graph.vertices() {
-        states[v.index()].inject_statics(graph, v, &analyzed.edbs);
+        states[v.index()].inject_statics(graph, v, statics);
     }
     // ...plus the unfolded graph view (part of the memory blowup).
     let mut full_db = Database::new();

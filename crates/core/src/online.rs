@@ -17,13 +17,35 @@
 //! Query messages therefore travel only where analytic messages travel,
 //! and query state is disjoint from analytic state — the two halves of
 //! Theorem 5.4's non-interference argument, here enforced by types.
+//!
+//! # What a vertex-superstep allocates
+//!
+//! This runs once per vertex per superstep beside an analytic that costs
+//! nanoseconds per edge, so what it does *besides* storing tuples is the
+//! overhead the paper's Figure 7 measures. Everything transient lives in
+//! a `Worker`: the payload-free copy of the inbox the analytic reads,
+//! its deferred sends, and the evaluator's [`EvalScratch`]. A compute call
+//! takes a worker from the program's pool and puts it back, so the pool
+//! settles at one worker per engine thread and their buffers at the
+//! largest inbox, fan-out and rule they have seen. EDB tuples go from
+//! `(value, inbox, sends)` straight into the relations
+//! ([`EdbTracker::record_step`](ariadne_provenance::edb::EdbTracker::record_step)),
+//! replicas are cloned only when new, and a vertex with nothing fresh to
+//! ship sends no [`Payload`] at all. In steady state the allocator is
+//! called for the tuples a step stores and for the payload it ships,
+//! nothing else (`tests/online_alloc_budget.rs` counts).
+//!
+//! The count matters more than its cost suggests: the engine starts fresh
+//! threads every phase, so a vector a vertex grew last superstep usually
+//! belongs to another thread's malloc arena, and growing or freeing it
+//! takes that arena's lock. Transient allocations are what made online
+//! runs *slower* on two threads than on one (DESIGN.md §3.14).
 
 use crate::custom::CustomProv;
-use crate::report::EvalStatsAccum;
 use crate::state::QueryState;
 use ariadne_graph::{Csr, VertexId};
-use ariadne_pql::{EvalStats, Evaluator, PqlError, Tuple};
-use ariadne_provenance::edb::{NeededEdbs, VertexStepRecord};
+use ariadne_pql::{EvalScratch, EvalStats, Evaluator, PqlError, Tuple, Value};
+use ariadne_provenance::edb::{EdbFlags, NeededEdbs};
 use ariadne_provenance::store::StoreSender;
 use ariadne_provenance::ProvEncode;
 use ariadne_vc::{AggOp, AggValue, Aggregates, Combiner, Context, Envelope, VertexProgram};
@@ -76,13 +98,50 @@ pub struct OnlineState<V> {
     pub q: QueryState,
 }
 
+/// Fresh shipped-table tuples, shared by the messages one vertex sends in
+/// one superstep.
+#[derive(Debug)]
+pub struct Payload {
+    tables: Vec<(String, Vec<Tuple>)>,
+    /// Payload bytes of `tables`, summed once here instead of once per
+    /// message of the fan-out.
+    bytes: usize,
+}
+
+impl Payload {
+    /// A payload of `(predicate, tuples)` tables.
+    pub fn new(tables: Vec<(String, Vec<Tuple>)>) -> Self {
+        let bytes = tables
+            .iter()
+            .flat_map(|(_, tuples)| tuples.iter().flatten())
+            .map(Value::byte_size)
+            .sum();
+        Payload { tables, bytes }
+    }
+
+    /// The `(predicate, tuples)` tables.
+    pub fn tables(&self) -> &[(String, Vec<Tuple>)] {
+        &self.tables
+    }
+}
+
 /// An analytic message with a piggybacked provenance payload.
 #[derive(Clone, Debug)]
 pub struct OnlineMsg<M> {
     /// The analytic's message, untouched.
     pub msg: M,
-    /// Fresh shipped-table tuples (shared across a superstep's fan-out).
-    pub payload: Arc<Vec<(String, Vec<Tuple>)>>,
+    /// Fresh shipped-table tuples (shared across a superstep's fan-out);
+    /// `None` when the sender had nothing fresh to ship. Most messages
+    /// carry none, and one shared empty payload would have every worker
+    /// thread bump the same reference count once per message.
+    pub payload: Option<Arc<Payload>>,
+}
+
+impl<M> OnlineMsg<M> {
+    /// The piggybacked `(predicate, tuples)` tables.
+    pub fn tables(&self) -> &[(String, Vec<Tuple>)] {
+        self.payload.as_deref().map_or(&[], Payload::tables)
+    }
 }
 
 /// A query-evaluation failure captured inside the engine's compute hot
@@ -98,18 +157,31 @@ pub struct QueryFailure {
     pub source: PqlError,
 }
 
+/// What one compute call works in; see the module docs.
+struct Worker<M> {
+    /// The inbox as the analytic sees it: envelopes without payloads.
+    inbox: Vec<Envelope<M>>,
+    /// The analytic's sends, held back until the payload is known.
+    sends: Vec<(VertexId, M)>,
+    eval: EvalScratch,
+    /// Query counters of the compute calls this worker served.
+    stats: EvalStats,
+}
+
 /// The online wrapper program. See module docs.
 pub struct OnlineProgram<'a, A: VertexProgram> {
     analytic: &'a A,
     config: OnlineConfig<A>,
+    /// `config.needed`, resolved to flags once.
+    flags: EdbFlags,
+    /// Idle workers. Each holds the query-evaluation counters of the
+    /// calls it served; a total is a sum of per-vertex logical counts, so
+    /// it does not depend on which worker served which vertex.
+    workers: Mutex<Vec<Worker<A::M>>>,
     /// Fast flag checked at barriers; avoids the mutex on the hot path.
     failed: AtomicBool,
     /// The (deterministically) first failure: minimum (superstep, vertex).
     failure: Mutex<Option<QueryFailure>>,
-    /// Query-evaluation counters accumulated across all vertices; the
-    /// totals are deterministic across worker-thread counts because
-    /// every contribution is a per-vertex logical count.
-    query_stats: EvalStatsAccum,
 }
 
 impl<'a, A: VertexProgram> OnlineProgram<'a, A> {
@@ -117,16 +189,22 @@ impl<'a, A: VertexProgram> OnlineProgram<'a, A> {
     pub fn new(analytic: &'a A, config: OnlineConfig<A>) -> Self {
         OnlineProgram {
             analytic,
+            flags: EdbFlags::of(&config.needed),
             config,
+            workers: Mutex::new(Vec::new()),
             failed: AtomicBool::new(false),
             failure: Mutex::new(None),
-            query_stats: EvalStatsAccum::default(),
         }
     }
 
-    /// The accumulated query-evaluation counters for this run so far.
+    /// The query-evaluation counters of the run so far (of the compute
+    /// calls that have returned).
     pub fn query_stats(&self) -> EvalStats {
-        self.query_stats.snapshot()
+        let workers = self.workers.lock().expect("worker pool lock");
+        workers.iter().fold(EvalStats::default(), |mut sum, w| {
+            sum.merge(&w.stats);
+            sum
+        })
     }
 
     /// Record a query failure. Keeps the minimum (superstep, vertex)
@@ -176,102 +254,15 @@ where
         state: &mut Self::V,
         messages: &[Envelope<Self::M>],
     ) {
-        let vertex = ctx.vertex();
-        let superstep = ctx.superstep();
-        let cfg = &self.config;
-
-        // 1. Merge incoming provenance payloads (replicas).
-        for env in messages {
-            for (pred, tuples) in env.msg.payload.iter() {
-                state.q.inject(pred, tuples.iter().cloned());
-            }
-        }
-        state.q.inject_statics(ctx.graph(), vertex, &cfg.needed);
-
-        // 2. Run the analytic against a recording shim.
-        let inner_msgs: Vec<Envelope<A::M>> = messages
-            .iter()
-            .map(|e| Envelope::new(e.src, e.msg.msg.clone()))
-            .collect();
-        let sends: Vec<(VertexId, A::M)> = {
-            let mut recorder = Recorder {
-                inner: ctx,
-                sends: Vec::new(),
-            };
-            self.analytic
-                .compute(&mut recorder, &mut state.value, &inner_msgs);
-            recorder.sends
-        };
-
-        // 3. Generate this superstep's provenance EDB tuples.
-        let record = VertexStepRecord {
-            vertex,
-            superstep,
-            value: state.value.encode(),
-            received: inner_msgs
-                .iter()
-                .map(|e| (e.src, e.msg.encode()))
-                .collect(),
-            sent: sends.iter().map(|(d, m)| (*d, m.encode())).collect(),
-            out_edges: if cfg.needed.contains("edge_value") {
-                ctx.graph()
-                    .out_edges(vertex)
-                    .map(|e| (e.neighbor, e.weight))
-                    .collect()
-            } else {
-                Vec::new()
-            },
-        };
-        let edb_tuples = state.q.tracker.tuples(&record, &cfg.needed);
-        for (pred, tuple) in edb_tuples {
-            state.q.db.insert(pred, tuple);
-        }
-
-        // 4. Custom provenance relations.
-        if let Some(custom) = &cfg.custom {
-            for (pred, tuple) in
-                custom.tuples(ctx.graph(), vertex, superstep, &state.value, &inner_msgs)
-            {
-                state.q.db.insert(&pred, tuple);
-            }
-        }
-
-        // 5. Local incremental fixpoint. Errors abort the run at the next
-        // barrier (via should_halt) instead of panicking the worker; the
-        // analytic's deferred sends are dropped, which is fine because
-        // the whole run is discarded.
-        if let Some(evaluator) = &cfg.evaluator {
-            let mut stats = EvalStats::default();
-            let outcome = state.q.evaluate_stats(evaluator, vertex, &mut stats);
-            self.query_stats.add(&stats);
-            if let Err(e) = outcome {
-                self.record_failure(vertex, superstep, e);
-                return;
-            }
-        }
-
-        // 6. Persist capture predicates.
-        if let Some(persist) = &cfg.persist {
-            for (pred, tuples) in state.q.take_persistable(persist.preds.iter(), vertex) {
-                persist.sender.ingest(superstep, &pred, tuples);
-            }
-        }
-
-        // 7. Ship fresh tuples with the analytic's deferred sends. Marks
-        // advance only when something is actually sent, so tuples derived
-        // during quiet supersteps are back-logged until the next send.
-        if !sends.is_empty() {
-            let payload = Arc::new(state.q.take_shippable(cfg.shipped.iter(), vertex));
-            for (dst, msg) in sends {
-                ctx.send(
-                    dst,
-                    OnlineMsg {
-                        msg,
-                        payload: Arc::clone(&payload),
-                    },
-                );
-            }
-        }
+        let idle = self.workers.lock().expect("worker pool lock").pop();
+        let mut worker = idle.unwrap_or_else(|| Worker {
+            inbox: Vec::new(),
+            sends: Vec::new(),
+            eval: EvalScratch::default(),
+            stats: EvalStats::default(),
+        });
+        self.compute_in(&mut worker, ctx, state, messages);
+        self.workers.lock().expect("worker pool lock").push(worker);
     }
 
     // The analytic's configuration passes through untouched — except the
@@ -298,17 +289,98 @@ where
     }
 
     fn message_bytes(&self, msg: &Self::M) -> usize {
-        let payload_bytes: usize = msg
-            .payload
-            .iter()
-            .map(|(_, tuples)| {
-                tuples
-                    .iter()
-                    .map(|t| t.iter().map(ariadne_pql::Value::byte_size).sum::<usize>())
-                    .sum::<usize>()
-            })
-            .sum();
-        self.analytic.message_bytes(&msg.msg) + payload_bytes
+        self.analytic.message_bytes(&msg.msg) + msg.payload.as_ref().map_or(0, |p| p.bytes)
+    }
+}
+
+impl<A> OnlineProgram<'_, A>
+where
+    A: VertexProgram,
+    A::V: ProvEncode,
+    A::M: ProvEncode,
+{
+    /// One vertex-superstep, in `worker`'s buffers.
+    fn compute_in(
+        &self,
+        worker: &mut Worker<A::M>,
+        ctx: &mut dyn Context<OnlineMsg<A::M>>,
+        state: &mut OnlineState<A::V>,
+        messages: &[Envelope<OnlineMsg<A::M>>],
+    ) {
+        let vertex = ctx.vertex();
+        let superstep = ctx.superstep();
+        let cfg = &self.config;
+        let Worker {
+            inbox,
+            sends,
+            eval,
+            stats,
+        } = worker;
+
+        // 1. Merge incoming provenance payloads (replicas).
+        for env in messages {
+            for (pred, tuples) in env.msg.tables() {
+                state.q.inject(pred, tuples);
+            }
+        }
+        state.q.inject_statics(ctx.graph(), vertex, self.flags);
+
+        // 2. Run the analytic against a recording shim.
+        inbox.clear();
+        inbox.extend(messages.iter().map(|e| Envelope::new(e.src, e.msg.msg.clone())));
+        sends.clear();
+        let mut recorder = Recorder { inner: ctx, sends };
+        self.analytic.compute(&mut recorder, &mut state.value, inbox);
+
+        // 3. Generate this superstep's provenance EDB tuples.
+        state.q.tracker.record_step(
+            &mut state.q.db,
+            self.flags,
+            ctx.graph(),
+            vertex,
+            superstep,
+            || state.value.encode(),
+            inbox.iter().map(|e| (e.src, e.msg.encode())),
+            sends.iter().map(|(dst, m)| (*dst, m.encode())),
+        );
+
+        // 4. Custom provenance relations.
+        if let Some(custom) = &cfg.custom {
+            for (pred, tuple) in custom.tuples(ctx.graph(), vertex, superstep, &state.value, inbox)
+            {
+                state.q.db.insert(&pred, tuple);
+            }
+        }
+
+        // 5. Local incremental fixpoint. Errors abort the run at the next
+        // barrier (via should_halt) instead of panicking the worker; the
+        // analytic's deferred sends are dropped, which is fine because
+        // the whole run is discarded.
+        if let Some(evaluator) = &cfg.evaluator {
+            if let Err(e) = state.q.evaluate_stats(evaluator, vertex, stats, eval) {
+                self.record_failure(vertex, superstep, e);
+                return;
+            }
+        }
+
+        // 6. Persist capture predicates.
+        if let Some(persist) = &cfg.persist {
+            for (pred, tuples) in state.q.take_persistable(persist.preds.iter(), vertex) {
+                persist.sender.ingest(superstep, &pred, tuples);
+            }
+        }
+
+        // 7. Ship fresh tuples with the analytic's deferred sends. Marks
+        // advance only when something is actually sent, so tuples derived
+        // during quiet supersteps are back-logged until the next send.
+        if !sends.is_empty() {
+            let fresh = state.q.take_shippable(cfg.shipped.iter(), vertex);
+            let payload = (!fresh.is_empty()).then(|| Arc::new(Payload::new(fresh)));
+            for (dst, msg) in sends.drain(..) {
+                let payload = payload.clone();
+                ctx.send(dst, OnlineMsg { msg, payload });
+            }
+        }
     }
 }
 
@@ -316,7 +388,7 @@ where
 /// them, delegates everything else.
 struct Recorder<'a, M, MO> {
     inner: &'a mut dyn Context<MO>,
-    sends: Vec<(VertexId, M)>,
+    sends: &'a mut Vec<(VertexId, M)>,
 }
 
 impl<M, MO> Context<M> for Recorder<'_, M, MO> {
@@ -350,7 +422,7 @@ mod tests {
     use super::*;
     use crate::compile::compile;
     use ariadne_graph::generators::regular::path;
-    use ariadne_pql::{Params, Value};
+    use ariadne_pql::Params;
     use ariadne_vc::{Engine, EngineConfig};
 
     /// Forwards its superstep number along the path.
@@ -443,14 +515,14 @@ mod tests {
         let wrapped = OnlineProgram::new(&Hops, cfg);
         let empty = OnlineMsg {
             msg: 1i64,
-            payload: Arc::new(Vec::new()),
+            payload: None,
         };
         let loaded = OnlineMsg {
             msg: 1i64,
-            payload: Arc::new(vec![(
+            payload: Some(Arc::new(Payload::new(vec![(
                 "seen".to_string(),
                 vec![vec![Value::Id(0), Value::Int(0)]],
-            )]),
+            )]))),
         };
         assert!(wrapped.message_bytes(&loaded) > wrapped.message_bytes(&empty));
     }

@@ -8,7 +8,7 @@
 //!   totals, per-phase wall time (compute / sender-combine / scatter /
 //!   barrier) and checkpoint-write time;
 //! * the wrapped query's run-local [`EvalStats`] (rule firings, delta
-//!   window sizes, scan-scratch reuse) accumulated across all vertices;
+//!   window sizes, evaluation-scratch reuse) accumulated across all vertices;
 //! * the provenance store's occupancy counters, when the run captured.
 //!
 //! Everything here is *run-local*: unlike the process-global
@@ -21,52 +21,7 @@ use crate::online::OnlineRun;
 use ariadne_pql::EvalStats;
 use ariadne_provenance::ProvStore;
 use ariadne_vc::{PhaseTimes, RunMetrics};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// A thread-safe [`EvalStats`] accumulator. Worker threads fold their
-/// per-vertex evaluation counters in with relaxed atomics; because every
-/// field is a commutative sum of deterministic per-vertex contributions,
-/// the final snapshot is bit-identical regardless of interleaving.
-#[derive(Debug, Default)]
-pub struct EvalStatsAccum {
-    rule_firings: AtomicU64,
-    derived_tuples: AtomicU64,
-    delta_tuples: AtomicU64,
-    fixpoint_rounds: AtomicU64,
-    scratch_reuse: AtomicU64,
-    scratch_alloc: AtomicU64,
-}
-
-impl EvalStatsAccum {
-    /// Fold one evaluation's counters in.
-    pub fn add(&self, stats: &EvalStats) {
-        self.rule_firings
-            .fetch_add(stats.rule_firings, Ordering::Relaxed);
-        self.derived_tuples
-            .fetch_add(stats.derived_tuples, Ordering::Relaxed);
-        self.delta_tuples
-            .fetch_add(stats.delta_tuples, Ordering::Relaxed);
-        self.fixpoint_rounds
-            .fetch_add(stats.fixpoint_rounds, Ordering::Relaxed);
-        self.scratch_reuse
-            .fetch_add(stats.scratch_reuse, Ordering::Relaxed);
-        self.scratch_alloc
-            .fetch_add(stats.scratch_alloc, Ordering::Relaxed);
-    }
-
-    /// The accumulated totals.
-    pub fn snapshot(&self) -> EvalStats {
-        EvalStats {
-            rule_firings: self.rule_firings.load(Ordering::Relaxed),
-            derived_tuples: self.derived_tuples.load(Ordering::Relaxed),
-            delta_tuples: self.delta_tuples.load(Ordering::Relaxed),
-            fixpoint_rounds: self.fixpoint_rounds.load(Ordering::Relaxed),
-            scratch_reuse: self.scratch_reuse.load(Ordering::Relaxed),
-            scratch_alloc: self.scratch_alloc.load(Ordering::Relaxed),
-        }
-    }
-}
 
 /// Provenance-store occupancy at the end of a capture run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -261,25 +216,6 @@ impl<V> CaptureRun<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accumulator_sums_and_snapshots() {
-        let acc = EvalStatsAccum::default();
-        let a = EvalStats {
-            rule_firings: 1,
-            derived_tuples: 2,
-            delta_tuples: 3,
-            fixpoint_rounds: 4,
-            scratch_reuse: 5,
-            scratch_alloc: 6,
-        };
-        acc.add(&a);
-        acc.add(&a);
-        let snap = acc.snapshot();
-        assert_eq!(snap.rule_firings, 2);
-        assert_eq!(snap.derived_tuples, 4);
-        assert_eq!(snap.scratch_alloc, 12);
-    }
 
     #[test]
     fn json_has_fixed_shape() {

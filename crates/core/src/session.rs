@@ -521,18 +521,23 @@ fn finish_online<V>(
 ) -> OnlineRun<V> {
     let mut merged = Database::new();
     let mut bytes = 0usize;
-    for state in &result.values {
+    let mut values = Vec::with_capacity(result.values.len());
+    for state in result.values {
         bytes += state.q.db.byte_size();
-        for (name, rel) in state.q.db.iter() {
-            if idbs.contains_key(name) {
-                for t in rel.scan() {
-                    merged.insert(name, t.clone());
+        values.push(state.value);
+        // The per-vertex partitions end here: move their tuples.
+        for (name, rel) in state.q.db.into_relations() {
+            if idbs.contains_key(&name) && !rel.is_empty() {
+                let into = merged.relation_mut(&name, rel.arity());
+                into.reserve(rel.len());
+                for t in rel.into_tuples() {
+                    into.insert(t);
                 }
             }
         }
     }
     OnlineRun {
-        values: result.values.into_iter().map(|s| s.value).collect(),
+        values,
         query_results: merged,
         metrics: result.metrics,
         query_bytes: bytes,

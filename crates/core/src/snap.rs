@@ -13,7 +13,7 @@
 //! fixed-width payloads, length-prefixed strings and lists (same layout
 //! conventions as the engine's own snapshot primitives).
 
-use crate::online::{OnlineMsg, OnlineState};
+use crate::online::{OnlineMsg, OnlineState, Payload};
 use crate::state::QueryState;
 use ariadne_pql::eval::seminaive::EvalState;
 use ariadne_pql::{Database, Tuple, Value};
@@ -217,8 +217,8 @@ impl<V: Snapshot> Snapshot for OnlineState<V> {
 impl<M: Snapshot> Snapshot for OnlineMsg<M> {
     fn write_snap(&self, out: &mut Vec<u8>) {
         self.msg.write_snap(out);
-        (self.payload.len() as u64).write_snap(out);
-        for (pred, tuples) in self.payload.iter() {
+        (self.tables().len() as u64).write_snap(out);
+        for (pred, tuples) in self.tables() {
             pred.write_snap(out);
             write_tuples(tuples, out);
         }
@@ -238,7 +238,7 @@ impl<M: Snapshot> Snapshot for OnlineMsg<M> {
         }
         Ok(OnlineMsg {
             msg,
-            payload: Arc::new(payload),
+            payload: (!payload.is_empty()).then(|| Arc::new(Payload::new(payload))),
         })
     }
 }
@@ -311,7 +311,7 @@ mod tests {
     #[test]
     fn query_state_roundtrip() {
         let mut q = QueryState::new();
-        q.inject("p", vec![vec![Value::Id(1)], vec![Value::Id(2)]]);
+        q.inject("p", &[vec![Value::Id(1)], vec![Value::Id(2)]]);
         let _ = q.take_shippable(["p"], VertexId(1));
         let mut buf = Vec::new();
         q.write_snap(&mut buf);
@@ -337,12 +337,15 @@ mod tests {
 
         let msg = OnlineMsg {
             msg: 7i64,
-            payload: Arc::new(vec![("p".to_string(), vec![vec![Value::Id(3)]])]),
+            payload: Some(Arc::new(Payload::new(vec![(
+                "p".to_string(),
+                vec![vec![Value::Id(3)]],
+            )]))),
         };
         let back = roundtrip(&msg);
         assert_eq!(back.msg, 7);
-        assert_eq!(back.payload.len(), 1);
-        assert_eq!(back.payload[0].1, vec![vec![Value::Id(3)]]);
+        assert_eq!(back.tables().len(), 1);
+        assert_eq!(back.tables()[0].1, vec![vec![Value::Id(3)]]);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Per-vertex query evaluation state, shared by the online wrapper and
 //! the layered offline driver.
 
-use ariadne_provenance::edb::{EdbTracker, NeededEdbs};
-use ariadne_provenance::static_graph_edbs;
 use ariadne_graph::{Csr, VertexId};
-use ariadne_pql::{Database, EvalStats, Evaluator, PqlError, Tuple, Value};
+use ariadne_pql::{Database, EvalScratch, EvalStats, Evaluator, PqlError, Tuple, Value};
+use ariadne_provenance::edb::{EdbFlags, EdbTracker};
+use ariadne_provenance::insert_static_edbs;
 use std::collections::BTreeMap;
 
 /// The query-side state one vertex carries: its partition of the
@@ -32,50 +32,44 @@ impl QueryState {
         Self::default()
     }
 
-    /// Inject a batch of tuples into a relation (deduplicated).
-    pub fn inject(&mut self, pred: &str, tuples: impl IntoIterator<Item = Tuple>) {
-        let mut tuples = tuples.into_iter().peekable();
-        let Some(first) = tuples.peek() else {
+    /// Inject a batch of tuples into a relation (deduplicated). The
+    /// relation is looked up and grown once for the batch, and a tuple is
+    /// cloned only if it is new.
+    pub fn inject(&mut self, pred: &str, tuples: &[Tuple]) {
+        let Some(first) = tuples.first() else {
             return;
         };
         let rel = self.db.relation_mut(pred, first.len());
+        rel.reserve(tuples.len());
         for t in tuples {
-            rel.insert(t);
+            rel.insert_slice(t);
         }
     }
 
-    /// Inject the static graph EDBs (`edge`, `in_edge`) once, if needed.
-    pub fn inject_statics(&mut self, graph: &Csr, vertex: VertexId, needed: &NeededEdbs) {
-        if self.statics_done {
-            return;
-        }
-        self.statics_done = true;
-        for (pred, tuple) in static_graph_edbs(graph, vertex, needed) {
-            self.db.insert(pred, tuple);
+    /// Inject the flagged static graph EDBs (`edge`, `in_edge`) once.
+    pub fn inject_statics(&mut self, graph: &Csr, vertex: VertexId, flags: EdbFlags) {
+        if !std::mem::replace(&mut self.statics_done, true) {
+            insert_static_edbs(&mut self.db, flags, graph, vertex);
         }
     }
 
     /// Run the evaluator incrementally over everything injected or
     /// derived since the last call, with the head location pinned to
-    /// `vertex`.
-    pub fn evaluate(&mut self, evaluator: &Evaluator, vertex: VertexId) -> Result<(), PqlError> {
-        let mut stats = EvalStats::default();
-        self.evaluate_stats(evaluator, vertex, &mut stats)
-    }
-
-    /// Like [`QueryState::evaluate`], additionally accumulating the
-    /// call's [`EvalStats`] into `stats` (run-local introspection).
+    /// `vertex`, accumulating the call's [`EvalStats`] into `stats`
+    /// (run-local introspection). `scratch` is the calling worker's: one
+    /// set of evaluation buffers serves every vertex it evaluates.
     pub fn evaluate_stats(
         &mut self,
         evaluator: &Evaluator,
         vertex: VertexId,
         stats: &mut EvalStats,
+        scratch: &mut EvalScratch,
     ) -> Result<(), PqlError> {
         let loc = Value::Id(vertex.0);
-        evaluator.step_stats(&mut self.db, &mut self.eval, Some(&loc), stats)
+        evaluator.step_scratch(&mut self.db, &mut self.eval, Some(&loc), stats, scratch)
     }
 
-    /// Like [`QueryState::evaluate`] but restricted to one stratum — used
+    /// Like [`QueryState::evaluate_stats`] but restricted to one stratum — used
     /// by drivers that complete each stratum globally before the next
     /// (the naive whole-graph mode).
     pub fn evaluate_stratum(
@@ -84,21 +78,8 @@ impl QueryState {
         vertex: VertexId,
         stratum: usize,
     ) -> Result<(), PqlError> {
-        let mut stats = EvalStats::default();
-        self.evaluate_stratum_stats(evaluator, vertex, stratum, &mut stats)
-    }
-
-    /// Like [`QueryState::evaluate_stratum`] with run-local stats
-    /// accumulation.
-    pub fn evaluate_stratum_stats(
-        &mut self,
-        evaluator: &Evaluator,
-        vertex: VertexId,
-        stratum: usize,
-        stats: &mut EvalStats,
-    ) -> Result<(), PqlError> {
         let loc = Value::Id(vertex.0);
-        evaluator.step_stratum_stats(&mut self.db, &mut self.eval, Some(&loc), stratum, stats)
+        evaluator.step_stratum(&mut self.db, &mut self.eval, Some(&loc), stratum)
     }
 
     /// New tuples of `preds` since the last shipping mark; advances the
@@ -159,6 +140,8 @@ impl QueryState {
         };
         let from = match marks.get_mut(pred) {
             Some(mark) => std::mem::replace(mark, rel.len()),
+            // An absent mark is a mark at 0: an empty relation needs none.
+            None if rel.is_empty() => 0,
             None => {
                 marks.insert(pred.to_string(), rel.len());
                 0
@@ -176,17 +159,20 @@ mod tests {
     #[test]
     fn inject_dedups() {
         let mut q = QueryState::new();
-        q.inject("p", vec![vec![Value::Id(1)], vec![Value::Id(1)]]);
+        q.inject("p", &[vec![Value::Id(1)], vec![Value::Id(1)]]);
         assert_eq!(q.db.len("p"), 1);
     }
 
     #[test]
     fn statics_once() {
         let g = star(3);
-        let needed: NeededEdbs = ["edge".to_string()].into_iter().collect();
+        let flags = EdbFlags {
+            edge: true,
+            ..EdbFlags::default()
+        };
         let mut q = QueryState::new();
-        q.inject_statics(&g, VertexId(0), &needed);
-        q.inject_statics(&g, VertexId(0), &needed);
+        q.inject_statics(&g, VertexId(0), flags);
+        q.inject_statics(&g, VertexId(0), flags);
         assert_eq!(q.db.len("edge"), 2);
     }
 
@@ -196,7 +182,7 @@ mod tests {
         // One local tuple, one replica from vertex 9.
         q.inject(
             "change",
-            vec![
+            &[
                 vec![Value::Id(1), Value::Int(0)],
                 vec![Value::Id(9), Value::Int(0)],
             ],

@@ -7,13 +7,17 @@
 //! tuples superstep by superstep (or layer by layer).
 
 use crate::eval::relation::{Relation, Tuple};
-use std::collections::BTreeMap;
 
-/// A database: predicate name → relation, with per-predicate frontiers
-/// that let the evaluator treat "tuples since I last looked" as deltas.
+/// A database: predicate name → relation.
+///
+/// Relations sit in one vector sorted by name, so iteration is in name
+/// order and a relation also has a *position*. The evaluator resolves the
+/// predicates of its rule plans to positions once per step and reaches
+/// relations by index from then on; a position stays valid until a
+/// relation is added or removed.
 #[derive(Clone, Debug, Default)]
 pub struct Database {
-    relations: BTreeMap<String, Relation>,
+    relations: Vec<(String, Relation)>,
 }
 
 impl Database {
@@ -22,19 +26,46 @@ impl Database {
         Self::default()
     }
 
+    /// Where `name` sits (`Ok`) or would be inserted (`Err`).
+    fn search(&self, name: &str) -> Result<usize, usize> {
+        self.relations.binary_search_by(|(n, _)| n.as_str().cmp(name))
+    }
+
     /// Ensure relation `name` exists with the given arity and return it.
     pub fn relation_mut(&mut self, name: &str, arity: usize) -> &mut Relation {
-        // `entry` wants an owned key; only the first insert of a
-        // predicate pays for one.
-        if !self.relations.contains_key(name) {
-            self.relations.insert(name.to_string(), Relation::new(arity));
-        }
-        self.relations.get_mut(name).expect("present or just inserted")
+        let at = match self.search(name) {
+            Ok(at) => at,
+            Err(at) => {
+                self.relations.insert(at, (name.to_string(), Relation::new(arity)));
+                at
+            }
+        };
+        &mut self.relations[at].1
     }
 
     /// The relation named `name`, if it exists.
     pub fn relation(&self, name: &str) -> Option<&Relation> {
-        self.relations.get(name)
+        self.position(name).map(|at| self.at(at))
+    }
+
+    /// The position of relation `name`, if it exists.
+    pub(crate) fn position(&self, name: &str) -> Option<usize> {
+        self.search(name).ok()
+    }
+
+    /// The name of the relation at `position`, if there is one.
+    pub(crate) fn name_at(&self, position: usize) -> Option<&str> {
+        self.relations.get(position).map(|(n, _)| n.as_str())
+    }
+
+    /// The relation at `position`.
+    pub(crate) fn at(&self, position: usize) -> &Relation {
+        &self.relations[position].1
+    }
+
+    /// The relation at `position`, mutably.
+    pub(crate) fn at_mut(&mut self, position: usize) -> &mut Relation {
+        &mut self.relations[position].1
     }
 
     /// Insert a tuple, creating the relation if needed. Returns true if
@@ -46,12 +77,12 @@ impl Database {
 
     /// Number of tuples in `name` (0 if absent).
     pub fn len(&self, name: &str) -> usize {
-        self.relations.get(name).map(Relation::len).unwrap_or(0)
+        self.relation(name).map(Relation::len).unwrap_or(0)
     }
 
     /// Whether the whole database is empty.
     pub fn is_empty(&self) -> bool {
-        self.relations.values().all(Relation::is_empty)
+        self.relations.iter().all(|(_, r)| r.is_empty())
     }
 
     /// Iterate relations in name order (deterministic).
@@ -79,34 +110,40 @@ impl Database {
     /// relation is absent). Returns the number of tuples removed. See
     /// [`Relation::retain`] for the frontier-invalidation caveat.
     pub fn retain(&mut self, name: &str, keep: impl FnMut(&Tuple) -> bool) -> usize {
-        self.relations
-            .get_mut(name)
-            .map(|r| r.retain(keep))
-            .unwrap_or(0)
+        match self.position(name) {
+            Some(at) => self.at_mut(at).retain(keep),
+            None => 0,
+        }
     }
 
     /// Drop every tuple of relation `name`, keeping its arity (no-op if
     /// absent).
     pub fn clear(&mut self, name: &str) {
-        if let Some(r) = self.relations.get_mut(name) {
-            r.clear();
+        if let Some(at) = self.position(name) {
+            self.at_mut(at).clear();
         }
     }
 
     /// Remove relation `name` entirely (the maintenance path uses this to
     /// drop its transient `~del~` shadow relations when done).
     pub fn remove_relation(&mut self, name: &str) -> bool {
-        self.relations.remove(name).is_some()
+        match self.position(name) {
+            Some(at) => {
+                self.relations.remove(at);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Total payload bytes across all relations (Tables 3–4 accounting).
     pub fn byte_size(&self) -> usize {
-        self.relations.values().map(Relation::byte_size).sum()
+        self.relations.iter().map(|(_, r)| r.byte_size()).sum()
     }
 
     /// Total tuple count across all relations.
     pub fn total_tuples(&self) -> usize {
-        self.relations.values().map(Relation::len).sum()
+        self.relations.iter().map(|(_, r)| r.len()).sum()
     }
 }
 

@@ -42,10 +42,10 @@
 #![warn(missing_docs)]
 use crate::analysis::Step;
 use crate::error::PqlError;
-use crate::eval::binding::{for_each_valuation_steps_stats, Pivot, ScanScratch};
 use crate::eval::database::Database;
+use crate::eval::plan::{EvalScratch, Preds, RulePlan};
 use crate::eval::relation::Tuple;
-use crate::eval::seminaive::{head_tuple, seed_env, EvalState, EvalStats, Evaluator};
+use crate::eval::seminaive::{EvalState, EvalStats, Evaluator};
 use crate::eval::value::Value;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
@@ -230,6 +230,8 @@ impl Evaluator {
         // and marks derived heads deleted; new shadow tuples feed the
         // next round until quiescent.
         let mut consumed: BTreeMap<(usize, String), usize> = BTreeMap::new();
+        let mut scratch = EvalScratch::default();
+        let mut at = Vec::new();
         for (si, stratum) in q.strata.iter().enumerate() {
             if rebuild[si] {
                 continue;
@@ -275,29 +277,20 @@ impl Evaluator {
                         if let Step::Scan { pred, .. } = &mut steps[0] {
                             *pred = shadow_del(pred);
                         }
-                        let mut seed = seed_env(rule, loc);
-                        let mut dead: Vec<Tuple> = Vec::new();
-                        let mut scratch = ScanScratch::default();
-                        for_each_valuation_steps_stats(
-                            rule,
-                            &steps,
-                            db,
-                            self.udfs(),
-                            &mut seed,
-                            Some(&Pivot {
-                                step: 0,
-                                window: from..to,
-                            }),
-                            &mut |env| {
-                                if let Some(t) = head_tuple(rule, env) {
-                                    dead.push(t);
-                                }
-                            },
-                            &mut scratch,
-                        )?;
+                        let mut preds = Preds::default();
+                        let plan =
+                            RulePlan::compile(rule, &steps, loc.is_some(), self.udfs(), &mut preds);
+                        preds.locate(db, &mut at);
+                        scratch.begin();
+                        plan.fire(db, &at, loc, Some(from..to), &mut scratch)?;
                         report.stats.rule_firings += 1;
-                        report.stats.scratch_reuse += scratch.stats().reuse;
-                        report.stats.scratch_alloc += scratch.stats().alloc;
+                        report.stats.scratch_reuse += scratch.repeat_uses;
+                        report.stats.scratch_alloc += scratch.first_uses;
+                        let dead: Vec<Tuple> = scratch
+                            .derived
+                            .chunks_exact(plan.head_arity())
+                            .map(<[Value]>::to_vec)
+                            .collect();
                         for t in dead {
                             if db.relation(&rule.pred).is_some_and(|r| r.contains(&t)) {
                                 let shadow = shadow_del(&rule.pred);

@@ -1,9 +1,9 @@
 //! Query evaluation: values, relations, databases, UDFs, and the
 //! semi-naive evaluator shared by every evaluation mode.
 
-pub mod binding;
 pub mod database;
 pub mod maintain;
+pub mod plan;
 pub mod relation;
 pub mod seminaive;
 pub mod udf;

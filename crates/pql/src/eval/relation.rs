@@ -64,9 +64,22 @@ fn hash_values<'a>(values: impl Iterator<Item = &'a Value>) -> u64 {
     hasher.finish()
 }
 
-/// Whether `tuple` holds `key` at `cols`.
-fn matches(tuple: &[Value], cols: &[usize], key: &[Value]) -> bool {
-    cols.iter().zip(key).all(|(&c, k)| tuple[c] == *k)
+/// Make room in `v` for `additional` more items by moving into a fresh
+/// buffer, never by `realloc`.
+///
+/// A per-vertex relation is grown by whichever engine thread computes the
+/// vertex that superstep, and the engine starts fresh threads every
+/// phase, so the buffer usually belongs to another thread's malloc arena.
+/// `realloc` takes that arena's lock — while its current owner is
+/// allocating from it at full rate — whereas freeing the old buffer
+/// lands in the caller's own thread cache.
+fn grow<T>(v: &mut Vec<T>, additional: usize) {
+    if v.capacity() - v.len() < additional {
+        let room = (v.len() + additional).max(v.capacity() * 2).max(4);
+        let mut bigger = Vec::with_capacity(room);
+        bigger.append(v);
+        *v = bigger;
+    }
 }
 
 /// Row ids chained by the hash of each row's values at `cols`. Bucket and
@@ -117,6 +130,8 @@ impl Chains {
                 self.link(row);
             }
         }
+        grow(&mut self.hashes, 1);
+        grow(&mut self.next, 1);
         self.hashes.push(hash);
         self.next.push(0);
         self.link(self.hashes.len() - 1);
@@ -193,18 +208,52 @@ impl Relation {
     /// Panics if the tuple's arity mismatches — that is a compiler bug,
     /// not a data condition.
     pub fn insert(&mut self, tuple: Tuple) -> bool {
+        let missed = self.find(&tuple).err();
+        missed.map(|hash| self.push_new(tuple, hash)).is_some()
+    }
+
+    /// Like [`Relation::insert`] for a borrowed tuple: it is cloned only
+    /// when it is new, so a duplicate costs no allocation.
+    pub fn insert_slice(&mut self, tuple: &[Value]) -> bool {
+        let missed = self.find(tuple).err();
+        missed.map(|hash| self.push_new(tuple.to_vec(), hash)).is_some()
+    }
+
+    /// Make room for `additional` more tuples, so a batch of inserts grows
+    /// the tuple vector at most once.
+    pub fn reserve(&mut self, additional: usize) {
+        grow(&mut self.tuples, additional);
+    }
+
+    /// The row holding `tuple`, or (for the insert that follows a miss)
+    /// its dedup hash — `0` while the relation is small and has no table.
+    fn find(&self, tuple: &[Value]) -> Result<usize, u64> {
         assert_eq!(
             tuple.len(),
             self.arity,
             "arity mismatch inserting into relation of arity {}",
             self.arity
         );
-        match &mut self.dedup {
+        self.lookup(tuple)
+    }
+
+    /// [`Relation::find`] for a tuple of any length (none of another
+    /// arity is held).
+    fn lookup(&self, tuple: &[Value]) -> Result<usize, u64> {
+        match &self.dedup {
             Some(dedup) => {
                 let hash = hash_values(tuple.iter());
-                if dedup.rows(hash).any(|row| self.tuples[row] == tuple) {
-                    return false;
-                }
+                dedup.rows(hash).find(|&row| self.tuples[row] == tuple).ok_or(hash)
+            }
+            None => self.tuples.iter().position(|t| t == tuple).ok_or(0),
+        }
+    }
+
+    /// Append a tuple [`Relation::find`] missed with dedup hash `hash`.
+    fn push_new(&mut self, tuple: Tuple, hash: u64) {
+        grow(&mut self.tuples, 1);
+        match &mut self.dedup {
+            Some(dedup) => {
                 dedup.push(hash);
                 for index in self.indexes.get_mut() {
                     index.push(index.key_hash(&tuple));
@@ -212,26 +261,17 @@ impl Relation {
                 self.tuples.push(tuple);
             }
             None => {
-                if self.tuples.contains(&tuple) {
-                    return false;
-                }
                 self.tuples.push(tuple);
                 if self.tuples.len() > SMALL {
                     self.reindex();
                 }
             }
         }
-        true
     }
 
     /// Whether the relation contains `tuple`.
     pub fn contains(&self, tuple: &[Value]) -> bool {
-        match &self.dedup {
-            Some(dedup) => dedup
-                .rows(hash_values(tuple.iter()))
-                .any(|row| self.tuples[row] == tuple),
-            None => self.tuples.iter().any(|t| t == tuple),
-        }
+        self.lookup(tuple).is_ok()
     }
 
     /// All tuples in insertion order.
@@ -251,60 +291,53 @@ impl Relation {
 
     /// Indices of tuples matching `key` values at `cols`, ascending.
     /// `cols` must be sorted and non-empty.
-    ///
-    /// Allocates a fresh `Vec` per probe; the join inner loop uses
-    /// [`Relation::select_into`] instead, which reuses a caller buffer.
     pub fn select(&self, cols: &[usize], key: &[Value]) -> Vec<usize> {
         let mut out = Vec::new();
-        self.select_into(cols, key, &mut out);
-        out
-    }
-
-    /// Like [`Relation::select`], but writes the matching tuple indices
-    /// into `out` (cleared first) instead of allocating. A miss leaves
-    /// `out` empty without touching the heap. The internal index borrow
-    /// is released before returning, so callers may re-enter this
-    /// relation (self-joins) while iterating `out`.
-    pub fn select_into(&self, cols: &[usize], key: &[Value], out: &mut Vec<usize>) {
-        out.clear();
-        self.probe(cols, key, |row| {
+        self.probe(cols, |i| &key[i], |row| {
             out.push(row);
             false
         });
+        out
     }
 
-    /// Whether any tuple matching `key` at `cols` satisfies `pred`
-    /// (short-circuits on the first witness). Existence-only scans use
-    /// this to probe without materializing matches.
-    ///
-    /// `pred` must not re-enter this relation's index (the internal
-    /// borrow is held while it runs); the evaluator only checks delta
-    /// windows, which is index-free.
-    pub fn matches_any(
+    /// Whether the relation has outgrown linear scans: probes go through
+    /// a hash index, so a caller that re-enters the relation while
+    /// walking the matches must collect them first.
+    pub(crate) fn is_indexed(&self) -> bool {
+        self.dedup.is_some()
+    }
+
+    /// Feed the rows whose value at `cols[i]` equals `key(i)` to `stop`,
+    /// ascending, until it returns true; returns whether it did. The key
+    /// is read in place, never collected — the join loop passes frame
+    /// slots and plan constants. A small relation is scanned; otherwise
+    /// the index over `cols` is built on first use (all columns: the dedup
+    /// table is that index). `stop` must not re-enter this relation.
+    pub(crate) fn probe<'k>(
         &self,
         cols: &[usize],
-        key: &[Value],
-        pred: impl FnMut(usize) -> bool,
+        key: impl Fn(usize) -> &'k Value,
+        mut stop: impl FnMut(usize) -> bool,
     ) -> bool {
-        self.probe(cols, key, pred)
-    }
-
-    /// Feed the rows matching `key` at `cols` to `stop`, ascending, until
-    /// it returns true; returns whether it did. A small relation is
-    /// scanned; otherwise the index over `cols` is built on first use.
-    fn probe(&self, cols: &[usize], key: &[Value], mut stop: impl FnMut(usize) -> bool) -> bool {
         debug_assert!(!cols.is_empty());
         debug_assert!(cols.windows(2).all(|w| w[0] < w[1]));
-        let mut hit = |row: usize| matches(&self.tuples[row], cols, key) && stop(row);
-        if self.dedup.is_none() {
+        let mut hit = |row: usize| {
+            let tuple = &self.tuples[row];
+            cols.iter().enumerate().all(|(i, &c)| tuple[c] == *key(i)) && stop(row)
+        };
+        let Some(dedup) = &self.dedup else {
             return (0..self.tuples.len()).any(hit);
+        };
+        let hash = hash_values((0..cols.len()).map(&key));
+        if cols.len() == self.arity {
+            return dedup.rows(hash).any(hit);
         }
         let mut indexes = self.indexes.borrow_mut();
         let at = indexes.iter().position(|i| i.cols == cols).unwrap_or_else(|| {
             indexes.push(Chains::build(cols.to_vec(), &self.tuples));
             indexes.len() - 1
         });
-        let found = indexes[at].rows(hash_values(key.iter())).any(&mut hit);
+        let found = indexes[at].rows(hash).any(&mut hit);
         found
     }
 
@@ -418,37 +451,20 @@ mod tests {
     }
 
     #[test]
-    fn select_into_reuses_buffer_and_clears_on_miss() {
-        let mut r = Relation::new(2);
-        r.insert(t(&[1, 10]));
-        r.insert(t(&[1, 30]));
-        let mut buf = Vec::new();
-        r.select_into(&[0], &[Value::Int(1)], &mut buf);
-        assert_eq!(buf, vec![0, 1]);
-        let cap = buf.capacity();
-        // A miss clears the buffer without reallocating.
-        r.select_into(&[0], &[Value::Int(9)], &mut buf);
-        assert!(buf.is_empty());
-        assert_eq!(buf.capacity(), cap);
-        // A second hit refills the same buffer.
-        r.select_into(&[0], &[Value::Int(1)], &mut buf);
-        assert_eq!(buf, vec![0, 1]);
-    }
-
-    #[test]
-    fn matches_any_short_circuits() {
+    fn probe_short_circuits() {
         let mut r = Relation::new(2);
         r.insert(t(&[1, 10]));
         r.insert(t(&[1, 30]));
         r.insert(t(&[2, 20]));
+        let key = [Value::Int(1)];
         let mut probed = Vec::new();
-        assert!(r.matches_any(&[0], &[Value::Int(1)], |idx| {
+        assert!(r.probe(&[0], |i| &key[i], |idx| {
             probed.push(idx);
             true
         }));
         assert_eq!(probed, vec![0]); // stopped at the first witness
-        assert!(!r.matches_any(&[0], &[Value::Int(9)], |_| true));
-        assert!(!r.matches_any(&[0], &[Value::Int(1)], |_| false));
+        assert!(!r.probe(&[0], |_| &Value::Int(9), |_| true));
+        assert!(!r.probe(&[0], |i| &key[i], |_| false));
     }
 
     #[test]
@@ -524,7 +540,6 @@ mod tests {
         ) {
             let mut rel = Relation::new(2);
             let mut model = Model::default();
-            let mut buf = Vec::new();
             for (op, a, b) in ops {
                 let tuple = vec![palette(a), palette(b)];
                 match op {
@@ -551,8 +566,9 @@ mod tests {
                     _ => {
                         let from = usize::from(b);
                         let expect = model.rows(&[1], &[palette(a)]);
+                        let key = palette(a);
                         proptest::prop_assert_eq!(
-                            rel.matches_any(&[1], &[palette(a)], |row| row >= from),
+                            rel.probe(&[1], |_| &key, |row| row >= from),
                             expect.iter().any(|&row| row >= from)
                         );
                     }
@@ -561,8 +577,7 @@ mod tests {
                 proptest::prop_assert_eq!(rel.len() > SMALL, rel.dedup.is_some());
                 proptest::prop_assert_eq!(rel.contains(&tuple), model.set.contains(&tuple));
                 proptest::prop_assert_eq!(rel.select(&[0], &tuple[..1]), model.rows(&[0], &tuple[..1]));
-                rel.select_into(&[0, 1], &tuple, &mut buf);
-                proptest::prop_assert_eq!(&buf, &model.rows(&[0, 1], &tuple));
+                proptest::prop_assert_eq!(rel.select(&[0, 1], &tuple), model.rows(&[0, 1], &tuple));
             }
         }
     }

@@ -18,13 +18,12 @@
 use crate::analysis::{AnalyzedQuery, AnalyzedRule, Step};
 use crate::ast::{AggFunc, HeadArg};
 use crate::error::PqlError;
-use crate::eval::binding::{
-    eval_term, for_each_valuation_steps_stats, Env, Pivot, ScanScratch, ScanStats,
-};
 use crate::eval::database::Database;
+use crate::eval::plan::{relation_len, EvalScratch, Preds, RulePlan};
 use crate::eval::udf::UdfRegistry;
 use crate::eval::value::Value;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::sync::Arc;
 
 /// Cached global-registry handles for evaluator metrics. All of these
 /// count *logical* evaluation work — rule firings, derived tuples,
@@ -60,13 +59,13 @@ mod obs_handles {
     static_counter!(
         scratch_reuse,
         "pql_scratch_reuse_total",
-        "scan-scratch buffer requests served from the recycled pool",
+        "evaluation-scratch buffer uses after the first within a step call",
         true
     );
     static_counter!(
         scratch_alloc,
         "pql_scratch_alloc_total",
-        "scan-scratch buffer requests that allocated fresh",
+        "evaluation-scratch buffers a step call took into use",
         true
     );
 }
@@ -90,9 +89,14 @@ pub struct EvalStats {
     /// Fixpoint loop iterations, including the final empty round that
     /// detects quiescence.
     pub fixpoint_rounds: u64,
-    /// Scan-scratch buffer requests served from the recycled pool.
+    /// Uses of an [`EvalScratch`] buffer (the frame per firing, the UDF
+    /// argument buffer per call, a candidate buffer per index probe)
+    /// that found it already in use by the same step call.
     pub scratch_reuse: u64,
-    /// Scan-scratch buffer requests that allocated fresh.
+    /// Scratch buffers a step call took into use. Each costs at most one
+    /// allocator call, and none when the caller's scratch is warm; the
+    /// count is per call either way, so it does not depend on which
+    /// worker evaluated which vertex.
     pub scratch_alloc: u64,
 }
 
@@ -107,11 +111,6 @@ impl EvalStats {
         self.scratch_alloc += other.scratch_alloc;
     }
 
-    fn absorb_scan(&mut self, scan: ScanStats) {
-        self.scratch_reuse += scan.reuse;
-        self.scratch_alloc += scan.alloc;
-    }
-
     /// Feed this evaluation's counters into the global obs registry.
     fn record_obs(&self) {
         obs_handles::rule_firings().add(self.rule_firings);
@@ -123,18 +122,28 @@ impl EvalStats {
     }
 }
 
+/// Per stratum, the names of the predicates its rules scan or negate —
+/// the `(stratum, predicate)` pairs that carry a delta frontier. One per
+/// evaluator, shared by every [`EvalState`] it advances, so a per-vertex
+/// state holds counts only.
+type FrontierLayout = Vec<Vec<String>>;
+
 /// Per-database incremental evaluation state (delta frontiers).
 #[derive(Clone, Debug, Default)]
 pub struct EvalState {
-    /// Per stratum: predicate → number of tuples already consumed.
-    /// Nested (not keyed by `(stratum, String)`) so a lookup borrows the
-    /// predicate name instead of cloning it.
-    frontiers: Vec<BTreeMap<String, usize>>,
+    /// What `frontiers` is laid out by: `None` before the first step.
+    layout: Option<Arc<FrontierLayout>>,
+    /// Tuples already consumed, per stratum and tracked predicate, in
+    /// `layout` order, flat.
+    frontiers: Vec<usize>,
     /// Scan-free rules that have produced their output already.
     ran_scan_free: HashSet<usize>,
     /// Aggregate rule → total body-relation size at its last evaluation;
     /// unchanged inputs mean the aggregate is already current.
     agg_input_sizes: BTreeMap<usize, usize>,
+    /// Where each of the evaluator's predicates sat in the database at
+    /// the last step; checked against the database before it is trusted.
+    at: Vec<u32>,
 }
 
 impl EvalState {
@@ -142,12 +151,13 @@ impl EvalState {
     /// checkpointing to serialize the delta frontiers.
     #[allow(clippy::type_complexity)]
     pub fn to_parts(&self) -> (Vec<(usize, String, usize)>, Vec<usize>, Vec<(usize, usize)>) {
-        let frontiers = self
-            .frontiers
-            .iter()
-            .enumerate()
-            .flat_map(|(s, preds)| preds.iter().map(move |(p, n)| (s, p.clone(), *n)))
-            .collect();
+        let names = self.layout.iter().flat_map(|layout| {
+            layout
+                .iter()
+                .enumerate()
+                .flat_map(|(s, preds)| preds.iter().map(move |p| (s, p.clone())))
+        });
+        let frontiers = names.zip(&self.frontiers).map(|((s, p), n)| (s, p, *n)).collect();
         let mut scan_free: Vec<usize> = self.ran_scan_free.iter().copied().collect();
         scan_free.sort_unstable();
         let aggs = self.agg_input_sizes.iter().map(|(k, v)| (*k, *v)).collect();
@@ -160,32 +170,179 @@ impl EvalState {
         ran_scan_free: Vec<usize>,
         agg_input_sizes: Vec<(usize, usize)>,
     ) -> Self {
-        let mut nested: Vec<BTreeMap<String, usize>> = Vec::new();
+        // The parts describe their own layout; the first step re-lays
+        // them out by the evaluator's.
+        let mut nested: BTreeMap<usize, BTreeMap<String, usize>> = BTreeMap::new();
         for (s, p, n) in frontiers {
-            if nested.len() <= s {
-                nested.resize_with(s + 1, BTreeMap::new);
+            nested.entry(s).or_default().insert(p, n);
+        }
+        let strata = nested.keys().next_back().map_or(0, |last| last + 1);
+        let mut layout: FrontierLayout = vec![Vec::new(); strata];
+        let mut counts = Vec::new();
+        for (s, preds) in nested {
+            for (p, n) in preds {
+                layout[s].push(p);
+                counts.push(n);
             }
-            nested[s].insert(p, n);
         }
         EvalState {
-            frontiers: nested,
+            layout: Some(Arc::new(layout)),
+            frontiers: counts,
             ran_scan_free: ran_scan_free.into_iter().collect(),
             agg_input_sizes: agg_input_sizes.into_iter().collect(),
+            at: Vec::new(),
         }
+    }
+
+    /// Lay the frontiers out by `layout`, carrying counts over by name
+    /// when they were laid out by another (a restored checkpoint).
+    fn lay_out(&mut self, layout: &Arc<FrontierLayout>) {
+        if self.layout.as_ref().is_some_and(|l| Arc::ptr_eq(l, layout)) {
+            return;
+        }
+        let (old, _, _) = self.to_parts();
+        self.frontiers.clear();
+        for (s, preds) in layout.iter().enumerate() {
+            self.frontiers.extend(preds.iter().map(|p| {
+                let carried = old.iter().find(|(os, op, _)| *os == s && op == p);
+                carried.map_or(0, |(_, _, n)| *n)
+            }));
+        }
+        self.layout = Some(Arc::clone(layout));
     }
 }
 
+/// One rule, compiled for each way the evaluator fires it. Every plan
+/// comes in two: without (`[0]`) and with (`[1]`) the head location
+/// seeded, because which columns of a scan are bound depends on it.
+#[derive(Clone)]
+struct RuleExec {
+    /// The head predicate's id.
+    head: usize,
+    /// The rule's own step order: scan-free and aggregate firings.
+    full: [RulePlan; 2],
+    /// One per scan step, in step order: that scan fronted as the delta
+    /// pivot.
+    pivots: Vec<PivotExec>,
+    /// Ids of the scanned and negated predicates, one per step: the sum of
+    /// their sizes tells an aggregate rule whether its input grew.
+    inputs: Vec<usize>,
+}
+
+#[derive(Clone)]
+struct PivotExec {
+    /// The pivot predicate's index in its stratum's tracked list.
+    tracked: usize,
+    plans: [RulePlan; 2],
+}
+
+#[derive(Clone)]
+struct StratumExec {
+    rules: Vec<usize>,
+    /// Ids of the predicates the stratum's rules scan or negate, in name
+    /// order (the stratum's row of the [`FrontierLayout`]).
+    tracked: Vec<usize>,
+    /// Where the stratum's frontiers start in [`EvalState::frontiers`].
+    offset: usize,
+}
+
 /// A compiled query plus UDFs, ready to evaluate against databases.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct Evaluator {
     query: AnalyzedQuery,
     udfs: UdfRegistry,
+    preds: Preds,
+    rules: Vec<RuleExec>,
+    strata: Vec<StratumExec>,
+    layout: Arc<FrontierLayout>,
+}
+
+impl std::fmt::Debug for Evaluator {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Evaluator")
+            .field("query", &self.query)
+            .field("udfs", &self.udfs)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Predicates a rule scans or negates, one per such step.
+fn body_preds(rule: &AnalyzedRule) -> impl Iterator<Item = (&str, usize)> {
+    rule.steps.iter().filter_map(|step| match step {
+        Step::Scan { pred, args, .. } | Step::Neg { pred, args } => {
+            Some((pred.as_str(), args.len()))
+        }
+        _ => None,
+    })
 }
 
 impl Evaluator {
-    /// Build an evaluator.
+    /// Build an evaluator: compile every rule into its plans.
     pub fn new(query: AnalyzedQuery, udfs: UdfRegistry) -> Self {
-        Evaluator { query, udfs }
+        let mut preds = Preds::default();
+        let mut strata = Vec::with_capacity(query.strata.len());
+        let mut layout = FrontierLayout::new();
+        let mut stratum_of = vec![0; query.rules.len()];
+        let mut offset = 0;
+        for (s, rules) in query.strata.iter().enumerate() {
+            let names: BTreeSet<(&str, usize)> =
+                rules.iter().flat_map(|&ri| body_preds(&query.rules[ri])).collect();
+            for &ri in rules {
+                stratum_of[ri] = s;
+            }
+            strata.push(StratumExec {
+                rules: rules.clone(),
+                tracked: names.iter().map(|(name, arity)| preds.intern(name, *arity)).collect(),
+                offset,
+            });
+            offset += names.len();
+            layout.push(names.iter().map(|(name, _)| name.to_string()).collect());
+        }
+        let compile = |rule: &AnalyzedRule, steps: &[Step], preds: &mut Preds| {
+            [false, true].map(|seeded| RulePlan::compile(rule, steps, seeded, &udfs, preds))
+        };
+        let rules = query
+            .rules
+            .iter()
+            .zip(&stratum_of)
+            .map(|(rule, &s)| {
+                let inputs: Vec<usize> = body_preds(rule)
+                    .map(|(name, arity)| preds.intern(name, arity))
+                    .collect();
+                let pivots = rule
+                    .pivot_variants
+                    .iter()
+                    .map(|variant| {
+                        let Step::Scan { pred, args, .. } = &rule.steps[variant.scan_step] else {
+                            unreachable!("pivot step is a scan");
+                        };
+                        let id = preds.intern(pred, args.len());
+                        PivotExec {
+                            tracked: strata[s]
+                                .tracked
+                                .iter()
+                                .position(|&t| t == id)
+                                .expect("a stratum tracks every predicate its rules scan"),
+                            plans: compile(rule, &variant.steps, &mut preds),
+                        }
+                    })
+                    .collect();
+                RuleExec {
+                    head: preds.intern(&rule.pred, rule.head_args.len()),
+                    full: compile(rule, &rule.steps, &mut preds),
+                    pivots,
+                    inputs,
+                }
+            })
+            .collect();
+        Evaluator {
+            query,
+            udfs,
+            preds,
+            rules,
+            strata,
+            layout: Arc::new(layout),
+        }
     }
 
     /// The analyzed query.
@@ -193,7 +350,7 @@ impl Evaluator {
         &self.query
     }
 
-    /// The UDF registry (the maintenance path evaluates rewritten rule
+    /// The UDF registry (the maintenance path compiles rewritten rule
     /// variants itself and needs the same bindings).
     pub(crate) fn udfs(&self) -> &UdfRegistry {
         &self.udfs
@@ -229,16 +386,26 @@ impl Evaluator {
         loc: Option<&Value>,
         stats: &mut EvalStats,
     ) -> Result<(), PqlError> {
+        self.step_scratch(db, state, loc, stats, &mut EvalScratch::default())
+    }
+
+    /// Like [`Evaluator::step_stats`], working in the caller's `scratch`
+    /// so that a run of calls shares one set of buffers.
+    pub fn step_scratch(
+        &self,
+        db: &mut Database,
+        state: &mut EvalState,
+        loc: Option<&Value>,
+        stats: &mut EvalStats,
+        scratch: &mut EvalScratch,
+    ) -> Result<(), PqlError> {
         let _eval_span = ariadne_obs::trace::span(
             ariadne_obs::trace::Level::Trace,
             "pql",
             "eval_step",
             &[("strata", self.query.strata.len().into())],
         );
-        for stratum_idx in 0..self.query.strata.len() {
-            self.step_stratum_stats(db, state, loc, stratum_idx, stats)?;
-        }
-        Ok(())
+        self.step_strata(db, state, loc, 0..self.strata.len(), stats, scratch)
     }
 
     /// Number of strata in the compiled query.
@@ -271,12 +438,28 @@ impl Evaluator {
         stratum_idx: usize,
         stats: &mut EvalStats,
     ) -> Result<(), PqlError> {
+        let strata = stratum_idx..stratum_idx + 1;
+        self.step_strata(db, state, loc, strata, stats, &mut EvalScratch::default())
+    }
+
+    /// One step call over `strata`: one scratch, one resolution of the
+    /// predicates to relations, one flush of the counters.
+    fn step_strata(
+        &self,
+        db: &mut Database,
+        state: &mut EvalState,
+        loc: Option<&Value>,
+        mut strata: std::ops::Range<usize>,
+        stats: &mut EvalStats,
+        scratch: &mut EvalScratch,
+    ) -> Result<(), PqlError> {
+        state.lay_out(&self.layout);
+        self.preds.locate(db, &mut state.at);
+        scratch.begin();
         let mut local = EvalStats::default();
-        // One scratch for every rule firing of this step.
-        let mut scratch = ScanScratch::default();
-        let result =
-            self.step_stratum_inner(db, state, loc, stratum_idx, &mut local, &mut scratch);
-        local.absorb_scan(scratch.stats());
+        let result = strata.try_for_each(|s| self.step_stratum_inner(db, state, loc, s, &mut local, scratch));
+        local.scratch_reuse = scratch.repeat_uses;
+        local.scratch_alloc = scratch.first_uses;
         local.record_obs();
         stats.merge(&local);
         result
@@ -289,179 +472,99 @@ impl Evaluator {
         loc: Option<&Value>,
         stratum_idx: usize,
         stats: &mut EvalStats,
-        scratch: &mut ScanScratch,
+        scratch: &mut EvalScratch,
     ) -> Result<(), PqlError> {
-        {
-            let stratum = &self.query.strata[stratum_idx];
-            // Aggregate rules: inputs live strictly below this stratum and
-            // are final for this step; evaluate once — and only when some
-            // body relation actually grew since the last evaluation.
-            for &ri in stratum {
-                let rule = &self.query.rules[ri];
-                if rule.has_aggregate {
-                    let input_size: usize = rule
-                        .steps
-                        .iter()
-                        .map(|s| match s {
-                            Step::Scan { pred, .. } | Step::Neg { pred, .. } => db.len(pred),
-                            _ => 0,
-                        })
-                        .sum();
-                    if state.agg_input_sizes.get(&ri) != Some(&input_size) {
-                        self.eval_aggregate_rule(rule, db, loc, stats, scratch)?;
-                        state.agg_input_sizes.insert(ri, input_size);
-                    }
+        let stratum = &self.strata[stratum_idx];
+        // Aggregate rules: inputs live strictly below this stratum and
+        // are final for this step; evaluate once — and only when some
+        // body relation actually grew since the last evaluation.
+        for &ri in &stratum.rules {
+            if self.query.rules[ri].has_aggregate {
+                let inputs = &self.rules[ri].inputs;
+                let input_size: usize =
+                    inputs.iter().map(|&p| relation_len(db, &state.at, p)).sum();
+                if state.agg_input_sizes.get(&ri) != Some(&input_size) {
+                    self.eval_aggregate_rule(ri, db, state, loc, stats, scratch)?;
+                    state.agg_input_sizes.insert(ri, input_size);
                 }
             }
+        }
 
-            // Scan-free rules fire once ever (their output is constant).
-            for &ri in stratum {
-                let rule = &self.query.rules[ri];
-                if !rule.has_aggregate
-                    && !rule.steps.iter().any(|s| matches!(s, Step::Scan { .. }))
-                    && state.ran_scan_free.insert(ri)
-                {
-                    self.eval_rule_full(rule, db, loc, stats, scratch)?;
-                }
+        // Scan-free rules fire once ever (their output is constant).
+        for &ri in &stratum.rules {
+            if !self.query.rules[ri].has_aggregate
+                && self.rules[ri].pivots.is_empty()
+                && state.ran_scan_free.insert(ri)
+            {
+                let plan = &self.rules[ri].full[usize::from(loc.is_some())];
+                self.fire(ri, plan, None, db, state, loc, stats, scratch)?;
             }
+        }
 
-            // Semi-naive fixpoint for the stratum's non-aggregate rules.
-            if state.frontiers.len() <= stratum_idx {
-                state.frontiers.resize_with(stratum_idx + 1, BTreeMap::new);
-            }
-            let frontiers = &mut state.frontiers[stratum_idx];
-            let mut starts: BTreeMap<&str, usize> = BTreeMap::new();
-            loop {
-                stats.fixpoint_rounds += 1;
-                // Snapshot current lengths: this iteration's delta window
-                // ends here; later insertions belong to the next one.
-                for &ri in stratum {
-                    for step in &self.query.rules[ri].steps {
-                        if let Step::Scan { pred, .. } | Step::Neg { pred, .. } = step {
-                            starts.insert(pred, db.len(pred));
-                        }
-                    }
+        // Semi-naive fixpoint for the stratum's non-aggregate rules.
+        let frontiers = stratum.offset..stratum.offset + stratum.tracked.len();
+        loop {
+            stats.fixpoint_rounds += 1;
+            // Snapshot current lengths: this iteration's delta window
+            // ends here; later insertions belong to the next one.
+            scratch.ends.clear();
+            scratch
+                .ends
+                .extend(stratum.tracked.iter().map(|&p| relation_len(db, &state.at, p)));
+            let mut any_delta = false;
+            for &ri in &stratum.rules {
+                if self.query.rules[ri].has_aggregate {
+                    continue;
                 }
-                let mut any_delta = false;
-                for &ri in stratum {
-                    let rule = &self.query.rules[ri];
-                    if rule.has_aggregate {
+                for pivot in &self.rules[ri].pivots {
+                    let from = state.frontiers[stratum.offset + pivot.tracked];
+                    let to = scratch.ends[pivot.tracked];
+                    if from >= to {
                         continue;
                     }
-                    for (si, step) in rule.steps.iter().enumerate() {
-                        let Step::Scan { pred, .. } = step else {
-                            continue;
-                        };
-                        let from = frontiers.get(pred).copied().unwrap_or(0);
-                        let to = starts.get(pred.as_str()).copied().unwrap_or(0);
-                        if from >= to {
-                            continue;
-                        }
-                        any_delta = true;
-                        stats.delta_tuples += (to - from) as u64;
-                        self.eval_rule_with_pivot(
-                            rule,
-                            db,
-                            loc,
-                            Pivot {
-                                step: si,
-                                window: from..to,
-                            },
-                            stats,
-                            scratch,
-                        )?;
-                    }
+                    any_delta = true;
+                    stats.delta_tuples += (to - from) as u64;
+                    let plan = &pivot.plans[usize::from(loc.is_some())];
+                    self.fire(ri, plan, Some(from..to), db, state, loc, stats, scratch)?;
                 }
-                // Advance this stratum's frontiers to the snapshot.
-                for (&pred, &to) in &starts {
-                    match frontiers.get_mut(pred) {
-                        Some(f) => *f = to.max(*f),
-                        None => {
-                            frontiers.insert(pred.to_string(), to);
-                        }
-                    }
-                }
-                if !any_delta {
-                    break;
-                }
+            }
+            // Advance this stratum's frontiers to the snapshot.
+            for (frontier, &to) in state.frontiers[frontiers.clone()].iter_mut().zip(&scratch.ends) {
+                *frontier = to.max(*frontier);
+            }
+            if !any_delta {
+                break;
             }
         }
         Ok(())
     }
 
-    /// Evaluate one non-aggregate rule without a pivot.
-    fn eval_rule_full(
+    /// Fire one plan of non-aggregate rule `ri` — its own step order, or
+    /// with `window` a pivot variant, so the delta relation drives the
+    /// join — and insert what it derives.
+    #[allow(clippy::too_many_arguments)]
+    fn fire(
         &self,
-        rule: &AnalyzedRule,
+        ri: usize,
+        plan: &RulePlan,
+        window: Option<std::ops::Range<usize>>,
         db: &mut Database,
+        state: &mut EvalState,
         loc: Option<&Value>,
         stats: &mut EvalStats,
-        scratch: &mut ScanScratch,
+        scratch: &mut EvalScratch,
     ) -> Result<(), PqlError> {
-        let mut seed = seed_env(rule, loc);
-        let mut derived: Vec<Vec<Value>> = Vec::new();
-        for_each_valuation_steps_stats(
-            rule,
-            &rule.steps,
-            db,
-            &self.udfs,
-            &mut seed,
-            None,
-            &mut |env| {
-                if let Some(tuple) = head_tuple(rule, env) {
-                    derived.push(tuple);
-                }
-            },
-            scratch,
-        )?;
+        plan.fire(db, &state.at, loc, window, scratch)?;
         stats.rule_firings += 1;
-        stats.derived_tuples += derived.len() as u64;
-        for tuple in derived {
-            db.insert(&rule.pred, tuple);
+        if scratch.derived.is_empty() {
+            return Ok(());
         }
-        Ok(())
-    }
-
-    /// Evaluate one non-aggregate rule with a delta pivot, using the
-    /// rule's reordered variant so the delta relation drives the join.
-    fn eval_rule_with_pivot(
-        &self,
-        rule: &AnalyzedRule,
-        db: &mut Database,
-        loc: Option<&Value>,
-        pivot: Pivot,
-        stats: &mut EvalStats,
-        scratch: &mut ScanScratch,
-    ) -> Result<(), PqlError> {
-        let mut seed = seed_env(rule, loc);
-        let mut derived: Vec<Vec<Value>> = Vec::new();
-        let variant = rule
-            .pivot_variants
-            .iter()
-            .find(|v| v.scan_step == pivot.step)
-            .expect("pivot step is a scan");
-        let fronted = Pivot {
-            step: 0,
-            window: pivot.window,
-        };
-        for_each_valuation_steps_stats(
-            rule,
-            &variant.steps,
-            db,
-            &self.udfs,
-            &mut seed,
-            Some(&fronted),
-            &mut |env| {
-                if let Some(tuple) = head_tuple(rule, env) {
-                    derived.push(tuple);
-                }
-            },
-            scratch,
-        )?;
-        stats.rule_firings += 1;
-        stats.derived_tuples += derived.len() as u64;
-        for tuple in derived {
-            db.insert(&rule.pred, tuple);
+        let arity = plan.head_arity();
+        stats.derived_tuples += (scratch.derived.len() / arity) as u64;
+        let head = self.preds.head_mut(self.rules[ri].head, db, &mut state.at);
+        head.reserve(scratch.derived.len() / arity);
+        for tuple in scratch.derived.chunks_exact(arity) {
+            head.insert_slice(tuple);
         }
         Ok(())
     }
@@ -473,43 +576,16 @@ impl Evaluator {
     /// aggregate is applied — `count(y)` counts *distinct* `y` per group.
     fn eval_aggregate_rule(
         &self,
-        rule: &AnalyzedRule,
+        ri: usize,
         db: &mut Database,
+        state: &mut EvalState,
         loc: Option<&Value>,
         stats: &mut EvalStats,
-        scratch: &mut ScanScratch,
+        scratch: &mut EvalScratch,
     ) -> Result<(), PqlError> {
-        let mut seed = seed_env(rule, loc);
-        let mut projected: BTreeSet<(Vec<Value>, Vec<Value>)> = BTreeSet::new();
-        let mut failed = false;
-        for_each_valuation_steps_stats(
-            rule,
-            &rule.steps,
-            db,
-            &self.udfs,
-            &mut seed,
-            None,
-            &mut |env| {
-                let mut group = Vec::new();
-                let mut aggs = Vec::new();
-                for arg in &rule.head_args {
-                    match arg {
-                        HeadArg::Plain(t) => match eval_term(t, env) {
-                            Some(v) => group.push(v),
-                            None => failed = true,
-                        },
-                        HeadArg::Agg(_, t) => match eval_term(t, env) {
-                            Some(v) => aggs.push(v),
-                            None => failed = true,
-                        },
-                    }
-                }
-                if !failed {
-                    projected.insert((group, aggs));
-                }
-            },
-            scratch,
-        )?;
+        let rule = &self.query.rules[ri];
+        let plan = &self.rules[ri].full[usize::from(loc.is_some())];
+        let failed = plan.fire(db, &state.at, loc, None, scratch)?;
         stats.rule_firings += 1;
         if failed {
             return Err(PqlError::analysis(
@@ -519,6 +595,17 @@ impl Evaluator {
         }
 
         // Group and fold.
+        let mut projected: BTreeSet<(Vec<Value>, Vec<Value>)> = BTreeSet::new();
+        for row in scratch.derived.chunks_exact(plan.head_arity()) {
+            let (mut group, mut aggs) = (Vec::new(), Vec::new());
+            for (arg, v) in rule.head_args.iter().zip(row) {
+                match arg {
+                    HeadArg::Plain(_) => group.push(v.clone()),
+                    HeadArg::Agg(_, _) => aggs.push(v.clone()),
+                }
+            }
+            projected.insert((group, aggs));
+        }
         let mut groups: BTreeMap<Vec<Value>, Vec<Vec<Value>>> = BTreeMap::new();
         for (group, aggs) in projected {
             groups.entry(group).or_default().push(aggs);
@@ -527,7 +614,6 @@ impl Evaluator {
             let mut tuple = Vec::with_capacity(rule.head_args.len());
             let mut plain_iter = group.into_iter();
             let mut agg_idx = 0;
-            let mut ok = true;
             for arg in &rule.head_args {
                 match arg {
                     HeadArg::Plain(_) => tuple.push(plain_iter.next().expect("group arity")),
@@ -535,43 +621,24 @@ impl Evaluator {
                         let column: Vec<&Value> = rows.iter().map(|r| &r[agg_idx]).collect();
                         match apply_aggregate(*func, &column) {
                             Some(v) => tuple.push(v),
-                            None => ok = false,
+                            None => {
+                                return Err(PqlError::analysis(
+                                    rule.line,
+                                    "aggregate over non-numeric values",
+                                ))
+                            }
                         }
                         agg_idx += 1;
                     }
                 }
             }
-            if ok {
-                stats.derived_tuples += 1;
-                db.insert(&rule.pred, tuple);
-            } else {
-                return Err(PqlError::analysis(
-                    rule.line,
-                    "aggregate over non-numeric values",
-                ));
-            }
+            stats.derived_tuples += 1;
+            self.preds
+                .head_mut(self.rules[ri].head, db, &mut state.at)
+                .insert(tuple);
         }
         Ok(())
     }
-}
-
-pub(crate) fn seed_env<'r>(rule: &'r AnalyzedRule, loc: Option<&Value>) -> Env<'r> {
-    let mut env = Env::new();
-    if let Some(v) = loc {
-        env.insert(rule.head_loc.as_str(), v.clone());
-    }
-    env
-}
-
-/// Build the head tuple for a non-aggregate rule under `env`.
-pub(crate) fn head_tuple(rule: &AnalyzedRule, env: &Env<'_>) -> Option<Vec<Value>> {
-    rule.head_args
-        .iter()
-        .map(|arg| match arg {
-            HeadArg::Plain(t) => eval_term(t, env),
-            HeadArg::Agg(_, _) => None, // unreachable for non-aggregate rules
-        })
-        .collect()
 }
 
 /// Fold an aggregate function over a column of values.
@@ -768,6 +835,29 @@ mod tests {
         let mut state = EvalState::default();
         ev.step(&mut db, &mut state, Some(&Value::Id(1))).unwrap();
         assert_eq!(db.sorted("out"), vec![vec![Value::Id(1), Value::Id(2)]]);
+    }
+
+    #[test]
+    fn pivot_scan_visits_only_its_window() {
+        // One seeded location, 200 incremental steps: the per-vertex
+        // online pattern. Both scans are keyed by the seeded `x`, so a
+        // pivot that probed the index on `x` and then discarded rows
+        // outside its window would walk the vertex's whole history at
+        // every step — 200²/2 rows per scan. Walking the window visits
+        // exactly the delta tuples.
+        let ev = evaluator("seen(x, d, i) :- value(x, d, i), superstep(x, i).");
+        let loc = Value::Id(7);
+        let (mut db, mut state) = (Database::new(), EvalState::default());
+        let (mut stats, mut scratch) = (EvalStats::default(), EvalScratch::default());
+        for i in 0..200 {
+            db.insert("value", vec![loc.clone(), Value::Float(i as f64), Value::Int(i)]);
+            db.insert("superstep", vec![loc.clone(), Value::Int(i)]);
+            ev.step_scratch(&mut db, &mut state, Some(&loc), &mut stats, &mut scratch)
+                .unwrap();
+        }
+        assert_eq!(db.len("seen"), 200);
+        assert_eq!(stats.delta_tuples, 400);
+        assert_eq!(scratch.pivot_rows, stats.delta_tuples);
     }
 
     #[test]

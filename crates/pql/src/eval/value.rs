@@ -132,8 +132,21 @@ impl Value {
 }
 
 impl PartialEq for Value {
+    /// Agrees with [`Ord::cmp`] (`total_cmp` is `Equal` exactly on equal
+    /// bit patterns); spelled out because joins and dedup compare values
+    /// far more often than anything orders them.
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+        use Value::*;
+        match (self, other) {
+            (Id(a), Id(b)) => a == b,
+            (Int(a), Int(b)) => a == b,
+            (Float(a), Float(b)) => a.to_bits() == b.to_bits(),
+            (Bool(a), Bool(b)) => a == b,
+            (Str(a), Str(b)) => a == b,
+            (List(a), List(b)) => a == b,
+            (Unit, Unit) => true,
+            _ => false,
+        }
     }
 }
 

@@ -49,8 +49,8 @@ pub use error::PqlError;
 pub use explain::explain;
 pub use eval::database::Database;
 pub use eval::relation::{Relation, Tuple};
-pub use eval::binding::ScanStats;
 pub use eval::maintain::{EdbDelta, MaintainMode, MaintainReport};
+pub use eval::plan::EvalScratch;
 pub use eval::seminaive::{EvalState, EvalStats, Evaluator};
 pub use eval::udf::UdfRegistry;
 pub use eval::value::Value;

@@ -1,0 +1,344 @@
+//! Differential oracle for rule evaluation.
+//!
+//! Random safe single-rule programs (1–3 scans, optional negation,
+//! comparison and assignment, repeated variables, constants) over random
+//! small databases, evaluated two ways: by [`Evaluator`], whose join loop
+//! runs compiled rule plans, and by the nested-loop interpreter below,
+//! which walks the analyzed [`Step`]s with a name → value map and knows
+//! nothing of plans, slots, indexes or scratch buffers.
+//!
+//! For a one-rule program the semi-naive schedule is short enough to state
+//! outright — per step call, every scan whose relation grew fires once as
+//! the pivot over the new rows, then a closing round finds nothing — so
+//! the interpreter predicts not only the derived set but the derived
+//! relation's *scan order* and the four logical [`EvalStats`] counters,
+//! for one-shot runs and for arbitrary batch splits, with and without a
+//! seeded head location.
+
+use ariadne_pql::analysis::{AnalyzedRule, Step};
+use ariadne_pql::ast::{CmpOp, HeadArg, Term};
+use ariadne_pql::eval::value::arith;
+use ariadne_pql::{
+    analyze, parse, Catalog, Database, EvalScratch, EvalState, EvalStats, Evaluator, Params, Tuple,
+    UdfRegistry, Value,
+};
+use proptest::prelude::*;
+use std::cmp::Ordering::{Equal, Greater, Less};
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
+
+type Env = BTreeMap<String, Value>;
+
+fn term_value(term: &Term, env: &Env) -> Option<Value> {
+    match term {
+        Term::Var(v) => env.get(v).cloned(),
+        Term::Const(c) => Some(c.clone()),
+        Term::Param(_) => None,
+        Term::Arith(l, op, r) => arith(*op, &term_value(l, env)?, &term_value(r, env)?),
+    }
+}
+
+/// The reference: enumerate the valuations of `steps` from `at` on by
+/// nested loops, appending the head tuple of each to `out`. `window`
+/// restricts the scan at step 0 to those rows.
+fn reference(
+    rule: &AnalyzedRule,
+    steps: &[Step],
+    at: usize,
+    db: &Database,
+    window: Option<&Range<usize>>,
+    env: &Env,
+    out: &mut Vec<Tuple>,
+) {
+    let Some(step) = steps.get(at) else {
+        let head = rule.head_args.iter().map(|arg| match arg {
+            HeadArg::Plain(t) | HeadArg::Agg(_, t) => term_value(t, env),
+        });
+        out.extend(head.collect::<Option<Tuple>>());
+        return;
+    };
+    let mut next = |env: &Env| reference(rule, steps, at + 1, db, window, env, out);
+    match step {
+        Step::Scan {
+            pred,
+            args,
+            exists_only,
+        } => {
+            let rows = db.relation(pred).map_or(&[][..], |r| r.scan());
+            let rows = match window {
+                Some(w) if at == 0 => &rows[w.start.min(rows.len())..w.end.min(rows.len())],
+                _ => rows,
+            };
+            for row in rows {
+                let mut bound = env.clone();
+                let fits = args.iter().zip(row).all(|(arg, v)| match arg {
+                    Term::Var(x) => *bound.entry(x.clone()).or_insert_with(|| v.clone()) == *v,
+                    Term::Const(c) => c == v,
+                    _ => false,
+                });
+                if fits && *exists_only {
+                    return next(env); // one witness, nothing bound
+                } else if fits {
+                    next(&bound);
+                }
+            }
+        }
+        Step::Neg { pred, args } => {
+            let tuple: Tuple = args.iter().map(|t| term_value(t, env).unwrap()).collect();
+            if !db.relation(pred).is_some_and(|r| r.scan().contains(&tuple)) {
+                next(env);
+            }
+        }
+        Step::Assign { var, term } => match (term_value(term, env), env.get(var)) {
+            (None, _) => {}
+            (Some(v), Some(old)) => {
+                if old.num_eq(&v) {
+                    next(env);
+                }
+            }
+            (Some(v), None) => {
+                let mut bound = env.clone();
+                bound.insert(var.clone(), v);
+                next(&bound);
+            }
+        },
+        Step::Filter { lhs, op, rhs } => {
+            let (Some(a), Some(b)) = (term_value(lhs, env), term_value(rhs, env)) else {
+                return;
+            };
+            let holds = match (*op, a.num_cmp(&b)) {
+                (CmpOp::Eq, _) => a.num_eq(&b),
+                (CmpOp::Ne, _) => !a.num_eq(&b),
+                (CmpOp::Lt, Some(Less)) | (CmpOp::Gt, Some(Greater)) => true,
+                (CmpOp::Le, Some(Less | Equal)) | (CmpOp::Ge, Some(Greater | Equal)) => true,
+                _ => false,
+            };
+            if holds {
+                next(env);
+            }
+        }
+        Step::Udf { .. } => unreachable!("the generator emits no UDF calls"),
+    }
+}
+
+/// What the semi-naive schedule of a one-rule program over EDB relations
+/// does with `batches`, by the reference: the head relation in scan order
+/// and the logical counters.
+fn model(rule: &AnalyzedRule, batches: &[Vec<(&str, Tuple)>], loc: Option<&Value>) -> (Vec<Tuple>, EvalStats) {
+    let (mut db, mut head, mut stats) = (Database::new(), Vec::new(), EvalStats::default());
+    let mut consumed: BTreeMap<String, usize> = BTreeMap::new();
+    let env: Env = loc.map(|v| (rule.head_loc.clone(), v.clone())).into_iter().collect();
+    for batch in batches {
+        for (pred, tuple) in batch {
+            db.insert(pred, tuple.clone());
+        }
+        let mut grew = false;
+        for variant in &rule.pivot_variants {
+            let Step::Scan { pred, .. } = &variant.steps[0] else {
+                unreachable!("a pivot variant starts with its scan")
+            };
+            let window = consumed.get(pred).copied().unwrap_or(0)..db.len(pred);
+            if window.is_empty() {
+                continue;
+            }
+            grew = true;
+            stats.rule_firings += 1;
+            stats.delta_tuples += window.len() as u64;
+            let mut derived = Vec::new();
+            reference(rule, &variant.steps, 0, &db, Some(&window), &env, &mut derived);
+            stats.derived_tuples += derived.len() as u64;
+            for tuple in derived {
+                if !head.contains(&tuple) {
+                    head.push(tuple);
+                }
+            }
+        }
+        for (name, rel) in db.iter() {
+            consumed.insert(name.to_string(), rel.len());
+        }
+        // The round that found the deltas, and the one that finds none.
+        stats.fixpoint_rounds += 1 + u64::from(grew);
+    }
+    (head, stats)
+}
+
+const RELATIONS: [(&str, usize); 3] = [("a", 2), ("b", 2), ("c", 3)];
+const VARS: [&str; 4] = ["x", "y", "z", "w"];
+
+/// A random safe rule as source text; returns whether it negates.
+fn random_rule(rng: &mut TestRng) -> (String, bool) {
+    let mut body = Vec::new();
+    let mut bound: Vec<&str> = Vec::new();
+    for scan in 0..1 + rng.below(3) {
+        let (name, arity) = RELATIONS[rng.below(3) as usize];
+        let args: Vec<String> = (0..arity)
+            .map(|col| {
+                // Integer constants in the location column would be
+                // coerced to vertex ids; the data is all integers.
+                if col > 0 && rng.below(10) < 3 {
+                    return rng.below(4).to_string();
+                }
+                let var = if scan == 0 && col == 0 { "x" } else { VARS[rng.below(4) as usize] };
+                bound.push(var);
+                var.to_string()
+            })
+            .collect();
+        body.push(format!("{name}({})", args.join(", ")));
+    }
+    let pick = |rng: &mut TestRng| bound[rng.below(bound.len() as u64) as usize];
+    let negates = rng.below(10) < 4;
+    if negates {
+        let (name, arity) = RELATIONS[rng.below(3) as usize];
+        let args: Vec<String> = (0..arity)
+            .map(|col| match col > 0 && rng.below(10) < 3 {
+                true => rng.below(4).to_string(),
+                false => pick(rng).to_string(),
+            })
+            .collect();
+        body.push(format!("!{name}({})", args.join(", ")));
+    }
+    if rng.below(10) < 4 {
+        let op = ["<", "<=", "!=", ">", ">=", "="][rng.below(6) as usize];
+        let rhs = match rng.below(2) {
+            0 => pick(rng).to_string(),
+            _ => rng.below(4).to_string(),
+        };
+        body.push(format!("{} {op} {rhs}", pick(rng)));
+    }
+    let mut head = vec!["x".to_string(), pick(rng).to_string()];
+    if rng.below(10) < 4 {
+        body.push(format!("n = {} + {}", pick(rng), rng.below(3)));
+        head.push("n".to_string());
+    }
+    // Body literals in any order: analysis finds the safe one.
+    for i in (1..body.len()).rev() {
+        body.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    (format!("h({}) :- {}.", head.join(", "), body.join(", ")), negates)
+}
+
+/// Random tuples for the three relations, in one random arrival order.
+/// Five values in every column: `a` and `b` reach 25 distinct tuples, `c`
+/// more, so relations end up on both sides of the small-relation cut-off.
+fn random_arrivals(rng: &mut TestRng) -> Vec<(&'static str, Tuple)> {
+    let n = rng.below(60);
+    (0..n)
+        .map(|_| {
+            let (name, arity) = RELATIONS[rng.below(3) as usize];
+            let tuple = (0..arity).map(|_| Value::Int(rng.below(5) as i64)).collect();
+            (name, tuple)
+        })
+        .collect()
+}
+
+fn split<T: Clone>(items: &[T], rng: &mut TestRng) -> Vec<Vec<T>> {
+    let mut batches = vec![Vec::new()];
+    for item in items {
+        if rng.below(6) == 0 {
+            batches.push(Vec::new());
+        }
+        batches.last_mut().unwrap().push(item.clone());
+    }
+    batches
+}
+
+/// Feed `batches` through `step`, one call per batch.
+fn evaluate(
+    ev: &Evaluator,
+    batches: &[Vec<(&str, Tuple)>],
+    loc: Option<&Value>,
+    scratch: Option<&mut EvalScratch>,
+) -> (Vec<Tuple>, EvalStats) {
+    let (mut db, mut state, mut stats) = (Database::new(), EvalState::default(), EvalStats::default());
+    let mut fresh = EvalScratch::default();
+    let warm = scratch.is_some();
+    let scratch = scratch.unwrap_or(&mut fresh);
+    for batch in batches {
+        for (pred, tuple) in batch {
+            db.insert(pred, tuple.clone());
+        }
+        match warm {
+            true => ev.step_scratch(&mut db, &mut state, loc, &mut stats, scratch),
+            false => ev.step_stats(&mut db, &mut state, loc, &mut stats),
+        }
+        .unwrap();
+    }
+    let head = db.relation("h").map_or(Vec::new(), |r| r.scan().to_vec());
+    (head, stats)
+}
+
+fn same<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    src: &str,
+    got: &T,
+    want: &T,
+) -> Result<(), TestCaseError> {
+    if got == want {
+        return Ok(());
+    }
+    Err(TestCaseError::fail(format!(
+        "{what} of `{src}`\n   got: {got:?}\n  want: {want:?}"
+    )))
+}
+
+fn logical(stats: &EvalStats) -> [u64; 4] {
+    [stats.rule_firings, stats.derived_tuples, stats.delta_tuples, stats.fixpoint_rounds]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn evaluator_agrees_with_nested_loops(seed in any::<u64>()) {
+        let mut rng = TestRng::from_seed(seed);
+        let (src, negates) = random_rule(&mut rng);
+        let mut catalog = Catalog::standard();
+        for (name, arity) in RELATIONS {
+            catalog.register(name, arity);
+        }
+        let query = analyze(&parse(&src).unwrap(), &catalog, &Params::new())
+            .unwrap_or_else(|e| panic!("generated an unsafe rule {src}: {e}"));
+        let rule = query.rules[0].clone();
+        let ev = Evaluator::new(query, UdfRegistry::standard());
+        let arrivals = random_arrivals(&mut rng);
+        let one_shot = vec![arrivals.clone()];
+        // One scratch across every evaluation of the case, as a worker
+        // keeps one across vertices.
+        let mut warm = EvalScratch::default();
+
+        // `run` against plain nested loops over the rule's own step order.
+        let mut db = Database::new();
+        for (pred, tuple) in &arrivals {
+            db.insert(pred, tuple.clone());
+        }
+        let mut expect = Vec::new();
+        reference(&rule, &rule.steps, 0, &db, None, &Env::new(), &mut expect);
+        let expect: BTreeSet<Tuple> = expect.into_iter().collect();
+        ev.run(&mut db).unwrap();
+        same("run", &src, &db.sorted("h").into_iter().collect(), &expect)?;
+
+        let batches = split(&arrivals, &mut rng);
+        for loc in [None, Some(Value::Int(rng.below(5) as i64))] {
+            let expect_here: BTreeSet<Tuple> = expect
+                .iter()
+                .filter(|t| loc.as_ref().is_none_or(|l| t[0] == *l))
+                .cloned()
+                .collect();
+            for batches in [&one_shot, &batches] {
+                let (head, stats) = evaluate(&ev, batches, loc.as_ref(), None);
+                let (model_head, model_stats) = model(&rule, batches, loc.as_ref());
+                same("scan order", &src, &head, &model_head)?;
+                same("counters", &src, &logical(&stats), &logical(&model_stats))?;
+                // The scratch a call works in is not observable.
+                let again = evaluate(&ev, batches, loc.as_ref(), Some(&mut warm));
+                same("warm-scratch run", &src, &again, &(head.clone(), stats))?;
+                // Negation is not monotone: a split may derive what the
+                // whole would not. Without it the set is the one-shot's.
+                if !negates {
+                    let head: BTreeSet<Tuple> = head.into_iter().collect();
+                    same("split set", &src, &head, &expect_here)?;
+                }
+            }
+        }
+    }
+}

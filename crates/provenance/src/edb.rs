@@ -6,31 +6,21 @@
 //! `receive_message`, `superstep`, `evolution`, `edge_value`) holding one
 //! tuple per superstep event.
 //!
-//! Generation is *customized by the query*: only predicates in the
-//! `needed` set are produced, which is how declarative capture cuts space
+//! Generation is *customized by the query*: only the predicates flagged in
+//! [`EdbFlags`] are produced, which is how declarative capture cuts space
 //! and time (Tables 3–4 vs Figure 7).
+//!
+//! Tuples go straight into the vertex's [`Database`]: the caller hands
+//! [`EdbTracker::record_step`] the value and the message streams it
+//! already holds, each relation is looked up and `reserve`d once for the
+//! step's batch, and a value or message is encoded only if a flagged
+//! predicate stores it. Nothing is built in between — no per-step record,
+//! no list of `(predicate, tuple)` pairs — so a vertex-superstep allocates
+//! the tuples it stores and nothing else.
 
 use ariadne_graph::{Csr, VertexId};
-use ariadne_pql::{Tuple, Value};
+use ariadne_pql::{Database, Value};
 use std::collections::BTreeSet;
-
-/// Everything that happened to one vertex during one superstep, already
-/// encoded as PQL values.
-#[derive(Clone, Debug)]
-pub struct VertexStepRecord {
-    /// The vertex.
-    pub vertex: VertexId,
-    /// The superstep.
-    pub superstep: u32,
-    /// The vertex value *after* computing.
-    pub value: Value,
-    /// Received messages as (source, payload).
-    pub received: Vec<(VertexId, Value)>,
-    /// Sent messages as (destination, payload).
-    pub sent: Vec<(VertexId, Value)>,
-    /// Outgoing edge weights, used only when `edge_value` is captured.
-    pub out_edges: Vec<(VertexId, f64)>,
-}
 
 /// Per-vertex EDB generator. Holds the vertex's activation history so it
 /// can emit `evolution` tuples.
@@ -39,8 +29,48 @@ pub struct EdbTracker {
     last_active: Option<u32>,
 }
 
-/// Which Table-1 predicates to generate.
+/// Which Table-1 predicates to generate, by name.
 pub type NeededEdbs = BTreeSet<String>;
+
+/// [`NeededEdbs`] resolved to one flag per predicate this module can
+/// generate — done once per run, so the per-vertex path tests booleans
+/// instead of looking names up in a set.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EdbFlags {
+    /// `superstep(x, i)`.
+    pub superstep: bool,
+    /// `value(x, d, i)`.
+    pub value: bool,
+    /// `evolution(x, j, i)`.
+    pub evolution: bool,
+    /// `receive_message(x, y, m, i)`.
+    pub receive_message: bool,
+    /// `send_message(x, y, m, i)`.
+    pub send_message: bool,
+    /// `edge_value(x, y, w, i)`.
+    pub edge_value: bool,
+    /// The static `edge(x, y)`.
+    pub edge: bool,
+    /// The static `in_edge(x, y)`.
+    pub in_edge: bool,
+}
+
+impl EdbFlags {
+    /// The flags for a set of predicate names (names this module does not
+    /// generate — custom provenance relations — are ignored).
+    pub fn of(needed: &NeededEdbs) -> Self {
+        EdbFlags {
+            superstep: needed.contains("superstep"),
+            value: needed.contains("value"),
+            evolution: needed.contains("evolution"),
+            receive_message: needed.contains("receive_message"),
+            send_message: needed.contains("send_message"),
+            edge_value: needed.contains("edge_value"),
+            edge: needed.contains("edge"),
+            in_edge: needed.contains("in_edge"),
+        }
+    }
+}
 
 impl EdbTracker {
     /// Fresh tracker (vertex never active yet).
@@ -59,162 +89,206 @@ impl EdbTracker {
         EdbTracker { last_active }
     }
 
-    /// Generate the needed EDB tuples for one vertex-superstep and
-    /// advance the activation history.
-    pub fn tuples(
+    /// Insert the flagged Table-1 tuples of one vertex-superstep into
+    /// `db` and advance the activation history. `value` is the vertex
+    /// value *after* computing; `received` and `sent` yield `(peer,
+    /// message)` in delivery and send order. All three are encoded
+    /// lazily: a stream is not touched unless its predicate is flagged.
+    #[allow(clippy::too_many_arguments)]
+    pub fn record_step(
         &mut self,
-        rec: &VertexStepRecord,
-        needed: &NeededEdbs,
-    ) -> Vec<(&'static str, Tuple)> {
-        let x = Value::Id(rec.vertex.0);
-        let i = Value::Int(rec.superstep as i64);
-        let mut out = Vec::new();
-
-        if needed.contains("superstep") {
-            out.push(("superstep", vec![x.clone(), i.clone()]));
+        db: &mut Database,
+        flags: EdbFlags,
+        graph: &Csr,
+        vertex: VertexId,
+        superstep: u32,
+        value: impl FnOnce() -> Value,
+        received: impl ExactSizeIterator<Item = (VertexId, Value)>,
+        sent: impl ExactSizeIterator<Item = (VertexId, Value)>,
+    ) {
+        let x = Value::Id(vertex.0);
+        let i = Value::Int(superstep as i64);
+        if flags.superstep {
+            db.relation_mut("superstep", 2).insert(vec![x.clone(), i.clone()]);
         }
-        if needed.contains("value") {
-            out.push(("value", vec![x.clone(), rec.value.clone(), i.clone()]));
+        if flags.value {
+            db.relation_mut("value", 3)
+                .insert(vec![x.clone(), value(), i.clone()]);
         }
-        if needed.contains("evolution") {
-            if let Some(prev) = self.last_active {
-                out.push((
-                    "evolution",
-                    vec![x.clone(), Value::Int(prev as i64), i.clone()],
-                ));
-            }
+        if let (true, Some(prev)) = (flags.evolution, self.last_active) {
+            db.relation_mut("evolution", 3)
+                .insert(vec![x.clone(), Value::Int(prev as i64), i.clone()]);
         }
-        if needed.contains("receive_message") {
-            for (src, m) in &rec.received {
-                out.push((
-                    "receive_message",
-                    vec![x.clone(), Value::Id(src.0), m.clone(), i.clone()],
-                ));
-            }
+        if flags.receive_message {
+            insert_peer_tuples(db, "receive_message", &x, &i, received.len(), received);
         }
-        if needed.contains("send_message") {
-            for (dst, m) in &rec.sent {
-                out.push((
-                    "send_message",
-                    vec![x.clone(), Value::Id(dst.0), m.clone(), i.clone()],
-                ));
-            }
+        if flags.send_message {
+            insert_peer_tuples(db, "send_message", &x, &i, sent.len(), sent);
         }
-        if needed.contains("edge_value") {
-            for (dst, w) in &rec.out_edges {
-                out.push((
-                    "edge_value",
-                    vec![x.clone(), Value::Id(dst.0), Value::Float(*w), i.clone()],
-                ));
-            }
+        if flags.edge_value {
+            let weights = graph
+                .out_edges(vertex)
+                .map(|e| (e.neighbor, Value::Float(e.weight)));
+            let n = graph.out_neighbors(vertex).len();
+            insert_peer_tuples(db, "edge_value", &x, &i, n, weights);
         }
-
-        self.last_active = Some(rec.superstep);
-        out
+        self.last_active = Some(superstep);
     }
 }
 
-/// Static graph-structure EDB tuples (`edge`, `in_edge`) for one vertex,
-/// produced once (at superstep 0) when the query references them.
-pub fn static_graph_edbs(
-    graph: &Csr,
-    vertex: VertexId,
-    needed: &NeededEdbs,
-) -> Vec<(&'static str, Tuple)> {
+/// Insert one `pred(x, peer, payload, i)` tuple per item of `peers` (`n`
+/// of them) into `db`; the relation is not created for an empty batch.
+fn insert_peer_tuples(
+    db: &mut Database,
+    pred: &str,
+    x: &Value,
+    i: &Value,
+    n: usize,
+    peers: impl Iterator<Item = (VertexId, Value)>,
+) {
+    if n == 0 {
+        return;
+    }
+    let rel = db.relation_mut(pred, 4);
+    rel.reserve(n);
+    for (peer, payload) in peers {
+        rel.insert(vec![x.clone(), Value::Id(peer.0), payload, i.clone()]);
+    }
+}
+
+/// Insert the flagged static graph-structure tuples (`edge`, `in_edge`)
+/// of one vertex into `db` — done once per vertex, when the query
+/// references them.
+pub fn insert_static_edbs(db: &mut Database, flags: EdbFlags, graph: &Csr, vertex: VertexId) {
     let x = Value::Id(vertex.0);
-    let mut out = Vec::new();
-    if needed.contains("edge") {
-        for e in graph.out_edges(vertex) {
-            out.push(("edge", vec![x.clone(), Value::Id(e.neighbor.0)]));
+    let wanted = [
+        (flags.edge, "edge", graph.out_neighbors(vertex)),
+        (flags.in_edge, "in_edge", graph.in_neighbors(vertex)),
+    ];
+    for (_, pred, neighbors) in wanted.into_iter().filter(|(on, _, ns)| *on && !ns.is_empty()) {
+        let rel = db.relation_mut(pred, 2);
+        rel.reserve(neighbors.len());
+        for y in neighbors {
+            rel.insert(vec![x.clone(), Value::Id(y.0)]);
         }
     }
-    if needed.contains("in_edge") {
-        for e in graph.in_edges(vertex) {
-            out.push(("in_edge", vec![x.clone(), Value::Id(e.neighbor.0)]));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ariadne_graph::generators::regular::star;
+    use ariadne_pql::Tuple;
 
-    fn needed(preds: &[&str]) -> NeededEdbs {
-        preds.iter().map(|s| s.to_string()).collect()
+    fn flags(preds: &[&str]) -> EdbFlags {
+        EdbFlags::of(&preds.iter().map(|s| s.to_string()).collect())
     }
 
-    fn record(v: u64, step: u32) -> VertexStepRecord {
-        VertexStepRecord {
-            vertex: VertexId(v),
-            superstep: step,
-            value: Value::Float(0.5),
-            received: vec![(VertexId(9), Value::Float(0.1))],
-            sent: vec![(VertexId(8), Value::Float(0.2))],
-            out_edges: vec![(VertexId(8), 2.0)],
-        }
+    /// One step of vertex `v` of a 4-star: value 0.5, one message
+    /// received from 9, one sent to 8.
+    fn step(t: &mut EdbTracker, db: &mut Database, flags: EdbFlags, v: u64, superstep: u32) {
+        t.record_step(
+            db,
+            flags,
+            &star(4),
+            VertexId(v),
+            superstep,
+            || Value::Float(0.5),
+            [(VertexId(9), Value::Float(0.1))].into_iter(),
+            [(VertexId(8), Value::Float(0.2))].into_iter(),
+        );
+    }
+
+    fn tuples(db: &Database, pred: &str) -> Vec<Tuple> {
+        db.relation(pred).map(|r| r.scan().to_vec()).unwrap_or_default()
     }
 
     #[test]
     fn generates_only_needed_predicates() {
-        let mut t = EdbTracker::new();
-        let out = t.tuples(&record(1, 0), &needed(&["value", "superstep"]));
-        let preds: Vec<&str> = out.iter().map(|(p, _)| *p).collect();
+        let (mut t, mut db) = (EdbTracker::new(), Database::new());
+        step(&mut t, &mut db, flags(&["value", "superstep"]), 1, 0);
+        let preds: Vec<&str> = db.iter().map(|(p, _)| p).collect();
         assert_eq!(preds, vec!["superstep", "value"]);
+        assert_eq!(tuples(&db, "superstep"), vec![vec![Value::Id(1), Value::Int(0)]]);
+        assert_eq!(
+            tuples(&db, "value"),
+            vec![vec![Value::Id(1), Value::Float(0.5), Value::Int(0)]]
+        );
+    }
+
+    #[test]
+    fn unflagged_streams_are_not_consumed() {
+        let (mut t, mut db) = (EdbTracker::new(), Database::new());
+        let touched = std::cell::Cell::new(false);
+        let watch = |m| {
+            touched.set(true);
+            (VertexId(9), m)
+        };
+        t.record_step(
+            &mut db,
+            flags(&["superstep"]),
+            &star(4),
+            VertexId(1),
+            0,
+            || panic!("value is not flagged"),
+            [Value::Unit].into_iter().map(watch),
+            [Value::Unit].into_iter().map(watch),
+        );
+        assert!(!touched.get());
+        assert_eq!(db.total_tuples(), 1);
     }
 
     #[test]
     fn evolution_needs_history() {
-        let mut t = EdbTracker::new();
-        let n = needed(&["evolution"]);
-        assert!(t.tuples(&record(1, 0), &n).is_empty());
-        let out = t.tuples(&record(1, 2), &n);
-        assert_eq!(out.len(), 1);
+        let (mut t, mut db) = (EdbTracker::new(), Database::new());
+        let f = flags(&["evolution"]);
+        step(&mut t, &mut db, f, 1, 0);
+        assert!(db.is_empty());
+        step(&mut t, &mut db, f, 1, 2);
         assert_eq!(
-            out[0].1,
-            vec![Value::Id(1), Value::Int(0), Value::Int(2)]
+            tuples(&db, "evolution"),
+            vec![vec![Value::Id(1), Value::Int(0), Value::Int(2)]]
         );
         assert_eq!(t.last_active(), Some(2));
     }
 
     #[test]
     fn message_tuples_carry_peers() {
-        let mut t = EdbTracker::new();
-        let out = t.tuples(&record(1, 3), &needed(&["receive_message", "send_message"]));
+        let (mut t, mut db) = (EdbTracker::new(), Database::new());
+        step(&mut t, &mut db, flags(&["receive_message", "send_message"]), 1, 3);
         assert_eq!(
-            out[0],
-            (
-                "receive_message",
-                vec![Value::Id(1), Value::Id(9), Value::Float(0.1), Value::Int(3)]
-            )
+            tuples(&db, "receive_message"),
+            vec![vec![Value::Id(1), Value::Id(9), Value::Float(0.1), Value::Int(3)]]
         );
         assert_eq!(
-            out[1],
-            (
-                "send_message",
-                vec![Value::Id(1), Value::Id(8), Value::Float(0.2), Value::Int(3)]
-            )
+            tuples(&db, "send_message"),
+            vec![vec![Value::Id(1), Value::Id(8), Value::Float(0.2), Value::Int(3)]]
         );
     }
 
     #[test]
     fn edge_value_tuples() {
-        let mut t = EdbTracker::new();
-        let out = t.tuples(&record(1, 0), &needed(&["edge_value"]));
+        let (mut t, mut db) = (EdbTracker::new(), Database::new());
+        // The hub of a 4-star has three unit-weight out-edges.
+        step(&mut t, &mut db, flags(&["edge_value"]), 0, 0);
+        let out = tuples(&db, "edge_value");
+        assert_eq!(out.len(), 3);
         assert_eq!(
-            out[0].1,
-            vec![Value::Id(1), Value::Id(8), Value::Float(2.0), Value::Int(0)]
+            out[0],
+            vec![Value::Id(0), Value::Id(1), Value::Float(1.0), Value::Int(0)]
         );
     }
 
     #[test]
     fn static_edbs() {
         let g = star(4);
-        let out = static_graph_edbs(&g, VertexId(0), &needed(&["edge"]));
-        assert_eq!(out.len(), 3);
-        let ins = static_graph_edbs(&g, VertexId(2), &needed(&["in_edge"]));
-        assert_eq!(ins, vec![("in_edge", vec![Value::Id(2), Value::Id(0)])]);
-        assert!(static_graph_edbs(&g, VertexId(0), &needed(&[])).is_empty());
+        let mut db = Database::new();
+        insert_static_edbs(&mut db, flags(&["edge"]), &g, VertexId(0));
+        assert_eq!(db.len("edge"), 3);
+        insert_static_edbs(&mut db, flags(&["in_edge"]), &g, VertexId(2));
+        assert_eq!(tuples(&db, "in_edge"), vec![vec![Value::Id(2), Value::Id(0)]]);
+        let before = db.total_tuples();
+        insert_static_edbs(&mut db, flags(&[]), &g, VertexId(0));
+        assert_eq!(db.total_tuples(), before);
     }
 }

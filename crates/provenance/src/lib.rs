@@ -52,7 +52,7 @@ pub mod v3;
 pub mod writer;
 
 pub use columnar::{ColumnStat, Encoding};
-pub use edb::{static_graph_edbs, EdbTracker, VertexStepRecord};
+pub use edb::{insert_static_edbs, EdbFlags, EdbTracker};
 pub use epoch::{EpochInfo, EpochStats};
 pub use encode::ProvEncode;
 pub use reader::{ReadBackend, SegmentSlice};
