@@ -8,11 +8,17 @@
 //! 2. runs the analytic's `compute` against a recording context that
 //!    defers its sends;
 //! 3. generates the superstep's provenance EDB tuples (only the
-//!    predicates the query needs — declarative capture customization);
+//!    predicates the query needs — declarative capture customization):
+//!    into its database where a rule reads them, into the capturing
+//!    worker's row blocks where the store keeps them;
 //! 4. runs the compiled query incrementally to a local fixpoint;
-//! 5. persists newly derived capture tuples to the store (capture runs);
+//! 5. copies newly derived capture tuples into the same row blocks
+//!    (capture runs);
 //! 6. attaches the new tuples of *shipped* predicates to the analytic's
 //!    deferred messages and releases them.
+//!
+//! At the barrier the row blocks go to the store's writer, one message
+//! per (worker, predicate).
 //!
 //! Query messages therefore travel only where analytic messages travel,
 //! and query state is disjoint from analytic state — the two halves of
@@ -35,6 +41,27 @@
 //! called for the tuples a step stores and for the payload it ships,
 //! nothing else (`tests/online_alloc_budget.rs` counts).
 //!
+//! # What a captured row costs
+//!
+//! A row a capture stores and no rule reads is never a tuple. The worker
+//! holds one [`RowBlock`] per persisted predicate; the generator builds the
+//! row on the stack and appends it there, and that is the only copy until
+//! the store's encoder reads it: no per-vertex relation (no hash, no
+//! dedup table, no `Vec` per row), no persistence mark to find it again,
+//! no message per vertex. After a raw capture every vertex's database is
+//! empty. Only the heads of capture rules and custom provenance relations,
+//! which rules or the generator put into the database anyway, are copied
+//! from there (own-located rows past the persistence mark).
+//!
+//! The blocks are handed to the writer in
+//! [`should_halt`](VertexProgram::should_halt): the engine calls it once
+//! per superstep, on the coordinating thread, after every `compute` of
+//! the superstep has returned and before the barrier's checkpoint hook —
+//! so at most one message per (worker, predicate, superstep) crosses to
+//! the writer thread, and a checkpoint never covers a superstep whose rows
+//! the writer has not been given. [`OnlineProgram::flush`] hands over what
+//! a run that stopped anywhere else left behind.
+//!
 //! The count matters more than its cost suggests: the engine starts fresh
 //! threads every phase, so a vector a vertex grew last superstep usually
 //! belongs to another thread's malloc arena, and growing or freeing it
@@ -45,9 +72,9 @@ use crate::custom::CustomProv;
 use crate::state::QueryState;
 use ariadne_graph::{Csr, VertexId};
 use ariadne_pql::{EvalScratch, EvalStats, Evaluator, PqlError, Tuple, Value};
-use ariadne_provenance::edb::{EdbFlags, NeededEdbs};
+use ariadne_provenance::edb::{Dest, EdbFlags, EdbPred, EdbSink, NeededEdbs};
 use ariadne_provenance::store::StoreSender;
-use ariadne_provenance::ProvEncode;
+use ariadne_provenance::{ProvEncode, RowBlock, Rows};
 use ariadne_vc::{AggOp, AggValue, Aggregates, Combiner, Context, Envelope, VertexProgram};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -166,6 +193,48 @@ struct Worker<M> {
     eval: EvalScratch,
     /// Query counters of the compute calls this worker served.
     stats: EvalStats,
+    /// The rows this worker captured in superstep `step`, one block per
+    /// persisted predicate (in [`Capture::preds`] order).
+    blocks: Vec<RowBlock>,
+    step: u32,
+}
+
+/// Where a generated Table-1 predicate's rows go.
+#[derive(Clone, Copy, Default)]
+struct Route {
+    /// Into the vertex's database: a rule reads the predicate.
+    to_db: bool,
+    /// Into this block of the worker: the capture persists it.
+    block: Option<usize>,
+}
+
+/// The persisting half of a capture run, resolved once per run.
+struct Capture {
+    sender: StoreSender,
+    /// The persisted predicates; a worker's block `k` holds `preds[k]`.
+    preds: Vec<Arc<str>>,
+    /// Which of `preds` are read back out of the vertex's database:
+    /// capture-rule heads, custom provenance relations, static EDBs.
+    from_db: Vec<usize>,
+}
+
+/// [`EdbSink`] of one vertex-step: the vertex's database and the
+/// worker's blocks, per [`Route`].
+struct StepSink<'a> {
+    routes: &'a [Route; EdbPred::ALL.len()],
+    db: &'a mut ariadne_pql::Database,
+    blocks: &'a mut [RowBlock],
+}
+
+impl EdbSink for StepSink<'_> {
+    fn open(&mut self, pred: EdbPred, n: usize) -> Dest<'_> {
+        let route = self.routes[pred as usize];
+        let rel = route
+            .to_db
+            .then(|| self.db.relation_mut(pred.name(), pred.arity()));
+        let block = route.block.map(|k| &mut self.blocks[k]);
+        Dest::new(rel, block, n, pred.arity())
+    }
 }
 
 /// The online wrapper program. See module docs.
@@ -174,6 +243,10 @@ pub struct OnlineProgram<'a, A: VertexProgram> {
     config: OnlineConfig<A>,
     /// `config.needed`, resolved to flags once.
     flags: EdbFlags,
+    /// Where each generated predicate's rows go, by `EdbPred as usize`.
+    routes: [Route; EdbPred::ALL.len()],
+    /// `config.persist`, resolved once.
+    capture: Option<Capture>,
     /// Idle workers. Each holds the query-evaluation counters of the
     /// calls it served; a total is a sum of per-vertex logical counts, so
     /// it does not depend on which worker served which vertex.
@@ -187,9 +260,33 @@ pub struct OnlineProgram<'a, A: VertexProgram> {
 impl<'a, A: VertexProgram> OnlineProgram<'a, A> {
     /// Wrap `analytic` with the given query configuration.
     pub fn new(analytic: &'a A, config: OnlineConfig<A>) -> Self {
+        let capture = config.persist.as_ref().map(|persist| {
+            let preds: Vec<Arc<str>> = persist.preds.iter().map(|p| p.as_str().into()).collect();
+            let generated = |p: &str| EdbPred::ALL.iter().any(|e| e.name() == p);
+            let from_db = (0..preds.len()).filter(|&k| !generated(&preds[k])).collect();
+            Capture {
+                sender: persist.sender.clone(),
+                preds,
+                from_db,
+            }
+        });
+        // A generated predicate goes into the database unless the only
+        // reason to generate it is that the capture stores it.
+        let read = config.evaluator.as_ref().map(|e| &e.query().edbs);
+        let routes = EdbPred::ALL.map(|pred| {
+            let block = capture
+                .as_ref()
+                .and_then(|c| c.preds.iter().position(|p| **p == *pred.name()));
+            Route {
+                to_db: block.is_none() || read.is_some_and(|r| r.contains(pred.name())),
+                block,
+            }
+        });
         OnlineProgram {
             analytic,
             flags: EdbFlags::of(&config.needed),
+            routes,
+            capture,
             config,
             workers: Mutex::new(Vec::new()),
             failed: AtomicBool::new(false),
@@ -230,6 +327,27 @@ impl<'a, A: VertexProgram> OnlineProgram<'a, A> {
     pub fn take_failure(&self) -> Option<QueryFailure> {
         self.failure.lock().unwrap().take()
     }
+
+    /// Hand every captured row still held by an idle worker to the
+    /// store's writer, one message per (worker, predicate). Runs at every
+    /// barrier; a capture driver calls it once more after the engine
+    /// returns, for a run that ended between barriers.
+    pub fn flush(&self) {
+        let Some(capture) = &self.capture else {
+            return;
+        };
+        let mut workers = self.workers.lock().expect("worker pool lock");
+        for worker in workers.iter_mut() {
+            for (block, pred) in worker.blocks.iter_mut().zip(&capture.preds) {
+                if !block.is_empty() {
+                    // The next superstep's rows are about as many.
+                    let next = RowBlock::with_capacity(block.value_count());
+                    let full = std::mem::replace(block, next);
+                    capture.sender.ingest_block(worker.step, pred, full);
+                }
+            }
+        }
+    }
 }
 
 impl<A> VertexProgram for OnlineProgram<'_, A>
@@ -260,6 +378,8 @@ where
             sends: Vec::new(),
             eval: EvalScratch::default(),
             stats: EvalStats::default(),
+            blocks: vec![RowBlock::default(); self.capture.as_ref().map_or(0, |c| c.preds.len())],
+            step: 0,
         });
         self.compute_in(&mut worker, ctx, state, messages);
         self.workers.lock().expect("worker pool lock").push(worker);
@@ -285,6 +405,9 @@ where
     }
 
     fn should_halt(&self, superstep: u32, aggregates: &Aggregates) -> bool {
+        // Every compute call of `superstep` has returned: its captured
+        // rows go to the writer before the barrier's checkpoint.
+        self.flush();
         self.failed.load(Ordering::Acquire) || self.analytic.should_halt(superstep, aggregates)
     }
 
@@ -315,7 +438,11 @@ where
             sends,
             eval,
             stats,
+            blocks,
+            step,
         } = worker;
+        debug_assert!(*step == superstep || blocks.iter().all(|b| b.is_empty()));
+        *step = superstep;
 
         // 1. Merge incoming provenance payloads (replicas).
         for env in messages {
@@ -334,7 +461,11 @@ where
 
         // 3. Generate this superstep's provenance EDB tuples.
         state.q.tracker.record_step(
-            &mut state.q.db,
+            &mut StepSink {
+                routes: &self.routes,
+                db: &mut state.q.db,
+                blocks,
+            },
             self.flags,
             ctx.graph(),
             vertex,
@@ -363,10 +494,16 @@ where
             }
         }
 
-        // 6. Persist capture predicates.
-        if let Some(persist) = &cfg.persist {
-            for (pred, tuples) in state.q.take_persistable(persist.preds.iter(), vertex) {
-                persist.sender.ingest(superstep, &pred, tuples);
+        // 6. Persist what the capture stores out of the database: the
+        // fresh own-located rows (replicas are their owner's to store).
+        if let Some(capture) = &self.capture {
+            let own = Value::Id(vertex.0);
+            for &k in &capture.from_db {
+                for row in state.q.fresh_window(&capture.preds[k], false) {
+                    if row.first() == Some(&own) {
+                        blocks[k].push(row);
+                    }
+                }
             }
         }
 

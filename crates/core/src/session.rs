@@ -434,9 +434,10 @@ impl Ariadne {
         };
         let program = OnlineProgram::new(analytic, config);
         let result = drive(&Engine::new(self.engine.clone()), &program);
-        // Drain the writer before deciding the outcome so its thread
-        // never leaks; an engine or query failure takes precedence over
-        // store state.
+        // Rows of a superstep the run ended in, then the writer: drained
+        // before deciding the outcome so its thread never leaks; an
+        // engine or query failure takes precedence over store state.
+        program.flush();
         let store = writer.finish();
         let result = result?;
         check_query_failure(&program)?;

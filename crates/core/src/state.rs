@@ -1,5 +1,13 @@
 //! Per-vertex query evaluation state, shared by the online wrapper and
 //! the layered offline driver.
+//!
+//! The database holds what rules join against: the EDB rows a query
+//! reads, the IDB rows it derives, neighbour replicas. Rows a capture only
+//! *stores* never enter it — they go from the generator straight into the
+//! capturing worker's row blocks (see [`crate::online`]) — so after a raw
+//! capture every vertex's database is empty. The persistence marks cover
+//! the relations a capture both keeps here and stores: capture-rule heads
+//! and custom provenance relations.
 
 use ariadne_graph::{Csr, VertexId};
 use ariadne_pql::{Database, EvalScratch, EvalStats, Evaluator, PqlError, Tuple, Value};
@@ -21,7 +29,9 @@ pub struct QueryState {
     pub tracker: EdbTracker,
     /// Per-predicate counts already piggybacked to neighbours.
     pub(crate) ship_marks: BTreeMap<String, usize>,
-    /// Per-predicate counts already persisted to the store.
+    /// Per-predicate counts already handed to the store, for the
+    /// relations a capture persists *from this database* (capture-rule
+    /// heads, custom provenance relations).
     pub(crate) persist_marks: BTreeMap<String, usize>,
     pub(crate) statics_done: bool,
 }
@@ -91,31 +101,12 @@ impl QueryState {
         preds: impl IntoIterator<Item = impl AsRef<str>>,
         vertex: VertexId,
     ) -> Vec<(String, Vec<Tuple>)> {
-        self.take_since(preds, vertex, true)
-    }
-
-    /// New tuples of `preds` since the last persistence mark; advances
-    /// the marks.
-    pub fn take_persistable(
-        &mut self,
-        preds: impl IntoIterator<Item = impl AsRef<str>>,
-        vertex: VertexId,
-    ) -> Vec<(String, Vec<Tuple>)> {
-        self.take_since(preds, vertex, false)
-    }
-
-    fn take_since(
-        &mut self,
-        preds: impl IntoIterator<Item = impl AsRef<str>>,
-        vertex: VertexId,
-        shipping: bool,
-    ) -> Vec<(String, Vec<Tuple>)> {
         let own = Value::Id(vertex.0);
         let mut out = Vec::new();
         for pred in preds {
             let pred = pred.as_ref();
             let fresh: Vec<Tuple> = self
-                .fresh_window(pred, shipping)
+                .fresh_window(pred, true)
                 .iter()
                 .filter(|t| t.first() == Some(&own))
                 .cloned()
@@ -193,8 +184,8 @@ mod tests {
         // Nothing new: second take is empty.
         assert!(q.take_shippable(["change"], VertexId(1)).is_empty());
         // Persist marks are independent.
-        let persisted = q.take_persistable(["change"], VertexId(1));
-        assert_eq!(persisted.len(), 1);
+        assert_eq!(q.fresh_window("change", false).len(), 2);
+        assert!(q.fresh_window("change", false).is_empty());
     }
 
     #[test]

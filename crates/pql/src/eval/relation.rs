@@ -31,8 +31,10 @@ pub type Tuple = Vec<Value>;
 const SMALL: usize = 12;
 
 /// Fx-style multiplicative hasher; deterministic across runs and hosts.
+/// The multiplication leaves its entropy in the high bits: index a table
+/// by the top bits of [`Hasher::finish`], not the bottom ones.
 #[derive(Default)]
-struct MulHasher(u64);
+pub struct MulHasher(u64);
 
 impl Hasher for MulHasher {
     fn write(&mut self, bytes: &[u8]) {

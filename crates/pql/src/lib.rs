@@ -48,7 +48,7 @@ pub use catalog::{Catalog, EdbSchema};
 pub use error::PqlError;
 pub use explain::explain;
 pub use eval::database::Database;
-pub use eval::relation::{Relation, Tuple};
+pub use eval::relation::{MulHasher, Relation, Tuple};
 pub use eval::maintain::{EdbDelta, MaintainMode, MaintainReport};
 pub use eval::plan::EvalScratch;
 pub use eval::seminaive::{EvalState, EvalStats, Evaluator};

@@ -19,6 +19,7 @@
 //! and v3 decoders share, so a stored byte is touched once and never
 //! copied into a staging buffer.
 
+use crate::rows::Rows;
 use ariadne_pql::{Tuple, Value};
 use std::sync::Arc;
 
@@ -161,13 +162,14 @@ pub fn skip_value(input: &mut &[u8]) -> Result<(), CodecError> {
     Ok(())
 }
 
-/// Serialize a batch of tuples.
-pub fn encode_tuples(tuples: &[Tuple]) -> Vec<u8> {
+/// Serialize a batch of rows (of any arities).
+pub fn encode_tuples<R: Rows + ?Sized>(rows: &R) -> Vec<u8> {
     let mut buf = Vec::new();
-    buf.extend_from_slice(&(tuples.len() as u32).to_le_bytes());
-    for t in tuples {
-        buf.extend_from_slice(&(t.len() as u32).to_le_bytes());
-        for v in t {
+    buf.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    for i in 0..rows.len() {
+        let row = rows.row(i);
+        buf.extend_from_slice(&(row.len() as u32).to_le_bytes());
+        for v in row {
             write_value(&mut buf, v);
         }
     }
@@ -251,7 +253,7 @@ mod tests {
 
     #[test]
     fn truncation_detected() {
-        let enc = encode_tuples(&[vec![Value::Int(1)]]);
+        let enc = encode_tuples(&vec![vec![Value::Int(1)]]);
         for cut in 0..enc.len() - 1 {
             assert!(decode_tuples(&enc[..cut]).is_err(), "cut at {cut} accepted");
         }

@@ -35,8 +35,9 @@
 //! pattern, so `NaN` payloads are safe dictionary keys).
 
 use crate::codec::{read_value, take, take_array, write_value, CodecError};
-use ariadne_pql::{Tuple, Value};
-use std::collections::HashMap;
+use crate::rows::Rows;
+use ariadne_pql::{MulHasher, Tuple, Value};
+use std::hash::{Hash, Hasher};
 
 /// Maximum dictionary size considered by the stats pass. Columns with
 /// more distinct values than this fall back to Plain/FloatRaw.
@@ -151,13 +152,12 @@ pub fn v1_value_size(v: &Value) -> usize {
     }
 }
 
-/// The v1 encoded record-payload size of a tuple batch (count prefix,
-/// per-tuple arity prefix, tagged values) — what [`crate::codec`]'s
+/// The v1 encoded record-payload size of a batch of rows (count prefix,
+/// per-row arity prefix, tagged values) — what [`crate::codec`]'s
 /// `encode_tuples` would produce, without producing it.
-pub fn v1_batch_size(tuples: &[Tuple]) -> usize {
-    4 + tuples
-        .iter()
-        .map(|t| 4 + t.iter().map(v1_value_size).sum::<usize>())
+pub fn v1_batch_size<R: Rows + ?Sized>(rows: &R) -> usize {
+    4 + (0..rows.len())
+        .map(|i| 4 + rows.row(i).iter().map(v1_value_size).sum::<usize>())
         .sum::<usize>()
 }
 
@@ -214,9 +214,40 @@ fn unzigzag(v: u64) -> i64 {
 // Column stats + encoding choice
 // ---------------------------------------------------------------------
 
+/// Slots of a [`DictIndex`]: a power of two at least twice the
+/// [`DICT_MAX`] + 1 values it may hold, so probes stay short.
+const DICT_SLOTS: usize = 1024;
+
+/// The dictionary code of each value seen so far in one column: open
+/// addressing over the top bits of a [`MulHasher`] hash, a slot holding
+/// `code + 1` (0 = free) and the value itself staying in `distinct`.
+struct DictIndex([u16; DICT_SLOTS]);
+
+impl DictIndex {
+    /// The code of `v`: its position in `distinct`, where it is appended
+    /// if it was not there.
+    fn code<'a>(&mut self, v: &'a Value, distinct: &mut Vec<&'a Value>) -> u32 {
+        let mut hasher = MulHasher::default();
+        v.hash(&mut hasher);
+        let mut at = (hasher.finish() >> (64 - DICT_SLOTS.trailing_zeros())) as usize;
+        loop {
+            match self.0[at] {
+                0 => {
+                    distinct.push(v);
+                    self.0[at] = distinct.len() as u16;
+                    return distinct.len() as u32 - 1;
+                }
+                held if distinct[usize::from(held) - 1] == v => return u32::from(held) - 1,
+                _ => at = (at + 1) % DICT_SLOTS,
+            }
+        }
+    }
+}
+
 /// One column's stats-pass summary.
-struct ColProfile<'a> {
-    values: Vec<&'a Value>,
+struct ColProfile<'a, R: ?Sized> {
+    rows: &'a R,
+    col: usize,
     /// v1 (tagged) size of the column.
     v1_bytes: usize,
     all_id: bool,
@@ -225,33 +256,40 @@ struct ColProfile<'a> {
     /// Distinct values in first-seen order, capped at [`DICT_MAX`] + 1
     /// (the cap overflow disables Dict/Const).
     distinct: Vec<&'a Value>,
-    index: HashMap<&'a Value, u32>,
+    /// Each row's position in `distinct` — one entry per row while the
+    /// dictionary applies, abandoned where the column overflowed it.
+    codes: Vec<u32>,
 }
 
-impl<'a> ColProfile<'a> {
-    fn build(tuples: &'a [Tuple], col: usize) -> ColProfile<'a> {
+impl<'a, R: Rows + ?Sized> ColProfile<'a, R> {
+    fn build(rows: &'a R, col: usize) -> Self {
         let mut p = ColProfile {
-            values: Vec::with_capacity(tuples.len()),
+            rows,
+            col,
             v1_bytes: 0,
             all_id: true,
             all_int: true,
             all_float: true,
             distinct: Vec::new(),
-            index: HashMap::new(),
+            codes: Vec::with_capacity(rows.len()),
         };
-        for t in tuples {
-            let v = &t[col];
+        let mut index = DictIndex([0; DICT_SLOTS]);
+        for v in p.values() {
             p.v1_bytes += v1_value_size(v);
             p.all_id &= matches!(v, Value::Id(_));
             p.all_int &= matches!(v, Value::Int(_));
             p.all_float &= matches!(v, Value::Float(_));
-            if p.distinct.len() <= DICT_MAX && !p.index.contains_key(v) {
-                p.index.insert(v, p.distinct.len() as u32);
-                p.distinct.push(v);
+            if p.distinct.len() <= DICT_MAX {
+                p.codes.push(index.code(v, &mut p.distinct));
             }
-            p.values.push(v);
         }
         p
+    }
+
+    /// The column's values, in row order.
+    fn values(&self) -> impl Iterator<Item = &'a Value> {
+        let (rows, col) = (self.rows, self.col);
+        (0..rows.len()).map(move |i| &rows.row(i)[col])
     }
 
     fn dict_applicable(&self) -> bool {
@@ -260,7 +298,7 @@ impl<'a> ColProfile<'a> {
 
     /// Deterministically choose the smallest applicable encoding.
     fn choose(&self) -> Encoding {
-        let rows = self.values.len();
+        let rows = self.rows.len();
         let mut best = (self.v1_bytes, Encoding::Plain);
         let mut consider = |size: usize, enc: Encoding| {
             // Strict `<` with ascending-tag iteration = deterministic
@@ -275,7 +313,7 @@ impl<'a> ColProfile<'a> {
         if self.all_id && rows > 0 {
             let mut size = 0usize;
             let mut prev = 0i64;
-            for (k, v) in self.values.iter().enumerate() {
+            for (k, v) in self.values().enumerate() {
                 let Value::Id(x) = v else { unreachable!() };
                 let cur = *x as i64;
                 size += if k == 0 {
@@ -290,7 +328,7 @@ impl<'a> ColProfile<'a> {
         if self.all_int && rows > 0 {
             let mut size = 0usize;
             let mut prev = 0i64;
-            for (k, v) in self.values.iter().enumerate() {
+            for (k, v) in self.values().enumerate() {
                 let Value::Int(x) = v else { unreachable!() };
                 size += if k == 0 {
                     varint_len(zigzag(*x))
@@ -303,11 +341,7 @@ impl<'a> ColProfile<'a> {
         }
         if self.dict_applicable() && self.distinct.len() > 1 {
             let dict_bytes: usize = self.distinct.iter().map(|v| v1_value_size(v)).sum();
-            let idx_bytes: usize = self
-                .values
-                .iter()
-                .map(|v| varint_len(u64::from(self.index[*v])))
-                .sum();
+            let idx_bytes: usize = self.codes.iter().map(|c| varint_len(u64::from(*c))).sum();
             consider(4 + dict_bytes + idx_bytes, Encoding::Dict);
         }
         if self.all_float {
@@ -322,14 +356,14 @@ impl<'a> ColProfile<'a> {
         match enc {
             Encoding::Plain => {
                 block.reserve(self.v1_bytes);
-                for v in &self.values {
+                for v in self.values() {
                     write_value(&mut block, v);
                 }
             }
             Encoding::Const => write_value(&mut block, self.distinct[0]),
             Encoding::DeltaId => {
                 let mut prev = 0i64;
-                for (k, v) in self.values.iter().enumerate() {
+                for (k, v) in self.values().enumerate() {
                     let Value::Id(x) = v else { unreachable!() };
                     let cur = *x as i64;
                     if k == 0 {
@@ -342,7 +376,7 @@ impl<'a> ColProfile<'a> {
             }
             Encoding::DeltaInt => {
                 let mut prev = 0i64;
-                for (k, v) in self.values.iter().enumerate() {
+                for (k, v) in self.values().enumerate() {
                     let Value::Int(x) = v else { unreachable!() };
                     if k == 0 {
                         put_varint(&mut block, zigzag(*x));
@@ -357,12 +391,12 @@ impl<'a> ColProfile<'a> {
                 for v in &self.distinct {
                     write_value(&mut block, v);
                 }
-                for v in &self.values {
-                    put_varint(&mut block, u64::from(self.index[*v]));
+                for c in &self.codes {
+                    put_varint(&mut block, u64::from(*c));
                 }
             }
             Encoding::FloatRaw => {
-                for v in &self.values {
+                for v in self.values() {
                     let Value::Float(x) = v else { unreachable!() };
                     block.extend_from_slice(&x.to_bits().to_le_bytes());
                 }
@@ -376,27 +410,28 @@ impl<'a> ColProfile<'a> {
 // Batch encode / decode
 // ---------------------------------------------------------------------
 
-/// Encode a batch of tuples into a v2 columnar payload, or `None` when
+/// Encode a batch of rows into a v2 columnar payload, or `None` when
 /// the batch has no columnar form (empty, zero arity, or ragged
 /// arities) — callers then fall back to a v1 record.
-pub fn encode_columnar(tuples: &[Tuple]) -> Option<ColumnarBatch> {
-    let arity = tuples.first()?.len();
-    if arity == 0 || arity > u16::MAX as usize || tuples.len() > u32::MAX as usize {
+pub fn encode_columnar<R: Rows + ?Sized>(rows: &R) -> Option<ColumnarBatch> {
+    let count = rows.len();
+    let arity = if count == 0 { 0 } else { rows.row(0).len() };
+    if arity == 0 || arity > u16::MAX as usize || count > u32::MAX as usize {
         return None;
     }
-    if tuples.len().saturating_mul(arity) > MAX_DECODE_CELLS {
+    if count.saturating_mul(arity) > MAX_DECODE_CELLS {
         return None; // stay decodable: the decoder rejects larger headers
     }
-    if tuples.iter().any(|t| t.len() != arity) {
+    if (1..count).any(|i| rows.row(i).len() != arity) {
         return None;
     }
     let mut payload = Vec::new();
     payload.extend_from_slice(&(arity as u16).to_le_bytes());
-    payload.extend_from_slice(&(tuples.len() as u32).to_le_bytes());
+    payload.extend_from_slice(&(count as u32).to_le_bytes());
     let mut encodings = Vec::with_capacity(arity);
     let mut columns = Vec::with_capacity(arity);
     for col in 0..arity {
-        let profile = ColProfile::build(tuples, col);
+        let profile = ColProfile::build(rows, col);
         let enc = profile.choose();
         let block = profile.encode(enc);
         payload.push(enc.tag());
@@ -697,9 +732,9 @@ mod tests {
 
     #[test]
     fn ragged_and_empty_batches_have_no_columnar_form() {
-        assert!(encode_columnar(&[]).is_none());
-        assert!(encode_columnar(&[vec![]]).is_none());
-        assert!(encode_columnar(&[
+        assert!(encode_columnar::<[Tuple]>(&[]).is_none());
+        assert!(encode_columnar::<[Tuple]>(&[vec![]]).is_none());
+        assert!(encode_columnar::<[Tuple]>(&[
             vec![Value::Id(1)],
             vec![Value::Id(1), Value::Int(2)]
         ])

@@ -10,16 +10,29 @@
 //! [`EdbFlags`] are produced, which is how declarative capture cuts space
 //! and time (Tables 3–4 vs Figure 7).
 //!
-//! Tuples go straight into the vertex's [`Database`]: the caller hands
-//! [`EdbTracker::record_step`] the value and the message streams it
-//! already holds, each relation is looked up and `reserve`d once for the
-//! step's batch, and a value or message is encoded only if a flagged
-//! predicate stores it. Nothing is built in between — no per-step record,
-//! no list of `(predicate, tuple)` pairs — so a vertex-superstep allocates
-//! the tuples it stores and nothing else.
+//! [`EdbTracker::record_step`] does not know where rows go. The caller
+//! hands it the value and the message streams it already holds; a value or
+//! message is encoded only if a flagged predicate stores it, each row is
+//! built on the stack, and an [`EdbSink`] says, once per predicate of the
+//! step, where that predicate's rows land — a [`Dest`]: a relation of the
+//! vertex's [`Database`] (online evaluation, where rules join against
+//! them), a [`RowBlock`] on its way to the store (capture), both, or
+//! neither. Nothing is built in between — no per-step record, no list of
+//! `(predicate, tuple)` pairs.
+//!
+//! A relation deduplicates what is inserted; a block does not, so the
+//! generator keeps set semantics itself. The only repeats Table 1 can
+//! produce are `(peer, payload)` repeats inside one step's message (or
+//! edge) batch. A batch whose peers arrive strictly ascending cannot hold
+//! one and is appended unchecked: the engine delivers an inbox in sender
+//! order, and PageRank, SSSP and ALS send once per neighbour, in neighbour
+//! order. Any other batch — WCC sends along both directions of an edge, so
+//! a mutual neighbour hears the same label twice — is deduplicated in the
+//! block after it is written.
 
+use crate::rows::{RowBlock, Rows};
 use ariadne_graph::{Csr, VertexId};
-use ariadne_pql::{Database, Value};
+use ariadne_pql::{Database, Relation, Value};
 use std::collections::BTreeSet;
 
 /// Per-vertex EDB generator. Holds the vertex's activation history so it
@@ -72,6 +85,117 @@ impl EdbFlags {
     }
 }
 
+/// The Table-1 predicates [`EdbTracker::record_step`] generates.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EdbPred {
+    /// `superstep(x, i)`.
+    Superstep,
+    /// `value(x, d, i)`.
+    Value,
+    /// `evolution(x, j, i)`.
+    Evolution,
+    /// `receive_message(x, y, m, i)`.
+    ReceiveMessage,
+    /// `send_message(x, y, m, i)`.
+    SendMessage,
+    /// `edge_value(x, y, w, i)`.
+    EdgeValue,
+}
+
+impl EdbPred {
+    /// Every generated predicate, in discriminant order.
+    pub const ALL: [EdbPred; 6] = [
+        EdbPred::Superstep,
+        EdbPred::Value,
+        EdbPred::Evolution,
+        EdbPred::ReceiveMessage,
+        EdbPred::SendMessage,
+        EdbPred::EdgeValue,
+    ];
+
+    /// The predicate's name in queries and in the store.
+    pub fn name(self) -> &'static str {
+        match self {
+            EdbPred::Superstep => "superstep",
+            EdbPred::Value => "value",
+            EdbPred::Evolution => "evolution",
+            EdbPred::ReceiveMessage => "receive_message",
+            EdbPred::SendMessage => "send_message",
+            EdbPred::EdgeValue => "edge_value",
+        }
+    }
+
+    /// Columns per row.
+    pub fn arity(self) -> usize {
+        match self {
+            EdbPred::Superstep => 2,
+            EdbPred::Value | EdbPred::Evolution => 3,
+            EdbPred::ReceiveMessage | EdbPred::SendMessage | EdbPred::EdgeValue => 4,
+        }
+    }
+}
+
+/// Where one vertex-step's rows of one predicate go: a relation, a row
+/// block, both or neither.
+pub struct Dest<'a> {
+    rel: Option<&'a mut Relation>,
+    block: Option<&'a mut RowBlock>,
+    /// Rows `block` held when the step's batch began.
+    from: usize,
+}
+
+impl<'a> Dest<'a> {
+    /// A destination for `n` rows of `arity` columns, with room made for
+    /// them.
+    pub fn new(
+        mut rel: Option<&'a mut Relation>,
+        mut block: Option<&'a mut RowBlock>,
+        n: usize,
+        arity: usize,
+    ) -> Self {
+        if let Some(rel) = &mut rel {
+            rel.reserve(n);
+        }
+        if let Some(block) = &mut block {
+            block.reserve(n, arity);
+        }
+        let from = block.as_ref().map_or(0, |b| b.len());
+        Dest { rel, block, from }
+    }
+
+    fn push(&mut self, row: &[Value]) {
+        if let Some(rel) = &mut self.rel {
+            rel.insert_slice(row);
+        }
+        if let Some(block) = &mut self.block {
+            block.push(row);
+        }
+    }
+
+    /// The batch pushed may hold repeated rows: keep the first of each
+    /// (the relation already did).
+    fn dedup(&mut self) {
+        if let Some(block) = &mut self.block {
+            block.dedup_from(self.from);
+        }
+    }
+}
+
+/// Says where the rows [`EdbTracker::record_step`] generates go.
+pub trait EdbSink {
+    /// Where this vertex-step's `n` rows of `pred` go. Called at most
+    /// once per predicate per step, and not for an empty batch.
+    fn open(&mut self, pred: EdbPred, n: usize) -> Dest<'_>;
+}
+
+/// Everything into the database.
+impl EdbSink for Database {
+    fn open(&mut self, pred: EdbPred, n: usize) -> Dest<'_> {
+        let rel = self.relation_mut(pred.name(), pred.arity());
+        Dest::new(Some(rel), None, n, pred.arity())
+    }
+}
+
 impl EdbTracker {
     /// Fresh tracker (vertex never active yet).
     pub fn new() -> Self {
@@ -89,15 +213,15 @@ impl EdbTracker {
         EdbTracker { last_active }
     }
 
-    /// Insert the flagged Table-1 tuples of one vertex-superstep into
-    /// `db` and advance the activation history. `value` is the vertex
-    /// value *after* computing; `received` and `sent` yield `(peer,
-    /// message)` in delivery and send order. All three are encoded
-    /// lazily: a stream is not touched unless its predicate is flagged.
+    /// Hand the flagged Table-1 rows of one vertex-superstep to `sink`
+    /// and advance the activation history. `value` is the vertex value
+    /// *after* computing; `received` and `sent` yield `(peer, message)`
+    /// in delivery and send order. All three are encoded lazily: a
+    /// stream is not touched unless its predicate is flagged.
     #[allow(clippy::too_many_arguments)]
     pub fn record_step(
         &mut self,
-        db: &mut Database,
+        sink: &mut impl EdbSink,
         flags: EdbFlags,
         graph: &Csr,
         vertex: VertexId,
@@ -109,38 +233,38 @@ impl EdbTracker {
         let x = Value::Id(vertex.0);
         let i = Value::Int(superstep as i64);
         if flags.superstep {
-            db.relation_mut("superstep", 2).insert(vec![x.clone(), i.clone()]);
+            sink.open(EdbPred::Superstep, 1).push(&[x.clone(), i.clone()]);
         }
         if flags.value {
-            db.relation_mut("value", 3)
-                .insert(vec![x.clone(), value(), i.clone()]);
+            sink.open(EdbPred::Value, 1)
+                .push(&[x.clone(), value(), i.clone()]);
         }
         if let (true, Some(prev)) = (flags.evolution, self.last_active) {
-            db.relation_mut("evolution", 3)
-                .insert(vec![x.clone(), Value::Int(prev as i64), i.clone()]);
+            sink.open(EdbPred::Evolution, 1)
+                .push(&[x.clone(), Value::Int(prev as i64), i.clone()]);
         }
         if flags.receive_message {
-            insert_peer_tuples(db, "receive_message", &x, &i, received.len(), received);
+            push_peer_rows(sink, EdbPred::ReceiveMessage, &x, &i, received.len(), received);
         }
         if flags.send_message {
-            insert_peer_tuples(db, "send_message", &x, &i, sent.len(), sent);
+            push_peer_rows(sink, EdbPred::SendMessage, &x, &i, sent.len(), sent);
         }
         if flags.edge_value {
             let weights = graph
                 .out_edges(vertex)
                 .map(|e| (e.neighbor, Value::Float(e.weight)));
             let n = graph.out_neighbors(vertex).len();
-            insert_peer_tuples(db, "edge_value", &x, &i, n, weights);
+            push_peer_rows(sink, EdbPred::EdgeValue, &x, &i, n, weights);
         }
         self.last_active = Some(superstep);
     }
 }
 
-/// Insert one `pred(x, peer, payload, i)` tuple per item of `peers` (`n`
-/// of them) into `db`; the relation is not created for an empty batch.
-fn insert_peer_tuples(
-    db: &mut Database,
-    pred: &str,
+/// Hand one `pred(x, peer, payload, i)` row per item of `peers` (`n` of
+/// them) to `sink`; nothing is opened for an empty batch.
+fn push_peer_rows(
+    sink: &mut impl EdbSink,
+    pred: EdbPred,
     x: &Value,
     i: &Value,
     n: usize,
@@ -149,10 +273,19 @@ fn insert_peer_tuples(
     if n == 0 {
         return;
     }
-    let rel = db.relation_mut(pred, 4);
-    rel.reserve(n);
+    let mut dest = sink.open(pred, n);
+    let mut row = [x.clone(), Value::Unit, Value::Unit, i.clone()];
+    let mut ascending = true;
+    let mut last = None;
     for (peer, payload) in peers {
-        rel.insert(vec![x.clone(), Value::Id(peer.0), payload, i.clone()]);
+        ascending &= last < Some(peer.0);
+        last = Some(peer.0);
+        row[1] = Value::Id(peer.0);
+        row[2] = payload;
+        dest.push(&row);
+    }
+    if !ascending {
+        dest.dedup();
     }
 }
 
@@ -264,6 +397,46 @@ mod tests {
             tuples(&db, "send_message"),
             vec![vec![Value::Id(1), Value::Id(8), Value::Float(0.2), Value::Int(3)]]
         );
+    }
+
+    /// Every row into a relation and into one block.
+    #[derive(Default)]
+    struct Both {
+        db: Database,
+        block: RowBlock,
+    }
+
+    impl EdbSink for Both {
+        fn open(&mut self, pred: EdbPred, n: usize) -> Dest<'_> {
+            let rel = self.db.relation_mut(pred.name(), pred.arity());
+            Dest::new(Some(rel), Some(&mut self.block), n, pred.arity())
+        }
+    }
+
+    #[test]
+    fn a_block_holds_what_the_relation_holds() {
+        let sends = |peers: &[u64]| -> Vec<(VertexId, Value)> {
+            peers.iter().map(|&p| (VertexId(p), Value::Int((p % 2) as i64))).collect()
+        };
+        let f = flags(&["send_message"]);
+        let (mut t, mut both) = (EdbTracker::new(), Both::default());
+        for (step, peers) in [&[1, 2, 3][..], &[3, 1, 3, 2, 1], &[2, 2], &[]].iter().enumerate() {
+            t.record_step(
+                &mut both,
+                f,
+                &star(4),
+                VertexId(0),
+                step as u32,
+                || Value::Unit,
+                std::iter::empty(),
+                sends(peers).into_iter(),
+            );
+        }
+        // Ascending, unordered with repeats, repeats only, empty: the
+        // block is the relation, row for row.
+        let held: Vec<Tuple> = both.block.rows().map(<[Value]>::to_vec).collect();
+        assert_eq!(held, tuples(&both.db, "send_message"));
+        assert_eq!(held.len(), 3 + 3 + 1);
     }
 
     #[test]

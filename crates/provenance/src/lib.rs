@@ -32,6 +32,10 @@
 //!   by [`ProvStore::compact`].
 //! * [`reader`] — pluggable segment read backends (buffered default,
 //!   zero-copy mmap opt-in).
+//! * [`rows`] — [`RowBlock`], the flat buffer a captured row lives in from
+//!   the vertex-step that generates it to the encoder that packs it, and
+//!   [`Rows`], the view the encoders read blocks and tuple slices
+//!   through.
 
 #![warn(missing_docs)]
 
@@ -44,6 +48,7 @@ pub mod epoch;
 pub mod frame;
 mod obs_handles;
 pub mod reader;
+pub mod rows;
 pub mod scrub;
 pub mod spool;
 pub mod store;
@@ -56,6 +61,7 @@ pub use edb::{insert_static_edbs, EdbFlags, EdbTracker};
 pub use epoch::{EpochInfo, EpochStats};
 pub use encode::ProvEncode;
 pub use reader::{ReadBackend, SegmentSlice};
+pub use rows::{RowBlock, Rows};
 pub use store::{
     compact_spool, scrub_spool, CompactReport, Degradation, Durability, LayerFilter, LayerRead,
     OnSpillError, ProvStore, ReadPolicy, ScrubAction, ScrubReport, SegmentDamage, SegmentFormat,

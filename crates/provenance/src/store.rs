@@ -31,7 +31,7 @@
 //! are made from.
 
 use crate::codec::{encode_tuples, CodecError};
-use crate::columnar::{encode_columnar, v1_batch_size, ColumnStat};
+use crate::columnar::{encode_columnar, v1_batch_size, ColumnStat, MAX_DECODE_CELLS};
 use crate::epoch::EpochInfo;
 use crate::frame::{
     absorb_cols, append_frame, append_frame_best, walk_records, DecodeCounts, WalkMode,
@@ -39,6 +39,7 @@ use crate::frame::{
 };
 use crate::obs_handles;
 use crate::reader::{read_extent, ReadBackend};
+use crate::rows::{RowBlock, Rows};
 use crate::spool::{io_err, note_fault, timed_sync_dir};
 use crate::v3::FooterEntry;
 use ariadne_obs::trace::{self, Level};
@@ -381,7 +382,7 @@ pub(crate) struct Segment {
     pub(crate) sealed: bool,
     /// Rows awaiting their columnar pack (always empty under
     /// [`SegmentFormat::V1`]).
-    pub(crate) pending: Vec<Tuple>,
+    pub(crate) pending: RowBlock,
     /// The bytes `pending` would occupy as one framed v1 record — the
     /// budget/accounting estimate until the pack replaces it with the
     /// actual encoded size.
@@ -446,6 +447,72 @@ impl DiskFile {
 }
 
 impl Segment {
+    /// Frame `payload` (a record payload of the given `version`) onto the
+    /// in-memory records, compressed when the store's `format` compresses.
+    fn append_record(&mut self, format: SegmentFormat, version: u8, payload: &[u8]) {
+        if format == SegmentFormat::V3 {
+            append_frame_best(&mut self.mem, version, payload);
+        } else {
+            append_frame(&mut self.mem, version, payload);
+        }
+    }
+
+    /// Frame the v1 payload of `rows` rows onto the in-memory records;
+    /// returns the bytes they grew by.
+    fn append_v1(&mut self, format: SegmentFormat, payload: &[u8], rows: usize) -> usize {
+        let before = self.mem.len();
+        self.append_record(format, 1, payload);
+        self.mem_tuples += rows;
+        self.mem.len() - before
+    }
+
+    /// Pack the pending rows of this (`superstep`, `pred`) segment into a
+    /// columnar record, fixing up the store's `mem_bytes` (estimate out,
+    /// actual encoded size in).
+    fn pack(&mut self, format: SegmentFormat, mem_bytes: &mut usize, superstep: u32, pred: &str) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let t0 = std::time::Instant::now();
+        let rows = std::mem::take(&mut self.pending);
+        let est = std::mem::take(&mut self.pending_bytes);
+        let before = self.mem.len();
+        // One record, unless the block is larger than a reader's
+        // MAX_DECODE_CELLS guard lets a record be.
+        for chunk in rows.chunks((MAX_DECODE_CELLS / rows.arity()).max(1)) {
+            match encode_columnar(&chunk) {
+                Some(batch) => {
+                    self.append_record(format, 2, &batch.payload);
+                    absorb_cols(&mut self.cols, &batch.columns);
+                    for (col, enc) in batch.columns.iter().zip(&batch.encodings) {
+                        obs_handles::encoding_hist(*enc).record(col.encoded_bytes as u64);
+                    }
+                }
+                // Wider than a columnar header can say: a v1 record
+                // inside the v2 store (readers dispatch per record).
+                None => self.append_record(format, 1, &encode_tuples(&chunk)),
+            }
+        }
+        let appended = self.mem.len() - before;
+        self.mem_tuples += rows.len();
+        *mem_bytes = *mem_bytes - est + appended;
+        obs_handles::packs().inc();
+        obs_handles::encoded_bytes().add(appended as u64);
+        obs_handles::encode_ns().add(t0.elapsed().as_nanos() as u64);
+        trace::event(
+            Level::Debug,
+            "store",
+            "pack",
+            &[
+                ("superstep", superstep.into()),
+                ("pred", pred.into()),
+                ("rows", rows.len().into()),
+                ("est_bytes", est.into()),
+                ("encoded_bytes", appended.into()),
+            ],
+        );
+    }
+
     /// Total encoded bytes, memory plus spilled parts plus the pending
     /// buffer at its v1-record estimate (so byte accounting is stable
     /// whether or not a pack has happened yet).
@@ -530,7 +597,7 @@ impl Segment {
         if !self.pending.is_empty() {
             bytes_read += self.pending_bytes;
             let at = out.len();
-            out.extend(self.pending.iter().cloned());
+            out.extend(self.pending.rows().map(<[Value]>::to_vec));
             if let Some(mask) = mask {
                 blank_masked(&mut out[at..], mask);
             }
@@ -740,24 +807,52 @@ impl ProvStore {
         self.max_step = Some(self.max_step.map_or(superstep, |m| m.max(superstep)));
     }
 
-    /// Ingest a batch of tuples for (superstep, pred), serializing them
-    /// into a checksummed record. Re-ingesting into a sealed (recovered)
-    /// segment is an idempotent no-op. Spill IO failures surface as
-    /// typed errors naming the path.
+    /// Ingest a batch of tuples for (superstep, pred): [`ProvStore::ingest_block`]
+    /// for callers that hold [`Tuple`]s. A batch with no flat form (mixed
+    /// arities, or rows without columns — no capture produces either) is
+    /// framed as a v1 record at once.
     pub fn ingest(
         &mut self,
         superstep: u32,
         pred: &str,
         tuples: Vec<Tuple>,
     ) -> Result<(), StoreError> {
-        if tuples.is_empty() {
+        self.ingest_batch(superstep, pred, RowBlock::from_tuples(tuples))
+    }
+
+    /// Ingest a block of rows for (superstep, pred): under
+    /// [`SegmentFormat::V1`] it becomes one checksummed record, otherwise
+    /// it joins the segment's pending rows until their columnar pack.
+    /// Re-ingesting into a sealed (recovered) segment is an idempotent
+    /// no-op. Spill IO failures surface as typed errors naming the path.
+    pub fn ingest_block(
+        &mut self,
+        superstep: u32,
+        pred: &str,
+        block: RowBlock,
+    ) -> Result<(), StoreError> {
+        self.ingest_batch(superstep, pred, Ok(block))
+    }
+
+    /// The one ingest path; `Err` is a batch with no flat form.
+    fn ingest_batch(
+        &mut self,
+        superstep: u32,
+        pred: &str,
+        batch: Result<RowBlock, Vec<Tuple>>,
+    ) -> Result<(), StoreError> {
+        let rows = match &batch {
+            Ok(block) => block.len(),
+            Err(ragged) => ragged.len(),
+        };
+        if rows == 0 {
             return Ok(());
         }
         if self.poison.is_some() {
             // Capture was downgraded by a spill failure under
             // OnSpillError::DropCapture: drop the batch, count the loss.
             self.dropped_batches += 1;
-            self.dropped_tuples += tuples.len();
+            self.dropped_tuples += rows;
             return Ok(());
         }
         if let Some(fault) = &self.config.fault {
@@ -770,6 +865,7 @@ impl ProvStore {
             }
         }
         self.raise_max_step(superstep);
+        let format = self.config.format;
         let seg = self
             .segments
             .entry((superstep, pred.to_string()))
@@ -779,38 +875,40 @@ impl ProvStore {
             // recovering from; the replay's re-ingest is dropped.
             return Ok(());
         }
-        self.tuples += tuples.len();
+        self.tuples += rows;
         obs_handles::ingest_batches().inc();
-        obs_handles::ingest_tuples().add(tuples.len() as u64);
-        match self.config.format {
-            SegmentFormat::V1 => {
-                let batch = encode_tuples(&tuples);
-                seg.mem_tuples += tuples.len();
-                let before = seg.mem.len();
-                append_frame(&mut seg.mem, 1, &batch);
-                let appended = seg.mem.len() - before;
-                self.mem_bytes += appended;
-                obs_handles::ingest_bytes().add(appended as u64);
+        obs_handles::ingest_tuples().add(rows as u64);
+        let added = match batch {
+            Ok(block) if format == SegmentFormat::V1 => {
+                seg.append_v1(format, &encode_tuples(&block), rows)
             }
-            SegmentFormat::V2 | SegmentFormat::V3 => {
+            Ok(block) => {
                 // Buffer rows; the columnar pack happens at the
                 // threshold, before any spill, and at pack_all/finish.
+                if seg.pending.arity() != block.arity() {
+                    seg.pack(format, &mut self.mem_bytes, superstep, pred);
+                }
                 let added = if seg.pending.is_empty() {
-                    RECORD_OVERHEAD + v1_batch_size(&tuples)
+                    RECORD_OVERHEAD + v1_batch_size(&block)
                 } else {
                     // Joining an existing pending record estimate: only
                     // the per-tuple bytes grow (shared count prefix).
-                    v1_batch_size(&tuples) - 4
+                    v1_batch_size(&block) - 4
                 };
-                seg.pending.extend(tuples);
+                seg.pending.append(block);
                 seg.pending_bytes += added;
-                self.mem_bytes += added;
-                obs_handles::ingest_bytes().add(added as u64);
-                if seg.pending.len() >= PACK_THRESHOLD {
-                    let key = (superstep, pred.to_string());
-                    self.pack_key(&key);
-                }
+                added
             }
+            Err(ragged) => {
+                // Records keep ingest order: what is pending goes first.
+                seg.pack(format, &mut self.mem_bytes, superstep, pred);
+                seg.append_v1(format, &encode_tuples(&ragged), rows)
+            }
+        };
+        self.mem_bytes += added;
+        obs_handles::ingest_bytes().add(added as u64);
+        if seg.pending.len() >= PACK_THRESHOLD {
+            seg.pack(format, &mut self.mem_bytes, superstep, pred);
         }
         match self.maybe_spill() {
             Ok(()) => Ok(()),
@@ -832,57 +930,11 @@ impl ProvStore {
         }
     }
 
-    /// Pack one segment's pending rows into a columnar record, fixing up
-    /// store byte accounting (estimate out, actual encoded size in).
+    /// Pack one segment's pending rows, if it exists and has any.
     fn pack_key(&mut self, key: &(u32, String)) {
-        let Some(seg) = self.segments.get_mut(key) else {
-            return;
-        };
-        if seg.pending.is_empty() {
-            return;
+        if let Some(seg) = self.segments.get_mut(key) {
+            seg.pack(self.config.format, &mut self.mem_bytes, key.0, &key.1);
         }
-        let t0 = std::time::Instant::now();
-        let compress = self.config.format == SegmentFormat::V3;
-        let rows = std::mem::take(&mut seg.pending);
-        let est = std::mem::take(&mut seg.pending_bytes);
-        let before = seg.mem.len();
-        let mut append = |version: u8, payload: &[u8]| {
-            if compress {
-                append_frame_best(&mut seg.mem, version, payload)
-            } else {
-                append_frame(&mut seg.mem, version, payload)
-            }
-        };
-        match encode_columnar(&rows) {
-            Some(batch) => {
-                append(2, &batch.payload);
-                absorb_cols(&mut seg.cols, &batch.columns);
-                for (col, enc) in batch.columns.iter().zip(&batch.encodings) {
-                    obs_handles::encoding_hist(*enc).record(col.encoded_bytes as u64);
-                }
-            }
-            // Ragged/empty batches have no columnar form: fall back to a
-            // v1 record inside the v2 store (readers dispatch per record).
-            None => append(1, &encode_tuples(&rows)),
-        }
-        let appended = seg.mem.len() - before;
-        seg.mem_tuples += rows.len();
-        self.mem_bytes = self.mem_bytes - est + appended;
-        obs_handles::packs().inc();
-        obs_handles::encoded_bytes().add(appended as u64);
-        obs_handles::encode_ns().add(t0.elapsed().as_nanos() as u64);
-        trace::event(
-            Level::Debug,
-            "store",
-            "pack",
-            &[
-                ("superstep", key.0.into()),
-                ("pred", key.1.as_str().into()),
-                ("rows", rows.len().into()),
-                ("est_bytes", est.into()),
-                ("encoded_bytes", appended.into()),
-            ],
-        );
     }
 
     /// Pack every segment's pending rows. Called by the writer thread
@@ -1687,6 +1739,60 @@ pub(crate) mod tests {
         assert!(after - before < 100, "{}", after - before);
         store.ingest(0, "value", vec![]).unwrap(); // empty batch is a no-op
         assert_eq!(store.tuple_count(), 1);
+    }
+
+    /// `ingest` is `ingest_block` behind a flattening adapter: the same
+    /// rows in the same batches give the same segment bytes, record for
+    /// record, in every format — across a pack threshold too.
+    #[test]
+    fn ingest_and_ingest_block_write_identical_segments() {
+        let batch = |s: u32, k: u64| -> Vec<Tuple> {
+            (k * 200..(k + 1) * 200)
+                .map(|x| vec![Value::Id(x % 97), Value::Float(x as f64 / 7.0), Value::Int(s as i64)])
+                .collect()
+        };
+        for format in [SegmentFormat::V1, SegmentFormat::V2, SegmentFormat::V3] {
+            let mut by_tuples = ProvStore::new(StoreConfig::in_memory().with_format(format));
+            let mut by_blocks = ProvStore::new(StoreConfig::in_memory().with_format(format));
+            for s in 0..3u32 {
+                for k in 0..4u64 {
+                    by_tuples.ingest(s, "value", batch(s, k)).unwrap();
+                    let block = RowBlock::from_tuples(batch(s, k)).unwrap();
+                    by_blocks.ingest_block(s, "value", block).unwrap();
+                }
+                by_tuples.ingest(s, "superstep", vec![tuple(1, s as i64)]).unwrap();
+                let mut block = RowBlock::default();
+                block.push(&tuple(1, s as i64));
+                by_blocks.ingest_block(s, "superstep", block).unwrap();
+            }
+            by_tuples.pack_all();
+            by_blocks.pack_all();
+            assert_eq!(by_tuples.byte_size(), by_blocks.byte_size(), "{format:?}");
+            assert_eq!(by_tuples.tuple_count(), by_blocks.tuple_count(), "{format:?}");
+            let records = |store: &ProvStore| -> Vec<((u32, String), Vec<u8>)> {
+                let segs = store.segments.iter();
+                segs.map(|(key, seg)| (key.clone(), seg.mem.clone())).collect()
+            };
+            assert_eq!(records(&by_tuples), records(&by_blocks), "{format:?}");
+        }
+    }
+
+    /// A batch with no flat form is a v1 record at once, behind whatever
+    /// was pending, and reads back in ingest order.
+    #[test]
+    fn ragged_batch_is_framed_at_once() {
+        let mut store = ProvStore::new(StoreConfig::in_memory());
+        store.ingest(0, "value", vec![tuple(1, 0), tuple(2, 0)]).unwrap();
+        let ragged = vec![tuple(3, 0), vec![Value::Id(4)], vec![]];
+        store.ingest(0, "value", ragged.clone()).unwrap();
+        store.ingest(0, "value", vec![tuple(5, 0)]).unwrap();
+        let seg = &store.segments[&(0, "value".to_string())];
+        assert_eq!((seg.mem_tuples, seg.pending.len()), (5, 1), "two records, one row pending");
+        let mut want = vec![tuple(1, 0), tuple(2, 0)];
+        want.extend(ragged);
+        want.push(tuple(5, 0));
+        assert_eq!(store.layer(0).unwrap()[0].1, want);
+        assert_eq!(store.tuple_count(), 6);
     }
 
     /// [`OnSpillError::DropCapture`]: a spill failure poisons the store

@@ -4,11 +4,18 @@
 //! (the paper's "offloads it asynchronously", §6.1);
 //! [`StoreWriter::finish`] drains the queue with a timeout instead of
 //! joining unconditionally.
+//!
+//! A message is one [`RowBlock`]: the rows one capture worker generated
+//! for one (superstep, predicate), handed over whole at the barrier. The
+//! writer thread moves the block into the segment's pending rows and
+//! frees it after the pack — one buffer crossing threads per block, where
+//! a `Vec` per tuple used to be freed into the arena the engine thread
+//! was allocating from (DESIGN.md §3.14).
 
 use crate::obs_handles;
+use crate::rows::{RowBlock, Rows};
 use crate::store::{ProvStore, StoreConfig, StoreError};
 use ariadne_obs::trace::{self, Level};
-use ariadne_pql::Tuple;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -20,13 +27,13 @@ pub const DEFAULT_FINISH_TIMEOUT: Duration = Duration::from_secs(30);
 enum WriterMsg {
     Ingest {
         superstep: u32,
-        pred: String,
-        tuples: Vec<Tuple>,
+        pred: Arc<str>,
+        block: RowBlock,
     },
     Finish,
 }
 
-/// Asynchronous ingestion front-end: tuples are sent over a channel to a
+/// Asynchronous ingestion front-end: row blocks are sent over a channel to a
 /// writer thread owning the store, so the analytic's supersteps never
 /// block on serialization or spill IO.
 ///
@@ -63,21 +70,22 @@ pub struct StoreSender {
 }
 
 impl StoreSender {
-    /// Queue a batch for ingestion. If the writer thread has died (for
-    /// example after a spill failure) the batch is dropped; the failure
+    /// Queue a block for ingestion. If the writer thread has died (for
+    /// example after a spill failure) the block is dropped; the failure
     /// itself is reported by [`StoreWriter::finish`], keeping this
     /// hot-path call infallible.
-    pub fn ingest(&self, superstep: u32, pred: &str, tuples: Vec<Tuple>) {
-        if tuples.is_empty() {
+    pub fn ingest_block(&self, superstep: u32, pred: &Arc<str>, block: RowBlock) {
+        use std::sync::atomic::Ordering::Relaxed;
+        if block.is_empty() {
             return;
         }
-        self.pending
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let _ = self.sender.send(WriterMsg::Ingest {
-            superstep,
-            pred: pred.to_string(),
-            tuples,
-        });
+        let pred = Arc::clone(pred);
+        // Counted before the send so the writer's decrement never comes
+        // first; a block that was not delivered is not pending.
+        self.pending.fetch_add(1, Relaxed);
+        if self.sender.send(WriterMsg::Ingest { superstep, pred, block }).is_err() {
+            self.pending.fetch_sub(1, Relaxed);
+        }
     }
 }
 
@@ -121,8 +129,8 @@ impl StoreWriter {
                         WriterMsg::Ingest {
                             superstep,
                             pred,
-                            tuples,
-                        } => store.ingest(superstep, &pred, tuples)?,
+                            block,
+                        } => store.ingest_block(superstep, &pred, block)?,
                         WriterMsg::Finish => break,
                     }
                 }
@@ -199,18 +207,27 @@ mod tests {
     use super::*;
     use crate::store::tests::{temp_dir, tuple};
     use ariadne_vc::FaultPlan;
+    use std::sync::atomic::Ordering;
+
+    /// `(v, step)` rows for `vs`, as one block.
+    fn block(vs: std::ops::Range<u64>, step: i64) -> RowBlock {
+        RowBlock::from_tuples(vs.map(|v| tuple(v, step)).collect()).unwrap()
+    }
 
     #[test]
     fn writer_thread_roundtrip() {
         let writer = StoreWriter::spawn(StoreConfig::in_memory());
         let sender = writer.sender();
         let s2 = sender.clone();
+        let pred: Arc<str> = "superstep".into();
+        let p2 = Arc::clone(&pred);
         std::thread::spawn(move || {
-            s2.ingest(0, "superstep", vec![tuple(7, 0)]);
+            s2.ingest_block(0, &p2, block(7..8, 0));
         })
         .join()
         .unwrap();
-        sender.ingest(1, "superstep", vec![tuple(7, 1)]);
+        sender.ingest_block(1, &pred, block(7..8, 1));
+        sender.ingest_block(2, &pred, RowBlock::default()); // empty: not sent
         let store = writer.finish().unwrap();
         assert_eq!(store.tuple_count(), 2);
     }
@@ -224,10 +241,16 @@ mod tests {
         let writer =
             StoreWriter::spawn(StoreConfig::spilling(8, dir.clone()).with_fault(Arc::clone(&plan)));
         let sender = writer.sender();
-        sender.ingest(0, "value", (0..20).map(|v| tuple(v, 0)).collect());
+        let pred: Arc<str> = "value".into();
+        sender.ingest_block(0, &pred, block(0..20, 0));
+        while !writer.handle.is_finished() {
+            std::thread::yield_now();
+        }
         // Further sends after the writer died are silently dropped, not
-        // a panic on the hot path.
-        sender.ingest(1, "value", vec![tuple(1, 1)]);
+        // a panic on the hot path — and not counted as pending, so a
+        // finish timeout reports only blocks the writer could still get.
+        sender.ingest_block(1, &pred, block(1..2, 1));
+        assert_eq!(writer.pending.load(Ordering::Relaxed), 0);
         match writer.finish() {
             Err(StoreError::InjectedSpillFailure { attempt: 0 }) => {}
             other => panic!("expected injected spill failure, got {other:?}"),
@@ -251,8 +274,9 @@ mod tests {
         let writer =
             StoreWriter::spawn(StoreConfig::spilling(0, dir.clone()).with_fault(Arc::clone(&plan)));
         let sender = writer.sender();
+        let pred: Arc<str> = "value".into();
         for k in 0..32 {
-            sender.ingest(0, "value", vec![tuple(k, 0)]);
+            sender.ingest_block(0, &pred, block(k..k + 1, 0));
         }
         match writer.finish_timeout(Duration::from_millis(10)) {
             Err(StoreError::FinishTimeout { pending, .. }) => {
