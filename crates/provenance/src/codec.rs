@@ -17,9 +17,10 @@
 //! Writers append to a `Vec<u8>`; readers consume the front of a
 //! `&mut &[u8]` through one bounds-checked `take`, which the columnar
 //! and v3 decoders share, so a stored byte is touched once and never
-//! copied into a staging buffer.
+//! copied into a staging buffer. Rows decode into a [`RowBlock`];
+//! [`decode_tuples`] is the adapter that copies them out as tuples.
 
-use crate::rows::Rows;
+use crate::rows::{RowBlock, Rows};
 use ariadne_pql::{Tuple, Value};
 use std::sync::Arc;
 
@@ -176,38 +177,48 @@ pub fn encode_tuples<R: Rows + ?Sized>(rows: &R) -> Vec<u8> {
     buf
 }
 
-/// Deserialize a batch of tuples.
+/// Deserialize a batch of tuples: the rows are decoded into a block,
+/// then copied out.
 pub fn decode_tuples(data: &[u8]) -> Result<Vec<Tuple>, CodecError> {
     decode_tuples_masked(data, None)
 }
 
-/// Deserialize a batch of tuples, optionally applying a keep-mask in
-/// column order: positions whose mask entry is `false` are skipped via
-/// [`skip_value`] (never materialized) and decode as [`Value::Unit`],
-/// preserving arity and row order. Positions past the end of the mask
-/// are kept.
-pub fn decode_tuples_masked(
+/// [`decode_tuples`] under a keep-mask in column order: positions whose
+/// mask entry is `false` are skipped via [`skip_value`] (never
+/// materialized) and decode as [`Value::Unit`], preserving arity and row
+/// order. Positions past the end of the mask are kept.
+pub fn decode_tuples_masked(data: &[u8], mask: Option<&[bool]>) -> Result<Vec<Tuple>, CodecError> {
+    let mut rows = RowBlock::default();
+    decode_rows_into(data, mask, &mut rows)?;
+    Ok(rows.to_tuples())
+}
+
+/// Deserialize a batch of rows onto the end of `out` under an optional
+/// keep-mask (as [`decode_tuples_masked`]). Returns the rows appended; on
+/// an error `out` may hold part of the batch.
+pub(crate) fn decode_rows_into(
     mut data: &[u8],
     mask: Option<&[bool]>,
-) -> Result<Vec<Tuple>, CodecError> {
+    out: &mut RowBlock,
+) -> Result<usize, CodecError> {
     let input = &mut data;
     let count = u32::from_le_bytes(take_array(input)?) as usize;
-    let mut out = Vec::with_capacity(count.min(1 << 20));
     for _ in 0..count {
         let arity = u32::from_le_bytes(take_array(input)?) as usize;
-        let mut tuple = Vec::with_capacity(arity.min(64));
-        for col in 0..arity {
-            let keep = mask.is_none_or(|m| m.get(col).copied().unwrap_or(true));
-            if keep {
-                tuple.push(read_value(input)?);
+        // Every value spends at least its tag byte: an arity the rest of
+        // the payload cannot hold is corrupt, and must not size a row.
+        if arity > input.len() {
+            return Err(CodecError::Truncated);
+        }
+        for (col, slot) in out.grow(1, arity).iter_mut().enumerate() {
+            if mask.is_none_or(|m| m.get(col).copied().unwrap_or(true)) {
+                *slot = read_value(input)?;
             } else {
                 skip_value(input)?;
-                tuple.push(Value::Unit);
             }
         }
-        out.push(tuple);
     }
-    Ok(out)
+    Ok(count)
 }
 
 #[cfg(test)]

@@ -26,8 +26,9 @@
 //! that does not need a column advances past it without materializing a
 //! single [`Value`] (see [`decode_columnar`]'s `mask`). Blocks are
 //! written straight into the payload's `Vec<u8>` and decoded in place
-//! through [`crate::codec`]'s slice reader. Ragged batches
-//! (mixed arities) have no columnar form and fall back to v1 records.
+//! through [`crate::codec`]'s slice reader, each column straight into its
+//! strided slots of a [`RowBlock`]. Ragged batches (mixed arities) have
+//! no columnar form and fall back to v1 records.
 //!
 //! Encoding choice is deterministic: among the applicable encodings the
 //! smallest encoded size wins, ties broken by ascending tag. Dictionary
@@ -35,7 +36,7 @@
 //! pattern, so `NaN` payloads are safe dictionary keys).
 
 use crate::codec::{read_value, take, take_array, write_value, CodecError};
-use crate::rows::Rows;
+use crate::rows::{RowBlock, Rows};
 use ariadne_pql::{MulHasher, Tuple, Value};
 use std::hash::{Hash, Hasher};
 
@@ -244,6 +245,23 @@ impl DictIndex {
     }
 }
 
+/// One column's values, in row order: a strided walk when the rows are
+/// stored strided, row by row otherwise.
+enum Column<'a, R: ?Sized> {
+    Strided(std::iter::StepBy<std::slice::Iter<'a, Value>>),
+    Rows(&'a R, usize, std::ops::Range<usize>),
+}
+
+impl<'a, R: Rows + ?Sized> Iterator for Column<'a, R> {
+    type Item = &'a Value;
+    fn next(&mut self) -> Option<&'a Value> {
+        match self {
+            Column::Strided(values) => values.next(),
+            Column::Rows(rows, col, at) => at.next().map(|i| &rows.row(i)[*col]),
+        }
+    }
+}
+
 /// One column's stats-pass summary.
 struct ColProfile<'a, R: ?Sized> {
     rows: &'a R,
@@ -270,7 +288,7 @@ impl<'a, R: Rows + ?Sized> ColProfile<'a, R> {
             all_id: true,
             all_int: true,
             all_float: true,
-            distinct: Vec::new(),
+            distinct: Vec::with_capacity(rows.len().min(DICT_MAX + 1)),
             codes: Vec::with_capacity(rows.len()),
         };
         let mut index = DictIndex([0; DICT_SLOTS]);
@@ -287,9 +305,11 @@ impl<'a, R: Rows + ?Sized> ColProfile<'a, R> {
     }
 
     /// The column's values, in row order.
-    fn values(&self) -> impl Iterator<Item = &'a Value> {
-        let (rows, col) = (self.rows, self.col);
-        (0..rows.len()).map(move |i| &rows.row(i)[col])
+    fn values(&self) -> Column<'a, R> {
+        match self.rows.strided() {
+            Some((values, arity)) => Column::Strided(values[self.col..].iter().step_by(arity)),
+            None => Column::Rows(self.rows, self.col, 0..self.rows.len()),
+        }
     }
 
     fn dict_applicable(&self) -> bool {
@@ -350,26 +370,24 @@ impl<'a, R: Rows + ?Sized> ColProfile<'a, R> {
         best.1
     }
 
-    /// Encode the column with `enc` into a fresh block.
-    fn encode(&self, enc: Encoding) -> Vec<u8> {
-        let mut block = Vec::new();
+    /// Encode the column with `enc` onto the end of `block`.
+    fn encode(&self, enc: Encoding, block: &mut Vec<u8>) {
         match enc {
             Encoding::Plain => {
-                block.reserve(self.v1_bytes);
                 for v in self.values() {
-                    write_value(&mut block, v);
+                    write_value(block, v);
                 }
             }
-            Encoding::Const => write_value(&mut block, self.distinct[0]),
+            Encoding::Const => write_value(block, self.distinct[0]),
             Encoding::DeltaId => {
                 let mut prev = 0i64;
                 for (k, v) in self.values().enumerate() {
                     let Value::Id(x) = v else { unreachable!() };
                     let cur = *x as i64;
                     if k == 0 {
-                        put_varint(&mut block, *x);
+                        put_varint(block, *x);
                     } else {
-                        put_varint(&mut block, zigzag(cur.wrapping_sub(prev)));
+                        put_varint(block, zigzag(cur.wrapping_sub(prev)));
                     }
                     prev = cur;
                 }
@@ -379,9 +397,9 @@ impl<'a, R: Rows + ?Sized> ColProfile<'a, R> {
                 for (k, v) in self.values().enumerate() {
                     let Value::Int(x) = v else { unreachable!() };
                     if k == 0 {
-                        put_varint(&mut block, zigzag(*x));
+                        put_varint(block, zigzag(*x));
                     } else {
-                        put_varint(&mut block, zigzag(x.wrapping_sub(prev)));
+                        put_varint(block, zigzag(x.wrapping_sub(prev)));
                     }
                     prev = *x;
                 }
@@ -389,10 +407,10 @@ impl<'a, R: Rows + ?Sized> ColProfile<'a, R> {
             Encoding::Dict => {
                 block.extend_from_slice(&(self.distinct.len() as u32).to_le_bytes());
                 for v in &self.distinct {
-                    write_value(&mut block, v);
+                    write_value(block, v);
                 }
                 for c in &self.codes {
-                    put_varint(&mut block, u64::from(*c));
+                    put_varint(block, u64::from(*c));
                 }
             }
             Encoding::FloatRaw => {
@@ -402,7 +420,6 @@ impl<'a, R: Rows + ?Sized> ColProfile<'a, R> {
                 }
             }
         }
-        block
     }
 }
 
@@ -433,14 +450,20 @@ pub fn encode_columnar<R: Rows + ?Sized>(rows: &R) -> Option<ColumnarBatch> {
     for col in 0..arity {
         let profile = ColProfile::build(rows, col);
         let enc = profile.choose();
-        let block = profile.encode(enc);
+        // The block is written in place behind its header, whose length
+        // is patched once known; no encoding is larger than Plain's v1
+        // bytes, so one reserve covers it.
+        payload.reserve(5 + profile.v1_bytes);
         payload.push(enc.tag());
-        payload.extend_from_slice(&(block.len() as u32).to_le_bytes());
+        let len_at = payload.len();
+        payload.extend_from_slice(&[0; 4]);
+        profile.encode(enc, &mut payload);
+        let len = payload.len() - len_at - 4;
+        payload[len_at..len_at + 4].copy_from_slice(&(len as u32).to_le_bytes());
         columns.push(ColumnStat {
-            encoded_bytes: block.len(),
+            encoded_bytes: len,
             decoded_bytes: profile.v1_bytes,
         });
-        payload.extend_from_slice(&block);
         encodings.push(enc);
     }
     Some(ColumnarBatch {
@@ -463,18 +486,34 @@ pub struct ColumnarRead {
     pub col_bytes_skipped: usize,
 }
 
-/// Decode a v2 columnar payload into `out`.
-///
-/// `mask`, when given, is a keep-mask in column order: a column whose
-/// entry is `false` is *not* materialized — its block is skipped via its
-/// length header and every row receives [`Value::Unit`] in that
-/// position, preserving arity and row order. Columns past the end of the
-/// mask are kept. Column 0 (the location) should always be kept by
-/// callers that route on it; this function does not special-case it.
+/// Decode a v2 columnar payload onto the end of `out`: the adapter that
+/// decodes into a block and copies its rows out as tuples. `mask`, when
+/// given, is a keep-mask in column order: a column whose entry is
+/// `false` is *not* materialized — its block is skipped via its length
+/// header and every row receives [`Value::Unit`] in that position,
+/// preserving arity and row order. Columns past the end of the mask are
+/// kept. Column 0 (the location) should always be kept by callers that
+/// route on it; this function does not special-case it.
 pub fn decode_columnar(
     payload: &[u8],
     mask: Option<&[bool]>,
     out: &mut Vec<Tuple>,
+) -> Result<ColumnarRead, CodecError> {
+    let mut rows = RowBlock::default();
+    let read = decode_columnar_into(payload, mask, &mut rows)?;
+    out.extend(rows.rows().map(<[Value]>::to_vec));
+    Ok(read)
+}
+
+/// Decode a v2 columnar payload onto the end of `out` under an optional
+/// keep-mask (as [`decode_columnar`]): the record's rows are opened in
+/// one stretch of `rows × arity` values and each column is written
+/// straight into its strided slots — no row and no column is ever held
+/// apart. On an error `out` may hold part of the record.
+pub(crate) fn decode_columnar_into(
+    payload: &[u8],
+    mask: Option<&[bool]>,
+    out: &mut RowBlock,
 ) -> Result<ColumnarRead, CodecError> {
     let mut input = payload;
     let arity = u16::from_le_bytes(take_array(&mut input)?) as usize;
@@ -509,30 +548,21 @@ pub fn decode_columnar(
             return Err(CodecError::Truncated);
         }
     }
-    let start = out.len();
-    out.extend(std::iter::repeat_with(|| Vec::with_capacity(arity)).take(rows));
+    let cells = out.grow(rows, arity);
     let mut read = ColumnarRead::default();
     for col in 0..arity {
         let (enc, block) = take_column(&mut input)?;
         let len = block.len();
         let keep = mask.is_none_or(|m| m.get(col).copied().unwrap_or(true));
-        if !keep {
+        let decoded_bytes = if keep {
+            // Row r's value of this column lives at `r * arity + col`.
+            decode_column(enc, block, cells[col..].iter_mut().step_by(arity))?
+        } else {
+            // Its slots stay Value::Unit.
             read.cols_skipped += 1;
             read.col_bytes_skipped += len;
-            read.columns.push(ColumnStat {
-                encoded_bytes: len,
-                decoded_bytes: 0,
-            });
-            for row in out[start..].iter_mut() {
-                row.push(Value::Unit);
-            }
-            continue;
-        }
-        let vals = decode_column(enc, block, rows)?;
-        let decoded_bytes = vals.iter().map(v1_value_size).sum();
-        vals.into_iter()
-            .zip(out[start..].iter_mut())
-            .for_each(|(v, row)| row.push(v));
+            0
+        };
         read.columns.push(ColumnStat {
             encoded_bytes: len,
             decoded_bytes,
@@ -548,23 +578,32 @@ fn take_column<'a>(input: &mut &'a [u8]) -> Result<(Encoding, &'a [u8]), CodecEr
     Ok((enc, take(input, u32::from_le_bytes(len) as usize)?))
 }
 
-/// Decode one column block into `rows` values.
-fn decode_column(enc: Encoding, mut block: &[u8], rows: usize) -> Result<Vec<Value>, CodecError> {
+/// Decode one column block into `slots` (one per row), returning the v1
+/// size of the values written.
+fn decode_column<'a>(
+    enc: Encoding,
+    mut block: &[u8],
+    slots: impl ExactSizeIterator<Item = &'a mut Value>,
+) -> Result<usize, CodecError> {
     let input = &mut block;
-    let mut vals = Vec::with_capacity(rows);
-    match enc {
+    let rows = slots.len();
+    let decoded_bytes = match enc {
         Encoding::Plain => {
-            for _ in 0..rows {
-                vals.push(read_value(input)?);
+            let mut bytes = 0;
+            for slot in slots {
+                *slot = read_value(input)?;
+                bytes += v1_value_size(slot);
             }
+            bytes
         }
         Encoding::Const => {
             let v = read_value(input)?;
-            vals.resize(rows, v);
+            slots.for_each(|slot| *slot = v.clone());
+            rows * v1_value_size(&v)
         }
         Encoding::DeltaId => {
             let mut prev = 0i64;
-            for k in 0..rows {
+            for (k, slot) in slots.enumerate() {
                 let raw = get_varint(input)?;
                 let cur = if k == 0 {
                     raw as i64
@@ -572,12 +611,13 @@ fn decode_column(enc: Encoding, mut block: &[u8], rows: usize) -> Result<Vec<Val
                     prev.wrapping_add(unzigzag(raw))
                 };
                 prev = cur;
-                vals.push(Value::Id(cur as u64));
+                *slot = Value::Id(cur as u64);
             }
+            rows * v1_value_size(&Value::Id(0))
         }
         Encoding::DeltaInt => {
             let mut prev = 0i64;
-            for k in 0..rows {
+            for (k, slot) in slots.enumerate() {
                 let raw = get_varint(input)?;
                 let cur = if k == 0 {
                     unzigzag(raw)
@@ -585,8 +625,9 @@ fn decode_column(enc: Encoding, mut block: &[u8], rows: usize) -> Result<Vec<Val
                     prev.wrapping_add(unzigzag(raw))
                 };
                 prev = cur;
-                vals.push(Value::Int(cur));
+                *slot = Value::Int(cur);
             }
+            rows * v1_value_size(&Value::Int(0))
         }
         Encoding::Dict => {
             let dict_len = u32::from_le_bytes(take_array(input)?) as usize;
@@ -595,28 +636,34 @@ fn decode_column(enc: Encoding, mut block: &[u8], rows: usize) -> Result<Vec<Val
             }
             let mut entries = Vec::with_capacity(dict_len);
             for _ in 0..dict_len {
-                entries.push(read_value(input)?);
+                let v = read_value(input)?;
+                entries.push((v1_value_size(&v), v));
             }
-            for _ in 0..rows {
+            let mut bytes = 0;
+            for slot in slots {
                 let idx = get_varint(input)? as usize;
-                vals.push(entries.get(idx).ok_or(CodecError::Truncated)?.clone());
+                let (size, v) = entries.get(idx).ok_or(CodecError::Truncated)?;
+                *slot = v.clone();
+                bytes += size;
             }
+            bytes
         }
         Encoding::FloatRaw => {
             if input.len() != 8 * rows {
                 return Err(CodecError::Truncated);
             }
-            for _ in 0..rows {
+            for slot in slots {
                 let bits = u64::from_le_bytes(take_array(input)?);
-                vals.push(Value::Float(f64::from_bits(bits)));
+                *slot = Value::Float(f64::from_bits(bits));
             }
+            rows * v1_value_size(&Value::Float(0.0))
         }
-    }
+    };
     // Every encoding accounts for its whole block.
     if !input.is_empty() {
         return Err(CodecError::Truncated);
     }
-    Ok(vals)
+    Ok(decoded_bytes)
 }
 
 #[cfg(test)]

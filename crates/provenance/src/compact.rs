@@ -10,22 +10,30 @@
 //! extents. A spool-level manifest (`index.ars`) names the live
 //! generation files and the legacy files they superseded. The write
 //! protocol is crash-recoverable at every step: generation file and
-//! manifest both land via temp-file + fsync + atomic rename (the two
-//! halves in [`crate::spool`]), and superseded files are deleted only
-//! after the manifest rename — a resume finds either the old generation
-//! (manifest not yet swapped; orphaned `gen-*` files are removed) or
-//! the new one (manifest swapped; interrupted deletions are completed).
-//! Layer reads of compacted keys seek directly to the extent instead of
-//! scanning whole files, through a pluggable
+//! manifest both land via temp-file + atomic rename (the two halves in
+//! [`crate::spool`]), and superseded files are deleted only after the
+//! manifest rename — a resume finds either the old generation (manifest
+//! not yet swapped; orphaned `gen-*` files are removed) or the new one
+//! (manifest swapped; interrupted deletions are completed). Both files
+//! are fsynced before their rename unless the store runs at
+//! [`Durability::None`], the level that promises no fsync anywhere: it
+//! keeps the same order, so a process crash still leaves one generation
+//! or the other. Layer reads of compacted keys seek directly to the
+//! extent instead of scanning whole files, through a pluggable
 //! [`ReadBackend`] (buffered by default, zero-copy mmap opt-in).
+//!
+//! Each key is decoded into one [`RowBlock`], reused from key to key,
+//! and re-encoded from it by the record writer segment packing uses
+//! ([`crate::frame`]); no row ever becomes a tuple on the way.
 
-use crate::codec::encode_tuples;
-use crate::columnar::{encode_columnar, MAX_DECODE_CELLS};
-use crate::frame::append_frame_best;
+use crate::frame::append_records;
 use crate::obs_handles;
 use crate::reader::ReadBackend;
+use crate::rows::{RowBlock, Rows};
 use crate::spool::{file_name, io_err, manifest_path, note_fault, publish, write_temp};
-use crate::store::{poison_refusal, DiskFile, ProvStore, ReadPolicy, StoreConfig, StoreError};
+use crate::store::{
+    poison_refusal, DiskFile, Durability, ProvStore, ReadPolicy, StoreConfig, StoreError,
+};
 use crate::v3::{self, FooterEntry, GenFileInfo, LostKey, Manifest};
 use ariadne_obs::trace::{self, Level};
 use std::collections::BTreeSet;
@@ -84,7 +92,8 @@ impl ProvStore {
     /// behind in `quarantine/`.
     ///
     /// Crash safety: the generation file and the manifest are both
-    /// written temp-file + fsync + rename. A crash before the manifest
+    /// written temp-file + rename (each synced unless the store's
+    /// [`Durability`] is [`Durability::None`]). A crash before the manifest
     /// swap leaves the old files authoritative (resume deletes the
     /// orphans); a crash after it leaves the new generation
     /// authoritative (resume finishes deleting the superseded files).
@@ -141,47 +150,38 @@ impl ProvStore {
         let mut entries: Vec<FooterEntry> = Vec::new();
         let mut processed: Vec<(u32, String)> = Vec::new();
         let mut old_paths: BTreeSet<PathBuf> = BTreeSet::new();
+        let mut rows = RowBlock::default();
         for (key, seg) in &self.segments {
             if seg.disk.files.is_empty() && seg.mem.is_empty() {
                 continue;
             }
-            let mut tuples = Vec::new();
+            rows.clear();
             let (bytes, _, _) = seg.decode_into(
                 ReadBackend::Buffered,
                 None,
-                &mut tuples,
+                &mut rows,
                 None,
                 ReadPolicy::Strict,
             )?;
             report.bytes_in += bytes;
             old_paths.extend(seg.disk.files.iter().map(|f| f.path.clone()));
             processed.push(key.clone());
-            if tuples.is_empty() {
+            if rows.is_empty() {
                 continue;
             }
             let offset = buf.len() as u64;
-            // Large merged records, bounded so a reader's
-            // MAX_DECODE_CELLS guard never rejects them.
-            let arity = tuples.first().map_or(1, |t| t.len()).max(1);
-            let max_rows = (MAX_DECODE_CELLS / arity).max(1);
-            let mut records = 0u32;
-            for chunk in tuples.chunks(max_rows) {
-                match encode_columnar(chunk) {
-                    Some(batch) => append_frame_best(&mut buf, 2, &batch.payload),
-                    None => append_frame_best(&mut buf, 1, &encode_tuples(chunk)),
-                }
-                records += 1;
-            }
+            // Large merged records, compressed where LZ wins.
+            let records = append_records(&mut buf, &rows, true, |_| {});
             entries.push(FooterEntry {
                 superstep: key.0,
                 pred: key.1.clone(),
                 offset,
                 len: buf.len() as u64 - offset,
-                tuples: tuples.len() as u64,
+                tuples: rows.len() as u64,
                 records,
             });
             report.segments += 1;
-            report.tuples += tuples.len();
+            report.tuples += rows.len();
         }
         if processed.is_empty() {
             return Ok(unchanged);
@@ -192,11 +192,12 @@ impl ProvStore {
 
         // Publish: gen file, then manifest, then deletions — with a
         // scripted kill point between every pair of steps.
+        let sync = self.config.durability != Durability::None;
         std::fs::create_dir_all(&dir).map_err(io_err(&dir))?;
         step_done(obs_handles::compact_encode_ns(), 0)?;
-        let gtmp = write_temp(&gpath, &buf).map_err(io_err(&gpath))?;
+        let gtmp = write_temp(&gpath, &buf, sync).map_err(io_err(&gpath))?;
         step_done(obs_handles::compact_gen_write_ns(), 1)?;
-        publish(&dir, &gtmp, &gpath).map_err(io_err(&gpath))?;
+        publish(&dir, &gtmp, &gpath, sync).map_err(io_err(&gpath))?;
         step_done(obs_handles::compact_gen_publish_ns(), 2)?;
         old_paths.remove(&gpath);
         let manifest = Manifest {
@@ -217,9 +218,10 @@ impl ProvStore {
                 })
                 .collect(),
         };
-        let mtmp = write_temp(&mpath, &v3::encode_manifest(&manifest)).map_err(io_err(&mpath))?;
+        let mtmp =
+            write_temp(&mpath, &v3::encode_manifest(&manifest), sync).map_err(io_err(&mpath))?;
         step_done(obs_handles::compact_manifest_write_ns(), 3)?;
-        publish(&dir, &mtmp, &mpath).map_err(io_err(&mpath))?;
+        publish(&dir, &mtmp, &mpath, sync).map_err(io_err(&mpath))?;
         step_done(obs_handles::compact_manifest_publish_ns(), 4)?;
         for path in &old_paths {
             if std::fs::remove_file(path).is_ok() {

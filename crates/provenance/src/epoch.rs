@@ -27,12 +27,29 @@
 //!   `[epoch_index, base, supersteps]`, written at the epoch's base
 //!   layer so a spool resume can rebuild the epoch table.
 //!
-//! Logical reads ([`crate::ProvStore::layer_read_with`],
-//! [`crate::ProvStore::to_database`], [`crate::ProvStore::max_superstep`])
-//! materialize superstep `s` by folding the epoch chain in order; a
-//! store with no epochs reads its physical layers directly, byte for
-//! byte the pre-epoch behaviour. Column masks apply *after*
-//! materialization (the chain must see raw tuples to diff them).
+//! # Reading: a newest-first fold
+//!
+//! Logical reads ([`crate::ProvStore::layer_blocks`] and the adapters
+//! over it, [`crate::ProvStore::to_database`],
+//! [`crate::ProvStore::max_superstep`]) materialize superstep `s` from
+//! the chain of physical layers `base + s`, oldest epoch first. A
+//! replacement sets a predicate's content outright and a tombstone
+//! removes it, so nothing *before* the newest of them can show through;
+//! an epoch whose run stopped short of `s` clears everything before it
+//! the same way. The fold therefore works out, from the segment index
+//! alone, where each predicate's content starts — its newest replacement
+//! or tombstone — and decodes only from there on: that replacement, then
+//! the later `~add~` suffixes, in epoch order, each appended straight
+//! into the predicate's [`RowBlock`]. Every other segment of the chain
+//! is skipped undecoded and counted as skipped. The poison and
+//! quarantine checks still cover every physical layer of the chain, so
+//! that damage is reported exactly as a full oldest-first fold would;
+//! a corrupt record inside a superseded segment is simply never read
+//! (scrub still finds it). A store with no epochs reads its physical
+//! layers directly, byte for byte the pre-epoch behaviour. Column masks
+//! apply *after* the fold.
+//!
+//! # Appending: a permutation-sorted diff
 //!
 //! The diff runs in **canonical (sorted) tuple order**: multi-threaded
 //! captures ingest per-chunk buffers in arrival order, so the physical
@@ -40,12 +57,22 @@
 //! comparison would misclassify pure reorderings as replacements.
 //! Equivalence between an epoch-folded read and a cold capture is
 //! therefore a statement about sorted layer content — the same form
-//! the rest of the system compares stores in. See `docs/MUTATIONS.md`
-//! for the numbering walkthrough.
+//! the rest of the system compares stores in. Each side of a (superstep,
+//! predicate) pair is sorted as a `u32` permutation of its block's rows,
+//! compared row slice against row slice; no row is cloned to compare it.
+//! One walk over the union of old and new predicate names classifies
+//! every pair, and the rows to write are gathered in that sorted order —
+//! the rows, in the order, that sorting tuples gave — so the records
+//! written are the same bytes. See `docs/MUTATIONS.md` for the
+//! numbering walkthrough.
 
-use crate::store::{blank_masked, LayerFilter, LayerRead, ProvStore, ReadPolicy, StoreError};
-use ariadne_pql::{Tuple, Value};
+use crate::obs_handles;
+use crate::rows::{RowBlock, Rows};
+use crate::store::{layer_bounds, LayerFilter, LayerRead, ProvStore, ReadPolicy, StoreError};
+use ariadne_obs::trace::{self, Level};
+use ariadne_pql::Value;
 use std::collections::{BTreeMap, BTreeSet};
+use std::time::Instant;
 
 /// One epoch's slice of the physical layer space.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -99,20 +126,101 @@ pub fn is_reserved(pred: &str) -> bool {
     pred == EPOCH_MARKER || pred.starts_with("~add~") || pred.starts_with("~del~")
 }
 
+/// What a segment of an epoch chain does to its base predicate's
+/// logical content.
+#[derive(Copy, Clone, PartialEq, Eq)]
+enum Op {
+    /// Set it to the segment's rows.
+    Replace,
+    /// Extend it by the segment's rows.
+    Add,
+    /// Remove it.
+    Del,
+}
+
+/// The base predicate segment predicate `pred` acts on in an epoch
+/// chain, and how; `None` for the epoch marker.
+fn op_of(pred: &str) -> Option<(&str, Op)> {
+    if pred == EPOCH_MARKER {
+        None
+    } else if let Some(base) = pred.strip_prefix("~add~") {
+        Some((base, Op::Add))
+    } else if let Some(base) = pred.strip_prefix("~del~") {
+        Some((base, Op::Del))
+    } else {
+        Some((pred, Op::Replace))
+    }
+}
+
+/// How one (superstep, predicate) pair moved from one epoch to the next.
+#[derive(Debug)]
+enum Diff {
+    /// The same rows: nothing is written.
+    Carried,
+    /// The old rows (sorted) are a proper prefix of the new ones: the
+    /// suffix, to write as `~add~pred`.
+    Appended(RowBlock),
+    /// Diverged or new: every new row, to write as `pred`.
+    Replaced(RowBlock),
+    /// Rows that were there are gone: a `~del~pred` tombstone.
+    Tombstoned,
+    /// No rows on either side, and not present on both: nothing, and
+    /// counted nowhere.
+    Absent,
+}
+
+/// Classify a predicate's rows moving from `old` to `new` (each absent
+/// when the layer has no such predicate), compared in canonical (sorted)
+/// row order; the rows to write come out in that order.
+fn diff(old: Option<&RowBlock>, new: Option<RowBlock>) -> Diff {
+    let old_len = old.map_or(0, Rows::len);
+    let new_present = new.is_some();
+    let Some(mut new) = new.filter(|n| !n.is_empty()) else {
+        return if old_len > 0 {
+            // The one tombstone site.
+            Diff::Tombstoned
+        } else if old.is_some() && new_present {
+            Diff::Carried
+        } else {
+            Diff::Absent
+        };
+    };
+    let new_order = new.sorted_order();
+    if let Some(old) = old {
+        let old_order = old.sorted_order();
+        let prefix = old_len <= new.len()
+            && (old_order.iter().zip(&new_order))
+                .all(|(&o, &n)| old.row(o as usize) == new.row(n as usize));
+        if prefix && old_len == new.len() {
+            return Diff::Carried;
+        }
+        if prefix && old_len > 0 {
+            return Diff::Appended(new.gather(&new_order[old_len..]));
+        }
+    }
+    new.permute(new_order);
+    Diff::Replaced(new)
+}
+
 impl ProvStore {
-    /// Materialize one logical layer of an epoch-layered store by
-    /// folding the epoch chain: start from the base capture's layer,
-    /// then per delta epoch apply full replacements, `~add~` suffixes
-    /// and `~del~` tombstones. Column masks are applied *after*
-    /// materialization (the fold must compare raw tuples), so the
-    /// column-skip byte accounting of the physical fast path does not
-    /// apply here — `cols_skipped` stays 0 on this path.
-    pub(crate) fn logical_layer_read(
+    /// Materialize one logical layer of an epoch-layered store by the
+    /// newest-first fold (see [`crate::epoch`]): decode each predicate's
+    /// newest replacement and the `~add~` suffixes after it, skip every
+    /// segment they supersede. Column masks are applied *after* the fold
+    /// (it must see raw rows), so the column-skip byte accounting of the
+    /// physical fast path does not apply here — `cols_skipped` stays 0.
+    pub(crate) fn logical_layer_blocks(
         &self,
         superstep: u32,
         filter: &LayerFilter,
         policy: ReadPolicy,
-    ) -> Result<LayerRead, StoreError> {
+    ) -> Result<LayerRead<RowBlock>, StoreError> {
+        let _read_span = trace::span(
+            Level::Trace,
+            "store",
+            "layer_read",
+            &[("superstep", u64::from(superstep).into())],
+        );
         // Widen the predicate allow-set to the diff spellings.
         let chain_filter = match &filter.preds {
             None => LayerFilter::all(),
@@ -125,43 +233,74 @@ impl ProvStore {
                 LayerFilter::for_preds(wide)
             }
         };
-        let mut out = LayerRead::default();
-        let mut acc: BTreeMap<String, Vec<Tuple>> = BTreeMap::new();
-        for info in &self.epochs {
+        let mut out = LayerRead::<RowBlock>::default();
+        // An epoch whose run stopped before `superstep` has no such
+        // layer, and clears what the epochs before it held there (a
+        // later epoch rewrites it in full, diffed against nothing).
+        let live_from = (self.epochs.iter())
+            .rposition(|info| superstep >= info.supersteps)
+            .map_or(0, |at| at + 1);
+        // The chain, oldest first: every segment the filter wants, with
+        // what it does — or nothing, when no fold can need it.
+        let mut chain: Vec<(Option<(&str, Op)>, _)> = Vec::new();
+        let mut filtered = 0u64;
+        for (at, info) in self.epochs.iter().enumerate() {
             if superstep >= info.supersteps {
-                // This epoch's run stopped earlier: the logical layer
-                // does not exist here. It may reappear in a later epoch
-                // (written as a full replacement, since it was diffed
-                // against empty content).
-                acc.clear();
                 continue;
             }
-            let phys = info.base + superstep;
-            let read = self.physical_layer_read_with(phys, &chain_filter, policy)?;
-            out.segments_read += read.segments_read;
-            out.segments_skipped += read.segments_skipped;
-            out.bytes_read += read.bytes_read;
-            out.bytes_skipped += read.bytes_skipped;
-            out.degradation.absorb(&read.degradation);
-            for (pred, tuples) in read.tuples {
-                if pred == EPOCH_MARKER {
-                    continue;
-                }
-                if let Some(base) = pred.strip_prefix("~add~") {
-                    acc.entry(base.to_string()).or_default().extend(tuples);
-                } else if let Some(base) = pred.strip_prefix("~del~") {
-                    acc.remove(base);
+            let layer = info.base + superstep;
+            self.check_damage(layer, &chain_filter, policy, &mut out.degradation)?;
+            for ((_, pred), seg) in self.segments.range(layer_bounds(layer)) {
+                if chain_filter.wants(pred) {
+                    chain.push((op_of(pred).filter(|_| at >= live_from), seg));
                 } else {
-                    acc.insert(pred, tuples);
+                    filtered += 1;
+                    out.segments_skipped += 1;
+                    out.bytes_skipped += seg.total_bytes();
                 }
             }
         }
-        for (pred, mut tuples) in acc {
-            if let Some(mask) = filter.mask(&pred) {
-                blank_masked(&mut tuples, mask);
+        // Each predicate's newest replacement or tombstone: where its
+        // content starts. Found from the index; nothing is decoded.
+        let mut reset: BTreeMap<&str, usize> = BTreeMap::new();
+        for (at, (op, _)) in chain.iter().enumerate() {
+            if let Some((base, Op::Replace | Op::Del)) = op {
+                reset.insert(base, at);
             }
-            out.tuples.push((pred, tuples));
         }
+        let mut folded: BTreeMap<&str, RowBlock> = BTreeMap::new();
+        let mut superseded = 0u64;
+        for (at, (op, seg)) in chain.into_iter().enumerate() {
+            match op {
+                // Decoded onto the predicate's rows: its newest
+                // replacement (starting them afresh), then every suffix
+                // after it.
+                Some((base, Op::Replace | Op::Add))
+                    if reset.get(base).is_none_or(|&from| at >= from) =>
+                {
+                    let rows = folded.entry(base).or_default();
+                    self.decode_segment(seg, None, rows, policy, &mut out)?;
+                }
+                // A newest tombstone has nothing to decode (the content
+                // before it is gone, and the fold never read it); the
+                // rest is superseded or the marker.
+                _ => {
+                    superseded += 1;
+                    out.segments_skipped += 1;
+                    out.bytes_skipped += seg.total_bytes();
+                }
+            }
+        }
+        for (base, mut rows) in folded {
+            if let Some(mask) = filter.mask(base) {
+                rows.blank(0, mask);
+            }
+            out.tuples.push((base.to_string(), rows));
+        }
+        obs_handles::segments_read().add(out.segments_read as u64);
+        obs_handles::segments_skipped().add(filtered);
+        obs_handles::epoch_fold_segments_read().add(out.segments_read as u64);
+        obs_handles::epoch_fold_segments_skipped().add(superseded);
         Ok(out)
     }
 
@@ -179,6 +318,7 @@ impl ProvStore {
     /// [`EpochStats`] reports the carried/appended/replaced split and
     /// the byte win against `next`'s full size.
     pub fn append_epoch(&mut self, next: &ProvStore) -> Result<EpochStats, StoreError> {
+        let started = Instant::now();
         let new_sup = next.max_superstep().map_or(0, |m| m + 1);
         let old_sup = self.max_superstep().map_or(0, |m| m + 1);
         let base = self.max_step.map_or(0, |m| m + 1);
@@ -197,84 +337,61 @@ impl ProvStore {
             cold_bytes: next.byte_size(),
             ..EpochStats::default()
         };
+        let all = LayerFilter::all();
         for s in 0..new_sup {
-            let new_layer = next.layer(s)?;
-            let old_layer: BTreeMap<String, Vec<Tuple>> = if s < old_sup {
-                self.layer(s)?.into_iter().collect()
-            } else {
-                BTreeMap::new()
-            };
-            let mut new_preds: BTreeSet<String> = BTreeSet::new();
-            for (pred, mut new_tuples) in new_layer {
-                if is_reserved(&pred) {
-                    continue;
-                }
-                new_preds.insert(pred.clone());
-                // Diff in canonical (sorted) order: multi-threaded
-                // captures ingest per-chunk buffers in arrival order,
-                // so the physical tuple order inside a layer is not
-                // deterministic run to run. Comparing raw order would
-                // misclassify pure reorderings as full replacements;
-                // layer equivalence is a statement about content, and
-                // content is compared sorted everywhere else too.
-                new_tuples.sort();
-                let old_sorted = old_layer.get(&pred).map(|o| {
-                    let mut o = o.clone();
-                    o.sort();
-                    o
-                });
-                match &old_sorted {
-                    Some(old) if *old == new_tuples => stats.carried += 1,
-                    Some(old)
-                        if !old.is_empty()
-                            && new_tuples.len() > old.len()
-                            && new_tuples[..old.len()] == old[..] =>
-                    {
-                        self.ingest(
-                            base + s,
-                            &shadow_add(&pred),
-                            new_tuples[old.len()..].to_vec(),
-                        )?;
-                        stats.appended += 1;
-                    }
-                    _ if new_tuples.is_empty() => {
-                        if old_layer.get(&pred).is_some_and(|o| !o.is_empty()) {
-                            self.ingest(
-                                base + s,
-                                &shadow_del(&pred),
-                                vec![vec![Value::Int(0)]],
-                            )?;
-                            stats.tombstoned += 1;
-                        }
-                    }
-                    _ => {
-                        self.ingest(base + s, &pred, new_tuples)?;
-                        stats.replaced += 1;
-                    }
+            // Each predicate's old and new rows at `s`, walked once over
+            // the union of their names.
+            let mut pairs: BTreeMap<String, (Option<RowBlock>, Option<RowBlock>)> = BTreeMap::new();
+            if s < old_sup {
+                for (pred, rows) in self.layer_blocks(s, &all, ReadPolicy::Strict)?.tuples {
+                    pairs.entry(pred).or_default().0 = Some(rows);
                 }
             }
-            for (pred, old) in &old_layer {
-                if !old.is_empty() && !new_preds.contains(pred) {
-                    self.ingest(base + s, &shadow_del(pred), vec![vec![Value::Int(0)]])?;
-                    stats.tombstoned += 1;
+            for (pred, rows) in next.layer_blocks(s, &all, ReadPolicy::Strict)?.tuples {
+                if !is_reserved(&pred) {
+                    pairs.entry(pred).or_default().1 = Some(rows);
+                }
+            }
+            for (pred, (old, new)) in pairs {
+                match diff(old.as_ref(), new) {
+                    Diff::Carried => stats.carried += 1,
+                    Diff::Appended(suffix) => {
+                        self.ingest_block(base + s, &shadow_add(&pred), suffix)?;
+                        stats.appended += 1;
+                    }
+                    Diff::Replaced(rows) => {
+                        self.ingest_block(base + s, &pred, rows)?;
+                        stats.replaced += 1;
+                    }
+                    Diff::Tombstoned => {
+                        let mut tombstone = RowBlock::default();
+                        tombstone.push(&[Value::Int(0)]);
+                        self.ingest_block(base + s, &shadow_del(&pred), tombstone)?;
+                        stats.tombstoned += 1;
+                    }
+                    Diff::Absent => {}
                 }
             }
         }
-        self.ingest(
-            base,
-            EPOCH_MARKER,
-            vec![vec![
-                Value::Int(i64::from(epoch_index)),
-                Value::Int(i64::from(base)),
-                Value::Int(i64::from(new_sup)),
-            ]],
-        )?;
+        let mut marker = RowBlock::default();
+        marker.push(&[
+            Value::Int(i64::from(epoch_index)),
+            Value::Int(i64::from(base)),
+            Value::Int(i64::from(new_sup)),
+        ]);
+        self.ingest_block(base, EPOCH_MARKER, marker)?;
         self.epochs.push(EpochInfo {
             base,
             supersteps: new_sup,
         });
         self.pack_all();
         stats.bytes_appended = self.byte_size().saturating_sub(bytes_before);
+        obs_handles::epoch_appends().inc();
+        obs_handles::epoch_carried().add(stats.carried as u64);
+        obs_handles::epoch_appended().add(stats.appended as u64);
+        obs_handles::epoch_replaced().add(stats.replaced as u64);
+        obs_handles::epoch_tombstoned().add(stats.tombstoned as u64);
+        obs_handles::epoch_append_ns().add(started.elapsed().as_nanos() as u64);
         Ok(stats)
     }
 
@@ -283,20 +400,16 @@ impl ProvStore {
     /// incarnation is gone.
     pub(crate) fn rebuild_epochs(&mut self) -> Result<(), StoreError> {
         let mut markers: Vec<(i64, i64, i64)> = Vec::new();
+        let mut rows = RowBlock::default();
         for ((_, pred), seg) in &self.segments {
             if pred != EPOCH_MARKER {
                 continue;
             }
-            let mut tuples = Vec::new();
-            seg.decode_into(
-                self.config.read_backend,
-                None,
-                &mut tuples,
-                None,
-                ReadPolicy::Strict,
-            )?;
-            for t in tuples {
-                if let [Value::Int(idx), Value::Int(mbase), Value::Int(sup)] = t.as_slice() {
+            rows.clear();
+            let backend = self.config.read_backend;
+            seg.decode_into(backend, None, &mut rows, None, ReadPolicy::Strict)?;
+            for row in rows.rows() {
+                if let [Value::Int(idx), Value::Int(mbase), Value::Int(sup)] = row {
                     markers.push((*idx, *mbase, *sup));
                 }
             }
@@ -334,5 +447,53 @@ mod tests {
         assert!(!is_reserved("send_message"));
         assert_eq!(shadow_add("p"), "~add~p");
         assert_eq!(shadow_del("p"), "~del~p");
+    }
+
+    fn block(rows: &[i64]) -> RowBlock {
+        RowBlock::from_tuples(rows.iter().map(|&r| vec![Value::Int(r)]).collect())
+    }
+
+    fn ints(rows: &RowBlock) -> Vec<i64> {
+        let int = |row: &[Value]| match row {
+            [Value::Int(x)] => *x,
+            other => panic!("not one int: {other:?}"),
+        };
+        rows.rows().map(int).collect()
+    }
+
+    /// Every arm of the classification, in sorted order whatever the
+    /// stored order.
+    #[test]
+    fn diff_classifies_in_sorted_order() {
+        let (a, b) = (block(&[3, 1, 2]), block(&[2, 3, 1]));
+        assert!(matches!(diff(Some(&a), Some(b)), Diff::Carried));
+        let Diff::Appended(suffix) = diff(Some(&a), Some(block(&[4, 2, 5, 3, 1]))) else {
+            panic!("a sorted prefix appends")
+        };
+        assert_eq!(ints(&suffix), [4, 5]);
+        let Diff::Replaced(rows) = diff(Some(&a), Some(block(&[9, 1]))) else {
+            panic!("diverged rows replace")
+        };
+        assert_eq!(ints(&rows), [1, 9]);
+        let Diff::Replaced(rows) = diff(None, Some(a.clone())) else {
+            panic!("new rows replace")
+        };
+        assert_eq!(ints(&rows), [1, 2, 3]);
+        assert!(matches!(
+            diff(Some(&block(&[])), Some(a.clone())),
+            Diff::Replaced(_)
+        ));
+        assert!(matches!(
+            diff(Some(&a), Some(block(&[1, 2]))),
+            Diff::Replaced(_)
+        ));
+        assert!(matches!(diff(Some(&a), None), Diff::Tombstoned));
+        assert!(matches!(diff(Some(&a), Some(block(&[]))), Diff::Tombstoned));
+        assert!(matches!(
+            diff(Some(&block(&[])), Some(block(&[]))),
+            Diff::Carried
+        ));
+        assert!(matches!(diff(Some(&block(&[])), None), Diff::Absent));
+        assert!(matches!(diff(None, Some(block(&[]))), Diff::Absent));
     }
 }

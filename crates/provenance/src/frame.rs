@@ -43,13 +43,15 @@
 //! newer records after the sealed older ones in the same logical
 //! segment.
 
-use crate::codec::{decode_tuples_masked, take, take_array, CodecError};
-use crate::columnar::{decode_columnar, ColumnStat};
+use crate::codec::{decode_rows_into, encode_tuples, take, take_array, CodecError};
+use crate::columnar::{
+    decode_columnar_into, encode_columnar, ColumnStat, ColumnarBatch, MAX_DECODE_CELLS,
+};
 use crate::obs_handles;
+use crate::rows::{RowBlock, Rows};
 use crate::store::{Degradation, StoreError};
 use crate::v3;
 use ariadne_obs::trace::{self, Level};
-use ariadne_pql::Tuple;
 use ariadne_vc::checkpoint::crc32;
 use std::path::Path;
 
@@ -95,6 +97,38 @@ pub(crate) fn append_frame_best(buf: &mut Vec<u8>, inner_version: u8, raw: &[u8]
         }
         None => append_frame(buf, inner_version, raw),
     }
+}
+
+/// Frame `rows` as records onto `buf`, at most [`MAX_DECODE_CELLS`]
+/// cells a record (so a reader's guard never rejects one): columnar (v2)
+/// wherever a run of rows has a columnar form, row-major (v1) otherwise,
+/// each in the compressed v3 frame when `compress` and LZ strictly wins.
+/// `on_columnar` sees every columnar batch written. Returns the records
+/// written. The one record writer behind segment packing and compaction.
+pub(crate) fn append_records(
+    buf: &mut Vec<u8>,
+    rows: &RowBlock,
+    compress: bool,
+    mut on_columnar: impl FnMut(&ColumnarBatch),
+) -> u32 {
+    let arity = rows.rows().next().map_or(1, |row| row.len().max(1));
+    let mut records = 0;
+    for chunk in rows.chunks((MAX_DECODE_CELLS / arity).max(1)) {
+        let (version, payload) = match encode_columnar(&chunk) {
+            Some(batch) => {
+                on_columnar(&batch);
+                (2, batch.payload)
+            }
+            None => (1, encode_tuples(&chunk)),
+        };
+        if compress {
+            append_frame_best(buf, version, &payload);
+        } else {
+            append_frame(buf, version, &payload);
+        }
+        records += 1;
+    }
+    records
 }
 
 /// How [`walk_records`] reacts to a record that fails validation.
@@ -232,7 +266,7 @@ pub(crate) struct WalkOutcome {
     pub counts: DecodeCounts,
     /// Records fully validated and decoded.
     pub records: usize,
-    /// Tuples appended to `out`.
+    /// Rows appended to `out`.
     pub tuples: usize,
     /// Offset just past the last valid record — the truncation point a
     /// salvage should cut back to.
@@ -244,8 +278,8 @@ pub(crate) struct WalkOutcome {
     pub damage: Degradation,
 }
 
-/// Decode a concatenation of checksummed records, appending decoded
-/// tuples to `out`. The record's version byte dispatches between the
+/// Decode a concatenation of checksummed records, appending their rows
+/// to `out`. The record's version byte dispatches between the
 /// payload decoders; a mixed stream (v1 records sealed by a previous
 /// incarnation followed by freshly packed v2 ones) is valid. `origin`
 /// names the data source in errors. `mask`, when given, is the
@@ -256,7 +290,7 @@ pub(crate) struct WalkOutcome {
 pub(crate) fn walk_records(
     data: &[u8],
     origin: &Path,
-    out: &mut Vec<Tuple>,
+    out: &mut RowBlock,
     mask: Option<&[bool]>,
     mut stats: Option<&mut Vec<ColumnStat>>,
     mode: WalkMode,
@@ -315,13 +349,16 @@ pub(crate) fn walk_records(
 }
 
 /// [`walk_records`] for verification alone: every CRC checked, every
-/// payload decoded, the tuples discarded.
+/// payload decoded into `scratch` (cleared first, so one block serves a
+/// whole scrub), the rows discarded.
 pub(crate) fn verify_records(
     data: &[u8],
     origin: &Path,
     mode: WalkMode,
+    scratch: &mut RowBlock,
 ) -> Result<WalkOutcome, StoreError> {
-    walk_records(data, origin, &mut Vec::new(), None, None, mode)
+    scratch.clear();
+    walk_records(data, origin, scratch, None, None, mode)
 }
 
 /// Fold `cols` (one record's or file's per-column accounting) into the
@@ -335,13 +372,14 @@ pub(crate) fn absorb_cols(agg: &mut Vec<ColumnStat>, cols: &[ColumnStat]) {
     }
 }
 
-/// Decode one validated frame's payload into `out`, returning the tuple
-/// count appended, or the failure detail.
+/// Decode one validated frame's payload onto the end of `out`,
+/// returning the rows appended, or the failure detail (with `out` left
+/// as it was).
 fn decode_frame(
     frame: &Frame<'_>,
     mask: Option<&[bool]>,
     stats: Option<&mut Vec<ColumnStat>>,
-    out: &mut Vec<Tuple>,
+    out: &mut RowBlock,
     counts: &mut DecodeCounts,
 ) -> Result<usize, String> {
     // A v3 frame decompresses to an inner v1/v2 payload, then decodes
@@ -360,22 +398,22 @@ fn decode_frame(
         frame.payload
     };
     let before = out.len();
+    // A failed decode may have written part of the record; drop it so a
+    // Degraded-mode skip leaves no half-decoded rows.
+    let failed = |out: &mut RowBlock, what: &str, e: CodecError| {
+        out.truncate(before);
+        format!("{what} decode failed: {e}")
+    };
     if version == 2 {
-        let read = decode_columnar(payload, mask, out).map_err(|e| {
-            // A failed decode may have appended partial rows; drop them
-            // so Degraded-mode skips leave no half-decoded tuples.
-            out.truncate(before);
-            format!("columnar decode failed: {e}")
-        })?;
+        let read =
+            decode_columnar_into(payload, mask, out).map_err(|e| failed(out, "columnar", e))?;
         counts.cols_skipped += read.cols_skipped;
         counts.col_bytes_skipped += read.col_bytes_skipped;
         if let Some(stats) = stats {
             absorb_cols(stats, &read.columns);
         }
     } else {
-        out.extend(
-            decode_tuples_masked(payload, mask).map_err(|e| format!("tuple decode failed: {e}"))?,
-        );
+        decode_rows_into(payload, mask, out).map_err(|e| failed(out, "tuple", e))?;
         // v1 records skip masked values one at a time; count the
         // masked columns per non-empty record (the v2 analogue of a
         // skipped column block) even though the byte savings are not

@@ -203,6 +203,57 @@ static_counter!(
     "wall nanoseconds deleting superseded files after the manifest swap",
     false
 );
+// Epoch appends and the logical reads that fold epoch chains (ROADMAP
+// 5(e): the mutation path emitted nothing). Pair counts and fold
+// segment counts are functions of the two captures alone.
+static_counter!(
+    epoch_appends,
+    "store_epoch_appends_total",
+    "delta epochs appended to a store after a graph mutation",
+    true
+);
+static_counter!(
+    epoch_carried,
+    "store_epoch_carried_total",
+    "(layer, predicate) pairs an epoch append carried without writing",
+    true
+);
+static_counter!(
+    epoch_appended,
+    "store_epoch_appended_total",
+    "(layer, predicate) pairs an epoch append extended by a ~add~ suffix",
+    true
+);
+static_counter!(
+    epoch_replaced,
+    "store_epoch_replaced_total",
+    "(layer, predicate) pairs an epoch append rewrote in full",
+    true
+);
+static_counter!(
+    epoch_tombstoned,
+    "store_epoch_tombstoned_total",
+    "(layer, predicate) pairs an epoch append tombstoned with ~del~",
+    true
+);
+static_counter!(
+    epoch_append_ns,
+    "store_epoch_append_ns",
+    "wall nanoseconds spent in epoch appends (fold, diff and ingest)",
+    false
+);
+static_counter!(
+    epoch_fold_segments_read,
+    "store_epoch_fold_segments_read_total",
+    "segments the newest-first epoch fold decoded",
+    true
+);
+static_counter!(
+    epoch_fold_segments_skipped,
+    "store_epoch_fold_segments_skipped_total",
+    "epoch-chain segments the fold skipped undecoded (superseded, or the epoch marker)",
+    true
+);
 // v3 metadata reads: how often footers and manifests are parsed.
 // Both depend on open/replay patterns, not logical work.
 static_counter!(

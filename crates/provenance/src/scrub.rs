@@ -25,6 +25,7 @@
 
 use crate::frame::{verify_records, WalkMode};
 use crate::obs_handles;
+use crate::rows::RowBlock;
 use crate::spool::{
     file_name, list_spool, manifest_path, quarantine_file, read_file, salvage_truncate,
     write_atomic, SegFile,
@@ -172,12 +173,13 @@ impl ScrubReport {
 fn verify_gen_file(
     data: &[u8],
     path: &Path,
+    scratch: &mut RowBlock,
 ) -> Result<(usize, usize, Vec<v3::FooterEntry>), String> {
     obs_handles::footer_reads().inc();
     let (entries, region_end) =
         v3::parse_footer(data).map_err(|e| format!("generation footer: {e}"))?;
-    let w =
-        verify_records(&data[..region_end], path, WalkMode::Strict).map_err(|e| e.to_string())?;
+    let w = verify_records(&data[..region_end], path, WalkMode::Strict, scratch)
+        .map_err(|e| e.to_string())?;
     // The footer's extent accounting must agree with the frames.
     let footer_tuples: u64 = entries.iter().map(|e| e.tuples).sum();
     if footer_tuples != w.tuples as u64 {
@@ -208,11 +210,12 @@ pub(crate) enum Repair {
 /// the manifest and every generation file under `dir`, re-verify every
 /// checksum and payload decode, and append what was checked and found
 /// to `report`. With `repair`, fix what can be fixed on disk and return
-/// the fixes made.
+/// the fixes made. Every file decodes into `scratch`.
 pub(crate) fn verify_spool(
     dir: &Path,
     repair: bool,
     report: &mut ScrubReport,
+    scratch: &mut RowBlock,
 ) -> Result<Vec<Repair>, StoreError> {
     let mut repairs = Vec::new();
     let Some(listing) = list_spool(dir)? else {
@@ -238,7 +241,7 @@ pub(crate) fn verify_spool(
         // apparent truncation — is corruption, like damage inside
         // complete frames anywhere: irrecoverable, the repair is
         // quarantine.
-        damage.detail = match verify_records(&data, &damage.path, WalkMode::Salvage) {
+        damage.detail = match verify_records(&data, &damage.path, WalkMode::Salvage, scratch) {
             Ok(w) => match w.torn_tail {
                 None => {
                     report.count(w.records, w.tuples);
@@ -313,7 +316,7 @@ pub(crate) fn verify_spool(
         report.files_checked += 1;
         let data = read_file(&gpath)?;
         let name = file_name(&gpath);
-        match verify_gen_file(&data, &gpath) {
+        match verify_gen_file(&data, &gpath, scratch) {
             Ok((records, tuples, entries)) => {
                 report.count(records, tuples);
                 live.push(GenFileInfo {
@@ -417,7 +420,7 @@ pub fn scrub_spool(dir: &Path, repair: bool) -> Result<ScrubReport, StoreError> 
         repaired: repair,
         ..ScrubReport::default()
     };
-    verify_spool(dir, repair, &mut report)?;
+    verify_spool(dir, repair, &mut report, &mut RowBlock::default())?;
     record_scrub(&report, Some(dir));
     Ok(report)
 }
@@ -447,12 +450,13 @@ impl ProvStore {
         // In-memory buffers: packed records verify like disk records
         // (unpacked v2 pending rows are not yet encoded — nothing to
         // verify). Strict walk; memory has no torn-tail failure mode.
+        let mut scratch = RowBlock::default();
         for ((step, pred), seg) in &self.segments {
             if seg.mem.is_empty() {
                 continue;
             }
             let origin = PathBuf::from(format!("<mem:seg-{step}-{pred}>"));
-            match verify_records(&seg.mem, &origin, WalkMode::Strict) {
+            match verify_records(&seg.mem, &origin, WalkMode::Strict, &mut scratch) {
                 Ok(w) => report.count(w.records, w.tuples),
                 Err(e) => report.damage.push(SegmentDamage {
                     sealed: false,
@@ -463,7 +467,7 @@ impl ProvStore {
         }
         let spool = self.config.spool_dir.clone();
         let repairs = match &spool {
-            Some(dir) => verify_spool(dir, repair, &mut report)?,
+            Some(dir) => verify_spool(dir, repair, &mut report, &mut scratch)?,
             None => Vec::new(),
         };
         if !repairs.is_empty() {

@@ -27,7 +27,9 @@
 //! the exact contract per level. Every atomically published file — a
 //! sealed segment, a generation file, the manifest — goes through the
 //! same two halves: write a `.tmp` sibling and fsync it, then rename it
-//! into place and fsync the directory.
+//! into place and fsync the directory. Compaction under
+//! [`Durability::None`] keeps the temp-file + rename order and skips
+//! the syncs, like every other write at that level.
 //!
 //! # Recovery
 //!
@@ -40,6 +42,7 @@
 use crate::frame::{absorb_cols, walk_records, WalkMode};
 use crate::obs_handles;
 use crate::reader::{read_extent, ReadBackend};
+use crate::rows::RowBlock;
 use crate::store::{DiskFile, Durability, ProvStore, Segment, StoreConfig, StoreError};
 use crate::v3;
 use ariadne_obs::trace::{self, Level};
@@ -178,28 +181,33 @@ pub(crate) fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
 }
 
 /// First half of an atomic publish: write `bytes` to `path`'s `.tmp`
-/// sibling and fsync it. Nothing is visible under `path` until
-/// [`publish`] renames the returned temp file into place.
-pub(crate) fn write_temp(path: &Path, bytes: &[u8]) -> std::io::Result<PathBuf> {
+/// sibling and, when `sync`, fsync it. Nothing is visible under `path`
+/// until [`publish`] renames the returned temp file into place.
+pub(crate) fn write_temp(path: &Path, bytes: &[u8], sync: bool) -> std::io::Result<PathBuf> {
     let tmp = with_suffix(path, ".tmp");
     let mut file = File::create(&tmp)?;
     file.write_all(bytes)?;
-    timed_sync(&file)?;
+    if sync {
+        timed_sync(&file)?;
+    }
     Ok(tmp)
 }
 
-/// Second half of an atomic publish: rename `tmp` over `path`, then
-/// fsync the directory entry.
-pub(crate) fn publish(dir: &Path, tmp: &Path, path: &Path) -> std::io::Result<()> {
+/// Second half of an atomic publish: rename `tmp` over `path`, then,
+/// when `sync`, fsync the directory entry.
+pub(crate) fn publish(dir: &Path, tmp: &Path, path: &Path, sync: bool) -> std::io::Result<()> {
     std::fs::rename(tmp, path)?;
-    let _ = timed_sync_dir(dir);
+    if sync {
+        let _ = timed_sync_dir(dir);
+    }
     Ok(())
 }
 
-/// Write `bytes` to `path` atomically: [`write_temp`], then [`publish`].
+/// Write `bytes` to `path` atomically and durably: [`write_temp`], then
+/// [`publish`], both synced.
 pub(crate) fn write_atomic(dir: &Path, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-    write_temp(path, bytes)
-        .and_then(|tmp| publish(dir, &tmp, path))
+    write_temp(path, bytes, true)
+        .and_then(|tmp| publish(dir, &tmp, path, true))
         .map_err(io_err(path))
 }
 
@@ -428,16 +436,17 @@ impl ProvStore {
                 let _ = std::fs::remove_file(path);
             }
         }
+        let mut rows = RowBlock::default();
         for SegFile { key, path, sealed } in listing.segs {
             let data = read_file(&path)?;
-            let mut tuples = Vec::new();
             let mut cols = Vec::new();
             let mode = if sealed {
                 WalkMode::Strict
             } else {
                 WalkMode::Salvage
             };
-            let walked = walk_records(&data, &path, &mut tuples, None, Some(&mut cols), mode)?;
+            rows.clear();
+            let walked = walk_records(&data, &path, &mut rows, None, Some(&mut cols), mode)?;
             let mut kept = data.len();
             if let Some(detail) = walked.torn_tail {
                 salvage_truncate(&path, &data, walked.valid_end, walked.records)?;
@@ -461,7 +470,7 @@ impl ProvStore {
                     path,
                     offset: 0,
                     bytes: kept,
-                    tuples: tuples.len(),
+                    tuples: walked.tuples,
                     atomic: sealed,
                     compacted: false,
                 },
@@ -644,13 +653,13 @@ impl ProvStore {
                     if let Some(keep) = torn_at {
                         // Crash mid-seal: only the temp file is torn;
                         // the published .seal is untouched.
-                        write_temp(&seal_path, &full[..full.len() - payload.len() + keep])?;
+                        write_temp(&seal_path, &full[..full.len() - payload.len() + keep], true)?;
                         return Err(std::io::Error::other(
                             "injected torn write (crash mid-seal)",
                         ));
                     }
-                    let tmp = write_temp(&seal_path, &full)?;
-                    publish(dir, &tmp, &seal_path)
+                    let tmp = write_temp(&seal_path, &full, true)?;
+                    publish(dir, &tmp, &seal_path, true)
                 })?;
                 // Absorbed files are now part of the sealed rewrite;
                 // remove a stale .bin tail so resume does not double

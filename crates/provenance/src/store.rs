@@ -31,11 +31,11 @@
 //! are made from.
 
 use crate::codec::{encode_tuples, CodecError};
-use crate::columnar::{encode_columnar, v1_batch_size, ColumnStat, MAX_DECODE_CELLS};
+use crate::columnar::{v1_batch_size, ColumnStat};
 use crate::epoch::EpochInfo;
 use crate::frame::{
-    absorb_cols, append_frame, append_frame_best, walk_records, DecodeCounts, WalkMode,
-    RECORD_OVERHEAD,
+    absorb_cols, append_frame, append_frame_best, append_records, walk_records, DecodeCounts,
+    WalkMode, RECORD_OVERHEAD,
 };
 use crate::obs_handles;
 use crate::reader::{read_extent, ReadBackend};
@@ -43,7 +43,7 @@ use crate::rows::{RowBlock, Rows};
 use crate::spool::{io_err, note_fault, timed_sync_dir};
 use crate::v3::FooterEntry;
 use ariadne_obs::trace::{self, Level};
-use ariadne_pql::{Database, Tuple, Value};
+use ariadne_pql::{Database, Tuple};
 use ariadne_vc::FaultPlan;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -198,7 +198,8 @@ pub enum SegmentFormat {
 /// *survive* a crash or power loss.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum Durability {
-    /// No fsync anywhere (the pre-durability behavior and the default).
+    /// No fsync anywhere, compaction included (the pre-durability
+    /// behavior and the default).
     /// Spills append whole records to unsealed `seg-*.bin` tails; after
     /// an OS crash the tail may be torn, which resume salvages back to
     /// the last record boundary. Survives process crash, not power loss.
@@ -447,21 +448,16 @@ impl DiskFile {
 }
 
 impl Segment {
-    /// Frame `payload` (a record payload of the given `version`) onto the
-    /// in-memory records, compressed when the store's `format` compresses.
-    fn append_record(&mut self, format: SegmentFormat, version: u8, payload: &[u8]) {
-        if format == SegmentFormat::V3 {
-            append_frame_best(&mut self.mem, version, payload);
-        } else {
-            append_frame(&mut self.mem, version, payload);
-        }
-    }
-
-    /// Frame the v1 payload of `rows` rows onto the in-memory records;
-    /// returns the bytes they grew by.
+    /// Frame the v1 payload of `rows` rows onto the in-memory records,
+    /// compressed when the store's `format` compresses; returns the bytes
+    /// they grew by.
     fn append_v1(&mut self, format: SegmentFormat, payload: &[u8], rows: usize) -> usize {
         let before = self.mem.len();
-        self.append_record(format, 1, payload);
+        if format == SegmentFormat::V3 {
+            append_frame_best(&mut self.mem, 1, payload);
+        } else {
+            append_frame(&mut self.mem, 1, payload);
+        }
         self.mem_tuples += rows;
         self.mem.len() - before
     }
@@ -478,21 +474,15 @@ impl Segment {
         let est = std::mem::take(&mut self.pending_bytes);
         let before = self.mem.len();
         // One record, unless the block is larger than a reader's
-        // MAX_DECODE_CELLS guard lets a record be.
-        for chunk in rows.chunks((MAX_DECODE_CELLS / rows.arity()).max(1)) {
-            match encode_columnar(&chunk) {
-                Some(batch) => {
-                    self.append_record(format, 2, &batch.payload);
-                    absorb_cols(&mut self.cols, &batch.columns);
-                    for (col, enc) in batch.columns.iter().zip(&batch.encodings) {
-                        obs_handles::encoding_hist(*enc).record(col.encoded_bytes as u64);
-                    }
-                }
-                // Wider than a columnar header can say: a v1 record
-                // inside the v2 store (readers dispatch per record).
-                None => self.append_record(format, 1, &encode_tuples(&chunk)),
+        // MAX_DECODE_CELLS guard lets a record be — or wider than a
+        // columnar header can say: then a v1 record inside the v2 store
+        // (readers dispatch per record).
+        append_records(&mut self.mem, &rows, format == SegmentFormat::V3, |batch| {
+            absorb_cols(&mut self.cols, &batch.columns);
+            for (col, enc) in batch.columns.iter().zip(&batch.encodings) {
+                obs_handles::encoding_hist(*enc).record(col.encoded_bytes as u64);
             }
-        }
+        });
         let appended = self.mem.len() - before;
         self.mem_tuples += rows.len();
         *mem_bytes = *mem_bytes - est + appended;
@@ -531,16 +521,16 @@ impl Segment {
     }
 
     /// Decode the whole segment (spilled prefix first, then the
-    /// in-memory tail, then pending rows) into `out`, returning the
-    /// encoded bytes read plus skip accounting and any degradation
-    /// incurred under [`ReadPolicy::Degraded`]. `mask` is the keep-mask
-    /// applied to every record *and* to cloned pending rows, so masked
-    /// reads are identical whether rows were packed yet or not.
+    /// in-memory tail, then pending rows) onto the end of `out`,
+    /// returning the encoded bytes read plus skip accounting and any
+    /// degradation incurred under [`ReadPolicy::Degraded`]. `mask` is the
+    /// keep-mask applied to every record *and* to copied pending rows, so
+    /// masked reads are identical whether rows were packed yet or not.
     pub(crate) fn decode_into(
         &self,
         backend: ReadBackend,
         mask: Option<&[bool]>,
-        out: &mut Vec<Tuple>,
+        out: &mut RowBlock,
         stats: Option<&mut Vec<ColumnStat>>,
         policy: ReadPolicy,
     ) -> Result<(usize, DecodeCounts, Degradation), StoreError> {
@@ -597,24 +587,12 @@ impl Segment {
         if !self.pending.is_empty() {
             bytes_read += self.pending_bytes;
             let at = out.len();
-            out.extend(self.pending.rows().map(<[Value]>::to_vec));
+            self.pending.rows().for_each(|row| out.push(row));
             if let Some(mask) = mask {
-                blank_masked(&mut out[at..], mask);
+                out.blank(at, mask);
             }
         }
         Ok((bytes_read, counts, damage))
-    }
-}
-
-/// Blank every position of `tuples` that the keep-mask `mask` drops to
-/// [`Value::Unit`]; positions past the end of the mask are kept.
-pub(crate) fn blank_masked(tuples: &mut [Tuple], mask: &[bool]) {
-    for t in tuples {
-        for (v, keep) in t.iter_mut().zip(mask) {
-            if !keep {
-                *v = Value::Unit;
-            }
-        }
     }
 }
 
@@ -685,19 +663,23 @@ pub struct SegmentInfo {
     pub columns: Vec<ColumnStat>,
 }
 
-/// The outcome of one filtered layer read.
+/// The outcome of one filtered layer read: each predicate's rows — as
+/// [`Tuple`]s, or (`R = RowBlock`, [`ProvStore::layer_blocks`]) as the
+/// blocks they were decoded into — and what the read touched and
+/// skipped.
 #[derive(Debug, Default)]
-pub struct LayerRead {
-    /// Decoded (predicate, tuples) pairs, in predicate order.
-    pub tuples: Vec<(String, Vec<Tuple>)>,
+pub struct LayerRead<R = Vec<Tuple>> {
+    /// Decoded (predicate, rows) pairs, in predicate order.
+    pub tuples: Vec<(String, R)>,
     /// Segments decoded for this layer.
     pub segments_read: usize,
-    /// Segments whose predicate the filter rejected — neither decoded
-    /// nor (for spilled parts) read from disk at all.
+    /// Segments neither decoded nor (for spilled parts) read from disk
+    /// at all: the filter rejected their predicate, or — in an epoch
+    /// store — a newer epoch superseded their content.
     pub segments_skipped: usize,
     /// Encoded bytes decoded (memory + disk).
     pub bytes_read: usize,
-    /// Encoded bytes the filter avoided touching.
+    /// Encoded bytes of the skipped segments.
     pub bytes_skipped: usize,
     /// Column runs skipped via a column mask: one per masked column per
     /// v2 record (the whole encoded block is jumped over) and one per
@@ -713,16 +695,37 @@ pub struct LayerRead {
     pub degradation: Degradation,
 }
 
+impl LayerRead<RowBlock> {
+    /// Copy every block's rows out as tuples: the adapter behind
+    /// [`ProvStore::layer_read_with`].
+    pub(crate) fn into_tuples(self) -> LayerRead {
+        LayerRead {
+            tuples: self
+                .tuples
+                .into_iter()
+                .map(|(pred, rows)| (pred, rows.to_tuples()))
+                .collect(),
+            segments_read: self.segments_read,
+            segments_skipped: self.segments_skipped,
+            bytes_read: self.bytes_read,
+            bytes_skipped: self.bytes_skipped,
+            cols_skipped: self.cols_skipped,
+            col_bytes_skipped: self.col_bytes_skipped,
+            degradation: self.degradation,
+        }
+    }
+}
+
 /// What a layer read should materialize: a predicate allow-set plus
 /// optional per-predicate column keep-masks.
 ///
 /// Segments whose predicate the filter rejects are skipped whole —
 /// no decode and (for spilled parts) no disk read. Within a decoded
 /// segment, a column keep-mask drops individual columns: masked-out
-/// positions decode as [`Value::Unit`] (arity and row order preserved)
-/// and, for v2 records, the encoded column block is skipped without
-/// materializing a single value — a query that never touches message
-/// payloads never pays for them.
+/// positions decode as [`Value::Unit`](ariadne_pql::Value::Unit) (arity
+/// and row order preserved) and, for v2 records, the encoded column
+/// block is skipped without materializing a single value — a query that
+/// never touches message payloads never pays for them.
 #[derive(Clone, Debug, Default)]
 pub struct LayerFilter<'a> {
     /// `None` = all predicates.
@@ -782,7 +785,7 @@ type SegmentKeyBound = std::ops::Bound<(u32, String)>;
 /// The key range covering every segment of `superstep`. Uses an explicit
 /// upper bound so `superstep == u32::MAX` does not overflow (the old
 /// `(superstep + 1, "")` end bound panicked there).
-fn layer_bounds(superstep: u32) -> (SegmentKeyBound, SegmentKeyBound) {
+pub(crate) fn layer_bounds(superstep: u32) -> (SegmentKeyBound, SegmentKeyBound) {
     use std::ops::Bound;
     let lo = Bound::Included((superstep, String::new()));
     let hi = match superstep.checked_add(1) {
@@ -808,43 +811,31 @@ impl ProvStore {
     }
 
     /// Ingest a batch of tuples for (superstep, pred): [`ProvStore::ingest_block`]
-    /// for callers that hold [`Tuple`]s. A batch with no flat form (mixed
-    /// arities, or rows without columns — no capture produces either) is
-    /// framed as a v1 record at once.
+    /// for callers that hold [`Tuple`]s.
     pub fn ingest(
         &mut self,
         superstep: u32,
         pred: &str,
         tuples: Vec<Tuple>,
     ) -> Result<(), StoreError> {
-        self.ingest_batch(superstep, pred, RowBlock::from_tuples(tuples))
+        self.ingest_block(superstep, pred, RowBlock::from_tuples(tuples))
     }
 
     /// Ingest a block of rows for (superstep, pred): under
     /// [`SegmentFormat::V1`] it becomes one checksummed record, otherwise
-    /// it joins the segment's pending rows until their columnar pack.
-    /// Re-ingesting into a sealed (recovered) segment is an idempotent
-    /// no-op. Spill IO failures surface as typed errors naming the path.
+    /// it joins the segment's pending rows until their columnar pack. A
+    /// [ragged](RowBlock::is_ragged) block (mixed arities, or rows
+    /// without columns — no capture produces either) has no columnar
+    /// form and is framed as a v1 record at once. Re-ingesting into a
+    /// sealed (recovered) segment is an idempotent no-op. Spill IO
+    /// failures surface as typed errors naming the path.
     pub fn ingest_block(
         &mut self,
         superstep: u32,
         pred: &str,
         block: RowBlock,
     ) -> Result<(), StoreError> {
-        self.ingest_batch(superstep, pred, Ok(block))
-    }
-
-    /// The one ingest path; `Err` is a batch with no flat form.
-    fn ingest_batch(
-        &mut self,
-        superstep: u32,
-        pred: &str,
-        batch: Result<RowBlock, Vec<Tuple>>,
-    ) -> Result<(), StoreError> {
-        let rows = match &batch {
-            Ok(block) => block.len(),
-            Err(ragged) => ragged.len(),
-        };
+        let rows = block.len();
         if rows == 0 {
             return Ok(());
         }
@@ -878,11 +869,16 @@ impl ProvStore {
         self.tuples += rows;
         obs_handles::ingest_batches().inc();
         obs_handles::ingest_tuples().add(rows as u64);
-        let added = match batch {
-            Ok(block) if format == SegmentFormat::V1 => {
+        let added = match block {
+            block if format == SegmentFormat::V1 => {
                 seg.append_v1(format, &encode_tuples(&block), rows)
             }
-            Ok(block) => {
+            ragged if ragged.is_ragged() => {
+                // Records keep ingest order: what is pending goes first.
+                seg.pack(format, &mut self.mem_bytes, superstep, pred);
+                seg.append_v1(format, &encode_tuples(&ragged), rows)
+            }
+            block => {
                 // Buffer rows; the columnar pack happens at the
                 // threshold, before any spill, and at pack_all/finish.
                 if seg.pending.arity() != block.arity() {
@@ -898,11 +894,6 @@ impl ProvStore {
                 seg.pending.append(block);
                 seg.pending_bytes += added;
                 added
-            }
-            Err(ragged) => {
-                // Records keep ingest order: what is pending goes first.
-                seg.pack(format, &mut self.mem_bytes, superstep, pred);
-                seg.append_v1(format, &encode_tuples(&ragged), rows)
             }
         };
         self.mem_bytes += added;
@@ -1079,8 +1070,9 @@ impl ProvStore {
 
     /// One provenance layer through a [`LayerFilter`]: predicate-level
     /// segment pruning plus column-selective decode. Masked-out columns
-    /// decode as [`Value::Unit`] without materializing the stored
-    /// values; for v2 records the whole encoded column block is skipped.
+    /// decode as [`Value::Unit`](ariadne_pql::Value::Unit) without
+    /// materializing the stored values; for v2 records the whole encoded
+    /// column block is skipped.
     /// Uses [`ReadPolicy::Strict`]; see [`ProvStore::layer_read_with`].
     pub fn layer_read(&self, superstep: u32, filter: &LayerFilter) -> Result<LayerRead, StoreError> {
         self.layer_read_with(superstep, filter, ReadPolicy::Strict)
@@ -1091,17 +1083,30 @@ impl ProvStore {
     /// quarantined segment of this layer, or a poisoned store — is a
     /// typed error. Under [`ReadPolicy::Degraded`] damaged records are
     /// skipped, quarantined segments are counted, and the exact loss is
-    /// reported on [`LayerRead::degradation`].
+    /// reported on [`LayerRead::degradation`]. The rows are those of
+    /// [`ProvStore::layer_blocks`], copied out as tuples.
     pub fn layer_read_with(
         &self,
         superstep: u32,
         filter: &LayerFilter,
         policy: ReadPolicy,
     ) -> Result<LayerRead, StoreError> {
+        Ok(self.layer_blocks(superstep, filter, policy)?.into_tuples())
+    }
+
+    /// [`ProvStore::layer_read_with`] without the copy: each predicate's
+    /// rows in the [`RowBlock`] they were decoded into. A store with
+    /// epochs folds its logical layer newest-first (see [`crate::epoch`]).
+    pub fn layer_blocks(
+        &self,
+        superstep: u32,
+        filter: &LayerFilter,
+        policy: ReadPolicy,
+    ) -> Result<LayerRead<RowBlock>, StoreError> {
         if self.epochs.is_empty() {
-            self.physical_layer_read_with(superstep, filter, policy)
+            self.physical_layer_blocks(superstep, filter, policy)
         } else {
-            self.logical_layer_read(superstep, filter, policy)
+            self.logical_layer_blocks(superstep, filter, policy)
         }
     }
 
@@ -1109,24 +1114,73 @@ impl ProvStore {
     /// the storage-level view: after [`ProvStore::append_epoch`], a
     /// physical layer of a delta epoch holds diff segments
     /// (`~add~pred` / `~del~pred` / replacements), not materialized
-    /// logical content — use [`ProvStore::layer_read_with`] for that.
-    pub(crate) fn physical_layer_read_with(
+    /// logical content — use [`ProvStore::layer_blocks`] for that.
+    pub(crate) fn physical_layer_blocks(
         &self,
         superstep: u32,
         filter: &LayerFilter,
         policy: ReadPolicy,
-    ) -> Result<LayerRead, StoreError> {
+    ) -> Result<LayerRead<RowBlock>, StoreError> {
         let _read_span = trace::span(
             Level::Trace,
             "store",
             "layer_read",
             &[("superstep", u64::from(superstep).into())],
         );
-        let mut out = LayerRead::default();
+        let mut out = LayerRead::<RowBlock>::default();
+        self.check_damage(superstep, filter, policy, &mut out.degradation)?;
+        for ((_, pred), seg) in self.segments.range(layer_bounds(superstep)) {
+            if !filter.wants(pred) {
+                out.segments_skipped += 1;
+                out.bytes_skipped += seg.total_bytes();
+                continue;
+            }
+            let mut rows = RowBlock::default();
+            let counts =
+                self.decode_segment(seg, filter.mask(pred), &mut rows, policy, &mut out)?;
+            out.cols_skipped += counts.cols_skipped;
+            out.col_bytes_skipped += counts.col_bytes_skipped;
+            out.tuples.push((pred.clone(), rows));
+        }
+        obs_handles::segments_read().add(out.segments_read as u64);
+        obs_handles::segments_skipped().add(out.segments_skipped as u64);
+        obs_handles::col_bytes_skipped().add(out.col_bytes_skipped as u64);
+        Ok(out)
+    }
+
+    /// Decode `seg` onto the end of `rows` for a read, charging the
+    /// segment and its bytes and damage to `out`.
+    pub(crate) fn decode_segment(
+        &self,
+        seg: &Segment,
+        mask: Option<&[bool]>,
+        rows: &mut RowBlock,
+        policy: ReadPolicy,
+        out: &mut LayerRead<RowBlock>,
+    ) -> Result<DecodeCounts, StoreError> {
+        let (bytes, counts, damage) =
+            seg.decode_into(self.config.read_backend, mask, rows, None, policy)?;
+        out.segments_read += 1;
+        out.bytes_read += bytes;
+        out.degradation.absorb(&damage);
+        Ok(counts)
+    }
+
+    /// The damage a read of physical layer `superstep` through `filter`
+    /// must own up to before decoding anything: a poisoned store, and
+    /// quarantined segments of the layer the filter wants. A typed error
+    /// under [`ReadPolicy::Strict`]; noted on `degradation` otherwise.
+    pub(crate) fn check_damage(
+        &self,
+        superstep: u32,
+        filter: &LayerFilter,
+        policy: ReadPolicy,
+        degradation: &mut Degradation,
+    ) -> Result<(), StoreError> {
         if let Some(poison) = &self.poison {
             match policy {
                 ReadPolicy::Strict => return Err(poison_refusal(poison, POISONED)),
-                ReadPolicy::Degraded => out.degradation.note(format!(
+                ReadPolicy::Degraded => degradation.note(format!(
                     "{POISONED} ({poison}); {} batches / {} tuples lost",
                     self.dropped_batches, self.dropped_tuples
                 )),
@@ -1144,37 +1198,12 @@ impl ProvStore {
                     })
                 }
                 ReadPolicy::Degraded => {
-                    out.degradation.segments_skipped += 1;
-                    out.degradation
-                        .note(format!("{}: quarantined", qpath.display()));
+                    degradation.segments_skipped += 1;
+                    degradation.note(format!("{}: quarantined", qpath.display()));
                 }
             }
         }
-        for ((_, pred), seg) in self.segments.range(layer_bounds(superstep)) {
-            if !filter.wants(pred) {
-                out.segments_skipped += 1;
-                out.bytes_skipped += seg.total_bytes();
-                continue;
-            }
-            let mut tuples = Vec::with_capacity(seg.total_tuples());
-            let (bytes, counts, damage) = seg.decode_into(
-                self.config.read_backend,
-                filter.mask(pred),
-                &mut tuples,
-                None,
-                policy,
-            )?;
-            out.bytes_read += bytes;
-            out.cols_skipped += counts.cols_skipped;
-            out.col_bytes_skipped += counts.col_bytes_skipped;
-            out.degradation.absorb(&damage);
-            out.segments_read += 1;
-            out.tuples.push((pred.clone(), tuples));
-        }
-        obs_handles::segments_read().add(out.segments_read as u64);
-        obs_handles::segments_skipped().add(out.segments_skipped as u64);
-        obs_handles::col_bytes_skipped().add(out.col_bytes_skipped as u64);
-        Ok(out)
+        Ok(())
     }
 
     /// The largest **logical** superstep, if any. For a store with no
@@ -1226,9 +1255,15 @@ impl ProvStore {
 
     /// Load everything into one database (centralized evaluation). One
     /// pass over the segment index in (superstep, predicate) order — no
-    /// per-layer range scans, and empty layers cost nothing. Strict: a
-    /// poisoned store or quarantined segment is a typed error (partial
-    /// evaluation over a full-database load would be silently wrong).
+    /// per-layer range scans, and empty layers cost nothing — decoding
+    /// each segment into one reused block whose rows go into their
+    /// relation as slices. An epoch store loads its logical layers
+    /// instead (each folded newest-first). Strict: a poisoned store or
+    /// quarantined segment is a typed error (partial evaluation over a
+    /// full-database load would be silently wrong), and so is a
+    /// predicate whose rows differ in arity — only a ragged
+    /// [`ProvStore::ingest`] stores such rows, and no relation holds
+    /// them.
     pub fn to_database(&self) -> Result<Database, StoreError> {
         if let Some(poison) = &self.poison {
             return Err(poison_refusal(poison, POISONED));
@@ -1239,34 +1274,43 @@ impl ProvStore {
                 source: None,
             });
         }
-        if !self.epochs.is_empty() {
+        let mut db = Database::new();
+        let mut load = |pred: &str, rows: &RowBlock| -> Result<(), StoreError> {
+            let Some(first) = rows.rows().next() else {
+                return Ok(());
+            };
+            let rel = db.relation_mut(pred, first.len());
+            for row in rows.rows() {
+                if row.len() != rel.arity() {
+                    return Err(StoreError::Corrupt {
+                        path: PathBuf::from("<memory>"),
+                        detail: format!(
+                            "`{pred}` holds rows of arity {} and {}: no relation loads both",
+                            rel.arity(),
+                            row.len()
+                        ),
+                    });
+                }
+                rel.insert_slice(row);
+            }
+            Ok(())
+        };
+        if self.epochs.is_empty() {
+            let mut rows = RowBlock::default();
+            for ((_, pred), seg) in &self.segments {
+                rows.clear();
+                let policy = ReadPolicy::Strict;
+                seg.decode_into(self.config.read_backend, None, &mut rows, None, policy)?;
+                load(pred, &rows)?;
+            }
+        } else if let Some(max) = self.max_superstep() {
             // Epoch-layered store: materialize each logical layer (the
             // physical index interleaves diff segments with history).
-            let mut db = Database::new();
-            if let Some(max) = self.max_superstep() {
-                for s in 0..=max {
-                    let read = self.layer_read_with(s, &LayerFilter::all(), ReadPolicy::Strict)?;
-                    for (pred, tuples) in read.tuples {
-                        for t in tuples {
-                            db.insert(&pred, t);
-                        }
-                    }
+            for s in 0..=max {
+                let read = self.logical_layer_blocks(s, &LayerFilter::all(), ReadPolicy::Strict)?;
+                for (pred, rows) in &read.tuples {
+                    load(pred, rows)?;
                 }
-            }
-            return Ok(db);
-        }
-        let mut db = Database::new();
-        for ((_, pred), seg) in &self.segments {
-            let mut tuples = Vec::with_capacity(seg.total_tuples());
-            seg.decode_into(
-                self.config.read_backend,
-                None,
-                &mut tuples,
-                None,
-                ReadPolicy::Strict,
-            )?;
-            for t in tuples {
-                db.insert(pred, t);
             }
         }
         Ok(db)
@@ -1344,7 +1388,6 @@ impl ProvStore {
         self.config.read_backend = backend;
     }
 }
-
 
 #[cfg(test)]
 pub(crate) mod tests {
@@ -1757,7 +1800,7 @@ pub(crate) mod tests {
             for s in 0..3u32 {
                 for k in 0..4u64 {
                     by_tuples.ingest(s, "value", batch(s, k)).unwrap();
-                    let block = RowBlock::from_tuples(batch(s, k)).unwrap();
+                    let block = RowBlock::from_tuples(batch(s, k));
                     by_blocks.ingest_block(s, "value", block).unwrap();
                 }
                 by_tuples.ingest(s, "superstep", vec![tuple(1, s as i64)]).unwrap();

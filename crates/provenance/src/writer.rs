@@ -211,7 +211,7 @@ mod tests {
 
     /// `(v, step)` rows for `vs`, as one block.
     fn block(vs: std::ops::Range<u64>, step: i64) -> RowBlock {
-        RowBlock::from_tuples(vs.map(|v| tuple(v, step)).collect()).unwrap()
+        RowBlock::from_tuples(vs.map(|v| tuple(v, step)).collect())
     }
 
     #[test]
