@@ -658,16 +658,6 @@ impl Pool<'_> {
     }
 }
 
-/// Evaluate `query` over the captured `store` in layered fashion with
-/// the default (sequential) configuration.
-pub fn run_layered(
-    graph: &Csr,
-    store: &ProvStore,
-    query: &CompiledQuery,
-) -> Result<LayeredRun, AriadneError> {
-    run_layered_with(graph, store, query, &LayeredConfig::default())
-}
-
 /// Evaluate `query` over the captured `store` in layered fashion:
 /// parallel chunked replay with predicate-filtered layer reads. Results
 /// are bit-identical at every thread count (see the module docs for the
@@ -937,7 +927,7 @@ mod tests {
         let g = path(3);
         let store = ProvStore::new(StoreConfig::in_memory());
         let q = compile("p(x, i) :- superstep(x, i).", Params::new()).unwrap();
-        let run = run_layered(&g, &store, &q).unwrap();
+        let run = run_layered_with(&g, &store, &q, &LayeredConfig::default()).unwrap();
         assert_eq!(run.layers, 0);
         assert_eq!(run.flush_rounds, 0);
         assert_eq!(run.shipped_tuples, 0);
@@ -955,7 +945,7 @@ mod tests {
             Params::new(),
         )
         .unwrap();
-        match run_layered(&g, &store, &q) {
+        match run_layered_with(&g, &store, &q, &LayeredConfig::default()) {
             Err(AriadneError::UnsupportedMode { mode, .. }) => assert_eq!(mode, "layered"),
             other => panic!("expected rejection, got {other:?}"),
         }
@@ -969,7 +959,7 @@ mod tests {
         store.ingest(0, "superstep", vec![vec![Value::Id(1), Value::Int(0)]]).unwrap();
         store.ingest(2, "superstep", vec![vec![Value::Id(1), Value::Int(2)]]).unwrap();
         let q = compile("active(x, i) :- superstep(x, i).", Params::new()).unwrap();
-        let run = run_layered(&g, &store, &q).unwrap();
+        let run = run_layered_with(&g, &store, &q, &LayeredConfig::default()).unwrap();
         assert_eq!(run.layers, 3); // layers 0, 1 (empty), 2
         assert_eq!(run.query_results.len("active"), 2);
     }
@@ -981,7 +971,7 @@ mod tests {
         let mut store = ProvStore::new(StoreConfig::in_memory());
         store.ingest(0, "superstep", vec![vec![Value::Id(99), Value::Int(0)]]).unwrap();
         let q = compile("active(x, i) :- superstep(x, i).", Params::new()).unwrap();
-        let run = run_layered(&g, &store, &q).unwrap();
+        let run = run_layered_with(&g, &store, &q, &LayeredConfig::default()).unwrap();
         assert_eq!(run.query_results.len("active"), 0);
     }
 
@@ -1000,7 +990,7 @@ mod tests {
         }
         let q = compile("active(x, i) :- superstep(x, i).", Params::new()).unwrap();
 
-        let full = run_layered(&g, &store, &q).unwrap();
+        let full = run_layered_with(&g, &store, &q, &LayeredConfig::default()).unwrap();
         assert_eq!(full.layer_range, (0, 3));
 
         let also_full =
@@ -1040,7 +1030,7 @@ mod tests {
             .unwrap();
         let q = compile("active(x, i) :- superstep(x, i).", Params::new()).unwrap();
 
-        let pruned = run_layered(&g, &store, &q).unwrap();
+        let pruned = run_layered_with(&g, &store, &q, &LayeredConfig::default()).unwrap();
         assert_eq!(pruned.segments_read, 1, "only superstep decoded");
         assert_eq!(pruned.segments_skipped, 2);
         assert!(pruned.bytes_skipped > 0);
@@ -1104,7 +1094,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(q.direction(), Direction::Backward);
-        let run = run_layered(&g, &store, &q).unwrap();
+        let run = run_layered_with(&g, &store, &q, &LayeredConfig::default()).unwrap();
         let traced: BTreeSet<u64> = run
             .query_results
             .sorted("trace")
@@ -1157,7 +1147,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(q.direction(), Direction::Forward);
-        let run = run_layered(&g, &store, &q).unwrap();
+        let run = run_layered_with(&g, &store, &q, &LayeredConfig::default()).unwrap();
         let reached: BTreeSet<u64> = run
             .query_results
             .sorted("reach")
@@ -1208,7 +1198,7 @@ mod tests {
                 Params::new(),
             )
             .unwrap();
-            let projected = run_layered(&g, &store, &q).unwrap();
+            let projected = run_layered_with(&g, &store, &q, &LayeredConfig::default()).unwrap();
             let full = run_layered_with(
                 &g,
                 &store,

@@ -62,7 +62,7 @@ pub use capture::CaptureSpec;
 pub use columns::column_masks;
 pub use compile::{compile, compile_with, CompiledQuery};
 pub use custom::CustomProv;
-pub use layered::{run_layered, run_layered_range, run_layered_with, LayeredConfig, LayeredRun};
+pub use layered::{run_layered_range, run_layered_with, LayeredConfig, LayeredRun};
 pub use mutable::MutableSession;
 pub use online::{OnlineProgram, OnlineRun, QueryFailure};
 pub use report::{RunReport, StoreReport};

@@ -1,6 +1,7 @@
 //! The paper's queries (1–12) as ready-made builders.
 //!
-//! Each builder returns a [`CompiledQuery`] or [`CaptureSpec`]. The PQL
+//! Each builder returns a [`CompiledQuery`] or [`CaptureSpec`]; Query 2,
+//! full capture, is [`CaptureSpec::full`] itself. The PQL
 //! sources follow the paper §4–§6 with two mechanical adaptations:
 //! hyphens in names become underscores, and rules are stated with the
 //! most selective scan first (identical semantics, better join order).
@@ -27,11 +28,6 @@ pub fn apt(udf: &str, eps: Value) -> Result<CompiledQuery, PqlError> {
          unsafe(x, i) :- no_execute(x, i), !change(x, i)."
     );
     compile(&src, Params::new().with("eps", eps))
-}
-
-/// Query 2 — capture the full provenance graph.
-pub fn capture_full() -> CaptureSpec {
-    CaptureSpec::full()
 }
 
 /// Query 3 — custom capture: the forward lineage (set of influenced

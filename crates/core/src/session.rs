@@ -453,26 +453,14 @@ impl Ariadne {
     /// Layered offline evaluation over a captured store (§5.1): parallel
     /// chunked replay with predicate-filtered layer reads, using the
     /// engine's thread count. Results are bit-identical at every thread
-    /// count.
+    /// count. [`run_layered_with`] takes an explicit [`LayeredConfig`].
     pub fn layered(
         &self,
         graph: &Csr,
         store: &ProvStore,
         query: &CompiledQuery,
     ) -> Result<LayeredRun, AriadneError> {
-        self.layered_with(graph, store, query, &LayeredConfig::parallel(self.engine.threads))
-    }
-
-    /// Layered offline evaluation with explicit [`LayeredConfig`]
-    /// tuning (thread count, chunk granularity, predicate pruning).
-    pub fn layered_with(
-        &self,
-        graph: &Csr,
-        store: &ProvStore,
-        query: &CompiledQuery,
-        config: &LayeredConfig,
-    ) -> Result<LayeredRun, AriadneError> {
-        run_layered_with(graph, store, query, config)
+        run_layered_with(graph, store, query, &LayeredConfig::parallel(self.engine.threads))
     }
 
     /// Naive offline evaluation: materialize the whole provenance graph

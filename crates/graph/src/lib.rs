@@ -34,5 +34,5 @@ pub mod types;
 pub use builder::GraphBuilder;
 pub use csr::{Csr, EdgeRef};
 pub use delta::{forward_closure, undirected_closure, GraphDelta, MutableGraph, MutationReport};
-pub use partition::{ChunkTable, HashPartitioner};
+pub use partition::ChunkTable;
 pub use types::{Direction, VertexId};

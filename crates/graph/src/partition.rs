@@ -1,74 +1,10 @@
-//! Vertex partitioning for the parallel engine.
+//! Vertex chunking for the parallel engine and layered replay.
 //!
-//! Giraph hash-partitions vertices across workers; we do the same across
-//! worker threads. The partitioner is a trait so tests can plug in a
-//! round-robin or single-partition layout.
+//! Giraph hash-partitions vertices across workers; here each worker owns
+//! a contiguous, degree-weighted range of vertex ids instead, so delivery
+//! in chunk order is delivery in global sender order at any thread count.
 
 use crate::csr::Csr;
-use crate::types::VertexId;
-
-/// Maps vertices to partitions `0..num_partitions`.
-pub trait Partitioner: Send + Sync {
-    /// Number of partitions.
-    fn num_partitions(&self) -> usize;
-    /// The partition that owns `v`.
-    fn partition_of(&self, v: VertexId) -> usize;
-}
-
-/// Multiplicative-hash partitioner (Fibonacci hashing), the default.
-#[derive(Copy, Clone, Debug)]
-pub struct HashPartitioner {
-    parts: usize,
-}
-
-impl HashPartitioner {
-    /// Create a partitioner over `parts` partitions.
-    pub fn new(parts: usize) -> Self {
-        assert!(parts > 0, "need at least one partition");
-        HashPartitioner { parts }
-    }
-}
-
-impl Partitioner for HashPartitioner {
-    fn num_partitions(&self) -> usize {
-        self.parts
-    }
-
-    #[inline]
-    fn partition_of(&self, v: VertexId) -> usize {
-        // Fibonacci hashing spreads consecutive ids well.
-        let h = v.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 32) as usize % self.parts
-    }
-}
-
-/// Assigns contiguous id ranges to partitions; useful when locality along
-/// the id space matters (e.g. generated grid graphs in tests).
-#[derive(Copy, Clone, Debug)]
-pub struct RangePartitioner {
-    parts: usize,
-    chunk: u64,
-}
-
-impl RangePartitioner {
-    /// Partition `0..n` ids into `parts` contiguous chunks.
-    pub fn new(n: usize, parts: usize) -> Self {
-        assert!(parts > 0, "need at least one partition");
-        let chunk = ((n as u64) / parts as u64).max(1);
-        RangePartitioner { parts, chunk }
-    }
-}
-
-impl Partitioner for RangePartitioner {
-    fn num_partitions(&self) -> usize {
-        self.parts
-    }
-
-    #[inline]
-    fn partition_of(&self, v: VertexId) -> usize {
-        ((v.0 / self.chunk) as usize).min(self.parts - 1)
-    }
-}
 
 /// A table of contiguous vertex-id chunk boundaries for the parallel
 /// engine's two-phase superstep.
@@ -226,52 +162,19 @@ fn partition_point_idx(len: usize, pred: impl Fn(usize) -> bool) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GraphBuilder;
-
-    #[test]
-    fn hash_covers_all_partitions() {
-        let p = HashPartitioner::new(4);
-        let mut seen = [false; 4];
-        for i in 0..1000u64 {
-            let part = p.partition_of(VertexId(i));
-            assert!(part < 4);
-            seen[part] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn hash_is_roughly_balanced() {
-        let p = HashPartitioner::new(8);
-        let mut counts = [0usize; 8];
-        for i in 0..8000u64 {
-            counts[p.partition_of(VertexId(i))] += 1;
-        }
-        for &c in &counts {
-            assert!(c > 500 && c < 1500, "unbalanced: {counts:?}");
-        }
-    }
-
-    #[test]
-    fn range_partitioner_contiguous() {
-        let p = RangePartitioner::new(100, 4);
-        assert_eq!(p.partition_of(VertexId(0)), 0);
-        assert_eq!(p.partition_of(VertexId(99)), 3);
-        for i in 1..100u64 {
-            assert!(p.partition_of(VertexId(i)) >= p.partition_of(VertexId(i - 1)));
-        }
-    }
+    use crate::{GraphBuilder, VertexId};
 
     #[test]
     fn single_partition() {
-        let p = HashPartitioner::new(1);
-        assert_eq!(p.partition_of(VertexId(123)), 0);
+        let t = ChunkTable::degree_weighted(&Csr::empty(124), 1, 8);
+        assert_eq!(t.starts(), &[0, 124]);
+        assert_eq!(t.chunk_of(123), 0);
     }
 
     #[test]
     #[should_panic(expected = "at least one")]
     fn zero_partitions_rejected() {
-        let _ = HashPartitioner::new(0);
+        let _ = ChunkTable::degree_weighted(&Csr::empty(4), 0, 1);
     }
 
     #[test]

@@ -1,61 +1,90 @@
-//! Property-based tests for graph construction and statistics.
+//! Seeded randomized tests for graph construction and statistics.
 
 use ariadne_graph::stats::{bfs_distances, weakly_connected_components};
 use ariadne_graph::{GraphBuilder, VertexId};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-fn arb_edges() -> impl Strategy<Value = Vec<(u64, u64, f64)>> {
-    proptest::collection::vec((0u64..50, 0u64..50, 0.0f64..10.0), 0..200)
+/// Run `property` on `cases` generators, case `k` seeded with `seed ^ k`;
+/// a failing case panics with its test name, index and seed.
+fn check(name: &str, seed: u64, cases: u64, property: impl Fn(&mut StdRng)) {
+    for case in 0..cases {
+        let seed = seed ^ case;
+        let run = || property(&mut StdRng::seed_from_u64(seed));
+        if catch_unwind(AssertUnwindSafe(run)).is_err() {
+            panic!("{name} failed at case {case} (seed {seed:#x})");
+        }
+    }
 }
 
-proptest! {
-    /// CSR invariants: degrees sum to edge count, adjacency sorted and
-    /// deduplicated, in/out views consistent.
-    #[test]
-    fn csr_invariants(edges in arb_edges()) {
+/// Up to 199 edges over ids `0..50`, weights in `[0, 10)`; repeats and
+/// self-loops included.
+fn arb_edges(rng: &mut StdRng) -> Vec<(u64, u64, f64)> {
+    let len = rng.gen_range(0..200usize);
+    (0..len)
+        .map(|_| {
+            (
+                rng.gen_range(0..50u64),
+                rng.gen_range(0..50u64),
+                rng.gen_range(0.0..10.0),
+            )
+        })
+        .collect()
+}
+
+/// CSR invariants: degrees sum to edge count, adjacency sorted and
+/// deduplicated, in/out views consistent.
+#[test]
+fn csr_invariants() {
+    check("csr_invariants", 0x6a70_0001, 64, |rng| {
         let mut b = GraphBuilder::new();
-        for &(s, d, w) in &edges {
+        for (s, d, w) in arb_edges(rng) {
             b.add_edge(VertexId(s), VertexId(d), w);
         }
         let g = b.build();
         let out_sum: usize = g.vertices().map(|v| g.out_degree(v)).sum();
         let in_sum: usize = g.vertices().map(|v| g.in_degree(v)).sum();
-        prop_assert_eq!(out_sum, g.num_edges());
-        prop_assert_eq!(in_sum, g.num_edges());
+        assert_eq!(out_sum, g.num_edges());
+        assert_eq!(in_sum, g.num_edges());
         for v in g.vertices() {
             let ns = g.out_neighbors(v);
-            prop_assert!(ns.windows(2).all(|w| w[0] < w[1]), "unsorted/dup adjacency");
+            assert!(ns.windows(2).all(|w| w[0] < w[1]), "unsorted/dup adjacency");
             for &n in ns {
-                prop_assert!(g.has_edge(v, n));
-                prop_assert!(g.in_neighbors(n).contains(&v));
+                assert!(g.has_edge(v, n));
+                assert!(g.in_neighbors(n).contains(&v));
             }
         }
-    }
+    });
+}
 
-    /// Every edge inserted is retrievable with the *last* weight given.
-    #[test]
-    fn last_weight_wins(edges in arb_edges()) {
+/// Every edge inserted is retrievable with the *last* weight given.
+#[test]
+fn last_weight_wins() {
+    check("last_weight_wins", 0x6a70_0002, 64, |rng| {
+        let edges = arb_edges(rng);
         let mut b = GraphBuilder::new();
         for &(s, d, w) in &edges {
             b.add_edge(VertexId(s), VertexId(d), w);
         }
         let g = b.build();
-        use std::collections::HashMap;
-        let mut expect: HashMap<(u64, u64), f64> = HashMap::new();
+        let mut expect = std::collections::HashMap::new();
         for &(s, d, w) in &edges {
             expect.insert((s, d), w);
         }
         for ((s, d), w) in expect {
-            prop_assert_eq!(g.edge_weight(VertexId(s), VertexId(d)), Some(w));
+            assert_eq!(g.edge_weight(VertexId(s), VertexId(d)), Some(w));
         }
-    }
+    });
+}
 
-    /// BFS distances satisfy the triangle property along edges.
-    #[test]
-    fn bfs_relaxed(edges in arb_edges()) {
+/// BFS distances satisfy the triangle property along edges.
+#[test]
+fn bfs_relaxed() {
+    check("bfs_relaxed", 0x6a70_0003, 64, |rng| {
         let mut b = GraphBuilder::new();
         b.ensure_vertex(VertexId(0));
-        for &(s, d, _) in &edges {
+        for (s, d, _) in arb_edges(rng) {
             b.add_edge(VertexId(s), VertexId(d), 1.0);
         }
         let g = b.build();
@@ -63,26 +92,28 @@ proptest! {
         for (s, d, _) in g.edges() {
             let (ds, dd) = (dist[s.index()], dist[d.index()]);
             if ds != u32::MAX {
-                prop_assert!(dd <= ds + 1, "edge {s}->{d}: {ds} then {dd}");
+                assert!(dd <= ds + 1, "edge {s}->{d}: {ds} then {dd}");
             }
         }
-    }
+    });
+}
 
-    /// WCC labels are component minima: every vertex's label is <= its
-    /// own id and equal to its neighbours' labels.
-    #[test]
-    fn wcc_labels_consistent(edges in arb_edges()) {
+/// WCC labels are component minima: every vertex's label is <= its
+/// own id and equal to its neighbours' labels.
+#[test]
+fn wcc_labels_consistent() {
+    check("wcc_labels_consistent", 0x6a70_0004, 64, |rng| {
         let mut b = GraphBuilder::new();
-        for &(s, d, _) in &edges {
+        for (s, d, _) in arb_edges(rng) {
             b.add_edge(VertexId(s), VertexId(d), 1.0);
         }
         let g = b.build();
         let labels = weakly_connected_components(&g);
         for v in g.vertices() {
-            prop_assert!(labels[v.index()] <= v.0);
+            assert!(labels[v.index()] <= v.0);
         }
         for (s, d, _) in g.edges() {
-            prop_assert_eq!(labels[s.index()], labels[d.index()]);
+            assert_eq!(labels[s.index()], labels[d.index()]);
         }
-    }
+    });
 }

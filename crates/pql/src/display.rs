@@ -126,7 +126,8 @@ fn write_const(f: &mut fmt::Formatter<'_>, v: &Value) -> fmt::Result {
 #[cfg(test)]
 mod tests {
     use crate::parse;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::Rng;
 
     #[test]
     fn renders_canonical_forms() {
@@ -159,28 +160,37 @@ mod tests {
         }
     }
 
-    proptest! {
-        /// Any program that parses re-parses identically from its
-        /// pretty-printed form (modulo line numbers).
-        #[test]
-        fn display_parse_roundtrip(
-            preds in proptest::collection::vec("[a-z][a-z0-9_]{0,6}", 1..4),
-            vars in proptest::collection::vec("[a-z]", 1..3),
-        ) {
+    /// An identifier over `[a-z][a-z0-9_]{0,6}`.
+    fn arb_ident(rng: &mut StdRng) -> String {
+        const REST: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_";
+        let first = rng.gen_range(b'a'..=b'z') as char;
+        let len = rng.gen_range(0..=6usize);
+        let rest = (0..len).map(|_| REST[rng.gen_range(0..REST.len())] as char);
+        std::iter::once(first).chain(rest).collect()
+    }
+
+    /// Any program that parses re-parses identically from its
+    /// pretty-printed form (modulo line numbers).
+    #[test]
+    fn display_parse_roundtrip() {
+        crate::check("display_parse_roundtrip", 0xd15b_0001, 64, |rng| {
+            let preds: Vec<String> = (0..rng.gen_range(1..4usize))
+                .map(|_| arb_ident(rng))
+                .collect();
+            let head_var = rng.gen_range(b'a'..=b'z') as char;
             // Assemble a small program from the generated names.
-            let head_var = &vars[0];
             let mut src = String::new();
             for (i, p) in preds.iter().enumerate() {
                 src.push_str(&format!(
                     "{p}({head_var}, {i}) :- superstep({head_var}, i), i >= {i}.\n"
                 ));
             }
-            let Ok(p1) = parse(&src) else { return Ok(()); };
+            let Ok(p1) = parse(&src) else { return };
             let p2 = parse(&p1.to_string()).unwrap();
             for (r1, r2) in p1.rules.iter().zip(&p2.rules) {
-                prop_assert_eq!(&r1.head, &r2.head);
-                prop_assert_eq!(&r1.body, &r2.body);
+                assert_eq!(&r1.head, &r2.head);
+                assert_eq!(&r1.body, &r2.body);
             }
-        }
+        });
     }
 }

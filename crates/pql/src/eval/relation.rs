@@ -528,21 +528,20 @@ mod tests {
         }
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
-
-        /// Random operation sequences agree with the model after every
-        /// step. Ten values in two columns give up to 100 distinct
-        /// tuples, so sequences grow past `SMALL` (building dedup and
-        /// indexes), `retain` shrinks them back below it, and the probes
-        /// that follow every step run on whichever side they landed.
-        #[test]
-        fn agrees_with_vec_and_set_model(
-            ops in proptest::collection::vec((0u8..16, 0u8..10, 0u8..10), 1..120),
-        ) {
+    /// Random operation sequences agree with the model after every step.
+    /// Ten values in two columns give up to 100 distinct tuples, so
+    /// sequences grow past `SMALL` (building dedup and indexes), `retain`
+    /// shrinks them back below it, and the probes that follow every step
+    /// run on whichever side they landed.
+    #[test]
+    fn agrees_with_vec_and_set_model() {
+        use rand::Rng;
+        crate::check("agrees_with_vec_and_set_model", 0x4e1a_0001, 200, |rng| {
             let mut rel = Relation::new(2);
             let mut model = Model::default();
-            for (op, a, b) in ops {
+            for _ in 0..rng.gen_range(1..120usize) {
+                let op = rng.gen_range(0..16u8);
+                let (a, b) = (rng.gen_range(0..10u8), rng.gen_range(0..10u8));
                 let tuple = vec![palette(a), palette(b)];
                 match op {
                     // Inserts dominate so relations actually grow.
@@ -551,14 +550,14 @@ mod tests {
                         if new {
                             model.order.push(tuple.clone());
                         }
-                        proptest::prop_assert_eq!(rel.insert(tuple.clone()), new);
+                        assert_eq!(rel.insert(tuple.clone()), new);
                     }
                     9 | 10 => {
                         let keep = |t: &Tuple| t[usize::from(op - 9)] != palette(a);
                         let before = model.order.len();
                         model.order.retain(keep);
                         model.set.retain(keep);
-                        proptest::prop_assert_eq!(rel.retain(keep), before - model.order.len());
+                        assert_eq!(rel.retain(keep), before - model.order.len());
                     }
                     11 => rel = rel.clone(),
                     12 if a == 0 => {
@@ -569,19 +568,19 @@ mod tests {
                         let from = usize::from(b);
                         let expect = model.rows(&[1], &[palette(a)]);
                         let key = palette(a);
-                        proptest::prop_assert_eq!(
+                        assert_eq!(
                             rel.probe(&[1], |_| &key, |row| row >= from),
                             expect.iter().any(|&row| row >= from)
                         );
                     }
                 }
-                proptest::prop_assert_eq!(rel.scan(), &model.order[..]);
-                proptest::prop_assert_eq!(rel.len() > SMALL, rel.dedup.is_some());
-                proptest::prop_assert_eq!(rel.contains(&tuple), model.set.contains(&tuple));
-                proptest::prop_assert_eq!(rel.select(&[0], &tuple[..1]), model.rows(&[0], &tuple[..1]));
-                proptest::prop_assert_eq!(rel.select(&[0, 1], &tuple), model.rows(&[0, 1], &tuple));
+                assert_eq!(rel.scan(), &model.order[..]);
+                assert_eq!(rel.len() > SMALL, rel.dedup.is_some());
+                assert_eq!(rel.contains(&tuple), model.set.contains(&tuple));
+                assert_eq!(rel.select(&[0], &tuple[..1]), model.rows(&[0], &tuple[..1]));
+                assert_eq!(rel.select(&[0, 1], &tuple), model.rows(&[0, 1], &tuple));
             }
-        }
+        });
     }
 
     /// 512 distinct tuples with one and the same hash: `MulHasher` pads a

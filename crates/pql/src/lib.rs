@@ -55,3 +55,17 @@ pub use eval::seminaive::{EvalState, EvalStats, Evaluator};
 pub use eval::udf::UdfRegistry;
 pub use eval::value::Value;
 pub use parser::parse;
+
+/// Run `property` on `cases` generators, case `k` seeded with `seed ^ k`;
+/// a failing case panics with its test name, index and seed.
+#[cfg(test)]
+fn check(name: &str, seed: u64, cases: u64, property: impl Fn(&mut rand::rngs::StdRng)) {
+    use rand::SeedableRng;
+    for case in 0..cases {
+        let seed = seed ^ case;
+        let run = || property(&mut rand::rngs::StdRng::seed_from_u64(seed));
+        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).is_err() {
+            panic!("{name} failed at case {case} (seed {seed:#x})");
+        }
+    }
+}

@@ -22,10 +22,12 @@ use ariadne_pql::{
     analyze, parse, Catalog, Database, EvalScratch, EvalState, EvalStats, Evaluator, Params, Tuple,
     UdfRegistry, Value,
 };
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::cmp::Ordering::{Equal, Greater, Less};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 type Env = BTreeMap<String, Value>;
 
@@ -166,53 +168,53 @@ const RELATIONS: [(&str, usize); 3] = [("a", 2), ("b", 2), ("c", 3)];
 const VARS: [&str; 4] = ["x", "y", "z", "w"];
 
 /// A random safe rule as source text; returns whether it negates.
-fn random_rule(rng: &mut TestRng) -> (String, bool) {
+fn random_rule(rng: &mut StdRng) -> (String, bool) {
     let mut body = Vec::new();
     let mut bound: Vec<&str> = Vec::new();
-    for scan in 0..1 + rng.below(3) {
-        let (name, arity) = RELATIONS[rng.below(3) as usize];
+    for scan in 0..rng.gen_range(1..4u32) {
+        let (name, arity) = RELATIONS[rng.gen_range(0..3usize)];
         let args: Vec<String> = (0..arity)
             .map(|col| {
                 // Integer constants in the location column would be
                 // coerced to vertex ids; the data is all integers.
-                if col > 0 && rng.below(10) < 3 {
-                    return rng.below(4).to_string();
+                if col > 0 && rng.gen_bool(0.3) {
+                    return rng.gen_range(0..4u32).to_string();
                 }
-                let var = if scan == 0 && col == 0 { "x" } else { VARS[rng.below(4) as usize] };
+                let var = if scan == 0 && col == 0 { "x" } else { VARS[rng.gen_range(0..4usize)] };
                 bound.push(var);
                 var.to_string()
             })
             .collect();
         body.push(format!("{name}({})", args.join(", ")));
     }
-    let pick = |rng: &mut TestRng| bound[rng.below(bound.len() as u64) as usize];
-    let negates = rng.below(10) < 4;
+    let pick = |rng: &mut StdRng| bound[rng.gen_range(0..bound.len())];
+    let negates = rng.gen_bool(0.4);
     if negates {
-        let (name, arity) = RELATIONS[rng.below(3) as usize];
+        let (name, arity) = RELATIONS[rng.gen_range(0..3usize)];
         let args: Vec<String> = (0..arity)
-            .map(|col| match col > 0 && rng.below(10) < 3 {
-                true => rng.below(4).to_string(),
+            .map(|col| match col > 0 && rng.gen_bool(0.3) {
+                true => rng.gen_range(0..4u32).to_string(),
                 false => pick(rng).to_string(),
             })
             .collect();
         body.push(format!("!{name}({})", args.join(", ")));
     }
-    if rng.below(10) < 4 {
-        let op = ["<", "<=", "!=", ">", ">=", "="][rng.below(6) as usize];
-        let rhs = match rng.below(2) {
-            0 => pick(rng).to_string(),
-            _ => rng.below(4).to_string(),
+    if rng.gen_bool(0.4) {
+        let op = ["<", "<=", "!=", ">", ">=", "="][rng.gen_range(0..6usize)];
+        let rhs = match rng.gen::<bool>() {
+            true => pick(rng).to_string(),
+            false => rng.gen_range(0..4u32).to_string(),
         };
         body.push(format!("{} {op} {rhs}", pick(rng)));
     }
     let mut head = vec!["x".to_string(), pick(rng).to_string()];
-    if rng.below(10) < 4 {
-        body.push(format!("n = {} + {}", pick(rng), rng.below(3)));
+    if rng.gen_bool(0.4) {
+        body.push(format!("n = {} + {}", pick(rng), rng.gen_range(0..3u32)));
         head.push("n".to_string());
     }
     // Body literals in any order: analysis finds the safe one.
     for i in (1..body.len()).rev() {
-        body.swap(i, rng.below(i as u64 + 1) as usize);
+        body.swap(i, rng.gen_range(0..=i));
     }
     (format!("h({}) :- {}.", head.join(", "), body.join(", ")), negates)
 }
@@ -220,21 +222,21 @@ fn random_rule(rng: &mut TestRng) -> (String, bool) {
 /// Random tuples for the three relations, in one random arrival order.
 /// Five values in every column: `a` and `b` reach 25 distinct tuples, `c`
 /// more, so relations end up on both sides of the small-relation cut-off.
-fn random_arrivals(rng: &mut TestRng) -> Vec<(&'static str, Tuple)> {
-    let n = rng.below(60);
+fn random_arrivals(rng: &mut StdRng) -> Vec<(&'static str, Tuple)> {
+    let n = rng.gen_range(0..60usize);
     (0..n)
         .map(|_| {
-            let (name, arity) = RELATIONS[rng.below(3) as usize];
-            let tuple = (0..arity).map(|_| Value::Int(rng.below(5) as i64)).collect();
+            let (name, arity) = RELATIONS[rng.gen_range(0..3usize)];
+            let tuple = (0..arity).map(|_| Value::Int(rng.gen_range(0..5i64))).collect();
             (name, tuple)
         })
         .collect()
 }
 
-fn split<T: Clone>(items: &[T], rng: &mut TestRng) -> Vec<Vec<T>> {
+fn split<T: Clone>(items: &[T], rng: &mut StdRng) -> Vec<Vec<T>> {
     let mut batches = vec![Vec::new()];
     for item in items {
-        if rng.below(6) == 0 {
+        if rng.gen_range(0..6u32) == 0 {
             batches.push(Vec::new());
         }
         batches.last_mut().unwrap().push(item.clone());
@@ -267,31 +269,26 @@ fn evaluate(
     (head, stats)
 }
 
-fn same<T: PartialEq + std::fmt::Debug>(
-    what: &str,
-    src: &str,
-    got: &T,
-    want: &T,
-) -> Result<(), TestCaseError> {
-    if got == want {
-        return Ok(());
-    }
-    Err(TestCaseError::fail(format!(
-        "{what} of `{src}`\n   got: {got:?}\n  want: {want:?}"
-    )))
-}
-
 fn logical(stats: &EvalStats) -> [u64; 4] {
     [stats.rule_firings, stats.derived_tuples, stats.delta_tuples, stats.fixpoint_rounds]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(400))]
+/// Run `property` on `cases` generators, case `k` seeded with `seed ^ k`;
+/// a failing case panics with its test name, index and seed.
+fn check(name: &str, seed: u64, cases: u64, property: impl Fn(&mut StdRng)) {
+    for case in 0..cases {
+        let seed = seed ^ case;
+        let run = || property(&mut StdRng::seed_from_u64(seed));
+        if catch_unwind(AssertUnwindSafe(run)).is_err() {
+            panic!("{name} failed at case {case} (seed {seed:#x})");
+        }
+    }
+}
 
-    #[test]
-    fn evaluator_agrees_with_nested_loops(seed in any::<u64>()) {
-        let mut rng = TestRng::from_seed(seed);
-        let (src, negates) = random_rule(&mut rng);
+#[test]
+fn evaluator_agrees_with_nested_loops() {
+    check("evaluator_agrees_with_nested_loops", 0xe7a1_0001, 400, |rng| {
+        let (src, negates) = random_rule(rng);
         let mut catalog = Catalog::standard();
         for (name, arity) in RELATIONS {
             catalog.register(name, arity);
@@ -300,7 +297,7 @@ proptest! {
             .unwrap_or_else(|e| panic!("generated an unsafe rule {src}: {e}"));
         let rule = query.rules[0].clone();
         let ev = Evaluator::new(query, UdfRegistry::standard());
-        let arrivals = random_arrivals(&mut rng);
+        let arrivals = random_arrivals(rng);
         let one_shot = vec![arrivals.clone()];
         // One scratch across every evaluation of the case, as a worker
         // keeps one across vertices.
@@ -315,10 +312,11 @@ proptest! {
         reference(&rule, &rule.steps, 0, &db, None, &Env::new(), &mut expect);
         let expect: BTreeSet<Tuple> = expect.into_iter().collect();
         ev.run(&mut db).unwrap();
-        same("run", &src, &db.sorted("h").into_iter().collect(), &expect)?;
+        let ran: BTreeSet<Tuple> = db.sorted("h").into_iter().collect();
+        assert_eq!(ran, expect, "run of `{src}`");
 
-        let batches = split(&arrivals, &mut rng);
-        for loc in [None, Some(Value::Int(rng.below(5) as i64))] {
+        let batches = split(&arrivals, rng);
+        for loc in [None, Some(Value::Int(rng.gen_range(0..5i64)))] {
             let expect_here: BTreeSet<Tuple> = expect
                 .iter()
                 .filter(|t| loc.as_ref().is_none_or(|l| t[0] == *l))
@@ -327,18 +325,18 @@ proptest! {
             for batches in [&one_shot, &batches] {
                 let (head, stats) = evaluate(&ev, batches, loc.as_ref(), None);
                 let (model_head, model_stats) = model(&rule, batches, loc.as_ref());
-                same("scan order", &src, &head, &model_head)?;
-                same("counters", &src, &logical(&stats), &logical(&model_stats))?;
+                assert_eq!(head, model_head, "scan order of `{src}`");
+                assert_eq!(logical(&stats), logical(&model_stats), "counters of `{src}`");
                 // The scratch a call works in is not observable.
                 let again = evaluate(&ev, batches, loc.as_ref(), Some(&mut warm));
-                same("warm-scratch run", &src, &again, &(head.clone(), stats))?;
+                assert_eq!(again, (head.clone(), stats), "warm-scratch run of `{src}`");
                 // Negation is not monotone: a split may derive what the
                 // whole would not. Without it the set is the one-shot's.
                 if !negates {
                     let head: BTreeSet<Tuple> = head.into_iter().collect();
-                    same("split set", &src, &head, &expect_here)?;
+                    assert_eq!(head, expect_here, "split set of `{src}`");
                 }
             }
         }
-    }
+    });
 }

@@ -65,6 +65,9 @@ mod obs_handles {
     );
 }
 
+/// Page size when the client sends no `limit`.
+const DEFAULT_LIMIT: usize = 256;
+
 /// Service knobs; the CLI `serve` subcommand maps flags onto this.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -75,8 +78,6 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Byte budget for the materialized-result LRU cache.
     pub cache_budget_bytes: usize,
-    /// Page size when the client sends no `limit`.
-    pub default_limit: usize,
     /// Hard ceiling on any requested `limit`.
     pub max_limit: usize,
     /// How replays treat damaged store data. Part of the cache key: a
@@ -91,7 +92,6 @@ impl Default for ServeConfig {
         ServeConfig {
             threads: 1,
             cache_budget_bytes: 64 << 20,
-            default_limit: 256,
             max_limit: 4096,
             read_policy: ReadPolicy::Strict,
             admission: AdmissionConfig::default(),
@@ -450,7 +450,7 @@ impl QueryService {
         let offset = (cursor.map_or(0, |c| c.offset) as usize).min(total);
         let limit = req
             .limit
-            .unwrap_or(self.config.default_limit)
+            .unwrap_or(DEFAULT_LIMIT)
             .clamp(1, self.config.max_limit);
         let page_len = limit.min(total - offset);
         let next_cursor = if offset + page_len < total {

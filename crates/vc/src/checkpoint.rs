@@ -760,19 +760,6 @@ pub fn list_checkpoints(dir: &Path) -> Result<Vec<(u32, PathBuf)>, EngineError> 
     Ok(found)
 }
 
-/// Serialize and write an [`EngineCheckpoint`] for its barrier superstep.
-pub fn write_checkpoint<V: Snapshot, M: Snapshot>(
-    dir: &Path,
-    ckpt: &EngineCheckpoint<V, M>,
-) -> Result<PathBuf, EngineError> {
-    std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-    let mut payload = Vec::new();
-    ckpt.write_snap(&mut payload);
-    let path = checkpoint_path(dir, ckpt.superstep);
-    write_versioned(&path, &payload)?;
-    Ok(path)
-}
-
 /// Read and validate one snapshot file.
 pub fn read_checkpoint<V: Snapshot, M: Snapshot>(
     path: &Path,

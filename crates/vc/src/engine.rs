@@ -153,9 +153,6 @@ pub struct EngineConfig {
     pub threads: usize,
     /// Hard cap on supersteps regardless of the program's own cap.
     pub max_supersteps: u32,
-    /// Whether to honour the program's message combiner. Ariadne turns
-    /// this off when per-source message provenance must be preserved.
-    pub use_combiner: bool,
     /// Barrier snapshotting; honoured by [`Engine::run_checkpointed`]
     /// and [`Engine::resume`] ([`Engine::run`] never touches disk).
     pub checkpoint: Option<CheckpointConfig>,
@@ -178,7 +175,6 @@ impl Default for EngineConfig {
         EngineConfig {
             threads: 1,
             max_supersteps: 10_000,
-            use_combiner: true,
             checkpoint: None,
             fault: None,
             chunk_hint: None,
@@ -503,11 +499,7 @@ impl Engine {
         let start = Instant::now();
         let base_elapsed = st.metrics.elapsed;
 
-        let combiner = if self.config.use_combiner {
-            program.combiner()
-        } else {
-            None
-        };
+        let combiner = program.combiner();
         // Sender-side combining regroups the per-destination fold by
         // chunk layout; only exact combiners are bit-stable under that.
         let sender_combining = combiner.as_deref().is_some_and(|c| c.is_exact());
@@ -1667,6 +1659,19 @@ mod tests {
         }
     }
 
+    /// [`CombinedFlood`] without its combiner, as a capture run sees it.
+    struct UncombinedFlood;
+    impl VertexProgram for UncombinedFlood {
+        type V = u64;
+        type M = u64;
+        fn init(&self, v: VertexId, g: &Csr) -> u64 {
+            CombinedFlood.init(v, g)
+        }
+        fn compute(&self, ctx: &mut dyn Context<u64>, value: &mut u64, msgs: &[Envelope<u64>]) {
+            CombinedFlood.compute(ctx, value, msgs)
+        }
+    }
+
     #[test]
     fn combiner_reduces_traffic_same_result() {
         // Two vertices both pointing at vertex 2.
@@ -1676,11 +1681,7 @@ mod tests {
         let g = b.build();
 
         let with = Engine::new(EngineConfig::default()).run(&CombinedFlood, &g);
-        let cfg = EngineConfig {
-            use_combiner: false,
-            ..EngineConfig::default()
-        };
-        let without = Engine::new(cfg).run(&CombinedFlood, &g);
+        let without = Engine::new(EngineConfig::default()).run(&UncombinedFlood, &g);
         assert_eq!(with.values, without.values);
         assert!(with.metrics.total_messages() < without.metrics.total_messages());
     }
@@ -1696,11 +1697,7 @@ mod tests {
         let g = b.build();
 
         let combined = Engine::new(EngineConfig::default()).run(&CombinedFlood, &g);
-        let raw = Engine::new(EngineConfig {
-            use_combiner: false,
-            ..EngineConfig::default()
-        })
-        .run(&CombinedFlood, &g);
+        let raw = Engine::new(EngineConfig::default()).run(&UncombinedFlood, &g);
         assert_eq!(combined.values, raw.values);
         let (c0, r0) = (&combined.metrics.supersteps[0], &raw.metrics.supersteps[0]);
         assert_eq!((c0.buffered_messages, c0.messages_sent), (1, 1));

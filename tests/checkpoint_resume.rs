@@ -158,6 +158,37 @@ fn parallel_resume_matches_sequential_reference() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Under `with_fsync(true)` each snapshot is synced before its rename
+/// publishes it and its directory entry after. A crash and resume still
+/// reproduce the uninterrupted run bit for bit.
+#[test]
+fn fsynced_pagerank_resume_is_bit_identical() {
+    let g = erdos_renyi(40, 160, 7);
+    let pr = PageRank {
+        supersteps: 6,
+        ..PageRank::default()
+    };
+    let reference = Ariadne::default().baseline(&pr, &g);
+    let dir = scratch("fsync");
+    let fsynced = |fault| {
+        let mut session = ckpt_session(&dir, 2, fault);
+        session.engine.checkpoint = session.engine.checkpoint.map(|c| c.with_fsync(true));
+        session
+    };
+    let plan = FaultPlan::new();
+    plan.kill_at_superstep(3);
+    assert!(matches!(
+        fsynced(Some(plan)).baseline_checkpointed(&pr, &g),
+        Err(AriadneError::Engine(EngineError::InjectedCrash { superstep: 3 }))
+    ));
+    let resumed = fsynced(None).resume_baseline(&pr, &g).unwrap();
+    assert_eq!(fingerprint(&reference), fingerprint(&resumed));
+    let bits = |r: &RunResult<f64>| r.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&reference), bits(&resumed));
+    assert_eq!(reference.aggregates, resumed.aggregates);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn online_run_resumes_with_query_state() {
     // The query partition (database, frontiers, marks) is part of the

@@ -5,7 +5,7 @@
 //! the logical per-superstep message traffic (`messages_sent`,
 //! `message_bytes`). This holds in baseline mode (combiners honoured;
 //! exact combiners fold at the sender) and in capture mode
-//! (`use_combiner = false`, full per-source envelopes), at thread counts
+//! (no combiner, full per-source envelopes), at thread counts
 //! that do and do not divide the vertex count.
 //!
 //! Note what is *not* asserted: `buffered_messages`/`buffered_bytes`
@@ -17,7 +17,9 @@ use ariadne_analytics::reference::{dijkstra, pagerank_power_iteration};
 use ariadne_analytics::{PageRank, Sssp, Wcc};
 use ariadne_graph::generators::{rmat, BipartiteRatings, RatingsConfig, RmatConfig};
 use ariadne_graph::{Csr, VertexId};
-use ariadne_vc::{Engine, EngineConfig, RunResult, VertexProgram};
+use ariadne_vc::{
+    AggOp, Aggregates, Context, Engine, EngineConfig, Envelope, RunResult, VertexProgram,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,18 +35,48 @@ fn graph() -> Csr {
     })
 }
 
+/// `P` with its combiner withheld — what a capture run's wrapper does —
+/// and every other knob passed through.
+struct NoCombiner<'a, P>(&'a P);
+
+impl<P: VertexProgram> VertexProgram for NoCombiner<'_, P> {
+    type V = P::V;
+    type M = P::M;
+    fn init(&self, v: VertexId, graph: &Csr) -> P::V {
+        self.0.init(v, graph)
+    }
+    fn compute(&self, ctx: &mut dyn Context<P::M>, value: &mut P::V, msgs: &[Envelope<P::M>]) {
+        self.0.compute(ctx, value, msgs)
+    }
+    fn aggregators(&self) -> Vec<(String, AggOp)> {
+        self.0.aggregators()
+    }
+    fn always_active(&self) -> bool {
+        self.0.always_active()
+    }
+    fn max_supersteps(&self) -> u32 {
+        self.0.max_supersteps()
+    }
+    fn should_halt(&self, superstep: u32, aggregates: &Aggregates) -> bool {
+        self.0.should_halt(superstep, aggregates)
+    }
+    fn message_bytes(&self, msg: &P::M) -> usize {
+        self.0.message_bytes(msg)
+    }
+}
+
 fn run<P: VertexProgram>(
     program: &P,
     graph: &Csr,
     threads: usize,
     use_combiner: bool,
 ) -> RunResult<P::V> {
-    Engine::new(EngineConfig {
-        threads,
-        use_combiner,
-        ..EngineConfig::default()
-    })
-    .run(program, graph)
+    let engine = Engine::new(EngineConfig::parallel(threads));
+    if use_combiner {
+        engine.run(program, graph)
+    } else {
+        engine.run(&NoCombiner(program), graph)
+    }
 }
 
 /// Assert that a parallel run equals the sequential reference on values,
@@ -272,19 +304,14 @@ fn online_query_stats_deterministic_across_threads() {
 #[test]
 fn layered_deterministic_across_threads() {
     use ariadne::session::Ariadne;
-    use ariadne::{queries, CaptureSpec, CompiledQuery, LayeredConfig};
+    use ariadne::{queries, run_layered_with, CaptureSpec, CompiledQuery, LayeredConfig};
     use ariadne_pql::Value;
     use ariadne_provenance::ProvStore;
 
     fn assert_layered_thread_invariant(tag: &str, g: &Csr, store: &ProvStore, q: &CompiledQuery) {
-        let ariadne = Ariadne::default();
-        let seq = ariadne
-            .layered_with(g, store, q, &LayeredConfig::parallel(1))
-            .unwrap();
+        let seq = run_layered_with(g, store, q, &LayeredConfig::parallel(1)).unwrap();
         for t in THREADS {
-            let par = ariadne
-                .layered_with(g, store, q, &LayeredConfig::parallel(t))
-                .unwrap();
+            let par = run_layered_with(g, store, q, &LayeredConfig::parallel(t)).unwrap();
             for pred in q.query().idbs.keys() {
                 assert_eq!(
                     seq.query_results.sorted(pred),
@@ -349,7 +376,9 @@ fn layered_deterministic_across_threads() {
 #[test]
 fn layered_replay_is_format_and_backend_invariant() {
     use ariadne::session::Ariadne;
-    use ariadne::{queries, CaptureSpec, LayeredConfig, LayeredRun, ReadBackend, StoreConfig};
+    use ariadne::{
+        queries, run_layered_with, CaptureSpec, LayeredConfig, LayeredRun, ReadBackend, StoreConfig,
+    };
     use ariadne_provenance::SegmentFormat;
 
     let mut rng = StdRng::seed_from_u64(41);
@@ -389,9 +418,8 @@ fn layered_replay_is_format_and_backend_invariant() {
                 store.set_read_backend(backend);
                 for t in [1, 2, 3, 7] {
                     let tag = format!("{format:?} spilled={spilled} {backend:?} t={t}");
-                    let run = session
-                        .layered_with(&g, &store, &query, &LayeredConfig::parallel(t))
-                        .unwrap();
+                    let run =
+                        run_layered_with(&g, &store, &query, &LayeredConfig::parallel(t)).unwrap();
                     if spilled && backend == ReadBackend::Buffered && t == 1 {
                         spool_bytes_read.push(run.bytes_read);
                     }

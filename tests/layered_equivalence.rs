@@ -5,7 +5,7 @@
 //! result sets to the simplest possible reference evaluation.
 
 use ariadne::session::Ariadne;
-use ariadne::{queries, CaptureSpec, CompiledQuery, LayeredConfig};
+use ariadne::{queries, run_layered_with, CaptureSpec, CompiledQuery, LayeredConfig};
 use ariadne_analytics::{Sssp, Wcc};
 use ariadne_graph::generators::erdos_renyi;
 use ariadne_graph::{Csr, VertexId};
@@ -94,20 +94,12 @@ fn pruning_is_result_invariant_and_skips_segments() {
         .unwrap();
     // The apt query references 4 of the 5 captured Table-1 predicates.
     let apt = queries::apt("udf_diff", Value::Float(0.1)).unwrap();
-    let pruned = ariadne
-        .layered_with(&g, &capture.store, &apt, &LayeredConfig::default())
-        .unwrap();
-    let full = ariadne
-        .layered_with(
-            &g,
-            &capture.store,
-            &apt,
-            &LayeredConfig {
-                prune: false,
-                ..LayeredConfig::default()
-            },
-        )
-        .unwrap();
+    let pruned = run_layered_with(&g, &capture.store, &apt, &LayeredConfig::default()).unwrap();
+    let unpruned = LayeredConfig {
+        prune: false,
+        ..LayeredConfig::default()
+    };
+    let full = run_layered_with(&g, &capture.store, &apt, &unpruned).unwrap();
     assert!(
         pruned.segments_skipped > 0,
         "full capture must contain segments the apt query never joins"

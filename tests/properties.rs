@@ -1,120 +1,156 @@
-//! Property-based tests over random graphs and thresholds: the paper's
-//! theorems and invariants must hold on arbitrary inputs, not just the
-//! handpicked ones.
+//! Seeded randomized tests over random graphs and thresholds: the
+//! paper's theorems and invariants must hold on arbitrary inputs, not
+//! just the handpicked ones.
 
-use ariadne::queries;
 use ariadne::session::Ariadne;
-use ariadne::CaptureSpec;
+use ariadne::{queries, CaptureSpec};
 use ariadne_analytics::{Sssp, Wcc};
 use ariadne_graph::stats::weakly_connected_components;
 use ariadne_graph::{Csr, GraphBuilder, VertexId};
 use ariadne_pql::Value;
 use ariadne_provenance::UnfoldedGraph;
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Strategy: a random directed graph with up to `n` vertices and `m`
-/// edges (self-loops filtered), weights in (0, 1].
-fn arb_graph(n: usize, m: usize) -> impl Strategy<Value = Csr> {
-    (2..n, proptest::collection::vec((0..n as u64, 0..n as u64, 0.01f64..1.0), 1..m)).prop_map(
-        |(nv, edges)| {
-            let mut b = GraphBuilder::new();
-            b.ensure_vertex(VertexId(nv as u64 - 1));
-            for (s, d, w) in edges {
-                let (s, d) = (s % nv as u64, d % nv as u64);
-                if s != d {
-                    b.add_edge(VertexId(s), VertexId(d), w);
-                }
-            }
-            b.build()
-        },
-    )
+/// Run `property` on `cases` generators, case `k` seeded with `seed ^ k`;
+/// a failing case panics with its test name, index and seed.
+fn check(name: &str, seed: u64, cases: u64, property: impl Fn(&mut StdRng)) {
+    for case in 0..cases {
+        let seed = seed ^ case;
+        let run = || property(&mut StdRng::seed_from_u64(seed));
+        if catch_unwind(AssertUnwindSafe(run)).is_err() {
+            panic!("{name} failed at case {case} (seed {seed:#x})");
+        }
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// A random directed graph on 2 to `n - 1` vertices with fewer than `m`
+/// edges (self-loops dropped), weights in `[0.01, 1)`.
+fn arb_graph(rng: &mut StdRng, n: u64, m: usize) -> Csr {
+    let nv = rng.gen_range(2..n);
+    let mut b = GraphBuilder::new();
+    b.ensure_vertex(VertexId(nv - 1));
+    for _ in 0..rng.gen_range(1..m) {
+        let (s, d, w) = (
+            rng.gen_range(0..n),
+            rng.gen_range(0..n),
+            rng.gen_range(0.01..1.0),
+        );
+        let (s, d) = (s % nv, d % nv);
+        if s != d {
+            b.add_edge(VertexId(s), VertexId(d), w);
+        }
+    }
+    b.build()
+}
 
-    /// Theorem 5.4 (analytic half): monitoring queries never disturb the
-    /// analytic, on arbitrary graphs.
-    #[test]
-    fn online_never_disturbs_sssp(g in arb_graph(40, 120)) {
+/// Theorem 5.4 (analytic half): monitoring queries never disturb the
+/// analytic, on arbitrary graphs.
+#[test]
+fn online_never_disturbs_sssp() {
+    check("online_never_disturbs_sssp", 0x5eed_0001, 24, |rng| {
+        let g = arb_graph(rng, 40, 120);
         let ariadne = Ariadne::default();
         let analytic = Sssp::new(VertexId(0));
         let baseline = ariadne.baseline(&analytic, &g);
         let q = queries::sssp_wcc_value_check().unwrap();
         let online = ariadne.online(&analytic, &g, &q).unwrap();
-        prop_assert_eq!(baseline.values, online.values);
+        assert_eq!(baseline.values, online.values);
         // And correct SSSP never violates monotonicity.
-        prop_assert!(online.query_results.sorted("check_failed").is_empty());
-    }
+        assert!(online.query_results.sorted("check_failed").is_empty());
+    });
+}
 
-    /// Theorem 5.4 (query half): online ≡ naive offline for the apt
-    /// query on WCC, on arbitrary graphs and thresholds.
-    #[test]
-    fn online_equals_offline_apt_wcc(g in arb_graph(30, 80), eps in 0u64..4) {
+/// Theorem 5.4 (query half): online ≡ naive offline for the apt query on
+/// WCC, on arbitrary graphs and thresholds.
+#[test]
+fn online_equals_offline_apt_wcc() {
+    check("online_equals_offline_apt_wcc", 0x5eed_0002, 24, |rng| {
+        let g = arb_graph(rng, 30, 80);
+        let eps = rng.gen_range(0..4i64);
         let ariadne = Ariadne::default();
-        let apt = queries::apt("udf_diff", Value::Int(eps as i64)).unwrap();
+        let apt = queries::apt("udf_diff", Value::Int(eps)).unwrap();
         let online = ariadne.online(&Wcc, &g, &apt).unwrap();
         let capture = ariadne.capture(&Wcc, &g, &CaptureSpec::full()).unwrap();
         let naive = ariadne.naive(&g, &capture.store, &apt).unwrap();
         for pred in ["change", "neighbor_change", "no_execute", "safe", "unsafe"] {
-            prop_assert_eq!(
+            assert_eq!(
                 online.query_results.sorted(pred),
                 naive.database.sorted(pred),
-                "{} differs", pred
+                "{pred} differs"
             );
         }
-    }
+    });
+}
 
-    /// Layered ≡ naive for backward lineage on arbitrary graphs.
-    #[test]
-    fn layered_equals_naive_backward(g in arb_graph(25, 60)) {
+/// Layered ≡ naive for backward lineage on arbitrary graphs.
+#[test]
+fn layered_equals_naive_backward() {
+    check("layered_equals_naive_backward", 0x5eed_0003, 24, |rng| {
+        let g = arb_graph(rng, 25, 60);
         let ariadne = Ariadne::default();
         let capture = ariadne.capture(&Wcc, &g, &CaptureSpec::full()).unwrap();
-        let Some(sigma) = capture.store.max_superstep() else { return Ok(()); };
-        let Some(target) = capture.store.layer(sigma).unwrap().into_iter()
+        let Some(sigma) = capture.store.max_superstep() else {
+            return;
+        };
+        let Some(target) = capture
+            .store
+            .layer(sigma)
+            .unwrap()
+            .into_iter()
             .find(|(p, _)| p == "superstep")
             .and_then(|(_, ts)| ts.first().and_then(|t| t[0].as_id()))
-        else { return Ok(()); };
+        else {
+            return;
+        };
         let q = queries::backward_lineage(VertexId(target), sigma).unwrap();
         let layered = ariadne.layered(&g, &capture.store, &q).unwrap();
         let naive = ariadne.naive(&g, &capture.store, &q).unwrap();
-        prop_assert_eq!(
-            layered.query_results.sorted("back_trace"),
-            naive.database.sorted("back_trace")
-        );
-        prop_assert_eq!(
-            layered.query_results.sorted("back_lineage"),
-            naive.database.sorted("back_lineage")
-        );
-    }
+        for pred in ["back_trace", "back_lineage"] {
+            assert_eq!(
+                layered.query_results.sorted(pred),
+                naive.database.sorted(pred),
+                "{pred} differs"
+            );
+        }
+    });
+}
 
-    /// The provenance layer decomposition is a partition with layer(x,i)
-    /// = i, and the WCC fixpoint matches the union-find oracle.
-    #[test]
-    fn layers_partition_and_wcc_correct(g in arb_graph(30, 80)) {
+/// The provenance layer decomposition is a partition with layer(x,i)
+/// = i, and the WCC fixpoint matches the union-find oracle.
+#[test]
+fn layers_partition_and_wcc_correct() {
+    check("layers_partition_and_wcc_correct", 0x5eed_0004, 24, |rng| {
+        let g = arb_graph(rng, 30, 80);
         let ariadne = Ariadne::default();
         let run = ariadne.capture(&Wcc, &g, &CaptureSpec::full()).unwrap();
-        prop_assert_eq!(run.values.clone(), weakly_connected_components(&g));
+        assert_eq!(run.values, weakly_connected_components(&g));
         let db = run.store.to_database().unwrap();
         let unfolded = UnfoldedGraph::from_database(&db);
         let layers = unfolded.layers().expect("acyclic");
-        prop_assert!(layers.is_partition());
+        assert!(layers.is_partition());
         for &(x, i) in unfolded.nodes() {
-            prop_assert_eq!(layers.layer_of((x, i)), Some(i as usize));
+            assert_eq!(layers.layer_of((x, i)), Some(i as usize));
         }
-    }
+    });
+}
 
-    /// Capture customization is monotone: capturing fewer predicates
-    /// never yields more bytes.
-    #[test]
-    fn capture_monotone(g in arb_graph(30, 80)) {
+/// Capture customization is monotone: capturing fewer predicates never
+/// yields more bytes.
+#[test]
+fn capture_monotone() {
+    check("capture_monotone", 0x5eed_0005, 24, |rng| {
+        let g = arb_graph(rng, 30, 80);
         let ariadne = Ariadne::default();
         let full = ariadne.capture(&Wcc, &g, &CaptureSpec::full()).unwrap();
         let partial = ariadne
             .capture(&Wcc, &g, &CaptureSpec::raw(["value", "superstep"]))
             .unwrap();
-        prop_assert!(partial.store.byte_size() <= full.store.byte_size());
-        let tiny = ariadne.capture(&Wcc, &g, &CaptureSpec::raw(["superstep"])).unwrap();
-        prop_assert!(tiny.store.byte_size() <= partial.store.byte_size());
-    }
+        assert!(partial.store.byte_size() <= full.store.byte_size());
+        let tiny = ariadne
+            .capture(&Wcc, &g, &CaptureSpec::raw(["superstep"]))
+            .unwrap();
+        assert!(tiny.store.byte_size() <= partial.store.byte_size());
+    });
 }
