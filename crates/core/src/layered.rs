@@ -65,7 +65,7 @@ use crate::state::QueryState;
 use ariadne_graph::{ChunkTable, Csr, VertexId};
 use ariadne_obs::trace::{self, Level};
 use ariadne_pql::{Database, Direction, EvalScratch, EvalStats, Evaluator, PqlError, Tuple};
-use ariadne_provenance::{Degradation, EdbFlags, LayerFilter, ProvStore, ReadPolicy};
+use ariadne_provenance::{Degradation, EdbFlags, LayerFilter, ProvStore, ReadPolicy, StoreError};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -591,7 +591,9 @@ impl Pool<'_> {
     }
 
     /// Coordinator: read `layer` and bucket its tuples by owner chunk.
-    /// Tuples for vertices outside the graph are skipped, not a panic.
+    /// Tuples for vertices outside the graph are skipped, not a panic; a
+    /// predicate whose rows differ in arity is refused, as
+    /// [`ProvStore::to_database`] refuses it.
     fn load(
         &self,
         store: &ProvStore,
@@ -601,8 +603,15 @@ impl Pool<'_> {
         run: &mut LayeredRun,
     ) -> Result<(), AriadneError> {
         let read = store
-            .layer_read_with(layer, filter, config.read_policy)
+            .layer_blocks(layer, filter, config.read_policy)
             .map_err(AriadneError::Store)?;
+        for (pred, rows) in &read.tuples {
+            if let Some((arity, other)) = rows.mixed_arities() {
+                return Err(AriadneError::Store(StoreError::mixed_arity(
+                    pred, arity, other,
+                )));
+            }
+        }
         run.segments_read += read.segments_read;
         run.segments_skipped += read.segments_skipped;
         run.bytes_read += read.bytes_read;
@@ -617,12 +626,12 @@ impl Pool<'_> {
             .iter()
             .map(|inbox| inbox.lock().expect("inbox lock"))
             .collect();
-        for (pred, tuples) in read.tuples {
-            for t in tuples {
-                let owner = t.first().and_then(|v| v.as_id()).map(|v| v as usize);
+        for (pred, rows) in read.tuples {
+            for row in rows.rows() {
+                let owner = row.first().and_then(|v| v.as_id()).map(|v| v as usize);
                 if let Some(vi) = owner.filter(|&vi| vi < self.graph.num_vertices()) {
                     run.injected_tuples += 1;
-                    inboxes[self.table.chunk_of(vi)].push((preds.len(), vi, t));
+                    inboxes[self.table.chunk_of(vi)].push((preds.len(), vi, row.to_vec()));
                 }
             }
             preds.push(pred);

@@ -166,15 +166,20 @@ pub fn skip_value(input: &mut &[u8]) -> Result<(), CodecError> {
 /// Serialize a batch of rows (of any arities).
 pub fn encode_tuples<R: Rows + ?Sized>(rows: &R) -> Vec<u8> {
     let mut buf = Vec::new();
+    encode_tuples_onto(rows, &mut buf);
+    buf
+}
+
+/// [`encode_tuples`] onto the end of `buf`.
+pub(crate) fn encode_tuples_onto<R: Rows + ?Sized>(rows: &R, buf: &mut Vec<u8>) {
     buf.extend_from_slice(&(rows.len() as u32).to_le_bytes());
     for i in 0..rows.len() {
         let row = rows.row(i);
         buf.extend_from_slice(&(row.len() as u32).to_le_bytes());
         for v in row {
-            write_value(&mut buf, v);
+            write_value(buf, v);
         }
     }
-    buf
 }
 
 /// Deserialize a batch of tuples: the rows are decoded into a block,

@@ -34,10 +34,18 @@
 //! smallest encoded size wins, ties broken by ascending tag. Dictionary
 //! keys rely on [`Value`]'s total `Eq`/`Hash` (floats compare by bit
 //! pattern, so `NaN` payloads are safe dictionary keys).
+//!
+//! A column whose values are all `Id`, all `Int` or all `Float` is
+//! profiled and written on a typed path, from its raw `u64` bits in a
+//! per-thread scratch buffer; every other column walks its [`Value`]s.
+//! That walk is also the typed path's reference
+//! ([`encode_columnar_reference`]): both choose the same encodings and
+//! write the same bytes.
 
 use crate::codec::{read_value, take, take_array, write_value, CodecError};
 use crate::rows::{RowBlock, Rows};
 use ariadne_pql::{MulHasher, Tuple, Value};
+use std::cell::RefCell;
 use std::hash::{Hash, Hasher};
 
 /// Maximum dictionary size considered by the stats pass. Columns with
@@ -184,21 +192,26 @@ fn varint_len(v: u64) -> usize {
     (64 - u64::leading_zeros(v | 1) as usize).div_ceil(7).max(1)
 }
 
-/// Read a LEB128 varint off the front of `input`.
+/// Read a LEB128 varint off the front of `input`: a one-byte varint at
+/// one bounds check, a longer one in one walk over its bytes, of which
+/// an eleventh is refused.
 fn get_varint(input: &mut &[u8]) -> Result<u64, CodecError> {
+    if let &[byte @ 0..0x80, ref rest @ ..] = *input {
+        *input = rest;
+        return Ok(u64::from(byte));
+    }
     let mut out = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let [byte] = take_array(input)?;
-        if shift >= 64 {
+    for (k, &byte) in input.iter().enumerate() {
+        if k == 10 {
             return Err(CodecError::BadTag(byte));
         }
-        out |= u64::from(byte & 0x7f) << shift;
+        out |= u64::from(byte & 0x7f) << (7 * k);
         if byte & 0x80 == 0 {
+            *input = &input[k + 1..];
             return Ok(out);
         }
-        shift += 7;
     }
+    Err(CodecError::Truncated)
 }
 
 /// Zigzag-map a signed delta into an unsigned varint-friendly value.
@@ -211,6 +224,66 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+/// The first link of a delta chain as stored: an `Id`'s bits as they
+/// are, an `Int` (`signed`) zigzagged.
+fn delta_head(first: u64, signed: bool) -> u64 {
+    if signed {
+        zigzag(first as i64)
+    } else {
+        first
+    }
+}
+
+/// The varint of the zigzagged wrapping step from `prev` to `next`.
+fn delta_step(prev: u64, next: u64) -> u64 {
+    zigzag((next as i64).wrapping_sub(prev as i64))
+}
+
+/// Encoded size of the delta chain over `bits` (see [`put_deltas`]).
+fn deltas_len(bits: impl Iterator<Item = u64>, signed: bool) -> usize {
+    let mut prev = None;
+    bits.map(|x| {
+        let link = prev.map_or(delta_head(x, signed), |p| delta_step(p, x));
+        prev = Some(x);
+        varint_len(link)
+    })
+    .sum()
+}
+
+/// Append the delta chain over `bits`: the first value as
+/// [`delta_head`] stores it, then each value's step from the one before.
+fn put_deltas(block: &mut Vec<u8>, bits: impl Iterator<Item = u64>, signed: bool) {
+    let mut prev = None;
+    for x in bits {
+        put_varint(
+            block,
+            prev.map_or(delta_head(x, signed), |p| delta_step(p, x)),
+        );
+        prev = Some(x);
+    }
+}
+
+/// Decode a delta chain (see [`put_deltas`]) into `slots`, each value
+/// made from its bits by `make`.
+fn get_deltas<'a>(
+    input: &mut &[u8],
+    slots: impl Iterator<Item = &'a mut Value>,
+    signed: bool,
+    make: impl Fn(u64) -> Value,
+) -> Result<(), CodecError> {
+    let mut prev = 0u64;
+    for (k, slot) in slots.enumerate() {
+        let raw = get_varint(input)?;
+        prev = match k {
+            0 if signed => unzigzag(raw) as u64,
+            0 => raw,
+            _ => prev.wrapping_add(unzigzag(raw) as u64),
+        };
+        *slot = make(prev);
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------
 // Column stats + encoding choice
 // ---------------------------------------------------------------------
@@ -219,28 +292,194 @@ fn unzigzag(v: u64) -> i64 {
 /// [`DICT_MAX`] + 1 values it may hold, so probes stay short.
 const DICT_SLOTS: usize = 1024;
 
-/// The dictionary code of each value seen so far in one column: open
-/// addressing over the top bits of a [`MulHasher`] hash, a slot holding
-/// `code + 1` (0 = free) and the value itself staying in `distinct`.
+/// The dictionary code of each key seen so far in one column: open
+/// addressing over the top bits of the key's hash, a slot holding
+/// `code + 1` (0 = free) and the key itself staying in `distinct`.
 struct DictIndex([u16; DICT_SLOTS]);
 
 impl DictIndex {
-    /// The code of `v`: its position in `distinct`, where it is appended
-    /// if it was not there.
-    fn code<'a>(&mut self, v: &'a Value, distinct: &mut Vec<&'a Value>) -> u32 {
-        let mut hasher = MulHasher::default();
-        v.hash(&mut hasher);
-        let mut at = (hasher.finish() >> (64 - DICT_SLOTS.trailing_zeros())) as usize;
+    fn new() -> Self {
+        DictIndex([0; DICT_SLOTS])
+    }
+
+    /// The code of `key`, whose hash is `hash`: its position in
+    /// `distinct`, where it is appended if it was not there.
+    fn code<K: PartialEq + Copy>(&mut self, key: K, hash: u64, distinct: &mut Vec<K>) -> u32 {
+        let mut at = (hash >> (64 - DICT_SLOTS.trailing_zeros())) as usize;
         loop {
             match self.0[at] {
                 0 => {
-                    distinct.push(v);
+                    distinct.push(key);
                     self.0[at] = distinct.len() as u16;
                     return distinct.len() as u32 - 1;
                 }
-                held if distinct[usize::from(held) - 1] == v => return u32::from(held) - 1,
+                held if distinct[usize::from(held) - 1] == key => return u32::from(held) - 1,
                 _ => at = (at + 1) % DICT_SLOTS,
             }
+        }
+    }
+}
+
+/// A column's encoded size under each encoding, indexed by tag; `None`
+/// where the encoding does not apply (Plain always does).
+type Sizes = [Option<usize>; 6];
+
+/// The smallest applicable encoding in `sizes` and its size; a tie goes
+/// to the lowest tag.
+fn smallest(sizes: &Sizes) -> (Encoding, usize) {
+    let (size, enc) = (Encoding::ALL.iter().zip(sizes))
+        .filter_map(|(&enc, size)| Some(((*size)?, enc)))
+        .min()
+        .expect("Plain always applies");
+    (enc, size)
+}
+
+/// The value kinds the typed path takes, numbered as their v1 tags (see
+/// [`crate::codec`]).
+#[derive(Copy, Clone, PartialEq, Eq)]
+enum Scalar {
+    Id = 0,
+    Int = 1,
+    Float = 2,
+}
+
+impl Scalar {
+    /// The value of this kind whose raw bits are `bits`.
+    fn value(self, bits: u64) -> Value {
+        match self {
+            Scalar::Id => Value::Id(bits),
+            Scalar::Int => Value::Int(bits as i64),
+            Scalar::Float => Value::Float(f64::from_bits(bits)),
+        }
+    }
+}
+
+/// The v1 (tagged) size of an `Id`, `Int` or `Float`.
+const SCALAR_V1: usize = 9;
+
+/// `v`'s kind and raw bits, when it is an `Id`, `Int` or `Float`.
+fn scalar(v: &Value) -> Option<(Scalar, u64)> {
+    match *v {
+        Value::Id(x) => Some((Scalar::Id, x)),
+        Value::Int(x) => Some((Scalar::Int, x as u64)),
+        Value::Float(x) => Some((Scalar::Float, x.to_bits())),
+        _ => None,
+    }
+}
+
+/// Append a scalar as its tagged v1 value: the tag, then its bits.
+fn put_tagged(block: &mut Vec<u8>, kind: Scalar, bits: u64) {
+    let mut cell = [kind as u8; SCALAR_V1];
+    cell[1..].copy_from_slice(&bits.to_le_bytes());
+    block.extend_from_slice(&cell);
+}
+
+/// The typed path's buffers, one set per thread, reused across columns
+/// and records: a scalar column's raw bits, each row's dictionary code
+/// while the dictionary applies, and the distinct bits in first-seen
+/// order.
+#[derive(Default)]
+struct Scratch {
+    bits: Vec<u64>,
+    codes: Vec<u32>,
+    distinct: Vec<u64>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// The typed path's profile of a column whose values are all `Id`, all
+/// `Int` or all `Float`: the column read once, as raw bits, into the
+/// scratch, with every encoding's size computed in that same pass.
+/// Dictionary codes are keyed by bits — what [`Value`]'s `Eq` compares
+/// for each of these kinds — so they come out as the generic walk's.
+struct ScalarCol<'s> {
+    kind: Scalar,
+    sizes: Sizes,
+    scratch: &'s Scratch,
+}
+
+impl<'s> ScalarCol<'s> {
+    /// Profile `values` (at least one), or `None` when they are not all
+    /// of one scalar kind: the column then takes the generic walk.
+    fn build<'a>(
+        mut values: impl Iterator<Item = &'a Value>,
+        scratch: &'s mut Scratch,
+    ) -> Option<Self> {
+        let (kind, mut x) = scalar(values.next()?)?;
+        let Scratch {
+            bits,
+            codes,
+            distinct,
+        } = &mut *scratch;
+        bits.clear();
+        codes.clear();
+        distinct.clear();
+        let mut index = DictIndex::new();
+        let mut delta_bytes = varint_len(delta_head(x, kind == Scalar::Int));
+        let mut idx_bytes = 0;
+        loop {
+            bits.push(x);
+            if distinct.len() <= DICT_MAX {
+                let code = index.code(x, x.wrapping_mul(0x9E37_79B9_7F4A_7C15), distinct);
+                idx_bytes += varint_len(u64::from(code));
+                codes.push(code);
+            }
+            let Some(v) = values.next() else { break };
+            match scalar(v) {
+                Some((k, next)) if k == kind => {
+                    delta_bytes += varint_len(delta_step(x, next));
+                    x = next;
+                }
+                _ => return None,
+            }
+        }
+        let rows = bits.len();
+        let mut sizes: Sizes = [None; 6];
+        sizes[Encoding::Plain as usize] = Some(SCALAR_V1 * rows);
+        if distinct.len() == 1 {
+            sizes[Encoding::Const as usize] = Some(SCALAR_V1);
+        }
+        let (enc, size) = match kind {
+            Scalar::Id => (Encoding::DeltaId, delta_bytes),
+            Scalar::Int => (Encoding::DeltaInt, delta_bytes),
+            Scalar::Float => (Encoding::FloatRaw, 8 * rows),
+        };
+        sizes[enc as usize] = Some(size);
+        if (2..=DICT_MAX).contains(&distinct.len()) {
+            sizes[Encoding::Dict as usize] = Some(4 + SCALAR_V1 * distinct.len() + idx_bytes);
+        }
+        Some(ScalarCol {
+            kind,
+            sizes,
+            scratch,
+        })
+    }
+
+    /// Encode the column with `enc` onto the end of `block`.
+    fn encode(&self, enc: Encoding, block: &mut Vec<u8>) {
+        let Scratch {
+            bits,
+            codes,
+            distinct,
+        } = self.scratch;
+        match enc {
+            Encoding::Plain => bits.iter().for_each(|&x| put_tagged(block, self.kind, x)),
+            Encoding::Const => put_tagged(block, self.kind, bits[0]),
+            Encoding::DeltaId | Encoding::DeltaInt => {
+                put_deltas(block, bits.iter().copied(), enc == Encoding::DeltaInt)
+            }
+            Encoding::Dict => {
+                block.extend_from_slice(&(distinct.len() as u32).to_le_bytes());
+                distinct
+                    .iter()
+                    .for_each(|&x| put_tagged(block, self.kind, x));
+                codes.iter().for_each(|&c| put_varint(block, u64::from(c)));
+            }
+            Encoding::FloatRaw => bits
+                .iter()
+                .for_each(|x| block.extend_from_slice(&x.to_le_bytes())),
         }
     }
 }
@@ -262,7 +501,10 @@ impl<'a, R: Rows + ?Sized> Iterator for Column<'a, R> {
     }
 }
 
-/// One column's stats-pass summary.
+/// The generic path's stats-pass summary of one column: a walk over its
+/// [`Value`]s, for every column the typed path does not take (`Str`,
+/// `List`, `Bool`, `Unit` and mixed columns) — and the reference the
+/// typed path is held to.
 struct ColProfile<'a, R: ?Sized> {
     rows: &'a R,
     col: usize,
@@ -291,14 +533,17 @@ impl<'a, R: Rows + ?Sized> ColProfile<'a, R> {
             distinct: Vec::with_capacity(rows.len().min(DICT_MAX + 1)),
             codes: Vec::with_capacity(rows.len()),
         };
-        let mut index = DictIndex([0; DICT_SLOTS]);
+        let mut index = DictIndex::new();
         for v in p.values() {
             p.v1_bytes += v1_value_size(v);
             p.all_id &= matches!(v, Value::Id(_));
             p.all_int &= matches!(v, Value::Int(_));
             p.all_float &= matches!(v, Value::Float(_));
             if p.distinct.len() <= DICT_MAX {
-                p.codes.push(index.code(v, &mut p.distinct));
+                let mut hasher = MulHasher::default();
+                v.hash(&mut hasher);
+                p.codes
+                    .push(index.code(v, hasher.finish(), &mut p.distinct));
             }
         }
         p
@@ -312,62 +557,39 @@ impl<'a, R: Rows + ?Sized> ColProfile<'a, R> {
         }
     }
 
+    /// The raw bits of a column of `Id`s, `Int`s or `Float`s.
+    fn bits(&self) -> impl Iterator<Item = u64> + 'a {
+        self.values()
+            .map(|v| scalar(v).expect("a column of one scalar kind").1)
+    }
+
     fn dict_applicable(&self) -> bool {
         self.distinct.len() <= DICT_MAX
     }
 
-    /// Deterministically choose the smallest applicable encoding.
-    fn choose(&self) -> Encoding {
+    /// The column's size under each applicable encoding.
+    fn sizes(&self) -> Sizes {
         let rows = self.rows.len();
-        let mut best = (self.v1_bytes, Encoding::Plain);
-        let mut consider = |size: usize, enc: Encoding| {
-            // Strict `<` with ascending-tag iteration = deterministic
-            // smallest-size-then-smallest-tag winner.
-            if size < best.0 {
-                best = (size, enc);
-            }
-        };
+        let mut sizes: Sizes = [None; 6];
+        sizes[Encoding::Plain as usize] = Some(self.v1_bytes);
         if self.distinct.len() == 1 {
-            consider(v1_value_size(self.distinct[0]), Encoding::Const);
+            sizes[Encoding::Const as usize] = Some(v1_value_size(self.distinct[0]));
         }
         if self.all_id && rows > 0 {
-            let mut size = 0usize;
-            let mut prev = 0i64;
-            for (k, v) in self.values().enumerate() {
-                let Value::Id(x) = v else { unreachable!() };
-                let cur = *x as i64;
-                size += if k == 0 {
-                    varint_len(*x)
-                } else {
-                    varint_len(zigzag(cur.wrapping_sub(prev)))
-                };
-                prev = cur;
-            }
-            consider(size, Encoding::DeltaId);
+            sizes[Encoding::DeltaId as usize] = Some(deltas_len(self.bits(), false));
         }
         if self.all_int && rows > 0 {
-            let mut size = 0usize;
-            let mut prev = 0i64;
-            for (k, v) in self.values().enumerate() {
-                let Value::Int(x) = v else { unreachable!() };
-                size += if k == 0 {
-                    varint_len(zigzag(*x))
-                } else {
-                    varint_len(zigzag(x.wrapping_sub(prev)))
-                };
-                prev = *x;
-            }
-            consider(size, Encoding::DeltaInt);
+            sizes[Encoding::DeltaInt as usize] = Some(deltas_len(self.bits(), true));
         }
         if self.dict_applicable() && self.distinct.len() > 1 {
             let dict_bytes: usize = self.distinct.iter().map(|v| v1_value_size(v)).sum();
             let idx_bytes: usize = self.codes.iter().map(|c| varint_len(u64::from(*c))).sum();
-            consider(4 + dict_bytes + idx_bytes, Encoding::Dict);
+            sizes[Encoding::Dict as usize] = Some(4 + dict_bytes + idx_bytes);
         }
         if self.all_float {
-            consider(8 * rows, Encoding::FloatRaw);
+            sizes[Encoding::FloatRaw as usize] = Some(8 * rows);
         }
-        best.1
+        sizes
     }
 
     /// Encode the column with `enc` onto the end of `block`.
@@ -379,30 +601,8 @@ impl<'a, R: Rows + ?Sized> ColProfile<'a, R> {
                 }
             }
             Encoding::Const => write_value(block, self.distinct[0]),
-            Encoding::DeltaId => {
-                let mut prev = 0i64;
-                for (k, v) in self.values().enumerate() {
-                    let Value::Id(x) = v else { unreachable!() };
-                    let cur = *x as i64;
-                    if k == 0 {
-                        put_varint(block, *x);
-                    } else {
-                        put_varint(block, zigzag(cur.wrapping_sub(prev)));
-                    }
-                    prev = cur;
-                }
-            }
-            Encoding::DeltaInt => {
-                let mut prev = 0i64;
-                for (k, v) in self.values().enumerate() {
-                    let Value::Int(x) = v else { unreachable!() };
-                    if k == 0 {
-                        put_varint(block, zigzag(*x));
-                    } else {
-                        put_varint(block, zigzag(x.wrapping_sub(prev)));
-                    }
-                    prev = *x;
-                }
+            Encoding::DeltaId | Encoding::DeltaInt => {
+                put_deltas(block, self.bits(), enc == Encoding::DeltaInt)
             }
             Encoding::Dict => {
                 block.extend_from_slice(&(self.distinct.len() as u32).to_le_bytes());
@@ -414,9 +614,8 @@ impl<'a, R: Rows + ?Sized> ColProfile<'a, R> {
                 }
             }
             Encoding::FloatRaw => {
-                for v in self.values() {
-                    let Value::Float(x) = v else { unreachable!() };
-                    block.extend_from_slice(&x.to_bits().to_le_bytes());
+                for x in self.bits() {
+                    block.extend_from_slice(&x.to_le_bytes());
                 }
             }
         }
@@ -431,46 +630,95 @@ impl<'a, R: Rows + ?Sized> ColProfile<'a, R> {
 /// the batch has no columnar form (empty, zero arity, or ragged
 /// arities) — callers then fall back to a v1 record.
 pub fn encode_columnar<R: Rows + ?Sized>(rows: &R) -> Option<ColumnarBatch> {
-    let count = rows.len();
-    let arity = if count == 0 { 0 } else { rows.row(0).len() };
-    if arity == 0 || arity > u16::MAX as usize || count > u32::MAX as usize {
-        return None;
-    }
-    if count.saturating_mul(arity) > MAX_DECODE_CELLS {
-        return None; // stay decodable: the decoder rejects larger headers
-    }
-    if (1..count).any(|i| rows.row(i).len() != arity) {
-        return None;
-    }
+    collect_batch(rows, true)
+}
+
+/// [`encode_columnar`] with every column taking the generic [`Value`]
+/// walk: the reference the typed scalar path is tested against. The
+/// payload, encodings and accounting are the same.
+pub fn encode_columnar_reference<R: Rows + ?Sized>(rows: &R) -> Option<ColumnarBatch> {
+    collect_batch(rows, false)
+}
+
+fn collect_batch<R: Rows + ?Sized>(rows: &R, typed: bool) -> Option<ColumnarBatch> {
     let mut payload = Vec::new();
-    payload.extend_from_slice(&(arity as u16).to_le_bytes());
-    payload.extend_from_slice(&(count as u32).to_le_bytes());
-    let mut encodings = Vec::with_capacity(arity);
-    let mut columns = Vec::with_capacity(arity);
-    for col in 0..arity {
-        let profile = ColProfile::build(rows, col);
-        let enc = profile.choose();
-        // The block is written in place behind its header, whose length
-        // is patched once known; no encoding is larger than Plain's v1
-        // bytes, so one reserve covers it.
-        payload.reserve(5 + profile.v1_bytes);
-        payload.push(enc.tag());
-        let len_at = payload.len();
-        payload.extend_from_slice(&[0; 4]);
-        profile.encode(enc, &mut payload);
-        let len = payload.len() - len_at - 4;
-        payload[len_at..len_at + 4].copy_from_slice(&(len as u32).to_le_bytes());
-        columns.push(ColumnStat {
-            encoded_bytes: len,
-            decoded_bytes: profile.v1_bytes,
-        });
+    let (mut encodings, mut columns) = (Vec::new(), Vec::new());
+    let encoded = encode_columnar_onto(rows, &mut payload, typed, |_, enc, stat| {
         encodings.push(enc);
-    }
-    Some(ColumnarBatch {
+        columns.push(stat.clone());
+    });
+    encoded.then_some(ColumnarBatch {
         payload,
         encodings,
         columns,
     })
+}
+
+/// Encode a batch of rows as a v2 columnar payload onto the end of
+/// `out`, handing each column's index, encoding and accounting to
+/// `on_column`; `false`, with `out` untouched, when the batch has no
+/// columnar form. With `typed`, a column of one scalar kind takes the
+/// typed path; every other column — and every column without `typed` —
+/// takes the generic walk.
+pub(crate) fn encode_columnar_onto<R: Rows + ?Sized>(
+    rows: &R,
+    out: &mut Vec<u8>,
+    typed: bool,
+    mut on_column: impl FnMut(usize, Encoding, &ColumnStat),
+) -> bool {
+    let count = rows.len();
+    let arity = if count == 0 { 0 } else { rows.row(0).len() };
+    if arity == 0 || arity > u16::MAX as usize || count > u32::MAX as usize {
+        return false;
+    }
+    if count.saturating_mul(arity) > MAX_DECODE_CELLS {
+        return false; // stay decodable: the decoder rejects larger headers
+    }
+    if rows.strided().is_none() && (1..count).any(|i| rows.row(i).len() != arity) {
+        return false;
+    }
+    out.extend_from_slice(&(arity as u16).to_le_bytes());
+    out.extend_from_slice(&(count as u32).to_le_bytes());
+    for col in 0..arity {
+        // The block is written in place behind its header, which is
+        // filled in once the encoding and length are known.
+        let header = out.len();
+        out.extend_from_slice(&[0; 5]);
+        let (enc, size, v1_bytes) = SCRATCH.with_borrow_mut(|scratch| {
+            let typed_col = match rows.strided() {
+                _ if !typed => None,
+                Some((values, arity)) => {
+                    ScalarCol::build(values[col..].iter().step_by(arity), scratch)
+                }
+                None => ScalarCol::build((0..count).map(|i| &rows.row(i)[col]), scratch),
+            };
+            match typed_col {
+                Some(c) => {
+                    let (enc, size) = smallest(&c.sizes);
+                    out.reserve(size);
+                    c.encode(enc, out);
+                    (enc, size, SCALAR_V1 * c.scratch.bits.len())
+                }
+                None => {
+                    let p = ColProfile::build(rows, col);
+                    let (enc, size) = smallest(&p.sizes());
+                    out.reserve(size);
+                    p.encode(enc, out);
+                    (enc, size, p.v1_bytes)
+                }
+            }
+        });
+        let len = out.len() - header - 5;
+        debug_assert_eq!(len, size, "{enc:?} wrote other than its size");
+        out[header] = enc.tag();
+        out[header + 1..header + 5].copy_from_slice(&(len as u32).to_le_bytes());
+        let stat = ColumnStat {
+            encoded_bytes: len,
+            decoded_bytes: v1_bytes,
+        };
+        on_column(col, enc, &stat);
+    }
+    true
 }
 
 /// Accounting returned by [`decode_columnar`].
@@ -598,36 +846,19 @@ fn decode_column<'a>(
         }
         Encoding::Const => {
             let v = read_value(input)?;
-            slots.for_each(|slot| *slot = v.clone());
+            match scalar(&v) {
+                Some((kind, bits)) => slots.for_each(|slot| *slot = kind.value(bits)),
+                None => slots.for_each(|slot| *slot = v.clone()),
+            }
             rows * v1_value_size(&v)
         }
         Encoding::DeltaId => {
-            let mut prev = 0i64;
-            for (k, slot) in slots.enumerate() {
-                let raw = get_varint(input)?;
-                let cur = if k == 0 {
-                    raw as i64
-                } else {
-                    prev.wrapping_add(unzigzag(raw))
-                };
-                prev = cur;
-                *slot = Value::Id(cur as u64);
-            }
-            rows * v1_value_size(&Value::Id(0))
+            get_deltas(input, slots, false, Value::Id)?;
+            rows * SCALAR_V1
         }
         Encoding::DeltaInt => {
-            let mut prev = 0i64;
-            for (k, slot) in slots.enumerate() {
-                let raw = get_varint(input)?;
-                let cur = if k == 0 {
-                    unzigzag(raw)
-                } else {
-                    prev.wrapping_add(unzigzag(raw))
-                };
-                prev = cur;
-                *slot = Value::Int(cur);
-            }
-            rows * v1_value_size(&Value::Int(0))
+            get_deltas(input, slots, true, |x| Value::Int(x as i64))?;
+            rows * SCALAR_V1
         }
         Encoding::Dict => {
             let dict_len = u32::from_le_bytes(take_array(input)?) as usize;
@@ -640,10 +871,16 @@ fn decode_column<'a>(
                 entries.push((v1_value_size(&v), v));
             }
             let mut bytes = 0;
+            // A dictionary of scalars rebuilds each row's value from its
+            // bits: `Value::clone` is an out-of-line call per row.
+            let scalars = entries.iter().all(|(_, v)| scalar(v).is_some());
             for slot in slots {
                 let idx = get_varint(input)? as usize;
                 let (size, v) = entries.get(idx).ok_or(CodecError::Truncated)?;
-                *slot = v.clone();
+                *slot = match scalar(v) {
+                    Some((kind, bits)) if scalars => kind.value(bits),
+                    _ => v.clone(),
+                };
                 bytes += size;
             }
             bytes
@@ -652,11 +889,12 @@ fn decode_column<'a>(
             if input.len() != 8 * rows {
                 return Err(CodecError::Truncated);
             }
-            for slot in slots {
-                let bits = u64::from_le_bytes(take_array(input)?);
+            for (slot, bits) in slots.zip(input.chunks_exact(8)) {
+                let bits = u64::from_le_bytes(bits.try_into().expect("eight bytes"));
                 *slot = Value::Float(f64::from_bits(bits));
             }
-            rows * v1_value_size(&Value::Float(0.0))
+            *input = &[];
+            rows * SCALAR_V1
         }
     };
     // Every encoding accounts for its whole block.

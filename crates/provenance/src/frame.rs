@@ -27,9 +27,8 @@
 //!   batches accumulate in a per-segment *pending* buffer and are
 //!   **packed** into one columnar record once
 //!   [`PACK_THRESHOLD`](crate::store::PACK_THRESHOLD) tuples arrive (or
-//!   at spill/finish time), with a per-column
-//!   [`Encoding`](crate::columnar::Encoding) chosen by a stats pass at
-//!   pack time.
+//!   at spill/finish time), with a per-column [`Encoding`] chosen by a
+//!   stats pass at pack time.
 //! * **v3**: an LZ-compressed block (see [`crate::v3`]) stacked *under*
 //!   the v2 per-column encodings — the payload is an inner version tag,
 //!   the raw length, and the compressed inner payload. Writers emit the
@@ -43,9 +42,9 @@
 //! newer records after the sealed older ones in the same logical
 //! segment.
 
-use crate::codec::{decode_rows_into, encode_tuples, take, take_array, CodecError};
+use crate::codec::{decode_rows_into, encode_tuples_onto, take, take_array, CodecError};
 use crate::columnar::{
-    decode_columnar_into, encode_columnar, ColumnStat, ColumnarBatch, MAX_DECODE_CELLS,
+    decode_columnar_into, encode_columnar_onto, ColumnStat, Encoding, MAX_DECODE_CELLS,
 };
 use crate::obs_handles;
 use crate::rows::{RowBlock, Rows};
@@ -53,7 +52,9 @@ use crate::store::{Degradation, StoreError};
 use crate::v3;
 use ariadne_obs::trace::{self, Level};
 use ariadne_vc::checkpoint::crc32;
+use std::cell::RefCell;
 use std::path::Path;
+use std::time::Instant;
 
 /// The opening and closing magic of each frame version, indexed by
 /// `version - 1`: v1 row-major, v2 columnar, v3 LZ-compressed. The
@@ -64,8 +65,10 @@ pub const FRAME_MAGICS: [([u8; 4], [u8; 4]); 3] = [
     (*b"ARS2", *b"2SRA"),
     (*b"ARSZ", *b"ZSRA"),
 ];
-/// Per-record framing overhead in bytes (header + len + crc + footer).
-pub(crate) const RECORD_OVERHEAD: usize = 4 + 8 + 4 + 4;
+/// A frame's header in bytes: opening magic, payload length, CRC.
+const FRAME_HEADER: usize = 4 + 8 + 4;
+/// Per-record framing overhead in bytes (header + footer).
+pub(crate) const RECORD_OVERHEAD: usize = FRAME_HEADER + 4;
 
 /// The frame version whose opening magic is `magic`, if any.
 fn frame_version(magic: &[u8]) -> Option<u8> {
@@ -73,58 +76,96 @@ fn frame_version(magic: &[u8]) -> Option<u8> {
     Some(at as u8 + 1)
 }
 
-/// Append one checksummed record of frame `version` (1, 2 or 3) framing
-/// `payload` to `buf`. A v3 payload is already the inner-version-tagged
-/// compressed form from [`v3::make_compressed_payload`].
-pub(crate) fn append_frame(buf: &mut Vec<u8>, version: u8, payload: &[u8]) {
+/// Open a record frame on the end of `buf`: room for the opening magic,
+/// length and CRC that [`close_frame`] fills in. Returns where the
+/// payload starts; the caller writes it straight behind.
+fn open_frame(buf: &mut Vec<u8>) -> usize {
+    buf.extend_from_slice(&[0; FRAME_HEADER]);
+    buf.len()
+}
+
+/// Close the frame of `version` (1, 2 or 3) whose payload runs from `at`
+/// (what [`open_frame`] returned) to the end of `buf`: its magic, length
+/// and CRC go in front, its closing magic behind.
+fn close_frame(buf: &mut Vec<u8>, version: u8, at: usize) {
     let (open, close) = FRAME_MAGICS[usize::from(version) - 1];
-    buf.extend_from_slice(&open);
-    buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
+    let len = (buf.len() - at) as u64;
+    let crc = crc32(&buf[at..]);
+    let header = &mut buf[at - FRAME_HEADER..at];
+    header[..4].copy_from_slice(&open);
+    header[4..12].copy_from_slice(&len.to_le_bytes());
+    header[12..].copy_from_slice(&crc.to_le_bytes());
     buf.extend_from_slice(&close);
+}
+
+/// Append one checksummed record of frame `version` (1, 2 or 3) framing
+/// `payload` to `buf`.
+pub(crate) fn append_frame(buf: &mut Vec<u8>, version: u8, payload: &[u8]) {
+    let at = open_frame(buf);
+    buf.extend_from_slice(payload);
+    close_frame(buf, version, at);
 }
 
 /// Append `raw` (an inner payload of `inner_version` 1 = row-major or
 /// 2 = columnar) as either a compressed v3 frame — when compression
-/// strictly wins — or the plain frame of its native version.
+/// strictly wins — or the plain frame of its native version. The
+/// compressed form is written straight into `buf`.
 pub(crate) fn append_frame_best(buf: &mut Vec<u8>, inner_version: u8, raw: &[u8]) {
-    match v3::make_compressed_payload(inner_version, raw) {
-        Some(packed) => {
-            obs_handles::lz_records().inc();
-            obs_handles::lz_saved_bytes().add((raw.len() - packed.len()) as u64);
-            append_frame(buf, 3, &packed);
-        }
-        None => append_frame(buf, inner_version, raw),
+    let start = buf.len();
+    let at = open_frame(buf);
+    if v3::append_compressed_payload(buf, inner_version, raw) {
+        obs_handles::lz_records().inc();
+        obs_handles::lz_saved_bytes().add((raw.len() - (buf.len() - at)) as u64);
+        close_frame(buf, 3, at);
+    } else {
+        buf.truncate(start);
+        append_frame(buf, inner_version, raw);
     }
+}
+
+thread_local! {
+    /// The raw payload a record is encoded into before it is compressed,
+    /// reused record after record on each thread.
+    static RAW: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Frame `rows` as records onto `buf`, at most [`MAX_DECODE_CELLS`]
 /// cells a record (so a reader's guard never rejects one): columnar (v2)
 /// wherever a run of rows has a columnar form, row-major (v1) otherwise,
 /// each in the compressed v3 frame when `compress` and LZ strictly wins.
-/// `on_columnar` sees every columnar batch written. Returns the records
-/// written. The one record writer behind segment packing and compaction.
+/// `on_column` sees each column of every columnar record written: its
+/// index, encoding and accounting. Returns the records written. The one
+/// record writer behind segment packing and compaction; a payload is
+/// encoded straight into its frame, or — to be compressed — into a
+/// buffer the thread reuses.
 pub(crate) fn append_records(
     buf: &mut Vec<u8>,
     rows: &RowBlock,
     compress: bool,
-    mut on_columnar: impl FnMut(&ColumnarBatch),
+    mut on_column: impl FnMut(usize, Encoding, &ColumnStat),
 ) -> u32 {
     let arity = rows.rows().next().map_or(1, |row| row.len().max(1));
     let mut records = 0;
     for chunk in rows.chunks((MAX_DECODE_CELLS / arity).max(1)) {
-        let (version, payload) = match encode_columnar(&chunk) {
-            Some(batch) => {
-                on_columnar(&batch);
-                (2, batch.payload)
+        // The payload's version: columnar where the rows have that form.
+        let mut encode = |out: &mut Vec<u8>| {
+            if encode_columnar_onto(&chunk, out, true, &mut on_column) {
+                2
+            } else {
+                encode_tuples_onto(&chunk, out);
+                1
             }
-            None => (1, encode_tuples(&chunk)),
         };
         if compress {
-            append_frame_best(buf, version, &payload);
+            RAW.with_borrow_mut(|raw| {
+                raw.clear();
+                let version = encode(raw);
+                append_frame_best(buf, version, raw);
+            });
         } else {
-            append_frame(buf, version, &payload);
+            let at = open_frame(buf);
+            let version = encode(buf);
+            close_frame(buf, version, at);
         }
         records += 1;
     }
@@ -287,7 +328,24 @@ pub(crate) struct WalkOutcome {
 /// per-column encode accounting from v2 records (spool resume
 /// rebuilding a segment's column index). `mode` selects how validation
 /// failures are handled — see [`WalkMode`].
+/// Every decode of a stored record — reads, compaction, the epoch fold,
+/// scrub and resume — comes through here, timed as `store_decode_ns`.
 pub(crate) fn walk_records(
+    data: &[u8],
+    origin: &Path,
+    out: &mut RowBlock,
+    mask: Option<&[bool]>,
+    stats: Option<&mut Vec<ColumnStat>>,
+    mode: WalkMode,
+) -> Result<WalkOutcome, StoreError> {
+    let started = Instant::now();
+    let walked = walk(data, origin, out, mask, stats, mode);
+    obs_handles::decode_ns().add(started.elapsed().as_nanos() as u64);
+    walked
+}
+
+/// [`walk_records`], untimed.
+fn walk(
     data: &[u8],
     origin: &Path,
     out: &mut RowBlock,
@@ -364,12 +422,17 @@ pub(crate) fn verify_records(
 /// Fold `cols` (one record's or file's per-column accounting) into the
 /// running per-segment totals `agg`, growing `agg` to fit.
 pub(crate) fn absorb_cols(agg: &mut Vec<ColumnStat>, cols: &[ColumnStat]) {
-    if agg.len() < cols.len() {
-        agg.resize(cols.len(), ColumnStat::default());
+    for (col, stat) in cols.iter().enumerate() {
+        absorb_col(agg, col, stat);
     }
-    for (a, c) in agg.iter_mut().zip(cols) {
-        a.absorb(c);
+}
+
+/// Fold column `col`'s accounting into `agg[col]`, growing `agg` to fit.
+pub(crate) fn absorb_col(agg: &mut Vec<ColumnStat>, col: usize, stat: &ColumnStat) {
+    if agg.len() <= col {
+        agg.resize(col + 1, ColumnStat::default());
     }
+    agg[col].absorb(stat);
 }
 
 /// Decode one validated frame's payload onto the end of `out`,

@@ -98,6 +98,12 @@ static_counter!(
     false
 );
 static_counter!(
+    decode_ns,
+    "store_decode_ns",
+    "wall nanoseconds spent checking and decoding stored records (reads, compaction, epoch fold, scrub, resume)",
+    false
+);
+static_counter!(
     packs,
     "store_packs_total",
     "pending batches packed into columnar records",

@@ -154,6 +154,17 @@ impl RowBlock {
         !self.ends.is_empty()
     }
 
+    /// The first row's arity and the first arity after it that differs,
+    /// if the rows do not all share one (only a ragged block's can).
+    pub fn mixed_arities(&self) -> Option<(usize, usize)> {
+        if !self.is_ragged() {
+            return None;
+        }
+        let mut arities = self.rows().map(<[Value]>::len);
+        let first = arities.next()?;
+        Some((first, arities.find(|&a| a != first)?))
+    }
+
     /// Values held (summed over the rows).
     pub fn value_count(&self) -> usize {
         self.values.len()
@@ -407,6 +418,10 @@ mod tests {
         // A row without values alone is ragged too: it has no stride.
         let empty = RowBlock::from_tuples(vec![vec![], vec![]]);
         assert!(empty.is_ragged());
+        assert_eq!(empty.mixed_arities(), None, "ragged, but one arity");
+        let mixed = RowBlock::from_tuples(tuples.clone());
+        assert_eq!(mixed.mixed_arities(), Some((2, 1)));
+        assert_eq!(RowBlock::from_tuples(vec![row(1, 0)]).mixed_arities(), None);
         assert_eq!(empty.to_tuples(), vec![Vec::<Value>::new(); 2]);
     }
 

@@ -34,7 +34,7 @@ use crate::codec::{encode_tuples, CodecError};
 use crate::columnar::{v1_batch_size, ColumnStat};
 use crate::epoch::EpochInfo;
 use crate::frame::{
-    absorb_cols, append_frame, append_frame_best, append_records, walk_records, DecodeCounts,
+    absorb_col, append_frame, append_frame_best, append_records, walk_records, DecodeCounts,
     WalkMode, RECORD_OVERHEAD,
 };
 use crate::obs_handles;
@@ -156,6 +156,20 @@ impl std::error::Error for StoreError {
                 .as_ref()
                 .map(|e| e.as_ref() as &(dyn std::error::Error + 'static)),
             _ => None,
+        }
+    }
+}
+
+impl StoreError {
+    /// The refusal of predicate `pred`, whose stored rows have arity
+    /// `arity` and `other`: only a ragged [`ProvStore::ingest`] stores
+    /// such rows, and no relation loads both.
+    pub fn mixed_arity(pred: &str, arity: usize, other: usize) -> StoreError {
+        StoreError::Corrupt {
+            path: PathBuf::from("<memory>"),
+            detail: format!(
+                "`{pred}` holds rows of arity {arity} and {other}: no relation loads both"
+            ),
         }
     }
 }
@@ -477,12 +491,16 @@ impl Segment {
         // MAX_DECODE_CELLS guard lets a record be — or wider than a
         // columnar header can say: then a v1 record inside the v2 store
         // (readers dispatch per record).
-        append_records(&mut self.mem, &rows, format == SegmentFormat::V3, |batch| {
-            absorb_cols(&mut self.cols, &batch.columns);
-            for (col, enc) in batch.columns.iter().zip(&batch.encodings) {
-                obs_handles::encoding_hist(*enc).record(col.encoded_bytes as u64);
-            }
-        });
+        let cols = &mut self.cols;
+        append_records(
+            &mut self.mem,
+            &rows,
+            format == SegmentFormat::V3,
+            |col, enc, stat| {
+                absorb_col(cols, col, stat);
+                obs_handles::encoding_hist(enc).record(stat.encoded_bytes as u64);
+            },
+        );
         let appended = self.mem.len() - before;
         self.mem_tuples += rows.len();
         *mem_bytes = *mem_bytes - est + appended;
@@ -1282,14 +1300,7 @@ impl ProvStore {
             let rel = db.relation_mut(pred, first.len());
             for row in rows.rows() {
                 if row.len() != rel.arity() {
-                    return Err(StoreError::Corrupt {
-                        path: PathBuf::from("<memory>"),
-                        detail: format!(
-                            "`{pred}` holds rows of arity {} and {}: no relation loads both",
-                            rel.arity(),
-                            row.len()
-                        ),
-                    });
+                    return Err(StoreError::mixed_arity(pred, rel.arity(), row.len()));
                 }
                 rel.insert_slice(row);
             }

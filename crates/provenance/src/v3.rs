@@ -341,21 +341,22 @@ pub fn parse_gen_name(name: &str) -> Option<(u64, u32)> {
     Some((generation.parse().ok()?, seq.parse().ok()?))
 }
 
-/// Build a v3 compressed record payload wrapping `raw` (an inner v1 or
-/// v2 record payload, tagged by `inner_version`). Returns `None` when
+/// Append a v3 compressed record payload wrapping `raw` (an inner v1 or
+/// v2 record payload, tagged by `inner_version`) to `buf`, compressed
+/// straight into it. Returns `false`, with `buf` as it was, when
 /// compression does not strictly win — the caller then frames the raw
 /// payload in its native v1/v2 frame instead.
-pub fn make_compressed_payload(inner_version: u8, raw: &[u8]) -> Option<Vec<u8>> {
+pub fn append_compressed_payload(buf: &mut Vec<u8>, inner_version: u8, raw: &[u8]) -> bool {
     debug_assert!(inner_version == 1 || inner_version == 2);
-    let packed = minilz::compress(raw);
-    if packed.len() + 5 >= raw.len() {
-        return None;
+    let start = buf.len();
+    buf.push(inner_version);
+    buf.extend_from_slice(&(raw.len() as u32).to_le_bytes());
+    minilz::compress_into(raw, buf);
+    if buf.len() - start >= raw.len() {
+        buf.truncate(start);
+        return false;
     }
-    let mut out = Vec::with_capacity(packed.len() + 5);
-    out.push(inner_version);
-    out.extend_from_slice(&(raw.len() as u32).to_le_bytes());
-    out.extend_from_slice(&packed);
-    Some(out)
+    true
 }
 
 /// Decode a v3 compressed record payload back into its inner version
@@ -487,9 +488,16 @@ mod tests {
     #[test]
     fn compressed_payload_roundtrip() {
         let raw = b"layer-layer-layer-layer-layer-layer-layer-layer-".repeat(8);
-        let payload = make_compressed_payload(2, &raw).expect("repetitive input compresses");
+        let mut payload = b"prefix".to_vec();
+        assert!(
+            append_compressed_payload(&mut payload, 2, &raw),
+            "repetitive input compresses"
+        );
+        let payload = payload.strip_prefix(b"prefix").unwrap();
         assert!(payload.len() < raw.len());
-        let (inner, back) = decode_compressed_payload(&payload).unwrap();
+        assert_eq!(payload[..5], [2, 128, 1, 0, 0]);
+        assert_eq!(payload[5..], minilz::compress(&raw));
+        let (inner, back) = decode_compressed_payload(payload).unwrap();
         assert_eq!(inner, 2);
         assert_eq!(back, raw);
     }
@@ -503,7 +511,12 @@ mod tests {
                 (state >> 33) as u8
             })
             .collect();
-        assert!(make_compressed_payload(2, &raw).is_none());
+        let mut buf = b"prefix".to_vec();
+        assert!(!append_compressed_payload(&mut buf, 2, &raw));
+        assert_eq!(
+            buf, b"prefix",
+            "a declined payload leaves the buffer as it was"
+        );
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Failure injection: the system must fail loudly and precisely, not
 //! corrupt results.
 
-use ariadne::session::Ariadne;
+use ariadne::session::{Ariadne, AriadneError};
 use ariadne::{compile, CaptureSpec};
 use ariadne_analytics::Wcc;
 use ariadne_graph::generators::regular::path;
 use ariadne_pql::{Params, UdfRegistry, Value};
+use ariadne_provenance::{ProvStore, StoreConfig, StoreError};
 
 #[test]
 fn unknown_udf_fails_the_online_run_loudly() {
@@ -133,4 +134,39 @@ fn queries_with_param_type_mismatches_evaluate_to_nothing() {
         run.query_results.len("no_execute"),
         run.query_results.len("unsafe")
     );
+}
+
+#[test]
+fn ragged_stored_predicate_is_refused_by_every_mode() {
+    // `ProvStore::ingest` keeps rows of mixed arity for one predicate
+    // (as a row-major record); no relation holds both, so centralized and
+    // layered replay must refuse them with the same typed error, at every
+    // thread count — not answer from whatever rows a vertex received.
+    let q = compile("active(x, i) :- superstep(x, i).", Params::new()).unwrap();
+    let g = path(3);
+    let mut store = ProvStore::new(StoreConfig::in_memory());
+    store
+        .ingest(
+            0,
+            "superstep",
+            vec![
+                vec![Value::Id(0), Value::Int(0)],
+                vec![Value::Id(1), Value::Int(0), Value::Int(9)],
+            ],
+        )
+        .unwrap();
+    for threads in [1, 2, 7] {
+        let ariadne = Ariadne::with_threads(threads);
+        let centralized = ariadne.centralized(&g, &store, &q).map(|_| ());
+        let layered = ariadne.layered(&g, &store, &q).map(|_| ());
+        for (mode, result) in [("centralized", centralized), ("layered", layered)] {
+            match result {
+                Err(AriadneError::Store(StoreError::Corrupt { detail, .. })) => assert!(
+                    detail.contains("`superstep` holds rows of arity 2 and 3"),
+                    "{mode} at T={threads}: {detail}"
+                ),
+                other => panic!("{mode} at T={threads}: expected a typed refusal, got {other:?}"),
+            }
+        }
+    }
 }

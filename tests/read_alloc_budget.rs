@@ -20,6 +20,11 @@
 //! of every layer (through `layer_read`, the only read there was) 1.79.
 //! This change makes 0.024, 0.012 and 0.008.
 //!
+//! The writes of compaction and of the epoch append are held to a budget
+//! per record written (see [`assert_write_budget`]): the encoder's column
+//! scratch and the LZ match table are reused per thread, so writing a
+//! record does not cost an allocation per column or per call.
+//!
 //! The test binary holds this one test: the counter is process-wide.
 
 use ariadne::session::Ariadne;
@@ -27,6 +32,7 @@ use ariadne::CaptureSpec;
 use ariadne_analytics::PageRank;
 use ariadne_graph::generators::regular::grid;
 use ariadne_graph::{GraphDelta, MutableGraph, VertexId};
+use ariadne_provenance::v3::{parse_manifest, MANIFEST_NAME};
 use ariadne_provenance::{LayerFilter, ReadPolicy, Rows, SegmentFormat, StoreConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,6 +80,23 @@ fn assert_budget(what: &str, allocs: u64, rows: usize) {
     );
 }
 
+/// The write side's budget: allocator calls per record written, under
+/// `bound`. Compaction and an epoch append also decode, so the figure is
+/// not the encoder's alone; on this fixture it is 15.93 (compact) and
+/// 37.12 (append_epoch), where an LZ match table allocated per call adds
+/// one per record and a column buffer allocated per column one per
+/// column — the bounds sit under both. At the parent of the change that
+/// reused both, the figures were 28.74 and 49.75.
+#[track_caller]
+fn assert_write_budget(what: &str, allocs: u64, records: usize, bound: f64) {
+    let per_record = allocs as f64 / records as f64;
+    assert!(
+        per_record < bound,
+        "{what}: {allocs} allocator calls for {records} records written \
+         ({per_record:.2} each; allowed: under {bound})"
+    );
+}
+
 #[test]
 fn read_side_allocates_per_segment_not_per_row() {
     // 24 x 24 grid: ~6,000 rows a superstep over six predicates.
@@ -96,6 +119,13 @@ fn read_side_allocates_per_segment_not_per_row() {
     assert!(spilled.spills() > 0, "the capture never spilled");
     let (report, allocs) = counted(|| spilled.compact().unwrap());
     assert_budget("compact", allocs, report.tuples);
+    let manifest = std::fs::read(dir.join(MANIFEST_NAME)).unwrap();
+    let records: u32 = parse_manifest(&manifest).unwrap().live[0]
+        .entries
+        .iter()
+        .map(|e| e.records)
+        .sum();
+    assert_write_budget("compact", allocs, records as usize, 16.5);
     drop(spilled);
     std::fs::remove_dir_all(&dir).ok();
 
@@ -118,9 +148,13 @@ fn read_side_allocates_per_segment_not_per_row() {
         .unwrap()
         .store;
     let rows = store.tuple_count() + next.tuple_count();
+    let segments = store.segment_index().count();
     let (stats, allocs) = counted(|| store.append_epoch(&next).unwrap());
     assert!(stats.replaced > 0, "the mutation changed nothing");
     assert_budget("append_epoch", allocs, rows);
+    // Every segment the epoch adds is one record.
+    let records = store.segment_index().count() - segments;
+    assert_write_budget("append_epoch", allocs, records, 37.6);
 
     // The fold of every logical layer of the two-epoch chain.
     let max = store.max_superstep().unwrap();
