@@ -24,11 +24,10 @@
 //!
 //! Dropping a column *can* collapse tuples that differ only there (the
 //! relation layer dedups), so intermediate counters like
-//! [`ariadne_pql::EvalStats`] may differ between projected and
-//! unprojected replays of the same store — result sets do not. Within a
-//! fixed projection setting, replay stays bit-identical across segment
-//! formats and thread counts (the mask is applied to v1 and v2 records
-//! alike).
+//! [`ariadne_pql::EvalStats`] are those of the projected database, not
+//! of the stored one — result sets do not change. Layered replay always
+//! projects, and stays bit-identical across segment formats and thread
+//! counts (the mask is applied to every record format alike).
 
 use ariadne_pql::analysis::{AnalyzedRule, Step};
 use ariadne_pql::ast::{HeadArg, Term};

@@ -6,10 +6,14 @@
 //!
 //! 1. the layer's stored tuples are injected into their owning vertices'
 //!    partitions (and then dropped — only one layer is materialized).
-//!    The store read is **predicate-filtered**: segments whose predicate
-//!    the compiled query never references are skipped without a decode
-//!    or (for spilled segments) a disk read
-//!    ([`ProvStore::layer_filtered`]);
+//!    Every read is **pruned**: segments whose predicate the compiled
+//!    query never references are skipped without a decode or (for
+//!    spilled segments) a disk read. It is **projected**: stored columns
+//!    the query provably never observes ([`crate::columns`]) are not
+//!    materialized. And it is **strict**: any damage fails the replay
+//!    typed. Neither pruning nor projection can change a result set, so
+//!    neither is optional; degraded reads are a store and scrub
+//!    capability ([`ProvStore::layer_read_with`]), not a replay mode;
 //! 2. every touched vertex runs its incremental local fixpoint;
 //! 3. fresh tuples of shipped predicates travel one hop, to the union of
 //!    the vertex's out- and in-neighbours (a superset of every
@@ -55,7 +59,7 @@
 //! ([`crate::state::QueryState`]); only the tuple source differs (replay
 //! from the store instead of live generation).
 //!
-//! [`ProvStore::layer_filtered`]: ariadne_provenance::ProvStore::layer_filtered
+//! [`ProvStore::layer_read_with`]: ariadne_provenance::ProvStore::layer_read_with
 
 use crate::barrier::Barrier;
 use crate::columns::column_masks;
@@ -65,7 +69,7 @@ use crate::state::QueryState;
 use ariadne_graph::{ChunkTable, Csr, VertexId};
 use ariadne_obs::trace::{self, Level};
 use ariadne_pql::{Database, Direction, EvalScratch, EvalStats, Evaluator, PqlError, Tuple};
-use ariadne_provenance::{Degradation, EdbFlags, LayerFilter, ProvStore, ReadPolicy, StoreError};
+use ariadne_provenance::{EdbFlags, LayerFilter, ProvStore, ReadPolicy, StoreError};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -159,53 +163,27 @@ mod obs_handles {
 /// robin, so more of them interleave a skewed touched set more finely.
 const CHUNKS_PER_THREAD: usize = 4;
 
-/// Tuning knobs for layered evaluation. The defaults reproduce the
-/// sequential reference; [`crate::session::Ariadne`] passes its engine
-/// thread count through.
+/// Layered evaluation's one knob. The default is the sequential
+/// reference; [`crate::session::Ariadne`] passes its engine thread count
+/// through.
 #[derive(Clone, Debug)]
 pub struct LayeredConfig {
     /// Worker threads per round. `1` runs the same round protocol on
     /// the calling thread.
     pub threads: usize,
-    /// Restrict layer reads to the predicates the query references
-    /// (EDBs plus IDB names, so replayed persisted derivations still
-    /// inject). Skipped segments are never decoded or read from disk.
-    pub prune: bool,
-    /// Column-selective replay: derive per-predicate keep-masks from the
-    /// query ([`crate::columns::column_masks`]) and skip stored columns
-    /// the query provably never observes. v2 segments skip the encoded
-    /// column blocks wholesale; v1 records skip per value. Result sets
-    /// are unchanged (masked positions decode as `Unit`, which only
-    /// singleton variables ever bind); intermediate [`EvalStats`] may
-    /// differ from an unprojected run because dropped columns can
-    /// collapse tuples that differed only there.
-    pub project: bool,
-    /// How layer reads treat damaged store data. The default
-    /// [`ReadPolicy::Strict`] fails the replay typed on any corruption,
-    /// quarantined segment, or poisoned store;
-    /// [`ReadPolicy::Degraded`] replays what survives and reports the
-    /// exact loss on [`LayeredRun::degradation`] — partial results,
-    /// always labelled, never silently wrong.
-    pub read_policy: ReadPolicy,
 }
 
 impl Default for LayeredConfig {
     fn default() -> Self {
-        LayeredConfig {
-            threads: 1,
-            prune: true,
-            project: true,
-            read_policy: ReadPolicy::Strict,
-        }
+        LayeredConfig { threads: 1 }
     }
 }
 
 impl LayeredConfig {
-    /// A config for `threads` workers, other knobs at their defaults.
+    /// A config for `threads` workers (at least one).
     pub fn parallel(threads: usize) -> Self {
         LayeredConfig {
             threads: threads.max(1),
-            ..LayeredConfig::default()
         }
     }
 }
@@ -251,10 +229,6 @@ pub struct LayeredRun {
     pub phase_eval_ns: u64,
     /// Wall-clock nanoseconds merging per-chunk outboxes.
     pub phase_merge_ns: u64,
-    /// Damage a [`ReadPolicy::Degraded`] replay skipped over, summed
-    /// across every layer read. Always clean under
-    /// [`ReadPolicy::Strict`] (damage errors out instead).
-    pub degradation: Degradation,
     /// The inclusive layer range this run actually replayed, after
     /// clamping any requested range to the store's layers. `(0, 0)` with
     /// `layers == 0` means nothing was replayed. Cache keys built over
@@ -599,11 +573,10 @@ impl Pool<'_> {
         store: &ProvStore,
         layer: u32,
         filter: &LayerFilter,
-        config: &LayeredConfig,
         run: &mut LayeredRun,
     ) -> Result<(), AriadneError> {
         let read = store
-            .layer_blocks(layer, filter, config.read_policy)
+            .layer_blocks(layer, filter, ReadPolicy::Strict)
             .map_err(AriadneError::Store)?;
         for (pred, rows) in &read.tuples {
             if let Some((arity, other)) = rows.mixed_arities() {
@@ -618,7 +591,6 @@ impl Pool<'_> {
         run.bytes_skipped += read.bytes_skipped;
         run.cols_skipped += read.cols_skipped;
         run.col_bytes_skipped += read.col_bytes_skipped;
-        run.degradation.absorb(&read.degradation);
         let mut preds = self.layer_preds.write().expect("layer preds lock");
         preds.clear();
         let mut inboxes: Vec<_> = self
@@ -668,9 +640,9 @@ impl Pool<'_> {
 }
 
 /// Evaluate `query` over the captured `store` in layered fashion:
-/// parallel chunked replay with predicate-filtered layer reads. Results
-/// are bit-identical at every thread count (see the module docs for the
-/// argument).
+/// parallel chunked replay with pruned, projected, strict layer reads.
+/// Results are bit-identical at every thread count (see the module docs
+/// for the argument).
 pub fn run_layered_with(
     graph: &Csr,
     store: &ProvStore,
@@ -730,20 +702,14 @@ pub fn run_layered_range(
     // IDB names (a capture may have persisted derived tuples that a
     // recursive replay re-reads). Anything else in the store is dead
     // weight for this query and is skipped unread. On top of the
-    // predicate allow-set, column-selective projection skips stored
-    // columns the query provably never observes (see
-    // [`crate::columns`]).
-    let mut filter = if config.prune {
-        let mut preds = analyzed.edbs.clone();
-        preds.extend(analyzed.idbs.keys().cloned());
-        LayerFilter::for_preds(preds)
-    } else {
-        LayerFilter::all()
-    };
-    if config.project {
-        for (pred, mask) in column_masks(analyzed) {
-            filter = filter.with_mask(&pred, mask);
-        }
+    // predicate allow-set, projection skips stored columns the query
+    // provably never observes (see [`crate::columns`]): masked positions
+    // decode as `Unit`, which only singleton variables ever bind.
+    let mut preds = analyzed.edbs.clone();
+    preds.extend(analyzed.idbs.keys().cloned());
+    let mut filter = LayerFilter::for_preds(preds);
+    for (pred, mask) in column_masks(analyzed) {
+        filter = filter.with_mask(&pred, mask);
     }
 
     let chunks = threads.saturating_mul(CHUNKS_PER_THREAD);
@@ -812,7 +778,7 @@ pub fn run_layered_range(
         let preloaded = !ascending && layer_lo == 0;
         if preloaded {
             let t0 = Instant::now();
-            pool.load(store, 0, &filter, config, &mut run)?;
+            pool.load(store, 0, &filter, &mut run)?;
             let preload = Plan {
                 preload: true,
                 ..Plan::default()
@@ -840,7 +806,7 @@ pub fn run_layered_range(
             let t0 = Instant::now();
             let wake_preloaded = preloaded && layer == 0;
             if !wake_preloaded {
-                pool.load(store, layer, &filter, config, &mut run)?;
+                pool.load(store, layer, &filter, &mut run)?;
             }
             let plan = Plan {
                 wake_preloaded,
@@ -1039,28 +1005,33 @@ mod tests {
             .unwrap();
         let q = compile("active(x, i) :- superstep(x, i).", Params::new()).unwrap();
 
-        let pruned = run_layered_with(&g, &store, &q, &LayeredConfig::default()).unwrap();
-        assert_eq!(pruned.segments_read, 1, "only superstep decoded");
-        assert_eq!(pruned.segments_skipped, 2);
-        assert!(pruned.bytes_skipped > 0);
+        let run = run_layered_with(&g, &store, &q, &LayeredConfig::default()).unwrap();
+        assert_eq!(run.segments_read, 1, "only superstep decoded");
+        assert_eq!(run.segments_skipped, 2);
+        assert!(run.bytes_skipped > 0);
+        assert_partitions_store_bytes(&store, &run);
+        assert_matches_centralized(&g, &store, &q, &run);
+    }
 
-        let full = run_layered_with(
-            &g,
-            &store,
-            &q,
-            &LayeredConfig {
-                prune: false,
-                ..LayeredConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(full.segments_read, 3);
-        assert_eq!(full.segments_skipped, 0);
-        assert_eq!(
-            pruned.query_results.sorted("active"),
-            full.query_results.sorted("active"),
-            "pruning must not change results"
-        );
+    /// A full replay's decoded and skipped bytes add up to every stored
+    /// byte: what pruning skips is exactly what it does not read.
+    fn assert_partitions_store_bytes(store: &ProvStore, run: &LayeredRun) {
+        let stored: usize = store.segment_index().map(|seg| seg.bytes).sum();
+        assert_eq!(run.bytes_read + run.bytes_skipped, stored);
+    }
+
+    /// Pruned, projected replay answers what the centralized oracle does.
+    fn assert_matches_centralized(g: &Csr, store: &ProvStore, q: &CompiledQuery, run: &LayeredRun) {
+        let oracle = crate::session::Ariadne::default()
+            .centralized(g, store, q)
+            .unwrap();
+        for pred in q.query().idbs.keys() {
+            assert_eq!(
+                run.query_results.sorted(pred),
+                oracle.sorted(pred),
+                "{pred}"
+            );
+        }
     }
 
     /// Regression (the PR's foregrounded bug): a 2-hop backward chain
@@ -1171,9 +1142,8 @@ mod tests {
         assert!(run.flush_rounds >= 2, "got {}", run.flush_rounds);
     }
 
-    /// Column-selective replay skips stored payload columns the query
-    /// never observes, without changing the result set — across every
-    /// segment format.
+    /// Projection skips stored payload columns the query never observes,
+    /// without changing the result set — across every segment format.
     #[test]
     fn projection_skips_unobserved_columns() {
         use ariadne_provenance::SegmentFormat;
@@ -1207,31 +1177,19 @@ mod tests {
                 Params::new(),
             )
             .unwrap();
-            let projected = run_layered_with(&g, &store, &q, &LayeredConfig::default()).unwrap();
-            let full = run_layered_with(
-                &g,
-                &store,
-                &q,
-                &LayeredConfig {
-                    project: false,
-                    ..LayeredConfig::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(
-                projected.query_results.sorted("hot"),
-                full.query_results.sorted("hot"),
-                "projection must not change results ({format:?})"
-            );
+            let run = run_layered_with(&g, &store, &q, &LayeredConfig::default()).unwrap();
+            assert!(!run.query_results.is_empty(), "{format:?}");
+            assert_matches_centralized(&g, &store, &q, &run);
+            assert_partitions_store_bytes(&store, &run);
             assert!(
-                projected.cols_skipped > 0,
+                run.cols_skipped > 0,
                 "expected skipped columns under {format:?}"
             );
-            assert_eq!(full.cols_skipped, 0);
-            if format == SegmentFormat::V2 {
+            // v3 wraps v2 records, so both skip whole column blocks.
+            if format != SegmentFormat::V1 {
                 assert!(
-                    projected.col_bytes_skipped > 0,
-                    "v2 block skips must be byte-accounted"
+                    run.col_bytes_skipped > 0,
+                    "{format:?} block skips must be byte-accounted"
                 );
             }
         }

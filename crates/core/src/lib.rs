@@ -59,7 +59,6 @@ pub mod snap;
 pub mod state;
 
 pub use capture::CaptureSpec;
-pub use columns::column_masks;
 pub use compile::{compile, compile_with, CompiledQuery};
 pub use custom::CustomProv;
 pub use layered::{run_layered_range, run_layered_with, LayeredConfig, LayeredRun};

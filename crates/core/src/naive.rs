@@ -23,7 +23,7 @@ use crate::compile::CompiledQuery;
 use crate::session::AriadneError;
 use crate::state::QueryState;
 use ariadne_graph::{Csr, VertexId};
-use ariadne_pql::{Database, Value};
+use ariadne_pql::{Database, EvalScratch, EvalStats, Value};
 use ariadne_provenance::{EdbFlags, ProvStore, UnfoldedGraph};
 
 /// The outcome of a naive evaluation.
@@ -112,6 +112,7 @@ pub fn run_naive(
     // ordering to restrict routes).
     let shipped: Vec<&String> = analyzed.shipped.iter().collect();
     let evaluator = query.evaluator();
+    let (mut stats, mut scratch) = (EvalStats::default(), EvalScratch::default());
     let mut rounds = 0u32;
 
     // Priming round: replicate shipped EDB partitions before any rule
@@ -122,8 +123,16 @@ pub fn run_naive(
         loop {
             rounds += 1;
             for (vi, state) in states.iter_mut().enumerate() {
-                state
-                    .evaluate_stratum(evaluator, VertexId(vi as u64), stratum)
+                let loc = Value::Id(vi as u64);
+                evaluator
+                    .step_stratum(
+                        &mut state.db,
+                        &mut state.eval,
+                        Some(&loc),
+                        stratum,
+                        &mut stats,
+                        &mut scratch,
+                    )
                     .map_err(AriadneError::Pql)?;
             }
             let mut dummy = 0;

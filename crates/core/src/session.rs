@@ -152,44 +152,10 @@ impl Ariadne {
     }
 
     /// Run the bare analytic (the "Giraph" baseline in every figure).
+    /// Checkpointing and resuming it are the engine's own
+    /// [`Engine::run_checkpointed`] and [`Engine::resume`].
     pub fn baseline<A: VertexProgram>(&self, analytic: &A, graph: &Csr) -> RunResult<A::V> {
         Engine::new(self.engine.clone()).run(analytic, graph)
-    }
-
-    /// Run the bare analytic with barrier checkpoints per
-    /// [`EngineConfig::checkpoint`]; a crashed run can be resumed with
-    /// [`Ariadne::resume_baseline`].
-    pub fn baseline_checkpointed<A>(
-        &self,
-        analytic: &A,
-        graph: &Csr,
-    ) -> Result<RunResult<A::V>, AriadneError>
-    where
-        A: VertexProgram,
-        A::V: Snapshot,
-        A::M: Snapshot,
-    {
-        Engine::new(self.engine.clone())
-            .run_checkpointed(analytic, graph)
-            .map_err(AriadneError::Engine)
-    }
-
-    /// Resume a crashed [`Ariadne::baseline_checkpointed`] run from its
-    /// latest valid checkpoint; determinism makes the completed result
-    /// bit-identical to an uninterrupted run.
-    pub fn resume_baseline<A>(
-        &self,
-        analytic: &A,
-        graph: &Csr,
-    ) -> Result<RunResult<A::V>, AriadneError>
-    where
-        A: VertexProgram,
-        A::V: Snapshot,
-        A::M: Snapshot,
-    {
-        Engine::new(self.engine.clone())
-            .resume(analytic, graph)
-            .map_err(AriadneError::Engine)
     }
 
     /// Online evaluation: run `analytic` and `query` in lockstep (§5.2).

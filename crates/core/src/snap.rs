@@ -8,121 +8,40 @@
 //! activation history, shipping and persistence marks — is part of the
 //! recovered state, not recomputed).
 //!
-//! PQL values are foreign to the engine crate, so their codec lives here
-//! as free functions: one tag byte per [`Value`] variant, little-endian
-//! fixed-width payloads, length-prefixed strings and lists (same layout
-//! conventions as the engine's own snapshot primitives).
+//! PQL values are foreign to the engine crate; their tuples are written
+//! with the provenance store's row codec ([`ariadne_provenance::codec`]),
+//! one length-prefixed batch per relation or message table, so a
+//! snapshot and a spilled segment spell a [`Value`](ariadne_pql::Value) the
+//! same way.
 
 use crate::online::{OnlineMsg, OnlineState, Payload};
 use crate::state::QueryState;
 use ariadne_pql::eval::seminaive::EvalState;
-use ariadne_pql::{Database, Tuple, Value};
+use ariadne_pql::{Database, Tuple};
+use ariadne_provenance::codec::{decode_tuples, encode_tuples, CodecError};
 use ariadne_provenance::edb::EdbTracker;
 use ariadne_vc::{SnapError, Snapshot};
 use std::sync::Arc;
 
-const TAG_ID: u8 = 0;
-const TAG_INT: u8 = 1;
-const TAG_FLOAT: u8 = 2;
-const TAG_BOOL: u8 = 3;
-const TAG_STR: u8 = 4;
-const TAG_LIST: u8 = 5;
-const TAG_UNIT: u8 = 6;
-
-/// Serialize one PQL value.
-pub fn write_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Id(x) => {
-            TAG_ID.write_snap(out);
-            x.write_snap(out);
-        }
-        Value::Int(x) => {
-            TAG_INT.write_snap(out);
-            x.write_snap(out);
-        }
-        Value::Float(x) => {
-            TAG_FLOAT.write_snap(out);
-            x.write_snap(out);
-        }
-        Value::Bool(x) => {
-            TAG_BOOL.write_snap(out);
-            x.write_snap(out);
-        }
-        Value::Str(s) => {
-            TAG_STR.write_snap(out);
-            s.to_string().write_snap(out);
-        }
-        Value::List(items) => {
-            TAG_LIST.write_snap(out);
-            (items.len() as u64).write_snap(out);
-            for item in items.iter() {
-                write_value(item, out);
-            }
-        }
-        Value::Unit => TAG_UNIT.write_snap(out),
-    }
-}
-
-/// Deserialize one PQL value.
-pub fn read_value(input: &mut &[u8]) -> Result<Value, SnapError> {
-    match u8::read_snap(input)? {
-        TAG_ID => Ok(Value::Id(u64::read_snap(input)?)),
-        TAG_INT => Ok(Value::Int(i64::read_snap(input)?)),
-        TAG_FLOAT => Ok(Value::Float(f64::read_snap(input)?)),
-        TAG_BOOL => Ok(Value::Bool(bool::read_snap(input)?)),
-        TAG_STR => Ok(Value::str(&String::read_snap(input)?)),
-        TAG_LIST => {
-            let n = u64::read_snap(input)? as usize;
-            if n > input.len() {
-                return Err(SnapError::BadLength(n as u64));
-            }
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(read_value(input)?);
-            }
-            Ok(Value::List(Arc::new(items)))
-        }
-        TAG_UNIT => Ok(Value::Unit),
-        t => Err(SnapError::BadTag(t)),
-    }
-}
-
-fn write_tuple(t: &Tuple, out: &mut Vec<u8>) {
-    (t.len() as u64).write_snap(out);
-    for v in t {
-        write_value(v, out);
-    }
-}
-
-fn read_tuple(input: &mut &[u8]) -> Result<Tuple, SnapError> {
-    let n = u64::read_snap(input)? as usize;
-    if n > input.len() {
-        return Err(SnapError::BadLength(n as u64));
-    }
-    let mut t = Vec::with_capacity(n);
-    for _ in 0..n {
-        t.push(read_value(input)?);
-    }
-    Ok(t)
-}
-
+/// Write `tuples` as one length-prefixed [`encode_tuples`] batch.
 fn write_tuples(tuples: &[Tuple], out: &mut Vec<u8>) {
-    (tuples.len() as u64).write_snap(out);
-    for t in tuples {
-        write_tuple(t, out);
-    }
+    let batch = encode_tuples(tuples);
+    batch.len().write_snap(out);
+    out.extend_from_slice(&batch);
 }
 
+/// Read a batch written by [`write_tuples`].
 fn read_tuples(input: &mut &[u8]) -> Result<Vec<Tuple>, SnapError> {
-    let n = u64::read_snap(input)? as usize;
-    if n > input.len() {
-        return Err(SnapError::BadLength(n as u64));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(read_tuple(input)?);
-    }
-    Ok(out)
+    let n = usize::read_snap(input)?;
+    let Some((batch, rest)) = input.split_at_checked(n) else {
+        return Err(SnapError::Truncated);
+    };
+    *input = rest;
+    decode_tuples(batch).map_err(|e| match e {
+        CodecError::Truncated => SnapError::Truncated,
+        CodecError::BadTag(t) => SnapError::BadTag(t),
+        CodecError::BadUtf8 => SnapError::BadUtf8,
+    })
 }
 
 /// Serialize a database preserving both relation name order and tuple
@@ -130,24 +49,21 @@ fn read_tuples(input: &mut &[u8]) -> Result<Vec<Tuple>, SnapError> {
 /// valid after a restore.
 pub fn write_database(db: &Database, out: &mut Vec<u8>) {
     let rels: Vec<_> = db.iter().collect();
-    (rels.len() as u64).write_snap(out);
+    rels.len().write_snap(out);
     for (name, rel) in rels {
         name.to_string().write_snap(out);
-        (rel.arity() as u64).write_snap(out);
+        rel.arity().write_snap(out);
         write_tuples(rel.scan(), out);
     }
 }
 
 /// Deserialize a database written by [`write_database`].
 pub fn read_database(input: &mut &[u8]) -> Result<Database, SnapError> {
-    let nrels = u64::read_snap(input)? as usize;
-    if nrels > input.len() {
-        return Err(SnapError::BadLength(nrels as u64));
-    }
+    let nrels = usize::read_snap(input)?;
     let mut db = Database::new();
     for _ in 0..nrels {
         let name = String::read_snap(input)?;
-        let arity = u64::read_snap(input)? as usize;
+        let arity = usize::read_snap(input)?;
         let tuples = read_tuples(input)?;
         let rel = db.relation_mut(&name, arity);
         for t in tuples {
@@ -247,6 +163,7 @@ impl<M: Snapshot> Snapshot for OnlineMsg<M> {
 mod tests {
     use super::*;
     use ariadne_graph::VertexId;
+    use ariadne_pql::Value;
 
     fn roundtrip<T: Snapshot>(v: &T) -> T {
         let mut buf = Vec::new();
@@ -259,32 +176,34 @@ mod tests {
 
     #[test]
     fn value_roundtrip_all_variants() {
-        let vals = vec![
-            Value::Id(7),
-            Value::Int(-3),
-            Value::Float(2.5),
-            Value::Bool(true),
-            Value::str("hello"),
-            Value::List(Arc::new(vec![Value::Int(1), Value::Unit])),
-            Value::Unit,
+        let tuples = vec![
+            vec![
+                Value::Id(7),
+                Value::Int(-3),
+                Value::Float(2.5),
+                Value::Bool(true),
+            ],
+            vec![
+                Value::str("hello"),
+                Value::List(Arc::new(vec![Value::Int(1), Value::Unit])),
+            ],
+            vec![Value::Unit],
         ];
-        for v in &vals {
-            let mut buf = Vec::new();
-            write_value(v, &mut buf);
-            let mut input = buf.as_slice();
-            assert_eq!(&read_value(&mut input).unwrap(), v);
-            assert!(input.is_empty());
-        }
+        let mut buf = Vec::new();
+        write_tuples(&tuples, &mut buf);
+        let mut input = buf.as_slice();
+        assert_eq!(read_tuples(&mut input).unwrap(), tuples);
+        assert!(input.is_empty());
     }
 
     #[test]
     fn nan_float_roundtrips_bitwise() {
+        let nan = f64::from_bits(0x7ff8_0000_dead_beef);
         let mut buf = Vec::new();
-        write_value(&Value::Float(f64::NAN), &mut buf);
-        let mut input = buf.as_slice();
-        match read_value(&mut input).unwrap() {
-            Value::Float(f) => assert!(f.is_nan()),
-            other => panic!("expected float, got {other:?}"),
+        write_tuples(&[vec![Value::Float(nan)]], &mut buf);
+        match read_tuples(&mut buf.as_slice()).unwrap()[0][0] {
+            Value::Float(f) => assert_eq!(f.to_bits(), nan.to_bits()),
+            ref other => panic!("expected float, got {other:?}"),
         }
     }
 
@@ -350,11 +269,14 @@ mod tests {
 
     #[test]
     fn corrupt_tag_is_typed_error() {
-        let buf = vec![0xFFu8];
-        let mut input = buf.as_slice();
-        assert!(matches!(
-            read_value(&mut input),
+        // One row of arity one whose value carries the unknown tag 0xFF.
+        let batch = [1, 0, 0, 0, 1, 0, 0, 0, 0xFF];
+        let mut buf = Vec::new();
+        batch.len().write_snap(&mut buf);
+        buf.extend_from_slice(&batch);
+        assert_eq!(
+            read_tuples(&mut buf.as_slice()),
             Err(SnapError::BadTag(0xFF))
-        ));
+        );
     }
 }

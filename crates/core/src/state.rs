@@ -76,20 +76,7 @@ impl QueryState {
         scratch: &mut EvalScratch,
     ) -> Result<(), PqlError> {
         let loc = Value::Id(vertex.0);
-        evaluator.step_scratch(&mut self.db, &mut self.eval, Some(&loc), stats, scratch)
-    }
-
-    /// Like [`QueryState::evaluate_stats`] but restricted to one stratum — used
-    /// by drivers that complete each stratum globally before the next
-    /// (the naive whole-graph mode).
-    pub fn evaluate_stratum(
-        &mut self,
-        evaluator: &Evaluator,
-        vertex: VertexId,
-        stratum: usize,
-    ) -> Result<(), PqlError> {
-        let loc = Value::Id(vertex.0);
-        evaluator.step_stratum(&mut self.db, &mut self.eval, Some(&loc), stratum)
+        evaluator.step(&mut self.db, &mut self.eval, Some(&loc), stats, scratch)
     }
 
     /// New tuples of `preds` since the last shipping mark; advances the

@@ -50,11 +50,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Number of edges accumulated so far (before dedup).
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalize into a CSR. Consumes the builder.
     pub fn build(mut self) -> Csr {
         let n = self.max_vertex.map(|v| v.index() + 1).unwrap_or(0);
@@ -158,7 +153,7 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_lists_sorted() {
+    fn out_lists_sorted() {
         let mut b = GraphBuilder::new();
         b.add_edge(VertexId(0), VertexId(5), 1.0);
         b.add_edge(VertexId(0), VertexId(2), 1.0);

@@ -109,39 +109,6 @@ pub fn save_edge_list<P: AsRef<Path>>(graph: &Csr, path: P) -> io::Result<()> {
     w.flush()
 }
 
-/// Parse an adjacency-list file: each line is `src: dst dst dst ...`
-/// (the colon optional), the format many web-graph dumps use. Weights
-/// are all 1.0. Lines starting with `#` or `%` are comments.
-pub fn read_adjacency_list<R: BufRead>(reader: R) -> Result<Csr, IoError> {
-    let mut b = GraphBuilder::new();
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
-            continue;
-        }
-        let (src_tok, rest) = match line.split_once(':') {
-            Some((s, r)) => (s.trim(), r),
-            None => match line.split_once(char::is_whitespace) {
-                Some((s, r)) => (s, r),
-                None => (line, ""),
-            },
-        };
-        let src = parse_vertex(Some(src_tok), idx + 1, "source")?;
-        b.ensure_vertex(src);
-        for tok in rest.split_whitespace() {
-            let dst = parse_vertex(Some(tok), idx + 1, "destination")?;
-            b.add_edge(src, dst, 1.0);
-        }
-    }
-    Ok(b.build())
-}
-
-/// Load an adjacency list from a file path.
-pub fn load_adjacency_list<P: AsRef<Path>>(path: P) -> Result<Csr, IoError> {
-    read_adjacency_list(BufReader::new(File::open(path)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,35 +152,6 @@ mod tests {
         write_edge_list(&g, &mut buf).unwrap();
         let g2 = read_edge_list(buf.as_slice()).unwrap();
         assert_eq!(g.edges().collect::<Vec<_>>(), g2.edges().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn adjacency_list_with_colons() {
-        let text = "# comment\n0: 1 2\n1: 2\n3:\n";
-        let g = read_adjacency_list(text.as_bytes()).unwrap();
-        assert_eq!(g.num_vertices(), 4);
-        assert_eq!(g.num_edges(), 3);
-        assert_eq!(g.out_neighbors(VertexId(0)), &[VertexId(1), VertexId(2)]);
-        assert_eq!(g.out_degree(VertexId(3)), 0);
-    }
-
-    #[test]
-    fn adjacency_list_without_colons() {
-        let g = read_adjacency_list("0 1 2\n2 0\n".as_bytes()).unwrap();
-        assert_eq!(g.num_edges(), 3);
-        assert!(g.has_edge(VertexId(2), VertexId(0)));
-    }
-
-    #[test]
-    fn adjacency_list_isolated_vertex_line() {
-        let g = read_adjacency_list("5\n".as_bytes()).unwrap();
-        assert_eq!(g.num_vertices(), 6);
-        assert_eq!(g.num_edges(), 0);
-    }
-
-    #[test]
-    fn adjacency_list_bad_token() {
-        assert!(read_adjacency_list("0: x\n".as_bytes()).is_err());
     }
 
     #[test]

@@ -170,13 +170,14 @@ impl Evaluator {
         }
 
         let mut report = MaintainReport::default();
+        let mut scratch = EvalScratch::default();
 
         // Append-only fast path: plain semi-naive.
         if !delta.has_retractions() {
             for (pred, t) in &delta.additions {
                 db.insert(pred, t.clone());
             }
-            self.step_stats(db, state, loc, &mut report.stats)?;
+            self.step(db, state, loc, &mut report.stats, &mut scratch)?;
             return Ok(report);
         }
         report.mode = MaintainMode::Dred;
@@ -230,7 +231,6 @@ impl Evaluator {
         // and marks derived heads deleted; new shadow tuples feed the
         // next round until quiescent.
         let mut consumed: BTreeMap<(usize, String), usize> = BTreeMap::new();
-        let mut scratch = EvalScratch::default();
         let mut at = Vec::new();
         for (si, stratum) in q.strata.iter().enumerate() {
             if rebuild[si] {
@@ -343,7 +343,7 @@ impl Evaluator {
                 }
                 report.rebuilt_strata.push(si);
             }
-            self.step_stratum_stats(db, state, loc, si, &mut report.stats)?;
+            self.step_stratum(db, state, loc, si, &mut report.stats, &mut scratch)?;
         }
 
         // Drop the transient shadow relations.
@@ -367,6 +367,18 @@ mod tests {
 
     fn edge(a: u64, b: u64) -> Tuple {
         vec![Value::Id(a), Value::Id(b)]
+    }
+
+    /// One [`Evaluator::step`] with throwaway counters and buffers.
+    fn step(ev: &Evaluator, db: &mut Database, state: &mut EvalState, loc: Option<&Value>) {
+        ev.step(
+            db,
+            state,
+            loc,
+            &mut EvalStats::default(),
+            &mut EvalScratch::default(),
+        )
+        .unwrap();
     }
 
     fn edge_db(edges: &[(u64, u64)]) -> Database {
@@ -468,7 +480,7 @@ mod tests {
         let ev = evaluator(REACH);
         let mut db = edge_db(&[(1, 0)]);
         let mut state = EvalState::default();
-        ev.step(&mut db, &mut state, None).unwrap();
+        step(&ev, &mut db, &mut state, None);
 
         let mut delta = EdbDelta::new();
         delta.insert("edge", edge(2, 1));
@@ -478,7 +490,7 @@ mod tests {
 
         // The same state keeps streaming through step() afterwards.
         db.insert("edge", edge(3, 2));
-        ev.step(&mut db, &mut state, None).unwrap();
+        step(&ev, &mut db, &mut state, None);
         assert_eq!(db.len("reach"), 3);
         assert_matches_cold(&ev, &db);
     }
@@ -488,7 +500,7 @@ mod tests {
         let ev = evaluator(REACH);
         let mut db = edge_db(&[(1, 0), (2, 1), (3, 2)]);
         let mut state = EvalState::default();
-        ev.step(&mut db, &mut state, None).unwrap();
+        step(&ev, &mut db, &mut state, None);
 
         let mut delta = EdbDelta::new();
         delta.retract("edge", edge(3, 2));
@@ -496,7 +508,7 @@ mod tests {
         assert_eq!(db.len("reach"), 2);
 
         db.insert("edge", edge(3, 1));
-        ev.step(&mut db, &mut state, None).unwrap();
+        step(&ev, &mut db, &mut state, None);
         assert_eq!(db.len("reach"), 3);
         assert_matches_cold(&ev, &db);
     }

@@ -466,11 +466,10 @@ const CANDIDATES: usize = 2;
 /// head projections of the firing under way, UDF arguments, and per join
 /// depth the matches of an index probe.
 ///
-/// [`crate::Evaluator::step_stats`] makes one for the call. A driver that
+/// Every [`crate::Evaluator::step`] works in the caller's. A driver that
 /// evaluates many small databases in a row (one per vertex per superstep)
-/// keeps one per worker and hands it to
-/// [`crate::Evaluator::step_scratch`]: once the buffers have grown to
-/// the query's size, evaluation allocates only the tuples it stores.
+/// keeps one per worker: once the buffers have grown to the query's size,
+/// evaluation allocates only the tuples it stores.
 #[derive(Default)]
 pub struct EvalScratch {
     frame: Vec<Value>,

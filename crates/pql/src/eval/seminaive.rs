@@ -72,7 +72,7 @@ mod obs_handles {
 
 /// Deterministic counters for semi-naive evaluation work.
 ///
-/// Accumulated per [`Evaluator::step_stats`] / [`Evaluator::step_stratum_stats`]
+/// Accumulated per [`Evaluator::step`] / [`Evaluator::step_stratum`]
 /// call; every field is a function of the query and the database content
 /// only, so totals are bit-identical across thread counts when the same
 /// logical evaluations run (the per-vertex online evaluators rely on
@@ -358,40 +358,23 @@ impl Evaluator {
 
     /// Evaluate to fixpoint over `db` from scratch (centralized mode).
     pub fn run(&self, db: &mut Database) -> Result<(), PqlError> {
-        let mut state = EvalState::default();
-        self.step(db, &mut state, None)
+        self.step(
+            db,
+            &mut EvalState::default(),
+            None,
+            &mut EvalStats::default(),
+            &mut EvalScratch::default(),
+        )
     }
 
     /// Incremental evaluation: consume all tuples appended to `db` since
     /// `state` was last advanced, derive everything new, and update
     /// `state`. When `loc` is given, every rule's head location variable
-    /// is pre-bound to it (per-vertex evaluation).
+    /// is pre-bound to it (per-vertex evaluation). The call's
+    /// [`EvalStats`] are added to `stats` (the global obs registry is fed
+    /// too), and it works in `scratch`: a driver that evaluates many
+    /// small databases in a row keeps one per worker.
     pub fn step(
-        &self,
-        db: &mut Database,
-        state: &mut EvalState,
-        loc: Option<&Value>,
-    ) -> Result<(), PqlError> {
-        let mut stats = EvalStats::default();
-        self.step_stats(db, state, loc, &mut stats)
-    }
-
-    /// Like [`Evaluator::step`], additionally accumulating this call's
-    /// [`EvalStats`] into `stats` (run-local introspection; the global
-    /// obs registry is fed either way).
-    pub fn step_stats(
-        &self,
-        db: &mut Database,
-        state: &mut EvalState,
-        loc: Option<&Value>,
-        stats: &mut EvalStats,
-    ) -> Result<(), PqlError> {
-        self.step_scratch(db, state, loc, stats, &mut EvalScratch::default())
-    }
-
-    /// Like [`Evaluator::step_stats`], working in the caller's `scratch`
-    /// so that a run of calls shares one set of buffers.
-    pub fn step_scratch(
         &self,
         db: &mut Database,
         state: &mut EvalState,
@@ -413,7 +396,7 @@ impl Evaluator {
         self.query.strata.len()
     }
 
-    /// Incremental evaluation restricted to one stratum. Distributed
+    /// [`Evaluator::step`] restricted to one stratum. Distributed
     /// drivers that must globally complete a stratum before the next one
     /// starts (the naive whole-graph mode, where negation would
     /// otherwise race replica arrival) call this per stratum, per round.
@@ -423,23 +406,10 @@ impl Evaluator {
         state: &mut EvalState,
         loc: Option<&Value>,
         stratum_idx: usize,
-    ) -> Result<(), PqlError> {
-        let mut stats = EvalStats::default();
-        self.step_stratum_stats(db, state, loc, stratum_idx, &mut stats)
-    }
-
-    /// Like [`Evaluator::step_stratum`] with run-local stats
-    /// accumulation.
-    pub fn step_stratum_stats(
-        &self,
-        db: &mut Database,
-        state: &mut EvalState,
-        loc: Option<&Value>,
-        stratum_idx: usize,
         stats: &mut EvalStats,
+        scratch: &mut EvalScratch,
     ) -> Result<(), PqlError> {
-        let strata = stratum_idx..stratum_idx + 1;
-        self.step_strata(db, state, loc, strata, stats, &mut EvalScratch::default())
+        self.step_strata(db, state, loc, stratum_idx..stratum_idx + 1, stats, scratch)
     }
 
     /// One step call over `strata`: one scratch, one resolution of the
@@ -688,6 +658,18 @@ mod tests {
         Evaluator::new(q, UdfRegistry::standard())
     }
 
+    /// One [`Evaluator::step`] with throwaway counters and buffers.
+    fn step(ev: &Evaluator, db: &mut Database, state: &mut EvalState, loc: Option<&Value>) {
+        ev.step(
+            db,
+            state,
+            loc,
+            &mut EvalStats::default(),
+            &mut EvalScratch::default(),
+        )
+        .unwrap();
+    }
+
     fn edge_db(edges: &[(u64, u64)]) -> Database {
         let mut db = Database::new();
         for &(a, b) in edges {
@@ -730,7 +712,7 @@ mod tests {
         let mut state = EvalState::default();
         for &(a, b) in &edges {
             inc.insert("edge", vec![Value::Id(a), Value::Id(b)]);
-            ev.step(&mut inc, &mut state, None).unwrap();
+            step(&ev, &mut inc, &mut state, None);
         }
         assert_eq!(batch.sorted("reach"), inc.sorted("reach"));
     }
@@ -747,7 +729,7 @@ mod tests {
         let mut state = EvalState::default();
         for &(a, b) in &[(3u64, 2u64), (2, 1), (1, 0)] {
             db.insert("edge", vec![Value::Id(a), Value::Id(b)]);
-            ev.step(&mut db, &mut state, None).unwrap();
+            step(&ev, &mut db, &mut state, None);
         }
         assert_eq!(ids(&db, "reach"), vec![1, 2, 3]);
     }
@@ -820,8 +802,8 @@ mod tests {
         );
         let mut db = Database::new();
         let mut state = EvalState::default();
-        ev.step(&mut db, &mut state, None).unwrap();
-        ev.step(&mut db, &mut state, None).unwrap();
+        step(&ev, &mut db, &mut state, None);
+        step(&ev, &mut db, &mut state, None);
         assert_eq!(
             db.sorted("seeded"),
             vec![vec![Value::Id(4), Value::Int(0)]]
@@ -833,7 +815,7 @@ mod tests {
         let ev = evaluator("out(x, y) :- edge(x, y).");
         let mut db = edge_db(&[(1, 2), (3, 4)]);
         let mut state = EvalState::default();
-        ev.step(&mut db, &mut state, Some(&Value::Id(1))).unwrap();
+        step(&ev, &mut db, &mut state, Some(&Value::Id(1)));
         assert_eq!(db.sorted("out"), vec![vec![Value::Id(1), Value::Id(2)]]);
     }
 
@@ -852,7 +834,7 @@ mod tests {
         for i in 0..200 {
             db.insert("value", vec![loc.clone(), Value::Float(i as f64), Value::Int(i)]);
             db.insert("superstep", vec![loc.clone(), Value::Int(i)]);
-            ev.step_scratch(&mut db, &mut state, Some(&loc), &mut stats, &mut scratch)
+            ev.step(&mut db, &mut state, Some(&loc), &mut stats, &mut scratch)
                 .unwrap();
         }
         assert_eq!(db.len("seen"), 200);

@@ -244,24 +244,28 @@ fn split<T: Clone>(items: &[T], rng: &mut StdRng) -> Vec<Vec<T>> {
     batches
 }
 
-/// Feed `batches` through `step`, one call per batch.
+/// Feed `batches` through `step`, one call per batch, working in
+/// `scratch` or else in a fresh one per call.
 fn evaluate(
     ev: &Evaluator,
     batches: &[Vec<(&str, Tuple)>],
     loc: Option<&Value>,
-    scratch: Option<&mut EvalScratch>,
+    mut scratch: Option<&mut EvalScratch>,
 ) -> (Vec<Tuple>, EvalStats) {
     let (mut db, mut state, mut stats) = (Database::new(), EvalState::default(), EvalStats::default());
-    let mut fresh = EvalScratch::default();
-    let warm = scratch.is_some();
-    let scratch = scratch.unwrap_or(&mut fresh);
     for batch in batches {
         for (pred, tuple) in batch {
             db.insert(pred, tuple.clone());
         }
-        match warm {
-            true => ev.step_scratch(&mut db, &mut state, loc, &mut stats, scratch),
-            false => ev.step_stats(&mut db, &mut state, loc, &mut stats),
+        match scratch.as_deref_mut() {
+            Some(warm) => ev.step(&mut db, &mut state, loc, &mut stats, warm),
+            None => ev.step(
+                &mut db,
+                &mut state,
+                loc,
+                &mut stats,
+                &mut EvalScratch::default(),
+            ),
         }
         .unwrap();
     }

@@ -7,17 +7,17 @@
 //! materialized, deterministically ordered result sequence on
 //! everything that determines it:
 //!
-//! * the compiled query fingerprint (FNV-1a of the PQL source),
+//! * the compiled query fingerprint (FNV-1a of the PQL source and its
+//!   parameter bindings) — which also fixes the predicates and columns
+//!   a replay reads, since those are a function of the compiled query,
 //! * the **effective** layer range (clamped, so `0..=MAX` and the
 //!   store's true extent share an entry),
-//! * the column-mask signature (prune/project flags change which
-//!   stored columns are decoded — and the intermediate stats a client
-//!   may inspect — so they are distinct entries),
-//! * the read policy (a degraded replay's partial results must never
-//!   satisfy a strict request),
 //! * the store's **mutation epoch**: a graph mutation appends a new
 //!   provenance epoch and supersedes every materialized sequence, so
 //!   pre-mutation entries must never answer post-mutation requests.
+//!
+//! Every replay reads strictly, so no key needs to tell a partial
+//! result from a complete one.
 //!
 //! Eviction is LRU by byte budget: entries are charged their
 //! materialized size and the least-recently-used entries are dropped
@@ -78,14 +78,10 @@ mod obs_handles {
 /// Everything that determines a materialized result sequence.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// FNV-1a fingerprint of the PQL source text.
+    /// FNV-1a fingerprint of the PQL source text and bindings.
     pub fingerprint: u64,
     /// Effective (clamped) inclusive layer range.
     pub layer_range: (u32, u32),
-    /// Signature of the replay's column masks + prune flag.
-    pub mask_sig: u64,
-    /// Read-policy discriminant (0 = strict, 1 = degraded).
-    pub read_policy: u8,
     /// The store's mutation epoch the sequence was materialized at.
     pub epoch: u64,
 }
@@ -258,8 +254,6 @@ mod tests {
         CacheKey {
             fingerprint: fp,
             layer_range: (0, 3),
-            mask_sig: 7,
-            read_policy: 0,
             epoch: 0,
         }
     }
@@ -271,9 +265,8 @@ mod tests {
         c.insert(key(1), result(4, "x"));
         let hit = c.get(&key(1)).expect("hit");
         assert_eq!(hit.rows.len(), 4);
-        // Distinct mask/policy/range are distinct entries.
-        assert!(c.get(&CacheKey { mask_sig: 8, ..key(1) }).is_none());
-        assert!(c.get(&CacheKey { read_policy: 1, ..key(1) }).is_none());
+        // Distinct queries, ranges and epochs are distinct entries.
+        assert!(c.get(&key(2)).is_none());
         assert!(c.get(&CacheKey { layer_range: (0, 2), ..key(1) }).is_none());
         assert!(c.get(&CacheKey { epoch: 1, ..key(1) }).is_none());
     }

@@ -18,6 +18,12 @@
 //!   counts — layered replay is deterministic and the service flattens
 //!   results in a fixed order, so a row offset is a durable address.
 //!
+//! Replays read strictly: damage in the served store is a typed 500,
+//! never a partial answer (degraded reads belong to the store and
+//! `scrub`). So a result is a function of the compiled query, the layer
+//! range and the store's mutation epoch alone, and that triple is the
+//! cache key.
+//!
 //! [`QueryService::execute`] is the transport-independent entry point;
 //! the HTTP handler in [`api`] is a thin JSON shim over it, and tests
 //! drive it directly.
@@ -31,9 +37,7 @@ pub use admission::{Admission, AdmissionConfig, Admit};
 pub use cache::{CacheKey, CachedResult, ReplayCache, ReplaySummary};
 pub use cursor::{fnv1a64, Cursor, CursorError};
 
-use ariadne::{
-    column_masks, compile, run_layered_range, CompiledQuery, LayeredConfig, ReadPolicy,
-};
+use ariadne::{compile, run_layered_range, CompiledQuery, LayeredConfig};
 use ariadne_graph::Csr;
 use ariadne_pql::{parse_param_value, Params, Tuple};
 use ariadne_provenance::{EpochStats, ProvStore};
@@ -80,9 +84,6 @@ pub struct ServeConfig {
     pub cache_budget_bytes: usize,
     /// Hard ceiling on any requested `limit`.
     pub max_limit: usize,
-    /// How replays treat damaged store data. Part of the cache key: a
-    /// degraded replay never satisfies a strict request.
-    pub read_policy: ReadPolicy,
     /// Admission-control knobs.
     pub admission: AdmissionConfig,
 }
@@ -93,7 +94,6 @@ impl Default for ServeConfig {
             threads: 1,
             cache_budget_bytes: 64 << 20,
             max_limit: 4096,
-            read_policy: ReadPolicy::Strict,
             admission: AdmissionConfig::default(),
         }
     }
@@ -383,19 +383,9 @@ impl QueryService {
             (Some((lo, hi)), Some(max)) => (lo, hi.min(max)),
         };
 
-        let mut layered = LayeredConfig {
-            threads: self.config.threads,
-            read_policy: self.config.read_policy,
-            ..LayeredConfig::default()
-        };
         let key = CacheKey {
             fingerprint,
             layer_range: effective,
-            mask_sig: mask_signature(&query, &layered),
-            read_policy: match self.config.read_policy {
-                ReadPolicy::Strict => 0,
-                ReadPolicy::Degraded => 1,
-            },
             epoch,
         };
 
@@ -407,7 +397,7 @@ impl QueryService {
                 // more of them runnable than `threads`, a miss's latency
                 // depends on what it overlaps. `_guard` counts this one.
                 let beside = self.admission.in_flight().max(1);
-                layered.threads = (self.config.threads / beside).max(1);
+                let layered = LayeredConfig::parallel(self.config.threads / beside);
                 let run = run_layered_range(
                     &self.graph,
                     &store,
@@ -536,24 +526,6 @@ pub fn query_fingerprint(src: &str, params: &[(&str, &str)]) -> u64 {
         canon.push_str(k);
         canon.push('=');
         canon.push_str(v);
-    }
-    fnv1a64(canon.as_bytes())
-}
-
-/// Stable signature of the replay's column masks + prune/project flags:
-/// anything that changes which stored columns are decoded changes the
-/// cached result's intermediate stats, so it distinguishes cache keys.
-fn mask_signature(query: &CompiledQuery, config: &LayeredConfig) -> u64 {
-    let mut canon = format!("prune={};project={};", config.prune, config.project);
-    if config.project {
-        for (pred, mask) in column_masks(query.query()) {
-            canon.push_str(&pred);
-            canon.push(':');
-            for keep in mask {
-                canon.push(if keep { '1' } else { '0' });
-            }
-            canon.push(';');
-        }
     }
     fnv1a64(canon.as_bytes())
 }

@@ -51,7 +51,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"ARSN";
 /// stay bit-identical across both. Readers predating the v2 record
 /// magic would accept an old-versioned snapshot yet choke on the spool,
 /// so the version gates the pair.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// v5: the online wrapper's PQL tuples are written as length-prefixed
+/// batches of the provenance store's row codec (u32 lengths), replacing
+/// its own value codec with u64 lengths.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// When and where the engine writes barrier snapshots.
 #[derive(Clone, Debug)]

@@ -16,11 +16,11 @@
 //!    per-superstep message counters all match, because the engine is
 //!    deterministic and the barrier state is complete.
 
-use ariadne::session::{Ariadne, AriadneError};
+use ariadne::session::Ariadne;
 use ariadne::{CheckpointConfig, EngineConfig, EngineError, FaultPlan};
 use ariadne_analytics::PageRank;
 use ariadne_graph::generators::{rmat, RmatConfig};
-use ariadne_vc::SNAPSHOT_VERSION;
+use ariadne_vc::{Engine, SNAPSHOT_VERSION};
 
 fn main() {
     let graph = rmat(RmatConfig {
@@ -52,16 +52,13 @@ fn main() {
     // Crash run: checkpoint every 3 barriers, die at superstep 7.
     let plan = FaultPlan::new();
     plan.kill_at_superstep(7);
-    let crashing = Ariadne {
-        engine: EngineConfig {
-            checkpoint: Some(CheckpointConfig::new(ckpt_dir.clone(), 3)),
-            fault: Some(plan),
-            ..EngineConfig::default()
-        },
-        ..Ariadne::default()
-    };
-    match crashing.baseline_checkpointed(&analytic, &graph) {
-        Err(AriadneError::Engine(EngineError::InjectedCrash { superstep })) => {
+    let crashing = Engine::new(EngineConfig {
+        checkpoint: Some(CheckpointConfig::new(ckpt_dir.clone(), 3)),
+        fault: Some(plan),
+        ..EngineConfig::default()
+    });
+    match crashing.run_checkpointed(&analytic, &graph) {
+        Err(EngineError::InjectedCrash { superstep }) => {
             println!("crashed (injected) at superstep {superstep}");
         }
         other => panic!("expected the injected crash, got {other:?}"),
@@ -74,16 +71,13 @@ fn main() {
     println!("snapshots on disk: {snapshots:?}");
 
     // Resume: same analytic, graph and engine config, fault plan spent.
-    let resuming = Ariadne {
-        engine: EngineConfig {
-            checkpoint: Some(CheckpointConfig::new(ckpt_dir.clone(), 3)),
-            fault: None,
-            ..EngineConfig::default()
-        },
-        ..Ariadne::default()
-    };
+    let resuming = Engine::new(EngineConfig {
+        checkpoint: Some(CheckpointConfig::new(ckpt_dir.clone(), 3)),
+        fault: None,
+        ..EngineConfig::default()
+    });
     let resumed = resuming
-        .resume_baseline(&analytic, &graph)
+        .resume(&analytic, &graph)
         .expect("resume from latest valid snapshot");
     println!(
         "resumed: {} supersteps total in {:?}",

@@ -10,7 +10,7 @@ use ariadne_analytics::{PageRank, Sssp, Wcc};
 use ariadne_graph::generators::erdos_renyi::erdos_renyi;
 use ariadne_graph::generators::regular::{cycle, path};
 use ariadne_graph::{Csr, VertexId};
-use ariadne_vc::{RunMetrics, RunResult, VertexProgram};
+use ariadne_vc::{Engine, RunMetrics, RunResult, VertexProgram};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -25,15 +25,24 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+fn ckpt_config(dir: &Path, every: u32, fault: Option<Arc<FaultPlan>>) -> EngineConfig {
+    EngineConfig {
+        checkpoint: Some(CheckpointConfig::new(dir.to_path_buf(), every)),
+        fault,
+        ..EngineConfig::default()
+    }
+}
+
 fn ckpt_session(dir: &Path, every: u32, fault: Option<Arc<FaultPlan>>) -> Ariadne {
     Ariadne {
-        engine: EngineConfig {
-            checkpoint: Some(CheckpointConfig::new(dir.to_path_buf(), every)),
-            fault,
-            ..EngineConfig::default()
-        },
+        engine: ckpt_config(dir, every, fault),
         ..Ariadne::default()
     }
+}
+
+/// The bare engine checkpointing every `every` supersteps into `dir`.
+fn ckpt_engine(dir: &Path, every: u32, fault: Option<Arc<FaultPlan>>) -> Engine {
+    Engine::new(ckpt_config(dir, every, fault))
 }
 
 /// Per-superstep deterministic counters.
@@ -63,9 +72,9 @@ where
     let dir = scratch(&format!("k{kill}"));
     let plan = FaultPlan::new();
     plan.kill_at_superstep(kill);
-    let crashed = ckpt_session(&dir, 2, Some(plan)).baseline_checkpointed(analytic, graph);
+    let crashed = ckpt_engine(&dir, 2, Some(plan)).run_checkpointed(analytic, graph);
     match crashed {
-        Err(AriadneError::Engine(EngineError::InjectedCrash { superstep })) => {
+        Err(EngineError::InjectedCrash { superstep }) => {
             assert_eq!(superstep, kill);
         }
         Ok(_) => {
@@ -75,8 +84,8 @@ where
         }
         Err(other) => panic!("unexpected failure: {other}"),
     }
-    let resumed = ckpt_session(&dir, 2, None)
-        .resume_baseline(analytic, graph)
+    let resumed = ckpt_engine(&dir, 2, None)
+        .resume(analytic, graph)
         .expect("resume after crash");
     assert_eq!(
         fingerprint(reference),
@@ -145,15 +154,17 @@ fn parallel_resume_matches_sequential_reference() {
     let dir = scratch("par");
     let plan = FaultPlan::new();
     plan.kill_at_superstep(3);
-    let mut crashed = ckpt_session(&dir, 2, Some(plan));
-    crashed.engine.threads = 4;
+    let four = |fault| {
+        Engine::new(EngineConfig {
+            threads: 4,
+            ..ckpt_config(&dir, 2, fault)
+        })
+    };
     assert!(matches!(
-        crashed.baseline_checkpointed(&pr, &g),
-        Err(AriadneError::Engine(EngineError::InjectedCrash { superstep: 3 }))
+        four(Some(plan)).run_checkpointed(&pr, &g),
+        Err(EngineError::InjectedCrash { superstep: 3 })
     ));
-    let mut resumer = ckpt_session(&dir, 2, None);
-    resumer.engine.threads = 4;
-    let resumed = resumer.resume_baseline(&pr, &g).unwrap();
+    let resumed = four(None).resume(&pr, &g).unwrap();
     assert_eq!(fingerprint(&reference), fingerprint(&resumed));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -171,17 +182,17 @@ fn fsynced_pagerank_resume_is_bit_identical() {
     let reference = Ariadne::default().baseline(&pr, &g);
     let dir = scratch("fsync");
     let fsynced = |fault| {
-        let mut session = ckpt_session(&dir, 2, fault);
-        session.engine.checkpoint = session.engine.checkpoint.map(|c| c.with_fsync(true));
-        session
+        let mut config = ckpt_config(&dir, 2, fault);
+        config.checkpoint = config.checkpoint.map(|c| c.with_fsync(true));
+        Engine::new(config)
     };
     let plan = FaultPlan::new();
     plan.kill_at_superstep(3);
     assert!(matches!(
-        fsynced(Some(plan)).baseline_checkpointed(&pr, &g),
-        Err(AriadneError::Engine(EngineError::InjectedCrash { superstep: 3 }))
+        fsynced(Some(plan)).run_checkpointed(&pr, &g),
+        Err(EngineError::InjectedCrash { superstep: 3 })
     ));
-    let resumed = fsynced(None).resume_baseline(&pr, &g).unwrap();
+    let resumed = fsynced(None).resume(&pr, &g).unwrap();
     assert_eq!(fingerprint(&reference), fingerprint(&resumed));
     let bits = |r: &RunResult<f64>| r.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&reference), bits(&resumed));
@@ -283,14 +294,12 @@ fn corrupted_newest_checkpoint_falls_back_to_older_one() {
     let plan = FaultPlan::new();
     plan.kill_at_superstep(4).corrupt_checkpoint(3);
     assert!(matches!(
-        ckpt_session(&dir, 1, Some(plan)).baseline_checkpointed(&Wcc, &g),
-        Err(AriadneError::Engine(EngineError::InjectedCrash { superstep: 4 }))
+        ckpt_engine(&dir, 1, Some(plan)).run_checkpointed(&Wcc, &g),
+        Err(EngineError::InjectedCrash { superstep: 4 })
     ));
     // The superstep-3 snapshot is corrupt; resume silently falls back to
     // the superstep-2 one and still converges to the same result.
-    let resumed = ckpt_session(&dir, 1, None)
-        .resume_baseline(&Wcc, &g)
-        .unwrap();
+    let resumed = ckpt_engine(&dir, 1, None).resume(&Wcc, &g).unwrap();
     assert_eq!(fingerprint(&reference), fingerprint(&resumed));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -306,12 +315,10 @@ fn torn_newest_checkpoint_falls_back_to_older_one() {
     let plan = FaultPlan::new();
     plan.kill_at_superstep(4).truncate_checkpoint(3);
     assert!(matches!(
-        ckpt_session(&dir, 1, Some(plan)).baseline_checkpointed(&Wcc, &g),
-        Err(AriadneError::Engine(EngineError::InjectedCrash { superstep: 4 }))
+        ckpt_engine(&dir, 1, Some(plan)).run_checkpointed(&Wcc, &g),
+        Err(EngineError::InjectedCrash { superstep: 4 })
     ));
-    let resumed = ckpt_session(&dir, 1, None)
-        .resume_baseline(&Wcc, &g)
-        .unwrap();
+    let resumed = ckpt_engine(&dir, 1, None).resume(&Wcc, &g).unwrap();
     assert_eq!(fingerprint(&reference), fingerprint(&resumed));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -322,8 +329,8 @@ fn all_checkpoints_corrupt_is_a_typed_error() {
     let dir = scratch("allbad");
     let plan = FaultPlan::new();
     plan.kill_at_superstep(2);
-    assert!(ckpt_session(&dir, 1, Some(plan))
-        .baseline_checkpointed(&Wcc, &g)
+    assert!(ckpt_engine(&dir, 1, Some(plan))
+        .run_checkpointed(&Wcc, &g)
         .is_err());
     // Truncate every snapshot to garbage.
     let mut clobbered = 0;
@@ -335,14 +342,11 @@ fn all_checkpoints_corrupt_is_a_typed_error() {
         }
     }
     assert!(clobbered > 0, "expected snapshot files in {dir:?}");
-    let err = ckpt_session(&dir, 1, None)
-        .resume_baseline(&Wcc, &g)
+    let err = ckpt_engine(&dir, 1, None)
+        .resume(&Wcc, &g)
         .expect_err("all-corrupt checkpoints must fail loudly");
     assert!(
-        matches!(
-            err,
-            AriadneError::Engine(EngineError::Corrupt { .. } | EngineError::Io { .. })
-        ),
+        matches!(err, EngineError::Corrupt { .. } | EngineError::Io { .. }),
         "expected typed corruption error, got {err:?}"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -352,12 +356,12 @@ fn all_checkpoints_corrupt_is_a_typed_error() {
 fn resume_without_checkpoints_is_a_typed_error() {
     let g = cycle(8);
     let dir = scratch("none");
-    let err = ckpt_session(&dir, 1, None)
-        .resume_baseline(&Wcc, &g)
+    let err = ckpt_engine(&dir, 1, None)
+        .resume(&Wcc, &g)
         .expect_err("nothing to resume from");
     assert!(matches!(
         err,
-        AriadneError::Engine(EngineError::NoCheckpoint { .. } | EngineError::Io { .. })
+        EngineError::NoCheckpoint { .. } | EngineError::Io { .. }
     ));
 }
 
@@ -367,18 +371,15 @@ fn graph_mismatch_on_resume_is_a_typed_error() {
     let dir = scratch("mismatch");
     let plan = FaultPlan::new();
     plan.kill_at_superstep(2);
-    assert!(ckpt_session(&dir, 1, Some(plan))
-        .baseline_checkpointed(&Wcc, &g)
+    assert!(ckpt_engine(&dir, 1, Some(plan))
+        .run_checkpointed(&Wcc, &g)
         .is_err());
     // Resuming against a differently-sized graph must be rejected, not
     // silently produce garbage.
     let smaller = cycle(6);
-    let err = ckpt_session(&dir, 1, None)
-        .resume_baseline(&Wcc, &smaller)
+    let err = ckpt_engine(&dir, 1, None)
+        .resume(&Wcc, &smaller)
         .expect_err("graph mismatch must be rejected");
-    assert!(matches!(
-        err,
-        AriadneError::Engine(EngineError::GraphMismatch { .. })
-    ));
+    assert!(matches!(err, EngineError::GraphMismatch { .. }));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -33,7 +33,7 @@ fn fingerprint(run: &LayeredRun) -> String {
             (run.layers, run.flush_rounds, run.layer_range),
             (run.shipped_tuples, run.injected_tuples, run.evaluated_vertices),
             (run.segments_read, run.segments_skipped, run.bytes_read, run.bytes_skipped),
-            (run.cols_skipped, run.col_bytes_skipped, &run.degradation),
+            (run.cols_skipped, run.col_bytes_skipped),
             run.query_stats,
             relations,
         )
