@@ -35,8 +35,11 @@
 //! store). A round is three phases, each run by every worker over its own
 //! chunks and closed by a barrier:
 //!
-//! * **inject** — the coordinator has bucketed the layer's tuples by
-//!   owner chunk; each worker inserts its buckets;
+//! * **inject** — the coordinator has decoded the layer once, into one
+//!   [`RowBlock`] per predicate, and listed per chunk the `(block, row)`
+//!   of every row the chunk owns, in store order; each worker inserts
+//!   its chunks' rows straight from those shared, read-only blocks. The
+//!   blocks are dropped as soon as the phase ends;
 //! * **eval** — each worker evaluates its pending vertices in ascending
 //!   order and records what they ship in the chunk's outbox;
 //! * **apply** — each worker walks *all* outboxes in chunk order and
@@ -47,8 +50,20 @@
 //! receiving partition sees its replicas in the same sequence, and so
 //! every relation's insertion order and every counter is identical at any
 //! thread count. `threads = 1` runs the same protocol on the calling
-//! thread; it is the reference, not a special case. Outboxes, inboxes
+//! thread; it is the reference, not a special case. Outboxes, row lists
 //! and pending lists keep their buffers from round to round.
+//!
+//! After the last round the pool runs one more phase, **finish**, under
+//! the same failure and panic protocol: each worker walks its slabs in
+//! ascending vertex order, moves out only the IDB tuples *located at*
+//! that vertex, and drops the rest; the coordinator appends the
+//! per-chunk lists in chunk order. Owner-only is exact:
+//! [`Evaluator::step`] pre-binds every head's location to the evaluating
+//! vertex, so a tuple in a slab located elsewhere is a replica of one its
+//! owner holds. A result relation's scan order is therefore ascending
+//! owner vertex, then that owner's insertion order — the same at every
+//! thread count. Every tuple a slab holds is allocated and freed by the
+//! worker that owns the slab.
 //!
 //! A slab holds states only for vertices actually touched (plus one
 //! `u32` per vertex of a touched chunk to find them) — replaying a small
@@ -68,8 +83,8 @@ use crate::session::AriadneError;
 use crate::state::QueryState;
 use ariadne_graph::{ChunkTable, Csr, VertexId};
 use ariadne_obs::trace::{self, Level};
-use ariadne_pql::{Database, Direction, EvalScratch, EvalStats, Evaluator, PqlError, Tuple};
-use ariadne_provenance::{EdbFlags, LayerFilter, ProvStore, ReadPolicy, StoreError};
+use ariadne_pql::{Database, Direction, EvalScratch, EvalStats, Evaluator, PqlError, Tuple, Value};
+use ariadne_provenance::{EdbFlags, LayerFilter, ProvStore, ReadPolicy, RowBlock, Rows, StoreError};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -272,7 +287,7 @@ impl Outbox {
     /// Record the fresh shippable tuples of `vertex`; returns how many
     /// replicas that ships (tuples × neighbours).
     fn collect(&mut self, pool: &Pool<'_>, vertex: VertexId, state: &mut QueryState) -> usize {
-        let own = ariadne_pql::Value::Id(vertex.0);
+        let own = Value::Id(vertex.0);
         let (runs_from, tuples_from) = (self.runs.len(), self.tuples.len());
         for (p, pred) in pool.shipped_preds.iter().enumerate() {
             let before = self.tuples.len();
@@ -367,13 +382,17 @@ impl Slab {
         }
     }
 
-    /// Insert this chunk's bucket of the layer.
+    /// Insert the layer's rows this chunk owns, in store order, straight
+    /// from the shared blocks.
     fn inject(&mut self, pool: &Pool<'_>, plan: Plan) {
-        let preds = pool.layer_preds.read().expect("layer preds lock");
-        let mut inbox = pool.inboxes[self.chunk].lock().expect("inbox lock");
-        for (pred, vertex, tuple) in inbox.drain(..) {
-            let slot = self.slot(vertex);
-            self.slots[slot].state.db.insert(&preds[pred], tuple);
+        let layer = pool.layer.read().expect("layer lock");
+        for &(block, row) in &layer.rows[self.chunk] {
+            let (pred, rows) = &layer.blocks[block as usize];
+            let row = rows.row(row as usize);
+            let owner = row[0].as_id().expect("only located rows are listed");
+            let slot = self.slot(owner as usize);
+            let rel = self.slots[slot].state.db.relation_mut(pred, row.len());
+            rel.insert_slice(row);
             if !plan.preload {
                 self.enqueue(slot);
             }
@@ -442,6 +461,36 @@ impl Slab {
             pool.pending.store(true, Ordering::SeqCst);
         }
     }
+
+    /// Move the IDB tuples located at each touched vertex, ascending,
+    /// onto the chunk's result lists, and drop everything else the slab
+    /// holds — replicas included — on this thread. A stored row that
+    /// gave an IDB relation another arity than the query's head is
+    /// refused, as a mixed-arity layer is.
+    fn finish(&mut self, pool: &Pool<'_>) -> Result<(), AriadneError> {
+        let mut results = pool.results[self.chunk].lock().expect("results lock");
+        results.resize_with(pool.idbs.len(), Vec::new);
+        let mut slots = std::mem::take(&mut self.slots);
+        (self.slot_of, self.pending) = (Vec::new(), Vec::new());
+        self.scratch = EvalScratch::default();
+        slots.sort_unstable_by_key(|slot| slot.vertex);
+        for slot in slots {
+            let own = Value::Id(slot.vertex as u64);
+            for (name, rel) in slot.state.db.into_relations() {
+                let Ok(idb) = pool.idbs.binary_search_by(|(n, _)| (*n).cmp(&name)) else {
+                    continue;
+                };
+                let arity = pool.idbs[idb].1;
+                if rel.arity() != arity && !rel.is_empty() {
+                    let error = StoreError::mixed_arity(&name, arity, rel.arity());
+                    return Err(AriadneError::Store(error));
+                }
+                let owned = rel.into_tuples().into_iter();
+                results[idb].extend(owned.filter(|t| t.first() == Some(&own)));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// What the coordinator tells the pool before each round's first barrier.
@@ -449,6 +498,8 @@ impl Slab {
 struct Plan {
     /// No more rounds: workers return.
     exit: bool,
+    /// Not a round: the finish phase, after the last one.
+    finish: bool,
     /// Inject without queueing the owners (layer-0 pre-injection).
     preload: bool,
     /// Queue the pre-injected owners (the replay reached layer 0).
@@ -457,11 +508,21 @@ struct Plan {
     ctx: trace::SpanContext,
 }
 
-/// Why a run stops early: a typed evaluation error, or a panic carried
-/// to the coordinator so no worker is left parked on a barrier.
+/// Why a run stops early: a typed error, or a panic carried to the
+/// coordinator so no worker is left parked on a barrier.
 enum Failure {
-    Pql(PqlError),
+    Error(AriadneError),
     Panic(Box<dyn Any + Send>),
+}
+
+/// One decoded layer, published read-only to the pool for its inject
+/// phase.
+struct Layer {
+    /// Each predicate's rows, as the store decoded them.
+    blocks: Vec<(String, RowBlock)>,
+    /// Per chunk: `(block, row)` of every row the chunk owns, in store
+    /// order.
+    rows: Vec<Vec<(u32, u32)>>,
 }
 
 /// What the workers of one replay share. Mutable vertex state is not
@@ -474,16 +535,19 @@ struct Pool<'a> {
     /// Shipped predicates in `BTreeSet` (sorted) order — fixed, so every
     /// vertex ships and receives them in the same predicate order.
     shipped_preds: Vec<&'a str>,
+    /// The query's IDB predicates and their arities, in name order.
+    idbs: Vec<(&'a str, usize)>,
     table: ChunkTable,
     barrier: Barrier,
     /// Written by the coordinator while every worker waits for the round.
     plan: Mutex<Plan>,
-    /// Predicates of the layer being injected; inbox entries index it.
-    layer_preds: RwLock<Vec<String>>,
-    /// Per chunk: `(predicate, owner, tuple)` of the layer, in store order.
-    inboxes: Vec<Mutex<Vec<(usize, usize, Tuple)>>>,
+    /// Written by the coordinator between rounds, read by all in inject.
+    layer: RwLock<Layer>,
     /// Per chunk: written by its owner in eval, read by all in apply.
     outboxes: Vec<RwLock<Outbox>>,
+    /// Per chunk, per entry of `idbs`: the tuples the finish phase moved
+    /// out of the chunk's slab.
+    results: Vec<Mutex<Vec<Vec<Tuple>>>>,
     /// The failure of the lowest-numbered chunk, so the error a run
     /// reports does not depend on thread timing.
     failure: Mutex<Option<(usize, Failure)>>,
@@ -506,7 +570,8 @@ impl Drop for Release<'_, '_> {
 }
 
 impl Pool<'_> {
-    /// A worker thread: one round per plan until told to exit.
+    /// A worker thread: one round (or the finish phase) per plan until
+    /// told to exit.
     fn work(&self, mut share: Vec<&mut Slab>) {
         loop {
             self.barrier.wait();
@@ -515,20 +580,32 @@ impl Pool<'_> {
                 return;
             }
             let _ctx = plan.ctx.enter();
-            self.phases(&mut share, plan);
+            if plan.finish {
+                self.finish(&mut share);
+            } else {
+                self.phases(&mut share, plan, false);
+            }
         }
     }
 
     /// The three phases of a round over `share`; returns when each ended
-    /// (every thread's phase ends at a barrier all of them pass).
-    fn phases(&self, share: &mut [&mut Slab], plan: Plan) -> [Instant; 3] {
+    /// (every thread's phase ends at a barrier all of them pass). The
+    /// `coordinator` drops the layer once inject is over, so a round that
+    /// loads none injects nothing.
+    fn phases(&self, share: &mut [&mut Slab], plan: Plan, coordinator: bool) -> [Instant; 3] {
         self.each(share, |slab| {
             slab.inject(self, plan);
             Ok(())
         });
         self.barrier.wait();
+        if coordinator {
+            // The row lists keep their buffers for the next layer.
+            let mut layer = self.layer.write().expect("layer lock");
+            layer.blocks.clear();
+            layer.rows.iter_mut().for_each(Vec::clear);
+        }
         let injected = Instant::now();
-        self.each(share, |slab| slab.evaluate(self));
+        self.each(share, |slab| slab.evaluate(self).map_err(AriadneError::Pql));
         self.barrier.wait();
         let evaluated = Instant::now();
         // A failed eval leaves outboxes half-written; the run is over.
@@ -542,18 +619,24 @@ impl Pool<'_> {
         [injected, evaluated, Instant::now()]
     }
 
+    /// The finish phase over `share`.
+    fn finish(&self, share: &mut [&mut Slab]) {
+        self.each(share, |slab| slab.finish(self));
+        self.barrier.wait();
+    }
+
     /// Run `f` over the slabs of `share` in chunk order, stopping at the
     /// first that fails or panics; that failure is recorded, never thrown,
     /// so the thread still reaches the phase barrier.
     fn each(
         &self,
         share: &mut [&mut Slab],
-        mut f: impl FnMut(&mut Slab) -> Result<(), PqlError>,
+        mut f: impl FnMut(&mut Slab) -> Result<(), AriadneError>,
     ) {
         for slab in share {
             let failure = match catch_unwind(AssertUnwindSafe(|| f(slab))) {
                 Ok(Ok(())) => continue,
-                Ok(Err(e)) => Failure::Pql(e),
+                Ok(Err(e)) => Failure::Error(e),
                 Err(payload) => Failure::Panic(payload),
             };
             let mut first = self.failure.lock().expect("failure lock");
@@ -564,8 +647,8 @@ impl Pool<'_> {
         }
     }
 
-    /// Coordinator: read `layer` and bucket its tuples by owner chunk.
-    /// Tuples for vertices outside the graph are skipped, not a panic; a
+    /// Coordinator: read `layer` and list each chunk's rows of it. Rows
+    /// for vertices outside the graph are skipped, not a panic; a
     /// predicate whose rows differ in arity is refused, as
     /// [`ProvStore::to_database`] refuses it.
     fn load(
@@ -591,24 +674,42 @@ impl Pool<'_> {
         run.bytes_skipped += read.bytes_skipped;
         run.cols_skipped += read.cols_skipped;
         run.col_bytes_skipped += read.col_bytes_skipped;
-        let mut preds = self.layer_preds.write().expect("layer preds lock");
-        preds.clear();
-        let mut inboxes: Vec<_> = self
-            .inboxes
-            .iter()
-            .map(|inbox| inbox.lock().expect("inbox lock"))
-            .collect();
-        for (pred, rows) in read.tuples {
-            for row in rows.rows() {
-                let owner = row.first().and_then(|v| v.as_id()).map(|v| v as usize);
+        let mut shared = self.layer.write().expect("layer lock");
+        let Layer { blocks, rows } = &mut *shared;
+        for (block, (_, decoded)) in (0..).zip(&read.tuples) {
+            let len = u32::try_from(decoded.len()).expect("a block holds under 2^32 rows");
+            for (row, values) in (0..len).zip(decoded.rows()) {
+                let owner = values.first().and_then(Value::as_id).map(|v| v as usize);
                 if let Some(vi) = owner.filter(|&vi| vi < self.graph.num_vertices()) {
                     run.injected_tuples += 1;
-                    inboxes[self.table.chunk_of(vi)].push((preds.len(), vi, row.to_vec()));
+                    rows[self.table.chunk_of(vi)].push((block, row));
                 }
             }
-            preds.push(pred);
         }
+        *blocks = read.tuples;
         Ok(())
+    }
+
+    /// Coordinator: hand `plan` to the pool and start it.
+    fn publish(&self, plan: Plan) -> Plan {
+        let plan = Plan {
+            ctx: trace::current_context(),
+            ..plan
+        };
+        *self.plan.lock().expect("plan lock") = plan;
+        self.pending.store(false, Ordering::SeqCst);
+        self.barrier.wait();
+        plan
+    }
+
+    /// Coordinator: the failure a phase recorded, if any — a panic is
+    /// resumed here, on the calling thread.
+    fn outcome(&self) -> Result<(), AriadneError> {
+        match self.failure.lock().expect("failure lock").take() {
+            Some((_, Failure::Error(e))) => Err(e),
+            Some((_, Failure::Panic(payload))) => resume_unwind(payload),
+            None => Ok(()),
+        }
     }
 
     /// Coordinator: run one round with the pool and account its phases;
@@ -620,22 +721,22 @@ impl Pool<'_> {
         started: Instant,
         run: &mut LayeredRun,
     ) -> Result<(), AriadneError> {
-        let plan = Plan {
-            ctx: trace::current_context(),
-            ..plan
-        };
-        *self.plan.lock().expect("plan lock") = plan;
-        self.pending.store(false, Ordering::SeqCst);
-        self.barrier.wait();
-        let [injected, evaluated, applied] = self.phases(share, plan);
+        let plan = self.publish(plan);
+        let [injected, evaluated, applied] = self.phases(share, plan, true);
         run.phase_inject_ns += (injected - started).as_nanos() as u64;
         run.phase_eval_ns += (evaluated - injected).as_nanos() as u64;
         run.phase_merge_ns += (applied - evaluated).as_nanos() as u64;
-        match self.failure.lock().expect("failure lock").take() {
-            Some((_, Failure::Pql(e))) => Err(AriadneError::Pql(e)),
-            Some((_, Failure::Panic(payload))) => resume_unwind(payload),
-            None => Ok(()),
-        }
+        self.outcome()
+    }
+
+    /// Coordinator: run the finish phase with the pool.
+    fn finish_round(&self, share: &mut [&mut Slab]) -> Result<(), AriadneError> {
+        self.publish(Plan {
+            finish: true,
+            ..Plan::default()
+        });
+        self.finish(share);
+        self.outcome()
     }
 }
 
@@ -731,10 +832,14 @@ pub fn run_layered_range(
         statics: EdbFlags::of(&analyzed.edbs),
         shipped_preds: analyzed.shipped.iter().map(String::as_str).collect(),
         barrier: Barrier::new(threads),
+        idbs: analyzed.idbs.iter().map(|(n, &a)| (n.as_str(), a)).collect(),
         plan: Mutex::new(Plan::default()),
-        layer_preds: RwLock::new(Vec::new()),
-        inboxes: slabs.iter().map(|_| Mutex::default()).collect(),
+        layer: RwLock::new(Layer {
+            blocks: Vec::new(),
+            rows: vec![Vec::new(); slabs.len()],
+        }),
         outboxes: slabs.iter().map(|_| RwLock::default()).collect(),
+        results: slabs.iter().map(|_| Mutex::default()).collect(),
         failure: Mutex::new(None),
         pending: AtomicBool::new(false),
         table,
@@ -760,7 +865,7 @@ pub fn run_layered_range(
     for slab in &mut slabs {
         shares[slab.chunk % threads].push(slab);
     }
-    std::thread::scope(|scope| -> Result<(), AriadneError> {
+    let (finished, merge_span) = std::thread::scope(|scope| {
         let mut shares = shares.into_iter();
         let mut mine = shares.next().expect("threads >= 1");
         for share in shares {
@@ -827,31 +932,33 @@ pub fn run_layered_range(
             obs_handles::flush_rounds().inc();
             pool.round(&mut mine, Plan::default(), Instant::now(), &mut run)?;
         }
-        Ok(())
+
+        // Finish: every worker moves its slabs' own IDB tuples out and
+        // frees the rest itself.
+        let merge_span = trace::span(Level::Trace, "layered", "merge_results", &[]);
+        let finished = Instant::now();
+        pool.finish_round(&mut mine)?;
+        Ok::<_, AriadneError>((finished, merge_span))
     })?;
 
-    // Merge IDB results in ascending vertex order (slabs are in chunk
-    // order), moving the tuples out of the slabs.
-    let _merge_span = trace::span(Level::Trace, "layered", "merge_results", &[]);
-    let t0 = Instant::now();
-    for mut slab in slabs {
+    // Append the per-chunk lists in chunk order: ascending owner vertex.
+    for (slab, results) in slabs.iter().zip(pool.results) {
         run.evaluated_vertices += slab.evaluated;
         run.shipped_tuples += slab.shipped;
         run.query_stats.merge(&slab.stats);
-        slab.slots.sort_unstable_by_key(|slot| slot.vertex);
-        for slot in slab.slots {
-            for (name, rel) in slot.state.db.into_relations() {
-                if analyzed.idbs.contains_key(&name) && !rel.is_empty() {
-                    let merged = run.query_results.relation_mut(&name, rel.arity());
-                    for t in rel.into_tuples() {
-                        merged.insert(t);
-                    }
+        let lists = results.into_inner().expect("results lock");
+        for (tuples, &(name, arity)) in lists.into_iter().zip(&pool.idbs) {
+            if !tuples.is_empty() {
+                let merged = run.query_results.relation_mut(name, arity);
+                merged.reserve(tuples.len());
+                for t in tuples {
+                    merged.insert(t);
                 }
             }
         }
     }
-    run.phase_merge_ns += t0.elapsed().as_nanos() as u64;
-    drop(_merge_span);
+    run.phase_merge_ns += finished.elapsed().as_nanos() as u64;
+    drop(merge_span);
 
     obs_handles::injected_tuples().add(run.injected_tuples as u64);
     obs_handles::evaluated_vertices().add(run.evaluated_vertices as u64);

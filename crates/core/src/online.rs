@@ -674,8 +674,6 @@ pub struct OnlineRun<V> {
     pub query_results: ariadne_pql::Database,
     /// Engine metrics for the wrapped run.
     pub metrics: ariadne_vc::RunMetrics,
-    /// Total bytes of query tables held across vertices at the end.
-    pub query_bytes: usize,
     /// Query-evaluation counters accumulated across all vertices.
     pub query_stats: EvalStats,
 }

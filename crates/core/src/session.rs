@@ -7,7 +7,7 @@ use crate::layered::{run_layered_with, LayeredConfig, LayeredRun};
 use crate::naive::{run_centralized, run_naive, NaiveRun};
 use crate::online::{OnlineConfig, OnlineProgram, OnlineRun, OnlineState, Persist};
 use ariadne_graph::Csr;
-use ariadne_pql::{Database, Direction, PqlError};
+use ariadne_pql::{Database, Direction, PqlError, Value};
 use ariadne_provenance::{ProvEncode, ProvStore, StoreConfig, StoreError, StoreWriter};
 use ariadne_vc::{Engine, EngineConfig, EngineError, RunResult, Snapshot, VertexProgram};
 use std::collections::BTreeSet;
@@ -468,25 +468,28 @@ fn check_query_failure<A: VertexProgram>(program: &OnlineProgram<'_, A>) -> Resu
 
 /// Split an online engine result into analytic values and the merged
 /// query result tables (IDB relations only; transient EDB partitions are
-/// working state, not results).
+/// working state, not results). Only the tuples located at each vertex
+/// are merged: evaluation pins every head's location to the evaluating
+/// vertex, so any other IDB tuple a partition holds is a replica of one
+/// its owner holds.
 fn finish_online<V>(
     result: WrappedRun<V>,
     idbs: &std::collections::BTreeMap<String, usize>,
     query_stats: ariadne_pql::EvalStats,
 ) -> OnlineRun<V> {
     let mut merged = Database::new();
-    let mut bytes = 0usize;
     let mut values = Vec::with_capacity(result.values.len());
-    for state in result.values {
-        bytes += state.q.db.byte_size();
+    for (vertex, state) in result.values.into_iter().enumerate() {
         values.push(state.value);
-        // The per-vertex partitions end here: move their tuples.
+        let own = Value::Id(vertex as u64);
+        // The per-vertex partitions end here: move their own tuples.
         for (name, rel) in state.q.db.into_relations() {
             if idbs.contains_key(&name) && !rel.is_empty() {
                 let into = merged.relation_mut(&name, rel.arity());
-                into.reserve(rel.len());
                 for t in rel.into_tuples() {
-                    into.insert(t);
+                    if t.first() == Some(&own) {
+                        into.insert(t);
+                    }
                 }
             }
         }
@@ -495,7 +498,6 @@ fn finish_online<V>(
         values,
         query_results: merged,
         metrics: result.metrics,
-        query_bytes: bytes,
         query_stats,
     }
 }

@@ -6,8 +6,10 @@
 //! iterates dozens of lineage queries against one captured run). This
 //! crate keeps those expensive artifacts resident in a daemon:
 //!
-//! * a [`QueryService`] owns an opened [`ProvStore`] + [`Csr`] graph,
-//!   a fingerprint-keyed table of compiled PQL programs, a
+//! * a [`QueryService`] owns an opened [`ProvStore`] + the [`Csr`] graph
+//!   it was captured over (swapped together by
+//!   [`QueryService::append_epoch_on`]), a fingerprint-keyed table of
+//!   compiled PQL programs, a
 //!   byte-budgeted LRU [`ReplayCache`] of
 //!   materialized replay results, and an [`Admission`] gate;
 //! * [`serve`] mounts it on the shared HTTP core from `ariadne-obs`
@@ -248,14 +250,20 @@ impl QueryPage {
     }
 }
 
-/// The resident query service: one opened store, one graph, shared
+/// The graph a store was captured over, and the store.
+struct Served {
+    graph: Csr,
+    store: ProvStore,
+}
+
+/// The resident query service: one opened store and its graph, shared
 /// compiled programs, replay cache, and admission gate.
 pub struct QueryService {
-    graph: Csr,
-    /// RwLock, not Mutex: queries are concurrent readers within one
-    /// mutation epoch; [`QueryService::append_epoch`] is the only
-    /// writer and runs at a barrier between query batches.
-    store: RwLock<ProvStore>,
+    /// One lock over both, so a replay never pairs one epoch's store with
+    /// another epoch's graph. RwLock, not Mutex: queries are concurrent
+    /// readers within one mutation epoch; the epoch appends are the only
+    /// writers and run at a barrier between query batches.
+    served: RwLock<Served>,
     config: ServeConfig,
     compiled: Mutex<HashMap<u64, Arc<CompiledQuery>>>,
     cache: Mutex<ReplayCache>,
@@ -268,8 +276,7 @@ impl QueryService {
         let cache = ReplayCache::new(config.cache_budget_bytes);
         let admission = Admission::new(config.admission);
         QueryService {
-            graph,
-            store: RwLock::new(store),
+            served: RwLock::new(Served { graph, store }),
             config,
             compiled: Mutex::new(HashMap::new()),
             cache: Mutex::new(cache),
@@ -284,27 +291,43 @@ impl QueryService {
 
     /// Read-access to the store being served (for reporting).
     pub fn with_store<R>(&self, f: impl FnOnce(&ProvStore) -> R) -> R {
-        f(&self.store.read().unwrap())
+        f(&self.served.read().unwrap().store)
     }
 
     /// The store's current mutation epoch. Tokens minted before the
     /// current epoch are refused with a 410.
     pub fn store_epoch(&self) -> u64 {
-        self.store.read().unwrap().mutation_epoch()
+        self.served.read().unwrap().store.mutation_epoch()
     }
 
     /// Append a post-mutation capture to the served store as a delta
-    /// epoch and invalidate every cursor and cached result minted
-    /// before it. In-flight queries finish against the old epoch (the
-    /// write lock waits for their read locks); everything after sees
-    /// the new epoch only.
+    /// epoch, keeping the served graph, and invalidate every cursor and
+    /// cached result minted before it. In-flight queries finish against
+    /// the old epoch (the write lock waits for their read locks);
+    /// everything after sees the new epoch only. A mutation that changed
+    /// edges wants [`QueryService::append_epoch_on`]: replays ship
+    /// replicas along the served graph's edges.
     pub fn append_epoch(&self, next: &ProvStore) -> Result<EpochStats, ServeError> {
-        let stats = self
+        self.append(None, next)
+    }
+
+    /// [`QueryService::append_epoch`] for a capture over a new `graph`:
+    /// the epoch and the graph replace the old ones together, under one
+    /// write lock, so no query sees one without the other. A failed
+    /// append keeps both.
+    pub fn append_epoch_on(&self, graph: Csr, next: &ProvStore) -> Result<EpochStats, ServeError> {
+        self.append(Some(graph), next)
+    }
+
+    fn append(&self, graph: Option<Csr>, next: &ProvStore) -> Result<EpochStats, ServeError> {
+        let mut served = self.served.write().unwrap();
+        let stats = served
             .store
-            .write()
-            .unwrap()
             .append_epoch(next)
             .map_err(|e| ServeError::Replay(e.to_string()))?;
+        if let Some(graph) = graph {
+            served.graph = graph;
+        }
         // Stale keys are already unreachable (the epoch is in the key);
         // clearing frees their bytes now rather than under LRU pressure.
         self.cache.lock().unwrap().clear();
@@ -325,8 +348,10 @@ impl QueryService {
         };
 
         // One read lock for the whole request: every decision below
-        // (epoch check, clamp, replay) sees one consistent store state.
-        let store = self.store.read().unwrap();
+        // (epoch check, clamp, replay) sees one consistent store and
+        // graph.
+        let served = self.served.read().unwrap();
+        let Served { graph, store } = &*served;
         let epoch = store.mutation_epoch();
 
         // Resolve the cursor first: it pins fingerprint, range, offset,
@@ -399,8 +424,8 @@ impl QueryService {
                 let beside = self.admission.in_flight().max(1);
                 let layered = LayeredConfig::parallel(self.config.threads / beside);
                 let run = run_layered_range(
-                    &self.graph,
-                    &store,
+                    graph,
+                    store,
                     &query,
                     &layered,
                     requested,
@@ -761,6 +786,67 @@ mod tests {
         assert_eq!(Cursor::decode(&token).unwrap().epoch, 1);
         svc.execute(&QueryRequest { cursor: Some(&token), ..Default::default() })
             .expect("current-epoch cursor resumes fine");
+    }
+
+    /// An edge insert that opens a new lineage path reaches the served
+    /// answer once its epoch lands with its graph: backward lineage ships
+    /// replicas along the served graph's edges, so the epoch alone (over
+    /// the start-up graph) misses the path.
+    #[test]
+    fn edge_mutation_epoch_swaps_the_served_graph() {
+        use ariadne::{Ariadne, CaptureSpec, MutableSession};
+        use ariadne_analytics::Sssp;
+        use ariadne_graph::{GraphBuilder, GraphDelta, VertexId};
+
+        // 0 -> 1 -> 2 -> 3 and 0 -> 4; the mutation adds 4 -> 3, which
+        // reaches 3 a superstep before 2 does.
+        let mut b = GraphBuilder::new();
+        for (src, dst, w) in [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 4, 0.5)] {
+            b.add_edge(VertexId(src), VertexId(dst), w);
+        }
+        let g = b.build();
+        let sssp = Sssp::new(VertexId(0));
+        let spec = CaptureSpec::full();
+        let ariadne = Ariadne::default();
+        let base = || ariadne.capture(&sssp, &g, &spec).unwrap().store;
+        let config = ServeConfig { threads: 2, ..ServeConfig::default() };
+        let swapped = QueryService::new(g.clone(), base(), config.clone());
+        let kept = QueryService::new(g.clone(), base(), config);
+
+        let mut session = MutableSession::new(ariadne.clone(), g.clone());
+        let mut delta = GraphDelta::new();
+        delta.add_edge(VertexId(4), VertexId(3), 0.5);
+        session.mutate(delta).commit();
+        let mut mine = base();
+        let (run, _) = session.capture_epoch(&sssp, &spec, &mut mine).unwrap();
+        let new_graph = session.csr().clone();
+        assert_eq!(swapped.append_epoch_on(new_graph.clone(), &run.store).unwrap().epoch, 1);
+        assert_eq!(kept.append_epoch(&run.store).unwrap().epoch, 1);
+
+        // Vertex 3 at superstep 2 now descends from 4, and 4 from 0.
+        let pql = "back_trace(x, i) :- superstep(x, i), i = $sigma, x = $alpha.
+                   back_trace(x, i) :- send_message(x, y, m, i), back_trace(y, j), j = i + 1.
+                   back_lineage(x, d) :- back_trace(x, i), value(x, d, i), i = 0.";
+        let params = [("alpha", "v3"), ("sigma", "2")];
+        let request = QueryRequest { pql: Some(pql), params: &params, ..Default::default() };
+        let bound = Params::new().with("alpha", Value::Id(3)).with("sigma", Value::Int(2));
+        let oracle = ariadne.centralized(&new_graph, &mine, &compile(pql, bound).unwrap()).unwrap();
+        let want: Vec<(String, Tuple)> = ["back_lineage", "back_trace"]
+            .into_iter()
+            .flat_map(|pred| oracle.sorted(pred).into_iter().map(move |t| (pred.to_string(), t)))
+            .collect();
+        let traced = |rows: &[(String, Tuple)]| -> Vec<u64> {
+            rows.iter()
+                .filter(|(pred, _)| pred == "back_trace")
+                .filter_map(|(_, t)| t[0].as_id())
+                .collect()
+        };
+        assert_eq!(traced(&want), [0, 3, 4], "the oracle walks the new edge");
+
+        let page = swapped.execute(&request).unwrap();
+        assert_eq!(page.rows(), want, "served lineage over the new graph");
+        let stale = kept.execute(&request).unwrap();
+        assert_eq!(traced(stale.rows()), [3], "the start-up graph has no 4 -> 3");
     }
 
     #[test]

@@ -1,13 +1,22 @@
 //! The layered round protocol itself, pinned where the result-set tests
-//! cannot see it: the *order* replicas reach a receiver in, every counter
-//! of a run (not only the result tables) across thread counts, and what
-//! happens to the worker pool when a chunk fails mid-run.
+//! cannot see it: the *order* replicas reach a receiver in, the order the
+//! finish phase merges results in, every counter of a run (not only the
+//! result tables) across thread counts, and what happens to the worker
+//! pool when a chunk fails mid-run or while finishing.
 
-use ariadne::{compile, compile_with, run_layered_with, AriadneError, LayeredConfig, LayeredRun};
+use ariadne::session::Ariadne;
+use ariadne::{
+    compile, compile_with, queries, run_layered_with, AriadneError, CaptureSpec, CompiledQuery,
+    LayeredConfig, LayeredRun,
+};
+use ariadne_analytics::Sssp;
 use ariadne_graph::generators::regular::path;
+use ariadne_graph::generators::{erdos_renyi, rmat, RmatConfig};
 use ariadne_graph::{Csr, GraphBuilder, VertexId};
 use ariadne_pql::{Catalog, Params, UdfRegistry, Value};
-use ariadne_provenance::{ProvStore, StoreConfig};
+use ariadne_provenance::{ProvStore, StoreConfig, StoreError};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -170,6 +179,124 @@ fn every_counter_is_thread_invariant() {
     assert_eq!(run.query_results.len("trace"), 48);
 }
 
+/// The finish phase merges every result relation in ascending owner
+/// vertex, then in the order the owner inserted — not sorted, and not
+/// where replicas happened to sit. Each vertex of a path marks three
+/// layers; the descending replay inserts them newest first, and every
+/// `trace` tuple also sits as a replica at both path neighbours.
+#[test]
+fn results_merge_by_owner_then_insertion_order() {
+    const N: u64 = 40;
+    let g = path(N as usize);
+    let mut store = ProvStore::new(StoreConfig::in_memory());
+    for s in 1..=3u32 {
+        for v in 0..N {
+            store.ingest(s, "mark", vec![vec![Value::Id(v), Value::Int(i64::from(s))]]).unwrap();
+        }
+    }
+    let q = compile_with(
+        "trace(x, i) :- mark(x, i).
+         trace(x, i) :- send_message(x, y, m, i), trace(y, j), j = i + 1.",
+        Params::new(),
+        &catalog_with("mark", 2),
+        UdfRegistry::standard(),
+    )
+    .unwrap();
+    assert_eq!(q.direction(), ariadne_pql::Direction::Backward);
+    let want: Vec<(u64, i64)> = (0..N).flat_map(|v| [(v, 3), (v, 2), (v, 1)]).collect();
+    for t in THREADS {
+        let run = run_layered_with(&g, &store, &q, &LayeredConfig::parallel(t)).unwrap();
+        assert!(run.shipped_tuples > 0, "trace must travel as replicas");
+        let scan: Vec<(u64, i64)> = run
+            .query_results
+            .relation("trace")
+            .expect("trace derived")
+            .scan()
+            .iter()
+            .map(|t| (t[0].as_id().unwrap(), t[1].as_i64().unwrap()))
+            .collect();
+        assert_eq!(scan, want, "merged scan order at {t} threads");
+    }
+}
+
+/// apt over an R-MAT SSSP capture: `change` replicas delivered outnumber
+/// every result row several times over, so an owner-only merge that lost
+/// a tuple, or kept a replica, would show against the centralized
+/// oracle. Scan order is by owner and identical at every thread count.
+#[test]
+fn apt_on_rmat_merges_owners_only() {
+    let g = rmat(RmatConfig {
+        scale: 7,
+        edge_factor: 16,
+        seed: 8,
+        ..RmatConfig::default()
+    });
+    let mut rng = StdRng::seed_from_u64(8);
+    let g = g.map_weights(|_, _, _| 0.001 + rng.gen::<f64>());
+    let hub = g.max_out_degree_vertex().unwrap();
+    let store = Ariadne::default()
+        .capture(&Sssp::new(hub), &g, &CaptureSpec::full())
+        .unwrap()
+        .store;
+    let apt = queries::apt("udf_diff", Value::Float(0.1)).unwrap();
+    let run = assert_owner_merge("apt", &g, &store, &apt);
+    let rows = run.query_results.total_tuples();
+    assert!(
+        run.shipped_tuples >= 5 * rows,
+        "{} replicas delivered for {rows} result rows",
+        run.shipped_tuples
+    );
+}
+
+/// A backward lineage whose walk closes only in the flush: every hop of
+/// `back_trace` is one flush round, and what the last rounds derive
+/// still reaches the merged result.
+#[test]
+fn backward_lineage_through_flush_rounds_merges_owners_only() {
+    let g = erdos_renyi(80, 200, 13);
+    let mut store = ProvStore::new(StoreConfig::in_memory());
+    for (src, dst, _) in g.edges() {
+        let send = vec![Value::Id(src.0), Value::Id(dst.0), Value::Float(1.0), Value::Int(0)];
+        store.ingest(0, "send_message", vec![send]).unwrap();
+    }
+    for v in 0..80u64 {
+        let value = vec![Value::Id(v), Value::Float(v as f64), Value::Int(0)];
+        store.ingest(0, "value", vec![value]).unwrap();
+    }
+    store.ingest(1, "superstep", vec![vec![Value::Id(0), Value::Int(1)]]).unwrap();
+    let q = compile(
+        "back_trace(x, i) :- value(x, d, i), i = 0, x = $alpha.
+         back_trace(x, i) :- send_message(x, y, m, i), back_trace(y, i).
+         back_lineage(x, d) :- back_trace(x, i), value(x, d, i).",
+        Params::new().with("alpha", Value::Id(0)),
+    )
+    .unwrap();
+    assert_eq!(q.direction(), ariadne_pql::Direction::Backward);
+    let run = assert_owner_merge("lineage", &g, &store, &q);
+    assert!(run.flush_rounds >= 2, "got {} flush rounds", run.flush_rounds);
+    assert!(run.query_results.len("back_lineage") > 5, "the walk left the root");
+}
+
+/// `query` at threads 1/2/3/7: results equal the centralized oracle, every
+/// relation scans in non-decreasing owner order, and the whole run is
+/// thread-invariant. Returns the single-thread run.
+fn assert_owner_merge(tag: &str, g: &Csr, store: &ProvStore, query: &CompiledQuery) -> LayeredRun {
+    let oracle = Ariadne::default().centralized(g, store, query).unwrap();
+    let seq = run_layered_with(g, store, query, &LayeredConfig::parallel(1)).unwrap();
+    for pred in query.query().idbs.keys() {
+        assert_eq!(seq.query_results.sorted(pred), oracle.sorted(pred), "{tag}: {pred}");
+    }
+    for (pred, rel) in seq.query_results.iter() {
+        let owners: Vec<u64> = rel.scan().iter().map(|t| t[0].as_id().unwrap()).collect();
+        assert!(owners.is_sorted(), "{tag}: {pred} does not scan by owner");
+    }
+    for t in THREADS {
+        let par = run_layered_with(g, store, query, &LayeredConfig::parallel(t)).unwrap();
+        assert_eq!(fingerprint(&seq), fingerprint(&par), "{tag} differs at {t} threads");
+    }
+    seq
+}
+
 /// A store whose layer 2 makes exactly one vertex (37, so one chunk)
 /// reach the rule's second step; layers 0, 1 and 3 evaluate cleanly.
 fn one_bad_vertex() -> (Csr, ProvStore) {
@@ -210,6 +337,37 @@ fn evaluation_error_in_one_chunk_returns_typed() {
                 assert!(e.to_string().contains("no_such_udf"), "at {t} threads: {e}")
             }
             other => panic!("expected a typed evaluation error at {t} threads, got {other:?}"),
+        }
+    }
+}
+
+/// A failure raised in the finish phase — a stored row that gave vertex
+/// 37's `active` another arity than the query's head, so its relation
+/// cannot merge — comes back typed at any thread count, with the pool
+/// shut down, not as a panic on the merging thread.
+#[test]
+fn finish_error_in_one_chunk_returns_typed() {
+    for t in [1usize, 2, 7] {
+        let outcome = within_a_minute(move || {
+            let g = path(64);
+            let mut store = ProvStore::new(StoreConfig::in_memory());
+            for s in 0..4u32 {
+                for v in (0..64u64).filter(|&v| v != 37) {
+                    let step = Value::Int(i64::from(s));
+                    store.ingest(s, "superstep", vec![vec![Value::Id(v), step]]).unwrap();
+                }
+            }
+            let stale = vec![Value::Id(37), Value::Int(2), Value::Int(0)];
+            store.ingest(2, "active", vec![stale]).unwrap();
+            let q = compile("active(x, i) :- superstep(x, i).", Params::new()).unwrap();
+            run_layered_with(&g, &store, &q, &LayeredConfig::parallel(t)).map(|run| run.layers)
+        });
+        match outcome {
+            Err(AriadneError::Store(StoreError::Corrupt { detail, .. })) => assert!(
+                detail.contains("`active` holds rows of arity 2 and 3"),
+                "at {t} threads: {detail}"
+            ),
+            other => panic!("expected a typed finish error at {t} threads, got {other:?}"),
         }
     }
 }
