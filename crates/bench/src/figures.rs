@@ -6,7 +6,7 @@ use crate::workloads::{CrawlWorkload, Workloads};
 use ariadne::custom::AlsProv;
 use ariadne::optimize::{apt_report, AptReport};
 use ariadne::queries;
-use ariadne::session::AriadneError;
+use ariadne::session::{AriadneError, RunOptions};
 use ariadne::{CaptureSpec, CompiledQuery};
 use ariadne_analytics::als::{Als, AlsConfig};
 use ariadne_analytics::pagerank::DeltaPageRank;
@@ -202,6 +202,10 @@ pub struct AlsRow {
 pub fn fig9(w: &Workloads) -> Vec<AlsRow> {
     let q7 = queries::als_range_check().unwrap();
     let q8 = queries::als_error_increase(0.5).unwrap();
+    let als_prov = RunOptions {
+        custom: Some(Arc::new(AlsProv)),
+        ..RunOptions::default()
+    };
     let mut rows = Vec::new();
     for &rank in &w.config.als_ranks {
         let mut cfg = AlsConfig::new(w.ratings.users, rank);
@@ -211,7 +215,7 @@ pub fn fig9(w: &Workloads) -> Vec<AlsRow> {
         for (label, q) in [("Q7", &q7), ("Q8", &q8)] {
             let online = w
                 .ariadne
-                .online_with(&als, &w.ratings.graph, q, Some(Arc::new(AlsProv)))
+                .online_with(&als, &w.ratings.graph, q, &als_prov)
                 .unwrap()
                 .metrics
                 .elapsed;

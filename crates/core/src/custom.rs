@@ -8,19 +8,14 @@
 
 use ariadne_analytics::als::Als;
 use ariadne_graph::{Csr, VertexId};
-use ariadne_pql::{Catalog, Tuple, Value};
+use ariadne_pql::{Tuple, Value};
 use ariadne_vc::{Envelope, VertexProgram};
 
 /// Generator of analytic-specific provenance tuples, invoked once per
-/// vertex per superstep with the analytic's typed state.
+/// vertex per superstep with the analytic's typed state. A query reads
+/// its relations once they are in the catalog it compiles against (see
+/// [`crate::queries::als_catalog`]).
 pub trait CustomProv<A: VertexProgram>: Send + Sync {
-    /// Register the custom EDB schemas into `catalog` (so queries can
-    /// reference them).
-    fn register(&self, catalog: &mut Catalog);
-
-    /// The relation names this generator produces.
-    fn relations(&self) -> Vec<String>;
-
     /// Produce tuples for one vertex-superstep. `value` is the vertex
     /// value after computing; `messages` are the envelopes it received.
     fn tuples(
@@ -44,15 +39,6 @@ pub const PROV_ERROR: &str = "prov_error";
 pub const PROV_PREDICTION: &str = "prov_prediction";
 
 impl CustomProv<Als> for AlsProv {
-    fn register(&self, catalog: &mut Catalog) {
-        catalog.register(PROV_ERROR, 4);
-        catalog.register(PROV_PREDICTION, 4);
-    }
-
-    fn relations(&self) -> Vec<String> {
-        vec![PROV_ERROR.to_string(), PROV_PREDICTION.to_string()]
-    }
-
     fn tuples(
         &self,
         graph: &Csr,
@@ -120,14 +106,5 @@ mod tests {
         let g1 = b.build();
         drop(g);
         assert!(prov.tuples(&g1, VertexId(0), 1, &vec![1.0], &msgs).is_empty());
-    }
-
-    #[test]
-    fn registration() {
-        let mut cat = Catalog::standard();
-        AlsProv.register(&mut cat);
-        assert!(cat.is_edb(PROV_ERROR));
-        assert!(cat.is_edb(PROV_PREDICTION));
-        assert_eq!(AlsProv.relations().len(), 2);
     }
 }

@@ -13,7 +13,9 @@
 //!    materialized. And it is **strict**: any damage fails the replay
 //!    typed. Neither pruning nor projection can change a result set, so
 //!    neither is optional; degraded reads are a store and scrub
-//!    capability ([`ProvStore::layer_read_with`]), not a replay mode;
+//!    capability ([`ProvStore::layer_blocks`] under
+//!    [`ReadPolicy::Degraded`]), not a replay mode. A replay covers every
+//!    stored layer unless [`LayeredConfig::layers`] names a range;
 //! 2. every touched vertex runs its incremental local fixpoint;
 //! 3. fresh tuples of shipped predicates travel one hop, to the union of
 //!    the vertex's out- and in-neighbours (a superset of every
@@ -73,8 +75,6 @@
 //! The driver is the same per-vertex machinery as online evaluation
 //! ([`crate::state::QueryState`]); only the tuple source differs (replay
 //! from the store instead of live generation).
-//!
-//! [`ProvStore::layer_read_with`]: ariadne_provenance::ProvStore::layer_read_with
 
 use crate::barrier::Barrier;
 use crate::columns::column_masks;
@@ -178,27 +178,39 @@ mod obs_handles {
 /// robin, so more of them interleave a skewed touched set more finely.
 const CHUNKS_PER_THREAD: usize = 4;
 
-/// Layered evaluation's one knob. The default is the sequential
-/// reference; [`crate::session::Ariadne`] passes its engine thread count
-/// through.
+/// How a layered replay runs. The default is the sequential reference
+/// over every layer; [`crate::session::Ariadne`] passes its engine thread
+/// count through.
 #[derive(Clone, Debug)]
 pub struct LayeredConfig {
     /// Worker threads per round. `1` runs the same round protocol on
     /// the calling thread.
     pub threads: usize,
+    /// Replay only the stored layers in `lo..=hi` (clamped to the store's
+    /// extent; an empty intersection is an empty run). `None` replays
+    /// every layer. The serving plane resumes a query from a layer offset
+    /// this way and keys its cache on the *effective* range
+    /// ([`LayeredRun::layer_range`]). Within the range the round protocol
+    /// is unchanged, so results stay bit-identical at every thread count.
+    /// A sub-range answers the query *over that slice of the capture*: a
+    /// backward query's layer-0 structural pre-injection happens only when
+    /// layer 0 is inside the range, so compact-representation captures
+    /// should include layer 0 when they need their static relations.
+    pub layers: Option<(u32, u32)>,
 }
 
 impl Default for LayeredConfig {
     fn default() -> Self {
-        LayeredConfig { threads: 1 }
+        LayeredConfig::parallel(1)
     }
 }
 
 impl LayeredConfig {
-    /// A config for `threads` workers (at least one).
+    /// A config for `threads` workers (at least one) over every layer.
     pub fn parallel(threads: usize) -> Self {
         LayeredConfig {
             threads: threads.max(1),
+            layers: None,
         }
     }
 }
@@ -743,39 +755,13 @@ impl Pool<'_> {
 /// Evaluate `query` over the captured `store` in layered fashion:
 /// parallel chunked replay with pruned, projected, strict layer reads.
 /// Results are bit-identical at every thread count (see the module docs
-/// for the argument).
+/// for the argument). [`LayeredConfig::layers`] restricts the replay to a
+/// layer range.
 pub fn run_layered_with(
     graph: &Csr,
     store: &ProvStore,
     query: &CompiledQuery,
     config: &LayeredConfig,
-) -> Result<LayeredRun, AriadneError> {
-    run_layered_range(graph, store, query, config, None)
-}
-
-/// Re-entrant layered evaluation over an inclusive layer sub-range.
-///
-/// `layers = Some((lo, hi))` restricts the replay to stored layers in
-/// `lo..=hi` (clamped to the store's extent; an empty intersection
-/// returns an empty run). `None` replays every layer —
-/// [`run_layered_with`] is exactly that. This is the serving plane's
-/// entry point: a long-lived daemon can resume a query from a layer
-/// offset, and a replay cache can key results on the *effective* range
-/// ([`LayeredRun::layer_range`]) rather than on whatever the client
-/// asked for.
-///
-/// Within the range the round protocol is unchanged, so results remain
-/// bit-identical at every thread count. A sub-range replay answers the
-/// query *over that slice of the capture*: for backward queries the
-/// layer-0 structural pre-injection only happens when layer 0 is inside
-/// the range, so compact-representation captures should include layer 0
-/// when they need their static relations.
-pub fn run_layered_range(
-    graph: &Csr,
-    store: &ProvStore,
-    query: &CompiledQuery,
-    config: &LayeredConfig,
-    layers: Option<(u32, u32)>,
 ) -> Result<LayeredRun, AriadneError> {
     let run_started = Instant::now();
     let direction = query.direction();
@@ -789,7 +775,7 @@ pub fn run_layered_range(
     let Some(max_step) = store.max_superstep() else {
         return Ok(LayeredRun::empty(threads));
     };
-    let (layer_lo, layer_hi) = match layers {
+    let (layer_lo, layer_hi) = match config.layers {
         Some((lo, hi)) => (lo, hi.min(max_step)),
         None => (0, max_step),
     };
@@ -1057,8 +1043,8 @@ mod tests {
         assert_eq!(run.query_results.len("active"), 0);
     }
 
-    /// The re-entrant range entry point replays exactly the requested
-    /// layer slice: a full-range call equals `run_layered_with`, a
+    /// A replay over `LayeredConfig::layers` replays exactly the requested
+    /// layer slice: a full-range call equals the unbounded one, a
     /// sub-range only sees that slice's tuples, an out-of-extent range
     /// clamps, and a disjoint range is an empty run.
     #[test]
@@ -1071,26 +1057,27 @@ mod tests {
                 .unwrap();
         }
         let q = compile("active(x, i) :- superstep(x, i).", Params::new()).unwrap();
+        let range = |lo, hi| LayeredConfig {
+            layers: Some((lo, hi)),
+            ..LayeredConfig::default()
+        };
 
         let full = run_layered_with(&g, &store, &q, &LayeredConfig::default()).unwrap();
         assert_eq!(full.layer_range, (0, 3));
 
-        let also_full =
-            run_layered_range(&g, &store, &q, &LayeredConfig::default(), Some((0, 99))).unwrap();
+        let also_full = run_layered_with(&g, &store, &q, &range(0, 99)).unwrap();
         assert_eq!(also_full.layer_range, (0, 3), "range clamps to the extent");
         assert_eq!(
             also_full.query_results.sorted("active"),
             full.query_results.sorted("active")
         );
 
-        let slice =
-            run_layered_range(&g, &store, &q, &LayeredConfig::default(), Some((1, 2))).unwrap();
+        let slice = run_layered_with(&g, &store, &q, &range(1, 2)).unwrap();
         assert_eq!(slice.layer_range, (1, 2));
         assert_eq!(slice.layers, 2);
         assert_eq!(slice.query_results.len("active"), 2, "layers 1 and 2 only");
 
-        let empty =
-            run_layered_range(&g, &store, &q, &LayeredConfig::default(), Some((7, 9))).unwrap();
+        let empty = run_layered_with(&g, &store, &q, &range(7, 9)).unwrap();
         assert_eq!(empty.layers, 0);
         assert!(empty.query_results.is_empty());
     }

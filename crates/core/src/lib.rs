@@ -61,11 +61,11 @@ pub mod state;
 pub use capture::CaptureSpec;
 pub use compile::{compile, compile_with, CompiledQuery};
 pub use custom::CustomProv;
-pub use layered::{run_layered_range, run_layered_with, LayeredConfig, LayeredRun};
+pub use layered::{run_layered_with, LayeredConfig, LayeredRun};
 pub use mutable::MutableSession;
 pub use online::{OnlineProgram, OnlineRun, QueryFailure};
 pub use report::{RunReport, StoreReport};
-pub use session::{Ariadne, AriadneError};
+pub use session::{Ariadne, AriadneError, RunOptions};
 
 // Fault-tolerance surface: checkpointing, durability and degraded-read
 // policies, scrub/repair, typed engine/store errors and the

@@ -58,9 +58,12 @@
 //! per superstep, on the coordinating thread, after every `compute` of
 //! the superstep has returned and before the barrier's checkpoint hook —
 //! so at most one message per (worker, predicate, superstep) crosses to
-//! the writer thread, and a checkpoint never covers a superstep whose rows
-//! the writer has not been given. [`OnlineProgram::flush`] hands over what
-//! a run that stopped anywhere else left behind.
+//! the writer thread. When the engine checkpoints ([`Persist::sync`]) it
+//! then waits until the writer has spilled every row it holds, so every
+//! layer a barrier closes is whole in the spool before the next superstep
+//! starts: a checkpoint never covers a row that is only in memory, and a
+//! resumed capture re-attaches whole layers only. [`OnlineProgram::flush`]
+//! hands over what a run that stopped anywhere else left behind.
 //!
 //! The count matters more than its cost suggests: the engine starts fresh
 //! threads every phase, so a vector a vertex grew last superstep usually
@@ -87,6 +90,10 @@ pub struct Persist {
     pub sender: StoreSender,
     /// Which predicates to persist (raw EDBs + capture-rule heads).
     pub preds: Arc<BTreeSet<String>>,
+    /// Wait at every barrier until the writer has spilled every row it
+    /// holds ([`StoreSender::sync`]): set when the engine checkpoints,
+    /// so a resume finds each layer before the snapshot whole.
+    pub sync: bool,
 }
 
 /// Configuration of the online wrapper.
@@ -216,6 +223,8 @@ struct Capture {
     /// Which of `preds` are read back out of the vertex's database:
     /// capture-rule heads, custom provenance relations, static EDBs.
     from_db: Vec<usize>,
+    /// [`Persist::sync`].
+    sync: bool,
 }
 
 /// [`EdbSink`] of one vertex-step: the vertex's database and the
@@ -268,6 +277,7 @@ impl<'a, A: VertexProgram> OnlineProgram<'a, A> {
                 sender: persist.sender.clone(),
                 preds,
                 from_db,
+                sync: persist.sync,
             }
         });
         // A generated predicate goes into the database unless the only
@@ -408,6 +418,9 @@ where
         // Every compute call of `superstep` has returned: its captured
         // rows go to the writer before the barrier's checkpoint.
         self.flush();
+        if let Some(capture) = self.capture.as_ref().filter(|c| c.sync) {
+            capture.sender.sync();
+        }
         self.failed.load(Ordering::Acquire) || self.analytic.should_halt(superstep, aggregates)
     }
 

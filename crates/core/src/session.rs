@@ -7,10 +7,9 @@ use crate::layered::{run_layered_with, LayeredConfig, LayeredRun};
 use crate::naive::{run_centralized, run_naive, NaiveRun};
 use crate::online::{OnlineConfig, OnlineProgram, OnlineRun, OnlineState, Persist};
 use ariadne_graph::Csr;
-use ariadne_pql::{Database, Direction, PqlError, Value};
+use ariadne_pql::{Database, Direction, EvalStats, PqlError, Value};
 use ariadne_provenance::{ProvEncode, ProvStore, StoreConfig, StoreError, StoreWriter};
 use ariadne_vc::{Engine, EngineConfig, EngineError, RunResult, Snapshot, VertexProgram};
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -120,6 +119,32 @@ impl From<EngineError> for AriadneError {
 /// [`OnlineProgram`].
 type WrappedRun<V> = RunResult<OnlineState<V>>;
 
+/// What the wrapped-run driver hands back: the engine's result, the query
+/// counters and, for a capture, the store its writer drained into.
+type Wrapped<V> = (WrappedRun<V>, EvalStats, Option<ProvStore>);
+
+/// How [`Ariadne::online_with`] and [`Ariadne::capture_with`] run.
+pub struct RunOptions<A: VertexProgram> {
+    /// An analytic-specific provenance generator whose relations join the
+    /// generated ones.
+    pub custom: Option<Arc<dyn CustomProv<A>>>,
+    /// Continue a crashed run from the newest valid snapshot under
+    /// [`EngineConfig::checkpoint`] instead of starting fresh; a capture
+    /// also re-attaches the spool the crashed run left. With the
+    /// analytic, graph, query or spec, options and configuration of the
+    /// original run, the result is the uninterrupted run's.
+    pub resume: bool,
+}
+
+impl<A: VertexProgram> Default for RunOptions<A> {
+    fn default() -> Self {
+        RunOptions {
+            custom: None,
+            resume: false,
+        }
+    }
+}
+
 /// The Ariadne system handle: engine and store configuration plus the
 /// evaluation-mode entry points.
 #[derive(Clone, Debug)]
@@ -158,7 +183,8 @@ impl Ariadne {
         Engine::new(self.engine.clone()).run(analytic, graph)
     }
 
-    /// Online evaluation: run `analytic` and `query` in lockstep (§5.2).
+    /// Online evaluation: run `analytic` and `query` in lockstep (§5.2)
+    /// on the engine's infallible path, which never checkpoints.
     pub fn online<A>(
         &self,
         analytic: &A,
@@ -170,104 +196,39 @@ impl Ariadne {
         A::V: ProvEncode,
         A::M: ProvEncode,
     {
-        self.online_with(analytic, graph, query, None)
+        let config = online_config(query, None)?;
+        let (result, stats, _) = self.run_wrapped(analytic, config, None, |engine, program| {
+            Ok(engine.run(program, graph))
+        })?;
+        Ok(finish_online(result, &query.query().idbs, stats))
     }
 
-    /// Online evaluation with an analytic-specific provenance generator.
+    /// [`Ariadne::online`] under `options`, on the engine's fallible path:
+    /// the engine snapshots the wrapped state (analytic value *and* query
+    /// partition) exactly when [`EngineConfig::checkpoint`] is set and
+    /// honours [`EngineConfig::fault`], and `options.resume` continues a
+    /// crashed run from its newest valid snapshot.
     pub fn online_with<A>(
         &self,
         analytic: &A,
         graph: &Csr,
         query: &CompiledQuery,
-        custom: Option<Arc<dyn CustomProv<A>>>,
-    ) -> Result<OnlineRun<A::V>, AriadneError>
-    where
-        A: VertexProgram,
-        A::V: ProvEncode,
-        A::M: ProvEncode,
-    {
-        self.online_engine(analytic, query, custom, |engine, program| {
-            Ok(engine.run(program, graph))
-        })
-    }
-
-    /// Online evaluation with barrier checkpoints: like
-    /// [`Ariadne::online`], but the engine snapshots the wrapped state
-    /// (analytic value *and* query partition) per
-    /// [`EngineConfig::checkpoint`], so a crashed run can be resumed with
-    /// [`Ariadne::resume_online`].
-    pub fn online_checkpointed<A>(
-        &self,
-        analytic: &A,
-        graph: &Csr,
-        query: &CompiledQuery,
+        options: &RunOptions<A>,
     ) -> Result<OnlineRun<A::V>, AriadneError>
     where
         A: VertexProgram,
         A::V: ProvEncode + Snapshot,
         A::M: ProvEncode + Snapshot,
     {
-        self.online_engine(analytic, query, None, |engine, program| {
-            engine.run_checkpointed(program, graph)
-        })
+        let config = online_config(query, options.custom.clone())?;
+        let (result, stats, _) = self.run_wrapped(analytic, config, None, |engine, program| {
+            checkpointed(engine, program, graph, options.resume)
+        })?;
+        Ok(finish_online(result, &query.query().idbs, stats))
     }
 
-    /// Resume a crashed [`Ariadne::online_checkpointed`] run from its
-    /// latest valid checkpoint. The analytic, graph, query and engine
-    /// configuration must be identical to the original run; the result
-    /// is then bit-identical to an uninterrupted run.
-    pub fn resume_online<A>(
-        &self,
-        analytic: &A,
-        graph: &Csr,
-        query: &CompiledQuery,
-    ) -> Result<OnlineRun<A::V>, AriadneError>
-    where
-        A: VertexProgram,
-        A::V: ProvEncode + Snapshot,
-        A::M: ProvEncode + Snapshot,
-    {
-        self.online_engine(analytic, query, None, |engine, program| {
-            engine.resume(program, graph)
-        })
-    }
-
-    /// Shared driver for every online variant; `drive` is the engine
-    /// call (plain, checkpointed or resuming).
-    fn online_engine<A, F>(
-        &self,
-        analytic: &A,
-        query: &CompiledQuery,
-        custom: Option<Arc<dyn CustomProv<A>>>,
-        drive: F,
-    ) -> Result<OnlineRun<A::V>, AriadneError>
-    where
-        A: VertexProgram,
-        A::V: ProvEncode,
-        A::M: ProvEncode,
-        F: FnOnce(&Engine, &OnlineProgram<'_, A>) -> Result<WrappedRun<A::V>, EngineError>,
-    {
-        if !query.direction().supports_online() {
-            return Err(AriadneError::UnsupportedMode {
-                mode: "online",
-                direction: query.direction(),
-            });
-        }
-        let analyzed = query.query();
-        let config = OnlineConfig {
-            evaluator: Some(query.evaluator().clone()),
-            needed: Arc::new(analyzed.edbs.clone()),
-            shipped: Arc::new(analyzed.shipped.clone()),
-            persist: None,
-            custom,
-        };
-        let program = OnlineProgram::new(analytic, config);
-        let result = drive(&Engine::new(self.engine.clone()), &program)?;
-        check_query_failure(&program)?;
-        Ok(finish_online(result, &analyzed.idbs, program.query_stats()))
-    }
-
-    /// Capture provenance per `spec` while running the analytic (§6.1).
+    /// Capture provenance per `spec` while running the analytic (§6.1),
+    /// on the engine's infallible path, which never checkpoints.
     pub fn capture<A>(
         &self,
         analytic: &A,
@@ -279,141 +240,112 @@ impl Ariadne {
         A::V: ProvEncode,
         A::M: ProvEncode,
     {
-        self.capture_with(analytic, graph, spec, None)
+        let (config, writer) = self.capture_setup(spec, &RunOptions::default(), false)?;
+        let (result, stats, store) =
+            self.run_wrapped(analytic, config, Some(writer), |engine, program| {
+                Ok(engine.run(program, graph))
+            })?;
+        Ok(finish_capture(result, stats, store))
     }
 
-    /// Capture with an analytic-specific provenance generator.
+    /// [`Ariadne::capture`] under `options`, on the engine's fallible path
+    /// (see [`Ariadne::online_with`]). When the engine checkpoints, each
+    /// barrier waits until the store writer has spilled every row it
+    /// holds, so a resume re-attaches every layer the snapshot skips,
+    /// whole, from [`StoreConfig::spool_dir`], and the recovered store
+    /// equals the uninterrupted capture. A resume without a spool
+    /// directory is refused before the engine starts.
     pub fn capture_with<A>(
         &self,
         analytic: &A,
         graph: &Csr,
         spec: &CaptureSpec,
-        custom: Option<Arc<dyn CustomProv<A>>>,
-    ) -> Result<CaptureRun<A::V>, AriadneError>
-    where
-        A: VertexProgram,
-        A::V: ProvEncode,
-        A::M: ProvEncode,
-    {
-        self.capture_engine(
-            analytic,
-            spec,
-            custom,
-            StoreWriter::spawn,
-            |engine, program| Ok(engine.run(program, graph)),
-        )
-    }
-
-    /// Capture with barrier checkpoints: like [`Ariadne::capture`], but
-    /// the engine snapshots the wrapped state per
-    /// [`EngineConfig::checkpoint`] and the store spools to disk, so a
-    /// crashed capture can be resumed with [`Ariadne::resume_capture`].
-    pub fn capture_checkpointed<A>(
-        &self,
-        analytic: &A,
-        graph: &Csr,
-        spec: &CaptureSpec,
+        options: &RunOptions<A>,
     ) -> Result<CaptureRun<A::V>, AriadneError>
     where
         A: VertexProgram,
         A::V: ProvEncode + Snapshot,
         A::M: ProvEncode + Snapshot,
     {
-        self.capture_engine(
-            analytic,
-            spec,
-            None,
-            StoreWriter::spawn,
-            |engine, program| engine.run_checkpointed(program, graph),
-        )
+        let (config, writer) =
+            self.capture_setup(spec, options, self.engine.checkpoint.is_some())?;
+        let (result, stats, store) =
+            self.run_wrapped(analytic, config, Some(writer), |engine, program| {
+                checkpointed(engine, program, graph, options.resume)
+            })?;
+        Ok(finish_capture(result, stats, store))
     }
 
-    /// Resume a crashed [`Ariadne::capture_checkpointed`] run: the engine
-    /// restarts from its latest valid snapshot, and the store writer
-    /// re-attaches the spill segments already persisted by the crashed
-    /// run (re-ingestion of already-sealed layers is an idempotent
-    /// no-op), so the recovered store equals an uninterrupted capture.
-    pub fn resume_capture<A>(
+    /// A capture per `spec`: the wrapper configuration and the writer it
+    /// persists through (syncing it at every barrier when `sync`), over a
+    /// fresh store or re-attached to the spool a crashed run left. Refused
+    /// for a capture query that cannot run online, and for a resume with
+    /// no spool to resume from.
+    fn capture_setup<A: VertexProgram>(
         &self,
-        analytic: &A,
-        graph: &Csr,
         spec: &CaptureSpec,
-    ) -> Result<CaptureRun<A::V>, AriadneError>
-    where
-        A: VertexProgram,
-        A::V: ProvEncode + Snapshot,
-        A::M: ProvEncode + Snapshot,
-    {
-        self.capture_engine(
-            analytic,
-            spec,
-            None,
-            StoreWriter::spawn_resuming,
-            |engine, program| engine.resume(program, graph),
-        )
+        options: &RunOptions<A>,
+        sync: bool,
+    ) -> Result<(OnlineConfig<A>, StoreWriter), AriadneError> {
+        let query = spec.query.as_ref();
+        if !spec.supports_online() {
+            return Err(AriadneError::UnsupportedMode {
+                mode: "capture",
+                direction: query.map_or(Direction::Local, |q| q.direction()),
+            });
+        }
+        let writer = match (options.resume, &self.store.spool_dir) {
+            (false, _) => StoreWriter::spawn(self.store.clone()),
+            (true, Some(_)) => StoreWriter::spawn_resuming(self.store.clone()),
+            (true, None) => {
+                return Err(AriadneError::Store(StoreError::Degraded {
+                    detail: "a capture resumes from its spool; StoreConfig::spool_dir is unset"
+                        .into(),
+                    source: None,
+                }))
+            }
+        };
+        let config = OnlineConfig {
+            evaluator: query.map(|q| q.evaluator().clone()),
+            needed: Arc::new(spec.needed()),
+            shipped: Arc::new(query.map(|q| q.query().shipped.clone()).unwrap_or_default()),
+            persist: Some(Persist {
+                sender: writer.sender(),
+                preds: Arc::new(spec.persist_preds()),
+                sync,
+            }),
+            custom: options.custom.clone(),
+        };
+        Ok((config, writer))
     }
 
-    /// Shared driver for every capture variant; `spawn_writer` opens the
-    /// store (fresh, or re-attached to a crashed run's spool) and `drive`
-    /// is the engine call (plain, checkpointed or resuming).
-    fn capture_engine<A, F>(
+    /// The one driver of every wrapped run: wrap `analytic` per `config`
+    /// and run it with `drive`. With a `writer` attached (a capture) the
+    /// rows of the superstep the run ended in follow, and the writer is
+    /// drained before the outcome is decided, so its thread never leaks;
+    /// an engine or query failure takes precedence over the store's.
+    fn run_wrapped<A, F>(
         &self,
         analytic: &A,
-        spec: &CaptureSpec,
-        custom: Option<Arc<dyn CustomProv<A>>>,
-        spawn_writer: fn(StoreConfig) -> StoreWriter,
+        config: OnlineConfig<A>,
+        writer: Option<StoreWriter>,
         drive: F,
-    ) -> Result<CaptureRun<A::V>, AriadneError>
+    ) -> Result<Wrapped<A::V>, AriadneError>
     where
         A: VertexProgram,
         A::V: ProvEncode,
         A::M: ProvEncode,
         F: FnOnce(&Engine, &OnlineProgram<'_, A>) -> Result<WrappedRun<A::V>, EngineError>,
     {
-        if !spec.supports_online() {
-            let direction = spec
-                .query
-                .as_ref()
-                .map(|q| q.direction())
-                .unwrap_or(Direction::Local);
-            return Err(AriadneError::UnsupportedMode {
-                mode: "capture",
-                direction,
-            });
-        }
-        let writer = spawn_writer(self.store.clone());
-        let persist = Persist {
-            sender: writer.sender(),
-            preds: Arc::new(spec.persist_preds()),
-        };
-        let shipped: BTreeSet<String> = spec
-            .query
-            .as_ref()
-            .map(|q| q.query().shipped.clone())
-            .unwrap_or_default();
-        let config = OnlineConfig {
-            evaluator: spec.query.as_ref().map(|q| q.evaluator().clone()),
-            needed: Arc::new(spec.needed()),
-            shipped: Arc::new(shipped),
-            persist: Some(persist),
-            custom,
-        };
         let program = OnlineProgram::new(analytic, config);
         let result = drive(&Engine::new(self.engine.clone()), &program);
-        // Rows of a superstep the run ended in, then the writer: drained
-        // before deciding the outcome so its thread never leaks; an
-        // engine or query failure takes precedence over store state.
-        program.flush();
-        let store = writer.finish();
+        let store = writer.map(|writer| {
+            program.flush();
+            writer.finish()
+        });
         let result = result?;
         check_query_failure(&program)?;
-        let store = store.map_err(AriadneError::Store)?;
-        Ok(CaptureRun {
-            values: result.values.into_iter().map(|s| s.value).collect(),
-            store,
-            metrics: result.metrics,
-            query_stats: program.query_stats(),
-        })
+        Ok((result, program.query_stats(), store.transpose()?))
     }
 
     /// Layered offline evaluation over a captured store (§5.1): parallel
@@ -453,6 +385,49 @@ impl Ariadne {
     }
 }
 
+/// The engine's fallible path: a fresh checkpointed run, or a resume from
+/// the newest valid snapshot.
+fn checkpointed<P>(
+    engine: &Engine,
+    program: &P,
+    graph: &Csr,
+    resume: bool,
+) -> Result<RunResult<P::V>, EngineError>
+where
+    P: VertexProgram,
+    P::V: Snapshot,
+    P::M: Snapshot,
+{
+    if resume {
+        engine.resume(program, graph)
+    } else {
+        engine.run_checkpointed(program, graph)
+    }
+}
+
+/// The wrapper configuration of an online run of `query`; refused for a
+/// query that cannot run online (§5.2).
+fn online_config<A: VertexProgram>(
+    query: &CompiledQuery,
+    custom: Option<Arc<dyn CustomProv<A>>>,
+) -> Result<OnlineConfig<A>, AriadneError> {
+    let direction = query.direction();
+    if !direction.supports_online() {
+        return Err(AriadneError::UnsupportedMode {
+            mode: "online",
+            direction,
+        });
+    }
+    let analyzed = query.query();
+    Ok(OnlineConfig {
+        evaluator: Some(query.evaluator().clone()),
+        needed: Arc::new(analyzed.edbs.clone()),
+        shipped: Arc::new(analyzed.shipped.clone()),
+        persist: None,
+        custom,
+    })
+}
+
 /// Surface a query failure recorded inside the wrapped program as a
 /// typed error (it used to panic the engine worker).
 fn check_query_failure<A: VertexProgram>(program: &OnlineProgram<'_, A>) -> Result<(), AriadneError> {
@@ -475,7 +450,7 @@ fn check_query_failure<A: VertexProgram>(program: &OnlineProgram<'_, A>) -> Resu
 fn finish_online<V>(
     result: WrappedRun<V>,
     idbs: &std::collections::BTreeMap<String, usize>,
-    query_stats: ariadne_pql::EvalStats,
+    query_stats: EvalStats,
 ) -> OnlineRun<V> {
     let mut merged = Database::new();
     let mut values = Vec::with_capacity(result.values.len());
@@ -497,6 +472,21 @@ fn finish_online<V>(
     OnlineRun {
         values,
         query_results: merged,
+        metrics: result.metrics,
+        query_stats,
+    }
+}
+
+/// A capture's outcome: the analytic values and the store its writer
+/// handed back.
+fn finish_capture<V>(
+    result: WrappedRun<V>,
+    query_stats: EvalStats,
+    store: Option<ProvStore>,
+) -> CaptureRun<V> {
+    CaptureRun {
+        values: result.values.into_iter().map(|s| s.value).collect(),
+        store: store.expect("a capture attaches a store writer"),
         metrics: result.metrics,
         query_stats,
     }

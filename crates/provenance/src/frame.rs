@@ -548,7 +548,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(store.layer(0), Err(StoreError::Corrupt { .. })));
         let read = store
-            .layer_read_with(0, &LayerFilter::all(), ReadPolicy::Degraded)
+            .layer_blocks(0, &LayerFilter::all(), ReadPolicy::Degraded)
             .unwrap();
         assert_eq!(read.tuples[0].1.len(), 10, "second record survives");
         assert_eq!(read.degradation.records_skipped, 1);

@@ -529,6 +529,7 @@ impl ProvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rows::Rows;
     use crate::spool::{segment_path, torn_sidecar_path};
     use crate::store::tests::{temp_dir, tuple};
     use crate::store::{LayerFilter, ReadPolicy, StoreConfig};
@@ -577,7 +578,7 @@ mod tests {
             Err(StoreError::Quarantined { .. })
         ));
         let read = store
-            .layer_read_with(0, &LayerFilter::all(), ReadPolicy::Degraded)
+            .layer_blocks(0, &LayerFilter::all(), ReadPolicy::Degraded)
             .unwrap();
         assert_eq!(read.degradation.segments_skipped, 1);
         let remaining: usize = read.tuples.iter().map(|(_, t)| t.len()).sum();

@@ -715,7 +715,7 @@ pub struct LayerRead<R = Vec<Tuple>> {
 
 impl LayerRead<RowBlock> {
     /// Copy every block's rows out as tuples: the adapter behind
-    /// [`ProvStore::layer_read_with`].
+    /// [`ProvStore::layer_read`].
     pub(crate) fn into_tuples(self) -> LayerRead {
         LayerRead {
             tuples: self
@@ -919,7 +919,7 @@ impl ProvStore {
         if seg.pending.len() >= PACK_THRESHOLD {
             seg.pack(format, &mut self.mem_bytes, superstep, pred);
         }
-        match self.maybe_spill() {
+        match self.spill_down_to(self.config.memory_budget) {
             Ok(()) => Ok(()),
             Err(e) if self.config.on_spill_error == OnSpillError::DropCapture => {
                 // Poison the store instead of aborting the run: already-
@@ -962,12 +962,15 @@ impl ProvStore {
         }
     }
 
-    fn maybe_spill(&mut self) -> Result<(), StoreError> {
+    /// Spill the largest in-memory segments until at most `budget` bytes
+    /// stay in memory: at 0, every row is in the spool (a store without
+    /// one keeps them).
+    pub(crate) fn spill_down_to(&mut self, budget: usize) -> Result<(), StoreError> {
         let Some(dir) = self.config.spool_dir.clone() else {
             return Ok(());
         };
         let mut dir_ready = false;
-        while self.mem_bytes > self.config.memory_budget {
+        while self.mem_bytes > budget {
             // Spill the largest in-memory segment (pending rows count at
             // their record estimate).
             let key = match self
@@ -984,7 +987,7 @@ impl ProvStore {
             // mem_bytes under the budget, in which case no spill is
             // needed after all.
             self.pack_key(&key);
-            if self.mem_bytes <= self.config.memory_budget {
+            if self.mem_bytes <= budget {
                 continue;
             }
             if !dir_ready {
@@ -1091,30 +1094,20 @@ impl ProvStore {
     /// decode as [`Value::Unit`](ariadne_pql::Value::Unit) without
     /// materializing the stored values; for v2 records the whole encoded
     /// column block is skipped.
-    /// Uses [`ReadPolicy::Strict`]; see [`ProvStore::layer_read_with`].
+    /// The rows are those of a strict [`ProvStore::layer_blocks`], copied
+    /// out as tuples.
     pub fn layer_read(&self, superstep: u32, filter: &LayerFilter) -> Result<LayerRead, StoreError> {
-        self.layer_read_with(superstep, filter, ReadPolicy::Strict)
+        Ok(self.layer_blocks(superstep, filter, ReadPolicy::Strict)?.into_tuples())
     }
 
-    /// [`ProvStore::layer_read`] with an explicit [`ReadPolicy`]. Under
+    /// One layer through a [`LayerFilter`] under `policy`, each
+    /// predicate's rows in the [`RowBlock`] they were decoded into. Under
     /// [`ReadPolicy::Strict`] any damage — a corrupt record, a
     /// quarantined segment of this layer, or a poisoned store — is a
     /// typed error. Under [`ReadPolicy::Degraded`] damaged records are
     /// skipped, quarantined segments are counted, and the exact loss is
-    /// reported on [`LayerRead::degradation`]. The rows are those of
-    /// [`ProvStore::layer_blocks`], copied out as tuples.
-    pub fn layer_read_with(
-        &self,
-        superstep: u32,
-        filter: &LayerFilter,
-        policy: ReadPolicy,
-    ) -> Result<LayerRead, StoreError> {
-        Ok(self.layer_blocks(superstep, filter, policy)?.into_tuples())
-    }
-
-    /// [`ProvStore::layer_read_with`] without the copy: each predicate's
-    /// rows in the [`RowBlock`] they were decoded into. A store with
-    /// epochs folds its logical layer newest-first (see [`crate::epoch`]).
+    /// reported on [`LayerRead::degradation`]. A store with epochs folds
+    /// its logical layer newest-first (see [`crate::epoch`]).
     pub fn layer_blocks(
         &self,
         superstep: u32,
@@ -1887,7 +1880,7 @@ pub(crate) mod tests {
         // Degraded read: the in-memory records survive (the failed spill
         // restored them) and the poisoning is reported.
         let read = store
-            .layer_read_with(0, &LayerFilter::all(), ReadPolicy::Degraded)
+            .layer_blocks(0, &LayerFilter::all(), ReadPolicy::Degraded)
             .unwrap();
         assert_eq!(read.tuples[0].1.len(), 20);
         assert!(!read.degradation.is_clean());

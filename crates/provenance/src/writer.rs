@@ -30,6 +30,8 @@ enum WriterMsg {
         pred: Arc<str>,
         block: RowBlock,
     },
+    /// Spill everything ingested so far, then answer.
+    Sync(Sender<()>),
     Finish,
 }
 
@@ -87,6 +89,19 @@ impl StoreSender {
             self.pending.fetch_sub(1, Relaxed);
         }
     }
+
+    /// Block until the writer has spilled every row it was given before
+    /// this call (a store without a spool keeps them), so a checkpoint
+    /// taken now covers no row that lives only in memory. A failed spill
+    /// here ends the writer under any [`OnSpillError`](crate::OnSpillError)
+    /// policy; [`StoreWriter::finish`] reports it, as it does a writer
+    /// that was already dead.
+    pub fn sync(&self) {
+        let (answer, synced) = channel();
+        if self.sender.send(WriterMsg::Sync(answer)).is_ok() {
+            let _ = synced.recv();
+        }
+    }
 }
 
 impl StoreWriter {
@@ -131,6 +146,10 @@ impl StoreWriter {
                             pred,
                             block,
                         } => store.ingest_block(superstep, &pred, block)?,
+                        WriterMsg::Sync(answer) => {
+                            store.spill_down_to(0)?;
+                            let _ = answer.send(());
+                        }
                         WriterMsg::Finish => break,
                     }
                 }

@@ -6,7 +6,7 @@
 use ariadne_pql::Value;
 use ariadne_provenance::codec::{decode_tuples, decode_tuples_masked};
 use ariadne_provenance::columnar::{decode_columnar, encode_columnar};
-use ariadne_provenance::{scrub_spool, LayerFilter, ProvStore, ReadPolicy, StoreConfig};
+use ariadne_provenance::{scrub_spool, LayerFilter, ProvStore, ReadPolicy, Rows, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
@@ -162,7 +162,7 @@ fn mutated_spools_never_panic() {
                 let mut seen = 0usize;
                 for s in 0..3u32 {
                     let read = resumed
-                        .layer_read_with(s, &LayerFilter::all(), ReadPolicy::Degraded)
+                        .layer_blocks(s, &LayerFilter::all(), ReadPolicy::Degraded)
                         .unwrap();
                     seen += read.tuples.iter().map(|(_, t)| t.len()).sum::<usize>();
                 }

@@ -39,7 +39,7 @@ pub use admission::{Admission, AdmissionConfig, Admit};
 pub use cache::{CacheKey, CachedResult, ReplayCache, ReplaySummary};
 pub use cursor::{fnv1a64, Cursor, CursorError};
 
-use ariadne::{compile, run_layered_range, CompiledQuery, LayeredConfig};
+use ariadne::{compile, run_layered_with, CompiledQuery, LayeredConfig};
 use ariadne_graph::Csr;
 use ariadne_pql::{parse_param_value, Params, Tuple};
 use ariadne_provenance::{EpochStats, ProvStore};
@@ -422,15 +422,12 @@ impl QueryService {
                 // more of them runnable than `threads`, a miss's latency
                 // depends on what it overlaps. `_guard` counts this one.
                 let beside = self.admission.in_flight().max(1);
-                let layered = LayeredConfig::parallel(self.config.threads / beside);
-                let run = run_layered_range(
-                    graph,
-                    store,
-                    &query,
-                    &layered,
-                    requested,
-                )
-                .map_err(|e| ServeError::Replay(e.to_string()))?;
+                let layered = LayeredConfig {
+                    layers: requested,
+                    ..LayeredConfig::parallel(self.config.threads / beside)
+                };
+                let run = run_layered_with(graph, store, &query, &layered)
+                    .map_err(|e| ServeError::Replay(e.to_string()))?;
                 debug_assert_eq!(
                     run.layer_range,
                     if run.layers == 0 { run.layer_range } else { effective },

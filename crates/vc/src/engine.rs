@@ -363,7 +363,7 @@ impl Engine {
     }
 
     /// Resume from an explicit, already-validated checkpoint.
-    pub fn resume_from<P>(
+    fn resume_from<P>(
         &self,
         program: &P,
         graph: &Csr,

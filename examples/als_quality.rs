@@ -8,7 +8,7 @@
 
 use ariadne::custom::AlsProv;
 use ariadne::queries;
-use ariadne::session::Ariadne;
+use ariadne::session::{Ariadne, RunOptions};
 use ariadne_analytics::als::{rmse, Als, AlsConfig};
 use ariadne_graph::generators::{BipartiteRatings, RatingsConfig};
 use ariadne_graph::VertexId;
@@ -41,9 +41,13 @@ fn main() {
     // Train with Query 7 (range check) always on. The AlsProv generator
     // derives prov_error / prov_prediction from the analytic's state —
     // the ALS code itself knows nothing about provenance.
+    let als_prov = RunOptions {
+        custom: Some(Arc::new(AlsProv)),
+        ..RunOptions::default()
+    };
     let q7 = queries::als_range_check().unwrap();
     let run = ariadne
-        .online_with(&als, &ratings.graph, &q7, Some(Arc::new(AlsProv)))
+        .online_with(&als, &ratings.graph, &q7, &als_prov)
         .unwrap();
     let model_rmse = rmse(&ratings.graph, &run.values, ratings.users);
     println!(
@@ -61,7 +65,7 @@ fn main() {
     // between consecutive iterations — candidates for special handling.
     let q8 = queries::als_error_increase(0.25).unwrap();
     let run = ariadne
-        .online_with(&als, &ratings.graph, &q8, Some(Arc::new(AlsProv)))
+        .online_with(&als, &ratings.graph, &q8, &als_prov)
         .unwrap();
     let problems = run.query_results.sorted("problem");
     println!("Q8: {} error-increase events", problems.len());
@@ -85,7 +89,7 @@ fn main() {
         }
     });
     let run = ariadne
-        .online_with(&als, &corrupted, &q7, Some(Arc::new(AlsProv)))
+        .online_with(&als, &corrupted, &q7, &als_prov)
         .unwrap();
     let input_failed = run.query_results.sorted("input_failed");
     println!(

@@ -2,7 +2,7 @@
 
 use ariadne::custom::AlsProv;
 use ariadne::queries;
-use ariadne::session::Ariadne;
+use ariadne::session::{Ariadne, RunOptions};
 use ariadne_analytics::als::{Als, AlsConfig};
 use ariadne_graph::generators::{BipartiteRatings, RatingsConfig};
 use ariadne_graph::VertexId;
@@ -35,7 +35,10 @@ fn query7_range_check_runs_online() {
             &als,
             &br.graph,
             &queries::als_range_check().unwrap(),
-            Some(Arc::new(AlsProv)),
+            &RunOptions {
+                custom: Some(Arc::new(AlsProv)),
+                resume: false,
+            },
         )
         .unwrap();
     // The generator clamps ratings into 0..5, so the input never fails.
@@ -67,7 +70,10 @@ fn query7_catches_corrupted_input() {
             &als,
             &graph,
             &queries::als_range_check().unwrap(),
-            Some(Arc::new(AlsProv)),
+            &RunOptions {
+                custom: Some(Arc::new(AlsProv)),
+                resume: false,
+            },
         )
         .unwrap();
     let failures = run.query_results.sorted("input_failed");
@@ -86,7 +92,10 @@ fn query8_error_increase_monitoring() {
             &als,
             &br.graph,
             &queries::als_error_increase(0.5).unwrap(),
-            Some(Arc::new(AlsProv)),
+            &RunOptions {
+                custom: Some(Arc::new(AlsProv)),
+                resume: false,
+            },
         )
         .unwrap();
     // The aggregates must exist for every vertex that received features.
@@ -112,7 +121,10 @@ fn als_result_unchanged_by_monitoring() {
             &als,
             &br.graph,
             &queries::als_range_check().unwrap(),
-            Some(Arc::new(AlsProv)),
+            &RunOptions {
+                custom: Some(Arc::new(AlsProv)),
+                resume: false,
+            },
         )
         .unwrap();
     assert_eq!(baseline.values, online.values);

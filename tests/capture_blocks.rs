@@ -16,8 +16,8 @@
 use ariadne::custom::{AlsProv, CustomProv};
 use ariadne::online::{OnlineConfig, OnlineProgram, Persist};
 use ariadne::queries;
-use ariadne::session::Ariadne;
-use ariadne::CaptureSpec;
+use ariadne::session::{Ariadne, RunOptions};
+use ariadne::{CaptureSpec, Snapshot};
 use ariadne_analytics::als::{Als, AlsConfig};
 use ariadne_analytics::{PageRank, Sssp, Wcc};
 use ariadne_graph::generators::{rmat, BipartiteRatings, RatingsConfig, RmatConfig};
@@ -90,6 +90,7 @@ where
         persist: sender.map(|sender| Persist {
             sender,
             preds: Arc::new(spec.persist_preds()),
+            sync: false,
         }),
         custom,
     };
@@ -161,8 +162,8 @@ fn assert_sinks_agree<A>(
     custom: Option<Arc<dyn CustomProv<A>>>,
 ) where
     A: VertexProgram,
-    A::V: ProvEncode,
-    A::M: ProvEncode,
+    A::V: ProvEncode + Snapshot,
+    A::M: ProvEncode + Snapshot,
 {
     let dbs = wrapped_run(analytic, graph, spec, custom.clone(), None);
     let want = database_layers(&dbs, spec);
@@ -170,7 +171,15 @@ fn assert_sinks_agree<A>(
     assert!(rows > 0, "{name}: nothing to compare");
     for threads in THREADS {
         let run = Ariadne::with_threads(threads)
-            .capture_with(analytic, graph, spec, custom.clone())
+            .capture_with(
+                analytic,
+                graph,
+                spec,
+                &RunOptions {
+                    custom: custom.clone(),
+                    resume: false,
+                },
+            )
             .unwrap();
         assert_eq!(
             run.store.tuple_count(),
@@ -208,8 +217,8 @@ fn specs() -> Vec<(&'static str, CaptureSpec)> {
 fn assert_analytic<A>(name: &str, analytic: &A, graph: &Csr)
 where
     A: VertexProgram,
-    A::V: ProvEncode,
-    A::M: ProvEncode,
+    A::V: ProvEncode + Snapshot,
+    A::M: ProvEncode + Snapshot,
 {
     for (spec_name, spec) in specs() {
         assert_sinks_agree(

@@ -4,12 +4,20 @@
 //! the online wrapper and capture runs (store included). Corrupted
 //! snapshots fall back or fail with typed errors, never panics.
 
-use ariadne::session::{Ariadne, AriadneError};
-use ariadne::{queries, CaptureSpec, CheckpointConfig, EngineConfig, EngineError, FaultPlan};
+use ariadne::custom::AlsProv;
+use ariadne::session::{Ariadne, AriadneError, RunOptions};
+use ariadne::{
+    compile_with, queries, CaptureSpec, CheckpointConfig, EngineConfig, EngineError, FaultPlan,
+    StoreConfig,
+};
+use ariadne_analytics::als::{Als, AlsConfig};
 use ariadne_analytics::{PageRank, Sssp, Wcc};
 use ariadne_graph::generators::erdos_renyi::erdos_renyi;
 use ariadne_graph::generators::regular::{cycle, path};
+use ariadne_graph::generators::{BipartiteRatings, RatingsConfig};
 use ariadne_graph::{Csr, VertexId};
+use ariadne_pql::{Params, Tuple, UdfRegistry};
+use ariadne_provenance::{ProvEncode, ProvStore};
 use ariadne_vc::{Engine, RunMetrics, RunResult, VertexProgram};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -212,14 +220,22 @@ fn online_run_resumes_with_query_state() {
     let plan = FaultPlan::new();
     plan.kill_at_superstep(2);
     let err = ckpt_session(&dir, 1, Some(plan))
-        .online_checkpointed(&Wcc, &g, &q)
+        .online_with(&Wcc, &g, &q, &RunOptions::default())
         .expect_err("fault must fire");
     assert!(matches!(
         err,
         AriadneError::Engine(EngineError::InjectedCrash { superstep: 2 })
     ));
     let resumed = ckpt_session(&dir, 1, None)
-        .resume_online(&Wcc, &g, &q)
+        .online_with(
+            &Wcc,
+            &g,
+            &q,
+            &RunOptions {
+                resume: true,
+                ..RunOptions::default()
+            },
+        )
         .unwrap();
     assert_eq!(reference.values, resumed.values);
     for name in ["no_message", "no_change"] {
@@ -244,7 +260,7 @@ fn capture_resume_recovers_an_identical_store() {
     reference_session.store =
         ariadne::StoreConfig::spilling(1, ref_dir.join("spool"));
     let reference = reference_session
-        .capture_checkpointed(&Wcc, &g, &CaptureSpec::full())
+        .capture_with(&Wcc, &g, &CaptureSpec::full(), &RunOptions::default())
         .unwrap();
 
     let dir = scratch("cap");
@@ -253,7 +269,7 @@ fn capture_resume_recovers_an_identical_store() {
     let mut crashed_session = ckpt_session(&dir.join("ckpt"), 1, Some(plan));
     crashed_session.store = ariadne::StoreConfig::spilling(1, dir.join("spool"));
     let err = crashed_session
-        .capture_checkpointed(&Wcc, &g, &CaptureSpec::full())
+        .capture_with(&Wcc, &g, &CaptureSpec::full(), &RunOptions::default())
         .expect_err("fault must fire");
     assert!(matches!(
         err,
@@ -263,7 +279,15 @@ fn capture_resume_recovers_an_identical_store() {
     let mut resume_session = ckpt_session(&dir.join("ckpt"), 1, None);
     resume_session.store = ariadne::StoreConfig::spilling(1, dir.join("spool"));
     let resumed = resume_session
-        .resume_capture(&Wcc, &g, &CaptureSpec::full())
+        .capture_with(
+            &Wcc,
+            &g,
+            &CaptureSpec::full(),
+            &RunOptions {
+                resume: true,
+                ..RunOptions::default()
+            },
+        )
         .unwrap();
 
     assert_eq!(reference.values, resumed.values);
@@ -282,6 +306,226 @@ fn capture_resume_recovers_an_identical_store() {
         }
     }
     std::fs::remove_dir_all(&ref_dir).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every layer of `store`, predicates and each predicate's rows sorted.
+fn sorted_layers(store: &ProvStore) -> Vec<Vec<(String, Vec<Tuple>)>> {
+    let layers = store.max_superstep().map_or(0, |max| max + 1);
+    (0..layers)
+        .map(|s| {
+            let mut layer = store.layer(s).unwrap();
+            for (_, rows) in &mut layer {
+                rows.sort();
+            }
+            layer.sort_by(|a, b| a.0.cmp(&b.0));
+            layer
+        })
+        .collect()
+}
+
+/// A capture killed at superstep 3 and resumed is the uninterrupted
+/// capture row for row, or fails typed — never a store with layers
+/// missing. The snapshot's layers are in the spool already (a one-byte
+/// budget), get there only because the checkpoint waits for them (a
+/// budget nothing reaches), or cannot get there (no spool at all).
+#[test]
+fn capture_resume_is_complete_or_typed() {
+    let g = path(8);
+    let spec = CaptureSpec::full();
+    let reference = Ariadne::default().capture(&Wcc, &g, &spec).unwrap();
+    let want = sorted_layers(&reference.store);
+    let resume = RunOptions {
+        resume: true,
+        ..RunOptions::default()
+    };
+    for budget in [Some(1), Some(1 << 30), None] {
+        let dir = scratch(&format!("complete-{budget:?}"));
+        let session = |fault| Ariadne {
+            store: match budget {
+                Some(budget) => StoreConfig::spilling(budget, dir.join("spool")),
+                None => StoreConfig::in_memory(),
+            },
+            ..ckpt_session(&dir.join("ckpt"), 1, fault)
+        };
+        let plan = FaultPlan::new();
+        plan.kill_at_superstep(3);
+        let err = session(Some(plan))
+            .capture_with(&Wcc, &g, &spec, &RunOptions::default())
+            .expect_err("fault must fire");
+        assert!(
+            matches!(err, AriadneError::Engine(EngineError::InjectedCrash { superstep: 3 })),
+            "{err:?}"
+        );
+        match session(None).capture_with(&Wcc, &g, &spec, &resume) {
+            Ok(run) => {
+                assert!(budget.is_some(), "a capture with no spool resumed");
+                assert_eq!(reference.values, run.values);
+                assert_eq!(reference.store.tuple_count(), run.store.tuple_count());
+                assert_eq!(want, sorted_layers(&run.store), "budget {budget:?}");
+            }
+            Err(err) => {
+                assert!(budget.is_none(), "budget {budget:?}: {err}");
+                assert!(matches!(err, AriadneError::Store(_)), "{err:?}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Kill `session`'s full capture of `analytic` at superstep `kill` and
+/// resume it: the resumed store, or `None` when the run ended first.
+fn capture_after_crash<A>(
+    session: impl Fn(Option<Arc<FaultPlan>>) -> Ariadne,
+    analytic: &A,
+    graph: &Csr,
+    kill: u32,
+) -> Option<ProvStore>
+where
+    A: VertexProgram,
+    A::V: ProvEncode + ariadne::Snapshot,
+    A::M: ProvEncode + ariadne::Snapshot,
+{
+    let plan = FaultPlan::new();
+    plan.kill_at_superstep(kill);
+    let spec = CaptureSpec::full();
+    session(Some(plan))
+        .capture_with(analytic, graph, &spec, &RunOptions::default())
+        .err()?;
+    let resume = RunOptions {
+        resume: true,
+        ..RunOptions::default()
+    };
+    Some(session(None).capture_with(analytic, graph, &spec, &resume).unwrap().store)
+}
+
+/// A crash between checkpoints: several workers hand the writer a layer
+/// in several blocks, and a budget that spills some of them leaves the
+/// layer half in the spool unless the barrier waits for the rest. The
+/// resume must still equal the uninterrupted capture.
+#[test]
+fn capture_resumed_between_checkpoints_is_complete() {
+    let g = erdos_renyi(60, 240, 5);
+    let pr = PageRank {
+        supersteps: 6,
+        ..PageRank::default()
+    };
+    let spec = CaptureSpec::full();
+    let wcc_want = sorted_layers(&Ariadne::default().capture(&Wcc, &g, &spec).unwrap().store);
+    let pr_want = sorted_layers(&Ariadne::default().capture(&pr, &g, &spec).unwrap().store);
+    for every in [2, 3] {
+        for kill in 3..6 {
+            for budget in [512, 2048] {
+                let dir = scratch(&format!("between-{every}-{kill}-{budget}"));
+                let session = |fault| Ariadne {
+                    engine: EngineConfig {
+                        threads: 3,
+                        ..ckpt_config(&dir.join("ckpt"), every, fault)
+                    },
+                    store: StoreConfig::spilling(budget, dir.join("spool")),
+                    naive_budget: None,
+                };
+                let case = format!("every {every}, kill {kill}, budget {budget}");
+                if let Some(store) = capture_after_crash(session, &Wcc, &g, kill) {
+                    assert_eq!(wcc_want, sorted_layers(&store), "wcc, {case}");
+                }
+                std::fs::remove_dir_all(&dir).ok();
+                let store = capture_after_crash(session, &pr, &g, kill).expect("fault must fire");
+                assert_eq!(pr_want, sorted_layers(&store), "pagerank, {case}");
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
+    }
+}
+
+/// Custom provenance under a checkpointed run: ALS with `AlsProv`,
+/// killed at superstep 2 and resumed, gives the uninterrupted run's
+/// values and `prov_error` / `prov_prediction` rows bit for bit.
+#[test]
+fn custom_provenance_online_run_resumes_bit_identical() {
+    let ratings = BipartiteRatings::generate(&RatingsConfig {
+        users: 30,
+        items: 10,
+        ratings_per_user: 5,
+        planted_rank: 2,
+        noise: 0.2,
+        seed: 9,
+    });
+    let mut config = AlsConfig::new(ratings.users, 3);
+    config.supersteps = 6;
+    let als = Als::new(config);
+    let q = compile_with(
+        "seen_error(x, y, i, e) :- prov_error(x, y, i, e).
+         seen_prediction(x, y, i, p) :- prov_prediction(x, y, i, p).",
+        Params::new(),
+        &queries::als_catalog(),
+        UdfRegistry::standard(),
+    )
+    .unwrap();
+    let fresh = RunOptions {
+        custom: Some(Arc::new(AlsProv)),
+        resume: false,
+    };
+    let reference = Ariadne::default()
+        .online_with(&als, &ratings.graph, &q, &fresh)
+        .unwrap();
+
+    let dir = scratch("als");
+    let plan = FaultPlan::new();
+    plan.kill_at_superstep(2);
+    let err = ckpt_session(&dir, 1, Some(plan))
+        .online_with(&als, &ratings.graph, &q, &fresh)
+        .expect_err("fault must fire");
+    assert!(matches!(
+        err,
+        AriadneError::Engine(EngineError::InjectedCrash { superstep: 2 })
+    ));
+    let resumed = ckpt_session(&dir, 1, None)
+        .online_with(
+            &als,
+            &ratings.graph,
+            &q,
+            &RunOptions {
+                custom: Some(Arc::new(AlsProv)),
+                resume: true,
+            },
+        )
+        .unwrap();
+
+    let bits = |values: &[Vec<f64>]| -> Vec<Vec<u64>> {
+        values.iter().map(|v| v.iter().map(|x| x.to_bits()).collect()).collect()
+    };
+    assert_eq!(bits(&reference.values), bits(&resumed.values));
+    for name in ["seen_error", "seen_prediction"] {
+        let rows = reference.query_results.sorted(name);
+        assert!(!rows.is_empty(), "{name}: nothing to compare");
+        assert_eq!(rows, resumed.query_results.sorted(name), "{name} diverged across resume");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `online_with` snapshots the run when `EngineConfig::checkpoint` is
+/// set; `online`, the infallible path, never writes one.
+#[test]
+fn only_online_with_writes_snapshots() {
+    let g = path(8);
+    let q = queries::sssp_wcc_no_message_no_change().unwrap();
+    let snapshots = |dir: &Path| match std::fs::read_dir(dir) {
+        Ok(entries) => entries
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("ckpt-") && name.ends_with(".snap"))
+            .count(),
+        Err(_) => 0,
+    };
+    let dir = scratch("snaps");
+    let session = ckpt_session(&dir, 1, None);
+    let plain = session.online(&Wcc, &g, &q).unwrap();
+    assert_eq!(snapshots(&dir), 0, "online wrote a snapshot");
+    let checkpointed = session
+        .online_with(&Wcc, &g, &q, &RunOptions::default())
+        .unwrap();
+    assert!(snapshots(&dir) > 0, "online_with wrote no snapshot");
+    assert_eq!(plain.values, checkpointed.values);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -9,7 +9,7 @@
 use ariadne_pql::Value;
 use ariadne_provenance::{
     compact_spool, scrub_spool, Durability, LayerFilter, ProvStore, ReadBackend, ReadPolicy,
-    ScrubAction, ScrubReport, SegmentFormat, StoreConfig, StoreError,
+    Rows, ScrubAction, ScrubReport, SegmentFormat, StoreConfig, StoreError,
 };
 use std::path::{Path, PathBuf};
 
@@ -206,7 +206,7 @@ fn repair_then_strict_open_and_degraded_loss() {
     let err = resumed.layer_read(1, &LayerFilter::all()).unwrap_err();
     assert!(matches!(err, StoreError::Quarantined { .. }), "{err:?}");
     let read = resumed
-        .layer_read_with(1, &LayerFilter::all(), ReadPolicy::Degraded)
+        .layer_blocks(1, &LayerFilter::all(), ReadPolicy::Degraded)
         .unwrap();
     assert_eq!(read.degradation.segments_skipped, 1);
     assert!(!read.degradation.is_clean());
@@ -253,13 +253,13 @@ fn enospc_drop_capture_completes_the_run() {
     assert!(store.dropped_batches() > 0);
 
     let err = store
-        .layer_read_with(0, &LayerFilter::all(), ReadPolicy::Strict)
+        .layer_blocks(0, &LayerFilter::all(), ReadPolicy::Strict)
         .unwrap_err();
     assert!(matches!(err, StoreError::Degraded { .. }), "{err:?}");
     assert!(err.source().is_some(), "poison cause must be chained");
 
     let read = store
-        .layer_read_with(0, &LayerFilter::all(), ReadPolicy::Degraded)
+        .layer_blocks(0, &LayerFilter::all(), ReadPolicy::Degraded)
         .unwrap();
     assert!(!read.degradation.is_clean());
 
@@ -549,7 +549,7 @@ fn online_repair_equals_offline_repair_and_reopen() {
     }
     fn read_view(store: &ProvStore, layer: u32, dir: &Path) -> String {
         let read = store
-            .layer_read_with(layer, &LayerFilter::all(), ReadPolicy::Degraded)
+            .layer_blocks(layer, &LayerFilter::all(), ReadPolicy::Degraded)
             .unwrap();
         format!("{read:?}").replace(&dir.display().to_string(), "<spool>")
     }
