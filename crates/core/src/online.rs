@@ -24,6 +24,27 @@
 //! and query state is disjoint from analytic state — the two halves of
 //! Theorem 5.4's non-interference argument, here enforced by types.
 //!
+//! # When the analytic's combiner stays on
+//!
+//! A combiner folds a vertex's inbox into one message with no sender, so
+//! the wrapper turns the analytic's combiner off whenever something could
+//! see what it erases: a capture (it stores every `receive_message` row),
+//! a custom generator (it reads the inbox), a shipped predicate (payloads
+//! ride on messages and cannot be folded), or a rule that reads
+//! `receive_message`'s sender or payload. A run with none of these is
+//! *blind to senders*: no `persist`, no `custom`, nothing shipped, and
+//! `receive_message` either unread or with columns 1 and 2 dropped by
+//! [`column_masks`] — which keeps every column of a predicate an
+//! aggregate rule scans. A blind run keeps the analytic's combiner
+//! ([`VertexProgram::combiner`]) and generates `receive_message` projected:
+//! one `receive_message(x, Unit, Unit, i)` row per vertex-step with a
+//! non-empty inbox ([`EdbFlags::receive_projected`]). The mask proves no
+//! rule's result depends on the dropped columns, the set of vertex-steps
+//! with a non-empty inbox does not depend on combining, and the analytic
+//! sees the inbox its bare run sees — Theorem 5.4's "analytic untouched"
+//! holds literally. Queries 5 and 6 are blind; apt, Query 4 and every
+//! capture are not.
+//!
 //! # What a vertex-superstep allocates
 //!
 //! This runs once per vertex per superstep beside an analytic that costs
@@ -71,6 +92,7 @@
 //! takes that arena's lock. Transient allocations are what made online
 //! runs *slower* on two threads than on one (DESIGN.md §3.14).
 
+use crate::columns::column_masks;
 use crate::custom::CustomProv;
 use crate::state::QueryState;
 use ariadne_graph::{Csr, VertexId};
@@ -178,6 +200,22 @@ impl<M> OnlineMsg<M> {
     }
 }
 
+/// The analytic's combiner, folding the analytic's messages. Only a run
+/// blind to senders combines, and such a run ships nothing, so there is
+/// never a payload to fold.
+struct AnalyticCombiner<M>(Box<dyn Combiner<M>>);
+
+impl<M: Send + Sync> Combiner<OnlineMsg<M>> for AnalyticCombiner<M> {
+    fn combine(&self, acc: &mut OnlineMsg<M>, incoming: &OnlineMsg<M>) {
+        debug_assert!(acc.payload.is_none() && incoming.payload.is_none());
+        self.0.combine(&mut acc.msg, &incoming.msg);
+    }
+
+    fn is_exact(&self) -> bool {
+        self.0.is_exact()
+    }
+}
+
 /// A query-evaluation failure captured inside the engine's compute hot
 /// path (previously a panic). The engine halts at the next barrier and
 /// the session surfaces this as a typed error.
@@ -252,6 +290,9 @@ pub struct OnlineProgram<'a, A: VertexProgram> {
     config: OnlineConfig<A>,
     /// `config.needed`, resolved to flags once.
     flags: EdbFlags,
+    /// The run is blind to senders: the analytic's combiner stays on
+    /// (see the module docs).
+    blind: bool,
     /// Where each generated predicate's rows go, by `EdbPred as usize`.
     routes: [Route; EdbPred::ALL.len()],
     /// `config.persist`, resolved once.
@@ -292,9 +333,21 @@ impl<'a, A: VertexProgram> OnlineProgram<'a, A> {
                 block,
             }
         });
+        let drops_sender = |e: &Arc<Evaluator>| {
+            let masks = column_masks(e.query());
+            matches!(masks.get("receive_message").map(|m| &m[..]), Some([_, false, false, ..]))
+        };
+        let blind = config.persist.is_none()
+            && config.custom.is_none()
+            && config.shipped.is_empty()
+            && (!config.needed.contains("receive_message")
+                || config.evaluator.as_ref().is_some_and(drops_sender));
+        let mut flags = EdbFlags::of(&config.needed);
+        flags.receive_projected = blind && flags.receive_message;
         OnlineProgram {
             analytic,
-            flags: EdbFlags::of(&config.needed),
+            flags,
+            blind,
             routes,
             capture,
             config,
@@ -395,11 +448,15 @@ where
         self.workers.lock().expect("worker pool lock").push(worker);
     }
 
-    // The analytic's configuration passes through untouched — except the
-    // combiner: combining would erase the per-source identity provenance
-    // needs and would merge piggybacked payloads incorrectly.
+    // The analytic's configuration passes through untouched — the
+    // combiner only when the run is blind to senders: otherwise combining
+    // would erase the per-source identity the query or the capture reads,
+    // and would fold piggybacked payloads away.
     fn combiner(&self) -> Option<Box<dyn Combiner<Self::M>>> {
-        None
+        if !self.blind {
+            return None;
+        }
+        Some(Box::new(AnalyticCombiner(self.analytic.combiner()?)))
     }
 
     fn aggregators(&self) -> Vec<(String, AggOp)> {
@@ -592,6 +649,9 @@ mod tests {
                 ctx.send_to_out_neighbors(*value);
             }
         }
+        fn combiner(&self) -> Option<Box<dyn Combiner<i64>>> {
+            Some(Box::new(ariadne_vc::MaxCombiner))
+        }
     }
 
     fn online_config(src: &str) -> OnlineConfig<Hops> {
@@ -649,14 +709,48 @@ mod tests {
         }
     }
 
+    /// The analytic's combiner, folding two messages, if the wrapper
+    /// keeps it.
+    fn combined(wrapped: &OnlineProgram<'_, Hops>) -> Option<i64> {
+        let combiner = wrapped.combiner()?;
+        let mut acc = OnlineMsg { msg: 3, payload: None };
+        combiner.combine(&mut acc, &OnlineMsg { msg: 5, payload: None });
+        Some(acc.msg)
+    }
+
     #[test]
-    fn wrapper_disables_combiner_and_keeps_analytic_knobs() {
-        let cfg = online_config("seen(x, i) :- superstep(x, i).");
-        let wrapped = OnlineProgram::new(&Hops, cfg);
-        assert!(wrapped.combiner().is_none());
-        assert_eq!(wrapped.max_supersteps(), Hops.max_supersteps());
-        assert_eq!(wrapped.always_active(), Hops.always_active());
-        assert!(wrapped.aggregators().is_empty());
+    fn blind_wrapper_keeps_combiner_and_analytic_knobs() {
+        // Neither rule reads a sender: the second reads
+        // `receive_message` for its existence only.
+        for src in [
+            "seen(x, i) :- superstep(x, i).",
+            "heard(x, i) :- receive_message(x, y, m, i).",
+        ] {
+            let wrapped = OnlineProgram::new(&Hops, online_config(src));
+            assert_eq!(combined(&wrapped), Some(5), "{src}");
+            assert_eq!(wrapped.max_supersteps(), Hops.max_supersteps());
+            assert_eq!(wrapped.always_active(), Hops.always_active());
+            assert!(wrapped.aggregators().is_empty());
+        }
+    }
+
+    #[test]
+    fn sender_reading_wrapper_disables_combiner() {
+        for src in [
+            // The sender is projected, joined, or counted by an aggregate.
+            "from(x, y, i) :- receive_message(x, y, m, i).",
+            "same(x, i) :- receive_message(x, y, m, i), value(x, y, i).",
+            "fan_in(x, count(i)) :- receive_message(x, y, m, i).",
+            // The payload is filtered on.
+            "big(x, i) :- receive_message(x, y, m, i), m > 2.",
+        ] {
+            let wrapped = OnlineProgram::new(&Hops, online_config(src));
+            assert_eq!(combined(&wrapped), None, "{src}");
+        }
+        // A blind query whose rows ride on messages.
+        let mut shipping = online_config("seen(x, i) :- superstep(x, i).");
+        shipping.shipped = Arc::new(["seen".to_string()].into());
+        assert_eq!(combined(&OnlineProgram::new(&Hops, shipping)), None);
     }
 
     #[test]

@@ -13,14 +13,18 @@
 //!
 //! Most relations of a per-vertex database hold a handful of tuples. Up to
 //! `SMALL` tuples a relation has no `Chains` at all: `insert`,
-//! `contains` and the probes are linear scans. The dedup table is built
-//! when the relation outgrows `SMALL`; a column index is built on the
-//! first probe after that and maintained incrementally on insert. Indexes
-//! live behind a `RefCell` because the evaluator reads relations through
-//! shared references while joining.
+//! `contains` and the probes are linear scans. Past `SMALL` every table is
+//! a cache: the dedup table is built by the first lookup, checked insert
+//! or full-key probe that needs it, a column index by the first probe on
+//! its columns, and each is maintained incrementally from then on.
+//! [`Relation::append_fresh`] appends a tuple the caller knows is new
+//! without a lookup, so a relation that only the EDB generator fills and
+//! only delta windows read never builds one. Tables live behind a
+//! `OnceCell` (dedup) or a `RefCell` (indexes) because the evaluator reads
+//! relations through shared references while joining.
 
 use crate::eval::value::Value;
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::hash::{Hash, Hasher};
 
 /// A relation tuple.
@@ -174,8 +178,9 @@ impl Chains {
 pub struct Relation {
     arity: usize,
     tuples: Vec<Tuple>,
-    /// Chains over all columns; `Some` exactly while `len() > SMALL`.
-    dedup: Option<Chains>,
+    /// Chains over all columns, built by the first lookup that needs them;
+    /// `None` while `len() <= SMALL`.
+    dedup: OnceCell<Chains>,
     /// Lazily built indexes over (sorted) column subsets; empty while
     /// `len() <= SMALL`.
     indexes: RefCell<Vec<Chains>>,
@@ -221,54 +226,71 @@ impl Relation {
         missed.map(|hash| self.push_new(tuple.to_vec(), hash)).is_some()
     }
 
+    /// Append a tuple the caller knows the relation does not hold, with no
+    /// lookup: nothing is hashed and no table is built, though the tables
+    /// a lookup already built are kept up to date. Appending a held tuple
+    /// breaks set semantics (debug builds check).
+    pub fn append_fresh(&mut self, tuple: &[Value]) {
+        self.check_arity(tuple);
+        debug_assert!(
+            !self.tuples.iter().any(|t| t[..] == *tuple),
+            "append_fresh of a tuple the relation holds"
+        );
+        self.push_new(tuple.to_vec(), None);
+    }
+
     /// Make room for `additional` more tuples, so a batch of inserts grows
     /// the tuple vector at most once.
     pub fn reserve(&mut self, additional: usize) {
         grow(&mut self.tuples, additional);
     }
 
-    /// The row holding `tuple`, or (for the insert that follows a miss)
-    /// its dedup hash — `0` while the relation is small and has no table.
-    fn find(&self, tuple: &[Value]) -> Result<usize, u64> {
+    fn check_arity(&self, tuple: &[Value]) {
         assert_eq!(
             tuple.len(),
             self.arity,
             "arity mismatch inserting into relation of arity {}",
             self.arity
         );
+    }
+
+    /// The row holding `tuple`, or (for the insert that follows a miss)
+    /// its dedup hash — `None` while the relation is small and has no
+    /// table.
+    fn find(&self, tuple: &[Value]) -> Result<usize, Option<u64>> {
+        self.check_arity(tuple);
         self.lookup(tuple)
     }
 
     /// [`Relation::find`] for a tuple of any length (none of another
     /// arity is held).
-    fn lookup(&self, tuple: &[Value]) -> Result<usize, u64> {
-        match &self.dedup {
-            Some(dedup) => {
-                let hash = hash_values(tuple.iter());
-                dedup.rows(hash).find(|&row| self.tuples[row] == tuple).ok_or(hash)
-            }
-            None => self.tuples.iter().position(|t| t == tuple).ok_or(0),
+    fn lookup(&self, tuple: &[Value]) -> Result<usize, Option<u64>> {
+        if self.tuples.len() <= SMALL {
+            return self.tuples.iter().position(|t| t == tuple).ok_or(None);
         }
+        let hash = hash_values(tuple.iter());
+        let found = self.dedup().rows(hash).find(|&row| self.tuples[row] == tuple);
+        found.ok_or(Some(hash))
     }
 
-    /// Append a tuple [`Relation::find`] missed with dedup hash `hash`.
-    fn push_new(&mut self, tuple: Tuple, hash: u64) {
+    /// The dedup table, built now if no lookup has needed it yet. Only a
+    /// relation past `SMALL` has one.
+    fn dedup(&self) -> &Chains {
+        self.dedup
+            .get_or_init(|| Chains::build((0..self.arity).collect(), &self.tuples))
+    }
+
+    /// Append a tuple the relation does not hold, keeping every built
+    /// table up to date; `hash` is its dedup hash when a lookup took it.
+    fn push_new(&mut self, tuple: Tuple, hash: Option<u64>) {
         grow(&mut self.tuples, 1);
-        match &mut self.dedup {
-            Some(dedup) => {
-                dedup.push(hash);
-                for index in self.indexes.get_mut() {
-                    index.push(index.key_hash(&tuple));
-                }
-                self.tuples.push(tuple);
-            }
-            None => {
-                self.tuples.push(tuple);
-                if self.tuples.len() > SMALL {
-                    self.reindex();
-                }
-            }
+        if let Some(dedup) = self.dedup.get_mut() {
+            dedup.push(hash.unwrap_or_else(|| dedup.key_hash(&tuple)));
         }
+        for index in self.indexes.get_mut() {
+            index.push(index.key_hash(&tuple));
+        }
+        self.tuples.push(tuple);
     }
 
     /// Whether the relation contains `tuple`.
@@ -303,10 +325,11 @@ impl Relation {
     }
 
     /// Whether the relation has outgrown linear scans: probes go through
-    /// a hash index, so a caller that re-enters the relation while
-    /// walking the matches must collect them first.
+    /// a hash index (built by the first probe that needs it), so a caller
+    /// that re-enters the relation while walking the matches must collect
+    /// them first.
     pub(crate) fn is_indexed(&self) -> bool {
-        self.dedup.is_some()
+        self.tuples.len() > SMALL
     }
 
     /// Feed the rows whose value at `cols[i]` equals `key(i)` to `stop`,
@@ -327,12 +350,12 @@ impl Relation {
             let tuple = &self.tuples[row];
             cols.iter().enumerate().all(|(i, &c)| tuple[c] == *key(i)) && stop(row)
         };
-        let Some(dedup) = &self.dedup else {
+        if !self.is_indexed() {
             return (0..self.tuples.len()).any(hit);
-        };
+        }
         let hash = hash_values((0..cols.len()).map(&key));
         if cols.len() == self.arity {
-            return dedup.rows(hash).any(hit);
+            return self.dedup().rows(hash).any(hit);
         }
         let mut indexes = self.indexes.borrow_mut();
         let at = indexes.iter().position(|i| i.cols == cols).unwrap_or_else(|| {
@@ -349,8 +372,8 @@ impl Relation {
     }
 
     /// Remove every tuple for which `keep` returns false, preserving the
-    /// insertion order of the survivors. Indexes are dropped (rebuilt
-    /// lazily on next probe). Returns the number of tuples removed.
+    /// insertion order of the survivors. Tables are dropped (rebuilt
+    /// lazily on next lookup). Returns the number of tuples removed.
     ///
     /// Removal compacts tuple indices, so any frontier or delta window a
     /// caller holds over this relation is invalidated — the maintenance
@@ -366,17 +389,16 @@ impl Relation {
         removed
     }
 
-    /// Drop every tuple, keeping the arity. Indexes are dropped too.
+    /// Drop every tuple, keeping the arity. Tables are dropped too.
     pub fn clear(&mut self) {
         self.tuples.clear();
         self.reindex();
     }
 
-    /// Re-establish the `dedup`/`indexes` invariants after rows moved.
+    /// Drop every table after rows moved; lookups rebuild what they need.
     fn reindex(&mut self) {
         self.indexes.get_mut().clear();
-        self.dedup = (self.tuples.len() > SMALL)
-            .then(|| Chains::build((0..self.arity).collect(), &self.tuples));
+        self.dedup.take();
     }
 
     /// Approximate heap footprint of the stored tuples in bytes (index
@@ -392,12 +414,11 @@ impl Relation {
 
 impl Clone for Relation {
     fn clone(&self) -> Self {
-        // Indexes are caches; drop them on clone.
+        // Tables are caches; drop them on clone.
         Relation {
             arity: self.arity,
             tuples: self.tuples.clone(),
-            dedup: self.dedup.clone(),
-            indexes: RefCell::new(Vec::new()),
+            ..Relation::default()
         }
     }
 }
@@ -528,11 +549,18 @@ mod tests {
         }
     }
 
+    /// Whether any table is built.
+    fn has_tables(rel: &Relation) -> bool {
+        rel.dedup.get().is_some() || !rel.indexes.borrow().is_empty()
+    }
+
     /// Random operation sequences agree with the model after every step.
     /// Ten values in two columns give up to 100 distinct tuples, so
     /// sequences grow past `SMALL` (building dedup and indexes), `retain`
     /// shrinks them back below it, and the probes that follow every step
-    /// run on whichever side they landed.
+    /// run on whichever side they landed. Fresh appends grow a relation
+    /// past `SMALL` with no table, and the lookups after them, in random
+    /// order, each get to be the one that builds it.
     #[test]
     fn agrees_with_vec_and_set_model() {
         use rand::Rng;
@@ -540,7 +568,7 @@ mod tests {
             let mut rel = Relation::new(2);
             let mut model = Model::default();
             for _ in 0..rng.gen_range(1..120usize) {
-                let op = rng.gen_range(0..16u8);
+                let op = rng.gen_range(0..18u8);
                 let (a, b) = (rng.gen_range(0..10u8), rng.gen_range(0..10u8));
                 let tuple = vec![palette(a), palette(b)];
                 match op {
@@ -551,6 +579,19 @@ mod tests {
                             model.order.push(tuple.clone());
                         }
                         assert_eq!(rel.insert(tuple.clone()), new);
+                    }
+                    // A batch of tuples the model lacks, appended unchecked.
+                    16 | 17 => {
+                        let built = has_tables(&rel);
+                        for _ in 0..rng.gen_range(1..=16) {
+                            let (c, d) = (rng.gen_range(0..10u8), rng.gen_range(0..10u8));
+                            let fresh = vec![palette(c), palette(d)];
+                            if model.set.insert(fresh.clone()) {
+                                model.order.push(fresh.clone());
+                                rel.append_fresh(&fresh);
+                            }
+                        }
+                        assert_eq!(has_tables(&rel), built, "an append built a table");
                     }
                     9 | 10 => {
                         let keep = |t: &Tuple| t[usize::from(op - 9)] != palette(a);
@@ -575,12 +616,46 @@ mod tests {
                     }
                 }
                 assert_eq!(rel.scan(), &model.order[..]);
-                assert_eq!(rel.len() > SMALL, rel.dedup.is_some());
-                assert_eq!(rel.contains(&tuple), model.set.contains(&tuple));
-                assert_eq!(rel.select(&[0], &tuple[..1]), model.rows(&[0], &tuple[..1]));
-                assert_eq!(rel.select(&[0, 1], &tuple), model.rows(&[0, 1], &tuple));
+                // No table while small; every built table covers every row.
+                assert!(rel.len() > SMALL || !has_tables(&rel));
+                for chains in rel.dedup.get().into_iter().chain(rel.indexes.borrow().iter()) {
+                    assert_eq!(chains.hashes.len(), rel.len());
+                }
+                let first = rng.gen_range(0..4);
+                for check in (0..4).map(|k| (first + k) % 4) {
+                    match check {
+                        0 => assert_eq!(rel.contains(&tuple), model.set.contains(&tuple)),
+                        1 => assert_eq!(rel.select(&[0], &tuple[..1]), model.rows(&[0], &tuple[..1])),
+                        2 => assert_eq!(rel.select(&[0, 1], &tuple), model.rows(&[0, 1], &tuple)),
+                        _ => {
+                            let key = palette(a);
+                            let expect = !model.rows(&[1], std::slice::from_ref(&key)).is_empty();
+                            assert_eq!(rel.probe(&[1], |_| &key, |_| true), expect);
+                        }
+                    }
+                }
             }
         });
+    }
+
+    /// Appends past `SMALL` build nothing; the first checked insert builds
+    /// the dedup table over every row, appended or inserted, and later
+    /// appends keep it and the column indexes up to date.
+    #[test]
+    fn fresh_appends_leave_tables_to_the_first_lookup() {
+        let mut r = Relation::new(2);
+        for i in 0..3 * SMALL as i64 {
+            r.append_fresh(&t(&[i % 5, i]));
+        }
+        assert!(r.is_indexed() && !has_tables(&r));
+        assert!(!r.insert(t(&[2, 7])), "an appended tuple");
+        assert!(r.dedup.get().is_some() && r.indexes.borrow().is_empty());
+        assert!(r.insert(t(&[9, 9])));
+        assert_eq!(r.select(&[0], &[Value::Int(4)]), [4, 9, 14, 19, 24, 29, 34]);
+        r.append_fresh(&t(&[4, 99]));
+        assert_eq!(r.select(&[0], &[Value::Int(4)]), [4, 9, 14, 19, 24, 29, 34, 37]);
+        assert!(r.contains(&t(&[4, 99])) && !r.insert(t(&[4, 99])));
+        assert_eq!(r.len(), 3 * SMALL + 2);
     }
 
     /// 512 distinct tuples with one and the same hash: `MulHasher` pads a

@@ -20,15 +20,20 @@
 //! neither. Nothing is built in between — no per-step record, no list of
 //! `(predicate, tuple)` pairs.
 //!
-//! A relation deduplicates what is inserted; a block does not, so the
-//! generator keeps set semantics itself. The only repeats Table 1 can
-//! produce are `(peer, payload)` repeats inside one step's message (or
-//! edge) batch. A batch whose peers arrive strictly ascending cannot hold
-//! one and is appended unchecked: the engine delivers an inbox in sender
-//! order, and PageRank, SSSP and ALS send once per neighbour, in neighbour
-//! order. Any other batch — WCC sends along both directions of an edge, so
-//! a mutual neighbour hears the same label twice — is deduplicated in the
-//! block after it is written.
+//! The generator keeps set semantics itself, for the relation and the
+//! block alike, and asks neither for a lookup. Every row of a step sits at
+//! the vertex and carries the step's superstep, so it can only repeat a
+//! row of its own batch, and the only repeats Table 1 can produce are
+//! `(peer, payload)` repeats inside one step's message (or edge) batch.
+//! Peers arrive in non-decreasing order — the engine delivers an inbox in
+//! sender order, and PageRank, SSSP and ALS send once per neighbour, in
+//! neighbour order — so a repeat can only sit in the run of rows with its
+//! own peer, and a scan of that run (a multi-edge's, or a mutual WCC
+//! neighbour's, which hears one label twice) finds it. Every other row is
+//! appended unchecked ([`Relation::append_fresh`]). Once a peer arrives
+//! below the one before it — WCC sends along out-edges, then in-edges —
+//! the rest of that batch goes through the relation's checked insert, and
+//! the block is deduplicated after the batch is written.
 
 use crate::rows::{RowBlock, Rows};
 use ariadne_graph::{Csr, VertexId};
@@ -58,6 +63,11 @@ pub struct EdbFlags {
     pub evolution: bool,
     /// `receive_message(x, y, m, i)`.
     pub receive_message: bool,
+    /// Generate `receive_message` without its sender and payload: one
+    /// `receive_message(x, Unit, Unit, i)` row per step with a non-empty
+    /// inbox, for a run whose rules read neither (and whose inbox may
+    /// therefore be combined). Not set by [`EdbFlags::of`].
+    pub receive_projected: bool,
     /// `send_message(x, y, m, i)`.
     pub send_message: bool,
     /// `edge_value(x, y, w, i)`.
@@ -77,6 +87,7 @@ impl EdbFlags {
             value: needed.contains("value"),
             evolution: needed.contains("evolution"),
             receive_message: needed.contains("receive_message"),
+            receive_projected: false,
             send_message: needed.contains("send_message"),
             edge_value: needed.contains("edge_value"),
             edge: needed.contains("edge"),
@@ -136,12 +147,18 @@ impl EdbPred {
 }
 
 /// Where one vertex-step's rows of one predicate go: a relation, a row
-/// block, both or neither.
+/// block, both or neither. It keeps the batch's set semantics for both
+/// (see the module docs).
 pub struct Dest<'a> {
     rel: Option<&'a mut Relation>,
     block: Option<&'a mut RowBlock>,
     /// Rows `block` held when the step's batch began.
     from: usize,
+    /// The peer of the last row kept, and how many kept rows carry it.
+    run: Option<(u64, usize)>,
+    /// A peer arrived below the one before it: the rest of the batch is
+    /// inserted checked, and the block deduplicated when it closes.
+    checked: bool,
 }
 
 impl<'a> Dest<'a> {
@@ -160,22 +177,60 @@ impl<'a> Dest<'a> {
             block.reserve(n, arity);
         }
         let from = block.as_ref().map_or(0, |b| b.len());
-        Dest { rel, block, from }
+        Dest {
+            rel,
+            block,
+            from,
+            run: None,
+            checked: false,
+        }
     }
 
+    /// Append a row no earlier row of the batch repeats — or, once the
+    /// batch is checked, any row: the relation then checks it, and
+    /// [`Dest::finish`] the block.
     fn push(&mut self, row: &[Value]) {
         if let Some(rel) = &mut self.rel {
-            rel.insert_slice(row);
+            if self.checked {
+                rel.insert_slice(row);
+            } else {
+                rel.append_fresh(row);
+            }
         }
         if let Some(block) = &mut self.block {
             block.push(row);
         }
     }
 
-    /// The batch pushed may hold repeated rows: keep the first of each
-    /// (the relation already did).
-    fn dedup(&mut self) {
-        if let Some(block) = &mut self.block {
+    /// Keep `row`, whose peer is `peer`, unless the batch already holds it.
+    fn push_peer(&mut self, peer: u64, row: &[Value]) {
+        match self.run {
+            _ if self.checked => {}
+            Some((last, _)) if peer < last => self.checked = true,
+            Some((last, kept)) if peer == last => {
+                if self.run_holds(kept, row) {
+                    return;
+                }
+                self.run = Some((peer, kept + 1));
+            }
+            _ => self.run = Some((peer, 1)),
+        }
+        self.push(row);
+    }
+
+    /// Whether the last `kept` rows kept hold `row`.
+    fn run_holds(&self, kept: usize, row: &[Value]) -> bool {
+        match (&self.rel, &self.block) {
+            (Some(rel), _) => rel.scan()[rel.len() - kept..].iter().any(|t| t[..] == *row),
+            (None, Some(block)) => (block.len() - kept..block.len()).any(|i| block.row(i) == row),
+            (None, None) => false,
+        }
+    }
+
+    /// Close the batch: after a decreasing peer the block may hold
+    /// repeats (the relation checked them); keep the first of each.
+    fn finish(self) {
+        if let (true, Some(block)) = (self.checked, self.block) {
             block.dedup_from(self.from);
         }
     }
@@ -217,7 +272,9 @@ impl EdbTracker {
     /// and advance the activation history. `value` is the vertex value
     /// *after* computing; `received` and `sent` yield `(peer, message)`
     /// in delivery and send order. All three are encoded lazily: a
-    /// stream is not touched unless its predicate is flagged.
+    /// stream is not touched unless its predicate is flagged. A relation
+    /// `sink` opens must hold no row of this vertex and superstep: rows
+    /// go in without a lookup (see the module docs).
     #[allow(clippy::too_many_arguments)]
     pub fn record_step(
         &mut self,
@@ -243,7 +300,12 @@ impl EdbTracker {
             sink.open(EdbPred::Evolution, 1)
                 .push(&[x.clone(), Value::Int(prev as i64), i.clone()]);
         }
-        if flags.receive_message {
+        if flags.receive_projected {
+            if received.len() > 0 {
+                sink.open(EdbPred::ReceiveMessage, 1)
+                    .push(&[x.clone(), Value::Unit, Value::Unit, i.clone()]);
+            }
+        } else if flags.receive_message {
             push_peer_rows(sink, EdbPred::ReceiveMessage, &x, &i, received.len(), received);
         }
         if flags.send_message {
@@ -275,18 +337,12 @@ fn push_peer_rows(
     }
     let mut dest = sink.open(pred, n);
     let mut row = [x.clone(), Value::Unit, Value::Unit, i.clone()];
-    let mut ascending = true;
-    let mut last = None;
     for (peer, payload) in peers {
-        ascending &= last < Some(peer.0);
-        last = Some(peer.0);
         row[1] = Value::Id(peer.0);
         row[2] = payload;
-        dest.push(&row);
+        dest.push_peer(peer.0, &row);
     }
-    if !ascending {
-        dest.dedup();
-    }
+    dest.finish();
 }
 
 /// Insert the flagged static graph-structure tuples (`edge`, `in_edge`)
@@ -437,6 +493,73 @@ mod tests {
         let held: Vec<Tuple> = both.block.rows().map(<[Value]>::to_vec).collect();
         assert_eq!(held, tuples(&both.db, "send_message"));
         assert_eq!(held.len(), 3 + 3 + 1);
+    }
+
+    /// Three batches of one vertex, each into a relation and a block: the
+    /// relation takes every row without a lookup until a peer decreases.
+    #[test]
+    fn each_distinct_row_is_stored_once_per_batch() {
+        let f = flags(&["receive_message"]);
+        let (mut t, mut both) = (EdbTracker::new(), Both::default());
+        let batches: [&[(u64, i64)]; 3] = [
+            // Ascending: nothing to find.
+            &[(1, 0), (2, 0), (5, 0)],
+            // A multi-edge: (2, 7) twice, and (2, 8) beside it.
+            &[(1, 7), (2, 7), (2, 8), (2, 7), (3, 7)],
+            // Peers decrease at the fourth row; (4, 1) and (2, 1) repeat.
+            &[(2, 1), (4, 1), (4, 1), (1, 1), (2, 1), (4, 1), (3, 1)],
+        ];
+        for (step, batch) in batches.iter().enumerate() {
+            t.record_step(
+                &mut both,
+                f,
+                &star(4),
+                VertexId(0),
+                step as u32,
+                || Value::Unit,
+                batch.iter().map(|&(p, m)| (VertexId(p), Value::Int(m))),
+                std::iter::empty(),
+            );
+        }
+        let row = |p: u64, m: i64, i: i64| vec![Value::Id(0), Value::Id(p), Value::Int(m), Value::Int(i)];
+        let want = vec![
+            row(1, 0, 0),
+            row(2, 0, 0),
+            row(5, 0, 0),
+            row(1, 7, 1),
+            row(2, 7, 1),
+            row(2, 8, 1),
+            row(3, 7, 1),
+            row(2, 1, 2),
+            row(4, 1, 2),
+            row(1, 1, 2),
+            row(3, 1, 2),
+        ];
+        assert_eq!(tuples(&both.db, "receive_message"), want);
+        let held: Vec<Tuple> = both.block.rows().map(<[Value]>::to_vec).collect();
+        assert_eq!(held, want);
+    }
+
+    #[test]
+    fn projected_receive_is_one_row_per_nonempty_inbox() {
+        let mut f = flags(&["receive_message"]);
+        f.receive_projected = true;
+        let (mut t, mut db) = (EdbTracker::new(), Database::new());
+        let unread = |_| -> (VertexId, Value) { panic!("a projected inbox is not read") };
+        for (step, inbox) in [2usize, 0, 1].into_iter().enumerate() {
+            t.record_step(
+                &mut db,
+                f,
+                &star(4),
+                VertexId(1),
+                step as u32,
+                || Value::Unit,
+                (0..inbox).map(unread),
+                std::iter::empty(),
+            );
+        }
+        let row = |i| vec![Value::Id(1), Value::Unit, Value::Unit, Value::Int(i)];
+        assert_eq!(tuples(&db, "receive_message"), vec![row(0), row(2)]);
     }
 
     #[test]

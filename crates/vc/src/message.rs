@@ -35,8 +35,10 @@ impl<M> Envelope<M> {
 ///
 /// Combining reduces message traffic for analytics that only need an
 /// aggregate of their inbox (min for SSSP/WCC, sum for PageRank). Note
-/// that combining erases per-source message provenance, so provenance
-/// capture runs disable combiners (see `ariadne-core`).
+/// that combining erases per-source message provenance, so Ariadne's
+/// wrapper disables the combiner for every capture and for every online
+/// query that reads a sender or a message payload; an online query that
+/// reads neither keeps it (see `ariadne-core`'s `online` module).
 pub trait Combiner<M>: Send + Sync {
     /// Merge `incoming` into the accumulator `acc`.
     fn combine(&self, acc: &mut M, incoming: &M);

@@ -40,8 +40,10 @@ pub trait VertexProgram: Send + Sync {
     /// vertex programs) is fine.
     type V: Clone + Send;
     /// Message type. `Sync` is required because delivery workers read
-    /// every producer's buffers concurrently.
-    type M: Clone + Send + Sync;
+    /// every producer's buffers concurrently; `'static` lets a wrapping
+    /// program box a combiner over its own message type around the one
+    /// it wraps.
+    type M: Clone + Send + Sync + 'static;
 
     /// Initial value of vertex `v` before superstep 0.
     fn init(&self, v: VertexId, graph: &Csr) -> Self::V;
@@ -56,8 +58,8 @@ pub trait VertexProgram: Send + Sync {
     );
 
     /// Optional message combiner. Combining collapses per-source message
-    /// identity (see [`Envelope::COMBINED`]); Ariadne disables it when
-    /// message provenance is being captured.
+    /// identity (see [`Envelope::COMBINED`]); Ariadne keeps it only for a
+    /// run that cannot see a sender.
     fn combiner(&self) -> Option<Box<dyn Combiner<Self::M>>> {
         None
     }
