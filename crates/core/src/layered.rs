@@ -11,10 +11,8 @@
 //!    spilled segments) a disk read. It is **projected**: stored columns
 //!    the query provably never observes ([`crate::columns`]) are not
 //!    materialized. And it is **strict**: any damage fails the replay
-//!    typed. Neither pruning nor projection can change a result set, so
-//!    neither is optional; degraded reads are a store and scrub
-//!    capability ([`ProvStore::layer_blocks`] under
-//!    [`ReadPolicy::Degraded`]), not a replay mode. A replay covers every
+//!    typed, as every store read does. Neither pruning nor projection can
+//!    change a result set, so neither is optional. A replay covers every
 //!    stored layer unless [`LayeredConfig::layers`] names a range;
 //! 2. every touched vertex runs its incremental local fixpoint;
 //! 3. fresh tuples of shipped predicates travel one hop, to the union of
@@ -84,7 +82,7 @@ use crate::state::QueryState;
 use ariadne_graph::{ChunkTable, Csr, VertexId};
 use ariadne_obs::trace::{self, Level};
 use ariadne_pql::{Database, Direction, EvalScratch, EvalStats, Evaluator, PqlError, Tuple, Value};
-use ariadne_provenance::{EdbFlags, LayerFilter, ProvStore, ReadPolicy, RowBlock, Rows, StoreError};
+use ariadne_provenance::{EdbFlags, LayerFilter, ProvStore, RowBlock, Rows, StoreError};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -670,9 +668,7 @@ impl Pool<'_> {
         filter: &LayerFilter,
         run: &mut LayeredRun,
     ) -> Result<(), AriadneError> {
-        let read = store
-            .layer_blocks(layer, filter, ReadPolicy::Strict)
-            .map_err(AriadneError::Store)?;
+        let read = store.layer_blocks(layer, filter).map_err(AriadneError::Store)?;
         for (pred, rows) in &read.tuples {
             if let Some((arity, other)) = rows.mixed_arities() {
                 return Err(AriadneError::Store(StoreError::mixed_arity(

@@ -67,13 +67,13 @@ pub use online::{OnlineProgram, OnlineRun, QueryFailure};
 pub use report::{RunReport, StoreReport};
 pub use session::{Ariadne, AriadneError, RunOptions};
 
-// Fault-tolerance surface: checkpointing, durability and degraded-read
-// policies, scrub/repair, typed engine/store errors and the
-// deterministic fault-injection harness, re-exported so users drive
-// everything through this crate.
+// Fault-tolerance surface: checkpointing, the durability level,
+// scrub/repair, typed engine/store errors and the deterministic
+// fault-injection harness, re-exported so users drive everything
+// through this crate.
 pub use ariadne_provenance::{
-    compact_spool, scrub_spool, CompactReport, Degradation, Durability, EpochInfo, EpochStats,
-    OnSpillError, ReadBackend, ReadPolicy, ScrubAction, ScrubReport, StoreConfig, StoreError,
+    compact_spool, scrub_spool, CompactReport, Durability, EpochInfo, EpochStats, ReadBackend,
+    ScrubAction, ScrubReport, StoreConfig, StoreError,
 };
 pub use ariadne_vc::{CheckpointConfig, EngineConfig, EngineError, FaultPlan, Snapshot};
 

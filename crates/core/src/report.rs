@@ -36,16 +36,12 @@ pub struct StoreReport {
     pub spills: usize,
     /// Sealed (durable, checksummed) spool segments.
     pub sealed_segments: usize,
-    /// Records recovered from torn spool tails on resume or scrub
-    /// repair (zero on a clean run).
+    /// Records recovered from torn spool tails on resume (zero on a
+    /// clean run).
     pub salvaged_records: usize,
     /// Segments a scrub repair moved into `quarantine/` (zero on a
     /// clean run).
     pub quarantined_segments: usize,
-    /// Batches dropped after a spill failure poisoned the store under
-    /// [`ariadne_provenance::OnSpillError::DropCapture`] (zero on a
-    /// clean run).
-    pub dropped_batches: usize,
     /// Compaction passes published (each bumped the spool generation).
     pub compactions: usize,
 }
@@ -61,7 +57,6 @@ impl StoreReport {
             sealed_segments: store.sealed_segments(),
             salvaged_records: store.salvaged_records(),
             quarantined_segments: store.quarantined_segments(),
-            dropped_batches: store.dropped_batches(),
             compactions: store.compactions(),
         }
     }
@@ -186,7 +181,6 @@ impl RunReport {
                     ",\"quarantined_segments\":{}",
                     st.quarantined_segments
                 ));
-                s.push_str(&format!(",\"dropped_batches\":{}", st.dropped_batches));
                 s.push_str(&format!(",\"compactions\":{}", st.compactions));
                 s.push('}');
             }

@@ -298,10 +298,12 @@ impl Ariadne {
             (false, _) => StoreWriter::spawn(self.store.clone()),
             (true, Some(_)) => StoreWriter::spawn_resuming(self.store.clone()),
             (true, None) => {
-                return Err(AriadneError::Store(StoreError::Degraded {
-                    detail: "a capture resumes from its spool; StoreConfig::spool_dir is unset"
-                        .into(),
-                    source: None,
+                return Err(AriadneError::Store(StoreError::Io {
+                    path: "<no spool>".into(),
+                    source: std::io::Error::new(
+                        std::io::ErrorKind::InvalidInput,
+                        "a capture resumes from its spool; StoreConfig::spool_dir is unset",
+                    ),
                 }))
             }
         };

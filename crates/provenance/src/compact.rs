@@ -31,9 +31,7 @@ use crate::obs_handles;
 use crate::reader::ReadBackend;
 use crate::rows::{RowBlock, Rows};
 use crate::spool::{file_name, io_err, manifest_path, note_fault, publish, write_temp};
-use crate::store::{
-    poison_refusal, DiskFile, Durability, ProvStore, ReadPolicy, StoreConfig, StoreError,
-};
+use crate::store::{DiskFile, Durability, ProvStore, StoreConfig, StoreError};
 use crate::v3::{self, FooterEntry, GenFileInfo, LostKey, Manifest};
 use ariadne_obs::trace::{self, Level};
 use std::collections::BTreeSet;
@@ -109,12 +107,6 @@ impl ProvStore {
             // No spool, nothing on disk to compact.
             return Ok(unchanged);
         };
-        if let Some(poison) = &self.poison {
-            return Err(poison_refusal(
-                poison,
-                "store poisoned: refusing to compact after capture was dropped",
-            ));
-        }
         let _compact_span = trace::span(
             Level::Debug,
             "store",
@@ -139,9 +131,9 @@ impl ProvStore {
             Ok(())
         };
 
-        // Decode and re-encode. Strict policy: compaction refuses to
-        // run over damage (scrub first), so it can never bake loss into
-        // a new generation silently.
+        // Decode and re-encode. Strictly, like every read: compaction
+        // refuses to run over damage (scrub first), so it can never bake
+        // loss into a new generation silently.
         let mut report = CompactReport::default();
         let gen = self.generation + 1;
         let gen_name = v3::gen_file_name(gen, 0);
@@ -156,13 +148,7 @@ impl ProvStore {
                 continue;
             }
             rows.clear();
-            let (bytes, _, _) = seg.decode_into(
-                ReadBackend::Buffered,
-                None,
-                &mut rows,
-                None,
-                ReadPolicy::Strict,
-            )?;
+            let (bytes, _) = seg.decode_into(ReadBackend::Buffered, None, &mut rows, None)?;
             report.bytes_in += bytes;
             old_paths.extend(seg.disk.files.iter().map(|f| f.path.clone()));
             processed.push(key.clone());

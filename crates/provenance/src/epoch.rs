@@ -41,9 +41,9 @@
 //! or tombstone — and decodes only from there on: that replacement, then
 //! the later `~add~` suffixes, in epoch order, each appended straight
 //! into the predicate's [`RowBlock`]. Every other segment of the chain
-//! is skipped undecoded and counted as skipped. The poison and
-//! quarantine checks still cover every physical layer of the chain, so
-//! that damage is reported exactly as a full oldest-first fold would;
+//! is skipped undecoded and counted as skipped. The quarantine check
+//! still covers every physical layer of the chain, so a quarantined
+//! segment fails the read exactly as a full oldest-first fold would;
 //! a corrupt record inside a superseded segment is simply never read
 //! (scrub still finds it). A store with no epochs reads its physical
 //! layers directly, byte for byte the pre-epoch behaviour. Column masks
@@ -68,7 +68,7 @@
 
 use crate::obs_handles;
 use crate::rows::{RowBlock, Rows};
-use crate::store::{layer_bounds, LayerFilter, LayerRead, ProvStore, ReadPolicy, StoreError};
+use crate::store::{layer_bounds, LayerFilter, LayerRead, ProvStore, StoreError};
 use ariadne_obs::trace::{self, Level};
 use ariadne_pql::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -213,7 +213,6 @@ impl ProvStore {
         &self,
         superstep: u32,
         filter: &LayerFilter,
-        policy: ReadPolicy,
     ) -> Result<LayerRead<RowBlock>, StoreError> {
         let _read_span = trace::span(
             Level::Trace,
@@ -249,7 +248,7 @@ impl ProvStore {
                 continue;
             }
             let layer = info.base + superstep;
-            self.check_damage(layer, &chain_filter, policy, &mut out.degradation)?;
+            self.check_damage(layer, &chain_filter)?;
             for ((_, pred), seg) in self.segments.range(layer_bounds(layer)) {
                 if chain_filter.wants(pred) {
                     chain.push((op_of(pred).filter(|_| at >= live_from), seg));
@@ -279,7 +278,7 @@ impl ProvStore {
                     if reset.get(base).is_none_or(|&from| at >= from) =>
                 {
                     let rows = folded.entry(base).or_default();
-                    self.decode_segment(seg, None, rows, policy, &mut out)?;
+                    self.decode_segment(seg, None, rows, &mut out)?;
                 }
                 // A newest tombstone has nothing to decode (the content
                 // before it is gone, and the fold never read it); the
@@ -343,11 +342,11 @@ impl ProvStore {
             // the union of their names.
             let mut pairs: BTreeMap<String, (Option<RowBlock>, Option<RowBlock>)> = BTreeMap::new();
             if s < old_sup {
-                for (pred, rows) in self.layer_blocks(s, &all, ReadPolicy::Strict)?.tuples {
+                for (pred, rows) in self.layer_blocks(s, &all)?.tuples {
                     pairs.entry(pred).or_default().0 = Some(rows);
                 }
             }
-            for (pred, rows) in next.layer_blocks(s, &all, ReadPolicy::Strict)?.tuples {
+            for (pred, rows) in next.layer_blocks(s, &all)?.tuples {
                 if !is_reserved(&pred) {
                     pairs.entry(pred).or_default().1 = Some(rows);
                 }
@@ -407,7 +406,7 @@ impl ProvStore {
             }
             rows.clear();
             let backend = self.config.read_backend;
-            seg.decode_into(backend, None, &mut rows, None, ReadPolicy::Strict)?;
+            seg.decode_into(backend, None, &mut rows, None)?;
             for row in rows.rows() {
                 if let [Value::Int(idx), Value::Int(mbase), Value::Int(sup)] = row {
                     markers.push((*idx, *mbase, *sup));

@@ -48,7 +48,7 @@ use crate::columnar::{
 };
 use crate::obs_handles;
 use crate::rows::{RowBlock, Rows};
-use crate::store::{Degradation, StoreError};
+use crate::store::StoreError;
 use crate::v3;
 use ariadne_obs::trace::{self, Level};
 use ariadne_vc::checkpoint::crc32;
@@ -182,9 +182,6 @@ pub(crate) enum WalkMode {
     /// write) stops the walk and reports a torn tail; any other failure
     /// is still a typed error. Used on unsealed tails at resume/scrub.
     Salvage,
-    /// Any failure is counted and skipped, resyncing to the next fully
-    /// valid record. Used by `ReadPolicy::Degraded` reads.
-    Degraded,
 }
 
 /// One validated record frame inside a byte stream.
@@ -315,8 +312,6 @@ pub(crate) struct WalkOutcome {
     /// Set under [`WalkMode::Salvage`] when trailing bytes formed a
     /// torn (crash-truncated) partial record; holds the failure detail.
     pub torn_tail: Option<String>,
-    /// Damage skipped under [`WalkMode::Degraded`].
-    pub damage: Degradation,
 }
 
 /// Decode a concatenation of checksummed records, appending their rows
@@ -358,50 +353,22 @@ fn walk(
         detail,
     };
     let mut o = WalkOutcome::default();
-    let mut off = 0usize;
-    while off < data.len() {
-        let failure = match try_frame(data, off) {
-            Ok(frame) => {
-                // The frame is CRC-valid; a payload decode failure here
-                // is real corruption (or a decoder bug), never a torn
-                // tail — treat it like a complete-but-invalid frame.
-                match decode_frame(&frame, mask, stats.as_deref_mut(), out, &mut o.counts) {
-                    Ok(tuples) => {
-                        obs_handles::records_verified().inc();
-                        o.records += 1;
-                        o.tuples += tuples;
-                        off = frame.next;
-                        o.valid_end = off;
-                        continue;
-                    }
-                    Err(detail) => FrameError {
-                        torn: false,
-                        detail,
-                    },
-                }
-            }
-            Err(e) => e,
-        };
-        match mode {
-            WalkMode::Salvage if failure.torn => {
-                o.torn_tail = Some(failure.detail);
+    while o.valid_end < data.len() {
+        let frame = match try_frame(data, o.valid_end) {
+            Ok(frame) => frame,
+            Err(e) if mode == WalkMode::Salvage && e.torn => {
+                o.torn_tail = Some(e.detail);
                 return Ok(o);
             }
-            WalkMode::Strict | WalkMode::Salvage => return Err(corrupt(failure.detail)),
-            WalkMode::Degraded => {
-                // Resync: scan forward for the next offset holding a
-                // fully valid frame; everything in between is damage.
-                let next = (off + 1..(data.len() + 1).saturating_sub(RECORD_OVERHEAD)).find(|&p| {
-                    frame_version(&data[p..p + 4]).is_some() && try_frame(data, p).is_ok()
-                });
-                let end = next.unwrap_or(data.len());
-                o.damage.records_skipped += 1;
-                o.damage.bytes_skipped += end - off;
-                o.damage
-                    .note(format!("{}: {}", origin.display(), failure.detail));
-                off = end;
-            }
-        }
+            Err(e) => return Err(corrupt(e.detail)),
+        };
+        // The frame is CRC-valid; a payload decode failure here is real
+        // corruption (or a decoder bug), never a torn tail.
+        let tuples = decode_frame(&frame, mask, stats.as_deref_mut(), out, &mut o.counts);
+        o.tuples += tuples.map_err(corrupt)?;
+        obs_handles::records_verified().inc();
+        o.records += 1;
+        o.valid_end = frame.next;
     }
     Ok(o)
 }
@@ -436,8 +403,8 @@ pub(crate) fn absorb_col(agg: &mut Vec<ColumnStat>, col: usize, stat: &ColumnSta
 }
 
 /// Decode one validated frame's payload onto the end of `out`,
-/// returning the rows appended, or the failure detail (with `out` left
-/// as it was).
+/// returning the rows appended, or the failure detail (with part of the
+/// record possibly appended: the caller fails the whole walk).
 fn decode_frame(
     frame: &Frame<'_>,
     mask: Option<&[bool]>,
@@ -461,22 +428,16 @@ fn decode_frame(
         frame.payload
     };
     let before = out.len();
-    // A failed decode may have written part of the record; drop it so a
-    // Degraded-mode skip leaves no half-decoded rows.
-    let failed = |out: &mut RowBlock, what: &str, e: CodecError| {
-        out.truncate(before);
-        format!("{what} decode failed: {e}")
-    };
+    let failed = |what: &str, e: CodecError| format!("{what} decode failed: {e}");
     if version == 2 {
-        let read =
-            decode_columnar_into(payload, mask, out).map_err(|e| failed(out, "columnar", e))?;
+        let read = decode_columnar_into(payload, mask, out).map_err(|e| failed("columnar", e))?;
         counts.cols_skipped += read.cols_skipped;
         counts.col_bytes_skipped += read.col_bytes_skipped;
         if let Some(stats) = stats {
             absorb_cols(stats, &read.columns);
         }
     } else {
-        decode_rows_into(payload, mask, out).map_err(|e| failed(out, "tuple", e))?;
+        decode_rows_into(payload, mask, out).map_err(|e| failed("tuple", e))?;
         // v1 records skip masked values one at a time; count the
         // masked columns per non-empty record (the v2 analogue of a
         // skipped column block) even though the byte savings are not
@@ -495,7 +456,7 @@ mod tests {
     use super::*;
     use crate::spool::segment_path;
     use crate::store::tests::{temp_dir, tuple};
-    use crate::store::{LayerFilter, ProvStore, ReadPolicy, StoreConfig};
+    use crate::store::{ProvStore, StoreConfig};
 
     #[test]
     fn corrupted_spill_file_is_typed_error() {
@@ -525,35 +486,6 @@ mod tests {
         // Truncation is also typed, not a panic.
         std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
         assert!(matches!(store.layer(0), Err(StoreError::Corrupt { .. })));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Degraded reads skip damaged records, resync to the next valid
-    /// one, and report exactly what was lost; Strict reads of the same
-    /// store fail typed.
-    #[test]
-    fn degraded_read_skips_and_reports_damage() {
-        let dir = temp_dir("degraded-read");
-        std::fs::remove_dir_all(&dir).ok();
-        let mut store = ProvStore::new(StoreConfig::spilling(0, dir.clone()));
-        store
-            .ingest(0, "value", (0..10).map(|v| tuple(v, 0)).collect())
-            .unwrap();
-        store
-            .ingest(0, "value", (10..20).map(|v| tuple(v, 0)).collect())
-            .unwrap();
-        let path = segment_path(&dir, 0, "value");
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[RECORD_OVERHEAD / 2] ^= 0xFF; // inside the first record's header
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(store.layer(0), Err(StoreError::Corrupt { .. })));
-        let read = store
-            .layer_blocks(0, &LayerFilter::all(), ReadPolicy::Degraded)
-            .unwrap();
-        assert_eq!(read.tuples[0].1.len(), 10, "second record survives");
-        assert_eq!(read.degradation.records_skipped, 1);
-        assert!(read.degradation.bytes_skipped > 0);
-        assert!(!read.degradation.details.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -13,7 +13,7 @@
 //!   its magic table, the record walk and payload decode dispatch),
 //!   [`spool`] (file naming, the directory listing, atomic publish,
 //!   salvage/quarantine, spill IO, reopening a spool), [`scrub`] (the
-//!   one verifier behind [`scrub_spool`] and [`ProvStore::scrub`]),
+//!   one verifier, behind the offline [`scrub_spool`]),
 //!   [`compact`] (the crash-safe generation rewrite), [`writer`] (the
 //!   async ingestion thread — the paper's asynchronous HDFS offload)
 //!   and [`epoch`] (delta epochs appended after a graph mutation).
@@ -63,8 +63,8 @@ pub use encode::ProvEncode;
 pub use reader::{ReadBackend, SegmentSlice};
 pub use rows::{RowBlock, Rows};
 pub use store::{
-    compact_spool, scrub_spool, CompactReport, Degradation, Durability, LayerFilter, LayerRead,
-    OnSpillError, ProvStore, ReadPolicy, ScrubAction, ScrubReport, SegmentDamage, SegmentFormat,
-    SegmentInfo, StoreConfig, StoreError, StoreSender, StoreWriter,
+    compact_spool, scrub_spool, CompactReport, Durability, LayerFilter, LayerRead, ProvStore,
+    ScrubAction, ScrubReport, SegmentDamage, SegmentFormat, SegmentInfo, StoreConfig, StoreError,
+    StoreSender, StoreWriter,
 };
 pub use unfold::{Layers, UnfoldedGraph};

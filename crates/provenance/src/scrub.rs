@@ -3,13 +3,10 @@
 //! cannot be saved.
 //!
 //! There is **one** verifier, `verify_spool`, working from the spool
-//! directory alone. The offline [`scrub_spool`] (behind the
-//! `ariadne scrub` CLI subcommand) is that verifier; the live
-//! [`ProvStore::scrub`] checks its in-memory buffers, runs the same
-//! verifier over its spool, and folds the repairs it made into the
-//! store's index. Repairing a live store is therefore, by construction,
-//! repairing its spool offline and reopening it: same report, same
-//! accounting, same reads, same files on disk.
+//! directory alone, and one caller of it: the offline [`scrub_spool`]
+//! (behind the `ariadne scrub` CLI subcommand). A store is repaired by
+//! scrubbing its spool with `repair` and reopening it with
+//! [`ProvStore::resume_from_spool`](crate::ProvStore::resume_from_spool).
 //!
 //! Damage is reported as a structured [`ScrubReport`]. With `repair`,
 //! torn unsealed tails are truncated back to their last record boundary
@@ -17,11 +14,9 @@
 //! spool's `quarantine/` subdirectory, and a damaged or outdated
 //! manifest is rebuilt from the surviving generation files' own
 //! footers, listing the keys a quarantined generation file took with it
-//! so a reopen still knows what is missing. Layer reads take a
-//! [`ReadPolicy`](crate::ReadPolicy): `Strict` fails on any damage (the
-//! default), `Degraded` skips damaged records/segments and reports
-//! exactly what was lost via [`Degradation`](crate::Degradation) —
-//! partial results are always labelled, never silently wrong.
+//! so a reopen still knows what is missing. Reads of a quarantined
+//! layer then fail with a typed [`StoreError::Quarantined`]; no read
+//! returns a partial answer.
 
 use crate::frame::{verify_records, WalkMode};
 use crate::obs_handles;
@@ -30,7 +25,7 @@ use crate::spool::{
     file_name, list_spool, manifest_path, quarantine_file, read_file, salvage_truncate,
     write_atomic, SegFile,
 };
-use crate::store::{ProvStore, StoreError};
+use crate::store::StoreError;
 use crate::v3::{self, GenFileInfo, LostKey, Manifest};
 use ariadne_obs::export::escape;
 use ariadne_obs::trace::{self, Level};
@@ -39,8 +34,7 @@ use std::path::{Path, PathBuf};
 /// What a repairing scrub did about one damaged file.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ScrubAction {
-    /// Detected only (scrub ran without `repair`), or the damage lives
-    /// in memory where no repair applies.
+    /// Detected only: the scrub ran without `repair`.
     None,
     /// Torn tail: the original bytes were backed up to a `.torn`
     /// sidecar and the file was truncated to its last record boundary.
@@ -63,8 +57,8 @@ impl std::fmt::Display for ScrubAction {
 /// One damaged file found by a scrub.
 #[derive(Clone, Debug)]
 pub struct SegmentDamage {
-    /// The damaged file (a synthetic `<mem:...>` path for in-memory
-    /// buffer damage).
+    /// The damaged file (its new place under `quarantine/` once a
+    /// repair moved it there).
     pub path: PathBuf,
     /// The segment's superstep.
     pub superstep: u32,
@@ -105,8 +99,7 @@ impl SegmentDamage {
     }
 }
 
-/// The result of a [`ProvStore::scrub`] or [`scrub_spool`] pass over
-/// every segment file.
+/// The result of a [`scrub_spool`] pass over every spool file.
 #[derive(Clone, Debug, Default)]
 pub struct ScrubReport {
     /// Segment files examined.
@@ -191,36 +184,16 @@ fn verify_gen_file(
     Ok((w.records, w.tuples, entries))
 }
 
-/// One change a repairing [`verify_spool`] made to the spool, for a
-/// live store to fold into its index.
-pub(crate) enum Repair {
-    /// `path` was truncated back to `bytes` bytes holding `records`
-    /// whole records of `tuples` tuples.
-    Salvaged {
-        path: PathBuf,
-        bytes: usize,
-        records: usize,
-        tuples: usize,
-    },
-    /// `path` (a segment or generation file) was moved to `to`.
-    Quarantined { path: PathBuf, to: PathBuf },
-}
-
 /// The one spool verifier: walk every `seg-*.bin` / `seg-*.seal` file,
 /// the manifest and every generation file under `dir`, re-verify every
 /// checksum and payload decode, and append what was checked and found
-/// to `report`. With `repair`, fix what can be fixed on disk and return
-/// the fixes made. Every file decodes into `scratch`.
-pub(crate) fn verify_spool(
-    dir: &Path,
-    repair: bool,
-    report: &mut ScrubReport,
-    scratch: &mut RowBlock,
-) -> Result<Vec<Repair>, StoreError> {
-    let mut repairs = Vec::new();
+/// to `report`. With `repair`, fix what can be fixed on disk. Every
+/// file decodes into one scratch block.
+fn verify_spool(dir: &Path, repair: bool, report: &mut ScrubReport) -> Result<(), StoreError> {
     let Some(listing) = list_spool(dir)? else {
-        return Ok(repairs);
+        return Ok(());
     };
+    let scratch = &mut RowBlock::default();
     for SegFile { key, path, sealed } in listing.segs {
         report.files_checked += 1;
         let data = read_file(&path)?;
@@ -256,12 +229,6 @@ pub(crate) fn verify_spool(
                     if repair {
                         salvage_truncate(&damage.path, &data, w.valid_end, w.records)?;
                         damage.action = ScrubAction::Salvaged;
-                        repairs.push(Repair::Salvaged {
-                            path: damage.path.clone(),
-                            bytes: w.valid_end,
-                            records: w.records,
-                            tuples: w.tuples,
-                        });
                     }
                     detail
                 }
@@ -269,12 +236,8 @@ pub(crate) fn verify_spool(
             Err(e) => e.to_string(),
         };
         if repair && !damage.torn {
-            let to = quarantine_file(dir, &damage.path)?;
+            damage.path = quarantine_file(dir, &damage.path)?;
             damage.action = ScrubAction::Quarantined;
-            repairs.push(Repair::Quarantined {
-                path: std::mem::replace(&mut damage.path, to.clone()),
-                to,
-            });
         }
         report.damage.push(damage);
     }
@@ -347,10 +310,6 @@ pub(crate) fn verify_spool(
                             quarantine: file_name(&damage.path),
                         });
                     }
-                    repairs.push(Repair::Quarantined {
-                        path: gpath,
-                        to: damage.path.clone(),
-                    });
                 }
                 report.damage.push(damage);
             }
@@ -380,29 +339,7 @@ pub(crate) fn verify_spool(
             report.damage[at].action = ScrubAction::Salvaged;
         }
     }
-    Ok(repairs)
-}
-
-/// Charge a finished scrub pass to the `store_scrub_*` counters and
-/// trace it.
-fn record_scrub(report: &ScrubReport, dir: Option<&Path>) {
-    obs_handles::scrub_files().add(report.files_checked as u64);
-    obs_handles::scrub_records().add(report.records_verified as u64);
-    obs_handles::scrub_tuples().add(report.tuples_verified as u64);
-    obs_handles::scrub_damage().add(report.damage.len() as u64);
-    let dir = dir.map(|d| d.display().to_string()).unwrap_or_default();
-    trace::event(
-        Level::Info,
-        "store",
-        "scrub",
-        &[
-            ("dir", dir.into()),
-            ("files_checked", report.files_checked.into()),
-            ("records_verified", report.records_verified.into()),
-            ("damage", report.damage.len().into()),
-            ("repaired", u64::from(report.repaired).into()),
-        ],
-    );
+    Ok(())
 }
 
 /// Scrub a spool directory offline (no open store required): walk every
@@ -410,134 +347,49 @@ fn record_scrub(report: &ScrubReport, dir: Option<&Path>) {
 /// file, re-verify every checksum and payload decode, and report the
 /// damage found. With `repair`, torn unsealed tails are salvaged
 /// (truncated after a `.torn` sidecar backup) and irrecoverably corrupt
-/// files are moved into `quarantine/`, after which a
-/// [`ProvStore::resume_from_spool`] opens strict-clean (degraded reads
-/// then report exactly the quarantined loss).
+/// files are moved into `quarantine/`, after which
+/// [`ProvStore::resume_from_spool`](crate::ProvStore::resume_from_spool)
+/// opens the spool: undamaged layers read in full, and reads of a
+/// quarantined layer fail with [`StoreError::Quarantined`].
 ///
-/// Backs the `ariadne scrub` CLI subcommand.
+/// Backs the `ariadne scrub` CLI subcommand. The pass is charged to the
+/// `store_scrub_*` counters and traced.
 pub fn scrub_spool(dir: &Path, repair: bool) -> Result<ScrubReport, StoreError> {
     let mut report = ScrubReport {
         repaired: repair,
         ..ScrubReport::default()
     };
-    verify_spool(dir, repair, &mut report, &mut RowBlock::default())?;
-    record_scrub(&report, Some(dir));
+    verify_spool(dir, repair, &mut report)?;
+    obs_handles::scrub_files().add(report.files_checked as u64);
+    obs_handles::scrub_records().add(report.records_verified as u64);
+    obs_handles::scrub_tuples().add(report.tuples_verified as u64);
+    obs_handles::scrub_damage().add(report.damage.len() as u64);
+    trace::event(
+        Level::Info,
+        "store",
+        "scrub",
+        &[
+            ("dir", dir.display().to_string().into()),
+            ("files_checked", report.files_checked.into()),
+            ("records_verified", report.records_verified.into()),
+            ("damage", report.damage.len().into()),
+            ("repaired", u64::from(report.repaired).into()),
+        ],
+    );
     Ok(report)
-}
-
-impl ProvStore {
-    /// Scrub every segment of the open store — in-memory buffers and
-    /// every spool file, in any record format — re-verifying each
-    /// record's checksum and payload decode, and report the damage
-    /// found.
-    ///
-    /// With `repair`, torn unsealed tails are salvaged (truncated after
-    /// a `.torn` sidecar backup) and irrecoverably corrupt files are
-    /// moved into the spool's `quarantine/` subdirectory; the store's
-    /// segment index and byte/tuple accounting are updated to match, so
-    /// subsequent [`ReadPolicy::Strict`](crate::ReadPolicy::Strict)
-    /// reads of undamaged layers succeed while quarantined layers fail
-    /// typed (or are reported by degraded reads as exactly the
-    /// quarantined loss) — the state a [`scrub_spool`] repair followed
-    /// by [`ProvStore::resume_from_spool`] arrives at. In-memory damage
-    /// is detection-only: it indicates a store bug, not a disk fault,
-    /// and has no sidecar to repair from.
-    pub fn scrub(&mut self, repair: bool) -> Result<ScrubReport, StoreError> {
-        let mut report = ScrubReport {
-            repaired: repair,
-            ..ScrubReport::default()
-        };
-        // In-memory buffers: packed records verify like disk records
-        // (unpacked v2 pending rows are not yet encoded — nothing to
-        // verify). Strict walk; memory has no torn-tail failure mode.
-        let mut scratch = RowBlock::default();
-        for ((step, pred), seg) in &self.segments {
-            if seg.mem.is_empty() {
-                continue;
-            }
-            let origin = PathBuf::from(format!("<mem:seg-{step}-{pred}>"));
-            match verify_records(&seg.mem, &origin, WalkMode::Strict, &mut scratch) {
-                Ok(w) => report.count(w.records, w.tuples),
-                Err(e) => report.damage.push(SegmentDamage {
-                    sealed: false,
-                    superstep: *step,
-                    ..SegmentDamage::corrupt(origin, pred.clone(), e.to_string(), seg.mem.len())
-                }),
-            }
-        }
-        let spool = self.config.spool_dir.clone();
-        let repairs = match &spool {
-            Some(dir) => verify_spool(dir, repair, &mut report, &mut scratch)?,
-            None => Vec::new(),
-        };
-        if !repairs.is_empty() {
-            self.fold_repairs(repairs);
-        }
-        record_scrub(&report, spool.as_deref());
-        Ok(report)
-    }
-
-    /// Bring the index in line with what a repairing [`verify_spool`]
-    /// did to the files under it: shrink salvaged files, drop
-    /// quarantined ones (recording the keys they backed), forget
-    /// segments left with nothing, and recompute the accounting.
-    fn fold_repairs(&mut self, repairs: Vec<Repair>) {
-        for repair in repairs {
-            match repair {
-                Repair::Salvaged {
-                    path,
-                    bytes,
-                    records,
-                    tuples,
-                } => {
-                    let files = self.segments.values_mut().flat_map(|s| &mut s.disk.files);
-                    for f in files.filter(|f| f.path == path) {
-                        f.bytes = bytes;
-                        f.tuples = tuples;
-                    }
-                    self.salvaged += records;
-                }
-                Repair::Quarantined { path, to } => {
-                    for (key, seg) in &mut self.segments {
-                        let before = seg.disk.files.len();
-                        seg.disk.files.retain(|f| f.path != path);
-                        if seg.disk.files.len() < before {
-                            self.quarantined.insert(key.clone(), to.clone());
-                        }
-                    }
-                }
-            }
-        }
-        // A repair can empty out the highest layer entirely (salvage
-        // truncating its only segment to zero records, or quarantine
-        // removing it): recompute the cached max superstep from what
-        // actually remains, counting quarantined keys (their layers
-        // still exist — degraded reads report the loss).
-        self.segments.retain(|_, s| !s.is_empty());
-        self.disk_bytes = self.segments.values().map(|s| s.disk.bytes()).sum();
-        self.tuples = self.segments.values().map(|s| s.total_tuples()).sum();
-        self.max_step = self
-            .segments
-            .iter()
-            .filter(|(_, s)| s.total_tuples() > 0)
-            .map(|((step, _), _)| *step)
-            .chain(self.quarantined.keys().map(|(step, _)| *step))
-            .max();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rows::Rows;
     use crate::spool::{segment_path, torn_sidecar_path};
     use crate::store::tests::{temp_dir, tuple};
-    use crate::store::{LayerFilter, ReadPolicy, StoreConfig};
+    use crate::store::{ProvStore, StoreConfig};
 
     /// Scrub detects an injected bit flip; repair quarantines the file;
-    /// the store's reads then behave per policy: Strict fails typed with
-    /// [`StoreError::Quarantined`], Degraded reports exactly the loss,
-    /// and a fresh resume opens strict-clean.
+    /// a resume then opens the spool: the undamaged layer reads in full,
+    /// and a read of the quarantined one fails typed with
+    /// [`StoreError::Quarantined`].
     #[test]
     fn scrub_detects_and_repair_quarantines() {
         let dir = temp_dir("scrub-repair");
@@ -549,6 +401,7 @@ mod tests {
         store
             .ingest(1, "value", (0..10).map(|v| tuple(v, 1)).collect())
             .unwrap();
+        drop(store);
         let path = segment_path(&dir, 0, "value");
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
@@ -556,35 +409,20 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         // Detection pass: damage reported, nothing moved.
-        let report = store.scrub(false).unwrap();
+        let report = scrub_spool(&dir, false).unwrap();
         assert_eq!(report.damage.len(), 1);
         assert_eq!(report.damage[0].action, ScrubAction::None);
         assert!(path.exists());
 
         // Repair pass: the corrupt file moves into quarantine/.
-        let report = store.scrub(true).unwrap();
+        let report = scrub_spool(&dir, true).unwrap();
         assert_eq!(report.damage.len(), 1);
         assert_eq!(report.damage[0].action, ScrubAction::Quarantined);
         assert!(!path.exists(), "corrupt file moved out of the spool");
-        assert_eq!(store.quarantined_segments(), 1);
         let json = report.to_json();
         assert!(json.contains("\"action\":\"quarantined\""), "{json}");
 
-        // Undamaged layer 1 reads clean; quarantined layer 0 is typed
-        // under Strict and exact-loss-reported under Degraded.
-        assert_eq!(store.layer(1).unwrap()[0].1.len(), 10);
-        assert!(matches!(
-            store.layer(0),
-            Err(StoreError::Quarantined { .. })
-        ));
-        let read = store
-            .layer_blocks(0, &LayerFilter::all(), ReadPolicy::Degraded)
-            .unwrap();
-        assert_eq!(read.degradation.segments_skipped, 1);
-        let remaining: usize = read.tuples.iter().map(|(_, t)| t.len()).sum();
-        assert_eq!(remaining, 0, "quarantined layer has no readable tuples");
-
-        // A fresh resume sees the quarantine and opens without error.
+        // A resume sees the quarantine and opens without error.
         let resumed = ProvStore::resume_from_spool(StoreConfig::spilling(0, dir.clone())).unwrap();
         assert_eq!(resumed.quarantined_segments(), 1);
         assert_eq!(resumed.layer(1).unwrap()[0].1.len(), 10);

@@ -509,8 +509,7 @@ impl ProvStore {
     /// Register `file` as content of `key` recovered from the spool:
     /// counted, sealed against re-ingest, and — unless it holds no
     /// tuples, like a tail salvaged down to zero records — raising the
-    /// cached max superstep, exactly as a repairing
-    /// [`ProvStore::scrub`] of the live store would leave it.
+    /// cached max superstep.
     fn attach_recovered(&mut self, key: (u32, String), file: DiskFile) -> &mut Segment {
         self.tuples += file.tuples;
         self.disk_bytes += file.bytes;
@@ -919,8 +918,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Injected ENOSPC under the default [`OnSpillError::Abort`] policy
-    /// is a typed, non-retried error naming the segment path.
+    /// Injected ENOSPC is a typed, non-retried error naming the segment
+    /// path.
     #[test]
     fn enospc_aborts_typed_by_default() {
         let dir = temp_dir("enospc-abort");

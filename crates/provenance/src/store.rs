@@ -16,7 +16,7 @@
 //! the [`ProvStore`] methods that act on it: record framing and the
 //! three payload formats in [`crate::frame`]; spool naming, atomic
 //! publish, salvage, spill IO and [`ProvStore::resume_from_spool`] in
-//! [`crate::spool`]; [`ProvStore::scrub`] in [`crate::scrub`];
+//! [`crate::spool`]; the offline [`scrub_spool`] in [`crate::scrub`];
 //! [`ProvStore::compact`] in [`crate::compact`];
 //! [`ProvStore::append_epoch`] in [`crate::epoch`]; and the
 //! asynchronous [`StoreWriter`] in [`crate::writer`].
@@ -29,6 +29,11 @@
 //! [`ProvStore::segment_index`] exposes the per-(superstep, predicate)
 //! tuple/byte accounting that planning decisions (pruning, budgeting)
 //! are made from.
+//!
+//! Every read is strict: a corrupt record or a quarantined segment is a
+//! typed [`StoreError`], never a partial answer. Recovery has one path:
+//! [`scrub_spool`] repairs the spool offline, and
+//! [`ProvStore::resume_from_spool`] reopens it.
 
 use crate::codec::{encode_tuples, CodecError};
 use crate::columnar::{v1_batch_size, ColumnStat};
@@ -94,25 +99,11 @@ pub enum StoreError {
         /// Ingest batches still queued when the deadline elapsed.
         pending: u64,
     },
-    /// A strict read was refused because the store holds less than the
-    /// full capture: it was poisoned by a spill failure under
-    /// [`OnSpillError::DropCapture`], or damage was detected earlier.
-    /// Use [`ReadPolicy::Degraded`] to read what survives, with the
-    /// loss reported as [`Degradation`].
-    Degraded {
-        /// Why the store is incomplete.
-        detail: String,
-        /// The failure that caused the degradation, when known.
-        source: Option<Arc<StoreError>>,
-    },
-    /// A strict read touched a layer whose segment file was moved into
+    /// A read touched a layer whose segment file was moved into
     /// `quarantine/` by a scrub repair.
     Quarantined {
         /// The quarantined segment file.
         path: PathBuf,
-        /// The corruption that condemned the file, when quarantined in
-        /// this process (`None` when discovered at resume).
-        source: Option<Box<StoreError>>,
     },
 }
 
@@ -135,10 +126,7 @@ impl fmt::Display for StoreError {
                     "store writer did not drain within {timeout:?} ({pending} batches pending)"
                 )
             }
-            StoreError::Degraded { detail, .. } => {
-                write!(f, "store degraded: {detail}")
-            }
-            StoreError::Quarantined { path, .. } => {
+            StoreError::Quarantined { path } => {
                 write!(f, "segment quarantined: {}", path.display())
             }
         }
@@ -149,12 +137,6 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io { source, .. } => Some(source),
-            StoreError::Degraded { source, .. } => source
-                .as_ref()
-                .map(|e| e.as_ref() as &(dyn std::error::Error + 'static)),
-            StoreError::Quarantined { source, .. } => source
-                .as_ref()
-                .map(|e| e.as_ref() as &(dyn std::error::Error + 'static)),
             _ => None,
         }
     }
@@ -232,83 +214,6 @@ pub enum Durability {
     Seal,
 }
 
-/// What [`ProvStore::ingest`] does when a spill write fails after
-/// retries (disk full, permission lost, injected fault).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum OnSpillError {
-    /// Propagate the error to the ingest caller (the default): capture
-    /// aborts with a typed [`StoreError`].
-    #[default]
-    Abort,
-    /// Poison the store and drop this and all subsequent ingests, so the
-    /// analytics run completes with partial provenance. Strict reads of
-    /// a poisoned store fail with [`StoreError::Degraded`] (chaining the
-    /// original spill error); [`ReadPolicy::Degraded`] reads succeed and
-    /// report the loss.
-    DropCapture,
-}
-
-/// How layer reads treat damaged or missing data.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum ReadPolicy {
-    /// Any corrupt record, quarantined segment, or store poisoning is a
-    /// typed error (the default).
-    #[default]
-    Strict,
-    /// Skip damaged records (resyncing to the next valid record) and
-    /// quarantined segments, and report exactly what was lost as
-    /// [`Degradation`] — partial results, always labelled.
-    Degraded,
-}
-
-/// Detail cap for [`Degradation::details`] so a badly damaged store
-/// cannot balloon reports.
-const DEGRADATION_DETAIL_CAP: usize = 8;
-
-/// What a [`ReadPolicy::Degraded`] read skipped. Attached to
-/// [`LayerRead`]; aggregated upward into layered-run and run reports.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Degradation {
-    /// Damaged record regions skipped inside otherwise-readable files
-    /// (each contiguous damaged byte range counts once).
-    pub records_skipped: usize,
-    /// Whole segments skipped (quarantined, or unreadable end to end).
-    pub segments_skipped: usize,
-    /// Encoded bytes skipped over.
-    pub bytes_skipped: usize,
-    /// Human-readable damage descriptions, capped at
-    /// `DEGRADATION_DETAIL_CAP` entries (the counts above stay exact).
-    pub details: Vec<String>,
-}
-
-impl Degradation {
-    /// True when nothing was skipped and no damage was noted — the read
-    /// was complete.
-    pub fn is_clean(&self) -> bool {
-        self.records_skipped == 0
-            && self.segments_skipped == 0
-            && self.bytes_skipped == 0
-            && self.details.is_empty()
-    }
-
-    /// Fold another degradation into this one (report aggregation).
-    pub fn absorb(&mut self, other: &Degradation) {
-        self.records_skipped += other.records_skipped;
-        self.segments_skipped += other.segments_skipped;
-        self.bytes_skipped += other.bytes_skipped;
-        for d in &other.details {
-            self.note(d.clone());
-        }
-    }
-
-    /// Append a damage description, respecting the detail cap.
-    pub(crate) fn note(&mut self, detail: String) {
-        if self.details.len() < DEGRADATION_DETAIL_CAP {
-            self.details.push(detail);
-        }
-    }
-}
-
 /// Store configuration.
 #[derive(Clone, Debug, Default)]
 pub struct StoreConfig {
@@ -324,8 +229,6 @@ pub struct StoreConfig {
     pub format: SegmentFormat,
     /// Fsync level for spill writes (defaults to [`Durability::None`]).
     pub durability: Durability,
-    /// Spill-failure policy (defaults to [`OnSpillError::Abort`]).
-    pub on_spill_error: OnSpillError,
     /// How layer reads pull extent bytes from spool files (defaults to
     /// [`ReadBackend::Buffered`]; [`ReadBackend::Mmap`] decodes borrowed
     /// from the page cache on atomic files).
@@ -365,12 +268,6 @@ impl StoreConfig {
     /// Select the spill durability level (builder style).
     pub fn with_durability(mut self, durability: Durability) -> Self {
         self.durability = durability;
-        self
-    }
-
-    /// Select the spill-failure policy (builder style).
-    pub fn with_on_spill_error(mut self, policy: OnSpillError) -> Self {
-        self.on_spill_error = policy;
         self
     }
 
@@ -533,32 +430,22 @@ impl Segment {
         self.mem_tuples + self.pending.len() + self.disk.tuples()
     }
 
-    /// Nothing in memory and no spool file behind it.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.mem.is_empty() && self.pending.is_empty() && self.disk.files.is_empty()
-    }
-
     /// Decode the whole segment (spilled prefix first, then the
     /// in-memory tail, then pending rows) onto the end of `out`,
-    /// returning the encoded bytes read plus skip accounting and any
-    /// degradation incurred under [`ReadPolicy::Degraded`]. `mask` is the
-    /// keep-mask applied to every record *and* to copied pending rows, so
-    /// masked reads are identical whether rows were packed yet or not.
+    /// returning the encoded bytes read plus skip accounting. Any damage
+    /// is a typed error. `mask` is the keep-mask applied to every record
+    /// *and* to copied pending rows, so masked reads are identical
+    /// whether rows were packed yet or not.
     pub(crate) fn decode_into(
         &self,
         backend: ReadBackend,
         mask: Option<&[bool]>,
         out: &mut RowBlock,
         stats: Option<&mut Vec<ColumnStat>>,
-        policy: ReadPolicy,
-    ) -> Result<(usize, DecodeCounts, Degradation), StoreError> {
-        let mode = match policy {
-            ReadPolicy::Strict => WalkMode::Strict,
-            ReadPolicy::Degraded => WalkMode::Degraded,
-        };
+    ) -> Result<(usize, DecodeCounts), StoreError> {
+        let mode = WalkMode::Strict;
         let mut bytes_read = 0usize;
         let mut counts = DecodeCounts::default();
-        let mut damage = Degradation::default();
         let mut stats = stats;
         for file in &self.disk.files {
             // Compacted extents seek straight to their footer-indexed
@@ -573,12 +460,6 @@ impl Segment {
                 file.atomic,
             ) {
                 Ok(d) => d,
-                Err(e) if policy == ReadPolicy::Degraded => {
-                    damage.segments_skipped += 1;
-                    damage.bytes_skipped += file.bytes;
-                    damage.note(format!("{}: unreadable: {e}", file.path.display()));
-                    continue;
-                }
                 Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
                     // The file is shorter than its registered extent:
                     // someone truncated it under us — corruption, not a
@@ -596,12 +477,10 @@ impl Segment {
             bytes_read += data.len();
             let walked = walk_records(&data, &file.path, out, mask, stats.as_deref_mut(), mode)?;
             counts.absorb(&walked.counts);
-            damage.absorb(&walked.damage);
         }
         bytes_read += self.mem.len();
         let walked = walk_records(&self.mem, Path::new("<memory>"), out, mask, stats, mode)?;
         counts.absorb(&walked.counts);
-        damage.absorb(&walked.damage);
         if !self.pending.is_empty() {
             bytes_read += self.pending_bytes;
             let at = out.len();
@@ -610,7 +489,7 @@ impl Segment {
                 out.blank(at, mask);
             }
         }
-        Ok((bytes_read, counts, damage))
+        Ok((bytes_read, counts))
     }
 }
 
@@ -630,17 +509,8 @@ pub struct ProvStore {
     /// Records retained by truncating torn unsealed tails at resume.
     pub(crate) salvaged: usize,
     /// Segment files found in (or moved to) `quarantine/`, keyed like
-    /// segments. Strict reads of their layers fail typed; degraded
-    /// reads count them as skipped segments.
+    /// segments. Reads of their layers fail typed.
     pub(crate) quarantined: BTreeMap<(u32, String), PathBuf>,
-    /// Set when a spill failure under [`OnSpillError::DropCapture`]
-    /// stopped capture: subsequent ingests are dropped and strict reads
-    /// fail with [`StoreError::Degraded`] chaining this error.
-    pub(crate) poison: Option<Arc<StoreError>>,
-    /// Ingest batches dropped after poisoning.
-    pub(crate) dropped_batches: usize,
-    /// Tuples dropped after poisoning.
-    pub(crate) dropped_tuples: usize,
     /// The current compaction generation (0 = never compacted). Each
     /// [`ProvStore::compact`] bumps it; generation files and the spool
     /// manifest carry it so resume can tell live files from orphans.
@@ -708,9 +578,6 @@ pub struct LayerRead<R = Vec<Tuple>> {
     /// Encoded bytes of the skipped v2 column blocks (v1 skips are not
     /// byte-accounted).
     pub col_bytes_skipped: usize,
-    /// What a [`ReadPolicy::Degraded`] read skipped as damaged; always
-    /// clean under [`ReadPolicy::Strict`] (damage errors out instead).
-    pub degradation: Degradation,
 }
 
 impl LayerRead<RowBlock> {
@@ -729,7 +596,6 @@ impl LayerRead<RowBlock> {
             bytes_skipped: self.bytes_skipped,
             cols_skipped: self.cols_skipped,
             col_bytes_skipped: self.col_bytes_skipped,
-            degradation: self.degradation,
         }
     }
 }
@@ -782,18 +648,6 @@ impl LayerFilter<'_> {
     /// The column keep-mask for `pred`, if any.
     pub fn mask(&self, pred: &str) -> Option<&[bool]> {
         self.masks.get(pred).map(Vec::as_slice)
-    }
-}
-
-/// Why strict reads refuse a poisoned store.
-const POISONED: &str = "store poisoned: capture dropped after a spill failure";
-
-/// The typed error an operation that needs the full capture gives a
-/// store poisoned by the spill failure `poison`, which it chains.
-pub(crate) fn poison_refusal(poison: &Arc<StoreError>, detail: &str) -> StoreError {
-    StoreError::Degraded {
-        detail: detail.into(),
-        source: Some(Arc::clone(poison)),
     }
 }
 
@@ -857,13 +711,6 @@ impl ProvStore {
         if rows == 0 {
             return Ok(());
         }
-        if self.poison.is_some() {
-            // Capture was downgraded by a spill failure under
-            // OnSpillError::DropCapture: drop the batch, count the loss.
-            self.dropped_batches += 1;
-            self.dropped_tuples += rows;
-            return Ok(());
-        }
         if let Some(fault) = &self.config.fault {
             if let Some(stall) = fault.take_ingest_stall() {
                 note_fault(
@@ -919,24 +766,7 @@ impl ProvStore {
         if seg.pending.len() >= PACK_THRESHOLD {
             seg.pack(format, &mut self.mem_bytes, superstep, pred);
         }
-        match self.spill_down_to(self.config.memory_budget) {
-            Ok(()) => Ok(()),
-            Err(e) if self.config.on_spill_error == OnSpillError::DropCapture => {
-                // Poison the store instead of aborting the run: already-
-                // captured provenance (memory + spool) stays readable in
-                // degraded mode; everything from here on is dropped.
-                let err = Arc::new(e);
-                trace::event(
-                    Level::Error,
-                    "store",
-                    "capture_dropped",
-                    &[("error", err.to_string().into())],
-                );
-                self.poison = Some(err);
-                Ok(())
-            }
-            Err(e) => Err(e),
-        }
+        self.spill_down_to(self.config.memory_budget)
     }
 
     /// Pack one segment's pending rows, if it exists and has any.
@@ -1009,8 +839,8 @@ impl ProvStore {
 
     /// Spill one segment's in-memory records to the spool, honouring the
     /// configured [`Durability`] level and any scripted faults. On
-    /// failure the in-memory records are restored, so a store kept
-    /// alive by [`OnSpillError::DropCapture`] still serves them.
+    /// failure the in-memory records are restored, so the store's
+    /// accounting still matches what it holds.
     fn spill_segment(&mut self, dir: &Path, key: &(u32, String)) -> Result<(), StoreError> {
         // Scripted faults. `take_spill_failure` owns the attempt
         // counter; the other hooks key off the same ordinal.
@@ -1094,30 +924,27 @@ impl ProvStore {
     /// decode as [`Value::Unit`](ariadne_pql::Value::Unit) without
     /// materializing the stored values; for v2 records the whole encoded
     /// column block is skipped.
-    /// The rows are those of a strict [`ProvStore::layer_blocks`], copied
-    /// out as tuples.
+    /// The rows are those of [`ProvStore::layer_blocks`], copied out as
+    /// tuples.
     pub fn layer_read(&self, superstep: u32, filter: &LayerFilter) -> Result<LayerRead, StoreError> {
-        Ok(self.layer_blocks(superstep, filter, ReadPolicy::Strict)?.into_tuples())
+        Ok(self.layer_blocks(superstep, filter)?.into_tuples())
     }
 
-    /// One layer through a [`LayerFilter`] under `policy`, each
-    /// predicate's rows in the [`RowBlock`] they were decoded into. Under
-    /// [`ReadPolicy::Strict`] any damage — a corrupt record, a
-    /// quarantined segment of this layer, or a poisoned store — is a
-    /// typed error. Under [`ReadPolicy::Degraded`] damaged records are
-    /// skipped, quarantined segments are counted, and the exact loss is
-    /// reported on [`LayerRead::degradation`]. A store with epochs folds
-    /// its logical layer newest-first (see [`crate::epoch`]).
+    /// One layer through a [`LayerFilter`], each predicate's rows in the
+    /// [`RowBlock`] they were decoded into. Any damage — a corrupt
+    /// record or a quarantined segment of this layer — is a typed error;
+    /// [`scrub_spool`] and [`ProvStore::resume_from_spool`] are the
+    /// repair path. A store with epochs folds its logical layer
+    /// newest-first (see [`crate::epoch`]).
     pub fn layer_blocks(
         &self,
         superstep: u32,
         filter: &LayerFilter,
-        policy: ReadPolicy,
     ) -> Result<LayerRead<RowBlock>, StoreError> {
         if self.epochs.is_empty() {
-            self.physical_layer_blocks(superstep, filter, policy)
+            self.physical_layer_blocks(superstep, filter)
         } else {
-            self.logical_layer_blocks(superstep, filter, policy)
+            self.logical_layer_blocks(superstep, filter)
         }
     }
 
@@ -1130,7 +957,6 @@ impl ProvStore {
         &self,
         superstep: u32,
         filter: &LayerFilter,
-        policy: ReadPolicy,
     ) -> Result<LayerRead<RowBlock>, StoreError> {
         let _read_span = trace::span(
             Level::Trace,
@@ -1139,7 +965,7 @@ impl ProvStore {
             &[("superstep", u64::from(superstep).into())],
         );
         let mut out = LayerRead::<RowBlock>::default();
-        self.check_damage(superstep, filter, policy, &mut out.degradation)?;
+        self.check_damage(superstep, filter)?;
         for ((_, pred), seg) in self.segments.range(layer_bounds(superstep)) {
             if !filter.wants(pred) {
                 out.segments_skipped += 1;
@@ -1147,8 +973,7 @@ impl ProvStore {
                 continue;
             }
             let mut rows = RowBlock::default();
-            let counts =
-                self.decode_segment(seg, filter.mask(pred), &mut rows, policy, &mut out)?;
+            let counts = self.decode_segment(seg, filter.mask(pred), &mut rows, &mut out)?;
             out.cols_skipped += counts.cols_skipped;
             out.col_bytes_skipped += counts.col_bytes_skipped;
             out.tuples.push((pred.clone(), rows));
@@ -1160,61 +985,33 @@ impl ProvStore {
     }
 
     /// Decode `seg` onto the end of `rows` for a read, charging the
-    /// segment and its bytes and damage to `out`.
+    /// segment and its bytes to `out`.
     pub(crate) fn decode_segment(
         &self,
         seg: &Segment,
         mask: Option<&[bool]>,
         rows: &mut RowBlock,
-        policy: ReadPolicy,
         out: &mut LayerRead<RowBlock>,
     ) -> Result<DecodeCounts, StoreError> {
-        let (bytes, counts, damage) =
-            seg.decode_into(self.config.read_backend, mask, rows, None, policy)?;
+        let (bytes, counts) = seg.decode_into(self.config.read_backend, mask, rows, None)?;
         out.segments_read += 1;
         out.bytes_read += bytes;
-        out.degradation.absorb(&damage);
         Ok(counts)
     }
 
-    /// The damage a read of physical layer `superstep` through `filter`
-    /// must own up to before decoding anything: a poisoned store, and
-    /// quarantined segments of the layer the filter wants. A typed error
-    /// under [`ReadPolicy::Strict`]; noted on `degradation` otherwise.
+    /// Refuse a read of physical layer `superstep` through `filter`
+    /// before decoding anything when the filter wants a quarantined
+    /// segment of that layer.
     pub(crate) fn check_damage(
         &self,
         superstep: u32,
         filter: &LayerFilter,
-        policy: ReadPolicy,
-        degradation: &mut Degradation,
     ) -> Result<(), StoreError> {
-        if let Some(poison) = &self.poison {
-            match policy {
-                ReadPolicy::Strict => return Err(poison_refusal(poison, POISONED)),
-                ReadPolicy::Degraded => degradation.note(format!(
-                    "{POISONED} ({poison}); {} batches / {} tuples lost",
-                    self.dropped_batches, self.dropped_tuples
-                )),
-            }
+        let mut quarantined = self.quarantined.range(layer_bounds(superstep));
+        match quarantined.find(|((_, pred), _)| filter.wants(pred)) {
+            Some((_, path)) => Err(StoreError::Quarantined { path: path.clone() }),
+            None => Ok(()),
         }
-        for ((_, pred), qpath) in self.quarantined.range(layer_bounds(superstep)) {
-            if !filter.wants(pred) {
-                continue;
-            }
-            match policy {
-                ReadPolicy::Strict => {
-                    return Err(StoreError::Quarantined {
-                        path: qpath.clone(),
-                        source: None,
-                    })
-                }
-                ReadPolicy::Degraded => {
-                    degradation.segments_skipped += 1;
-                    degradation.note(format!("{}: quarantined", qpath.display()));
-                }
-            }
-        }
-        Ok(())
     }
 
     /// The largest **logical** superstep, if any. For a store with no
@@ -1269,21 +1066,14 @@ impl ProvStore {
     /// per-layer range scans, and empty layers cost nothing — decoding
     /// each segment into one reused block whose rows go into their
     /// relation as slices. An epoch store loads its logical layers
-    /// instead (each folded newest-first). Strict: a poisoned store or
-    /// quarantined segment is a typed error (partial evaluation over a
-    /// full-database load would be silently wrong), and so is a
-    /// predicate whose rows differ in arity — only a ragged
-    /// [`ProvStore::ingest`] stores such rows, and no relation holds
-    /// them.
+    /// instead (each folded newest-first). A quarantined segment is a
+    /// typed error (partial evaluation over a full-database load would
+    /// be silently wrong), and so is a predicate whose rows differ in
+    /// arity — only a ragged [`ProvStore::ingest`] stores such rows, and
+    /// no relation holds them.
     pub fn to_database(&self) -> Result<Database, StoreError> {
-        if let Some(poison) = &self.poison {
-            return Err(poison_refusal(poison, POISONED));
-        }
         if let Some(path) = self.quarantined.values().next() {
-            return Err(StoreError::Quarantined {
-                path: path.clone(),
-                source: None,
-            });
+            return Err(StoreError::Quarantined { path: path.clone() });
         }
         let mut db = Database::new();
         let mut load = |pred: &str, rows: &RowBlock| -> Result<(), StoreError> {
@@ -1303,15 +1093,14 @@ impl ProvStore {
             let mut rows = RowBlock::default();
             for ((_, pred), seg) in &self.segments {
                 rows.clear();
-                let policy = ReadPolicy::Strict;
-                seg.decode_into(self.config.read_backend, None, &mut rows, None, policy)?;
+                seg.decode_into(self.config.read_backend, None, &mut rows, None)?;
                 load(pred, &rows)?;
             }
         } else if let Some(max) = self.max_superstep() {
             // Epoch-layered store: materialize each logical layer (the
             // physical index interleaves diff segments with history).
             for s in 0..=max {
-                let read = self.logical_layer_blocks(s, &LayerFilter::all(), ReadPolicy::Strict)?;
+                let read = self.logical_layer_blocks(s, &LayerFilter::all())?;
                 for (pred, rows) in &read.tuples {
                     load(pred, rows)?;
                 }
@@ -1357,23 +1146,6 @@ impl ProvStore {
     /// subdirectory (moved there by a repairing scrub).
     pub fn quarantined_segments(&self) -> usize {
         self.quarantined.len()
-    }
-
-    /// The spill failure that poisoned this store, if any. A poisoned
-    /// store (see [`OnSpillError::DropCapture`]) dropped capture after
-    /// the failure; [`ReadPolicy::Strict`] reads refuse it.
-    pub fn poisoned(&self) -> Option<&StoreError> {
-        self.poison.as_deref()
-    }
-
-    /// Batches dropped after the store was poisoned.
-    pub fn dropped_batches(&self) -> usize {
-        self.dropped_batches
-    }
-
-    /// Tuples dropped after the store was poisoned.
-    pub fn dropped_tuples(&self) -> usize {
-        self.dropped_tuples
     }
 
     /// The current compaction generation (0 = never compacted).
@@ -1840,50 +1612,5 @@ pub(crate) mod tests {
         want.push(tuple(5, 0));
         assert_eq!(store.layer(0).unwrap()[0].1, want);
         assert_eq!(store.tuple_count(), 6);
-    }
-
-    /// [`OnSpillError::DropCapture`]: a spill failure poisons the store
-    /// instead of failing ingest; later batches are dropped and counted;
-    /// Strict reads refuse the poisoned store with the original error
-    /// chained; Degraded reads succeed and report the loss.
-    #[test]
-    fn drop_capture_poisons_instead_of_failing() {
-        let dir = temp_dir("drop-capture");
-        std::fs::remove_dir_all(&dir).ok();
-        let plan = FaultPlan::new();
-        plan.enospc_after_bytes(0);
-        let mut store = ProvStore::new(
-            StoreConfig::spilling(8, dir.clone())
-                .with_fault(Arc::clone(&plan))
-                .with_on_spill_error(OnSpillError::DropCapture),
-        );
-        // The spill fails (injected ENOSPC) but ingest still succeeds.
-        store
-            .ingest(0, "value", (0..20).map(|v| tuple(v, 0)).collect())
-            .unwrap();
-        assert!(store.poisoned().is_some());
-        store.ingest(1, "value", vec![tuple(9, 1)]).unwrap();
-        assert_eq!(store.dropped_batches(), 1);
-        assert_eq!(store.dropped_tuples(), 1);
-        // Strict read: typed degradation chaining the spill error.
-        match store.layer(0) {
-            Err(e @ StoreError::Degraded { .. }) => {
-                use std::error::Error;
-                assert!(e.source().is_some(), "poison cause must chain");
-            }
-            other => panic!("expected degraded error, got {other:?}"),
-        }
-        assert!(matches!(
-            store.to_database(),
-            Err(StoreError::Degraded { .. })
-        ));
-        // Degraded read: the in-memory records survive (the failed spill
-        // restored them) and the poisoning is reported.
-        let read = store
-            .layer_blocks(0, &LayerFilter::all(), ReadPolicy::Degraded)
-            .unwrap();
-        assert_eq!(read.tuples[0].1.len(), 20);
-        assert!(!read.degradation.is_clean());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -93,9 +93,8 @@ impl StoreSender {
     /// Block until the writer has spilled every row it was given before
     /// this call (a store without a spool keeps them), so a checkpoint
     /// taken now covers no row that lives only in memory. A failed spill
-    /// here ends the writer under any [`OnSpillError`](crate::OnSpillError)
-    /// policy; [`StoreWriter::finish`] reports it, as it does a writer
-    /// that was already dead.
+    /// here ends the writer; [`StoreWriter::finish`] reports it, as it
+    /// does a writer that was already dead.
     pub fn sync(&self) {
         let (answer, synced) = channel();
         if self.sender.send(WriterMsg::Sync(answer)).is_ok() {

@@ -20,9 +20,9 @@
 //!   counts — layered replay is deterministic and the service flattens
 //!   results in a fixed order, so a row offset is a durable address.
 //!
-//! Replays read strictly: damage in the served store is a typed 500,
-//! never a partial answer (degraded reads belong to the store and
-//! `scrub`). So a result is a function of the compiled query, the layer
+//! Replays read strictly, as every store read does: damage in the
+//! served store is a typed 500, never a partial answer. So a result is
+//! a function of the compiled query, the layer
 //! range and the store's mutation epoch alone, and that triple is the
 //! cache key.
 //!

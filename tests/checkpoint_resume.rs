@@ -367,6 +367,7 @@ fn capture_resume_is_complete_or_typed() {
             Err(err) => {
                 assert!(budget.is_none(), "budget {budget:?}: {err}");
                 assert!(matches!(err, AriadneError::Store(_)), "{err:?}");
+                assert!(err.to_string().contains("spool_dir"), "{err}");
             }
         }
         std::fs::remove_dir_all(&dir).ok();

@@ -24,7 +24,7 @@ fn serialize() -> MutexGuard<'static, ()> {
     static GATE: OnceLock<Mutex<()>> = OnceLock::new();
     GATE.get_or_init(|| Mutex::new(()))
         .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+        .unwrap_or_else(|held| held.into_inner())
 }
 
 /// One parsed HTTP response: status code, raw header block, body.

@@ -33,7 +33,7 @@ use ariadne_analytics::PageRank;
 use ariadne_graph::generators::regular::grid;
 use ariadne_graph::{GraphDelta, MutableGraph, VertexId};
 use ariadne_provenance::v3::{parse_manifest, MANIFEST_NAME};
-use ariadne_provenance::{LayerFilter, ReadPolicy, Rows, SegmentFormat, StoreConfig};
+use ariadne_provenance::{LayerFilter, Rows, SegmentFormat, StoreConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -159,11 +159,7 @@ fn read_side_allocates_per_segment_not_per_row() {
     // The fold of every logical layer of the two-epoch chain.
     let max = store.max_superstep().unwrap();
     let (rows, allocs) = counted(|| {
-        let read = |s| {
-            store
-                .layer_blocks(s, &LayerFilter::all(), ReadPolicy::Strict)
-                .unwrap()
-        };
+        let read = |s| store.layer_blocks(s, &LayerFilter::all()).unwrap();
         (0..=max)
             .map(|s| {
                 read(s)

@@ -2,14 +2,13 @@
 //! offset of both segment formats salvage back to a record boundary
 //! (never returning data a clean run's prefix would not have), scrub
 //! detects every injected bit flip, repair quarantines irrecoverable
-//! segments so a strict open succeeds and degraded reads report exactly
-//! the loss, and an out-of-space capture under `DropCapture` completes
-//! the analytic run with a poisoned store instead of failing it.
+//! segments so a reopen succeeds and reads of the lost layer fail typed,
+//! and an out-of-space capture fails typed, naming the segment file.
 
 use ariadne_pql::Value;
 use ariadne_provenance::{
-    compact_spool, scrub_spool, Durability, LayerFilter, ProvStore, ReadBackend, ReadPolicy,
-    Rows, ScrubAction, ScrubReport, SegmentFormat, StoreConfig, StoreError,
+    compact_spool, scrub_spool, Durability, LayerFilter, ProvStore, ReadBackend, ScrubAction,
+    SegmentFormat, StoreConfig, StoreError,
 };
 use std::path::{Path, PathBuf};
 
@@ -157,9 +156,8 @@ fn bit_flip_matrix_v3() {
 }
 
 /// The repair contract end to end: detect -> repair (quarantine) ->
-/// strict open succeeds -> strict reads of the damaged layer are a
-/// typed error -> degraded reads report exactly the quarantined loss ->
-/// a second scrub is clean.
+/// reopen succeeds -> intact layers read in full -> reads of the damaged
+/// layer report the loss as a typed error -> a second scrub is clean.
 #[test]
 fn repair_then_strict_open_and_degraded_loss() {
     let dir = temp_dir("repair");
@@ -193,83 +191,60 @@ fn repair_then_strict_open_and_degraded_loss() {
         .any(|d| d.action == ScrubAction::Quarantined));
     assert!(dir.join("quarantine").join("seg-1-value.bin").exists());
 
-    // Strict open of the repaired spool succeeds; intact layers read
-    // fully under the default strict policy.
+    // The repaired spool reopens; intact layers read in full.
     let resumed = ProvStore::resume_from_spool(StoreConfig::spilling(0, dir.clone())).unwrap();
     for s in [0u32, 2] {
         let read = resumed.layer_read(s, &LayerFilter::all()).unwrap();
         assert_eq!(read.tuples.iter().map(|(_, t)| t.len()).sum::<usize>(), 8);
-        assert!(read.degradation.is_clean());
     }
 
-    // The quarantined layer: strict is typed, degraded counts the loss.
+    // The quarantined layer: the loss is a typed error.
     let err = resumed.layer_read(1, &LayerFilter::all()).unwrap_err();
     assert!(matches!(err, StoreError::Quarantined { .. }), "{err:?}");
-    let read = resumed
-        .layer_blocks(1, &LayerFilter::all(), ReadPolicy::Degraded)
-        .unwrap();
-    assert_eq!(read.degradation.segments_skipped, 1);
-    assert!(!read.degradation.is_clean());
-    assert_eq!(read.tuples.iter().map(|(_, t)| t.len()).sum::<usize>(), 0);
 
     assert!(scrub_spool(&dir, false).unwrap().is_clean());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Out-of-space during capture under `OnSpillError::DropCapture`: the
-/// analytic run completes with correct values, the store is poisoned
-/// (strict reads fail typed with a chained source; degraded reads
-/// disclose the dropped batches), and the run report records the drop.
+/// Out-of-space during a capture: the run fails with the typed spill
+/// error — an `Io` error naming the segment file, `ENOSPC` in its
+/// source — and fails promptly, without hanging on the writer thread.
 #[test]
-fn enospc_drop_capture_completes_the_run() {
-    use ariadne::session::Ariadne;
-    use ariadne::{CaptureSpec, FaultPlan, OnSpillError, ReadPolicy, StoreConfig};
+fn enospc_capture_fails_typed() {
+    use ariadne::session::{Ariadne, AriadneError};
+    use ariadne::{CaptureSpec, FaultPlan};
     use ariadne_analytics::Sssp;
     use ariadne_graph::generators::regular::path;
     use ariadne_graph::VertexId;
-    use std::error::Error;
+    use std::time::Duration;
 
     let dir = temp_dir("enospc");
     let _ = std::fs::remove_dir_all(&dir);
     let plan = FaultPlan::new();
     plan.enospc_after_bytes(0);
-
     let ariadne = Ariadne {
-        store: StoreConfig::spilling(0, dir.clone())
-            .with_fault(plan)
-            .with_on_spill_error(OnSpillError::DropCapture),
+        store: StoreConfig::spilling(0, dir.clone()).with_fault(plan),
         ..Ariadne::default()
     };
 
-    let graph = path(32);
-    let run = ariadne
-        .capture(&Sssp::new(VertexId(0)), &graph, &CaptureSpec::full())
-        .expect("run completes despite the full disk");
-    assert_eq!(run.values.len(), 32);
-    assert_eq!(run.values[31], 31.0);
-
-    let store = &run.store;
-    assert!(store.poisoned().is_some(), "spill failure must poison");
-    assert!(store.dropped_batches() > 0);
-
-    let err = store
-        .layer_blocks(0, &LayerFilter::all(), ReadPolicy::Strict)
-        .unwrap_err();
-    assert!(matches!(err, StoreError::Degraded { .. }), "{err:?}");
-    assert!(err.source().is_some(), "poison cause must be chained");
-
-    let read = store
-        .layer_blocks(0, &LayerFilter::all(), ReadPolicy::Degraded)
-        .unwrap();
-    assert!(!read.degradation.is_clean());
-
-    let report = run.report();
-    let store_report = report.store.expect("capture run reports its store");
-    assert!(store_report.dropped_batches > 0);
-    assert_eq!(store_report.quarantined_segments, 0);
-    let json = report.to_json();
-    assert!(json.contains("\"dropped_batches\":"), "{json}");
-
+    let (done, outcome) = std::sync::mpsc::channel();
+    let capture = std::thread::spawn(move || {
+        let run = ariadne.capture(&Sssp::new(VertexId(0)), &path(32), &CaptureSpec::full());
+        let _ = done.send(run.map(|_| ()));
+    });
+    let err = outcome
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the capture returns within the timeout")
+        .expect_err("a full disk fails the capture");
+    capture.join().expect("the capture thread exits cleanly");
+    match err {
+        AriadneError::Store(StoreError::Io { path, source }) => {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            assert!(name.starts_with("seg-"), "{}", path.display());
+            assert!(source.to_string().contains("ENOSPC"), "{source}");
+        }
+        other => panic!("expected a typed Io store error, got {other:?}"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -459,52 +434,54 @@ fn compacted_footer_and_manifest_bit_flips_detected() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Regression: the cached `max_superstep` must be recomputed when a
-/// repair drains the highest layer. Salvage that keeps zero records
-/// drops the layer entirely (the cache must shrink); quarantine keeps
-/// the layer visible (the data existed — degraded reads report it).
+/// Regression: a repair that drains the highest layer must show in the
+/// reopened store's `max_superstep`. Salvage that keeps zero records
+/// drops the layer entirely (the max shrinks); quarantine keeps the
+/// layer visible (the data existed — reads of it fail typed).
 #[test]
 fn repair_recomputes_max_superstep_when_highest_layer_drains() {
+    // Three layers of `value`, spilled, then the store is gone: repair
+    // works on the spool alone.
+    let build = |dir: &PathBuf| {
+        let _ = std::fs::remove_dir_all(dir);
+        let mut store = ProvStore::new(StoreConfig::spilling(0, dir.clone()));
+        for s in 0..3u32 {
+            let rows = (0..8u64).map(|v| vec![Value::Id(v), Value::Int(s as i64)]);
+            store.ingest(s, "value", rows.collect()).unwrap();
+        }
+        assert_eq!(store.max_superstep(), Some(2));
+    };
+    let repair_and_reopen = |dir: &PathBuf, action: ScrubAction| {
+        let report = scrub_spool(dir, true).unwrap();
+        assert!(report.damage.iter().any(|d| d.action == action), "{action}");
+        ProvStore::resume_from_spool(StoreConfig::spilling(0, dir.clone())).unwrap()
+    };
+
     // Salvage-to-empty: the whole highest-layer file is one torn
     // record; repair truncates it to zero records and the max drops.
     let dir = temp_dir("maxstep-salvage");
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut store = ProvStore::new(StoreConfig::spilling(0, dir.clone()));
-    for s in 0..3u32 {
-        store
-            .ingest(s, "value", (0..8u64).map(|v| vec![Value::Id(v), Value::Int(s as i64)]).collect())
-            .unwrap();
-    }
-    assert_eq!(store.max_superstep(), Some(2));
+    build(&dir);
     let seg = dir.join("seg-2-value.bin");
     let bytes = std::fs::read(&seg).unwrap();
     std::fs::write(&seg, &bytes[..7]).unwrap(); // mid-header tear at byte 0
-    let report = store.scrub(true).unwrap();
-    assert!(report.damage.iter().any(|d| d.action == ScrubAction::Salvaged));
+    let store = repair_and_reopen(&dir, ScrubAction::Salvaged);
     assert_eq!(
         store.max_superstep(),
         Some(1),
-        "drained highest layer must drop out of the cached max"
+        "drained highest layer must drop out of the max"
     );
     let _ = std::fs::remove_dir_all(&dir);
 
     // Quarantine: the layer's data existed and was lost, so the layer
-    // itself remains addressable (strict reads fail typed, degraded
-    // reads disclose the loss) and the max stays put.
+    // itself remains addressable (reads of it fail typed) and the max
+    // stays put.
     let dir = temp_dir("maxstep-quarantine");
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut store = ProvStore::new(StoreConfig::spilling(0, dir.clone()));
-    for s in 0..3u32 {
-        store
-            .ingest(s, "value", (0..8u64).map(|v| vec![Value::Id(v), Value::Int(s as i64)]).collect())
-            .unwrap();
-    }
+    build(&dir);
     let seg = dir.join("seg-2-value.bin");
     let mut bytes = std::fs::read(&seg).unwrap();
     bytes[20] ^= 0x01; // payload corruption inside a complete frame
     std::fs::write(&seg, &bytes).unwrap();
-    let report = store.scrub(true).unwrap();
-    assert!(report.damage.iter().any(|d| d.action == ScrubAction::Quarantined));
+    let store = repair_and_reopen(&dir, ScrubAction::Quarantined);
     assert_eq!(store.max_superstep(), Some(2), "quarantined layers stay visible");
     assert!(matches!(
         store.layer_read(2, &LayerFilter::all()).unwrap_err(),
@@ -513,46 +490,14 @@ fn repair_recomputes_max_superstep_when_highest_layer_drains() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every file under `dir` (recursively, so `quarantine/` and `.torn`
-/// sidecars count) as (path relative to `dir`, length).
-fn spool_tree(dir: &Path) -> Vec<(String, u64)> {
-    fn walk(root: &Path, at: &Path, out: &mut Vec<(String, u64)>) {
-        for entry in std::fs::read_dir(at).unwrap() {
-            let path = entry.unwrap().path();
-            if path.is_dir() {
-                walk(root, &path, out);
-            } else {
-                let rel = path.strip_prefix(root).unwrap().display().to_string();
-                out.push((rel, std::fs::metadata(&path).unwrap().len()));
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(dir, dir, &mut out);
-    out.sort();
-    out
-}
-
-/// The online-vs-offline repair oracle: repairing a live store must
-/// equal repairing its spool offline and reopening it. Two identical
-/// spools are damaged the same way; one is repaired through a live
-/// `ProvStore::scrub(true)`, the other through `scrub_spool(dir, true)`
-/// followed by `resume_from_spool`. Reports, accounting, degraded reads
-/// of every layer and the files left on disk must all agree, and a
-/// second scrub of either side must come back clean.
+/// The repair oracle on the one recovery path: a damaged spool is
+/// repaired offline by `scrub_spool(dir, true)` and reopened by
+/// `resume_from_spool`. Every layer then reads strictly as one of two
+/// outcomes: exactly the undamaged spool's rows (a record prefix of
+/// them where a torn tail was salvaged), or `StoreError::Quarantined`
+/// naming a file under `quarantine/`. A second scrub comes back clean.
 #[test]
-fn online_repair_equals_offline_repair_and_reopen() {
-    // Spool paths differ between the two sides; everything else in a
-    // report or a degradation note must not.
-    fn report_view(report: &ScrubReport, dir: &Path) -> String {
-        format!("{report:?}").replace(&dir.display().to_string(), "<spool>")
-    }
-    fn read_view(store: &ProvStore, layer: u32, dir: &Path) -> String {
-        let read = store
-            .layer_blocks(layer, &LayerFilter::all(), ReadPolicy::Degraded)
-            .unwrap();
-        format!("{read:?}").replace(&dir.display().to_string(), "<spool>")
-    }
+fn offline_repair_then_reopen_reads_strictly() {
     fn truncate(path: &Path, len: impl Fn(usize) -> usize) {
         let bytes = std::fs::read(path).unwrap();
         std::fs::write(path, &bytes[..len(bytes.len())]).unwrap();
@@ -567,7 +512,7 @@ fn online_repair_equals_offline_repair_and_reopen() {
     for cell in ["salvage-to-zero", "torn-bin-tail", "flipped-seal", "flipped-generation", "flipped-manifest"] {
         // Three layers of two records each in `value`; `sent` stops a
         // layer early, so draining seg-2-value drains the top layer.
-        let build = |dir: &PathBuf| -> ProvStore {
+        let build = |dir: &PathBuf| {
             let _ = std::fs::remove_dir_all(dir);
             let durability = match cell {
                 "flipped-seal" => Durability::Seal,
@@ -587,7 +532,6 @@ fn online_repair_equals_offline_repair_and_reopen() {
             if matches!(cell, "flipped-generation" | "flipped-manifest") {
                 store.compact().unwrap();
             }
-            store
         };
         let damage = |dir: &PathBuf| match cell {
             "torn-bin-tail" => truncate(&dir.join("seg-1-value.bin"), |len| len - 5),
@@ -596,40 +540,43 @@ fn online_repair_equals_offline_repair_and_reopen() {
             "flipped-manifest" => flip(&dir.join("index.ars"), |len| len / 2),
             _ => truncate(&dir.join("seg-2-value.bin"), |_| 7),
         };
-        let live_dir = temp_dir(&format!("equiv-{cell}-live"));
-        let cold_dir = temp_dir(&format!("equiv-{cell}-cold"));
-        let mut live = build(&live_dir);
-        drop(build(&cold_dir));
-        assert_eq!(spool_tree(&live_dir), spool_tree(&cold_dir), "{cell}: spools start identical");
-        damage(&live_dir);
-        damage(&cold_dir);
+        let clean_dir = temp_dir(&format!("repair-{cell}-clean"));
+        let dir = temp_dir(&format!("repair-{cell}"));
+        build(&clean_dir);
+        build(&dir);
+        damage(&dir);
+        let clean = ProvStore::resume_from_spool(StoreConfig::spilling(0, clean_dir.clone())).unwrap();
 
-        let live_report = live.scrub(true).unwrap();
-        let cold_report = scrub_spool(&cold_dir, true).unwrap();
-        let cold = ProvStore::resume_from_spool(StoreConfig::spilling(0, cold_dir.clone())).unwrap();
-
-        assert!(!live_report.is_clean(), "{cell}: damage went undetected");
-        assert_eq!(
-            report_view(&live_report, &live_dir),
-            report_view(&cold_report, &cold_dir),
-            "{cell}: scrub reports"
-        );
-        assert_eq!(
-            (live.tuple_count(), live.disk_bytes(), live.quarantined_segments(), live.max_superstep()),
-            (cold.tuple_count(), cold.disk_bytes(), cold.quarantined_segments(), cold.max_superstep()),
-            "{cell}: tuples / disk bytes / quarantined / max superstep"
-        );
+        let report = scrub_spool(&dir, true).unwrap();
+        assert!(!report.is_clean(), "{cell}: damage went undetected");
+        let repaired = ProvStore::resume_from_spool(StoreConfig::spilling(0, dir.clone())).unwrap();
+        let mut quarantined_layers = 0;
         for layer in 0..3u32 {
-            assert_eq!(
-                read_view(&live, layer, &live_dir),
-                read_view(&cold, layer, &cold_dir),
-                "{cell}: degraded read of layer {layer}"
-            );
+            let want = clean.layer_read(layer, &LayerFilter::all()).unwrap().tuples;
+            let salvaged = report.damage.iter().any(|d| d.torn && d.superstep == layer);
+            match repaired.layer_read(layer, &LayerFilter::all()) {
+                Ok(read) => {
+                    assert_eq!(read.tuples.len(), want.len(), "{cell}: layer {layer} predicates");
+                    for ((pred, rows), (want_pred, want_rows)) in read.tuples.iter().zip(&want) {
+                        assert_eq!(pred, want_pred, "{cell}: layer {layer}");
+                        if salvaged {
+                            assert!(want_rows.starts_with(rows), "{cell}: layer {layer} {pred}");
+                        } else {
+                            assert_eq!(rows, want_rows, "{cell}: layer {layer} {pred}");
+                        }
+                    }
+                }
+                Err(StoreError::Quarantined { path }) => {
+                    assert!(path.starts_with(dir.join("quarantine")), "{cell}: {}", path.display());
+                    quarantined_layers += 1;
+                }
+                Err(e) => panic!("{cell}: layer {layer}: {e}"),
+            }
         }
-        assert_eq!(spool_tree(&live_dir), spool_tree(&cold_dir), "{cell}: files left on disk");
-        assert!(live.scrub(false).unwrap().is_clean(), "{cell}: live re-scrub");
-        assert!(scrub_spool(&cold_dir, false).unwrap().is_clean(), "{cell}: offline re-scrub");
-        let _ = std::fs::remove_dir_all(&live_dir);
-        let _ = std::fs::remove_dir_all(&cold_dir);
+        let quarantined = report.damage.iter().any(|d| d.action == ScrubAction::Quarantined);
+        assert_eq!(quarantined_layers > 0, quarantined, "{cell}: quarantined layers");
+        assert!(scrub_spool(&dir, false).unwrap().is_clean(), "{cell}: re-scrub");
+        let _ = std::fs::remove_dir_all(&clean_dir);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
