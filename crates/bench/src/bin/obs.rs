@@ -2,7 +2,8 @@
 //!
 //! Runs a capture-mode PageRank (provenance capture + a capture query)
 //! on a small seeded R-MAT graph with structured tracing enabled, then
-//! writes three artifacts to `--out-dir`:
+//! one edge insert appended to the captured store as a mutation epoch,
+//! and writes three artifacts to `--out-dir`:
 //!
 //! * `metrics.prom` — the full obs registry in Prometheus text
 //!   exposition format (engine phase timings, store spill/checksum
@@ -20,9 +21,10 @@
 
 use ariadne::capture::CaptureSpec;
 use ariadne::session::Ariadne;
-use ariadne::{compile, StoreConfig};
+use ariadne::{compile, MutableSession, StoreConfig};
 use ariadne_analytics::PageRank;
 use ariadne_graph::generators::rmat::{rmat, RmatConfig};
+use ariadne_graph::{GraphDelta, VertexId};
 use ariadne_obs::trace::{self, Level};
 use ariadne_pql::Params;
 use std::path::PathBuf;
@@ -109,6 +111,32 @@ fn main() {
         .capture(&analytic, &graph, &spec)
         .expect("capture run succeeds");
     let report = run.report();
+
+    // One mutation epoch into the captured store: an edge insert,
+    // committed, re-captured and appended, so the epoch counters
+    // (adopted records included) report too. The re-capture runs on one
+    // thread: its rows then arrive in canonical order, and the append
+    // adopts records on every run, not only when two threads happen to
+    // deliver in order.
+    let mut store = run.store;
+    let mut single = ariadne;
+    single.engine.threads = 1;
+    let mut session = MutableSession::new(single, graph);
+    let missing = (0..session.csr().num_vertices() as u64)
+        .map(VertexId)
+        .find(|&v| !session.csr().has_edge(VertexId(0), v))
+        .expect("vertex 0 misses some edge");
+    let mut delta = GraphDelta::new();
+    delta.add_edge(VertexId(0), missing, 1.0);
+    session.mutate(delta);
+    session.commit();
+    let (_, epoch) = session
+        .capture_epoch(&analytic, &spec, &mut store)
+        .expect("epoch capture succeeds");
+    eprintln!(
+        "obs: epoch {}: {} pairs replaced, {} bytes appended ({} cold)",
+        epoch.epoch, epoch.replaced, epoch.bytes_appended, epoch.cold_bytes
+    );
 
     // Artifacts.
     let snapshot = ariadne_obs::registry().snapshot();

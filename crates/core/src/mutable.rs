@@ -157,11 +157,16 @@ impl MutableSession {
     /// Capture-grade re-execution after a mutation: full re-run of
     /// analytic + capture query over the current snapshot (bit-identical
     /// to a cold capture — provenance layer identity is the contract,
-    /// so no frontier shortcut here), whose store is then appended to
-    /// `store` as a delta epoch. `store`'s logical layers afterwards
-    /// read bit-identical to the fresh capture while paying only the
-    /// diff in storage; `store.mutation_epoch()` advances, which is
-    /// what invalidates serve-layer cursors and replay caches.
+    /// so no frontier shortcut here) into an in-memory store of
+    /// `store`'s own format, which is then appended to `store` as a
+    /// delta epoch. `store`'s logical layers afterwards read
+    /// bit-identical to the fresh capture while paying only the diff in
+    /// storage; `store.mutation_epoch()` advances, which is what
+    /// invalidates serve-layer cursors and replay caches. Because the
+    /// capture is in the chain's format, [`EpochStats::cold_bytes`] is
+    /// what a cold capture in that format writes, and a replaced layer
+    /// the capture holds as one in-order record is copied into `store`
+    /// rather than re-encoded. The returned run's store is that capture.
     pub fn capture_epoch<A>(
         &self,
         analytic: &A,
@@ -175,7 +180,7 @@ impl MutableSession {
     {
         let scratch = Ariadne {
             engine: self.session.engine.clone(),
-            store: StoreConfig::in_memory(),
+            store: StoreConfig::in_memory().with_format(store.format()),
             naive_budget: self.session.naive_budget,
         };
         let run = scratch.capture(analytic, self.graph.csr(), spec)?;

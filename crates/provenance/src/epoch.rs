@@ -63,12 +63,27 @@
 //! One walk over the union of old and new predicate names classifies
 //! every pair, and the rows to write are gathered in that sorted order —
 //! the rows, in the order, that sorting tuples gave — so the records
-//! written are the same bytes. See `docs/MUTATIONS.md` for the
-//! numbering walkthrough.
+//! written are the same bytes.
+//!
+//! A replaced pair is **adopted** rather than re-encoded when `next`
+//! already holds its rows as the one record the append would write:
+//! `next`'s segment is a single in-memory record (nothing pending,
+//! spilled or sealed, in a store without epochs) in this store's
+//! format, and its rows are already in canonical order. The record's
+//! bytes, row count and column stats are then copied onto
+//! `(base + s, pred)` with `ingest_block`'s accounting. The encoder is a
+//! pure function of the rows and the format, so the copy is byte for
+//! byte the record `ingest_block` would frame: which pairs are adopted
+//! depends on the order a capture's threads delivered its rows, what is
+//! stored does not. See `docs/MUTATIONS.md` for the numbering
+//! walkthrough.
 
+use crate::frame::is_one_record;
 use crate::obs_handles;
 use crate::rows::{RowBlock, Rows};
-use crate::store::{layer_bounds, LayerFilter, LayerRead, ProvStore, StoreError};
+use crate::store::{
+    layer_bounds, LayerFilter, LayerRead, ProvStore, Segment, SegmentFormat, StoreError,
+};
 use ariadne_obs::trace::{self, Level};
 use ariadne_pql::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -103,8 +118,10 @@ pub struct EpochStats {
     pub tombstoned: usize,
     /// Encoded bytes this epoch added to the store.
     pub bytes_appended: usize,
-    /// Encoded bytes a full re-capture of the new run would have
-    /// written (the cold baseline for the delta win).
+    /// Encoded bytes of the new run's capture, `next.byte_size()`: the
+    /// cold baseline for the delta win. `capture_epoch` captures in the
+    /// chain's own format, so this is what a cold capture in that format
+    /// writes.
     pub cold_bytes: usize,
 }
 
@@ -160,8 +177,9 @@ enum Diff {
     /// The old rows (sorted) are a proper prefix of the new ones: the
     /// suffix, to write as `~add~pred`.
     Appended(RowBlock),
-    /// Diverged or new: every new row, to write as `pred`.
-    Replaced(RowBlock),
+    /// Diverged or new: every new row, to write as `pred`, and whether
+    /// they arrived in canonical order already.
+    Replaced { rows: RowBlock, in_order: bool },
     /// Rows that were there are gone: a `~del~pred` tombstone.
     Tombstoned,
     /// No rows on either side, and not present on both: nothing, and
@@ -198,8 +216,31 @@ fn diff(old: Option<&RowBlock>, new: Option<RowBlock>) -> Diff {
             return Diff::Appended(new.gather(&new_order[old_len..]));
         }
     }
-    new.permute(new_order);
-    Diff::Replaced(new)
+    let in_order = (1..new.len()).all(|i| new.row(i - 1) <= new.row(i));
+    if !in_order {
+        new.permute(new_order);
+    }
+    Diff::Replaced {
+        rows: new,
+        in_order,
+    }
+}
+
+/// `next`'s segment `key` when it is one in-memory record in `format`:
+/// nothing pending, spilled or sealed, in a store without epochs, so the
+/// record holds exactly the rows a read of the pair gives, and copying
+/// it writes what framing those rows, in their order, in `format` would.
+fn adoptable<'a>(
+    next: &'a ProvStore,
+    format: SegmentFormat,
+    key: &(u32, String),
+) -> Option<&'a Segment> {
+    if next.config.format != format || !next.epochs.is_empty() {
+        return None;
+    }
+    let seg = next.segments.get(key)?;
+    let alone = seg.pending.is_empty() && seg.disk.files.is_empty() && !seg.sealed;
+    (alone && is_one_record(&seg.mem)).then_some(seg)
 }
 
 impl ProvStore {
@@ -313,9 +354,11 @@ impl ProvStore {
     /// extended to mutable graphs.
     ///
     /// `next` is usually an in-memory scratch capture; predicates with
-    /// reserved `~`-spellings in it are ignored. The returned
-    /// [`EpochStats`] reports the carried/appended/replaced split and
-    /// the byte win against `next`'s full size.
+    /// reserved `~`-spellings in it are ignored. A replaced pair that
+    /// `next` holds as one in-order record of this store's format is
+    /// copied, not re-encoded, into the same bytes (see [`crate::epoch`]).
+    /// The returned [`EpochStats`] reports the carried/appended/replaced
+    /// split and the byte win against `next`'s full size.
     pub fn append_epoch(&mut self, next: &ProvStore) -> Result<EpochStats, StoreError> {
         let started = Instant::now();
         let new_sup = next.max_superstep().map_or(0, |m| m + 1);
@@ -358,8 +401,12 @@ impl ProvStore {
                         self.ingest_block(base + s, &shadow_add(&pred), suffix)?;
                         stats.appended += 1;
                     }
-                    Diff::Replaced(rows) => {
-                        self.ingest_block(base + s, &pred, rows)?;
+                    Diff::Replaced { rows, in_order } => {
+                        let key = (s, pred);
+                        match adoptable(next, self.config.format, &key).filter(|_| in_order) {
+                            Some(record) => self.adopt(base + s, &key.1, record)?,
+                            None => self.ingest_block(base + s, &key.1, rows)?,
+                        }
                         stats.replaced += 1;
                     }
                     Diff::Tombstoned => {
@@ -392,6 +439,28 @@ impl ProvStore {
         obs_handles::epoch_tombstoned().add(stats.tombstoned as u64);
         obs_handles::epoch_append_ns().add(started.elapsed().as_nanos() as u64);
         Ok(stats)
+    }
+
+    /// Write `record`, a capture's segment [`adoptable`] accepted, onto
+    /// the fresh segment (`superstep`, `pred`) as it is, with
+    /// [`ProvStore::ingest_block`]'s accounting: the record
+    /// `ingest_block` would frame for its rows, copied, not re-encoded.
+    fn adopt(&mut self, superstep: u32, pred: &str, record: &Segment) -> Result<(), StoreError> {
+        self.raise_max_step(superstep);
+        let seg = (self.segments)
+            .entry((superstep, pred.to_string()))
+            .or_default();
+        debug_assert!(seg.mem.is_empty() && seg.pending.is_empty() && !seg.sealed);
+        seg.mem.clone_from(&record.mem);
+        seg.mem_tuples = record.mem_tuples;
+        seg.cols.clone_from(&record.cols);
+        self.tuples += record.mem_tuples;
+        self.mem_bytes += record.mem.len();
+        obs_handles::ingest_batches().inc();
+        obs_handles::ingest_tuples().add(record.mem_tuples as u64);
+        obs_handles::epoch_adopted().inc();
+        obs_handles::epoch_adopted_bytes().add(record.mem.len() as u64);
+        self.spill_down_to(self.config.memory_budget)
     }
 
     /// Rebuild the epoch table from `~epoch~` marker segments — called
@@ -437,6 +506,7 @@ impl ProvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{SegmentInfo, StoreConfig};
 
     #[test]
     fn reserved_spellings() {
@@ -470,21 +540,25 @@ mod tests {
             panic!("a sorted prefix appends")
         };
         assert_eq!(ints(&suffix), [4, 5]);
-        let Diff::Replaced(rows) = diff(Some(&a), Some(block(&[9, 1]))) else {
+        let Diff::Replaced {
+            rows,
+            in_order: false,
+        } = diff(Some(&a), Some(block(&[9, 1])))
+        else {
             panic!("diverged rows replace")
         };
         assert_eq!(ints(&rows), [1, 9]);
-        let Diff::Replaced(rows) = diff(None, Some(a.clone())) else {
+        let Diff::Replaced { rows, .. } = diff(None, Some(a.clone())) else {
             panic!("new rows replace")
         };
         assert_eq!(ints(&rows), [1, 2, 3]);
         assert!(matches!(
             diff(Some(&block(&[])), Some(a.clone())),
-            Diff::Replaced(_)
+            Diff::Replaced { .. }
         ));
         assert!(matches!(
             diff(Some(&a), Some(block(&[1, 2]))),
-            Diff::Replaced(_)
+            Diff::Replaced { in_order: true, .. }
         ));
         assert!(matches!(diff(Some(&a), None), Diff::Tombstoned));
         assert!(matches!(diff(Some(&a), Some(block(&[]))), Diff::Tombstoned));
@@ -494,5 +568,90 @@ mod tests {
         ));
         assert!(matches!(diff(Some(&block(&[])), None), Diff::Absent));
         assert!(matches!(diff(None, Some(block(&[]))), Diff::Absent));
+    }
+
+    /// A store of `config` holding `batches` as (0, "p"), each packed
+    /// into a record of its own when `pack`.
+    fn capture(config: StoreConfig, batches: &[&[i64]], pack: bool) -> ProvStore {
+        let mut store = ProvStore::new(config);
+        for rows in batches {
+            store.ingest_block(0, "p", block(rows)).unwrap();
+            if pack {
+                store.pack_all();
+            }
+        }
+        store
+    }
+
+    /// Whether appending `next` to a store of `format` adopts its record
+    /// of (0, "p"): the rule `append_epoch` applies to a replaced pair.
+    fn adopts(format: SegmentFormat, next: &ProvStore) -> bool {
+        let mut read = next.layer_blocks(0, &LayerFilter::all()).unwrap();
+        let (_, rows) = read.tuples.remove(0);
+        let in_order = matches!(
+            diff(None, Some(rows)),
+            Diff::Replaced { in_order: true, .. }
+        );
+        in_order && adoptable(next, format, &(0, "p".to_string())).is_some()
+    }
+
+    /// The segment index, and every segment's in-memory bytes in its
+    /// order, after `next` is appended to a v3 store whose (0, "p") it
+    /// replaces.
+    fn appended(next: &ProvStore) -> (Vec<Vec<u8>>, Vec<SegmentInfo>) {
+        let v3 = StoreConfig::in_memory().with_format(SegmentFormat::V3);
+        let mut store = capture(v3, &[&[9, 8]], true);
+        store.append_epoch(next).unwrap();
+        let bytes = store.segments.values().map(|seg| seg.mem.clone()).collect();
+        (bytes, store.segment_index().collect())
+    }
+
+    /// Only one in-memory record, in the store's format and in canonical
+    /// order, is adopted; adopted or not, the append writes the bytes and
+    /// the index that the same append from a capture in another format
+    /// writes.
+    #[test]
+    fn adoption_guards_keep_the_bytes() {
+        let dir = crate::store::tests::temp_dir("epoch-adopt-spilled");
+        std::fs::remove_dir_all(&dir).ok();
+        let in_memory = |format| StoreConfig::in_memory().with_format(format);
+        let v3 = SegmentFormat::V3;
+        let spilling = StoreConfig::spilling(0, dir.clone()).with_format(v3);
+        let cases = [
+            (
+                "two records",
+                capture(in_memory(v3), &[&[1, 2], &[3, 4]], true),
+                false,
+            ),
+            (
+                "pending rows",
+                capture(in_memory(v3), &[&[1, 2, 3, 4]], false),
+                false,
+            ),
+            (
+                "another format",
+                capture(in_memory(SegmentFormat::V2), &[&[1, 2, 3, 4]], true),
+                false,
+            ),
+            ("spilled", capture(spilling, &[&[1, 2, 3, 4]], true), false),
+            (
+                "out of order",
+                capture(in_memory(v3), &[&[3, 1, 4, 2]], true),
+                false,
+            ),
+            (
+                "one in-order record",
+                capture(in_memory(v3), &[&[1, 2, 3, 4]], true),
+                true,
+            ),
+        ];
+        let reference = capture(in_memory(SegmentFormat::V1), &[&[4, 3, 2, 1]], true);
+        assert!(!adopts(v3, &reference));
+        let want = appended(&reference);
+        for (what, next, adopted) in &cases {
+            assert_eq!(adopts(v3, next), *adopted, "{what}: adopted");
+            assert_eq!(appended(next), want, "{what}: bytes and index");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

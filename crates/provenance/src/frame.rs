@@ -269,6 +269,14 @@ fn try_frame(data: &[u8], off: usize) -> Result<Frame<'_>, FrameError> {
     })
 }
 
+/// Whether `data` is exactly one record frame, going by its header's
+/// payload length (the CRC and the payload are a reader's to check).
+pub(crate) fn is_one_record(data: &[u8]) -> bool {
+    let mut input = data;
+    take_header(&mut input)
+        .is_ok_and(|(_, len, _)| len.checked_add(RECORD_OVERHEAD) == Some(data.len()))
+}
+
 /// Split a frame header (opening magic, payload length, stored CRC) off
 /// `input`.
 fn take_header<'a>(input: &mut &'a [u8]) -> Result<(&'a [u8], usize, u32), CodecError> {

@@ -242,6 +242,20 @@ static_counter!(
     "(layer, predicate) pairs an epoch append tombstoned with ~del~",
     true
 );
+// Whether a captured segment is one record in canonical order depends
+// on the order the capture's threads delivered its rows.
+static_counter!(
+    epoch_adopted,
+    "store_epoch_adopted_total",
+    "replaced (layer, predicate) pairs an epoch append copied as the capture's one record instead of re-encoding (arrival dependent)",
+    false
+);
+static_counter!(
+    epoch_adopted_bytes,
+    "store_epoch_adopted_bytes_total",
+    "record bytes epoch appends copied from the capture instead of re-encoding (arrival dependent)",
+    false
+);
 static_counter!(
     epoch_append_ns,
     "store_epoch_append_ns",

@@ -677,6 +677,11 @@ impl ProvStore {
         }
     }
 
+    /// The format this store writes new records in.
+    pub fn format(&self) -> SegmentFormat {
+        self.config.format
+    }
+
     /// Note that physical layer `superstep` holds (or held) data.
     pub(crate) fn raise_max_step(&mut self, superstep: u32) {
         self.max_step = Some(self.max_step.map_or(superstep, |m| m.max(superstep)));

@@ -25,7 +25,12 @@
 //!
 //! Three fixed chains pin `byte_size()` and every `EpochStats` field to
 //! the values the commit before the newest-first fold recorded, so the
-//! bytes an epoch writes cannot move unnoticed.
+//! bytes an epoch writes cannot move unnoticed. Half the random appends,
+//! and a second pass over the fixed chains, take a `next` captured in
+//! the store's own format and packed, so replaced segments held as one
+//! record in canonical order are adopted (copied, not re-encoded) — into
+//! spilled, reopened and compacted stores too — and must still write the
+//! pinned bytes.
 //!
 //! Two seeded mutations of `epoch.rs`, tried when this test was written,
 //! each fail the first fixed chain and random chain 2 (chains 0 and 1
@@ -78,6 +83,19 @@ fn store_of(capture: &Capture) -> ProvStore {
     for (s, pred, rows) in capture {
         store.ingest(*s, pred, rows.clone()).unwrap();
     }
+    store
+}
+
+/// A store holding `capture` in `format`, packed, the way `capture_epoch`
+/// captures for a chain of that format: a replaced segment it holds as
+/// one record in canonical order is adopted by the append, not
+/// re-encoded.
+fn native_of(capture: &Capture, format: SegmentFormat) -> ProvStore {
+    let mut store = ProvStore::new(StoreConfig::in_memory().with_format(format));
+    for (s, pred, rows) in capture {
+        store.ingest(*s, pred, rows.clone()).unwrap();
+    }
+    store.pack_all();
     store
 }
 
@@ -417,7 +435,12 @@ fn run_chain(
     let mut model = Model::new(&chain[0]);
     check(&store, &model, rng, &format!("{what} base"));
     for (k, next) in chain.iter().enumerate().skip(1) {
-        let stats = store.append_epoch(&store_of(next)).unwrap();
+        let captured = if rng.gen_bool(0.5) {
+            native_of(next, format)
+        } else {
+            store_of(next)
+        };
+        let stats = store.append_epoch(&captured).unwrap();
         let want = model.append(next);
         let fields = |s: &EpochStats| (s.epoch, s.carried, s.appended, s.replaced, s.tombstoned);
         assert_eq!(fields(&stats), fields(&want), "{what} epoch {k}: stats");
@@ -544,6 +567,15 @@ fn fixed_chains() -> Vec<Vec<Capture>> {
 /// `byte_size()` after the base capture and after every append, and
 /// every `EpochStats` field of every append, of `chain` in `format`.
 fn pinned_run(chain: &[Capture], format: SegmentFormat) -> (Vec<usize>, Vec<[usize; 7]>) {
+    pinned_run_with(chain, format, store_of)
+}
+
+/// [`pinned_run`], each `next` made into a store by `next_of`.
+fn pinned_run_with(
+    chain: &[Capture],
+    format: SegmentFormat,
+    next_of: impl Fn(&Capture) -> ProvStore,
+) -> (Vec<usize>, Vec<[usize; 7]>) {
     let mut store = ProvStore::new(StoreConfig::in_memory().with_format(format));
     for (s, pred, rows) in &chain[0] {
         store.ingest(*s, pred, rows.clone()).unwrap();
@@ -552,7 +584,7 @@ fn pinned_run(chain: &[Capture], format: SegmentFormat) -> (Vec<usize>, Vec<[usi
     let mut sizes = vec![store.byte_size()];
     let mut stats = Vec::new();
     for next in &chain[1..] {
-        let st = store.append_epoch(&store_of(next)).unwrap();
+        let st = store.append_epoch(&next_of(next)).unwrap();
         sizes.push(store.byte_size());
         stats.push([
             st.epoch as usize,
@@ -588,6 +620,30 @@ fn fixed_chains_write_the_parent_bytes() {
                 &mut rng,
                 &format!("fixed chain {k} {format:?}"),
             );
+        }
+    }
+}
+
+/// The fixed chains with each `next` captured in the store's own format
+/// and packed, so its one-record, in-order segments are adopted: the
+/// store still writes the pinned bytes and stats, and only `cold_bytes`
+/// differs, being that capture's size.
+#[test]
+fn adopted_records_write_the_parent_bytes() {
+    for (k, chain) in fixed_chains().iter().enumerate() {
+        for (f, format) in [SegmentFormat::V2, SegmentFormat::V3]
+            .into_iter()
+            .enumerate()
+        {
+            let (sizes, stats) = pinned_run_with(chain, format, |c| native_of(c, format));
+            assert_eq!(sizes, PINNED_SIZES[k][f], "chain {k} {format:?}: byte_size");
+            assert_eq!(stats.len(), PINNED_STATS[k][f].len());
+            for (e, (got, want)) in stats.iter().zip(PINNED_STATS[k][f]).enumerate() {
+                let what = format!("chain {k} {format:?} epoch {}", e + 1);
+                assert_eq!(got[..6], want[..6], "{what}: EpochStats");
+                let cold = native_of(&chain[e + 1], format).byte_size();
+                assert_eq!(got[6], cold, "{what}: cold_bytes");
+            }
         }
     }
 }
