@@ -9,6 +9,8 @@ use ariadne_analytics::{ApproxSssp, Sssp};
 use ariadne_graph::generators::Dataset;
 use ariadne_graph::stats::graph_stats;
 use ariadne_graph::Csr;
+use ariadne_provenance::columnar::v1_batch_size;
+use ariadne_provenance::frame::RECORD_OVERHEAD;
 
 /// One row of Table 2 (dataset characteristics).
 #[derive(Clone, Debug)]
@@ -73,7 +75,8 @@ pub struct SizeRow {
     pub analytic: &'static str,
     /// Input graph bytes.
     pub input_bytes: usize,
-    /// Captured provenance bytes.
+    /// Captured provenance bytes: each (superstep, predicate) segment
+    /// sized as one framed row-major record.
     pub prov_bytes: usize,
     /// prov / input ratio.
     pub ratio: f64,
@@ -82,6 +85,14 @@ pub struct SizeRow {
     pub vertex_coverage: f64,
 }
 
+/// The size row of the capture `store` of `analytic` over `graph`.
+/// Tables 3–4 reproduce the *paper's* accounting, the raw captured-tuple
+/// footprint, which the store's columnar and LZ encodings would
+/// understate (their savings show in the benchmark's
+/// `store_bytes_per_tuple`). So the provenance bytes are a function of
+/// the captured rows alone: per (superstep, predicate) segment, one
+/// framed row-major record, whatever order or batches the capture's
+/// threads delivered the rows in.
 fn size_row(
     dataset: &'static str,
     analytic: &'static str,
@@ -90,9 +101,11 @@ fn size_row(
 ) -> SizeRow {
     // Count distinct vertices appearing as tuple locations.
     let mut seen = vec![false; graph.num_vertices()];
+    let mut prov_bytes = 0;
     if let Some(max) = store.max_superstep() {
         for s in 0..=max {
             for (_, tuples) in store.layer(s).unwrap() {
+                prov_bytes += RECORD_OVERHEAD + v1_batch_size(&tuples);
                 for t in tuples {
                     if let Some(v) = t.first().and_then(|v| v.as_id()) {
                         if (v as usize) < seen.len() {
@@ -105,7 +118,6 @@ fn size_row(
     }
     let covered = seen.iter().filter(|&&b| b).count();
     let input_bytes = graph.byte_size();
-    let prov_bytes = store.byte_size();
     SizeRow {
         dataset,
         analytic,
@@ -116,20 +128,9 @@ fn size_row(
     }
 }
 
-/// A session whose store is pinned to the v1 (row-major) segment
-/// format. Tables 3–4 reproduce the *paper's* accounting — the raw
-/// captured-tuple footprint — which the v2 columnar compression would
-/// understate (its savings show in the benchmark's
-/// `store_bytes_per_tuple`).
-fn v1_session(w: &Workloads) -> ariadne::Ariadne {
-    let mut a = w.ariadne.clone();
-    a.store = a.store.with_format(ariadne_provenance::SegmentFormat::V1);
-    a
-}
-
 /// Table 3: full provenance graph size (Query 2) vs input size.
 pub fn table3(w: &Workloads) -> Vec<SizeRow> {
-    let ariadne = v1_session(w);
+    let ariadne = &w.ariadne;
     let mut rows = Vec::new();
     for c in &w.crawls {
         let pr = ariadne
@@ -151,7 +152,7 @@ pub fn table3(w: &Workloads) -> Vec<SizeRow> {
 /// Table 4: custom provenance size (Query 3, forward lineage from the
 /// highest-degree vertex for PageRank/WCC and from the source for SSSP).
 pub fn table4(w: &Workloads) -> Vec<SizeRow> {
-    let ariadne = v1_session(w);
+    let ariadne = &w.ariadne;
     let mut rows = Vec::new();
     for c in &w.crawls {
         let hub = c.graph.max_out_degree_vertex().unwrap();

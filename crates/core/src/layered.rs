@@ -1233,56 +1233,52 @@ mod tests {
     }
 
     /// Projection skips stored payload columns the query never observes,
-    /// without changing the result set — across every segment format.
+    /// without changing the result set, and byte-accounts the skipped
+    /// column blocks.
     #[test]
     fn projection_skips_unobserved_columns() {
-        use ariadne_provenance::SegmentFormat;
         let g = path(6);
-        for format in [SegmentFormat::V1, SegmentFormat::V2, SegmentFormat::V3] {
-            let mut store = ProvStore::new(StoreConfig::in_memory().with_format(format));
-            for s in 0..3u32 {
-                for v in 0..5u64 {
-                    store
-                        .ingest(
-                            s,
-                            "receive_message",
-                            vec![vec![
-                                Value::Id(v + 1),
-                                Value::Id(v),
-                                // A fat payload the query never looks at.
-                                Value::floats(&[v as f64; 16]),
-                                Value::Int(s as i64),
-                            ]],
-                        )
-                        .unwrap();
-                    store
-                        .ingest(s, "superstep", vec![vec![Value::Id(v), Value::Int(s as i64)]])
-                        .unwrap();
-                }
-            }
-            store.pack_all();
-            // `m` occurs once -> the payload column is provably dead.
-            let q = compile(
-                "hot(x, i) :- receive_message(x, y, m, i), superstep(y, i).",
-                Params::new(),
-            )
-            .unwrap();
-            let run = run_layered_with(&g, &store, &q, &LayeredConfig::default()).unwrap();
-            assert!(!run.query_results.is_empty(), "{format:?}");
-            assert_matches_centralized(&g, &store, &q, &run);
-            assert_partitions_store_bytes(&store, &run);
-            assert!(
-                run.cols_skipped > 0,
-                "expected skipped columns under {format:?}"
-            );
-            // v3 wraps v2 records, so both skip whole column blocks.
-            if format != SegmentFormat::V1 {
-                assert!(
-                    run.col_bytes_skipped > 0,
-                    "{format:?} block skips must be byte-accounted"
-                );
+        let mut store = ProvStore::new(StoreConfig::in_memory());
+        for s in 0..3u32 {
+            for v in 0..5u64 {
+                store
+                    .ingest(
+                        s,
+                        "receive_message",
+                        vec![vec![
+                            Value::Id(v + 1),
+                            Value::Id(v),
+                            // A fat payload the query never looks at.
+                            Value::floats(&[v as f64; 16]),
+                            Value::Int(s as i64),
+                        ]],
+                    )
+                    .unwrap();
+                store
+                    .ingest(
+                        s,
+                        "superstep",
+                        vec![vec![Value::Id(v), Value::Int(s as i64)]],
+                    )
+                    .unwrap();
             }
         }
+        store.pack_all();
+        // `m` occurs once -> the payload column is provably dead.
+        let q = compile(
+            "hot(x, i) :- receive_message(x, y, m, i), superstep(y, i).",
+            Params::new(),
+        )
+        .unwrap();
+        let run = run_layered_with(&g, &store, &q, &LayeredConfig::default()).unwrap();
+        assert!(!run.query_results.is_empty());
+        assert_matches_centralized(&g, &store, &q, &run);
+        assert_partitions_store_bytes(&store, &run);
+        assert!(run.cols_skipped > 0, "expected skipped columns");
+        assert!(
+            run.col_bytes_skipped > 0,
+            "block skips must be byte-accounted"
+        );
     }
 
     /// The parallel path is bit-identical to the sequential reference on

@@ -180,7 +180,7 @@ impl MutableSession {
     {
         let scratch = Ariadne {
             engine: self.session.engine.clone(),
-            store: StoreConfig::in_memory().with_format(store.format()),
+            store: StoreConfig::in_memory(),
             naive_budget: self.session.naive_budget,
         };
         let run = scratch.capture(analytic, self.graph.csr(), spec)?;

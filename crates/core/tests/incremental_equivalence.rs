@@ -11,16 +11,15 @@
 //!   of the mutated graph (same layers, same database), so deletions
 //!   leave no ghost provenance: any tuple derived through a removed
 //!   edge is absent exactly as it is from the cold capture;
-//! * **byte invariance** — in a v2 or a v3 chain, the epoch
-//!   `capture_epoch()` appends writes the same bytes at every thread
-//!   count, and at one thread its `cold_bytes` is the size of a cold
-//!   capture in the chain's format.
+//! * **byte invariance** — the epoch `capture_epoch()` appends writes
+//!   the same bytes at every thread count, and at one thread its
+//!   `cold_bytes` is the size of a cold capture.
 
 use ariadne::session::Ariadne;
 use ariadne::{CaptureSpec, MutableSession, StoreConfig};
 use ariadne_analytics::{PageRank, Sssp, Wcc};
 use ariadne_graph::{generators::erdos_renyi, Csr, GraphDelta, VertexId};
-use ariadne_provenance::{ProvEncode, ProvStore, SegmentFormat};
+use ariadne_provenance::{ProvEncode, ProvStore};
 use ariadne_vc::VertexProgram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -193,11 +192,10 @@ where
     }
 }
 
-/// `capture_epoch` captures in the chain's own format: the epoch it
-/// appends writes the same bytes at every thread count (whichever
-/// records the append adopts from the capture, and that depends on
-/// thread arrival), and at one thread `cold_bytes` is the size of a cold
-/// capture in that format.
+/// The epoch `capture_epoch` appends writes the same bytes at every
+/// thread count (whichever records the append adopts from the capture,
+/// and that depends on thread arrival), and at one thread `cold_bytes`
+/// is the size of a cold capture.
 fn assert_epoch_bytes_thread_invariant<A>(analytic: &A, label: &str)
 where
     A: VertexProgram,
@@ -206,42 +204,40 @@ where
 {
     let spec = CaptureSpec::full();
     let seed = 53u64;
-    for format in [SegmentFormat::V2, SegmentFormat::V3] {
-        let session = |threads| Ariadne {
-            store: StoreConfig::in_memory().with_format(format),
-            ..Ariadne::with_threads(threads)
-        };
-        for kind in KINDS {
-            let base = erdos_renyi(30, 90, seed);
-            let mut oracle = None;
-            for threads in THREADS {
-                let what = format!("{label} {format:?} {kind:?} at {threads} threads");
-                let capture = |graph: &Csr| session(1).capture(analytic, graph, &spec).unwrap();
-                let mut store = capture(&base).store;
-                let mut s = MutableSession::new(session(threads), base.clone());
-                s.mutate(random_batch(s.csr(), kind, seed.wrapping_mul(7)));
-                s.commit();
-                let (_, stats) = s
-                    .capture_epoch(analytic, &spec, &mut store)
-                    .expect("epoch capture");
-                if threads == 1 {
-                    // A multi-threaded capture's rows keep thread arrival
-                    // order, and so its size does; the epoch's bytes do not.
-                    let cold = capture(s.csr()).store;
-                    assert_eq!(stats.cold_bytes, cold.byte_size(), "{what}: cold_bytes");
-                }
-                let written = (
-                    stats.bytes_appended,
-                    stats.carried,
-                    stats.appended,
-                    stats.replaced,
-                    stats.tombstoned,
-                    store.byte_size(),
-                );
-                match &oracle {
-                    None => oracle = Some(written),
-                    Some(o) => assert_eq!(o, &written, "{what}: diverged from 1 thread"),
-                }
+    let session = |threads| Ariadne {
+        store: StoreConfig::in_memory(),
+        ..Ariadne::with_threads(threads)
+    };
+    for kind in KINDS {
+        let base = erdos_renyi(30, 90, seed);
+        let mut oracle = None;
+        for threads in THREADS {
+            let what = format!("{label} {kind:?} at {threads} threads");
+            let capture = |graph: &Csr| session(1).capture(analytic, graph, &spec).unwrap();
+            let mut store = capture(&base).store;
+            let mut s = MutableSession::new(session(threads), base.clone());
+            s.mutate(random_batch(s.csr(), kind, seed.wrapping_mul(7)));
+            s.commit();
+            let (_, stats) = s
+                .capture_epoch(analytic, &spec, &mut store)
+                .expect("epoch capture");
+            if threads == 1 {
+                // A multi-threaded capture's rows keep thread arrival
+                // order, and so its size does; the epoch's bytes do not.
+                let cold = capture(s.csr()).store;
+                assert_eq!(stats.cold_bytes, cold.byte_size(), "{what}: cold_bytes");
+            }
+            let written = (
+                stats.bytes_appended,
+                stats.carried,
+                stats.appended,
+                stats.replaced,
+                stats.tombstoned,
+                store.byte_size(),
+            );
+            match &oracle {
+                None => oracle = Some(written),
+                Some(o) => assert_eq!(o, &written, "{what}: diverged from 1 thread"),
             }
         }
     }

@@ -157,7 +157,7 @@ impl ProvStore {
             }
             let offset = buf.len() as u64;
             // Large merged records, compressed where LZ wins.
-            let records = append_records(&mut buf, &rows, true, |_, _, _| {});
+            let records = append_records(&mut buf, &rows, |_, _, _| {});
             entries.push(FooterEntry {
                 superstep: key.0,
                 pred: key.1.clone(),

@@ -78,12 +78,11 @@
 //! stored does not. See `docs/MUTATIONS.md` for the numbering
 //! walkthrough.
 
-use crate::frame::is_one_record;
+use crate::columnar::v1_batch_size;
+use crate::frame::{count_lz_win, is_one_record, RECORD_OVERHEAD};
 use crate::obs_handles;
 use crate::rows::{RowBlock, Rows};
-use crate::store::{
-    layer_bounds, LayerFilter, LayerRead, ProvStore, Segment, SegmentFormat, StoreError,
-};
+use crate::store::{layer_bounds, LayerFilter, LayerRead, ProvStore, Segment, StoreError};
 use ariadne_obs::trace::{self, Level};
 use ariadne_pql::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -226,21 +225,14 @@ fn diff(old: Option<&RowBlock>, new: Option<RowBlock>) -> Diff {
     }
 }
 
-/// `next`'s segment `key` when it is one in-memory record in `format`:
-/// nothing pending, spilled or sealed, in a store without epochs, so the
-/// record holds exactly the rows a read of the pair gives, and copying
-/// it writes what framing those rows, in their order, in `format` would.
-fn adoptable<'a>(
-    next: &'a ProvStore,
-    format: SegmentFormat,
-    key: &(u32, String),
-) -> Option<&'a Segment> {
-    if next.config.format != format || !next.epochs.is_empty() {
-        return None;
-    }
+/// `next`'s segment `key` when it is one in-memory record: nothing
+/// pending, spilled or sealed, in a store without epochs, so the record
+/// holds exactly the rows a read of the pair gives, and copying it
+/// writes what framing those rows, in their order, would.
+fn adoptable<'a>(next: &'a ProvStore, key: &(u32, String)) -> Option<&'a Segment> {
     let seg = next.segments.get(key)?;
     let alone = seg.pending.is_empty() && seg.disk.files.is_empty() && !seg.sealed;
-    (alone && is_one_record(&seg.mem)).then_some(seg)
+    (alone && next.epochs.is_empty() && is_one_record(&seg.mem)).then_some(seg)
 }
 
 impl ProvStore {
@@ -403,8 +395,8 @@ impl ProvStore {
                     }
                     Diff::Replaced { rows, in_order } => {
                         let key = (s, pred);
-                        match adoptable(next, self.config.format, &key).filter(|_| in_order) {
-                            Some(record) => self.adopt(base + s, &key.1, record)?,
+                        match adoptable(next, &key).filter(|_| in_order) {
+                            Some(record) => self.adopt(base + s, &key.1, record, &rows)?,
                             None => self.ingest_block(base + s, &key.1, rows)?,
                         }
                         stats.replaced += 1;
@@ -444,8 +436,15 @@ impl ProvStore {
     /// Write `record`, a capture's segment [`adoptable`] accepted, onto
     /// the fresh segment (`superstep`, `pred`) as it is, with
     /// [`ProvStore::ingest_block`]'s accounting: the record
-    /// `ingest_block` would frame for its rows, copied, not re-encoded.
-    fn adopt(&mut self, superstep: u32, pred: &str, record: &Segment) -> Result<(), StoreError> {
+    /// `ingest_block` would frame for its `rows`, copied, not re-encoded,
+    /// and counted as the ingest and the pack that would have framed it.
+    fn adopt(
+        &mut self,
+        superstep: u32,
+        pred: &str,
+        record: &Segment,
+        rows: &RowBlock,
+    ) -> Result<(), StoreError> {
         self.raise_max_step(superstep);
         let seg = (self.segments)
             .entry((superstep, pred.to_string()))
@@ -458,6 +457,15 @@ impl ProvStore {
         self.mem_bytes += record.mem.len();
         obs_handles::ingest_batches().inc();
         obs_handles::ingest_tuples().add(record.mem_tuples as u64);
+        if rows.is_ragged() {
+            obs_handles::ingest_bytes().add(record.mem.len() as u64);
+        } else {
+            let estimate = RECORD_OVERHEAD + v1_batch_size(rows);
+            obs_handles::ingest_bytes().add(estimate as u64);
+            obs_handles::packs().inc();
+            obs_handles::encoded_bytes().add(record.mem.len() as u64);
+        }
+        count_lz_win(&record.mem);
         obs_handles::epoch_adopted().inc();
         obs_handles::epoch_adopted_bytes().add(record.mem.len() as u64);
         self.spill_down_to(self.config.memory_budget)
@@ -583,73 +591,65 @@ mod tests {
         store
     }
 
-    /// Whether appending `next` to a store of `format` adopts its record
-    /// of (0, "p"): the rule `append_epoch` applies to a replaced pair.
-    fn adopts(format: SegmentFormat, next: &ProvStore) -> bool {
+    /// Whether appending `next` adopts its record of (0, "p"): the rule
+    /// `append_epoch` applies to a replaced pair.
+    fn adopts(next: &ProvStore) -> bool {
         let mut read = next.layer_blocks(0, &LayerFilter::all()).unwrap();
         let (_, rows) = read.tuples.remove(0);
         let in_order = matches!(
             diff(None, Some(rows)),
             Diff::Replaced { in_order: true, .. }
         );
-        in_order && adoptable(next, format, &(0, "p".to_string())).is_some()
+        in_order && adoptable(next, &(0, "p".to_string())).is_some()
     }
 
     /// The segment index, and every segment's in-memory bytes in its
-    /// order, after `next` is appended to a v3 store whose (0, "p") it
+    /// order, after `next` is appended to a store whose (0, "p") it
     /// replaces.
     fn appended(next: &ProvStore) -> (Vec<Vec<u8>>, Vec<SegmentInfo>) {
-        let v3 = StoreConfig::in_memory().with_format(SegmentFormat::V3);
-        let mut store = capture(v3, &[&[9, 8]], true);
+        let mut store = capture(StoreConfig::in_memory(), &[&[9, 8]], true);
         store.append_epoch(next).unwrap();
         let bytes = store.segments.values().map(|seg| seg.mem.clone()).collect();
         (bytes, store.segment_index().collect())
     }
 
-    /// Only one in-memory record, in the store's format and in canonical
-    /// order, is adopted; adopted or not, the append writes the bytes and
-    /// the index that the same append from a capture in another format
-    /// writes.
+    /// Only one in-memory record in canonical order is adopted; adopted
+    /// or not, the append writes the bytes and the index that the same
+    /// append from a capture holding the rows out of order writes.
     #[test]
     fn adoption_guards_keep_the_bytes() {
         let dir = crate::store::tests::temp_dir("epoch-adopt-spilled");
         std::fs::remove_dir_all(&dir).ok();
-        let in_memory = |format| StoreConfig::in_memory().with_format(format);
-        let v3 = SegmentFormat::V3;
-        let spilling = StoreConfig::spilling(0, dir.clone()).with_format(v3);
+        let in_memory = StoreConfig::in_memory;
+        let spilling = StoreConfig::spilling(0, dir.clone());
         let cases = [
             (
                 "two records",
-                capture(in_memory(v3), &[&[1, 2], &[3, 4]], true),
+                capture(in_memory(), &[&[1, 2], &[3, 4]], true),
                 false,
             ),
             (
                 "pending rows",
-                capture(in_memory(v3), &[&[1, 2, 3, 4]], false),
-                false,
-            ),
-            (
-                "another format",
-                capture(in_memory(SegmentFormat::V2), &[&[1, 2, 3, 4]], true),
+                capture(in_memory(), &[&[1, 2, 3, 4]], false),
                 false,
             ),
             ("spilled", capture(spilling, &[&[1, 2, 3, 4]], true), false),
             (
                 "out of order",
-                capture(in_memory(v3), &[&[3, 1, 4, 2]], true),
+                capture(in_memory(), &[&[3, 1, 4, 2]], true),
                 false,
             ),
             (
                 "one in-order record",
-                capture(in_memory(v3), &[&[1, 2, 3, 4]], true),
+                capture(in_memory(), &[&[1, 2, 3, 4]], true),
                 true,
             ),
         ];
-        let reference = capture(in_memory(SegmentFormat::V1), &[&[4, 3, 2, 1]], true);
-        assert!(!adopts(v3, &reference));
+        let reference = capture(in_memory(), &[&[4, 3, 2, 1]], true);
+        assert!(!adopts(&reference));
         let want = appended(&reference);
         for (what, next, adopted) in &cases {
-            assert_eq!(adopts(v3, next), *adopted, "{what}: adopted");
+            assert_eq!(adopts(next), *adopted, "{what}: adopted");
             assert_eq!(appended(next), want, "{what}: bytes and index");
         }
         std::fs::remove_dir_all(&dir).ok();

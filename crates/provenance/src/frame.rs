@@ -16,31 +16,24 @@
 //! Corrupted records surface as typed [`StoreError::Corrupt`] values
 //! naming the file — never a panic.
 //!
-//! # Segment formats
+//! # Record formats
 //!
 //! Three payload formats share the framing, dispatched by the record's
 //! **version byte** (the fourth magic byte; see [`FRAME_MAGICS`]):
 //!
-//! * **v1**: the row-major tagged encoding of [`crate::codec`] — one
-//!   record per ingest batch.
-//! * **v2**: the columnar encoding of [`crate::columnar`] — ingest
-//!   batches accumulate in a per-segment *pending* buffer and are
-//!   **packed** into one columnar record once
-//!   [`PACK_THRESHOLD`](crate::store::PACK_THRESHOLD) tuples arrive (or
-//!   at spill/finish time), with a per-column [`Encoding`] chosen by a
-//!   stats pass at pack time.
+//! * **v1**: the row-major tagged encoding of [`crate::codec`].
+//! * **v2**: the columnar encoding of [`crate::columnar`], with a
+//!   per-column [`Encoding`] chosen by a stats pass at pack time.
 //! * **v3**: an LZ-compressed block (see [`crate::v3`]) stacked *under*
-//!   the v2 per-column encodings — the payload is an inner version tag,
-//!   the raw length, and the compressed inner payload. Writers emit the
-//!   compressed frame only when it is strictly smaller than the plain
-//!   one, so a v3 store degrades to v2 frames on incompressible data.
+//!   a v1 or v2 payload — the payload is an inner version tag, the raw
+//!   length, and the compressed inner payload.
 //!
-//! [`StoreConfig::format`](crate::StoreConfig::format) selects the write
-//! format; **readers always accept every format**, record by record, so
-//! a spool written by an older incarnation reopens under a newer store
-//! and its segments decode unchanged — and a resumed capture appends
-//! newer records after the sealed older ones in the same logical
-//! segment.
+//! One writer frames records, `append_records` (or, for a ragged batch,
+//! `append_frame_best`): each payload in the v3 frame when LZ strictly
+//! wins, in its plain v2 (or v1) frame otherwise. v1 and v2 records are
+//! **decode-only**: readers accept every format, record by record, so an
+//! older writer's spool reopens unchanged, and a resumed capture appends
+//! after the older records in the same segment.
 
 use crate::codec::{decode_rows_into, encode_tuples_onto, take, take_array, CodecError};
 use crate::columnar::{
@@ -68,7 +61,7 @@ pub const FRAME_MAGICS: [([u8; 4], [u8; 4]); 3] = [
 /// A frame's header in bytes: opening magic, payload length, CRC.
 const FRAME_HEADER: usize = 4 + 8 + 4;
 /// Per-record framing overhead in bytes (header + footer).
-pub(crate) const RECORD_OVERHEAD: usize = FRAME_HEADER + 4;
+pub const RECORD_OVERHEAD: usize = FRAME_HEADER + 4;
 
 /// The frame version whose opening magic is `magic`, if any.
 fn frame_version(magic: &[u8]) -> Option<u8> {
@@ -98,28 +91,31 @@ fn close_frame(buf: &mut Vec<u8>, version: u8, at: usize) {
     buf.extend_from_slice(&close);
 }
 
-/// Append one checksummed record of frame `version` (1, 2 or 3) framing
-/// `payload` to `buf`.
-pub(crate) fn append_frame(buf: &mut Vec<u8>, version: u8, payload: &[u8]) {
-    let at = open_frame(buf);
-    buf.extend_from_slice(payload);
-    close_frame(buf, version, at);
-}
-
 /// Append `raw` (an inner payload of `inner_version` 1 = row-major or
 /// 2 = columnar) as either a compressed v3 frame — when compression
 /// strictly wins — or the plain frame of its native version. The
 /// compressed form is written straight into `buf`.
 pub(crate) fn append_frame_best(buf: &mut Vec<u8>, inner_version: u8, raw: &[u8]) {
-    let start = buf.len();
     let at = open_frame(buf);
     if v3::append_compressed_payload(buf, inner_version, raw) {
         obs_handles::lz_records().inc();
         obs_handles::lz_saved_bytes().add((raw.len() - (buf.len() - at)) as u64);
         close_frame(buf, 3, at);
     } else {
-        buf.truncate(start);
-        append_frame(buf, inner_version, raw);
+        buf.extend_from_slice(raw);
+        close_frame(buf, inner_version, at);
+    }
+}
+
+/// Count `record`, one whole frame, in the LZ counters as its write
+/// did when it is compressed: a record an epoch append copies counts as
+/// the write it stands in for.
+pub(crate) fn count_lz_win(record: &[u8]) {
+    if record[..4] == FRAME_MAGICS[2].0 {
+        let raw_len = &record[FRAME_HEADER + 1..FRAME_HEADER + 5];
+        let raw_len = u32::from_le_bytes(raw_len.try_into().unwrap()) as usize;
+        obs_handles::lz_records().inc();
+        obs_handles::lz_saved_bytes().add((raw_len + RECORD_OVERHEAD - record.len()) as u64);
     }
 }
 
@@ -127,46 +123,38 @@ thread_local! {
     /// The raw payload a record is encoded into before it is compressed,
     /// reused record after record on each thread.
     static RAW: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    /// The raw payload a compressed record decompresses into before it
+    /// is decoded: [`RAW`]'s mirror on the read side.
+    static DECODED: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Frame `rows` as records onto `buf`, at most [`MAX_DECODE_CELLS`]
 /// cells a record (so a reader's guard never rejects one): columnar (v2)
 /// wherever a run of rows has a columnar form, row-major (v1) otherwise,
-/// each in the compressed v3 frame when `compress` and LZ strictly wins.
-/// `on_column` sees each column of every columnar record written: its
-/// index, encoding and accounting. Returns the records written. The one
-/// record writer behind segment packing and compaction; a payload is
-/// encoded straight into its frame, or — to be compressed — into a
-/// buffer the thread reuses.
+/// each in the compressed v3 frame when LZ strictly wins. `on_column`
+/// sees each column of every columnar record written: its index,
+/// encoding and accounting. Returns the records written. The one record
+/// writer behind segment packing and compaction; a payload is encoded
+/// into a buffer the thread reuses, then compressed into its frame.
 pub(crate) fn append_records(
     buf: &mut Vec<u8>,
     rows: &RowBlock,
-    compress: bool,
     mut on_column: impl FnMut(usize, Encoding, &ColumnStat),
 ) -> u32 {
     let arity = rows.rows().next().map_or(1, |row| row.len().max(1));
     let mut records = 0;
     for chunk in rows.chunks((MAX_DECODE_CELLS / arity).max(1)) {
-        // The payload's version: columnar where the rows have that form.
-        let mut encode = |out: &mut Vec<u8>| {
-            if encode_columnar_onto(&chunk, out, true, &mut on_column) {
+        RAW.with_borrow_mut(|raw| {
+            raw.clear();
+            // Columnar where the rows have that form.
+            let version = if encode_columnar_onto(&chunk, raw, true, &mut on_column) {
                 2
             } else {
-                encode_tuples_onto(&chunk, out);
+                encode_tuples_onto(&chunk, raw);
                 1
-            }
-        };
-        if compress {
-            RAW.with_borrow_mut(|raw| {
-                raw.clear();
-                let version = encode(raw);
-                append_frame_best(buf, version, raw);
-            });
-        } else {
-            let at = open_frame(buf);
-            let version = encode(buf);
-            close_frame(buf, version, at);
-        }
+            };
+            append_frame_best(buf, version, raw);
+        });
         records += 1;
     }
     records
@@ -361,24 +349,27 @@ fn walk(
         detail,
     };
     let mut o = WalkOutcome::default();
-    while o.valid_end < data.len() {
-        let frame = match try_frame(data, o.valid_end) {
-            Ok(frame) => frame,
-            Err(e) if mode == WalkMode::Salvage && e.torn => {
-                o.torn_tail = Some(e.detail);
-                return Ok(o);
-            }
-            Err(e) => return Err(corrupt(e.detail)),
-        };
-        // The frame is CRC-valid; a payload decode failure here is real
-        // corruption (or a decoder bug), never a torn tail.
-        let tuples = decode_frame(&frame, mask, stats.as_deref_mut(), out, &mut o.counts);
-        o.tuples += tuples.map_err(corrupt)?;
-        obs_handles::records_verified().inc();
-        o.records += 1;
-        o.valid_end = frame.next;
-    }
-    Ok(o)
+    DECODED.with_borrow_mut(|raw| {
+        while o.valid_end < data.len() {
+            let frame = match try_frame(data, o.valid_end) {
+                Ok(frame) => frame,
+                Err(e) if mode == WalkMode::Salvage && e.torn => {
+                    o.torn_tail = Some(e.detail);
+                    return Ok(o);
+                }
+                Err(e) => return Err(corrupt(e.detail)),
+            };
+            // The frame is CRC-valid; a payload decode failure here is
+            // real corruption (or a decoder bug), never a torn tail.
+            let counts = &mut o.counts;
+            let tuples = decode_frame(&frame, raw, mask, stats.as_deref_mut(), out, counts);
+            o.tuples += tuples.map_err(corrupt)?;
+            obs_handles::records_verified().inc();
+            o.records += 1;
+            o.valid_end = frame.next;
+        }
+        Ok(o)
+    })
 }
 
 /// [`walk_records`] for verification alone: every CRC checked, every
@@ -412,9 +403,11 @@ pub(crate) fn absorb_col(agg: &mut Vec<ColumnStat>, col: usize, stat: &ColumnSta
 
 /// Decode one validated frame's payload onto the end of `out`,
 /// returning the rows appended, or the failure detail (with part of the
-/// record possibly appended: the caller fails the whole walk).
+/// record possibly appended: the caller fails the whole walk). A v3
+/// payload decompresses into `raw`, the walk's reused buffer.
 fn decode_frame(
     frame: &Frame<'_>,
+    raw: &mut Vec<u8>,
     mask: Option<&[bool]>,
     stats: Option<&mut Vec<ColumnStat>>,
     out: &mut RowBlock,
@@ -425,15 +418,12 @@ fn decode_frame(
     // compressed form, so a decompression failure here is corruption
     // that slipped a CRC collision (or a decoder bug) — reported, not
     // panicked.
-    let (version, decompressed);
-    let payload: &[u8] = if frame.version == 3 {
-        let (inner, raw) = v3::decode_compressed_payload(frame.payload)?;
-        version = inner;
-        decompressed = raw;
-        &decompressed
-    } else {
-        version = frame.version;
-        frame.payload
+    let (version, payload) = match frame.version {
+        3 => (
+            v3::decode_compressed_payload_into(frame.payload, raw)?,
+            &raw[..],
+        ),
+        plain => (plain, frame.payload),
     };
     let before = out.len();
     let failed = |what: &str, e: CodecError| format!("{what} decode failed: {e}");

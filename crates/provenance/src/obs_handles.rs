@@ -1,8 +1,10 @@
-//! Cached global-registry handles for store metrics. Ingested tuple and
-//! batch counts are functions of the captured provenance alone and are
-//! flagged deterministic; spill counts, spilled bytes, and record
-//! verifications depend on when the async writer's batches arrive
-//! relative to the memory budget, so they are flagged non-deterministic.
+//! Cached global-registry handles for store metrics. Ingested tuple
+//! counts and what reads decode per segment are functions of the
+//! captured provenance alone and are flagged deterministic. Everything
+//! that follows how a capture's threads delivered its rows is flagged
+//! non-deterministic: ingest batches, the records packs cut (their
+//! count, bytes, LZ wins and column blocks), which segments spill and
+//! when, and record verifications.
 
 use ariadne_obs::metrics::Histogram;
 use ariadne_obs::{static_counter, static_histogram};
@@ -11,7 +13,7 @@ static_counter!(
     ingest_batches,
     "store_ingest_batches_total",
     "tuple batches ingested into the provenance store",
-    true
+    false
 );
 static_counter!(
     ingest_tuples,
@@ -23,7 +25,7 @@ static_counter!(
     ingest_bytes,
     "store_ingest_bytes_total",
     "encoded record bytes appended to in-memory segments",
-    true
+    false
 );
 static_counter!(
     spills,
@@ -59,7 +61,7 @@ static_counter!(
     sealed_segments,
     "store_sealed_segments_total",
     "segments recovered and sealed during spool resume",
-    true
+    false
 );
 static_counter!(
     faults_injected,
@@ -89,7 +91,7 @@ static_counter!(
     encoded_bytes,
     "store_encoded_bytes",
     "record bytes (framing included) produced by columnar segment packing",
-    true
+    false
 );
 static_counter!(
     encode_ns,
@@ -107,13 +109,13 @@ static_counter!(
     packs,
     "store_packs_total",
     "pending batches packed into columnar records",
-    true
+    false
 );
 static_counter!(
     col_bytes_skipped,
     "store_col_bytes_skipped_total",
     "encoded column-block bytes skipped (never materialized) by masked reads",
-    true
+    false
 );
 static_counter!(
     fsync_ns,
@@ -149,25 +151,25 @@ static_counter!(
     compact_bytes_in,
     "store_compact_bytes_in",
     "segment bytes read (decoded) by compaction passes",
-    true
+    false
 );
 static_counter!(
     compact_bytes_out,
     "store_compact_bytes_out",
     "generation-file record bytes written by compaction passes",
-    true
+    false
 );
 static_counter!(
     lz_records,
     "store_lz_records_total",
     "records written in the v3 compressed frame (LZ strictly won)",
-    true
+    false
 );
 static_counter!(
     lz_saved_bytes,
     "store_lz_saved_bytes",
     "payload bytes saved by v3 LZ compression over the plain frame",
-    true
+    false
 );
 // Compaction protocol step timers (PR 7 landed the protocol with no
 // obs): one wall-clock counter per kill-point-delimited step, so a
@@ -294,13 +296,13 @@ static_counter!(
     scrub_files,
     "store_scrub_files_total",
     "spool files verified by scrub passes",
-    true
+    false
 );
 static_counter!(
     scrub_records,
     "store_scrub_records_total",
     "records whose CRC and payload decode were re-verified by scrub",
-    true
+    false
 );
 static_counter!(
     scrub_tuples,
@@ -316,26 +318,26 @@ static_counter!(
 );
 
 const ENC_HELP: &str = "encoded column-block bytes per packed column for this encoding";
-static_histogram!(enc_plain, "store_encoding_bytes_plain", ENC_HELP, true);
-static_histogram!(enc_const, "store_encoding_bytes_const", ENC_HELP, true);
+static_histogram!(enc_plain, "store_encoding_bytes_plain", ENC_HELP, false);
+static_histogram!(enc_const, "store_encoding_bytes_const", ENC_HELP, false);
 static_histogram!(
     enc_delta_id,
     "store_encoding_bytes_delta_id",
     ENC_HELP,
-    true
+    false
 );
 static_histogram!(
     enc_delta_int,
     "store_encoding_bytes_delta_int",
     ENC_HELP,
-    true
+    false
 );
-static_histogram!(enc_dict, "store_encoding_bytes_dict", ENC_HELP, true);
+static_histogram!(enc_dict, "store_encoding_bytes_dict", ENC_HELP, false);
 static_histogram!(
     enc_float_raw,
     "store_encoding_bytes_float_raw",
     ENC_HELP,
-    true
+    false
 );
 
 /// The per-encoding column-size histogram for `enc`.

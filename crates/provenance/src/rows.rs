@@ -13,9 +13,9 @@
 //!
 //! Rows of one arity are strided — row `i` is `values[i * arity..]` — and
 //! nothing else is stored. A block becomes *ragged* only when a row of
-//! another arity, or of none, arrives (only a v1 record of a ragged
-//! ingest batch holds such rows); from then on it also records where
-//! each row ends.
+//! another arity, or of none, arrives (only a row-major payload, written
+//! for a ragged ingest batch or read from an old v1 record, holds such
+//! rows); from then on it also records where each row ends.
 //!
 //! The encoders read rows through [`Rows`], which a block, a run of its
 //! rows and a slice of [`Tuple`]s all implement, so there is one encoder

@@ -689,7 +689,8 @@ mod tests {
     use super::*;
     use crate::scrub::scrub_spool;
     use crate::store::tests::{temp_dir, tuple};
-    use crate::store::SegmentFormat;
+    use ariadne_pql::{Tuple, Value};
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     #[test]
@@ -752,67 +753,233 @@ mod tests {
         assert_eq!(store.tuple_count(), 0);
     }
 
-    /// A v1 spool written by the pr4-era code (format = V1) reopens and
-    /// decodes under a v2-default store, and the resumed capture appends
-    /// v2 records into the same logical segments.
-    #[test]
-    fn v1_spool_resumes_under_v2_store() {
-        let dir = temp_dir("v1-compat");
+    /// A copy, in a fresh temporary directory, of the committed spool
+    /// fixture `name`: written by the last writer of the v1 and v2
+    /// record formats, which now only decode (see
+    /// `tests/fixtures/README.md`).
+    fn fixture(name: &str) -> PathBuf {
+        let src = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures")
+            .join(name);
+        let dir = temp_dir(&format!("fixture-{name}"));
         std::fs::remove_dir_all(&dir).ok();
-        let mut old =
-            ProvStore::new(StoreConfig::spilling(0, dir.clone()).with_format(SegmentFormat::V1));
-        old.ingest(0, "value", (0..10).map(|v| tuple(v, 0)).collect())
-            .unwrap();
-        old.ingest(1, "value", (0..10).map(|v| tuple(v, 1)).collect())
-            .unwrap();
-        drop(old);
-
-        // New incarnation writes v2 by default.
-        let mut store =
-            ProvStore::resume_from_spool(StoreConfig::spilling(0, dir.clone())).unwrap();
-        assert_eq!(store.config.format, SegmentFormat::V2);
-        assert_eq!(store.tuple_count(), 20);
-        assert_eq!(store.sealed_segments(), 2);
-        // Pure-v1 segments report no column stats.
-        assert!(store.segment_index().all(|s| s.columns.is_empty()));
-        // Replayed layers 0/1 are idempotent no-ops; layer 2 is new and
-        // lands as a packed v2 record in the same spool.
-        for s in 0..2u32 {
-            store
-                .ingest(s, "value", (0..10).map(|v| tuple(v, s as i64)).collect())
-                .unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        for entry in std::fs::read_dir(&src).unwrap() {
+            let path = entry.unwrap().path();
+            std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
         }
-        store
-            .ingest(2, "value", (0..10).map(|v| tuple(v, 2)).collect())
-            .unwrap();
-        for s in 0..3u32 {
-            assert_eq!(store.layer(s).unwrap()[0].1.len(), 10, "layer {s}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
+        dir
     }
 
-    /// A segment file can hold v1 records followed by v2 records; the
-    /// per-record version byte dispatches the decoder.
+    fn id_int(ids: std::ops::Range<u64>, tag: i64) -> Vec<Tuple> {
+        ids.map(|v| vec![Value::Id(v), Value::Int(tag)]).collect()
+    }
+
+    /// What fixture `name` holds: its (layer, predicate, rows) batches,
+    /// in the order they were written.
+    fn fixture_rows(name: &str) -> Vec<(u32, &'static str, Vec<Tuple>)> {
+        let float = |n: u64, tag: i64| -> Vec<Tuple> {
+            let row = |v: u64| {
+                vec![
+                    Value::Id(v),
+                    Value::Float(1.0 / (v + 1) as f64),
+                    Value::Int(tag),
+                ]
+            };
+            (0..n).map(row).collect()
+        };
+        let ragged = (0..7u64)
+            .map(|x| (0..x % 4).map(|k| Value::Id(x * 10 + k)).collect())
+            .collect();
+        let sent = || {
+            (0..7u64)
+                .map(|v| vec![Value::Id(v), Value::Id(v + 1)])
+                .collect()
+        };
+        match &name[name.find('-').map_or(0, |at| at + 1)..] {
+            "torn" => (0..4).map(|b| (0, "value", id_int(0..5, b))).collect(),
+            "flip" => (0..2)
+                .map(|l| (l, "value", id_int(0..6, l.into())))
+                .collect(),
+            "fuzz" => (0..3).map(|l| (l, "value", float(40, l.into()))).collect(),
+            "spool" => vec![
+                (0, "value", id_int(0..10, 0)),
+                (1, "value", id_int(0..10, 1)),
+                (3, "rg", ragged),
+                (2, "value", id_int(0..10, 2)),
+            ],
+            "records" => vec![
+                (0, "value", id_int(0..5, 0)),
+                (0, "value", id_int(5..12, 0)),
+            ],
+            "compact" => (0..2)
+                .flat_map(|l| [(l, "value", id_int(0..32, l.into())), (l, "sent", sent())])
+                .collect(),
+            other => panic!("no fixture {other}"),
+        }
+    }
+
+    /// The opening magics of the records of spool file `path`, in order.
+    fn record_magics(path: &Path) -> Vec<[u8; 4]> {
+        let bytes = std::fs::read(path).unwrap();
+        let mut magics = Vec::new();
+        let mut at = 0;
+        while at < bytes.len() {
+            magics.push(bytes[at..at + 4].try_into().unwrap());
+            let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap());
+            at += crate::frame::RECORD_OVERHEAD + len as usize;
+        }
+        magics
+    }
+
+    /// Every committed fixture file is pinned by its CRC, and each
+    /// fixture spool reopens to the rows it was written with.
+    #[test]
+    fn old_format_fixtures_are_pinned() {
+        const PINNED: [(&str, &[(&str, u32)]); 10] = [
+            (
+                "mixed-compact",
+                &[
+                    ("seg-0-sent.bin", 0x48afb5dc),
+                    ("seg-0-value.bin", 0x3cbfa538),
+                    ("seg-1-sent.bin", 0xf6a9baa5),
+                    ("seg-1-value.bin", 0x6d7f2014),
+                ],
+            ),
+            ("mixed-records", &[("seg-0-value.bin", 0xd2d4e818)]),
+            (
+                "v1-flip",
+                &[
+                    ("seg-0-value.bin", 0xc0afa726),
+                    ("seg-1-value.bin", 0xb6eeabfa),
+                ],
+            ),
+            (
+                "v1-fuzz",
+                &[
+                    ("seg-0-value.bin", 0x8e2ad046),
+                    ("seg-1-value.bin", 0xbe324c49),
+                    ("seg-2-value.bin", 0xee1be858),
+                ],
+            ),
+            (
+                "v1-spool",
+                &[
+                    ("seg-0-value.bin", 0xa745ee73),
+                    ("seg-1-value.bin", 0xc49b6613),
+                    ("seg-2-value.seal", 0x60f8feb3),
+                    ("seg-3-rg.bin", 0x3c8b56e4),
+                ],
+            ),
+            ("v1-torn", &[("seg-0-value.bin", 0xe7b03612)]),
+            (
+                "v2-flip",
+                &[
+                    ("seg-0-value.bin", 0x2a040793),
+                    ("seg-1-value.bin", 0xb7f3d833),
+                ],
+            ),
+            (
+                "v2-fuzz",
+                &[
+                    ("seg-0-value.bin", 0xc592cab8),
+                    ("seg-1-value.bin", 0xcd57c2bd),
+                    ("seg-2-value.bin", 0xd418dab2),
+                ],
+            ),
+            (
+                "v2-spool",
+                &[
+                    ("seg-0-value.bin", 0x88ed2ebf),
+                    ("seg-1-value.bin", 0xd9769143),
+                    ("seg-2-value.seal", 0x2bda5147),
+                    ("seg-3-rg.bin", 0x3c8b56e4),
+                ],
+            ),
+            ("v2-torn", &[("seg-0-value.bin", 0x905d4827)]),
+        ];
+        for (name, files) in PINNED {
+            let dir = fixture(name);
+            let mut crcs: Vec<(String, u32)> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| {
+                    let path = entry.unwrap().path();
+                    let crc = ariadne_vc::checkpoint::crc32(&std::fs::read(&path).unwrap());
+                    (
+                        path.file_name().unwrap().to_string_lossy().into_owned(),
+                        crc,
+                    )
+                })
+                .collect();
+            crcs.sort();
+            let want: Vec<(String, u32)> = files.iter().map(|&(f, c)| (f.into(), c)).collect();
+            assert_eq!(crcs, want, "{name}: files and CRCs");
+            let mut want: BTreeMap<(u32, String), Vec<Tuple>> = BTreeMap::new();
+            for (s, pred, rows) in fixture_rows(name) {
+                want.entry((s, pred.into())).or_default().extend(rows);
+            }
+            let store =
+                ProvStore::resume_from_spool(StoreConfig::spilling(0, dir.clone())).unwrap();
+            let mut got = BTreeMap::new();
+            for s in 0..=store.max_superstep().unwrap() {
+                for (pred, rows) in store.layer(s).unwrap() {
+                    got.insert((s, pred), rows);
+                }
+            }
+            assert_eq!(got, want, "{name}: rows");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// Spools of the old formats reopen under the one writer. Each holds
+    /// unsealed tails, a sealed segment and a ragged row-major record:
+    /// every segment seals, pure-v1 segments report no column stats,
+    /// replaying their layers is an idempotent no-op, and a new layer
+    /// lands in the same spool.
+    #[test]
+    fn v1_spool_resumes_under_v2_store() {
+        for name in ["v1-spool", "v2-spool"] {
+            let dir = fixture(name);
+            let mut store =
+                ProvStore::resume_from_spool(StoreConfig::spilling(0, dir.clone())).unwrap();
+            assert_eq!(store.tuple_count(), 37, "{name}");
+            assert_eq!(store.sealed_segments(), 4, "{name}");
+            let columnar = store
+                .segment_index()
+                .filter(|s| !s.columns.is_empty())
+                .count();
+            assert_eq!(columnar, if name == "v1-spool" { 0 } else { 3 }, "{name}");
+            for (s, pred, rows) in fixture_rows(name) {
+                store.ingest(s, pred, rows).unwrap();
+            }
+            assert_eq!(store.tuple_count(), 37, "{name}: replay deduplicated");
+            store.ingest(4, "value", id_int(0..10, 4)).unwrap();
+            for s in [0, 1, 2, 4] {
+                assert_eq!(
+                    store.layer(s).unwrap()[0].1,
+                    id_int(0..10, s.into()),
+                    "{name} {s}"
+                );
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// A segment file can hold v1, v2 and v3-writer records one after
+    /// another; the per-record version byte dispatches the decoder. The
+    /// fixture's file holds a v1 then a v2 record, and a store spilling
+    /// to the same path (unsealed: not resumed) appends the third.
     #[test]
     fn mixed_v1_v2_records_in_one_segment() {
-        let dir = temp_dir("mixed-records");
-        std::fs::remove_dir_all(&dir).ok();
-        let mut v1 =
-            ProvStore::new(StoreConfig::spilling(0, dir.clone()).with_format(SegmentFormat::V1));
-        v1.ingest(0, "value", (0..5).map(|v| tuple(v, 0)).collect())
-            .unwrap();
-        drop(v1);
-        // Append v2 records to the same (superstep, pred) segment file.
-        // (Unsealed: reopened via a plain new store that spills to the
-        // same path.)
-        let mut v2 = ProvStore::new(StoreConfig::spilling(0, dir.clone()));
-        v2.ingest(0, "value", (5..12).map(|v| tuple(v, 0)).collect())
-            .unwrap();
-        drop(v2);
+        let dir = fixture("mixed-records");
+        let mut store = ProvStore::new(StoreConfig::spilling(0, dir.clone()));
+        store.ingest(0, "value", id_int(12..20, 0)).unwrap();
+        drop(store);
+        let magics = record_magics(&segment_path(&dir, 0, "value"));
+        assert_eq!(magics[..2], [*b"ARSG", *b"ARS2"]);
+        assert_eq!(magics.len(), 3);
         let store = ProvStore::resume_from_spool(StoreConfig::spilling(0, dir.clone())).unwrap();
-        let layer = store.layer(0).unwrap();
-        assert_eq!(layer[0].1.len(), 12);
-        assert_eq!(layer[0].1[11], tuple(11, 0));
+        assert_eq!(store.layer(0).unwrap()[0].1, id_int(0..20, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -39,8 +39,8 @@ use crate::codec::{encode_tuples, CodecError};
 use crate::columnar::{v1_batch_size, ColumnStat};
 use crate::epoch::EpochInfo;
 use crate::frame::{
-    absorb_col, append_frame, append_frame_best, append_records, walk_records, DecodeCounts,
-    WalkMode, RECORD_OVERHEAD,
+    absorb_col, append_frame_best, append_records, walk_records, DecodeCounts, WalkMode,
+    RECORD_OVERHEAD,
 };
 use crate::obs_handles;
 use crate::reader::{read_extent, ReadBackend};
@@ -61,10 +61,9 @@ pub use crate::compact::{compact_spool, CompactReport};
 pub use crate::scrub::{scrub_spool, ScrubAction, ScrubReport, SegmentDamage};
 pub use crate::writer::{StoreSender, StoreWriter};
 
-/// Pending tuples per segment that trigger a columnar pack under
-/// [`SegmentFormat::V2`]. Packing also happens before any spill and at
-/// [`ProvStore::pack_all`] time, so the threshold only bounds how long
-/// tuples sit row-major in memory.
+/// Pending tuples per segment that trigger a columnar pack. Packing also
+/// happens before any spill and at [`ProvStore::pack_all`] time, so the
+/// threshold only bounds how long tuples sit row-major in memory.
 pub const PACK_THRESHOLD: usize = 512;
 
 /// Typed failures from the provenance store.
@@ -165,23 +164,15 @@ impl From<CodecError> for StoreError {
     }
 }
 
-/// The physical format new records are written in. Readers accept both
-/// formats regardless of this setting (per-record version dispatch), so
-/// the choice only affects the write path.
+/// The format the store writes records in. There is one: v1 and v2
+/// records are decode-only, read from older spools by the per-record
+/// version dispatch of [`crate::frame`]. The type stays so callers that
+/// name the format keep compiling; see [`StoreConfig::with_format`].
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum SegmentFormat {
-    /// Row-major tagged records ([`crate::codec`]); one record per
-    /// ingest batch — the pre-v2 behavior, kept as the measured
-    /// baseline and for byte-identical spool reproduction.
-    V1,
-    /// Columnar records ([`crate::columnar`]); ingest batches buffer in
-    /// a pending row set and pack into per-column-encoded records.
+    /// Packed columnar records ([`crate::columnar`]), each LZ-compressed
+    /// ([`crate::v3`]) when that is strictly smaller.
     #[default]
-    V2,
-    /// Columnar records with an LZ block stacked underneath
-    /// ([`crate::v3`]): packs like [`SegmentFormat::V2`], then emits the
-    /// compressed `ARSZ` frame whenever it is strictly smaller than the
-    /// plain one (falling back to the plain frame otherwise).
     V3,
 }
 
@@ -214,7 +205,8 @@ pub enum Durability {
     Seal,
 }
 
-/// Store configuration.
+/// Store configuration. The record format is not configurable: see
+/// [`SegmentFormat`].
 #[derive(Clone, Debug, Default)]
 pub struct StoreConfig {
     /// In-memory budget in encoded bytes before segments spill.
@@ -225,8 +217,6 @@ pub struct StoreConfig {
     pub spool_dir: Option<PathBuf>,
     /// Scripted fault injection for spill writes (crash-recovery tests).
     pub fault: Option<Arc<FaultPlan>>,
-    /// Write format for new records (defaults to [`SegmentFormat::V2`]).
-    pub format: SegmentFormat,
     /// Fsync level for spill writes (defaults to [`Durability::None`]).
     pub durability: Durability,
     /// How layer reads pull extent bytes from spool files (defaults to
@@ -259,9 +249,10 @@ impl StoreConfig {
         self
     }
 
-    /// Select the write format (builder style).
-    pub fn with_format(mut self, format: SegmentFormat) -> Self {
-        self.format = format;
+    /// The identity: the store writes [`SegmentFormat::V3`], the only
+    /// format there is. Kept so configurations that name the format
+    /// keep compiling.
+    pub fn with_format(self, _format: SegmentFormat) -> Self {
         self
     }
 
@@ -279,11 +270,11 @@ impl StoreConfig {
 }
 
 /// One (superstep, predicate) segment: encoded records in memory plus an
-/// optional spilled prefix on disk, plus (under [`SegmentFormat::V2`]) a
-/// pending row buffer awaiting its columnar pack.
+/// optional spilled prefix on disk, plus a pending row buffer awaiting
+/// its columnar pack.
 #[derive(Debug, Default)]
 pub(crate) struct Segment {
-    /// Concatenated checksummed records (v1 and/or v2, in append order).
+    /// Concatenated checksummed records, in append order.
     pub(crate) mem: Vec<u8>,
     /// Tuples encoded inside `mem` (excludes `pending`).
     pub(crate) mem_tuples: usize,
@@ -292,8 +283,7 @@ pub(crate) struct Segment {
     /// Sealed segments were fully persisted by a previous incarnation
     /// (see [`ProvStore::resume_from_spool`]); re-ingests are dropped.
     pub(crate) sealed: bool,
-    /// Rows awaiting their columnar pack (always empty under
-    /// [`SegmentFormat::V1`]).
+    /// Rows awaiting their columnar pack.
     pub(crate) pending: RowBlock,
     /// The bytes `pending` would occupy as one framed v1 record — the
     /// budget/accounting estimate until the pack replaces it with the
@@ -359,24 +349,10 @@ impl DiskFile {
 }
 
 impl Segment {
-    /// Frame the v1 payload of `rows` rows onto the in-memory records,
-    /// compressed when the store's `format` compresses; returns the bytes
-    /// they grew by.
-    fn append_v1(&mut self, format: SegmentFormat, payload: &[u8], rows: usize) -> usize {
-        let before = self.mem.len();
-        if format == SegmentFormat::V3 {
-            append_frame_best(&mut self.mem, 1, payload);
-        } else {
-            append_frame(&mut self.mem, 1, payload);
-        }
-        self.mem_tuples += rows;
-        self.mem.len() - before
-    }
-
     /// Pack the pending rows of this (`superstep`, `pred`) segment into a
     /// columnar record, fixing up the store's `mem_bytes` (estimate out,
     /// actual encoded size in).
-    fn pack(&mut self, format: SegmentFormat, mem_bytes: &mut usize, superstep: u32, pred: &str) {
+    fn pack(&mut self, mem_bytes: &mut usize, superstep: u32, pred: &str) {
         if self.pending.is_empty() {
             return;
         }
@@ -386,18 +362,13 @@ impl Segment {
         let before = self.mem.len();
         // One record, unless the block is larger than a reader's
         // MAX_DECODE_CELLS guard lets a record be — or wider than a
-        // columnar header can say: then a v1 record inside the v2 store
-        // (readers dispatch per record).
+        // columnar header can say: then a row-major payload (readers
+        // dispatch per record).
         let cols = &mut self.cols;
-        append_records(
-            &mut self.mem,
-            &rows,
-            format == SegmentFormat::V3,
-            |col, enc, stat| {
-                absorb_col(cols, col, stat);
-                obs_handles::encoding_hist(enc).record(stat.encoded_bytes as u64);
-            },
-        );
+        append_records(&mut self.mem, &rows, |col, enc, stat| {
+            absorb_col(cols, col, stat);
+            obs_handles::encoding_hist(enc).record(stat.encoded_bytes as u64);
+        });
         let appended = self.mem.len() - before;
         self.mem_tuples += rows.len();
         *mem_bytes = *mem_bytes - est + appended;
@@ -677,11 +648,6 @@ impl ProvStore {
         }
     }
 
-    /// The format this store writes new records in.
-    pub fn format(&self) -> SegmentFormat {
-        self.config.format
-    }
-
     /// Note that physical layer `superstep` holds (or held) data.
     pub(crate) fn raise_max_step(&mut self, superstep: u32) {
         self.max_step = Some(self.max_step.map_or(superstep, |m| m.max(superstep)));
@@ -698,12 +664,11 @@ impl ProvStore {
         self.ingest_block(superstep, pred, RowBlock::from_tuples(tuples))
     }
 
-    /// Ingest a block of rows for (superstep, pred): under
-    /// [`SegmentFormat::V1`] it becomes one checksummed record, otherwise
-    /// it joins the segment's pending rows until their columnar pack. A
+    /// Ingest a block of rows for (superstep, pred): it joins the
+    /// segment's pending rows until their columnar pack. A
     /// [ragged](RowBlock::is_ragged) block (mixed arities, or rows
     /// without columns — no capture produces either) has no columnar
-    /// form and is framed as a v1 record at once. Re-ingesting into a
+    /// form and is framed as a row-major record at once. Re-ingesting into a
     /// sealed (recovered) segment is an idempotent no-op. Spill IO
     /// failures surface as typed errors naming the path.
     pub fn ingest_block(
@@ -726,7 +691,6 @@ impl ProvStore {
             }
         }
         self.raise_max_step(superstep);
-        let format = self.config.format;
         let seg = self
             .segments
             .entry((superstep, pred.to_string()))
@@ -740,19 +704,19 @@ impl ProvStore {
         obs_handles::ingest_batches().inc();
         obs_handles::ingest_tuples().add(rows as u64);
         let added = match block {
-            block if format == SegmentFormat::V1 => {
-                seg.append_v1(format, &encode_tuples(&block), rows)
-            }
             ragged if ragged.is_ragged() => {
                 // Records keep ingest order: what is pending goes first.
-                seg.pack(format, &mut self.mem_bytes, superstep, pred);
-                seg.append_v1(format, &encode_tuples(&ragged), rows)
+                seg.pack(&mut self.mem_bytes, superstep, pred);
+                let before = seg.mem.len();
+                append_frame_best(&mut seg.mem, 1, &encode_tuples(&ragged));
+                seg.mem_tuples += rows;
+                seg.mem.len() - before
             }
             block => {
                 // Buffer rows; the columnar pack happens at the
                 // threshold, before any spill, and at pack_all/finish.
                 if seg.pending.arity() != block.arity() {
-                    seg.pack(format, &mut self.mem_bytes, superstep, pred);
+                    seg.pack(&mut self.mem_bytes, superstep, pred);
                 }
                 let added = if seg.pending.is_empty() {
                     RECORD_OVERHEAD + v1_batch_size(&block)
@@ -769,7 +733,7 @@ impl ProvStore {
         self.mem_bytes += added;
         obs_handles::ingest_bytes().add(added as u64);
         if seg.pending.len() >= PACK_THRESHOLD {
-            seg.pack(format, &mut self.mem_bytes, superstep, pred);
+            seg.pack(&mut self.mem_bytes, superstep, pred);
         }
         self.spill_down_to(self.config.memory_budget)
     }
@@ -777,14 +741,14 @@ impl ProvStore {
     /// Pack one segment's pending rows, if it exists and has any.
     fn pack_key(&mut self, key: &(u32, String)) {
         if let Some(seg) = self.segments.get_mut(key) {
-            seg.pack(self.config.format, &mut self.mem_bytes, key.0, &key.1);
+            seg.pack(&mut self.mem_bytes, key.0, &key.1);
         }
     }
 
     /// Pack every segment's pending rows. Called by the writer thread
     /// before handing the store back (so `byte_size` reports fully
     /// encoded bytes); direct [`ProvStore`] users should call it before
-    /// comparing byte accounting across formats.
+    /// comparing byte accounting.
     pub fn pack_all(&mut self) {
         let keys: Vec<_> = self
             .segments
@@ -1183,6 +1147,38 @@ pub(crate) mod tests {
         std::env::temp_dir().join(format!("ariadne-{tag}-{}", std::process::id()))
     }
 
+    /// A store holding each of `batches` as a plain row-major (v1)
+    /// record of its own: what the retired v1 writer stored, framed by
+    /// hand, so tests can read v1 records beside the writer's.
+    fn v1_store(batches: Vec<(u32, &str, Vec<Tuple>)>) -> ProvStore {
+        let mut store = ProvStore::new(StoreConfig::in_memory());
+        for (superstep, pred, rows) in batches {
+            let payload = encode_tuples(&rows);
+            let mut record = b"ARSG".to_vec();
+            record.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            record.extend_from_slice(&ariadne_vc::checkpoint::crc32(&payload).to_le_bytes());
+            record.extend_from_slice(&payload);
+            record.extend_from_slice(b"GSRA");
+            store.raise_max_step(superstep);
+            store.tuples += rows.len();
+            store.mem_bytes += record.len();
+            let seg = store.segments.entry((superstep, pred.into())).or_default();
+            seg.mem.extend_from_slice(&record);
+            seg.mem_tuples += rows.len();
+        }
+        store
+    }
+
+    /// A store of `batches` ingested as they come, packed.
+    fn ingested(batches: Vec<(u32, &str, Vec<Tuple>)>) -> ProvStore {
+        let mut store = ProvStore::new(StoreConfig::in_memory());
+        for (superstep, pred, rows) in batches {
+            store.ingest(superstep, pred, rows).unwrap();
+        }
+        store.pack_all();
+        store
+    }
+
     #[test]
     fn ingest_and_layer_roundtrip() {
         let mut store = ProvStore::new(StoreConfig::in_memory());
@@ -1345,39 +1341,30 @@ pub(crate) mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// v2 and v1 stores hold bit-identical logical content; the v2
-    /// encoded size is strictly smaller on a redundant workload.
+    /// The store's columnar records and v1 records of the same batches
+    /// hold bit-identical logical content; the columnar encoded size is
+    /// well below the row-major one on a redundant workload.
     #[test]
     fn v2_roundtrip_matches_v1_and_shrinks() {
-        let mk = |format| {
-            let mut store = ProvStore::new(StoreConfig::in_memory().with_format(format));
-            for s in 0..4u32 {
-                for chunk in 0..8u64 {
-                    store
-                        .ingest(
-                            s,
-                            "value",
-                            (chunk * 64..(chunk + 1) * 64)
-                                .map(|x| {
-                                    vec![
-                                        Value::Id(x),
-                                        Value::Float(1.0 / (x + 1) as f64),
-                                        Value::Int(s as i64),
-                                    ]
-                                })
-                                .collect(),
-                        )
-                        .unwrap();
-                    store
-                        .ingest(s, "superstep", (0..16).map(|x| tuple(x, s as i64)).collect())
-                        .unwrap();
-                }
+        let mut batches = Vec::new();
+        for s in 0..4u32 {
+            for chunk in 0..8u64 {
+                let value = (chunk * 64..(chunk + 1) * 64)
+                    .map(|x| {
+                        vec![
+                            Value::Id(x),
+                            Value::Float(1.0 / (x + 1) as f64),
+                            Value::Int(s as i64),
+                        ]
+                    })
+                    .collect();
+                batches.push((s, "value", value));
+                let superstep = (0..16).map(|x| tuple(x, s as i64)).collect();
+                batches.push((s, "superstep", superstep));
             }
-            store.pack_all();
-            store
-        };
-        let v1 = mk(SegmentFormat::V1);
-        let v2 = mk(SegmentFormat::V2);
+        }
+        let v1 = v1_store(batches.clone());
+        let v2 = ingested(batches);
         assert_eq!(v1.tuple_count(), v2.tuple_count());
         for s in 0..4u32 {
             assert_eq!(v1.layer(s).unwrap(), v2.layer(s).unwrap(), "layer {s}");
@@ -1401,55 +1388,47 @@ pub(crate) mod tests {
         }
     }
 
-    /// v3 holds bit-identical logical content to v2, spills smaller on
-    /// a compressible workload (LZ applied per record, only when it
-    /// wins), and round-trips through spill + resume.
+    /// A compressible workload spills as LZ (`ARSZ`) records smaller
+    /// than the plain columnar (v2) frames of the same rows, holds the
+    /// rows ingested, and round-trips through spill + resume.
     #[test]
     fn v3_roundtrip_matches_v2_and_compresses() {
-        let mk = |format, dir: &PathBuf| {
-            std::fs::remove_dir_all(dir).ok();
-            let mut store =
-                ProvStore::new(StoreConfig::spilling(0, dir.clone()).with_format(format));
-            for s in 0..3u32 {
-                // Runs of repeated payloads: textbook LZ fodder.
-                store
-                    .ingest(
-                        s,
-                        "value",
-                        (0..256u64)
-                            .map(|x| vec![Value::Id(x / 16), Value::Int((s as i64) % 2)])
-                            .collect(),
-                    )
-                    .unwrap();
-            }
-            store
-        };
-        let d2 = temp_dir("v3-cmp-v2");
-        let d3 = temp_dir("v3-cmp-v3");
-        let v2 = mk(SegmentFormat::V2, &d2);
-        let v3 = mk(SegmentFormat::V3, &d3);
-        assert_eq!(v2.tuple_count(), v3.tuple_count());
+        let dir = temp_dir("v3-compress");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut store = ProvStore::new(StoreConfig::spilling(0, dir.clone()));
+        let mut layers = Vec::new();
         for s in 0..3u32 {
-            assert_eq!(v2.layer(s).unwrap(), v3.layer(s).unwrap(), "layer {s}");
+            // Runs of repeated payloads: textbook LZ fodder.
+            let rows: Vec<Tuple> = (0..256u64)
+                .map(|x| vec![Value::Id(x / 16), Value::Int((s as i64) % 2)])
+                .collect();
+            store.ingest(s, "value", rows.clone()).unwrap();
+            layers.push(rows);
         }
+        let columnar = |rows: &Vec<Tuple>| crate::columnar::encode_columnar(rows).unwrap();
+        let plain: usize = (layers.iter())
+            .map(|rows| RECORD_OVERHEAD + columnar(rows).payload.len())
+            .sum();
         assert!(
-            v3.disk_bytes() < v2.disk_bytes(),
-            "v3 {} not below v2 {} on a compressible workload",
-            v3.disk_bytes(),
-            v2.disk_bytes()
+            store.disk_bytes() < plain,
+            "v3 {} not below plain v2 {plain} on a compressible workload",
+            store.disk_bytes()
         );
-        drop(v3);
-        // ARSZ frames survive a resume and read back identically.
-        let resumed = ProvStore::resume_from_spool(
-            StoreConfig::spilling(0, d3.clone()).with_format(SegmentFormat::V3),
-        )
-        .unwrap();
-        assert_eq!(resumed.tuple_count(), v2.tuple_count());
         for s in 0..3u32 {
-            assert_eq!(resumed.layer(s).unwrap(), v2.layer(s).unwrap(), "layer {s}");
+            let bytes = std::fs::read(crate::spool::segment_path(&dir, s, "value")).unwrap();
+            assert_eq!(bytes[..4], *b"ARSZ", "layer {s}");
+            let rows = &layers[s as usize];
+            assert_eq!(store.layer(s).unwrap()[0].1, *rows, "layer {s}");
         }
-        std::fs::remove_dir_all(&d2).ok();
-        std::fs::remove_dir_all(&d3).ok();
+        drop(store);
+        // ARSZ frames survive a resume and read back identically.
+        let resumed = ProvStore::resume_from_spool(StoreConfig::spilling(0, dir.clone())).unwrap();
+        assert_eq!(resumed.tuple_count(), 3 * 256);
+        for s in 0..3u32 {
+            let rows = &layers[s as usize];
+            assert_eq!(resumed.layer(s).unwrap()[0].1, *rows, "layer {s}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Pending (not yet packed) rows are visible to reads, masked reads
@@ -1487,29 +1466,18 @@ pub(crate) mod tests {
     /// them, and the same mask yields identical tuples on v1 records.
     #[test]
     fn masked_reads_skip_columns_identically_across_formats() {
-        let mk = |format| {
-            let mut store = ProvStore::new(StoreConfig::in_memory().with_format(format));
-            store
-                .ingest(
-                    3,
-                    "send_message",
-                    (0..600)
-                        .map(|x| {
-                            vec![
-                                Value::Id(x),
-                                Value::Id(x + 1),
-                                Value::str("heavy-payload-string"),
-                                Value::Int(3),
-                            ]
-                        })
-                        .collect(),
-                )
-                .unwrap();
-            store.pack_all();
-            store
-        };
-        let v1 = mk(SegmentFormat::V1);
-        let v2 = mk(SegmentFormat::V2);
+        let rows: Vec<Tuple> = (0..600)
+            .map(|x| {
+                vec![
+                    Value::Id(x),
+                    Value::Id(x + 1),
+                    Value::str("heavy-payload-string"),
+                    Value::Int(3),
+                ]
+            })
+            .collect();
+        let v1 = v1_store(vec![(3, "send_message", rows.clone())]);
+        let v2 = ingested(vec![(3, "send_message", rows)]);
         let filter = LayerFilter::all().with_mask("send_message", vec![true, true, false, true]);
         let r1 = v1.layer_read(3, &filter).unwrap();
         let r2 = v2.layer_read(3, &filter).unwrap();
@@ -1526,21 +1494,22 @@ pub(crate) mod tests {
     }
 
     /// Packing is forced before any spill: the spool never holds a
-    /// partial pending buffer, only whole checksummed records.
+    /// partial pending buffer, only whole checksummed records. (At budget
+    /// 0, since the 40 rows compress under any small one.)
     #[test]
     fn spill_packs_pending_first() {
         let dir = temp_dir("spill-pack");
         std::fs::remove_dir_all(&dir).ok();
-        let mut store = ProvStore::new(StoreConfig::spilling(64, dir.clone()));
+        let mut store = ProvStore::new(StoreConfig::spilling(0, dir.clone()));
         store
             .ingest(0, "value", (0..40).map(|v| tuple(v, 0)).collect())
             .unwrap();
         assert!(store.spills() > 0);
         // Everything readable from a fresh resume (validates records).
-        let resumed = ProvStore::resume_from_spool(StoreConfig::spilling(64, dir.clone())).unwrap();
+        let resumed = ProvStore::resume_from_spool(StoreConfig::spilling(0, dir.clone())).unwrap();
         let recovered: usize = resumed.layer(0).unwrap().iter().map(|(_, t)| t.len()).sum();
         assert_eq!(recovered, 40);
-        // Resumed v2 segments rebuild their column stats from disk.
+        // Resumed columnar segments rebuild their column stats from disk.
         assert!(resumed.segment_index().any(|s| !s.columns.is_empty()));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1567,7 +1536,7 @@ pub(crate) mod tests {
 
     /// `ingest` is `ingest_block` behind a flattening adapter: the same
     /// rows in the same batches give the same segment bytes, record for
-    /// record, in every format — across a pack threshold too.
+    /// record — across a pack threshold too.
     #[test]
     fn ingest_and_ingest_block_write_identical_segments() {
         let batch = |s: u32, k: u64| -> Vec<Tuple> {
@@ -1575,34 +1544,32 @@ pub(crate) mod tests {
                 .map(|x| vec![Value::Id(x % 97), Value::Float(x as f64 / 7.0), Value::Int(s as i64)])
                 .collect()
         };
-        for format in [SegmentFormat::V1, SegmentFormat::V2, SegmentFormat::V3] {
-            let mut by_tuples = ProvStore::new(StoreConfig::in_memory().with_format(format));
-            let mut by_blocks = ProvStore::new(StoreConfig::in_memory().with_format(format));
-            for s in 0..3u32 {
-                for k in 0..4u64 {
-                    by_tuples.ingest(s, "value", batch(s, k)).unwrap();
-                    let block = RowBlock::from_tuples(batch(s, k));
-                    by_blocks.ingest_block(s, "value", block).unwrap();
-                }
-                by_tuples.ingest(s, "superstep", vec![tuple(1, s as i64)]).unwrap();
-                let mut block = RowBlock::default();
-                block.push(&tuple(1, s as i64));
-                by_blocks.ingest_block(s, "superstep", block).unwrap();
+        let mut by_tuples = ProvStore::new(StoreConfig::in_memory());
+        let mut by_blocks = ProvStore::new(StoreConfig::in_memory());
+        for s in 0..3u32 {
+            for k in 0..4u64 {
+                by_tuples.ingest(s, "value", batch(s, k)).unwrap();
+                let block = RowBlock::from_tuples(batch(s, k));
+                by_blocks.ingest_block(s, "value", block).unwrap();
             }
-            by_tuples.pack_all();
-            by_blocks.pack_all();
-            assert_eq!(by_tuples.byte_size(), by_blocks.byte_size(), "{format:?}");
-            assert_eq!(by_tuples.tuple_count(), by_blocks.tuple_count(), "{format:?}");
-            let records = |store: &ProvStore| -> Vec<((u32, String), Vec<u8>)> {
-                let segs = store.segments.iter();
-                segs.map(|(key, seg)| (key.clone(), seg.mem.clone())).collect()
-            };
-            assert_eq!(records(&by_tuples), records(&by_blocks), "{format:?}");
+            by_tuples.ingest(s, "superstep", vec![tuple(1, s as i64)]).unwrap();
+            let mut block = RowBlock::default();
+            block.push(&tuple(1, s as i64));
+            by_blocks.ingest_block(s, "superstep", block).unwrap();
         }
+        by_tuples.pack_all();
+        by_blocks.pack_all();
+        assert_eq!(by_tuples.byte_size(), by_blocks.byte_size());
+        assert_eq!(by_tuples.tuple_count(), by_blocks.tuple_count());
+        let records = |store: &ProvStore| -> Vec<((u32, String), Vec<u8>)> {
+            let segs = store.segments.iter();
+            segs.map(|(key, seg)| (key.clone(), seg.mem.clone())).collect()
+        };
+        assert_eq!(records(&by_tuples), records(&by_blocks));
     }
 
-    /// A batch with no flat form is a v1 record at once, behind whatever
-    /// was pending, and reads back in ingest order.
+    /// A batch with no flat form is a row-major record at once, behind
+    /// whatever was pending, and reads back in ingest order.
     #[test]
     fn ragged_batch_is_framed_at_once() {
         let mut store = ProvStore::new(StoreConfig::in_memory());

@@ -362,6 +362,15 @@ pub fn append_compressed_payload(buf: &mut Vec<u8>, inner_version: u8, raw: &[u8
 /// Decode a v3 compressed record payload back into its inner version
 /// tag and raw payload bytes. Bounded by [`V3_MAX_RAW`].
 pub fn decode_compressed_payload(payload: &[u8]) -> Result<(u8, Vec<u8>), String> {
+    let mut raw = Vec::new();
+    let inner = decode_compressed_payload_into(payload, &mut raw)?;
+    Ok((inner, raw))
+}
+
+/// [`decode_compressed_payload`] into `raw`, replacing its contents
+/// (reserved to the header's raw length up front), so a reader reuses
+/// one buffer record after record. Returns the inner version tag.
+pub fn decode_compressed_payload_into(payload: &[u8], raw: &mut Vec<u8>) -> Result<u8, String> {
     if payload.len() < 5 {
         return Err(format!("compressed payload too short ({} bytes)", payload.len()));
     }
@@ -374,7 +383,9 @@ pub fn decode_compressed_payload(payload: &[u8]) -> Result<(u8, Vec<u8>), String
     if raw_len > V3_MAX_RAW {
         return Err(format!("raw length {raw_len} exceeds the {V3_MAX_RAW} bound"));
     }
-    let raw = minilz::decompress(packed, raw_len)
+    raw.clear();
+    raw.reserve(raw_len);
+    minilz::decompress_into(packed, raw_len, raw)
         .map_err(|e| format!("LZ decompression failed: {e}"))?;
     if raw.len() != raw_len {
         return Err(format!(
@@ -382,7 +393,7 @@ pub fn decode_compressed_payload(payload: &[u8]) -> Result<(u8, Vec<u8>), String
             raw.len()
         ));
     }
-    Ok((inner, raw))
+    Ok(inner)
 }
 
 #[cfg(test)]

@@ -20,17 +20,16 @@
 //! shrunk, replaced and vanished content, runs that shrink (to nothing)
 //! and regrow, rows shuffled out of sorted order, segments written in one
 //! or two batches, and a predicate with ragged rows. Each chain runs in
-//! the v2 and v3 formats, in memory and in a spilling store that is
-//! reopened from its spool and compacted after every append.
+//! memory and in a spilling store that is reopened from its spool and
+//! compacted after every append.
 //!
 //! Three fixed chains pin `byte_size()` and every `EpochStats` field to
 //! the values the commit before the newest-first fold recorded, so the
 //! bytes an epoch writes cannot move unnoticed. Half the random appends,
-//! and a second pass over the fixed chains, take a `next` captured in
-//! the store's own format and packed, so replaced segments held as one
-//! record in canonical order are adopted (copied, not re-encoded) — into
-//! spilled, reopened and compacted stores too — and must still write the
-//! pinned bytes.
+//! and a second pass over the fixed chains, take a packed `next`, so
+//! replaced segments held as one record in canonical order are adopted
+//! (copied, not re-encoded) — into spilled, reopened and compacted
+//! stores too — and must still write the pinned bytes.
 //!
 //! Two seeded mutations of `epoch.rs`, tried when this test was written,
 //! each fail the first fixed chain and random chain 2 (chains 0 and 1
@@ -39,9 +38,7 @@
 //! that compares rows in stored rather than sorted order.
 
 use ariadne_pql::{Tuple, Value};
-use ariadne_provenance::{
-    EpochStats, LayerFilter, ProvStore, SegmentFormat, StoreConfig, StoreError,
-};
+use ariadne_provenance::{EpochStats, LayerFilter, ProvStore, StoreConfig, StoreError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -76,8 +73,7 @@ fn sorted(rows: &[Tuple]) -> Vec<Tuple> {
     rows
 }
 
-/// A store holding `capture`, the way `capture_epoch` builds its scratch
-/// capture.
+/// A store holding `capture`, its rows still pending.
 fn store_of(capture: &Capture) -> ProvStore {
     let mut store = ProvStore::new(StoreConfig::in_memory());
     for (s, pred, rows) in capture {
@@ -86,15 +82,11 @@ fn store_of(capture: &Capture) -> ProvStore {
     store
 }
 
-/// A store holding `capture` in `format`, packed, the way `capture_epoch`
-/// captures for a chain of that format: a replaced segment it holds as
-/// one record in canonical order is adopted by the append, not
-/// re-encoded.
-fn native_of(capture: &Capture, format: SegmentFormat) -> ProvStore {
-    let mut store = ProvStore::new(StoreConfig::in_memory().with_format(format));
-    for (s, pred, rows) in capture {
-        store.ingest(*s, pred, rows.clone()).unwrap();
-    }
+/// A store holding `capture`, packed, the way `capture_epoch`'s capture
+/// ends: a replaced segment it holds as one record in canonical order is
+/// adopted by the append, not re-encoded.
+fn native_of(capture: &Capture) -> ProvStore {
+    let mut store = store_of(capture);
     store.pack_all();
     store
 }
@@ -413,21 +405,14 @@ fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ariadne-epoch-oracle-{tag}-{}", std::process::id()))
 }
 
-/// Run `chain` through a store of `format`, checking after every step;
-/// with `spool`, the store spills everything and is reopened from the
-/// spool and compacted after every append.
-fn run_chain(
-    chain: &[Capture],
-    format: SegmentFormat,
-    spool: Option<PathBuf>,
-    rng: &mut StdRng,
-    what: &str,
-) {
+/// Run `chain` through a store, checking after every step; with
+/// `spool`, the store spills everything and is reopened from the spool
+/// and compacted after every append.
+fn run_chain(chain: &[Capture], spool: Option<PathBuf>, rng: &mut StdRng, what: &str) {
     let config = match &spool {
         None => StoreConfig::in_memory(),
         Some(dir) => StoreConfig::spilling(0, dir.clone()),
-    }
-    .with_format(format);
+    };
     let mut store = ProvStore::new(config.clone());
     for (s, pred, rows) in &chain[0] {
         store.ingest(*s, pred, rows.clone()).unwrap();
@@ -436,7 +421,7 @@ fn run_chain(
     check(&store, &model, rng, &format!("{what} base"));
     for (k, next) in chain.iter().enumerate().skip(1) {
         let captured = if rng.gen_bool(0.5) {
-            native_of(next, format)
+            native_of(next)
         } else {
             store_of(next)
         };
@@ -460,20 +445,12 @@ fn random_chains_match_the_reference() {
     for case in 0..200u64 {
         let mut rng = StdRng::seed_from_u64(0xE90C_0000 + case);
         let chain = random_chain(&mut rng);
-        for format in [SegmentFormat::V2, SegmentFormat::V3] {
-            run_chain(
-                &chain,
-                format,
-                None,
-                &mut rng,
-                &format!("chain {case} {format:?} memory"),
-            );
-            let dir = temp_dir(&format!("{case}-{format:?}"));
-            std::fs::remove_dir_all(&dir).ok();
-            let what = format!("chain {case} {format:?} spilled");
-            run_chain(&chain, format, Some(dir.clone()), &mut rng, &what);
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        run_chain(&chain, None, &mut rng, &format!("chain {case} memory"));
+        let dir = temp_dir(&format!("{case}"));
+        std::fs::remove_dir_all(&dir).ok();
+        let what = format!("chain {case} spilled");
+        run_chain(&chain, Some(dir.clone()), &mut rng, &what);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -565,18 +542,13 @@ fn fixed_chains() -> Vec<Vec<Capture>> {
 }
 
 /// `byte_size()` after the base capture and after every append, and
-/// every `EpochStats` field of every append, of `chain` in `format`.
-fn pinned_run(chain: &[Capture], format: SegmentFormat) -> (Vec<usize>, Vec<[usize; 7]>) {
-    pinned_run_with(chain, format, store_of)
-}
-
-/// [`pinned_run`], each `next` made into a store by `next_of`.
-fn pinned_run_with(
+/// every `EpochStats` field of every append, of `chain`, each `next`
+/// made into a store by `next_of`.
+fn pinned_run(
     chain: &[Capture],
-    format: SegmentFormat,
-    next_of: impl Fn(&Capture) -> ProvStore,
+    next_of: fn(&Capture) -> ProvStore,
 ) -> (Vec<usize>, Vec<[usize; 7]>) {
-    let mut store = ProvStore::new(StoreConfig::in_memory().with_format(format));
+    let mut store = ProvStore::new(StoreConfig::in_memory());
     for (s, pred, rows) in &chain[0] {
         store.ingest(*s, pred, rows.clone()).unwrap();
     }
@@ -599,83 +571,43 @@ fn pinned_run_with(
     (sizes, stats)
 }
 
-#[test]
-fn fixed_chains_write_the_parent_bytes() {
-    let mut rng = StdRng::seed_from_u64(0xF1CED);
-    for (k, chain) in fixed_chains().iter().enumerate() {
-        for (f, format) in [SegmentFormat::V2, SegmentFormat::V3]
-            .into_iter()
-            .enumerate()
-        {
-            let (sizes, stats) = pinned_run(chain, format);
-            assert_eq!(sizes, PINNED_SIZES[k][f], "chain {k} {format:?}: byte_size");
-            assert_eq!(
-                stats, PINNED_STATS[k][f],
-                "chain {k} {format:?}: EpochStats"
-            );
-            run_chain(
-                chain,
-                format,
-                None,
-                &mut rng,
-                &format!("fixed chain {k} {format:?}"),
-            );
-        }
-    }
-}
-
-/// The fixed chains with each `next` captured in the store's own format
-/// and packed, so its one-record, in-order segments are adopted: the
-/// store still writes the pinned bytes and stats, and only `cold_bytes`
-/// differs, being that capture's size.
+/// The fixed chains write the pinned bytes and stats whether each
+/// `next` holds its rows pending (every replaced pair re-encoded) or
+/// packed (its one-record, in-order segments adopted); `cold_bytes` is
+/// that capture's own size. Each chain also matches the reference.
 #[test]
 fn adopted_records_write_the_parent_bytes() {
+    let mut rng = StdRng::seed_from_u64(0xF1CED);
     for (k, chain) in fixed_chains().iter().enumerate() {
-        for (f, format) in [SegmentFormat::V2, SegmentFormat::V3]
-            .into_iter()
-            .enumerate()
-        {
-            let (sizes, stats) = pinned_run_with(chain, format, |c| native_of(c, format));
-            assert_eq!(sizes, PINNED_SIZES[k][f], "chain {k} {format:?}: byte_size");
-            assert_eq!(stats.len(), PINNED_STATS[k][f].len());
-            for (e, (got, want)) in stats.iter().zip(PINNED_STATS[k][f]).enumerate() {
-                let what = format!("chain {k} {format:?} epoch {}", e + 1);
-                assert_eq!(got[..6], want[..6], "{what}: EpochStats");
-                let cold = native_of(&chain[e + 1], format).byte_size();
+        for (how, next_of) in [
+            ("pending", store_of as fn(&Capture) -> ProvStore),
+            ("packed", native_of),
+        ] {
+            let (sizes, stats) = pinned_run(chain, next_of);
+            assert_eq!(sizes, PINNED_SIZES[k], "chain {k} {how}: byte_size");
+            assert_eq!(stats.len(), PINNED_STATS[k].len());
+            for (e, (got, want)) in stats.iter().zip(PINNED_STATS[k]).enumerate() {
+                let what = format!("chain {k} {how} epoch {}", e + 1);
+                assert_eq!(got[..6], want[..], "{what}: EpochStats");
+                let cold = next_of(&chain[e + 1]).byte_size();
                 assert_eq!(got[6], cold, "{what}: cold_bytes");
             }
         }
+        run_chain(chain, None, &mut rng, &format!("fixed chain {k}"));
     }
 }
 
-// Recorded with the binary of the commit before the newest-first fold:
-// [chain][v2, v3] → byte_size after the base and each append, and
-// [epoch, carried, appended, replaced, tombstoned, bytes_appended,
-// cold_bytes] per append.
-const PINNED_SIZES: [[&[usize]; 2]; 3] = [
-    [&[632, 939, 1034], &[558, 862, 957]],
-    [&[910, 1121, 1165, 1725], &[890, 1101, 1145, 1697]],
-    [&[313, 431, 773], &[290, 408, 714]],
-];
-const PINNED_STATS: [[&[[usize; 7]]; 2]; 3] = [
-    [
-        &[[1, 2, 1, 2, 0, 307, 1670], [2, 4, 1, 0, 0, 95, 1701]],
-        &[[1, 2, 1, 2, 0, 304, 1670], [2, 4, 1, 0, 0, 95, 1701]],
+// Recorded with the binary of the commit before the newest-first fold,
+// for a v3 store: [chain] → byte_size after the base and each append,
+// and [epoch, carried, appended, replaced, tombstoned, bytes_appended]
+// per append.
+const PINNED_SIZES: [&[usize]; 3] = [&[558, 862, 957], &[890, 1101, 1145, 1697], &[290, 408, 714]];
+const PINNED_STATS: [&[[usize; 6]]; 3] = [
+    &[[1, 2, 1, 2, 0, 304], [2, 4, 1, 0, 0, 95]],
+    &[
+        [1, 2, 0, 1, 3, 211],
+        [2, 0, 0, 0, 0, 44],
+        [3, 0, 0, 6, 0, 552],
     ],
-    [
-        &[
-            [1, 2, 0, 1, 3, 211, 475],
-            [2, 0, 0, 0, 0, 44, 0],
-            [3, 0, 0, 6, 0, 560, 981],
-        ],
-        &[
-            [1, 2, 0, 1, 3, 211, 475],
-            [2, 0, 0, 0, 0, 44, 0],
-            [3, 0, 0, 6, 0, 552, 981],
-        ],
-    ],
-    [
-        &[[1, 2, 1, 0, 0, 118, 788], [2, 1, 0, 2, 1, 342, 485]],
-        &[[1, 2, 1, 0, 0, 118, 788], [2, 1, 0, 2, 1, 306, 485]],
-    ],
+    &[[1, 2, 1, 0, 0, 118], [2, 1, 0, 2, 1, 306]],
 ];

@@ -1,5 +1,5 @@
 //! The durability contract, exhaustively: torn writes at every byte
-//! offset of both segment formats salvage back to a record boundary
+//! offset of every record format salvage back to a record boundary
 //! (never returning data a clean run's prefix would not have), scrub
 //! detects every injected bit flip, repair quarantines irrecoverable
 //! segments so a reopen succeeds and reads of the lost layer fail typed,
@@ -8,7 +8,7 @@
 use ariadne_pql::Value;
 use ariadne_provenance::{
     compact_spool, scrub_spool, Durability, LayerFilter, ProvStore, ReadBackend, ScrubAction,
-    SegmentFormat, StoreConfig, StoreError,
+    StoreConfig, StoreError,
 };
 use std::path::{Path, PathBuf};
 
@@ -16,32 +16,62 @@ fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ariadne-salvage-{tag}-{}", std::process::id()))
 }
 
+/// Copy the committed spool fixture `name` into `dir`. The fixtures are
+/// spools the last v1 and v2 writers wrote (see
+/// `crates/provenance/tests/fixtures/README.md`): those formats are
+/// decode-only now, so their spools are read from files, not written.
+fn copy_fixture(name: &str, dir: &Path) {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("crates/provenance/tests/fixtures")
+        .join(name);
+    std::fs::create_dir_all(dir).unwrap();
+    for entry in std::fs::read_dir(src).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+    }
+}
+
+/// The offset just past each record of a concatenation of record
+/// frames, going by each header's payload length.
+fn record_ends(bytes: &[u8]) -> Vec<usize> {
+    let mut ends = Vec::new();
+    let mut at = 0;
+    while at < bytes.len() {
+        let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap());
+        at += 20 + len as usize;
+        ends.push(at);
+    }
+    ends
+}
+
 /// Truncate one segment file at *every* byte offset and resume. Each
 /// cut must come back as an exact record-granularity prefix of the
 /// clean run: whole records before the cut survive, the torn tail is
 /// backed up to a `.torn` sidecar and truncated away, and nothing the
-/// clean run did not hold is ever returned.
-fn torn_write_matrix(format: SegmentFormat, tag: &str) {
+/// clean run did not hold is ever returned. The file holds four records
+/// of five rows, one per ingest: in `format` "v1" and "v2" it is a
+/// committed fixture, in "v3" the store writes it.
+fn torn_write_matrix(format: &str, tag: &str) {
     let dir = temp_dir(tag);
     let _ = std::fs::remove_dir_all(&dir);
     let seg_path = dir.join("seg-0-value.bin");
     let sidecar = dir.join("seg-0-value.bin.torn");
 
-    // Four ingests into one segment -> one spool file of four records.
-    // Record the file length after each ingest: those are the only
-    // valid salvage points.
-    let mut store = ProvStore::new(StoreConfig::spilling(0, dir.clone()).with_format(format));
-    let mut boundaries = Vec::new();
-    let mut batches: Vec<Vec<Vec<Value>>> = Vec::new();
-    for b in 0..4i64 {
-        let batch: Vec<Vec<Value>> = (0..5u64).map(|v| vec![Value::Id(v), Value::Int(b)]).collect();
-        store.ingest(0, "value", batch.clone()).unwrap();
-        batches.push(batch);
-        boundaries.push(std::fs::metadata(&seg_path).unwrap().len() as usize);
+    let batches: Vec<Vec<Vec<Value>>> = (0..4i64)
+        .map(|b| (0..5u64).map(|v| vec![Value::Id(v), Value::Int(b)]).collect())
+        .collect();
+    if format == "v3" {
+        let mut store = ProvStore::new(StoreConfig::spilling(0, dir.clone()));
+        for batch in &batches {
+            store.ingest(0, "value", batch.clone()).unwrap();
+        }
+    } else {
+        copy_fixture(&format!("{format}-torn"), &dir);
     }
-    drop(store);
     let clean = std::fs::read(&seg_path).unwrap();
-    assert_eq!(*boundaries.last().unwrap(), clean.len());
+    // The record boundaries are the only valid salvage points.
+    let boundaries = record_ends(&clean);
+    assert_eq!(boundaries.len(), 4);
 
     for cut in 0..=clean.len() {
         std::fs::write(&seg_path, &clean[..cut]).unwrap();
@@ -79,34 +109,39 @@ fn torn_write_matrix(format: SegmentFormat, tag: &str) {
 
 #[test]
 fn torn_write_matrix_v1() {
-    torn_write_matrix(SegmentFormat::V1, "torn-v1");
+    torn_write_matrix("v1", "torn-v1");
 }
 
 #[test]
 fn torn_write_matrix_v2() {
-    torn_write_matrix(SegmentFormat::V2, "torn-v2");
+    torn_write_matrix("v2", "torn-v2");
 }
 
 #[test]
 fn torn_write_matrix_v3() {
-    torn_write_matrix(SegmentFormat::V3, "torn-v3");
+    torn_write_matrix("v3", "torn-v3");
 }
 
 /// Flip every bit of every byte of every spool file, one at a time: a
 /// detection-only scrub must report damage for each flip (CRCs over the
 /// payload, framed magics/footers and length fields leave no byte whose
 /// corruption can pass), and must report the spool clean once restored.
-fn bit_flip_matrix(format: SegmentFormat, tag: &str) {
+/// The spool holds two layers of six rows: in `format` "v1" and "v2" a
+/// committed fixture, in "v3" written by the store.
+fn bit_flip_matrix(format: &str, tag: &str) {
     let dir = temp_dir(tag);
     let _ = std::fs::remove_dir_all(&dir);
-    let mut store = ProvStore::new(StoreConfig::spilling(0, dir.clone()).with_format(format));
-    for s in 0..2u32 {
-        let batch: Vec<Vec<Value>> = (0..6u64)
-            .map(|v| vec![Value::Id(v), Value::Int(s as i64)])
-            .collect();
-        store.ingest(s, "value", batch).unwrap();
+    if format == "v3" {
+        let mut store = ProvStore::new(StoreConfig::spilling(0, dir.clone()));
+        for s in 0..2u32 {
+            let batch: Vec<Vec<Value>> = (0..6u64)
+                .map(|v| vec![Value::Id(v), Value::Int(s as i64)])
+                .collect();
+            store.ingest(s, "value", batch).unwrap();
+        }
+    } else {
+        copy_fixture(&format!("{format}-flip"), &dir);
     }
-    drop(store);
 
     let files: Vec<PathBuf> = std::fs::read_dir(&dir)
         .unwrap()
@@ -142,17 +177,17 @@ fn bit_flip_matrix(format: SegmentFormat, tag: &str) {
 
 #[test]
 fn bit_flip_matrix_v1() {
-    bit_flip_matrix(SegmentFormat::V1, "flip-v1");
+    bit_flip_matrix("v1", "flip-v1");
 }
 
 #[test]
 fn bit_flip_matrix_v2() {
-    bit_flip_matrix(SegmentFormat::V2, "flip-v2");
+    bit_flip_matrix("v2", "flip-v2");
 }
 
 #[test]
 fn bit_flip_matrix_v3() {
-    bit_flip_matrix(SegmentFormat::V3, "flip-v3");
+    bit_flip_matrix("v3", "flip-v3");
 }
 
 /// The repair contract end to end: detect -> repair (quarantine) ->
@@ -268,32 +303,27 @@ fn spool_names(dir: &PathBuf) -> Vec<String> {
 /// Compaction over a spool holding all three record formats at once:
 /// the rewrite is logically bit-identical under `to_database()`, under
 /// both read backends, and a second pass (nothing left to merge) is
-/// idempotent on content while still bumping the generation.
+/// idempotent on content while still bumping the generation. Layers 0
+/// (v1) and 1 (v2) come from a committed fixture; a resumed store writes
+/// layer 2.
 #[test]
 fn compact_mixed_format_spool_bit_identical_and_idempotent() {
     let dir = temp_dir("compact-mixed");
     let _ = std::fs::remove_dir_all(&dir);
-    let formats = [SegmentFormat::V1, SegmentFormat::V2, SegmentFormat::V3];
-    for (s, format) in formats.iter().enumerate() {
-        let config = StoreConfig::spilling(0, dir.clone()).with_format(*format);
-        let mut store = if s == 0 {
-            ProvStore::new(config)
-        } else {
-            ProvStore::resume_from_spool(config).unwrap()
-        };
-        let batch: Vec<Vec<Value>> = (0..32u64)
-            .map(|v| vec![Value::Id(v), Value::Int(s as i64)])
-            .collect();
-        store.ingest(s as u32, "value", batch).unwrap();
-        store
-            .ingest(
-                s as u32,
-                "sent",
-                (0..7u64).map(|v| vec![Value::Id(v), Value::Id(v + 1)]).collect(),
-            )
-            .unwrap();
-        drop(store);
-    }
+    copy_fixture("mixed-compact", &dir);
+    let mut store = ProvStore::resume_from_spool(StoreConfig::spilling(0, dir.clone())).unwrap();
+    let batch: Vec<Vec<Value>> = (0..32u64)
+        .map(|v| vec![Value::Id(v), Value::Int(2)])
+        .collect();
+    store.ingest(2, "value", batch).unwrap();
+    store
+        .ingest(
+            2,
+            "sent",
+            (0..7u64).map(|v| vec![Value::Id(v), Value::Id(v + 1)]).collect(),
+        )
+        .unwrap();
+    drop(store);
 
     let baseline = {
         let store = ProvStore::resume_from_spool(StoreConfig::spilling(0, dir.clone())).unwrap();
