@@ -635,6 +635,92 @@ mod tests {
         assert_eq!(percent_decode("%zz"), "%zz");
     }
 
+    /// SplitMix64, inline so the crate stays dependency-free.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str {
+            from[self.below(from.len())]
+        }
+    }
+
+    /// Run `property` on `cases` generators, case `k` seeded with
+    /// `seed ^ k`; a failing case panics with its test name, index and
+    /// seed.
+    fn check(name: &str, seed: u64, cases: u64, property: impl Fn(&mut SplitMix)) {
+        for case in 0..cases {
+            let seed = seed ^ case;
+            let run = || property(&mut SplitMix(seed));
+            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).is_err() {
+                panic!("{name} failed at case {case} (seed {seed:#x})");
+            }
+        }
+    }
+
+    /// Fragments a request head is glued from: pieces of well-formed
+    /// request lines and headers, separators, broken escapes, control
+    /// bytes and multi-byte characters.
+    const PIECES: [&str; 32] = [
+        "GET", "POST", "get", "G3T", "/", "/query", "?", "&", "=", "pql", "cursor", "%", "%2",
+        "%zz", "%41", "%e2%82", "+", "HTTP/1.1", "HTTP/1.", "HTTP/2", " ", "\t", "\r\n", "\n",
+        "\r\n\r\n", ":", "Host: x", "X-Ariadne-Tenant: a", "é", "€", "\0", "\u{7f}",
+    ];
+
+    /// Random request heads — a valid request line with random bytes
+    /// spliced in, or random fragments alone — never panic the parser
+    /// or the query-string decoder, and a parsed head keeps the parser's
+    /// invariants.
+    #[test]
+    fn random_request_heads_never_panic() {
+        check("random_request_heads_never_panic", 0x0b5e_0001, 3000, |rng| {
+            let mut head = String::new();
+            if rng.below(2) == 0 {
+                head.push_str("GET /query?pql=a%28x%29&layers=1..2 HTTP/1.1\r\n");
+                for _ in 0..rng.below(3) {
+                    let (at, _) = head.char_indices().nth(rng.below(head.chars().count())).unwrap();
+                    head.insert_str(at, rng.pick(&PIECES));
+                }
+            }
+            for _ in 0..rng.below(24) {
+                head.push_str(rng.pick(&PIECES));
+            }
+            let Ok(req) = parse_request(&head) else { return };
+            assert!(req.path.starts_with('/'), "{head:?}");
+            assert!(!req.method.is_empty() && req.method.chars().all(|c| c.is_ascii_uppercase()));
+            assert!(req.headers.iter().all(|(k, _)| *k == k.to_ascii_lowercase()));
+            for pair in req.query.split('&') {
+                let name = pair.split_once('=').map_or(pair, |(k, _)| k);
+                assert!(req.param(name).is_some(), "{head:?}");
+            }
+        });
+    }
+
+    /// Every byte string percent-encoded byte by byte decodes back to
+    /// itself (lossily, where it is not UTF-8), and random fragments
+    /// decode without panicking.
+    #[test]
+    fn percent_decoding_roundtrips_random_bytes() {
+        check("percent_decoding_roundtrips_random_bytes", 0x0b5e_0002, 2000, |rng| {
+            let bytes: Vec<u8> = (0..rng.below(40)).map(|_| rng.next() as u8).collect();
+            let encoded: String = bytes.iter().map(|b| format!("%{b:02X}")).collect();
+            assert_eq!(percent_decode(&encoded), String::from_utf8_lossy(&bytes));
+            let junk: String = (0..rng.below(24)).map(|_| rng.pick(&PIECES)).collect();
+            percent_decode(&junk);
+        });
+    }
+
     #[test]
     fn custom_handler_mounts_on_the_shared_core() {
         let handler: Handler = Arc::new(|req: &Request| {

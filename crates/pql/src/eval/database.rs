@@ -14,7 +14,7 @@ use crate::eval::relation::{Relation, Tuple};
 /// order and a relation also has a *position*. The evaluator resolves the
 /// predicates of its rule plans to positions once per step and reaches
 /// relations by index from then on; a position stays valid until a
-/// relation is added or removed.
+/// relation is added (relations are never removed).
 #[derive(Clone, Debug, Default)]
 pub struct Database {
     relations: Vec<(String, Relation)>,
@@ -104,36 +104,6 @@ impl Database {
             .unwrap_or_default();
         out.sort();
         out
-    }
-
-    /// Remove tuples failing `keep` from relation `name` (no-op if the
-    /// relation is absent). Returns the number of tuples removed. See
-    /// [`Relation::retain`] for the frontier-invalidation caveat.
-    pub fn retain(&mut self, name: &str, keep: impl FnMut(&Tuple) -> bool) -> usize {
-        match self.position(name) {
-            Some(at) => self.at_mut(at).retain(keep),
-            None => 0,
-        }
-    }
-
-    /// Drop every tuple of relation `name`, keeping its arity (no-op if
-    /// absent).
-    pub fn clear(&mut self, name: &str) {
-        if let Some(at) = self.position(name) {
-            self.at_mut(at).clear();
-        }
-    }
-
-    /// Remove relation `name` entirely (the maintenance path uses this to
-    /// drop its transient `~del~` shadow relations when done).
-    pub fn remove_relation(&mut self, name: &str) -> bool {
-        match self.position(name) {
-            Some(at) => {
-                self.relations.remove(at);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Total payload bytes across all relations (Tables 3–4 accounting).

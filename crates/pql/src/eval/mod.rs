@@ -2,7 +2,6 @@
 //! semi-naive evaluator shared by every evaluation mode.
 
 pub mod database;
-pub mod maintain;
 pub mod plan;
 pub mod relation;
 pub mod seminaive;

@@ -22,6 +22,12 @@
 //! only delta windows read never builds one. Tables live behind a
 //! `OnceCell` (dedup) or a `RefCell` (indexes) because the evaluator reads
 //! relations through shared references while joining.
+//!
+//! A relation only ever grows: there is no removal. A row id, and so any
+//! frontier or delta window a caller holds over a relation, stays valid
+//! for the relation's lifetime. Retraction happens at the store level,
+//! where a mutation epoch replaces whole (superstep, predicate) layers,
+//! never tuple by tuple inside an evaluator's database.
 
 use crate::eval::value::Value;
 use std::cell::{OnceCell, RefCell};
@@ -371,36 +377,6 @@ impl Relation {
         &self.tuples[idx]
     }
 
-    /// Remove every tuple for which `keep` returns false, preserving the
-    /// insertion order of the survivors. Tables are dropped (rebuilt
-    /// lazily on next lookup). Returns the number of tuples removed.
-    ///
-    /// Removal compacts tuple indices, so any frontier or delta window a
-    /// caller holds over this relation is invalidated — the maintenance
-    /// path ([`crate::eval::maintain::EdbDelta`]) resets frontiers to zero for
-    /// exactly this reason.
-    pub fn retain(&mut self, mut keep: impl FnMut(&Tuple) -> bool) -> usize {
-        let before = self.tuples.len();
-        self.tuples.retain(|t| keep(t));
-        let removed = before - self.tuples.len();
-        if removed > 0 {
-            self.reindex();
-        }
-        removed
-    }
-
-    /// Drop every tuple, keeping the arity. Tables are dropped too.
-    pub fn clear(&mut self) {
-        self.tuples.clear();
-        self.reindex();
-    }
-
-    /// Drop every table after rows moved; lookups rebuild what they need.
-    fn reindex(&mut self) {
-        self.indexes.get_mut().clear();
-        self.dedup.take();
-    }
-
     /// Approximate heap footprint of the stored tuples in bytes (index
     /// and dedup-table overhead excluded; this measures provenance payload,
     /// the quantity Tables 3 and 4 report).
@@ -556,11 +532,11 @@ mod tests {
 
     /// Random operation sequences agree with the model after every step.
     /// Ten values in two columns give up to 100 distinct tuples, so
-    /// sequences grow past `SMALL` (building dedup and indexes), `retain`
-    /// shrinks them back below it, and the probes that follow every step
-    /// run on whichever side they landed. Fresh appends grow a relation
-    /// past `SMALL` with no table, and the lookups after them, in random
-    /// order, each get to be the one that builds it.
+    /// sequences grow past `SMALL` (building dedup and indexes), and the
+    /// probes that follow every step run on whichever side they landed.
+    /// Fresh appends grow a relation past `SMALL` with no table, and the
+    /// lookups after them, in random order, each get to be the one that
+    /// builds it.
     #[test]
     fn agrees_with_vec_and_set_model() {
         use rand::Rng;
@@ -593,18 +569,7 @@ mod tests {
                         }
                         assert_eq!(has_tables(&rel), built, "an append built a table");
                     }
-                    9 | 10 => {
-                        let keep = |t: &Tuple| t[usize::from(op - 9)] != palette(a);
-                        let before = model.order.len();
-                        model.order.retain(keep);
-                        model.set.retain(keep);
-                        assert_eq!(rel.retain(keep), before - model.order.len());
-                    }
                     11 => rel = rel.clone(),
-                    12 if a == 0 => {
-                        rel.clear();
-                        model = Model::default();
-                    }
                     _ => {
                         let from = usize::from(b);
                         let expect = model.rows(&[1], &[palette(a)]);
@@ -686,10 +651,5 @@ mod tests {
         let expect: Vec<usize> = (0..512).filter(|i| i / 64 == 2).collect();
         assert_eq!(rel.select(&[0], &keys[2..3]), expect);
         assert_eq!(rel.select(&[0, 1, 2], &tuples[77]), vec![77]);
-        // Shrinking rebuilds the chains over the survivors.
-        assert_eq!(rel.retain(|t| t[2] == keys[5]), 448);
-        assert_eq!(rel.len(), 64);
-        assert!(rel.contains(&tuples[5]) && !rel.contains(&tuples[6]));
-        assert!(rel.insert(tuples[6].clone()));
     }
 }

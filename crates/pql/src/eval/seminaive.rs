@@ -350,12 +350,6 @@ impl Evaluator {
         &self.query
     }
 
-    /// The UDF registry (the maintenance path compiles rewritten rule
-    /// variants itself and needs the same bindings).
-    pub(crate) fn udfs(&self) -> &UdfRegistry {
-        &self.udfs
-    }
-
     /// Evaluate to fixpoint over `db` from scratch (centralized mode).
     pub fn run(&self, db: &mut Database) -> Result<(), PqlError> {
         self.step(

@@ -49,7 +49,6 @@ pub use error::PqlError;
 pub use explain::explain;
 pub use eval::database::Database;
 pub use eval::relation::{MulHasher, Relation, Tuple};
-pub use eval::maintain::{EdbDelta, MaintainMode, MaintainReport};
 pub use eval::plan::EvalScratch;
 pub use eval::seminaive::{EvalState, EvalStats, Evaluator};
 pub use eval::udf::UdfRegistry;

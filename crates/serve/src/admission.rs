@@ -4,7 +4,8 @@
 //!
 //! 1. **Per-tenant token bucket** (`429 Too Many Requests`): each
 //!    distinct `X-Ariadne-Tenant` value gets a bucket of `quota_burst`
-//!    tokens refilled at `quota_per_sec`; a query spends one token.
+//!    tokens refilled at `quota_per_sec`; an admitted query spends one
+//!    token (one shed by gate 2 spends none).
 //!    This is fairness — one chatty investigator cannot starve the
 //!    others — so it is checked first, before the shared capacity gate.
 //! 2. **In-flight semaphore** (`503 Service Unavailable`): at most
@@ -129,56 +130,53 @@ impl Admission {
         self.in_flight.load(Ordering::Acquire)
     }
 
-    /// Try to admit one query for `tenant`.
+    /// Try to admit one query for `tenant`. The quota is checked first,
+    /// but its token is spent only when the capacity gate admits too, so
+    /// a query shed with `503` costs the tenant nothing.
     pub fn admit(&self, tenant: &str) -> Admit<'_> {
         // Gate 1: tenant quota.
-        {
-            let mut tenants = self.tenants.lock().unwrap();
-            let now = Instant::now();
-            let bucket = tenants.entry(tenant.to_string()).or_insert(Bucket {
-                tokens: self.config.quota_burst,
-                last_refill: now,
-            });
-            let elapsed = now.duration_since(bucket.last_refill).as_secs_f64();
-            bucket.tokens = (bucket.tokens + elapsed * self.config.quota_per_sec)
-                .min(self.config.quota_burst);
-            bucket.last_refill = now;
-            if bucket.tokens < 1.0 {
-                let retry = if self.config.quota_per_sec > 0.0 {
-                    ((1.0 - bucket.tokens) / self.config.quota_per_sec).ceil() as u64
-                } else {
-                    // Never refills: the quota is a per-session budget;
-                    // "retry in a minute" is the most honest constant.
-                    60
-                };
-                obs_handles::rejected_quota().inc();
-                return Admit::Throttled {
-                    retry_after_secs: retry.max(1),
-                };
-            }
-            bucket.tokens -= 1.0;
+        let mut tenants = self
+            .tenants
+            .lock()
+            .expect("no admission holds the tenant lock across a panic");
+        let now = Instant::now();
+        let bucket = tenants.entry(tenant.to_string()).or_insert(Bucket {
+            tokens: self.config.quota_burst,
+            last_refill: now,
+        });
+        let elapsed = now.duration_since(bucket.last_refill).as_secs_f64();
+        bucket.tokens =
+            (bucket.tokens + elapsed * self.config.quota_per_sec).min(self.config.quota_burst);
+        bucket.last_refill = now;
+        if bucket.tokens < 1.0 {
+            let retry = if self.config.quota_per_sec > 0.0 {
+                ((1.0 - bucket.tokens) / self.config.quota_per_sec).ceil() as u64
+            } else {
+                // Never refills: the quota is a per-session budget;
+                // "retry in a minute" is the most honest constant.
+                60
+            };
+            obs_handles::rejected_quota().inc();
+            return Admit::Throttled {
+                retry_after_secs: retry.max(1),
+            };
         }
 
-        // Gate 2: shared capacity. CAS loop so a burst cannot overshoot
-        // the bound between load and store.
-        let mut cur = self.in_flight.load(Ordering::Acquire);
-        loop {
-            if cur >= self.config.max_in_flight {
-                obs_handles::rejected_busy().inc();
-                return Admit::Busy {
-                    retry_after_secs: 1,
-                };
-            }
-            match self.in_flight.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
+        // Gate 2: shared capacity. An atomic update so a burst cannot
+        // overshoot the bound between load and store (guards release
+        // without the tenant lock).
+        let entered = self
+            .in_flight
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                (n < self.config.max_in_flight).then_some(n + 1)
+            });
+        if entered.is_err() {
+            obs_handles::rejected_busy().inc();
+            return Admit::Busy {
+                retry_after_secs: 1,
+            };
         }
+        bucket.tokens -= 1.0;
         obs_handles::admitted().inc();
         obs_handles::queue_depth().add(1);
         Admit::Granted(InFlightGuard { gate: self })
@@ -222,6 +220,26 @@ mod tests {
         drop(g1);
         assert_eq!(gate.in_flight(), 0);
         assert!(matches!(gate.admit("b"), Admit::Granted(_)));
+    }
+
+    /// A query shed by the capacity gate keeps its tenant's token: with a
+    /// one-token burst, `b`'s retry after the slot frees is admitted, not
+    /// throttled.
+    #[test]
+    fn shed_query_keeps_its_token() {
+        let gate = Admission::new(AdmissionConfig {
+            max_in_flight: 1,
+            quota_burst: 1.0,
+            quota_per_sec: 0.0,
+        });
+        let g1 = match gate.admit("a") {
+            Admit::Granted(g) => g,
+            _ => panic!("first must pass"),
+        };
+        assert!(matches!(gate.admit("b"), Admit::Busy { .. }));
+        drop(g1);
+        assert!(matches!(gate.admit("b"), Admit::Granted(_)));
+        assert!(matches!(gate.admit("b"), Admit::Throttled { .. }));
     }
 
     #[test]

@@ -48,7 +48,10 @@ fn handle_query(service: &QueryService, req: &Request) -> Response {
         Some(raw) => match parse_layers(&raw) {
             Some(range) => Some(range),
             None => {
-                return error_response(400, "layers must be LO..HI or a single layer N")
+                return error_response(
+                    400,
+                    "layers must be LO..HI with LO <= HI, or a single layer N",
+                )
             }
         },
         None => None,
@@ -92,10 +95,13 @@ fn parse_params(raw: &str) -> Option<Vec<(&str, &str)>> {
         .collect()
 }
 
-/// `LO..HI` (inclusive) or a bare `N` meaning `N..N`.
+/// `LO..HI` (inclusive, `LO <= HI`) or a bare `N` meaning `N..N`.
 fn parse_layers(raw: &str) -> Option<(u32, u32)> {
     match raw.split_once("..") {
-        Some((lo, hi)) => Some((lo.trim().parse().ok()?, hi.trim().parse().ok()?)),
+        Some((lo, hi)) => {
+            let range: (u32, u32) = (lo.trim().parse().ok()?, hi.trim().parse().ok()?);
+            (range.0 <= range.1).then_some(range)
+        }
         None => {
             let n: u32 = raw.trim().parse().ok()?;
             Some((n, n))
@@ -190,6 +196,8 @@ mod tests {
         assert_eq!(parse_layers("2..5"), Some((2, 5)));
         assert_eq!(parse_layers("7"), Some((7, 7)));
         assert_eq!(parse_layers(" 1 .. 3 "), Some((1, 3)));
+        assert_eq!(parse_layers("3..3"), Some((3, 3)));
+        assert_eq!(parse_layers("5..3"), None);
         assert_eq!(parse_layers("a..b"), None);
         assert_eq!(parse_layers(""), None);
     }

@@ -122,6 +122,8 @@ impl Cursor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn roundtrip_is_exact() {
@@ -154,6 +156,98 @@ mod tests {
         bad[4] = if bad[4] == b'0' { b'1' } else { b'0' };
         let bad = String::from_utf8(bad).unwrap();
         assert_eq!(Cursor::decode(&bad), Err(CursorError::Checksum));
+    }
+
+    /// Run `property` on `cases` generators, case `k` seeded with
+    /// `seed ^ k`; a failing case panics with its test name, index and
+    /// seed.
+    fn check(name: &str, seed: u64, cases: u64, property: impl Fn(&mut StdRng)) {
+        for case in 0..cases {
+            let seed = seed ^ case;
+            let run = || property(&mut StdRng::seed_from_u64(seed));
+            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).is_err() {
+                panic!("{name} failed at case {case} (seed {seed:#x})");
+            }
+        }
+    }
+
+    /// Mostly uniform, sometimes an edge value.
+    fn field(rng: &mut StdRng) -> u64 {
+        match rng.gen_range(0..4u8) {
+            0 => 0,
+            1 => u64::MAX,
+            _ => rng.gen(),
+        }
+    }
+
+    fn random_cursor(rng: &mut StdRng) -> Cursor {
+        Cursor {
+            fingerprint: field(rng),
+            layer_lo: field(rng) as u32,
+            layer_hi: field(rng) as u32,
+            offset: field(rng),
+            epoch: field(rng),
+        }
+    }
+
+    /// Random cursors round-trip in either case; a truncation is
+    /// malformed; one hex digit replaced by a digit of another value is
+    /// a checksum failure, never another cursor.
+    #[test]
+    fn random_cursors_roundtrip_and_reject_damage() {
+        check("random_cursors_roundtrip_and_reject_damage", 0xc0de_0001, 500, |rng| {
+            let c = random_cursor(rng);
+            let token = c.encode();
+            assert_eq!(Cursor::decode(&token), Ok(c));
+            assert_eq!(Cursor::decode(&token.to_ascii_uppercase()), Ok(c));
+
+            let cut = rng.gen_range(0..TOKEN_LEN);
+            assert_eq!(Cursor::decode(&token[..cut]), Err(CursorError::Malformed));
+
+            let mut bad = token.into_bytes();
+            let at = rng.gen_range(0..TOKEN_LEN);
+            let old = (bad[at] as char).to_digit(16).unwrap();
+            let new = (old + rng.gen_range(1..16u32)) % 16;
+            let digit = char::from_digit(new, 16).unwrap();
+            bad[at] = if rng.gen() { digit.to_ascii_uppercase() } else { digit } as u8;
+            let bad = String::from_utf8(bad).unwrap();
+            assert_eq!(Cursor::decode(&bad), Err(CursorError::Checksum), "digit {at} of {c:?}");
+        });
+    }
+
+    /// Random strings — hex and not, ASCII and not, near the token
+    /// length and not, and valid tokens with a few characters inserted,
+    /// removed or swapped — never panic the decoder, and whatever it
+    /// accepts re-encodes to the same token.
+    #[test]
+    fn random_strings_never_panic_the_decoder() {
+        const PALETTE: [char; 10] = ['0', '7', 'a', 'F', 'g', ' ', '%', '\0', 'é', '€'];
+        check("random_strings_never_panic_the_decoder", 0xc0de_0002, 2000, |rng| {
+            let mut chars: Vec<char> = match rng.gen_range(0..3u8) {
+                0 => random_cursor(rng).encode().chars().collect(),
+                kind => {
+                    let len = match rng.gen() {
+                        true => TOKEN_LEN - 2 + rng.gen_range(0..5usize),
+                        false => rng.gen_range(0..2 * TOKEN_LEN),
+                    };
+                    let pick = if kind == 1 { 4 } else { PALETTE.len() };
+                    (0..len).map(|_| PALETTE[rng.gen_range(0..pick)]).collect()
+                }
+            };
+            for _ in 0..rng.gen_range(0..4u8) {
+                let (at, other) = (rng.gen_range(0..=chars.len()), rng.gen_range(0..=chars.len()));
+                match rng.gen_range(0..3u8) {
+                    0 => chars.insert(at, PALETTE[rng.gen_range(0..PALETTE.len())]),
+                    1 if at < chars.len() => drop(chars.remove(at)),
+                    _ if at.max(other) < chars.len() => chars.swap(at, other),
+                    _ => {}
+                }
+            }
+            let s: String = chars.into_iter().collect();
+            if let Ok(c) = Cursor::decode(&s) {
+                assert_eq!(c.encode(), s.to_ascii_lowercase());
+            }
+        });
     }
 
     #[test]
