@@ -19,8 +19,7 @@
 //! [`Durability::None`], the level that promises no fsync anywhere: it
 //! keeps the same order, so a process crash still leaves one generation
 //! or the other. Layer reads of compacted keys seek directly to the
-//! extent instead of scanning whole files, through a pluggable
-//! [`ReadBackend`] (buffered by default, zero-copy mmap opt-in).
+//! extent instead of scanning whole files.
 //!
 //! Each key is decoded into one [`RowBlock`], reused from key to key,
 //! and re-encoded from it by the record writer segment packing uses
@@ -28,7 +27,6 @@
 
 use crate::frame::append_records;
 use crate::obs_handles;
-use crate::reader::ReadBackend;
 use crate::rows::{RowBlock, Rows};
 use crate::spool::{file_name, io_err, manifest_path, note_fault, publish, write_temp};
 use crate::store::{DiskFile, Durability, ProvStore, StoreConfig, StoreError};
@@ -148,7 +146,7 @@ impl ProvStore {
                 continue;
             }
             rows.clear();
-            let (bytes, _) = seg.decode_into(ReadBackend::Buffered, None, &mut rows, None)?;
+            let (bytes, _) = seg.decode_into(None, &mut rows, None)?;
             report.bytes_in += bytes;
             old_paths.extend(seg.disk.files.iter().map(|f| f.path.clone()));
             processed.push(key.clone());

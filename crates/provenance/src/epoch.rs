@@ -82,6 +82,7 @@ use crate::columnar::v1_batch_size;
 use crate::frame::{count_lz_win, is_one_record, RECORD_OVERHEAD};
 use crate::obs_handles;
 use crate::rows::{RowBlock, Rows};
+use crate::spool::{sealed_segment_path, segment_path};
 use crate::store::{layer_bounds, LayerFilter, LayerRead, ProvStore, Segment, StoreError};
 use ariadne_obs::trace::{self, Level};
 use ariadne_pql::Value;
@@ -351,7 +352,22 @@ impl ProvStore {
     /// copied, not re-encoded, into the same bytes (see [`crate::epoch`]).
     /// The returned [`EpochStats`] reports the carried/appended/replaced
     /// split and the byte win against `next`'s full size.
+    ///
+    /// On an error the append is undone: every segment it wrote, from
+    /// memory and from the spool, and the epoch table entry the first
+    /// append registers. The store, live or reopened from its spool,
+    /// then reads what it read before the call.
     pub fn append_epoch(&mut self, next: &ProvStore) -> Result<EpochStats, StoreError> {
+        let (max_step, epochs) = (self.max_step, self.epochs.len());
+        let appended = self.append_diff(next);
+        if appended.is_err() {
+            self.undo_append(max_step, epochs);
+        }
+        appended
+    }
+
+    /// [`ProvStore::append_epoch`] without the undo.
+    fn append_diff(&mut self, next: &ProvStore) -> Result<EpochStats, StoreError> {
         let started = Instant::now();
         let new_sup = next.max_superstep().map_or(0, |m| m + 1);
         let old_sup = self.max_superstep().map_or(0, |m| m + 1);
@@ -433,6 +449,35 @@ impl ProvStore {
         Ok(stats)
     }
 
+    /// Take back a failed append: drop every segment at or past the
+    /// append's base layer (one past `max_step`, the physical maximum
+    /// before it) with its spool files and its share of the tuple and
+    /// byte counts, and truncate the epoch table to `epochs` entries.
+    /// Without the undo, a failed first append would leave diff layers
+    /// that a reopened spool, finding no `~epoch~` marker, reads as
+    /// capture layers.
+    fn undo_append(&mut self, max_step: Option<u32>, epochs: usize) {
+        let base = max_step.map_or(0, |m| m + 1);
+        let written = self.segments.split_off(&(base, String::new()));
+        for ((superstep, pred), seg) in &written {
+            self.tuples -= seg.total_tuples();
+            self.mem_bytes -= seg.mem.len() + seg.pending_bytes;
+            self.disk_bytes -= seg.disk.bytes();
+            if let Some(dir) = &self.config.spool_dir {
+                let _ = std::fs::remove_file(segment_path(dir, *superstep, pred));
+                let _ = std::fs::remove_file(sealed_segment_path(dir, *superstep, pred));
+            }
+        }
+        self.max_step = max_step;
+        self.epochs.truncate(epochs);
+        trace::event(
+            Level::Debug,
+            "store",
+            "epoch_append_undone",
+            &[("base", base.into()), ("segments", written.len().into())],
+        );
+    }
+
     /// Write `record`, a capture's segment [`adoptable`] accepted, onto
     /// the fresh segment (`superstep`, `pred`) as it is, with
     /// [`ProvStore::ingest_block`]'s accounting: the record
@@ -482,8 +527,7 @@ impl ProvStore {
                 continue;
             }
             rows.clear();
-            let backend = self.config.read_backend;
-            seg.decode_into(backend, None, &mut rows, None)?;
+            seg.decode_into(None, &mut rows, None)?;
             for row in rows.rows() {
                 if let [Value::Int(idx), Value::Int(mbase), Value::Int(sup)] = row {
                     markers.push((*idx, *mbase, *sup));

@@ -12,8 +12,8 @@
 //!   in one sibling module: [`frame`] (the checksummed record frame,
 //!   its magic table, the record walk and payload decode dispatch),
 //!   [`spool`] (file naming, the directory listing, atomic publish,
-//!   salvage/quarantine, spill IO, reopening a spool), [`scrub`] (the
-//!   one verifier, behind the offline [`scrub_spool`]),
+//!   salvage/quarantine, spill IO, extent reads, reopening a spool),
+//!   [`scrub`] (the one verifier, behind the offline [`scrub_spool`]),
 //!   [`compact`] (the crash-safe generation rewrite), [`writer`] (the
 //!   async ingestion thread — the paper's asynchronous HDFS offload)
 //!   and [`epoch`] (delta epochs appended after a graph mutation).
@@ -30,13 +30,12 @@
 //! * [`v3`] — the v3 on-disk structures: LZ-compressed record frames,
 //!   indexed generation-file footers, and the spool manifest published
 //!   by [`ProvStore::compact`].
-//! * [`reader`] — pluggable segment read backends (buffered default,
-//!   zero-copy mmap opt-in).
 //! * [`rows`] — [`RowBlock`], the flat buffer a captured row lives in from
 //!   the vertex-step that generates it to the encoder that packs it, and
 //!   [`Rows`], the view the encoders read blocks and tuple slices
 //!   through.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;
@@ -47,7 +46,6 @@ pub mod encode;
 pub mod epoch;
 pub mod frame;
 mod obs_handles;
-pub mod reader;
 pub mod rows;
 pub mod scrub;
 pub mod spool;
@@ -60,11 +58,10 @@ pub use columnar::{ColumnStat, Encoding};
 pub use edb::{insert_static_edbs, EdbFlags, EdbTracker};
 pub use epoch::{EpochInfo, EpochStats};
 pub use encode::ProvEncode;
-pub use reader::{ReadBackend, SegmentSlice};
 pub use rows::{RowBlock, Rows};
 pub use store::{
     compact_spool, scrub_spool, CompactReport, Durability, LayerFilter, LayerRead, ProvStore,
-    ScrubAction, ScrubReport, SegmentDamage, SegmentFormat, SegmentInfo, StoreConfig, StoreError,
-    StoreSender, StoreWriter,
+    ReadBackend, ScrubAction, ScrubReport, SegmentDamage, SegmentFormat, SegmentInfo, StoreConfig,
+    StoreError, StoreSender, StoreWriter,
 };
 pub use unfold::{Layers, UnfoldedGraph};

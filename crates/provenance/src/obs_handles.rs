@@ -290,6 +290,21 @@ static_counter!(
     "spool manifests read and parsed",
     false
 );
+// Spool extent reads: how many extents a read pulls follows replay
+// chunking, so both are non-deterministic; the decoded record and
+// tuple counts above stay deterministic.
+static_counter!(
+    extent_reads,
+    "store_extent_reads_total",
+    "segment extent reads from spool files",
+    false
+);
+static_counter!(
+    buffered_bytes,
+    "store_buffered_bytes_total",
+    "extent bytes read by seek+read into owned buffers",
+    false
+);
 // Scrub progress: a scrub walks every file exactly once in sorted
 // order, so these are functions of the spool content alone.
 static_counter!(

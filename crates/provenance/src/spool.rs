@@ -1,6 +1,7 @@
 //! The on-disk spool: file naming, the directory listing, atomic
-//! publish, salvage and quarantine, spill IO with bounded retries, and
-//! reopening a spool a previous incarnation left behind.
+//! publish, salvage and quarantine, spill IO with bounded retries,
+//! extent reads, and reopening a spool a previous incarnation left
+//! behind.
 //!
 //! # Layout
 //!
@@ -41,7 +42,6 @@
 
 use crate::frame::{absorb_cols, walk_records, WalkMode};
 use crate::obs_handles;
-use crate::reader::{read_extent, ReadBackend};
 use crate::rows::RowBlock;
 use crate::store::{DiskFile, Durability, ProvStore, Segment, StoreConfig, StoreError};
 use crate::v3;
@@ -49,7 +49,7 @@ use ariadne_obs::trace::{self, Level};
 use ariadne_vc::FaultPlan;
 use std::collections::BTreeSet;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -178,6 +178,27 @@ pub(crate) fn list_spool(dir: &Path) -> Result<Option<SpoolListing>, StoreError>
 /// Read a whole spool file.
 pub(crate) fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
     std::fs::read(path).map_err(io_err(path))
+}
+
+/// Read the `len`-byte extent at `offset` of `path`: one seek and one
+/// read into an owned buffer. An extent past the end of the file is
+/// `UnexpectedEof`.
+pub(crate) fn read_extent(path: &Path, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
+    obs_handles::extent_reads().inc();
+    let mut file = File::open(path)?;
+    if offset > 0 {
+        file.seek(SeekFrom::Start(offset))?;
+    }
+    let mut buf = vec![0u8; len];
+    file.read_exact(&mut buf)?;
+    obs_handles::buffered_bytes().add(len as u64);
+    trace::event(
+        Level::Trace,
+        "store::read",
+        "extent_buffered",
+        &[("offset", offset.into()), ("len", len.into())],
+    );
+    Ok(buf)
 }
 
 /// First half of an atomic publish: write `bytes` to `path`'s `.tmp`
@@ -642,9 +663,7 @@ impl ProvStore {
                     existing.iter().cloned().partition(|f| f.compacted);
                 let mut full = Vec::new();
                 for f in &absorbed {
-                    let data =
-                        read_extent(ReadBackend::Buffered, &f.path, f.offset, f.bytes, f.atomic)
-                            .map_err(io_err(&f.path))?;
+                    let data = read_extent(&f.path, f.offset, f.bytes).map_err(io_err(&f.path))?;
                     full.extend_from_slice(&data);
                 }
                 full.extend_from_slice(&payload);
@@ -692,6 +711,32 @@ mod tests {
     use ariadne_pql::{Tuple, Value};
     use std::collections::BTreeMap;
     use std::sync::Arc;
+
+    #[test]
+    fn buffered_reads_extents() {
+        let path = temp_dir("extent-buf");
+        std::fs::write(&path, b"0123456789").unwrap();
+        assert_eq!(read_extent(&path, 3, 4).unwrap(), b"3456");
+        assert_eq!(read_extent(&path, 0, 10).unwrap(), b"0123456789");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn extent_overrun_is_typed() {
+        let path = temp_dir("extent-overrun");
+        std::fs::write(&path, b"short").unwrap();
+        let err = read_extent(&path, 2, 100).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn zero_length_extent_reads_empty() {
+        let path = temp_dir("extent-empty");
+        std::fs::write(&path, b"").unwrap();
+        assert!(read_extent(&path, 0, 0).unwrap().is_empty());
+        std::fs::remove_file(&path).ok();
+    }
 
     #[test]
     fn spool_dir_created_lazily() {

@@ -43,9 +43,8 @@ use crate::frame::{
     RECORD_OVERHEAD,
 };
 use crate::obs_handles;
-use crate::reader::{read_extent, ReadBackend};
 use crate::rows::{RowBlock, Rows};
-use crate::spool::{io_err, note_fault, timed_sync_dir};
+use crate::spool::{io_err, note_fault, read_extent, timed_sync_dir};
 use crate::v3::FooterEntry;
 use ariadne_obs::trace::{self, Level};
 use ariadne_pql::{Database, Tuple};
@@ -176,6 +175,19 @@ pub enum SegmentFormat {
     V3,
 }
 
+/// A name for how layer reads pull extent bytes from spool files.
+/// Every read is one seek and one read into an owned buffer, whichever
+/// variant is named; the type stays so callers that name a backend keep
+/// compiling. See [`StoreConfig::with_read_backend`].
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub enum ReadBackend {
+    /// Seek + read into an owned buffer: how every extent is read.
+    #[default]
+    Buffered,
+    /// Read exactly as [`ReadBackend::Buffered`] does.
+    Mmap,
+}
+
 /// How hard spill writes push bytes toward stable storage — the store's
 /// explicit durability contract.
 ///
@@ -219,10 +231,6 @@ pub struct StoreConfig {
     pub fault: Option<Arc<FaultPlan>>,
     /// Fsync level for spill writes (defaults to [`Durability::None`]).
     pub durability: Durability,
-    /// How layer reads pull extent bytes from spool files (defaults to
-    /// [`ReadBackend::Buffered`]; [`ReadBackend::Mmap`] decodes borrowed
-    /// from the page cache on atomic files).
-    pub read_backend: ReadBackend,
 }
 
 impl StoreConfig {
@@ -262,9 +270,10 @@ impl StoreConfig {
         self
     }
 
-    /// Select the segment read backend (builder style).
-    pub fn with_read_backend(mut self, backend: ReadBackend) -> Self {
-        self.read_backend = backend;
+    /// The identity: every read seeks and reads, whatever
+    /// [`ReadBackend`] is named. Kept so configurations that name a
+    /// backend keep compiling.
+    pub fn with_read_backend(self, _backend: ReadBackend) -> Self {
         self
     }
 }
@@ -409,7 +418,6 @@ impl Segment {
     /// whether rows were packed yet or not.
     pub(crate) fn decode_into(
         &self,
-        backend: ReadBackend,
         mask: Option<&[bool]>,
         out: &mut RowBlock,
         stats: Option<&mut Vec<ColumnStat>>,
@@ -421,15 +429,8 @@ impl Segment {
         for file in &self.disk.files {
             // Compacted extents seek straight to their footer-indexed
             // byte range; plain files read whole. Either way only the
-            // extent's bytes are pulled (and under the mmap backend,
-            // only the pages the decoder touches are faulted in).
-            let data = match read_extent(
-                backend,
-                &file.path,
-                file.offset,
-                file.bytes,
-                file.atomic,
-            ) {
+            // extent's bytes are pulled.
+            let data = match read_extent(&file.path, file.offset, file.bytes) {
                 Ok(d) => d,
                 Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
                     // The file is shorter than its registered extent:
@@ -962,7 +963,7 @@ impl ProvStore {
         rows: &mut RowBlock,
         out: &mut LayerRead<RowBlock>,
     ) -> Result<DecodeCounts, StoreError> {
-        let (bytes, counts) = seg.decode_into(self.config.read_backend, mask, rows, None)?;
+        let (bytes, counts) = seg.decode_into(mask, rows, None)?;
         out.segments_read += 1;
         out.bytes_read += bytes;
         Ok(counts)
@@ -1062,7 +1063,7 @@ impl ProvStore {
             let mut rows = RowBlock::default();
             for ((_, pred), seg) in &self.segments {
                 rows.clear();
-                seg.decode_into(self.config.read_backend, None, &mut rows, None)?;
+                seg.decode_into(None, &mut rows, None)?;
                 load(pred, &rows)?;
             }
         } else if let Some(max) = self.max_superstep() {
@@ -1127,11 +1128,10 @@ impl ProvStore {
         self.compactions
     }
 
-    /// Switch the segment read backend on a live store (reads only —
-    /// safe at any point; see [`ReadBackend`]).
-    pub fn set_read_backend(&mut self, backend: ReadBackend) {
-        self.config.read_backend = backend;
-    }
+    /// Does nothing: every read seeks and reads, whatever
+    /// [`ReadBackend`] is named. Kept so callers that name a backend
+    /// keep compiling.
+    pub fn set_read_backend(&mut self, _backend: ReadBackend) {}
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 //! diff; spool resume must rebuild the epoch table from markers.
 
 use ariadne_pql::{Tuple, Value};
-use ariadne_provenance::{ProvStore, StoreConfig};
+use ariadne_provenance::{ProvStore, StoreConfig, StoreError};
+use ariadne_vc::FaultPlan;
 
 fn t(vals: &[i64]) -> Tuple {
     vals.iter().map(|&v| Value::Int(v)).collect()
@@ -165,5 +166,80 @@ fn filtered_and_masked_logical_reads() {
     let read = store.layer_read(0, &filter).unwrap();
     for row in &read.tuples[0].1 {
         assert_eq!(row[1], Value::Unit, "masked column must decode as Unit");
+    }
+}
+
+/// Ingest a capture of `layers` supersteps into `store`: `value` rows
+/// `(v, 10 v + s + bump(s))` and `superstep` rows, except `superstep`
+/// at layer `gap`.
+fn ingest_capture(store: &mut ProvStore, layers: u32, bump: fn(u32) -> i64, gap: Option<u32>) {
+    for s in 0..layers {
+        let step = i64::from(s);
+        let value = (0..4).map(|v| t(&[v, 10 * v + step + bump(s)])).collect();
+        store.ingest(s, "value", value).unwrap();
+        if gap != Some(s) {
+            let active = (0..4).map(|v| t(&[v, step])).collect();
+            store.ingest(s, "superstep", active).unwrap();
+        }
+    }
+}
+
+fn capture(layers: u32, bump: fn(u32) -> i64, gap: Option<u32>) -> ProvStore {
+    let mut store = ProvStore::new(StoreConfig::in_memory());
+    ingest_capture(&mut store, layers, bump, gap);
+    store
+}
+
+/// Fail the k-th spill of an append, for every k, of a store's first
+/// append and of its second. An append that fails leaves the live store
+/// and a store reopened from its spool reading what they read before
+/// it; one that returns `Ok` leaves them reading the new capture. A
+/// failed first append used to leave diff layers that the reopened
+/// spool, finding no epoch marker, read as capture layers.
+#[test]
+fn failed_append_reads_as_before() {
+    // The new run changes layers 1 and 2, drops `superstep` at layer 2
+    // and adds layer 3.
+    let next = capture(4, |s| if s >= 1 { 100 } else { 0 }, Some(2));
+    for prior in 0..2 {
+        for k in 0.. {
+            let dir = std::env::temp_dir().join(format!(
+                "ariadne-epoch-undo-{prior}-{k}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let fault = FaultPlan::new();
+            let config = StoreConfig::spilling(0, dir.clone());
+            let mut store = ProvStore::new(config.clone().with_fault(fault.clone()));
+            ingest_capture(&mut store, 3, |_| 0, None);
+            if prior == 1 {
+                store
+                    .append_epoch(&capture(3, |s| if s == 0 { 7 } else { 0 }, None))
+                    .expect("the first append");
+            }
+            let before = all_layers(&store);
+            fault.fail_spill_write(fault.spill_attempts() + k);
+            let appended = store.append_epoch(&next);
+            let fired = fault.pending() == 0;
+            let tag = format!("append {} failing spill {k}", prior + 1);
+            let expect = match &appended {
+                Ok(_) => all_layers(&next),
+                Err(StoreError::InjectedSpillFailure { .. }) => before,
+                Err(e) => panic!("{tag}: {e}"),
+            };
+            assert_eq!(appended.is_err(), fired, "{tag}");
+            assert_eq!(all_layers(&store), expect, "{tag}: live store");
+            drop(store);
+
+            let mut reopened = ProvStore::resume_from_spool(config).expect("resume");
+            assert_eq!(all_layers(&reopened), expect, "{tag}: reopened store");
+            reopened.append_epoch(&next).expect("the retried append");
+            assert_eq!(all_layers(&reopened), all_layers(&next), "{tag}: retried");
+            let _ = std::fs::remove_dir_all(&dir);
+            if !fired {
+                assert!(k > 1, "{tag}: the append spills");
+                break;
+            }
+        }
     }
 }

@@ -152,6 +152,13 @@ pub enum ServeError {
     Compile(String),
     /// The query's direction cannot run layered (forward-only modes).
     Unsupported(String),
+    /// The requested layer range starts past the store's last layer.
+    LayersPastStore {
+        /// The range's first layer.
+        lo: u32,
+        /// The store's last layer.
+        last: u32,
+    },
     /// The replay itself failed (store corruption under strict reads).
     Replay(String),
     /// Per-tenant quota exhausted: HTTP 429.
@@ -175,7 +182,8 @@ impl ServeError {
             | ServeError::ForeignCursor
             | ServeError::UnknownCursorQuery
             | ServeError::Compile(_)
-            | ServeError::Unsupported(_) => 400,
+            | ServeError::Unsupported(_)
+            | ServeError::LayersPastStore { .. } => 400,
             ServeError::StaleCursor { .. } => 410,
             ServeError::Throttled { .. } => 429,
             ServeError::Replay(_) => 500,
@@ -206,6 +214,10 @@ impl fmt::Display for ServeError {
             ),
             ServeError::Compile(e) => write!(f, "compile error: {e}"),
             ServeError::Unsupported(e) => write!(f, "{e}"),
+            ServeError::LayersPastStore { lo, last } => write!(
+                f,
+                "layers start at {lo}, past the store's last layer {last}"
+            ),
             ServeError::Replay(e) => write!(f, "replay failed: {e}"),
             ServeError::Throttled { retry_after_secs } => {
                 write!(f, "tenant quota exhausted; retry after {retry_after_secs}s")
@@ -396,7 +408,8 @@ impl QueryService {
 
         // The effective layer range is part of the result's identity;
         // clamp before keying the cache so `0..=MAX` and the store's
-        // true extent share an entry.
+        // true extent share an entry. A range wholly past the store
+        // has nothing to clamp onto.
         let requested = match &cursor {
             Some(c) => Some((c.layer_lo, c.layer_hi)),
             None => req.layers,
@@ -405,6 +418,9 @@ impl QueryService {
         let effective = match (requested, max_step) {
             (_, None) => (0, 0),
             (None, Some(max)) => (0, max),
+            (Some((lo, _)), Some(last)) if lo > last => {
+                return Err(ServeError::LayersPastStore { lo, last })
+            }
             (Some((lo, hi)), Some(max)) => (lo, hi.min(max)),
         };
 
@@ -873,6 +889,28 @@ mod tests {
             .unwrap();
         assert_eq!(clamped.layer_range, (0, 5));
         assert!(clamped.cache_hit, "0..=999 clamps onto the full entry");
+        // A range that only partly overlaps the store clamps; one wholly
+        // past it is refused, naming the last layer, and caches nothing.
+        let partial = svc
+            .execute(&QueryRequest {
+                pql: Some(PQL),
+                layers: Some((5, 60)),
+                ..Default::default()
+            })
+            .unwrap();
+        assert_eq!((partial.layer_range, partial.total_rows), ((5, 5), 1));
+        let cached = svc.cache.lock().unwrap().len();
+        let err = svc
+            .execute(&QueryRequest {
+                pql: Some(PQL),
+                layers: Some((50, 60)),
+                ..Default::default()
+            })
+            .unwrap_err();
+        assert!(matches!(err, ServeError::LayersPastStore { lo: 50, last: 5 }));
+        assert_eq!(err.status(), 400);
+        assert!(err.to_string().contains("last layer 5"), "{err}");
+        assert_eq!(svc.cache.lock().unwrap().len(), cached);
     }
 
     #[test]

@@ -368,16 +368,14 @@ fn layered_deterministic_across_threads() {
 
 /// The same SSSP capture replays identically however the store holds
 /// it: in memory or spilled (the spool compacted into a generation
-/// file), under both read backends, at every thread count — result
-/// tables, round structure, work counters and [`ariadne_pql::EvalStats`].
-/// Only the bytes read may differ. (The v1 and v2 record formats are
-/// decode-only; their spools are read by the store's fixture tests.)
+/// file), at every thread count — result tables, round structure, work
+/// counters and [`ariadne_pql::EvalStats`]. Only the bytes read may
+/// differ. (The v1 and v2 record formats are decode-only; their spools
+/// are read by the store's fixture tests.)
 #[test]
 fn layered_replay_is_format_and_backend_invariant() {
     use ariadne::session::Ariadne;
-    use ariadne::{
-        queries, run_layered_with, CaptureSpec, LayeredConfig, LayeredRun, ReadBackend, StoreConfig,
-    };
+    use ariadne::{queries, run_layered_with, CaptureSpec, LayeredConfig, LayeredRun, StoreConfig};
     let mut rng = StdRng::seed_from_u64(41);
     let g = graph().map_weights(|_, _, _| 0.05 + rng.gen::<f64>());
     let alpha = g.max_out_degree_vertex().unwrap();
@@ -387,14 +385,10 @@ fn layered_replay_is_format_and_backend_invariant() {
 
     let mut reference: Option<LayeredRun> = None;
     for spilled in [false, true] {
-        // Only a spool has files for the mmap backend to map.
-        let (config, backends) = if spilled {
-            (
-                StoreConfig::spilling(0, root.clone()),
-                &[ReadBackend::Buffered, ReadBackend::Mmap][..],
-            )
+        let config = if spilled {
+            StoreConfig::spilling(0, root.clone())
         } else {
-            (StoreConfig::in_memory(), &[ReadBackend::Buffered][..])
+            StoreConfig::in_memory()
         };
         let session = Ariadne {
             store: config,
@@ -408,38 +402,34 @@ fn layered_replay_is_format_and_backend_invariant() {
             assert!(store.compact().unwrap().tuples > 0);
         }
         let query = queries::backward_lineage(alpha, store.max_superstep().unwrap()).unwrap();
-        for &backend in backends {
-            store.set_read_backend(backend);
-            for t in [1, 2, 3, 7] {
-                let tag = format!("spilled={spilled} {backend:?} t={t}");
-                let run =
-                    run_layered_with(&g, &store, &query, &LayeredConfig::parallel(t)).unwrap();
-                let Some(r) = &reference else {
-                    reference = Some(run);
-                    continue;
-                };
-                for pred in query.query().idbs.keys() {
-                    assert_eq!(
-                        run.query_results.sorted(pred),
-                        r.query_results.sorted(pred),
-                        "{tag}: {pred} differs"
-                    );
-                }
+        for t in [1, 2, 3, 7] {
+            let tag = format!("spilled={spilled} t={t}");
+            let run = run_layered_with(&g, &store, &query, &LayeredConfig::parallel(t)).unwrap();
+            let Some(r) = &reference else {
+                reference = Some(run);
+                continue;
+            };
+            for pred in query.query().idbs.keys() {
                 assert_eq!(
-                    (run.layers, run.flush_rounds, run.shipped_tuples),
-                    (r.layers, r.flush_rounds, r.shipped_tuples),
-                    "{tag}: round structure differs"
-                );
-                assert_eq!(
-                    (
-                        run.injected_tuples,
-                        run.evaluated_vertices,
-                        &run.query_stats
-                    ),
-                    (r.injected_tuples, r.evaluated_vertices, &r.query_stats),
-                    "{tag}: work counters differ"
+                    run.query_results.sorted(pred),
+                    r.query_results.sorted(pred),
+                    "{tag}: {pred} differs"
                 );
             }
+            assert_eq!(
+                (run.layers, run.flush_rounds, run.shipped_tuples),
+                (r.layers, r.flush_rounds, r.shipped_tuples),
+                "{tag}: round structure differs"
+            );
+            assert_eq!(
+                (
+                    run.injected_tuples,
+                    run.evaluated_vertices,
+                    &run.query_stats
+                ),
+                (r.injected_tuples, r.evaluated_vertices, &r.query_stats),
+                "{tag}: work counters differ"
+            );
         }
     }
     assert!(reference.unwrap().query_results.len("back_lineage") > 0);

@@ -7,8 +7,8 @@
 
 use ariadne_pql::Value;
 use ariadne_provenance::{
-    compact_spool, scrub_spool, Durability, LayerFilter, ProvStore, ReadBackend, ScrubAction,
-    StoreConfig, StoreError,
+    compact_spool, scrub_spool, Durability, LayerFilter, ProvStore, ScrubAction, StoreConfig,
+    StoreError,
 };
 use std::path::{Path, PathBuf};
 
@@ -301,11 +301,10 @@ fn spool_names(dir: &PathBuf) -> Vec<String> {
 }
 
 /// Compaction over a spool holding all three record formats at once:
-/// the rewrite is logically bit-identical under `to_database()`, under
-/// both read backends, and a second pass (nothing left to merge) is
-/// idempotent on content while still bumping the generation. Layers 0
-/// (v1) and 1 (v2) come from a committed fixture; a resumed store writes
-/// layer 2.
+/// the rewrite is logically bit-identical under `to_database()`, and a
+/// second pass (nothing left to merge) is idempotent on content while
+/// still bumping the generation. Layers 0 (v1) and 1 (v2) come from a
+/// committed fixture; a resumed store writes layer 2.
 #[test]
 fn compact_mixed_format_spool_bit_identical_and_idempotent() {
     let dir = temp_dir("compact-mixed");
@@ -341,14 +340,9 @@ fn compact_mixed_format_spool_bit_identical_and_idempotent() {
     assert!(names.iter().any(|n| n == "index.ars"), "{names:?}");
     assert!(names.iter().any(|n| n.starts_with("gen-1-")), "{names:?}");
 
-    for backend in [ReadBackend::Buffered, ReadBackend::Mmap] {
-        let store = ProvStore::resume_from_spool(
-            StoreConfig::spilling(0, dir.clone()).with_read_backend(backend),
-        )
-        .unwrap();
-        assert_eq!(snapshot(&store), baseline, "{backend:?}");
-        assert_eq!(store.max_superstep(), Some(2), "{backend:?}");
-    }
+    let store = ProvStore::resume_from_spool(StoreConfig::spilling(0, dir.clone())).unwrap();
+    assert_eq!(snapshot(&store), baseline);
+    assert_eq!(store.max_superstep(), Some(2));
 
     let r2 = compact_spool(&dir).unwrap();
     assert_eq!(r2.generation, 2);
