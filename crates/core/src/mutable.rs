@@ -6,10 +6,8 @@
 //! [`MutableSession::mutate`] and merge at an explicit barrier —
 //! [`MutableSession::commit`] — never mid-run, so every run sees one
 //! immutable CSR snapshot (the engine's determinism contract is
-//! untouched). A commit also rebalances the engine's degree-weighted
-//! chunk table, recutting only when the mutation skewed some chunk's
-//! work beyond tolerance, and carries it into the engine as a chunk
-//! hint.
+//! untouched). Each run cuts its own degree-weighted chunk table from
+//! the snapshot it runs on.
 //!
 //! Two re-execution paths after a commit:
 //!
@@ -31,23 +29,14 @@
 #![warn(missing_docs)]
 use crate::capture::{CaptureRun, CaptureSpec};
 use crate::session::{Ariadne, AriadneError};
-use ariadne_graph::{ChunkTable, Csr, GraphDelta, MutableGraph, MutationReport};
+use ariadne_graph::{Csr, GraphDelta, MutableGraph, MutationReport};
 use ariadne_provenance::{EpochStats, ProvEncode, ProvStore, StoreConfig};
-use ariadne_vc::{chunk_align, Engine, IncrementalRun, RunResult, VertexProgram};
-use std::sync::Arc;
-
-/// Work-imbalance tolerance before a commit recuts the chunk table:
-/// a chunk may exceed the ideal per-chunk work by this fraction before
-/// rebalancing bothers. Recutting is cheap but invalidates nothing —
-/// any aligned table yields bit-identical results — so the tolerance
-/// only trades recut frequency against steady-state balance.
-const REBALANCE_TOLERANCE: f64 = 0.25;
+use ariadne_vc::{Engine, IncrementalRun, RunResult, VertexProgram};
 
 /// An [`Ariadne`] session over a mutable graph. See the module docs.
 #[derive(Clone, Debug)]
 pub struct MutableSession {
-    /// Engine/store configuration; `engine.chunk_hint` is maintained by
-    /// [`MutableSession::commit`].
+    /// Engine/store configuration.
     pub session: Ariadne,
     graph: MutableGraph,
     pending: GraphDelta,
@@ -55,7 +44,6 @@ pub struct MutableSession {
     /// commit (incremental re-execution taints over the *old* graph).
     prev_csr: Option<Csr>,
     last_report: Option<MutationReport>,
-    chunks: Option<Arc<ChunkTable>>,
 }
 
 impl MutableSession {
@@ -67,7 +55,6 @@ impl MutableSession {
             pending: GraphDelta::new(),
             prev_csr: None,
             last_report: None,
-            chunks: None,
         }
     }
 
@@ -93,27 +80,13 @@ impl MutableSession {
         self
     }
 
-    /// The barrier: merge every queued batch into a new CSR snapshot,
-    /// bump the epoch, and rebalance the engine's chunk table for the
-    /// new degree distribution (recut only if some chunk's work drifted
-    /// past tolerance). Returns what changed — the report seeds
+    /// The barrier: merge every queued batch into a new CSR snapshot
+    /// and bump the epoch. Returns what changed — the report seeds
     /// [`MutableSession::rerun_incremental`].
     pub fn commit(&mut self) -> MutationReport {
         let old = self.graph.csr().clone();
         let delta = std::mem::take(&mut self.pending);
         let report = self.graph.apply(&delta);
-        let threads = self.session.engine.threads;
-        if threads > 1 {
-            let csr = self.graph.csr();
-            let align = chunk_align(csr.num_vertices());
-            let table = match &self.chunks {
-                Some(t) => t.rebalance(csr, REBALANCE_TOLERANCE, align).0,
-                None => ChunkTable::degree_weighted(csr, threads, align),
-            };
-            let table = Arc::new(table);
-            self.chunks = Some(Arc::clone(&table));
-            self.session.engine.chunk_hint = Some(table);
-        }
         self.prev_csr = Some(old);
         self.last_report = Some(report.clone());
         report

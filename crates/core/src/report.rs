@@ -119,7 +119,7 @@ impl RunReport {
     }
 
     /// Serialize as a single JSON object with a fixed key order (the
-    /// BENCH files and the obs smoke artifact embed this verbatim).
+    /// BENCH files embed this verbatim, and `/report` serves it).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(512);
         s.push('{');

@@ -101,46 +101,6 @@ impl ChunkTable {
         debug_assert!(self.starts[c] <= v && v < self.starts[c + 1]);
         c
     }
-
-    /// The boundary array itself (len `num_chunks() + 1`).
-    #[inline]
-    pub fn starts(&self) -> &[usize] {
-        &self.starts
-    }
-
-    /// Revalidate this table against a mutated `csr`: keep the existing
-    /// boundaries when every chunk's degree weight is still within
-    /// `tolerance` (fractional drift, e.g. `0.25`) of the ideal share,
-    /// otherwise recut with [`ChunkTable::degree_weighted`]. A change in
-    /// vertex count always forces a recut (boundaries would no longer
-    /// cover the id space).
-    ///
-    /// Chunk layout never affects results — the engine is bit-identical
-    /// at every thread count and therefore at every chunk layout — so
-    /// keeping a slightly stale table after a small mutation batch trades
-    /// only load balance, never correctness. Returns the table to use and
-    /// whether a recut happened.
-    pub fn rebalance(&self, csr: &Csr, tolerance: f64, align: usize) -> (ChunkTable, bool) {
-        let n = csr.num_vertices();
-        let chunks = self.num_chunks();
-        if n != self.num_vertices() {
-            return (ChunkTable::degree_weighted(csr, chunks, align.max(1)), true);
-        }
-        if n == 0 || chunks <= 1 {
-            return (self.clone(), false);
-        }
-        let offsets = csr.out_offsets();
-        let total = (n + offsets[n]) as f64;
-        let ideal = total / chunks as f64;
-        for c in 0..chunks {
-            let (s, e) = self.bounds(c);
-            let work = ((e - s) + (offsets[e] - offsets[s])) as f64;
-            if work > ideal * (1.0 + tolerance) {
-                return (ChunkTable::degree_weighted(csr, chunks, align.max(1)), true);
-            }
-        }
-        (self.clone(), false)
-    }
 }
 
 /// `partition_point` over the virtual slice `0..len`: the smallest `i`
@@ -167,7 +127,8 @@ mod tests {
     #[test]
     fn single_partition() {
         let t = ChunkTable::degree_weighted(&Csr::empty(124), 1, 8);
-        assert_eq!(t.starts(), &[0, 124]);
+        assert_eq!(t.num_chunks(), 1);
+        assert_eq!(t.bounds(0), (0, 124));
         assert_eq!(t.chunk_of(123), 0);
     }
 
@@ -232,44 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_keeps_table_under_small_drift() {
-        let mut b = GraphBuilder::new();
-        for i in 0..100u64 {
-            b.add_edge(VertexId(i), VertexId((i + 1) % 100), 1.0);
-        }
-        let g = b.build();
-        let t = ChunkTable::degree_weighted(&g, 4, 1);
-        // Same graph: nothing to do.
-        let (kept, recut) = t.rebalance(&g, 0.25, 1);
-        assert!(!recut);
-        assert_eq!(kept, t);
-        // Pile edges onto one chunk until its share exceeds tolerance.
-        let mut b = GraphBuilder::new();
-        for i in 0..100u64 {
-            b.add_edge(VertexId(i), VertexId((i + 1) % 100), 1.0);
-        }
-        for i in 0..50u64 {
-            b.add_edge(VertexId(3), VertexId(i), 1.0);
-        }
-        let skewed = b.build();
-        let (recut_table, recut) = t.rebalance(&skewed, 0.25, 1);
-        assert!(recut);
-        assert_eq!(recut_table.num_vertices(), 100);
-    }
-
-    #[test]
-    fn rebalance_recuts_on_vertex_growth() {
-        let t = ChunkTable::degree_weighted(&Csr::empty(10), 2, 1);
-        let g2 = Csr::empty(15);
-        let (t2, recut) = t.rebalance(&g2, 0.5, 1);
-        assert!(recut);
-        assert_eq!(t2.num_vertices(), 15);
-        let (same, recut) = t2.rebalance(&g2, 0.5, 1);
-        assert!(!recut);
-        assert_eq!(same.num_vertices(), 15);
-    }
-
-    #[test]
     fn chunk_of_matches_linear_scan() {
         let mut b = GraphBuilder::new();
         for i in 0..200u64 {
@@ -280,7 +203,8 @@ mod tests {
         b.ensure_vertex(VertexId(199));
         let g = b.build();
         let t = ChunkTable::degree_weighted(&g, 5, 8);
-        for &s in &t.starts()[1..t.num_chunks()] {
+        for c in 1..t.num_chunks() {
+            let (s, _) = t.bounds(c);
             assert_eq!(s % 8, 0, "interior boundary {s} not 8-aligned");
         }
         for v in 0..200usize {

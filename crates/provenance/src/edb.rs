@@ -587,4 +587,24 @@ mod tests {
         insert_static_edbs(&mut db, flags(&[]), &g, VertexId(0));
         assert_eq!(db.total_tuples(), before);
     }
+
+    /// Table 1 is spelled twice: here, for generation, and in the query
+    /// catalog, for analysis. Both must agree on every generated
+    /// predicate.
+    #[test]
+    fn generated_predicates_match_the_catalog() {
+        let catalog = ariadne_pql::Catalog::standard();
+        for pred in EdbPred::ALL {
+            let schema = catalog
+                .get(pred.name())
+                .unwrap_or_else(|| panic!("{} is not in the catalog", pred.name()));
+            assert_eq!(schema.arity, pred.arity(), "{} arity", pred.name());
+            assert_eq!(schema.location, 0, "{} location", pred.name());
+            let peer = match pred {
+                EdbPred::ReceiveMessage | EdbPred::SendMessage | EdbPred::EdgeValue => Some(1),
+                EdbPred::Superstep | EdbPred::Value | EdbPred::Evolution => None,
+            };
+            assert_eq!(schema.peer, peer, "{} peer", pred.name());
+        }
+    }
 }

@@ -388,6 +388,16 @@ impl QueryService {
         // cursor must agree with it when both are present.
         let (fingerprint, query) = match (req.pql, &cursor) {
             (Some(src), c) => {
+                // The fingerprint sorts the bindings and compile keeps a
+                // name's last value, so a repeated name would give two
+                // binding sets one identity.
+                for (i, (name, _)) in req.params.iter().enumerate() {
+                    if req.params[..i].iter().any(|(n, _)| n == name) {
+                        return Err(ServeError::Compile(format!(
+                            "parameter `{name}` is bound more than once"
+                        )));
+                    }
+                }
                 let fp = query_fingerprint(src, req.params);
                 if let Some(c) = c {
                     if c.fingerprint != fp {
@@ -948,6 +958,25 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ServeError::Busy { .. }));
         assert_eq!(err.status(), 503);
+    }
+
+    #[test]
+    fn a_parameter_bound_twice_is_400() {
+        let svc = service(4, ServeConfig::default());
+        let pql = "hit(x, i) :- superstep(x, i), i = $s.";
+        let run = |params: &[(&str, &str)]| {
+            svc.execute(&QueryRequest { pql: Some(pql), params, ..Default::default() })
+        };
+        for params in [[("s", "1"), ("s", "2")], [("s", "2"), ("s", "1")]] {
+            let err = run(&params).unwrap_err();
+            assert!(matches!(&err, ServeError::Compile(m) if m.contains("`s`")), "{err}");
+            assert_eq!(err.status(), 400);
+        }
+        // Each single binding is its own query with its own row.
+        for s in [1i64, 2] {
+            let page = run(&[("s", &s.to_string())]).unwrap();
+            assert_eq!(page.rows(), [("hit".to_string(), vec![Value::Id(1), Value::Int(s)])]);
+        }
     }
 
     #[test]

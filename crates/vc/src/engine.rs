@@ -146,38 +146,29 @@ mod obs_handles {
     );
 }
 
+/// Hard cap on supersteps regardless of the program's own cap: the
+/// safety bound on a program that never halts.
+const MAX_SUPERSTEPS: u32 = 10_000;
+
 /// Engine-level run configuration.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Number of worker threads (1 = sequential).
     pub threads: usize,
-    /// Hard cap on supersteps regardless of the program's own cap.
-    pub max_supersteps: u32,
     /// Barrier snapshotting; honoured by [`Engine::run_checkpointed`]
     /// and [`Engine::resume`] ([`Engine::run`] never touches disk).
     pub checkpoint: Option<CheckpointConfig>,
     /// Scripted fault injection; honoured by the fallible entry points
     /// only. `None` costs one branch per superstep.
     pub fault: Option<Arc<FaultPlan>>,
-    /// Optional pre-built chunk table. Callers that
-    /// run the same (or an incrementally mutated) graph repeatedly — the
-    /// mutable session re-running after a mutation batch — pass the
-    /// previous epoch's table here, rebalanced only when a batch skewed
-    /// it (see `ChunkTable::rebalance`). The hint is used only when its
-    /// vertex count matches the graph; chunk layout never affects
-    /// results, so a stale-but-covering table costs balance, not
-    /// correctness.
-    pub chunk_hint: Option<Arc<ChunkTable>>,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             threads: 1,
-            max_supersteps: 10_000,
             checkpoint: None,
             fault: None,
-            chunk_hint: None,
         }
     }
 }
@@ -440,33 +431,15 @@ impl Engine {
         }
     }
 
-    /// The chunk layout for a run over `graph`: the configured
-    /// [`EngineConfig::chunk_hint`] when it is usable, otherwise
-    /// degree-weighted chunks, one per worker thread.
+    /// The chunk layout for a run over `graph`: degree-weighted chunks,
+    /// one per worker thread. The aggregate block size depends on the
+    /// graph only, never the thread count; chunk boundaries snap to it
+    /// so blocks nest in chunks and the barrier merge happens in global
+    /// block order.
     fn chunk_table(&self, graph: &Csr) -> ChunkTable {
         let n = graph.num_vertices();
-        // The aggregate block size depends on the graph only, never the
-        // thread count; chunk boundaries snap to it so blocks nest in
-        // chunks and the barrier merge happens in global block order.
-        let block = sender_block_size(n);
-        // A hint is usable only if it covers this graph's id space and
-        // keeps every interior boundary block-aligned — blocks must nest
-        // in chunks for the barrier merge's global block order (and hence
-        // float combining) to stay bit-identical.
-        let hint_ok = |t: &ChunkTable| {
-            t.num_vertices() == n
-                && t.num_chunks() <= n.max(1)
-                && t.starts()[1..t.starts().len().saturating_sub(1)]
-                    .iter()
-                    .all(|s| s % block == 0)
-        };
-        match &self.config.chunk_hint {
-            Some(hint) if hint_ok(hint) => (**hint).clone(),
-            _ => {
-                let threads = self.config.threads.clamp(1, n.max(1));
-                ChunkTable::degree_weighted(graph, threads, block)
-            }
-        }
+        let threads = self.config.threads.clamp(1, n.max(1));
+        ChunkTable::degree_weighted(graph, threads, sender_block_size(n))
     }
 
     /// The BSP loop, over the chunk layout `table` that `st.inbox` was
@@ -506,7 +479,7 @@ impl Engine {
         let block = sender_block_size(n);
         let num_chunks = table.num_chunks();
         debug_assert_eq!(table.num_vertices(), n);
-        let max_supersteps = self.config.max_supersteps.min(program.max_supersteps());
+        let max_supersteps = MAX_SUPERSTEPS.min(program.max_supersteps());
         let always_active = program.always_active();
 
         // Recycled buffers: the spare inbox set double-buffers against
@@ -833,15 +806,6 @@ fn fresh_state<P: VertexProgram>(program: &P, graph: &Csr, table: &ChunkTable) -
         aggregates: Aggregates::new(program.aggregators()),
         metrics: RunMetrics::default(),
     }
-}
-
-/// The chunk-boundary alignment quantum the engine requires for a
-/// graph of `n` vertices: chunk tables passed via
-/// [`EngineConfig::chunk_hint`] must align interior boundaries to this
-/// (pass it as the `align` argument of `ChunkTable::degree_weighted` /
-/// `ChunkTable::rebalance`), or the hint is ignored.
-pub fn chunk_align(n: usize) -> usize {
-    sender_block_size(n)
 }
 
 /// The aggregate/sender block size for a graph with `n` vertices: a pure
@@ -1500,13 +1464,28 @@ mod tests {
         assert_eq!(r.values, vec![5, 5]);
     }
 
+    /// Never halts and never caps itself.
+    struct Unbounded;
+    impl VertexProgram for Unbounded {
+        type V = u32;
+        type M = ();
+        fn init(&self, _: VertexId, _: &Csr) -> u32 {
+            0
+        }
+        fn compute(&self, _: &mut dyn Context<()>, value: &mut u32, _: &[Envelope<()>]) {
+            *value += 1;
+        }
+        fn always_active(&self) -> bool {
+            true
+        }
+    }
+
     #[test]
-    fn engine_config_cap_overrides_program() {
+    fn engine_cap_stops_a_program_that_never_halts() {
         let g = path(2);
-        let mut cfg = EngineConfig::sequential();
-        cfg.max_supersteps = 3;
-        let r = Engine::new(cfg).run(&StepCounter, &g);
-        assert_eq!(r.supersteps(), 3);
+        let r = Engine::new(EngineConfig::sequential()).run(&Unbounded, &g);
+        assert_eq!(r.supersteps(), MAX_SUPERSTEPS);
+        assert_eq!(r.values, vec![MAX_SUPERSTEPS; 2]);
     }
 
     /// Uses an aggregator to stop once the sum of values stabilizes.

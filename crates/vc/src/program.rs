@@ -76,7 +76,7 @@ pub trait VertexProgram: Send + Sync {
         false
     }
 
-    /// Hard cap on supersteps (the engine also accepts a run-level cap).
+    /// Hard cap on supersteps (the engine also stops any run at 10,000).
     fn max_supersteps(&self) -> u32 {
         u32::MAX
     }

@@ -567,7 +567,6 @@ fn main() {
         return;
     }
     let mut ariadne = Ariadne::with_threads(o.threads);
-    ariadne.engine.max_supersteps = 10_000;
     // --spool: persist the capture to disk (budget 0 spills every
     // segment immediately), so a later `ariadne-cli serve --spool DIR`
     // can open the same capture.

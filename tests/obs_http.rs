@@ -1,8 +1,9 @@
-//! End-to-end test of the live telemetry plane: run a real capture +
+//! End-to-end test of the live telemetry plane: run a real capture
+//! into a spilling store, one mutation epoch appended to it and a
 //! layered replay, serve the obs endpoints on an ephemeral port, and
-//! validate every endpoint over actual TCP — including the Prometheus
-//! exposition schema (mirroring CI's python validator in-process), the
-//! JSONL trace key order, and that a malformed request cannot wedge the
+//! validate every endpoint over actual TCP — the Prometheus exposition
+//! schema and determinism flags, the JSONL trace key order and span
+//! tree, the RunReport, and that a malformed request cannot wedge the
 //! listener.
 //!
 //! Tests serialize on a file-level mutex: the metric registry and trace
@@ -10,9 +11,10 @@
 //! drain-accounting assertions.
 
 use ariadne::session::Ariadne;
-use ariadne::{compile, CaptureSpec};
+use ariadne::{compile, CaptureSpec, MutableSession, StoreConfig};
 use ariadne_analytics::PageRank;
 use ariadne_graph::generators::rmat::{rmat, RmatConfig};
+use ariadne_graph::{GraphDelta, VertexId};
 use ariadne_obs::trace;
 use ariadne_pql::Params;
 use std::io::{Read, Write};
@@ -64,15 +66,26 @@ fn get(addr: SocketAddr, path: &str) -> Response {
     )
 }
 
-/// In-process mirror of CI's Prometheus-text validator: every metric
-/// has matching HELP / TYPE / deterministic annotation lines, every
-/// sample line is `name[{labels}] value`, and the layers this run
-/// exercised are all present with the right determinism tags.
+/// The first unsigned number after `"key":` in a JSON line or document.
+fn json_u64(json: &str, key: &str) -> u64 {
+    json.split(&format!("\"{key}\":"))
+        .nth(1)
+        .and_then(|r| r.split([',', '}']).next())
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("no {key} in {json}"))
+}
+
+/// The Prometheus-text validator: every metric has matching HELP /
+/// TYPE / deterministic annotation lines, every sample line is
+/// `name[{labels}] value`, the layers this run exercised are all
+/// present with the right determinism tags, and the store counters
+/// show the spill, the compression and the adopting epoch append.
 fn validate_prometheus(text: &str) {
     use std::collections::BTreeMap;
     let mut helps = Vec::new();
     let mut types = Vec::new();
     let mut det: BTreeMap<&str, &str> = BTreeMap::new();
+    let mut samples: BTreeMap<&str, f64> = BTreeMap::new();
     for line in text.lines() {
         if line.is_empty() {
             continue;
@@ -114,6 +127,9 @@ fn validate_prometheus(text: &str) {
                 value == "NaN" || value.parse::<f64>().is_ok(),
                 "bad sample value in {line:?}"
             );
+            if name == name_part {
+                samples.insert(name, value.parse().unwrap_or(f64::NAN));
+            }
         }
     }
     let help_set: std::collections::BTreeSet<_> = helps.iter().copied().collect();
@@ -130,8 +146,12 @@ fn validate_prometheus(text: &str) {
     // Every instrumented layer this test exercised must be present.
     for required in [
         "engine_supersteps_total",
+        "engine_phase_compute_ns_total",
+        "engine_phase_barrier_ns_total",
         "store_ingest_tuples_total",
+        "store_spills_total",
         "pql_rule_firings_total",
+        "pql_fixpoint_rounds_total",
         "layered_rounds_total",
         "layered_query_latency_ns",
         "obs_http_requests_total",
@@ -140,7 +160,55 @@ fn validate_prometheus(text: &str) {
     }
     // Determinism taxonomy spot checks.
     assert_eq!(det["engine_messages_sent_total"], "true");
+    assert_eq!(det["engine_phase_compute_ns_total"], "false");
+    assert_eq!(det["pql_rule_firings_total"], "true");
     assert_eq!(det["layered_query_latency_ns"], "false");
+    // The epoch append adopted records from its capture instead of
+    // re-encoding them, and the v3 writer compressed.
+    assert!(
+        samples["store_epoch_appends_total"] >= 1.0,
+        "no epoch appended"
+    );
+    assert!(
+        samples["store_epoch_adopted_total"] > 0.0,
+        "no record adopted"
+    );
+    assert!(
+        samples["store_lz_records_total"] > 0.0,
+        "no LZ record written"
+    );
+    // Counts that follow thread arrival are not flagged deterministic
+    // (docs/OBSERVABILITY.md, determinism taxonomy). This run registers
+    // the first eight; the rest only when it happens to touch them (no
+    // compaction or scrub runs here).
+    for name in [
+        "store_epoch_adopted_total",
+        "store_ingest_batches_total",
+        "store_ingest_bytes_total",
+        "store_packs_total",
+        "store_encoded_bytes",
+        "store_lz_records_total",
+        "store_lz_saved_bytes",
+        "store_col_bytes_skipped_total",
+    ] {
+        assert_eq!(det[name], "false", "{name} is flagged deterministic");
+    }
+    for name in [
+        "store_compact_bytes_in",
+        "store_compact_bytes_out",
+        "store_scrub_records_total",
+        "store_sealed_segments_total",
+        "store_scrub_files_total",
+        "store_encoding_bytes_plain",
+        "store_encoding_bytes_const",
+        "store_encoding_bytes_delta_id",
+        "store_encoding_bytes_delta_int",
+        "store_encoding_bytes_dict",
+        "store_encoding_bytes_float_raw",
+    ] {
+        let flag = det.get(name).copied().unwrap_or("false");
+        assert_eq!(flag, "false", "{name} is flagged deterministic");
+    }
     // The latency histogram must expose interpolated quantile series.
     assert!(
         text.contains("layered_query_latency_ns{quantile=\"0.5\"}")
@@ -156,37 +224,60 @@ fn obs_http_plane_end_to_end() {
     // -> eval, store reads, merge) lands in the rings.
     trace::set_filter("trace");
 
-    // Real work first, so the endpoints have something to expose.
+    // Real work first, so the endpoints have something to expose: a
+    // capture spilling to a tight budget, so the store's spill path
+    // reports too.
     let graph = rmat(RmatConfig {
         scale: 6,
         edge_factor: 8,
         seed: 0xBE2C4,
         ..RmatConfig::default()
     });
-    let ariadne = Ariadne::default();
+    let spool = std::env::temp_dir().join(format!("ariadne-obs-http-{}", std::process::id()));
+    std::fs::remove_dir_all(&spool).ok();
+    let ariadne = Ariadne {
+        store: StoreConfig::spilling(16 * 1024, spool.clone()),
+        ..Ariadne::default()
+    };
     let query = compile(
         "seen(x, v, i) :- value(x, v, i), superstep(x, i).",
         Params::new(),
     )
     .expect("capture query");
     let spec = CaptureSpec::raw(["superstep", "value"]).with_query(query);
-    let capture = ariadne
-        .capture(
-            &PageRank {
-                supersteps: 4,
-                ..PageRank::default()
-            },
-            &graph,
-            &spec,
-        )
+    let analytic = PageRank {
+        supersteps: 4,
+        ..PageRank::default()
+    };
+    let mut capture = ariadne
+        .capture(&analytic, &graph, &spec)
         .expect("capture run");
+    let report_json = capture.report().to_json();
+
+    // One edge insert, re-captured and appended to the spilled store as
+    // a mutation epoch, so the epoch counters (adopted records included)
+    // report too. One thread delivers rows in canonical order, so the
+    // append adopts records on every run.
+    let mut session = MutableSession::new(ariadne.clone(), graph.clone());
+    let missing = (0..session.csr().num_vertices() as u64)
+        .map(VertexId)
+        .find(|&v| !session.csr().has_edge(VertexId(0), v))
+        .expect("vertex 0 misses some edge");
+    let mut delta = GraphDelta::new();
+    delta.add_edge(VertexId(0), missing, 1.0);
+    session.mutate(delta);
+    session.commit();
+    session
+        .capture_epoch(&analytic, &spec, &mut capture.store)
+        .expect("epoch capture");
+
     let replay_query = compile(
         "hot(x, i) :- value(x, v, i), superstep(x, i).",
         Params::new(),
     )
     .expect("replay query");
     let replay = ariadne
-        .layered(&graph, &capture.store, &replay_query)
+        .layered(session.csr(), &capture.store, &replay_query)
         .expect("layered replay");
     assert!(replay.query_results.len("hot") > 0, "replay found nothing");
 
@@ -211,14 +302,43 @@ fn obs_http_plane_end_to_end() {
     // /report is 404 until a report is published, then serves it.
     let missing = get(addr, "/report");
     assert_eq!(missing.status, 404);
-    ariadne_obs::publish_report(capture.report().to_json());
+    ariadne_obs::publish_report(report_json);
     let report = get(addr, "/report");
     assert_eq!(report.status, 200);
+    let r = &report.body;
     assert!(
-        report.body.starts_with('{') && report.body.contains("\"supersteps\""),
-        "report body is not the RunReport JSON: {}",
-        report.body
+        r.starts_with('{'),
+        "report body is not the RunReport JSON: {r}"
     );
+    for key in [
+        "supersteps",
+        "elapsed_ns",
+        "messages_sent",
+        "messages_delivered",
+        "phase_compute_ns",
+        "phase_combine_ns",
+        "phase_scatter_ns",
+        "phase_barrier_ns",
+        "checkpoint_ns",
+        "query",
+        "store",
+    ] {
+        assert!(
+            r.contains(&format!("\"{key}\":")),
+            "report missing {key}: {r}"
+        );
+    }
+    assert_eq!(
+        json_u64(r, "messages_sent"),
+        json_u64(r, "messages_delivered"),
+        "messages are conserved"
+    );
+    assert!(json_u64(r, "rule_firings") > 0, "capture query did not run");
+    assert!(json_u64(r, "tuples") > 0, "store captured nothing");
+    // The self-healing counters are zero on a clean, fault-free run.
+    for key in ["salvaged_records", "quarantined_segments", "compactions"] {
+        assert_eq!(json_u64(r, key), 0, "clean run reported nonzero {key}");
+    }
 
     // /trace drains JSONL in the documented key order and reports the
     // drop count in a header.
@@ -243,6 +363,7 @@ fn obs_http_plane_end_to_end() {
         "\"fields\":",
     ];
     let mut last_seq: Option<u64> = None;
+    let mut spans = 0usize;
     for line in &lines {
         let mut from = 0usize;
         for key in key_order {
@@ -262,25 +383,33 @@ fn obs_http_plane_end_to_end() {
             "trace not in sequence order"
         );
         last_seq = Some(seq);
+        // Every span (close event) carries its trace and its duration.
+        if json_u64(line, "span_id") != 0 {
+            spans += 1;
+            assert_ne!(
+                json_u64(line, "trace_id"),
+                0,
+                "span without a trace: {line}"
+            );
+            assert!(line.contains("\"dur_ns\":"), "span without dur_ns: {line}");
+        }
     }
+    assert!(spans > 0, "no span events in the trace");
+    assert!(
+        lines.iter().any(|l| l.contains("\"name\":\"superstep\"")),
+        "no engine superstep events"
+    );
     // The replay produced a navigable span tree: the layered run span
     // is a trace root (trace_id == its own span_id), and the per-layer
     // spans link to it as children.
-    let field = |line: &str, key: &str| -> u64 {
-        line.split(&format!("\"{key}\":"))
-            .nth(1)
-            .and_then(|r| r.split([',', '}']).next())
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| panic!("no {key} in {line}"))
-    };
     let run_line = lines
         .iter()
         .find(|l| l.contains("\"target\":\"layered\",\"name\":\"run\""))
         .expect("no layered run span in the trace");
-    let run_span = field(run_line, "span_id");
+    let run_span = json_u64(run_line, "span_id");
     assert_ne!(run_span, 0, "run span has no span_id");
     assert_eq!(
-        field(run_line, "trace_id"),
+        json_u64(run_line, "trace_id"),
         run_span,
         "run span must be its trace's root"
     );
@@ -289,11 +418,11 @@ fn obs_http_plane_end_to_end() {
         .find(|l| l.contains("\"target\":\"layered\",\"name\":\"layer\""))
         .expect("no per-layer span in the trace");
     assert_eq!(
-        field(layer_line, "parent_id"),
+        json_u64(layer_line, "parent_id"),
         run_span,
         "layer span must be a child of the run span"
     );
-    assert_eq!(field(layer_line, "trace_id"), run_span);
+    assert_eq!(json_u64(layer_line, "trace_id"), run_span);
 
     // A malformed request gets a 400 and must not wedge the listener.
     let bad = send_raw(addr, b"???\r\n\r\n");
@@ -304,6 +433,7 @@ fn obs_http_plane_end_to_end() {
     assert_eq!(still_up.status, 200, "listener wedged after bad request");
 
     server.shutdown();
+    std::fs::remove_dir_all(&spool).ok();
 }
 
 /// Regression: a request head that arrives across several TCP writes —
