@@ -1,6 +1,6 @@
 //! Single-source shortest paths — Algorithm 2 in the paper's appendix.
 
-use ariadne_graph::{Csr, VertexId};
+use ariadne_graph::{Csr, Direction, VertexId};
 use ariadne_vc::{Combiner, Context, Envelope, Incrementality, MinCombiner, VertexProgram};
 
 /// SSSP vertex program: vertices carry their best-known distance to the
@@ -40,9 +40,7 @@ impl VertexProgram for Sssp {
         }
         if min_dist < *value {
             *value = min_dist;
-            for edge in ctx.out_edges() {
-                ctx.send(edge.neighbor, min_dist + edge.weight);
-            }
+            ctx.send_along(Direction::Out, &|edge| min_dist + edge.weight);
         }
     }
 
@@ -67,9 +65,7 @@ impl VertexProgram for Sssp {
         }
         if value.is_finite() {
             let d = *value;
-            for edge in ctx.out_edges() {
-                ctx.send(edge.neighbor, d + edge.weight);
-            }
+            ctx.send_along(Direction::Out, &|edge| d + edge.weight);
         }
     }
 }
@@ -115,9 +111,7 @@ impl VertexProgram for ApproxSssp {
         let improvement = *value - min_dist;
         if min_dist < *value && (improvement > self.epsilon || value.is_infinite()) {
             *value = min_dist;
-            for edge in ctx.out_edges() {
-                ctx.send(edge.neighbor, min_dist + edge.weight);
-            }
+            ctx.send_along(Direction::Out, &|edge| min_dist + edge.weight);
         }
     }
 

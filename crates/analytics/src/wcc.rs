@@ -6,7 +6,7 @@
 //! every vertex with the minimum vertex id of its component, matching the
 //! union-find oracle in [`crate::reference`].
 
-use ariadne_graph::{Csr, VertexId};
+use ariadne_graph::{Csr, Direction, VertexId};
 use ariadne_vc::{Combiner, Context, Envelope, Incrementality, MinCombiner, VertexProgram};
 
 /// WCC vertex program.
@@ -15,15 +15,8 @@ pub struct Wcc;
 
 /// Broadcast `label` to all out- and in-neighbours of the current vertex.
 fn send_both_ways(ctx: &mut dyn Context<u64>, label: u64) {
-    let v = ctx.vertex();
-    let outs: Vec<VertexId> = ctx.graph().out_neighbors(v).to_vec();
-    let ins: Vec<VertexId> = ctx.graph().in_neighbors(v).to_vec();
-    for t in outs {
-        ctx.send(t, label);
-    }
-    for t in ins {
-        ctx.send(t, label);
-    }
+    ctx.send_along(Direction::Out, &|_| label);
+    ctx.send_along(Direction::In, &|_| label);
 }
 
 impl VertexProgram for Wcc {

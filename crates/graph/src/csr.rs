@@ -142,6 +142,20 @@ impl Csr {
         &self.in_sources[self.in_offsets[i]..self.in_offsets[i + 1]]
     }
 
+    /// Neighbour ids of `v` in direction `dir` with their edge weights,
+    /// as two aligned slices sorted by neighbour id (for
+    /// [`Direction::In`] the neighbours are the edge sources).
+    #[inline]
+    pub fn adjacency(&self, v: VertexId, dir: Direction) -> (&[VertexId], &[f64]) {
+        let i = v.index();
+        let (offsets, ids, weights) = match dir {
+            Direction::Out => (&self.out_offsets, &self.out_targets, &self.out_weights),
+            Direction::In => (&self.in_offsets, &self.in_sources, &self.in_weights),
+        };
+        let range = offsets[i]..offsets[i + 1];
+        (&ids[range.clone()], &weights[range])
+    }
+
     /// Weight of edge `src -> dst`, if present. Binary search over the
     /// sorted adjacency list.
     pub fn edge_weight(&self, src: VertexId, dst: VertexId) -> Option<f64> {
@@ -244,6 +258,14 @@ mod tests {
         assert_eq!(g.out_neighbors(VertexId(0)), &[VertexId(1)]);
         assert_eq!(g.in_neighbors(VertexId(0)), &[VertexId(2)]);
         assert_eq!(g.edge_weight(VertexId(1), VertexId(2)), Some(2.0));
+        assert_eq!(
+            g.adjacency(VertexId(1), Direction::Out),
+            (&[VertexId(2)][..], &[2.0][..])
+        );
+        assert_eq!(
+            g.adjacency(VertexId(1), Direction::In),
+            (&[VertexId(0)][..], &[1.0][..])
+        );
         assert_eq!(g.edge_weight(VertexId(2), VertexId(1)), None);
         assert!(g.has_edge(VertexId(2), VertexId(0)));
         assert!(!g.has_edge(VertexId(0), VertexId(2)));

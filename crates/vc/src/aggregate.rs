@@ -5,7 +5,8 @@
 //! condition at the barrier. PageRank's tolerance-based termination and
 //! ALS's global-error tracking use these.
 
-use std::collections::HashMap;
+use crate::checkpoint::SnapError;
+use std::sync::Arc;
 
 /// A value contributed to / read from an aggregator.
 #[derive(Copy, Clone, PartialEq, Debug)]
@@ -78,21 +79,47 @@ impl AggOp {
 }
 
 /// A store of named aggregators with their reduction ops.
-#[derive(Default, Clone, Debug, PartialEq)]
+///
+/// The registrations are sorted by name, one per name, and shared (an
+/// `Arc`) between the run's store and every worker-local copy; values sit
+/// in slots aligned with them. A contribution is a scan of a handful of
+/// names and a reduce in place: no hashing and no allocation, which
+/// matters because PageRank contributes once per vertex-step.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Aggregates {
-    ops: HashMap<String, AggOp>,
-    current: HashMap<String, AggValue>,
-    previous: HashMap<String, AggValue>,
+    ops: Arc<[(String, AggOp)]>,
+    current: Vec<Option<AggValue>>,
+    previous: Vec<Option<AggValue>>,
+}
+
+impl Default for Aggregates {
+    fn default() -> Self {
+        Aggregates::new([])
+    }
 }
 
 impl Aggregates {
-    /// Create a store with the given registrations.
+    /// Create a store with the given registrations. A name registered
+    /// twice keeps its last op.
     pub fn new(defs: impl IntoIterator<Item = (String, AggOp)>) -> Self {
+        let mut ops: Vec<(String, AggOp)> = defs.into_iter().collect();
+        // Reversed, a stable sort puts each name's last registration
+        // first among its duplicates, and `dedup_by` keeps the first.
+        ops.reverse();
+        ops.sort_by(|a, b| a.0.cmp(&b.0));
+        ops.dedup_by(|a, b| a.0 == b.0);
+        let n = ops.len();
         Aggregates {
-            ops: defs.into_iter().collect(),
-            current: HashMap::new(),
-            previous: HashMap::new(),
+            ops: ops.into(),
+            current: vec![None; n],
+            previous: vec![None; n],
         }
+    }
+
+    /// The slot of aggregator `name`, if registered.
+    #[inline]
+    fn slot(&self, name: &str) -> Option<usize> {
+        self.ops.iter().position(|(n, _)| n == name)
     }
 
     /// Contribute `value` to aggregator `name` for the current superstep.
@@ -100,47 +127,69 @@ impl Aggregates {
     /// Panics if `name` was never registered — contributing to an unknown
     /// aggregator is a programming error we want loud.
     pub fn contribute(&mut self, name: &str, value: AggValue) {
-        let op = *self
-            .ops
-            .get(name)
+        let k = self
+            .slot(name)
             .unwrap_or_else(|| panic!("aggregator {name:?} not registered"));
-        match self.current.remove(name) {
-            Some(acc) => {
-                self.current.insert(name.to_string(), op.reduce(acc, value));
-            }
-            None => {
-                self.current.insert(name.to_string(), value);
-            }
-        }
+        self.reduce_into(k, value);
+    }
+
+    /// Fold `value` into slot `k`'s current value.
+    #[inline]
+    fn reduce_into(&mut self, k: usize, value: AggValue) {
+        let op = self.ops[k].1;
+        let slot = &mut self.current[k];
+        *slot = Some(match *slot {
+            Some(acc) => op.reduce(acc, value),
+            None => value,
+        });
     }
 
     /// The reduced value from the *previous* superstep, if any vertex
     /// contributed then.
     pub fn previous(&self, name: &str) -> Option<AggValue> {
-        self.previous.get(name).copied()
+        self.slot(name).and_then(|k| self.previous[k])
     }
 
     /// The value reduced so far in the current superstep (used by the halt
     /// check at the barrier, before rotation).
     pub fn current(&self, name: &str) -> Option<AggValue> {
-        self.current.get(name).copied()
+        self.slot(name).and_then(|k| self.current[k])
     }
 
-    /// Merge another store's current-superstep contributions (worker-local
-    /// stores are merged at the barrier).
-    pub fn merge_current(&mut self, other: &Aggregates) {
-        for (name, &value) in &other.current {
-            self.contribute(name, value);
+    /// Fold one flushed partial (current values in slot order, as
+    /// [`Aggregates::flush_into`] appends them) into the current values:
+    /// how the barrier merges worker-local stores, in block order.
+    pub(crate) fn merge_slots(&mut self, partial: &[Option<AggValue>]) {
+        debug_assert_eq!(partial.len(), self.ops.len());
+        for (k, value) in partial.iter().enumerate() {
+            if let Some(value) = *value {
+                self.reduce_into(k, value);
+            }
         }
+    }
+
+    /// Append the current values in slot order to `out` and clear them:
+    /// how a worker hands the barrier one sender block's partial without
+    /// allocating a store per block.
+    pub(crate) fn flush_into(&mut self, out: &mut Vec<Option<AggValue>>) {
+        out.extend_from_slice(&self.current);
+        self.current.fill(None);
+    }
+
+    /// Number of registered aggregators (the width of a flushed partial).
+    pub(crate) fn len(&self) -> usize {
+        self.ops.len()
     }
 
     /// Rotate at the barrier: current becomes previous, current clears.
     pub fn rotate(&mut self) {
-        self.previous = std::mem::take(&mut self.current);
+        std::mem::swap(&mut self.previous, &mut self.current);
+        self.current.fill(None);
     }
 
     /// Decompose into sorted `(ops, current, previous)` vectors — the
-    /// deterministic form the checkpoint codec serializes.
+    /// deterministic form the checkpoint codec serializes. Only values
+    /// that were set appear.
     #[allow(clippy::type_complexity)]
     pub fn to_parts(
         &self,
@@ -149,33 +198,46 @@ impl Aggregates {
         Vec<(String, AggValue)>,
         Vec<(String, AggValue)>,
     ) {
-        fn sorted<V: Copy>(m: &HashMap<String, V>) -> Vec<(String, V)> {
-            let mut v: Vec<(String, V)> = m.iter().map(|(k, &x)| (k.clone(), x)).collect();
-            v.sort_by(|a, b| a.0.cmp(&b.0));
-            v
-        }
-        (sorted(&self.ops), sorted(&self.current), sorted(&self.previous))
+        let set = |values: &[Option<AggValue>]| -> Vec<(String, AggValue)> {
+            self.ops
+                .iter()
+                .zip(values)
+                .filter_map(|((name, _), v)| v.map(|v| (name.clone(), v)))
+                .collect()
+        };
+        (self.ops.to_vec(), set(&self.current), set(&self.previous))
     }
 
-    /// Rebuild a store from [`Aggregates::to_parts`] output.
+    /// Rebuild a store from [`Aggregates::to_parts`] output. A value for
+    /// a name with no registration is [`SnapError::UnknownAggregator`].
     pub fn from_parts(
         ops: Vec<(String, AggOp)>,
         current: Vec<(String, AggValue)>,
         previous: Vec<(String, AggValue)>,
-    ) -> Aggregates {
-        Aggregates {
-            ops: ops.into_iter().collect(),
-            current: current.into_iter().collect(),
-            previous: previous.into_iter().collect(),
+    ) -> Result<Aggregates, SnapError> {
+        let mut store = Aggregates::new(ops);
+        for (values, named) in [
+            (&mut store.current, current),
+            (&mut store.previous, previous),
+        ] {
+            for (name, value) in named {
+                match store.ops.iter().position(|(n, _)| *n == name) {
+                    Some(k) => values[k] = Some(value),
+                    None => return Err(SnapError::UnknownAggregator(name)),
+                }
+            }
         }
+        Ok(store)
     }
 
-    /// A worker-local clone with the same registrations and empty buffers.
+    /// A worker-local copy with the same (shared) registrations and empty
+    /// values.
     pub fn fresh_local(&self) -> Aggregates {
+        let n = self.ops.len();
         Aggregates {
-            ops: self.ops.clone(),
-            current: HashMap::new(),
-            previous: HashMap::new(),
+            ops: Arc::clone(&self.ops),
+            current: vec![None; n],
+            previous: vec![None; n],
         }
     }
 }
@@ -218,8 +280,13 @@ mod tests {
         let mut w2 = global.fresh_local();
         w1.contribute("any", AggValue::Bool(false));
         w2.contribute("any", AggValue::Bool(true));
-        global.merge_current(&w1);
-        global.merge_current(&w2);
+        let mut partials = Vec::new();
+        w1.flush_into(&mut partials);
+        w2.flush_into(&mut partials);
+        assert_eq!(w1.current("any"), None, "a flush clears the local store");
+        for partial in partials.chunks_exact(global.len()) {
+            global.merge_slots(partial);
+        }
         assert_eq!(global.current("any"), Some(AggValue::Bool(true)));
     }
 

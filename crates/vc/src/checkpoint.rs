@@ -271,6 +271,9 @@ pub enum SnapError {
     /// A length prefix was absurd (guards against misparses allocating
     /// gigabytes from garbage bytes).
     BadLength(u64),
+    /// An aggregator value named an aggregator the snapshot does not
+    /// register.
+    UnknownAggregator(String),
 }
 
 impl fmt::Display for SnapError {
@@ -280,6 +283,9 @@ impl fmt::Display for SnapError {
             SnapError::BadTag(t) => write!(f, "unknown tag byte {t:#04x}"),
             SnapError::BadUtf8 => write!(f, "non-UTF-8 string field"),
             SnapError::BadLength(n) => write!(f, "implausible length prefix {n}"),
+            SnapError::UnknownAggregator(name) => {
+                write!(f, "value for unregistered aggregator {name:?}")
+            }
         }
     }
 }
@@ -559,7 +565,7 @@ impl Snapshot for Aggregates {
         let ops = Vec::<(String, AggOp)>::read_snap(input)?;
         let current = Vec::<(String, AggValue)>::read_snap(input)?;
         let previous = Vec::<(String, AggValue)>::read_snap(input)?;
-        Ok(Aggregates::from_parts(ops, current, previous))
+        Aggregates::from_parts(ops, current, previous)
     }
 }
 

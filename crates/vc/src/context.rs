@@ -6,7 +6,7 @@
 //! unmodified — the architectural point of the paper (§2.2, Figures 1–2).
 
 use crate::aggregate::AggValue;
-use ariadne_graph::{Csr, EdgeRef, VertexId};
+use ariadne_graph::{Csr, Direction, EdgeRef, VertexId};
 
 /// Everything a vertex program may do during `compute`.
 pub trait Context<M> {
@@ -35,14 +35,28 @@ pub trait Context<M> {
         self.graph().num_vertices()
     }
 
-    /// Outgoing edges of the computing vertex.
-    fn out_edges(&self) -> Vec<EdgeRef> {
-        self.graph().out_edges(self.vertex()).collect()
-    }
-
     /// Out-degree of the computing vertex.
     fn out_degree(&self) -> usize {
         self.graph().out_degree(self.vertex())
+    }
+
+    /// Send `msg(edge)` along every edge of the computing vertex in
+    /// direction `dir`, in adjacency order: the fan-out primitive every
+    /// analytic that messages its neighbours goes through.
+    ///
+    /// The provided body is one [`Context::send`] per edge and allocates
+    /// nothing; the engine's own context overrides it to route a whole
+    /// neighbour slice at once.
+    fn send_along(&mut self, dir: Direction, msg: &dyn Fn(EdgeRef) -> M) {
+        let v = self.vertex();
+        for i in 0..self.graph().degree(v, dir) {
+            let (ids, weights) = self.graph().adjacency(v, dir);
+            let edge = EdgeRef {
+                neighbor: ids[i],
+                weight: weights[i],
+            };
+            self.send(edge.neighbor, msg(edge));
+        }
     }
 
     /// Send the same message along every outgoing edge.
@@ -50,11 +64,7 @@ pub trait Context<M> {
     where
         M: Clone,
     {
-        let targets: Vec<VertexId> =
-            self.graph().out_neighbors(self.vertex()).to_vec();
-        for t in targets {
-            self.send(t, msg.clone());
-        }
+        self.send_along(Direction::Out, &|_| msg.clone());
     }
 }
 
@@ -104,6 +114,21 @@ mod tests {
     }
 
     #[test]
+    fn send_along_follows_the_direction_with_edge_weights() {
+        let mut m = Mock {
+            graph: star(4),
+            sent: Vec::new(),
+            vertex: VertexId(2),
+        };
+        m.send_along(Direction::Out, &|e| e.neighbor.0 as u32);
+        assert!(m.sent.is_empty(), "a leaf of the star has no out-edges");
+        m.send_along(Direction::In, &|e| {
+            10 * e.weight as u32 + e.neighbor.0 as u32
+        });
+        assert_eq!(m.sent, vec![(VertexId(0), 10)]);
+    }
+
+    #[test]
     fn provided_accessors() {
         let m = Mock {
             graph: star(4),
@@ -112,7 +137,6 @@ mod tests {
         };
         assert_eq!(m.num_vertices(), 4);
         assert_eq!(m.out_degree(), 3);
-        assert_eq!(m.out_edges().len(), 3);
         assert_eq!(m.superstep(), 7);
     }
 }

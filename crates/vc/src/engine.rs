@@ -38,8 +38,9 @@ use crate::fault::FaultPlan;
 use crate::message::{Combiner, Envelope};
 use crate::metrics::{PhaseTimes, RunMetrics, SuperstepMetrics};
 use crate::program::VertexProgram;
-use ariadne_graph::{ChunkTable, Csr, VertexId};
+use ariadne_graph::{ChunkTable, Csr, Direction, EdgeRef, VertexId};
 use ariadne_obs::trace::{self, Level};
+use std::mem::MaybeUninit;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -224,29 +225,34 @@ type OutboxSet<M> = Vec<OutboxBuf<M>>;
 /// `O(|V|)`-per-worker footprint is allocated once per run.
 #[derive(Default)]
 struct DedupTable {
-    /// Epoch stamp per destination; an entry is live iff its stamp
-    /// equals the current epoch.
-    stamp: Vec<u32>,
-    /// `(chunk, index)` of the live accumulator, valid only when stamped.
-    loc: Vec<(u32, usize)>,
+    /// Per destination: its epoch stamp and, valid only when stamped with
+    /// the current epoch, the `(chunk, index)` of its accumulator. One
+    /// array, so a probe touches one cache line.
+    slots: Vec<DedupSlot>,
     /// Current epoch. 0 is reserved as "never stamped".
     epoch: u32,
 }
 
+#[derive(Clone, Copy, Default)]
+struct DedupSlot {
+    stamp: u32,
+    chunk: u32,
+    idx: u32,
+}
+
 impl DedupTable {
-    /// Start a fresh superstep over `n` destinations: size the arrays and
+    /// Start a fresh superstep over `n` destinations: size the array and
     /// invalidate every previous entry by bumping the epoch.
     fn begin(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.loc.resize(n, (0, 0));
+        if self.slots.len() < n {
+            self.slots.resize(n, DedupSlot::default());
         }
         self.epoch = match self.epoch.checked_add(1) {
             Some(e) => e,
             None => {
                 // Epoch wrapped: stale stamps could collide, so clear
                 // them once every 2^32 supersteps.
-                self.stamp.fill(0);
+                self.slots.fill(DedupSlot::default());
                 1
             }
         };
@@ -256,20 +262,19 @@ impl DedupTable {
     /// already sent to `v` this superstep.
     #[inline]
     fn get(&self, v: usize) -> Option<(usize, usize)> {
-        if self.stamp[v] == self.epoch {
-            let (c, i) = self.loc[v];
-            Some((c as usize, i))
-        } else {
-            None
-        }
+        let slot = self.slots[v];
+        (slot.stamp == self.epoch).then_some((slot.chunk as usize, slot.idx as usize))
     }
 
     /// Record that destination `v`'s accumulator lives at
     /// `outboxes[chunk][idx]`.
     #[inline]
     fn insert(&mut self, v: usize, chunk: usize, idx: usize) {
-        self.stamp[v] = self.epoch;
-        self.loc[v] = (chunk as u32, idx);
+        self.slots[v] = DedupSlot {
+            stamp: self.epoch,
+            chunk: chunk as u32,
+            idx: u32::try_from(idx).expect("over 2^32 buffered messages in one chunk"),
+        };
     }
 }
 
@@ -488,6 +493,7 @@ impl Engine {
         let mut spare: Vec<ChunkInbox<P::M>> = empty_inbox(&table);
         let mut box_pool: Vec<Vec<(VertexId, Envelope<P::M>)>> = Vec::new();
         let mut dedup_pool: Vec<DedupTable> = Vec::new();
+        let mut agg_pool: Vec<Vec<Option<AggValue>>> = Vec::new();
         let mut cursors: Vec<Vec<usize>> = (0..num_chunks).map(|_| Vec::new()).collect();
 
         loop {
@@ -525,11 +531,12 @@ impl Engine {
                 } else {
                     None
                 };
-                let prepped: Vec<(OutboxSet<P::M>, DedupTable)> = (0..num_chunks)
+                let prepped: Vec<_> = (0..num_chunks)
                     .map(|_| {
                         (
                             take_bufs(&mut box_pool, num_chunks),
                             dedup_pool.pop().unwrap_or_default(),
+                            agg_pool.pop().unwrap_or_default(),
                         )
                     })
                     .collect();
@@ -539,7 +546,7 @@ impl Engine {
                         .zip(inbox_chunks)
                         .zip(prepped)
                         .enumerate(),
-                    |(c, ((vals, ibx), (boxes, dedup)))| {
+                    |(c, ((vals, ibx), (boxes, dedup, agg_blocks)))| {
                         run_chunk::<P>(
                             program,
                             graph,
@@ -554,6 +561,7 @@ impl Engine {
                             block,
                             boxes,
                             dedup,
+                            agg_blocks,
                         )
                     },
                 );
@@ -570,13 +578,19 @@ impl Engine {
             // Barrier: merge per-block aggregate partials in global block
             // order (workers own consecutive block runs, so scanning
             // workers then blocks *is* block order), and recycle the
-            // dedup tables (epoch-stamped, so no clearing is needed).
+            // partial buffers and the dedup tables (epoch-stamped, so no
+            // clearing is needed).
             let t_barrier = Instant::now();
             let mut combine_hits = 0u64;
+            let width = st.aggregates.len();
             for wo in &mut worker_out {
-                for ab in &wo.agg_blocks {
-                    st.aggregates.merge_current(ab);
+                if width > 0 {
+                    for partial in wo.agg_blocks.chunks_exact(width) {
+                        st.aggregates.merge_slots(partial);
+                    }
                 }
+                wo.agg_blocks.clear();
+                agg_pool.push(std::mem::take(&mut wo.agg_blocks));
                 dedup_pool.push(std::mem::take(&mut wo.dedup));
                 combine_hits += wo.combine_hits;
             }
@@ -1031,8 +1045,9 @@ struct WorkerOutput<M> {
     /// Outboxes indexed by destination chunk (post sender-combining).
     outboxes: OutboxSet<M>,
     /// Aggregate partials, one per sender block the chunk covers, in
-    /// block order.
-    agg_blocks: Vec<Aggregates>,
+    /// block order: each is the block's current values in slot order
+    /// ([`Aggregates::flush_into`]). The buffer is recycled.
+    agg_blocks: Vec<Option<AggValue>>,
     /// The sender-combining index, returned for pool recycling.
     dedup: DedupTable,
     active: usize,
@@ -1062,26 +1077,31 @@ fn run_chunk<P: VertexProgram>(
     block: usize,
     outboxes: OutboxSet<P::M>,
     mut dedup: DedupTable,
+    mut agg_blocks: Vec<Option<AggValue>>,
 ) -> WorkerOutput<P::M> {
     let (start, end) = bounds;
     debug_assert_eq!(values.len(), end - start);
     debug_assert_eq!(inbox.vertex_count(), end - start);
-    dedup.begin(graph.num_vertices());
+    if sender_combiner.is_some() {
+        dedup.begin(graph.num_vertices());
+    }
     let mut ctx = ChunkContext {
         superstep,
         vertex: VertexId(0),
         graph,
-        table,
-        outboxes,
+        plane: SendPlane {
+            table,
+            outboxes,
+            dedup,
+            last: None,
+            combine_hits: 0,
+        },
         sender_combiner,
-        dedup,
-        last: None,
-        combine_hits: 0,
         local_aggs: global_aggs.fresh_local(),
         global_aggs,
         num_vertices: graph.num_vertices(),
     };
-    let mut agg_blocks = Vec::new();
+    debug_assert!(agg_blocks.is_empty());
     let mut active = 0usize;
     for (offset, value) in values.iter_mut().enumerate() {
         let gv = start + offset;
@@ -1095,18 +1115,15 @@ fn run_chunk<P: VertexProgram>(
         // block-aligned except the final `n`, so globally the flush
         // points are the same at every thread count).
         if (gv + 1) % block == 0 || gv + 1 == end {
-            agg_blocks.push(std::mem::replace(
-                &mut ctx.local_aggs,
-                global_aggs.fresh_local(),
-            ));
+            ctx.local_aggs.flush_into(&mut agg_blocks);
         }
     }
     WorkerOutput {
-        outboxes: ctx.outboxes,
+        outboxes: ctx.plane.outboxes,
         agg_blocks,
-        dedup: ctx.dedup,
+        dedup: ctx.plane.dedup,
         active,
-        combine_hits: ctx.combine_hits,
+        combine_hits: ctx.plane.combine_hits,
     }
 }
 
@@ -1232,26 +1249,26 @@ fn deliver_chunk<P: VertexProgram>(
             inbox.data.reserve(total);
             {
                 let slots = inbox.data.spare_capacity_mut();
-                for buf in producers.iter_mut() {
-                    for (to, env) in buf.drain(..) {
-                        let local = to.index() - base;
-                        let pos = inbox.starts[local];
-                        if cursors[local] == 0 {
-                            slots[pos].write(env);
-                            cursors[local] = 1;
-                        } else {
-                            // SAFETY: this destination's first arrival
-                            // initialized slot `pos` and set the flag.
-                            let acc = unsafe { slots[pos].assume_init_mut() };
-                            c.combine(&mut acc.msg, &env.msg);
-                            acc.src = Envelope::<P::M>::COMBINED;
-                        }
-                    }
+                for producer in producers.iter_mut() {
+                    let mut fold = DeliveryFold {
+                        base,
+                        starts: &inbox.starts,
+                        seen: cursors,
+                        slots,
+                        producer,
+                    };
+                    c.fold_delivered(&mut fold);
+                    assert!(
+                        fold.producer.is_empty(),
+                        "a combiner's delivery fold left messages unplaced"
+                    );
                 }
             }
             // SAFETY: `total` counts exactly the destinations with
-            // arrivals; each owns the distinct slot `starts[local]` and
-            // was initialized by its first arrival.
+            // arrivals; each owns the distinct slot `starts[local]`, which
+            // `DeliveryFold::fold` initialized at its first arrival. Every
+            // producer was drained (asserted above), so every destination
+            // with an arrival had one.
             unsafe { inbox.data.set_len(total) };
             // Post-combine accounting: the metric counts stored messages
             // at their final (combined) size.
@@ -1271,29 +1288,138 @@ fn deliver_chunk<P: VertexProgram>(
     }
 }
 
-/// The engine's own [`Context`] implementation.
+/// One producer buffer on its way into a destination chunk's inbox under
+/// delivery-side combining: each destination with arrivals owns the slot
+/// `starts[local]`, written by its first arrival and folded into by the
+/// rest, in buffer order.
+///
+/// Only the engine builds one. A [`Combiner`] receives it in its hidden
+/// provided `fold_delivered` method, whose body runs [`DeliveryFold::fold`]
+/// in the combiner's own monomorphised code.
+#[doc(hidden)]
+pub struct DeliveryFold<'a, M> {
+    base: usize,
+    starts: &'a [usize],
+    /// Per local destination: whether its slot is initialized.
+    seen: &'a mut [usize],
+    slots: &'a mut [MaybeUninit<Envelope<M>>],
+    producer: &'a mut OutboxBuf<M>,
+}
+
+impl<M> DeliveryFold<'_, M> {
+    /// Drain the producer buffer into the slots, folding with `combine`.
+    #[inline]
+    pub fn fold(&mut self, combine: impl Fn(&mut M, &M)) {
+        for (to, env) in self.producer.drain(..) {
+            let local = to.index() - self.base;
+            let pos = self.starts[local];
+            if self.seen[local] == 0 {
+                self.slots[pos].write(env);
+                self.seen[local] = 1;
+            } else {
+                // SAFETY: this destination's first arrival initialized
+                // slot `pos` and set the flag; nothing uninitializes it.
+                let acc = unsafe { self.slots[pos].assume_init_mut() };
+                combine(&mut acc.msg, &env.msg);
+                acc.src = Envelope::<M>::COMBINED;
+            }
+        }
+    }
+}
+
+/// A worker's outgoing message plane for one superstep: its
+/// per-destination-chunk buffers and, under an exact sender combiner,
+/// the index that folds a send into the accumulator already buffered for
+/// its destination.
 ///
 /// Routing uses the chunk table's boundary search (each destination maps
-/// into exactly one chunk, debug-asserted there). When an exact sender
-/// combiner is installed, sends to a destination this worker already
-/// buffered for are folded in place instead of appended: a last-send
-/// fast path handles repeated sends to the same destination without a
-/// table probe, and the dense dedup table catches the rest.
-struct ChunkContext<'a, M> {
-    superstep: u32,
-    vertex: VertexId,
-    graph: &'a Csr,
+/// into exactly one chunk, debug-asserted there). Folding checks the last
+/// destination written first, so repeated sends to one destination skip
+/// the table probe, and the dense dedup table catches the rest.
+///
+/// Only the engine builds one. A [`Combiner`] receives it in its hidden
+/// provided `fold_sent` and `fold_along` methods, whose bodies run
+/// [`SendPlane::fold`] in the combiner's own monomorphised code.
+#[doc(hidden)]
+pub struct SendPlane<'a, M> {
     table: &'a ChunkTable,
     /// Per-destination-chunk message buffers (recycled).
     outboxes: OutboxSet<M>,
-    /// Exact combiner to fold at the sender, if any.
-    sender_combiner: Option<&'a dyn Combiner<M>>,
     /// destination id → (chunk, index) of its buffered accumulator.
     dedup: DedupTable,
     /// Last destination written: (id, chunk, index).
     last: Option<(u64, usize, usize)>,
     /// Sends folded at the sender instead of appended.
     combine_hits: u64,
+}
+
+impl<M> SendPlane<'_, M> {
+    /// Fold `msg` from `src` into the accumulator buffered for `to`, or
+    /// buffer it as that accumulator.
+    #[inline]
+    pub fn fold(&mut self, src: VertexId, to: VertexId, msg: M, combine: impl Fn(&mut M, &M)) {
+        let found = match self.last {
+            Some((id, c, i)) if id == to.0 => Some((c, i)),
+            _ => self.dedup.get(to.index()),
+        };
+        if let Some((c, i)) = found {
+            let acc = &mut self.outboxes[c][i].1;
+            combine(&mut acc.msg, &msg);
+            acc.src = Envelope::<M>::COMBINED;
+            self.last = Some((to.0, c, i));
+            self.combine_hits += 1;
+            return;
+        }
+        let chunk = self.table.chunk_of(to.index());
+        let idx = self.outboxes[chunk].len();
+        self.outboxes[chunk].push((to, Envelope::new(src, msg)));
+        self.dedup.insert(to.index(), chunk, idx);
+        self.last = Some((to.0, chunk, idx));
+    }
+
+    /// Buffer `msg` from `src` for `to` as it is.
+    #[inline]
+    fn push(&mut self, src: VertexId, to: VertexId, msg: M) {
+        let chunk = self.table.chunk_of(to.index());
+        self.outboxes[chunk].push((to, Envelope::new(src, msg)));
+    }
+
+    /// Buffer `msg(edge)` from `src` along a sorted neighbour slice.
+    /// Chunks are contiguous id ranges, so each destination chunk takes
+    /// one `partition_point` and one `extend`, with no per-message
+    /// `chunk_of`.
+    fn push_along(
+        &mut self,
+        src: VertexId,
+        ids: &[VertexId],
+        weights: &[f64],
+        msg: &dyn Fn(EdgeRef) -> M,
+    ) {
+        debug_assert!(ids.is_sorted(), "adjacency of {src} is not sorted");
+        let mut i = 0;
+        while i < ids.len() {
+            let chunk = self.table.chunk_of(ids[i].index());
+            let end = self.table.bounds(chunk).1;
+            let j = i + ids[i..].partition_point(|t| t.index() < end);
+            self.outboxes[chunk].extend(ids[i..j].iter().zip(&weights[i..j]).map(
+                |(&neighbor, &weight)| {
+                    let m = msg(EdgeRef { neighbor, weight });
+                    (neighbor, Envelope::new(src, m))
+                },
+            ));
+            i = j;
+        }
+    }
+}
+
+/// The engine's own [`Context`] implementation.
+struct ChunkContext<'a, M> {
+    superstep: u32,
+    vertex: VertexId,
+    graph: &'a Csr,
+    plane: SendPlane<'a, M>,
+    /// Exact combiner to fold at the sender, if any.
+    sender_combiner: Option<&'a dyn Combiner<M>>,
     local_aggs: Aggregates,
     global_aggs: &'a Aggregates,
     num_vertices: usize,
@@ -1318,32 +1444,17 @@ impl<M> Context<M> for ChunkContext<'_, M> {
             "message sent to nonexistent vertex {to} (graph has {} vertices)",
             self.num_vertices
         );
-        if let Some(c) = self.sender_combiner {
-            if let Some((last_id, lc, li)) = self.last {
-                if last_id == to.0 {
-                    let acc = &mut self.outboxes[lc][li].1;
-                    c.combine(&mut acc.msg, &msg);
-                    acc.src = Envelope::<M>::COMBINED;
-                    self.combine_hits += 1;
-                    return;
-                }
-            }
-            if let Some((dc, di)) = self.dedup.get(to.index()) {
-                let acc = &mut self.outboxes[dc][di].1;
-                c.combine(&mut acc.msg, &msg);
-                acc.src = Envelope::<M>::COMBINED;
-                self.last = Some((to.0, dc, di));
-                self.combine_hits += 1;
-                return;
-            }
-            let chunk = self.table.chunk_of(to.index());
-            let idx = self.outboxes[chunk].len();
-            self.outboxes[chunk].push((to, Envelope::new(self.vertex, msg)));
-            self.dedup.insert(to.index(), chunk, idx);
-            self.last = Some((to.0, chunk, idx));
-        } else {
-            let chunk = self.table.chunk_of(to.index());
-            self.outboxes[chunk].push((to, Envelope::new(self.vertex, msg)));
+        match self.sender_combiner {
+            Some(c) => c.fold_sent(&mut self.plane, self.vertex, to, msg),
+            None => self.plane.push(self.vertex, to, msg),
+        }
+    }
+
+    fn send_along(&mut self, dir: Direction, msg: &dyn Fn(EdgeRef) -> M) {
+        let (ids, weights) = self.graph.adjacency(self.vertex, dir);
+        match self.sender_combiner {
+            Some(c) => c.fold_along(&mut self.plane, self.vertex, ids, weights, msg),
+            None => self.plane.push_along(self.vertex, ids, weights, msg),
         }
     }
 

@@ -224,7 +224,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use ariadne_graph::{GraphBuilder, GraphDelta, MutableGraph};
+    use ariadne_graph::{Direction, GraphBuilder, GraphDelta, MutableGraph};
 
     /// SSSP with the incremental hooks, local to this test module (the
     /// real analytics crate implements the same shape).
@@ -252,9 +252,7 @@ mod tests {
             }
             if best < *value {
                 *value = best;
-                for e in ctx.out_edges() {
-                    ctx.send(e.neighbor, best + e.weight);
-                }
+                ctx.send_along(Direction::Out, &|e| best + e.weight);
             }
         }
 
@@ -274,9 +272,7 @@ mod tests {
                 *value = d;
             }
             if d.is_finite() {
-                for e in ctx.out_edges() {
-                    ctx.send(e.neighbor, d + e.weight);
-                }
+                ctx.send_along(Direction::Out, &|e| d + e.weight);
             }
         }
     }

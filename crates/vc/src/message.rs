@@ -1,6 +1,7 @@
 //! Message envelopes and combiners.
 
-use ariadne_graph::VertexId;
+use crate::engine::{DeliveryFold, SendPlane};
+use ariadne_graph::{EdgeRef, VertexId};
 
 /// A message together with its sender.
 ///
@@ -60,6 +61,45 @@ pub trait Combiner<M>: Send + Sync {
     /// stronger claim.
     fn is_exact(&self) -> bool {
         false
+    }
+
+    /// Fold one producer buffer into a destination chunk's inbox at
+    /// delivery, in buffer order. The engine calls this once per
+    /// (producer, destination chunk) pair; the provided body runs the
+    /// whole loop inside this combiner's own monomorphised code, so a
+    /// message costs a static `combine` call, not a dynamic one.
+    /// Nothing needs to override it.
+    #[doc(hidden)]
+    fn fold_delivered(&self, fold: &mut DeliveryFold<'_, M>) {
+        fold.fold(|acc, incoming| self.combine(acc, incoming));
+    }
+
+    /// Sender-side combining of one send from `src` to `to` (exact
+    /// combiners only). Provided for the same reason as
+    /// `fold_delivered`: the fold runs in this combiner's own code.
+    #[doc(hidden)]
+    fn fold_sent(&self, plane: &mut SendPlane<'_, M>, src: VertexId, to: VertexId, msg: M) {
+        plane.fold(src, to, msg, |acc, incoming| self.combine(acc, incoming));
+    }
+
+    /// Sender-side combining of `msg(edge)` from `src` along a neighbour
+    /// slice, in slice order: one dynamic call per run of edges instead
+    /// of one per folded message.
+    #[doc(hidden)]
+    fn fold_along(
+        &self,
+        plane: &mut SendPlane<'_, M>,
+        src: VertexId,
+        ids: &[VertexId],
+        weights: &[f64],
+        msg: &dyn Fn(EdgeRef) -> M,
+    ) {
+        for (&neighbor, &weight) in ids.iter().zip(weights) {
+            let m = msg(EdgeRef { neighbor, weight });
+            plane.fold(src, neighbor, m, |acc, incoming| {
+                self.combine(acc, incoming)
+            });
+        }
     }
 }
 

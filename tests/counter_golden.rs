@@ -1,7 +1,8 @@
 //! Exact logical-work counts, held in the repository.
 //!
-//! Six fixed-seed shapes, one per workload family of the benchmark, run
-//! on an R-MAT scale-7 graph: a bare baseline; a spilling capture,
+//! Eight fixed-seed shapes, one per workload family of the benchmark and
+//! one per further bare analytic, run on an R-MAT scale-7 graph: a bare
+//! PageRank, SSSP and WCC baseline; a spilling capture,
 //! compacted, reopened cold and loaded whole; an online Query 6; a
 //! layered backward-lineage replay; an edge insert appended as a
 //! mutation epoch; and a query-service miss plus one cursor page. Every
@@ -20,7 +21,7 @@
 
 use ariadne::session::Ariadne;
 use ariadne::{queries, run_layered_with, CaptureSpec, LayeredConfig, MutableSession, StoreConfig};
-use ariadne_analytics::{PageRank, Sssp};
+use ariadne_analytics::{PageRank, Sssp, Wcc};
 use ariadne_graph::generators::rmat::{rmat, RmatConfig};
 use ariadne_graph::{Csr, GraphDelta, VertexId};
 use ariadne_provenance::{ProvStore, SegmentFormat};
@@ -96,6 +97,12 @@ fn run_shapes(threads: usize, dir: &PathBuf) -> Table {
 
     measure(&mut table, "baseline", || {
         in_memory.baseline(&pagerank, &plain);
+    });
+    measure(&mut table, "baseline_sssp", || {
+        in_memory.baseline(&sssp, &weighted);
+    });
+    measure(&mut table, "baseline_wcc", || {
+        in_memory.baseline(&Wcc, &plain);
     });
 
     let _ = std::fs::remove_dir_all(dir);
