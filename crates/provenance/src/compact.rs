@@ -21,9 +21,14 @@
 //! or the other. Layer reads of compacted keys seek directly to the
 //! extent instead of scanning whole files.
 //!
-//! Each key is decoded into one [`RowBlock`], reused from key to key,
-//! and re-encoded from it by the record writer segment packing uses
-//! ([`crate::frame`]); no row ever becomes a tuple on the way.
+//! A key whose stored bytes are the output of one segment pack is
+//! **copied**: the record writer ([`crate::frame`]) is a pure function
+//! of the rows, so re-encoding would write those bytes again. Every
+//! other key (several packs, a ragged record, resumed or adopted
+//! bytes) is decoded into one [`RowBlock`], reused from key to key, and
+//! re-encoded from it by that writer, which merges its records. Both
+//! paths check and decode every record, so damage fails the pass typed;
+//! no row ever becomes a tuple on the way.
 
 use crate::frame::append_records;
 use crate::obs_handles;
@@ -44,6 +49,9 @@ pub struct CompactReport {
     pub generation: u64,
     /// Segments rewritten into the new generation file.
     pub segments: usize,
+    /// Of those, segments whose bytes were copied as one pack wrote
+    /// them instead of re-encoded.
+    pub copied: usize,
     /// Tuples carried across (compaction never drops live tuples).
     pub tuples: usize,
     /// Encoded bytes read (decoded) from the old segments.
@@ -59,8 +67,14 @@ impl CompactReport {
     /// Hand-rolled JSON (the workspace has no serde).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"generation\":{},\"segments\":{},\"tuples\":{},\"bytes_in\":{},\"bytes_out\":{},\"files_removed\":{}}}",
-            self.generation, self.segments, self.tuples, self.bytes_in, self.bytes_out, self.files_removed
+            "{{\"generation\":{},\"segments\":{},\"copied\":{},\"tuples\":{},\"bytes_in\":{},\"bytes_out\":{},\"files_removed\":{}}}",
+            self.generation,
+            self.segments,
+            self.copied,
+            self.tuples,
+            self.bytes_in,
+            self.bytes_out,
+            self.files_removed
         )
     }
 }
@@ -78,14 +92,15 @@ pub fn compact_spool(dir: &Path) -> Result<CompactReport, StoreError> {
 
 impl ProvStore {
     /// Compact the spool into a fresh generation: strictly decode every
-    /// segment (memory and disk, any record format), re-encode each
-    /// (superstep, predicate) key into one contiguous extent of a
+    /// segment (memory and disk, any record format), lay each
+    /// (superstep, predicate) key out as one contiguous extent of a
     /// single `gen-{G}-0.ars3` file with an indexed footer, publish it
     /// by atomically swapping the spool manifest, and only then delete
-    /// the superseded files. Small records merge into large re-encoded
-    /// ones (fewer frame overheads, better column encodings, LZ when it
-    /// wins), v1 records are upgraded, and quarantined bytes are left
-    /// behind in `quarantine/`.
+    /// the superseded files. A key one pack wrote is copied as it is;
+    /// every other key is re-encoded, so its small records merge into
+    /// large ones (fewer frame overheads, better column encodings, LZ
+    /// when it wins) and v1 records are upgraded. Quarantined bytes are
+    /// left behind in `quarantine/`.
     ///
     /// Crash safety: the generation file and the manifest are both
     /// written temp-file + rename (each synced unless the store's
@@ -129,9 +144,9 @@ impl ProvStore {
             Ok(())
         };
 
-        // Decode and re-encode. Strictly, like every read: compaction
-        // refuses to run over damage (scrub first), so it can never bake
-        // loss into a new generation silently.
+        // Copy or re-encode, decoding strictly like every read:
+        // compaction refuses to run over damage (scrub first), so it can
+        // never bake loss into a new generation silently.
         let mut report = CompactReport::default();
         let gen = self.generation + 1;
         let gen_name = v3::gen_file_name(gen, 0);
@@ -146,21 +161,28 @@ impl ProvStore {
                 continue;
             }
             rows.clear();
-            let (bytes, _) = seg.decode_into(None, &mut rows, None)?;
-            report.bytes_in += bytes;
+            let offset = buf.len();
+            let records = if seg.one_pack {
+                let records = seg.copy_into(&mut buf, &mut rows)?;
+                report.bytes_in += buf.len() - offset;
+                report.copied += 1;
+                records as u32
+            } else {
+                let (bytes, _) = seg.decode_into(None, &mut rows, None)?;
+                report.bytes_in += bytes;
+                // Large merged records, compressed where LZ wins.
+                append_records(&mut buf, &rows, |_, _, _| {})
+            };
             old_paths.extend(seg.disk.files.iter().map(|f| f.path.clone()));
             processed.push(key.clone());
             if rows.is_empty() {
                 continue;
             }
-            let offset = buf.len() as u64;
-            // Large merged records, compressed where LZ wins.
-            let records = append_records(&mut buf, &rows, |_, _, _| {});
             entries.push(FooterEntry {
                 superstep: key.0,
                 pred: key.1.clone(),
-                offset,
-                len: buf.len() as u64 - offset,
+                offset: offset as u64,
+                len: (buf.len() - offset) as u64,
                 tuples: rows.len() as u64,
                 records,
             });
@@ -221,6 +243,7 @@ impl ProvStore {
             seg.disk.files.clear();
             seg.mem.clear();
             seg.mem_tuples = 0;
+            seg.one_pack = false;
         }
         for e in &manifest.live[0].entries {
             let seg = self
@@ -240,6 +263,7 @@ impl ProvStore {
         obs_handles::compactions().inc();
         obs_handles::compact_bytes_in().add(report.bytes_in as u64);
         obs_handles::compact_bytes_out().add(report.bytes_out as u64);
+        obs_handles::compact_copied().add(report.copied as u64);
         trace::event(
             Level::Info,
             "store",
@@ -247,6 +271,7 @@ impl ProvStore {
             &[
                 ("generation", gen.into()),
                 ("segments", report.segments.into()),
+                ("copied", report.copied.into()),
                 ("tuples", report.tuples.into()),
                 ("bytes_in", report.bytes_in.into()),
                 ("bytes_out", report.bytes_out.into()),

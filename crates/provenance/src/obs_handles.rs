@@ -4,7 +4,7 @@
 //! that follows how a capture's threads delivered its rows is flagged
 //! non-deterministic: ingest batches, the records packs cut (their
 //! count, bytes, LZ wins and column blocks), which segments spill and
-//! when, and record verifications.
+//! when, which keys compaction copies, and record verifications.
 
 use ariadne_obs::metrics::Histogram;
 use ariadne_obs::{static_counter, static_histogram};
@@ -160,6 +160,12 @@ static_counter!(
     false
 );
 static_counter!(
+    compact_copied,
+    "store_compact_copied_total",
+    "segments compaction copied as one pack wrote them instead of re-encoding",
+    false
+);
+static_counter!(
     lz_records,
     "store_lz_records_total",
     "records written in the v3 compressed frame (LZ strictly won)",
@@ -178,7 +184,7 @@ static_counter!(
 static_counter!(
     compact_encode_ns,
     "store_compact_encode_ns",
-    "wall nanoseconds decoding + re-encoding segments into the generation buffer",
+    "wall nanoseconds decoding + copying or re-encoding segments into the generation buffer",
     false
 );
 static_counter!(

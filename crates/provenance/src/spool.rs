@@ -180,17 +180,26 @@ pub(crate) fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
     std::fs::read(path).map_err(io_err(path))
 }
 
-/// Read the `len`-byte extent at `offset` of `path`: one seek and one
-/// read into an owned buffer. An extent past the end of the file is
-/// `UnexpectedEof`.
-pub(crate) fn read_extent(path: &Path, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
+/// Append the `len`-byte extent at `offset` of `path` to `buf`: one
+/// seek and one read. An extent past the end of the file is
+/// `UnexpectedEof`, and leaves `buf` as it was.
+pub(crate) fn read_extent(
+    path: &Path,
+    offset: u64,
+    len: usize,
+    buf: &mut Vec<u8>,
+) -> std::io::Result<()> {
     obs_handles::extent_reads().inc();
     let mut file = File::open(path)?;
     if offset > 0 {
         file.seek(SeekFrom::Start(offset))?;
     }
-    let mut buf = vec![0u8; len];
-    file.read_exact(&mut buf)?;
+    let at = buf.len();
+    buf.resize(at + len, 0);
+    if let Err(e) = file.read_exact(&mut buf[at..]) {
+        buf.truncate(at);
+        return Err(e);
+    }
     obs_handles::buffered_bytes().add(len as u64);
     trace::event(
         Level::Trace,
@@ -198,7 +207,7 @@ pub(crate) fn read_extent(path: &Path, offset: u64, len: usize) -> std::io::Resu
         "extent_buffered",
         &[("offset", offset.into()), ("len", len.into())],
     );
-    Ok(buf)
+    Ok(())
 }
 
 /// First half of an atomic publish: write `bytes` to `path`'s `.tmp`
@@ -598,11 +607,12 @@ impl ProvStore {
             Durability::None | Durability::Spill => {
                 let path = segment_path(dir, key.0, &key.1);
                 let fsync = self.config.durability == Durability::Spill;
-                let new_file = !path.exists();
                 // Append whole records to the unsealed tail. The write
                 // is made retry-idempotent by truncating back to the
                 // pre-write length before every attempt.
-                let before = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+                let existing_len = std::fs::metadata(&path).ok().map(|m| m.len());
+                let new_file = existing_len.is_none();
+                let before = existing_len.unwrap_or(0);
                 with_spill_retries(fault, &path, || {
                     let mut file = OpenOptions::new()
                         .create(true)
@@ -663,8 +673,7 @@ impl ProvStore {
                     existing.iter().cloned().partition(|f| f.compacted);
                 let mut full = Vec::new();
                 for f in &absorbed {
-                    let data = read_extent(&f.path, f.offset, f.bytes).map_err(io_err(&f.path))?;
-                    full.extend_from_slice(&data);
+                    read_extent(&f.path, f.offset, f.bytes, &mut full).map_err(io_err(&f.path))?;
                 }
                 full.extend_from_slice(&payload);
                 with_spill_retries(fault, &seal_path, || {
@@ -716,8 +725,11 @@ mod tests {
     fn buffered_reads_extents() {
         let path = temp_dir("extent-buf");
         std::fs::write(&path, b"0123456789").unwrap();
-        assert_eq!(read_extent(&path, 3, 4).unwrap(), b"3456");
-        assert_eq!(read_extent(&path, 0, 10).unwrap(), b"0123456789");
+        let mut buf = b"head:".to_vec();
+        read_extent(&path, 3, 4, &mut buf).unwrap();
+        assert_eq!(buf, b"head:3456", "the extent lands behind what buf held");
+        read_extent(&path, 0, 10, &mut buf).unwrap();
+        assert_eq!(buf, b"head:34560123456789");
         std::fs::remove_file(&path).ok();
     }
 
@@ -725,8 +737,10 @@ mod tests {
     fn extent_overrun_is_typed() {
         let path = temp_dir("extent-overrun");
         std::fs::write(&path, b"short").unwrap();
-        let err = read_extent(&path, 2, 100).unwrap_err();
+        let mut buf = b"kept".to_vec();
+        let err = read_extent(&path, 2, 100, &mut buf).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert_eq!(buf, b"kept", "a failed read leaves the buffer as it was");
         std::fs::remove_file(&path).ok();
     }
 
@@ -734,7 +748,9 @@ mod tests {
     fn zero_length_extent_reads_empty() {
         let path = temp_dir("extent-empty");
         std::fs::write(&path, b"").unwrap();
-        assert!(read_extent(&path, 0, 0).unwrap().is_empty());
+        let mut buf = Vec::new();
+        read_extent(&path, 0, 0, &mut buf).unwrap();
+        assert!(buf.is_empty());
         std::fs::remove_file(&path).ok();
     }
 

@@ -221,7 +221,11 @@ pub enum Durability {
 /// [`SegmentFormat`].
 #[derive(Clone, Debug, Default)]
 pub struct StoreConfig {
-    /// In-memory budget in encoded bytes before segments spill.
+    /// Encoded bytes the store may hold in memory. Rows awaiting their
+    /// pack count at their row-major estimate, so when an ingest takes
+    /// the store past the budget, every pending segment is packed
+    /// first; then the largest encoded segments spill until the packed
+    /// bytes fit.
     pub memory_budget: usize,
     /// Where spilled segments go; `None` disables spilling (the store
     /// then grows without bound, like the paper's failed ALS capture).
@@ -294,13 +298,20 @@ pub(crate) struct Segment {
     pub(crate) sealed: bool,
     /// Rows awaiting their columnar pack.
     pub(crate) pending: RowBlock,
-    /// The bytes `pending` would occupy as one framed v1 record — the
-    /// budget/accounting estimate until the pack replaces it with the
-    /// actual encoded size.
+    /// The bytes `pending` would occupy as one framed v1 record: the
+    /// byte accounting's estimate until the pack replaces it with the
+    /// actual encoded size. No spill decision reads it: a store over
+    /// its budget packs every pending segment before it picks one.
     pub(crate) pending_bytes: usize,
     /// Per-column encode accounting accumulated across packed records
     /// (empty for segments holding only v1 records).
     pub(crate) cols: Vec<ColumnStat>,
+    /// The stored bytes, spilled parts then `mem`, are exactly what one
+    /// [`Segment::pack`] of this incarnation wrote: no earlier bytes, no
+    /// second pack, no ragged record, not resumed and not adopted. The
+    /// record writer is a pure function of the rows, so re-encoding
+    /// them would write these bytes again, and compaction copies them.
+    pub(crate) one_pack: bool,
 }
 
 /// The spilled portion of a segment: one or more spool files, read in
@@ -355,6 +366,28 @@ impl DiskFile {
             compacted: true,
         }
     }
+
+    /// Append this part's bytes to `buf`. Compacted extents seek
+    /// straight to their footer-indexed byte range; plain files read
+    /// whole. Either way only the extent's bytes are pulled.
+    pub(crate) fn read_onto(&self, buf: &mut Vec<u8>) -> Result<(), StoreError> {
+        read_extent(&self.path, self.offset, self.bytes, buf).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                // The file is shorter than its registered extent:
+                // someone truncated it under us — corruption, not a
+                // transient IO failure.
+                StoreError::Corrupt {
+                    path: self.path.clone(),
+                    detail: format!(
+                        "file shorter than registered extent {}+{}: {e}",
+                        self.offset, self.bytes
+                    ),
+                }
+            } else {
+                io_err(&self.path)(e)
+            }
+        })
+    }
 }
 
 impl Segment {
@@ -369,6 +402,7 @@ impl Segment {
         let rows = std::mem::take(&mut self.pending);
         let est = std::mem::take(&mut self.pending_bytes);
         let before = self.mem.len();
+        self.one_pack = before == 0 && self.disk.files.is_empty();
         // One record, unless the block is larger than a reader's
         // MAX_DECODE_CELLS guard lets a record be — or wider than a
         // columnar header can say: then a row-major payload (readers
@@ -410,6 +444,31 @@ impl Segment {
         self.mem_tuples + self.pending.len() + self.disk.tuples()
     }
 
+    /// Append the stored bytes, spilled parts first and then `mem`, to
+    /// `buf` as they are, decoding every record strictly from the copy
+    /// onto the end of `out`: each spilled part is read once. Returns
+    /// the records copied. Pending rows are not stored bytes, so the
+    /// segment must have none.
+    pub(crate) fn copy_into(
+        &self,
+        buf: &mut Vec<u8>,
+        out: &mut RowBlock,
+    ) -> Result<usize, StoreError> {
+        debug_assert!(self.pending.is_empty(), "pending rows are not stored");
+        let mut walk = |data: &[u8], origin: &Path| {
+            walk_records(data, origin, out, None, None, WalkMode::Strict).map(|w| w.records)
+        };
+        let mut records = 0;
+        for file in &self.disk.files {
+            let at = buf.len();
+            file.read_onto(buf)?;
+            records += walk(&buf[at..], &file.path)?;
+        }
+        records += walk(&self.mem, Path::new("<memory>"))?;
+        buf.extend_from_slice(&self.mem);
+        Ok(records)
+    }
+
     /// Decode the whole segment (spilled prefix first, then the
     /// in-memory tail, then pending rows) onto the end of `out`,
     /// returning the encoded bytes read plus skip accounting. Any damage
@@ -427,25 +486,8 @@ impl Segment {
         let mut counts = DecodeCounts::default();
         let mut stats = stats;
         for file in &self.disk.files {
-            // Compacted extents seek straight to their footer-indexed
-            // byte range; plain files read whole. Either way only the
-            // extent's bytes are pulled.
-            let data = match read_extent(&file.path, file.offset, file.bytes) {
-                Ok(d) => d,
-                Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                    // The file is shorter than its registered extent:
-                    // someone truncated it under us — corruption, not a
-                    // transient IO failure.
-                    return Err(StoreError::Corrupt {
-                        path: file.path.clone(),
-                        detail: format!(
-                            "file shorter than registered extent {}+{}: {e}",
-                            file.offset, file.bytes
-                        ),
-                    });
-                }
-                Err(e) => return Err(io_err(&file.path)(e)),
-            };
+            let mut data = Vec::new();
+            file.read_onto(&mut data)?;
             bytes_read += data.len();
             let walked = walk_records(&data, &file.path, out, mask, stats.as_deref_mut(), mode)?;
             counts.absorb(&walked.counts);
@@ -489,6 +531,9 @@ pub struct ProvStore {
     pub(crate) generation: u64,
     /// Compaction passes performed by this incarnation.
     pub(crate) compactions: usize,
+    /// Whether a spill of this store created its spool directory: the
+    /// first spill creates it, and no later one asks again.
+    spool_created: bool,
     /// The epoch table: empty for a store that has never absorbed a
     /// graph mutation (every read is physical, the pre-epoch fast
     /// path). Non-empty after the first [`ProvStore::append_epoch`]:
@@ -708,6 +753,7 @@ impl ProvStore {
             ragged if ragged.is_ragged() => {
                 // Records keep ingest order: what is pending goes first.
                 seg.pack(&mut self.mem_bytes, superstep, pred);
+                seg.one_pack = false;
                 let before = seg.mem.len();
                 append_frame_best(&mut seg.mem, 1, &encode_tuples(&ragged));
                 seg.mem_tuples += rows;
@@ -739,58 +785,42 @@ impl ProvStore {
         self.spill_down_to(self.config.memory_budget)
     }
 
-    /// Pack one segment's pending rows, if it exists and has any.
-    fn pack_key(&mut self, key: &(u32, String)) {
-        if let Some(seg) = self.segments.get_mut(key) {
-            seg.pack(&mut self.mem_bytes, key.0, &key.1);
-        }
-    }
-
     /// Pack every segment's pending rows. Called by the writer thread
     /// before handing the store back (so `byte_size` reports fully
     /// encoded bytes); direct [`ProvStore`] users should call it before
     /// comparing byte accounting.
     pub fn pack_all(&mut self) {
-        let keys: Vec<_> = self
-            .segments
-            .iter()
-            .filter(|(_, s)| !s.pending.is_empty())
-            .map(|(k, _)| k.clone())
-            .collect();
-        for key in keys {
-            self.pack_key(&key);
+        for ((superstep, pred), seg) in &mut self.segments {
+            seg.pack(&mut self.mem_bytes, *superstep, pred);
         }
     }
 
     /// Spill the largest in-memory segments until at most `budget` bytes
     /// stay in memory: at 0, every row is in the spool (a store without
-    /// one keeps them).
+    /// one keeps them). Pending rows count at their row-major estimate,
+    /// several times their packed size, so a store over budget packs
+    /// them all first: whether to spill, and which segment, is decided
+    /// on encoded bytes alone. The spool only ever holds whole
+    /// checksummed records.
     pub(crate) fn spill_down_to(&mut self, budget: usize) -> Result<(), StoreError> {
+        if self.mem_bytes <= budget {
+            return Ok(());
+        }
         let Some(dir) = self.config.spool_dir.clone() else {
             return Ok(());
         };
-        let mut dir_ready = false;
+        self.pack_all();
         while self.mem_bytes > budget {
-            // Spill the largest in-memory segment (pending rows count at
-            // their record estimate).
             let key = match self
                 .segments
                 .iter()
-                .filter(|(_, s)| !s.mem.is_empty() || !s.pending.is_empty())
-                .max_by_key(|(_, s)| s.mem.len() + s.pending_bytes)
+                .filter(|(_, s)| !s.mem.is_empty())
+                .max_by_key(|(_, s)| s.mem.len())
             {
                 Some((k, _)) => k.clone(),
                 None => return Ok(()),
             };
-            // Pending rows must be packed first: the spool only ever
-            // holds whole checksummed records. Packing can shrink
-            // mem_bytes under the budget, in which case no spill is
-            // needed after all.
-            self.pack_key(&key);
-            if self.mem_bytes <= budget {
-                continue;
-            }
-            if !dir_ready {
+            if !self.spool_created {
                 // Lazy spool-dir creation: only a store that actually
                 // spills needs the directory to exist. Under durable
                 // levels the new directory entry is synced too.
@@ -800,7 +830,7 @@ impl ProvStore {
                         let _ = timed_sync_dir(parent);
                     }
                 }
-                dir_ready = true;
+                self.spool_created = true;
             }
             self.spill_segment(&dir, &key)?;
         }
@@ -1511,6 +1541,45 @@ pub(crate) mod tests {
         assert_eq!(recovered, 40);
         // Resumed columnar segments rebuild their column stats from disk.
         assert!(resumed.segment_index().any(|s| !s.columns.is_empty()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Spill decisions read encoded bytes: a segment whose pending rows
+    /// estimate large but pack small stays in memory, and the larger
+    /// packed segment beside it spills.
+    #[test]
+    fn spill_evicts_the_largest_packed_segment() {
+        let dir = temp_dir("spill-packed");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut store = ProvStore::new(StoreConfig::spilling(usize::MAX, dir.clone()));
+        // Raw float mantissas: packs to about its row-major size.
+        let wide = (0..300u64)
+            .map(|x| vec![Value::Id(x), Value::Float((x as f64).sqrt())])
+            .collect();
+        store.ingest(0, "value", wide).unwrap();
+        store.pack_all();
+        let packed = store.byte_size();
+        // One repeated row: estimated far above `value` packed, packed
+        // to a few bytes.
+        let repeated = vec![tuple(7, 0); 400];
+        let estimate = RECORD_OVERHEAD + v1_batch_size(&RowBlock::from_tuples(repeated.clone()));
+        assert!(
+            estimate > 2 * packed,
+            "estimate {estimate}, packed {packed}"
+        );
+        // `value` alone fits the budget; with `superstep` packed beside
+        // it, it does not.
+        store.config.memory_budget = packed;
+        store.ingest(0, "superstep", repeated).unwrap();
+        let spilled: Vec<(String, bool)> = (store.segment_index())
+            .map(|s| (s.pred, s.spilled))
+            .collect();
+        let want = [
+            ("superstep".to_string(), false),
+            ("value".to_string(), true),
+        ];
+        assert_eq!(spilled, want);
+        assert_eq!(store.spills(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,4 +1,5 @@
-//! Size and structure of captured provenance (§3, §6.1, Tables 3–4) plus
+//! Size and structure of captured provenance (§3, §6.1, Tables 3–4), how
+//! a spilling capture spends its budget and what compaction writes, plus
 //! the compact ≡ unfolded equivalence.
 
 use ariadne::queries;
@@ -7,9 +8,12 @@ use ariadne::CaptureSpec;
 use ariadne_analytics::{PageRank, Sssp, Wcc};
 use ariadne_graph::generators::{rmat, RmatConfig};
 use ariadne_graph::{Csr, VertexId};
-use ariadne_provenance::{StoreConfig, UnfoldedGraph};
+use ariadne_pql::Value;
+use ariadne_provenance::{v3, ProvStore, StoreConfig, UnfoldedGraph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 fn graph(seed: u64) -> Csr {
     rmat(RmatConfig {
@@ -174,6 +178,105 @@ fn spilling_store_capture_end_to_end() {
     // Layers remain readable after spilling.
     let q = queries::sssp_wcc_no_message_no_change().unwrap();
     assert!(ariadne.layered(&g, &run.store, &q).is_ok());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The spill budget of [`spilling_pagerank`].
+const BUDGET: usize = 32 << 10;
+
+/// A one-thread PageRank capture of a scale-7 R-MAT graph into a store
+/// that spills past [`BUDGET`] into `dir`.
+fn spilling_pagerank(dir: &Path) -> ProvStore {
+    let _ = std::fs::remove_dir_all(dir);
+    let g = rmat(RmatConfig {
+        scale: 7,
+        edge_factor: 16,
+        seed: 0xC0DE,
+        ..Default::default()
+    });
+    let pr = PageRank {
+        supersteps: 10,
+        ..Default::default()
+    };
+    let ariadne = Ariadne {
+        store: StoreConfig::spilling(BUDGET, dir.to_path_buf()),
+        ..Ariadne::with_threads(1)
+    };
+    let store = ariadne
+        .capture(&pr, &g, &CaptureSpec::full())
+        .unwrap()
+        .store;
+    assert!(store.spills() > 0, "the capture never spilled");
+    store
+}
+
+fn spool_dir(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("ariadne-{tag}-{}", std::process::id()))
+}
+
+/// The budget counts encoded bytes, and spilling evicts whole segments
+/// only while the packed bytes in memory exceed it. So when the capture
+/// ends, memory falls short of the budget by at most one segment, and
+/// the rest of the capture stays in memory rather than in the spool.
+#[test]
+fn spilling_capture_fills_its_budget() {
+    let dir = spool_dir("budget-full");
+    let store = spilling_pagerank(&dir);
+    let largest = store.segment_index().map(|s| s.bytes).max().unwrap();
+    assert!(
+        store.disk_bytes() + BUDGET <= store.byte_size() + largest,
+        "{} of {} bytes spilled under a {BUDGET}-byte budget (largest segment {largest})",
+        store.disk_bytes(),
+        store.byte_size()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Each key's extent in the live generation file of `dir`.
+fn extents(dir: &Path, generation: u64) -> BTreeMap<(u32, String), Vec<u8>> {
+    let file = std::fs::read(dir.join(v3::gen_file_name(generation, 0))).unwrap();
+    let (entries, _) = v3::parse_footer(&file).unwrap();
+    let extent = |offset: u64, len: u64| file[offset as usize..(offset + len) as usize].to_vec();
+    (entries.into_iter())
+        .map(|e| ((e.superstep, e.pred), extent(e.offset, e.len)))
+        .collect()
+}
+
+/// Compaction copies a key one pack wrote, and the copy is the bytes a
+/// re-encode writes: a resumed store flags nothing, so compacting it
+/// again re-encodes every key, and every extent comes out the same.
+/// Beside the capture, whose keys one thread packs once each, two keys
+/// are written otherwise, so the first pass re-encodes too: one packed
+/// twice, one holding a ragged record.
+#[test]
+fn compaction_copies_what_a_reencode_writes() {
+    let dir = spool_dir("compact-copy");
+    let mut store = spilling_pagerank(&dir);
+    let row = |v: u64| vec![Value::Id(v), Value::Float(0.5), Value::Int(99)];
+    store.ingest(99, "value", vec![row(1), row(2)]).unwrap();
+    store.pack_all();
+    store.ingest(99, "value", vec![row(3)]).unwrap();
+    let ragged = vec![vec![Value::Id(1)], vec![Value::Id(2), Value::Int(3)]];
+    store.ingest(99, "ragged", ragged).unwrap();
+    let first = store.compact().unwrap();
+    assert!(first.copied > 0, "no key copied: {}", first.to_json());
+    assert_eq!(first.segments - first.copied, 2, "{}", first.to_json());
+    drop(store);
+    let copied = extents(&dir, first.generation);
+
+    let mut resumed =
+        ProvStore::resume_from_spool(StoreConfig::spilling(BUDGET, dir.clone())).unwrap();
+    let second = resumed.compact().unwrap();
+    let json = second.to_json();
+    assert_eq!(second.copied, 0, "a resumed key was copied: {json}");
+    assert_eq!(second.segments, first.segments);
+    assert_eq!(second.tuples, first.tuples);
+    let reencoded = extents(&dir, second.generation);
+    assert_eq!(copied.len(), reencoded.len());
+    for (key, bytes) in &copied {
+        assert!(reencoded[key] == *bytes, "{key:?} changed bytes");
+    }
+    assert_eq!(second.bytes_out, first.bytes_out);
     std::fs::remove_dir_all(&dir).ok();
 }
 

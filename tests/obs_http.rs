@@ -1,10 +1,10 @@
 //! End-to-end test of the live telemetry plane: run a real capture
-//! into a spilling store, one mutation epoch appended to it and a
-//! layered replay, serve the obs endpoints on an ephemeral port, and
-//! validate every endpoint over actual TCP — the Prometheus exposition
-//! schema and determinism flags, the JSONL trace key order and span
-//! tree, the RunReport, and that a malformed request cannot wedge the
-//! listener.
+//! into a spilling store, one mutation epoch appended to it, a layered
+//! replay and a compaction, serve the obs endpoints on an ephemeral
+//! port, and validate every endpoint over actual TCP — the Prometheus
+//! exposition schema and determinism flags, the JSONL trace key order
+//! and span tree, the RunReport, and that a malformed request cannot
+//! wedge the listener.
 //!
 //! Tests serialize on a file-level mutex: the metric registry and trace
 //! rings are process-global, and parallel test threads would race the
@@ -150,6 +150,7 @@ fn validate_prometheus(text: &str) {
         "engine_phase_barrier_ns_total",
         "store_ingest_tuples_total",
         "store_spills_total",
+        "store_compact_copied_total",
         "pql_rule_firings_total",
         "pql_fixpoint_rounds_total",
         "layered_rounds_total",
@@ -179,9 +180,12 @@ fn validate_prometheus(text: &str) {
     );
     // Counts that follow thread arrival are not flagged deterministic
     // (docs/OBSERVABILITY.md, determinism taxonomy). This run registers
-    // the first eight; the rest only when it happens to touch them (no
-    // compaction or scrub runs here).
+    // the first eleven; the rest only when it happens to touch them (no
+    // scrub runs here).
     for name in [
+        "store_compact_copied_total",
+        "store_compact_bytes_in",
+        "store_compact_bytes_out",
         "store_epoch_adopted_total",
         "store_ingest_batches_total",
         "store_ingest_bytes_total",
@@ -194,8 +198,6 @@ fn validate_prometheus(text: &str) {
         assert_eq!(det[name], "false", "{name} is flagged deterministic");
     }
     for name in [
-        "store_compact_bytes_in",
-        "store_compact_bytes_out",
         "store_scrub_records_total",
         "store_sealed_segments_total",
         "store_scrub_files_total",
@@ -226,7 +228,7 @@ fn obs_http_plane_end_to_end() {
 
     // Real work first, so the endpoints have something to expose: a
     // capture spilling to a tight budget, so the store's spill path
-    // reports too.
+    // reports too. The capture packs to about 3.4 KB.
     let graph = rmat(RmatConfig {
         scale: 6,
         edge_factor: 8,
@@ -236,7 +238,7 @@ fn obs_http_plane_end_to_end() {
     let spool = std::env::temp_dir().join(format!("ariadne-obs-http-{}", std::process::id()));
     std::fs::remove_dir_all(&spool).ok();
     let ariadne = Ariadne {
-        store: StoreConfig::spilling(16 * 1024, spool.clone()),
+        store: StoreConfig::spilling(2 * 1024, spool.clone()),
         ..Ariadne::default()
     };
     let query = compile(
@@ -280,6 +282,10 @@ fn obs_http_plane_end_to_end() {
         .layered(session.csr(), &capture.store, &replay_query)
         .expect("layered replay");
     assert!(replay.query_results.len("hot") > 0, "replay found nothing");
+
+    // Compact the spool, so the compaction counters report too.
+    let compacted = capture.store.compact().expect("compaction");
+    assert!(compacted.segments > 0, "compaction rewrote nothing");
 
     let server = ariadne_obs::ObsServer::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = server.local_addr();
