@@ -6,14 +6,22 @@
 //!
 //! 1. the layer's stored tuples are injected into their owning vertices'
 //!    partitions (and then dropped — only one layer is materialized).
-//!    Every read is **pruned**: segments whose predicate the compiled
-//!    query never references are skipped without a decode or (for
-//!    spilled segments) a disk read. It is **projected**: stored columns
-//!    the query provably never observes ([`crate::columns`]) are not
-//!    materialized. And it is **strict**: any damage fails the replay
-//!    typed, as every store read does. Neither pruning nor projection can
-//!    change a result set, so neither is optional. A replay covers every
-//!    stored layer unless [`LayeredConfig::layers`] names a range;
+//!    Every read is **pruned**: a segment is decoded only if the query
+//!    reads its predicate *at that layer*, by the layer bounds its
+//!    analysis inferred ([`AnalyzedQuery::layers`]). A backward lineage
+//!    from `(α, σ)`, say, reads `superstep` at σ, `send_message` below
+//!    it and `value` at 0. Every other segment is skipped, and counted,
+//!    without a decode or (for spilled segments) a disk read; a store
+//!    that holds rows under one of the query's IDB names is read whole.
+//!    Rounds run only for the layers from the first to the last one any
+//!    predicate is read at: before them a round has nothing to inject or
+//!    evaluate, and after them the flush does what the round would. Every
+//!    read is **projected**: stored columns the query provably never
+//!    observes ([`crate::columns`]) are not materialized. And it is
+//!    **strict**: any damage fails the replay typed, as every store read
+//!    does. Neither pruning nor projection can change a result set, so
+//!    neither is optional. A replay covers the stored layers
+//!    [`LayeredConfig::layers`] names, all of them by default;
 //! 2. every touched vertex runs its incremental local fixpoint;
 //! 3. fresh tuples of shipped predicates travel one hop, to the union of
 //!    the vertex's out- and in-neighbours (a superset of every
@@ -81,9 +89,13 @@ use crate::session::AriadneError;
 use crate::state::QueryState;
 use ariadne_graph::{ChunkTable, Csr, VertexId};
 use ariadne_obs::trace::{self, Level};
-use ariadne_pql::{Database, Direction, EvalScratch, EvalStats, Evaluator, PqlError, Tuple, Value};
-use ariadne_provenance::{EdbFlags, LayerFilter, ProvStore, RowBlock, Rows, StoreError};
+use ariadne_pql::analysis::Layers;
+use ariadne_pql::{
+    AnalyzedQuery, Database, Direction, EvalScratch, EvalStats, Evaluator, PqlError, Tuple, Value,
+};
+use ariadne_provenance::{EdbFlags, LayerFilter, LayerRead, ProvStore, RowBlock, Rows, StoreError};
 use std::any::Any;
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, RwLock};
@@ -194,6 +206,9 @@ pub struct LayeredConfig {
     /// backward query's layer-0 structural pre-injection happens only when
     /// layer 0 is inside the range, so compact-representation captures
     /// should include layer 0 when they need their static relations.
+    /// Within the range, rounds run only for the layers the query's layer
+    /// bounds can read (see the module docs), so [`LayeredRun::layers`]
+    /// may count fewer rounds than the range has layers.
     pub layers: Option<(u32, u32)>,
 }
 
@@ -218,8 +233,9 @@ impl LayeredConfig {
 pub struct LayeredRun {
     /// Merged query tables across vertices.
     pub query_results: Database,
-    /// Number of layer rounds replayed (Lemma 5.3 bound: `max_step + 1`;
-    /// the fixpoint flush is counted separately).
+    /// Layer rounds run: the layers of [`LayeredRun::layer_range`] the
+    /// query can read a row at, and those between them (Lemma 5.3 bound:
+    /// `max_step + 1`; the fixpoint flush is counted separately).
     pub layers: u32,
     /// Post-layer fixpoint rounds until the pending set drained.
     pub flush_rounds: u32,
@@ -231,8 +247,9 @@ pub struct LayeredRun {
     pub evaluated_vertices: usize,
     /// Store segments decoded for this replay.
     pub segments_read: usize,
-    /// Store segments the predicate filter skipped (no decode, and for
-    /// spilled segments no disk read).
+    /// Store segments skipped: of predicates the query never reads, or
+    /// reads at no layer that holds them (no decode, and for spilled
+    /// segments no disk read).
     pub segments_skipped: usize,
     /// Encoded store bytes decoded.
     pub bytes_read: usize,
@@ -254,11 +271,12 @@ pub struct LayeredRun {
     pub phase_eval_ns: u64,
     /// Wall-clock nanoseconds merging per-chunk outboxes.
     pub phase_merge_ns: u64,
-    /// The inclusive layer range this run actually replayed, after
-    /// clamping any requested range to the store's layers. `(0, 0)` with
-    /// `layers == 0` means nothing was replayed. Cache keys built over
-    /// partial replays should use this, not the requested range, so
-    /// `0..=u32::MAX` and the store's true extent share one key.
+    /// The inclusive layer range this run replayed, after clamping any
+    /// requested range to the store's layers; rounds ran for the part of
+    /// it the query can read. `(0, 0)` with `layers == 0` means nothing
+    /// was replayed. Cache keys built over partial replays should use
+    /// this, not the requested range, so `0..=u32::MAX` and the store's
+    /// true extent share one key.
     pub layer_range: (u32, u32),
 }
 
@@ -268,6 +286,85 @@ impl LayeredRun {
             threads,
             ..LayeredRun::default()
         }
+    }
+
+    /// Charge one layer read's segments and bytes to the run.
+    fn count(&mut self, read: &LayerRead<RowBlock>) {
+        self.segments_read += read.segments_read;
+        self.segments_skipped += read.segments_skipped;
+        self.bytes_read += read.bytes_read;
+        self.bytes_skipped += read.bytes_skipped;
+        self.cols_skipped += read.cols_skipped;
+        self.col_bytes_skipped += read.col_bytes_skipped;
+    }
+}
+
+/// The filters a replay reads its layers through, pruned and projected
+/// (see the module docs), and the layers it runs rounds for. Masked
+/// columns decode as `Unit`, which only singleton variables ever bind.
+struct Reads {
+    /// `(first layer, filter)`, ascending: each filter holds from its
+    /// first layer up to the next one's.
+    spans: Vec<(u32, LayerFilter<'static>)>,
+    /// The layers from the first to the last one any filter wants a
+    /// predicate at, within the requested range; `None` when none does.
+    hull: Option<(u32, u32)>,
+}
+
+impl Reads {
+    /// The reads of a replay of `query` over layers `lo..=hi` of `store`.
+    fn new(store: &ProvStore, query: &AnalyzedQuery, lo: u32, hi: u32) -> Reads {
+        let masks = column_masks(query);
+        let filter = |preds: BTreeSet<String>| {
+            (masks.iter()).fold(LayerFilter::for_preds(preds), |f, (pred, mask)| {
+                f.with_mask(pred, mask.clone())
+            })
+        };
+        // Rows a capture stored under an IDB name are joined like derived
+        // ones, and the bounds do not see them: read them, and every
+        // predicate, at every layer.
+        if query.idbs.keys().any(|pred| store.holds(pred)) {
+            let mut preds = query.edbs.clone();
+            preds.extend(query.idbs.keys().cloned());
+            return Reads {
+                spans: vec![(lo, filter(preds))],
+                hull: Some((lo, hi)),
+            };
+        }
+        let mut starts = BTreeSet::from([lo]);
+        let mut hull: Option<(u32, u32)> = None;
+        for layers in query.layers.values() {
+            let Layers::Range { lo: from, hi: to } = *layers else {
+                continue;
+            };
+            let (from, to) = (from.max(lo), to.unwrap_or(u32::MAX).min(hi));
+            if from > to {
+                continue;
+            }
+            starts.insert(from);
+            if to < hi {
+                starts.insert(to + 1);
+            }
+            hull = Some(hull.map_or((from, to), |(a, b)| (a.min(from), b.max(to))));
+        }
+        let spans = (starts.into_iter())
+            .map(|start| {
+                let wanted = (query.layers.iter()).filter(|(_, layers)| layers.contains(start));
+                (start, filter(wanted.map(|(pred, _)| pred.clone()).collect()))
+            })
+            .collect();
+        Reads { spans, hull }
+    }
+
+    /// The filter layer `layer` is read through.
+    fn filter(&self, layer: u32) -> &LayerFilter<'static> {
+        let at = self.spans.partition_point(|(start, _)| *start <= layer);
+        &self.spans[at - 1].1
+    }
+
+    /// Whether the replay runs a round for `layer`.
+    fn runs(&self, layer: u32) -> bool {
+        self.hull.is_some_and(|(lo, hi)| lo <= layer && layer <= hi)
     }
 }
 
@@ -676,12 +773,7 @@ impl Pool<'_> {
                 )));
             }
         }
-        run.segments_read += read.segments_read;
-        run.segments_skipped += read.segments_skipped;
-        run.bytes_read += read.bytes_read;
-        run.bytes_skipped += read.bytes_skipped;
-        run.cols_skipped += read.cols_skipped;
-        run.col_bytes_skipped += read.col_bytes_skipped;
+        run.count(&read);
         let mut shared = self.layer.write().expect("layer lock");
         let Layer { blocks, rows } = &mut *shared;
         for (block, (_, decoded)) in (0..).zip(&read.tuples) {
@@ -695,6 +787,15 @@ impl Pool<'_> {
             }
         }
         *blocks = read.tuples;
+        Ok(())
+    }
+
+    /// Coordinator: count every extent of `layer` as skipped, decoding
+    /// and reading none of them.
+    fn skip(&self, store: &ProvStore, layer: u32, run: &mut LayeredRun) -> Result<(), AriadneError> {
+        let none = LayerFilter::for_preds(BTreeSet::new());
+        let read = store.layer_blocks(layer, &none).map_err(AriadneError::Store)?;
+        run.count(&read);
         Ok(())
     }
 
@@ -781,19 +882,7 @@ pub fn run_layered_with(
 
     let ascending = direction != Direction::Backward;
     let analyzed = query.query();
-    // Prune to every predicate the query can join: its EDBs plus its
-    // IDB names (a capture may have persisted derived tuples that a
-    // recursive replay re-reads). Anything else in the store is dead
-    // weight for this query and is skipped unread. On top of the
-    // predicate allow-set, projection skips stored columns the query
-    // provably never observes (see [`crate::columns`]): masked positions
-    // decode as `Unit`, which only singleton variables ever bind.
-    let mut preds = analyzed.edbs.clone();
-    preds.extend(analyzed.idbs.keys().cloned());
-    let mut filter = LayerFilter::for_preds(preds);
-    for (pred, mask) in column_masks(analyzed) {
-        filter = filter.with_mask(&pred, mask);
-    }
+    let reads = Reads::new(store, analyzed, layer_lo, layer_hi);
 
     let chunks = threads.saturating_mul(CHUNKS_PER_THREAD);
     let table = ChunkTable::degree_weighted(graph, chunks, 1);
@@ -865,7 +954,7 @@ pub fn run_layered_with(
         let preloaded = !ascending && layer_lo == 0;
         if preloaded {
             let t0 = Instant::now();
-            pool.load(store, 0, &filter, &mut run)?;
+            pool.load(store, 0, reads.filter(0), &mut run)?;
             let preload = Plan {
                 preload: true,
                 ..Plan::default()
@@ -879,6 +968,17 @@ pub fn run_layered_with(
             Box::new((layer_lo..=layer_hi).rev())
         };
         for layer in order {
+            // Outside the hull the query can read no row: the round would
+            // inject nothing, and before the hull nothing is pending yet,
+            // after it the flush does what the round would. Its extents
+            // count as skipped (a pre-injected layer 0 counted its own).
+            let wake_preloaded = preloaded && layer == 0;
+            if !reads.runs(layer) {
+                if !wake_preloaded {
+                    pool.skip(store, layer, &mut run)?;
+                }
+                continue;
+            }
             run.layers += 1;
             obs_handles::rounds().inc();
             let _layer_span = trace::span(
@@ -891,9 +991,8 @@ pub fn run_layered_with(
             // descending replay is already in: just wake its owners),
             // evaluate everything touched, ship the fresh tuples.
             let t0 = Instant::now();
-            let wake_preloaded = preloaded && layer == 0;
             if !wake_preloaded {
-                pool.load(store, layer, &filter, &mut run)?;
+                pool.load(store, layer, reads.filter(layer), &mut run)?;
             }
             let plan = Plan {
                 wake_preloaded,

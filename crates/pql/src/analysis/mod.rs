@@ -1,6 +1,7 @@
 //! Semantic analysis: parameter substitution, literal resolution, safety
 //! (range restriction), stratification of negation and aggregation,
-//! VC-compatibility (Definition 4.1) and directedness (Definition 5.2).
+//! VC-compatibility (Definition 4.1), directedness (Definition 5.2) and
+//! the layers each stored predicate can be read at ([`Layers`]).
 //!
 //! The output, [`AnalyzedQuery`], is the executable form every evaluation
 //! mode consumes: each rule's body has been compiled into an ordered list
@@ -8,6 +9,7 @@
 //! on, negated over, or fed to a UDF.
 
 mod direction;
+mod layers;
 mod resolve;
 mod stratify;
 
@@ -18,6 +20,7 @@ use crate::Params;
 use std::collections::{BTreeMap, BTreeSet};
 
 pub use direction::Direction;
+pub use layers::Layers;
 
 /// A fully analyzed, executable PQL query.
 #[derive(Clone, Debug)]
@@ -35,6 +38,11 @@ pub struct AnalyzedQuery {
     /// Predicates referenced remotely in some rule: their partitions
     /// must piggyback on analytic messages in online/layered evaluation.
     pub shipped: BTreeSet<String>,
+    /// Per EDB predicate the query reads: the layers at which its stored
+    /// rows can take part in a rule firing, assuming the IDBs hold only
+    /// what the rules derive. A layered replay reads no other extent of
+    /// it.
+    pub layers: BTreeMap<String, Layers>,
 }
 
 impl AnalyzedQuery {
@@ -133,6 +141,7 @@ pub fn analyze(
     let resolved = resolve::resolve(program, catalog, params)?;
     let strata = stratify::stratify(&resolved.rules, catalog)?;
     let (direction, shipped) = direction::classify(&resolved.rules, catalog);
+    let layers = layers::infer(&resolved.rules, &resolved.idbs, &resolved.edbs, catalog);
     Ok(AnalyzedQuery {
         rules: resolved.rules,
         strata,
@@ -140,6 +149,7 @@ pub fn analyze(
         idbs: resolved.idbs,
         edbs: resolved.edbs,
         shipped,
+        layers,
     })
 }
 

@@ -24,6 +24,11 @@ pub struct EdbSchema {
     /// encode communication (the paper's Query 12 uses `prov_edges` +
     /// `prov_send` in place of `send_message`) can be registered with it.
     pub kind: Option<MessageKind>,
+    /// Which argument holds the superstep of the row, for predicates
+    /// whose rows a capture stores at the layer of that superstep. Layer
+    /// bounds ([`crate::analysis::Layers`]) are inferred through it;
+    /// without it a predicate's rows are read at every layer.
+    pub superstep: Option<usize>,
     /// One-line description.
     pub doc: &'static str,
 }
@@ -112,6 +117,12 @@ impl Catalog {
                 "receive_message" => Some(MessageKind::Receive),
                 _ => None,
             };
+            let superstep = match name {
+                "superstep" => Some(1),
+                "value" | "evolution" => Some(2),
+                "send_message" | "receive_message" | "edge_value" => Some(3),
+                _ => None,
+            };
             c.edbs.insert(
                 name.to_string(),
                 EdbSchema {
@@ -120,6 +131,7 @@ impl Catalog {
                     location: 0,
                     peer,
                     kind,
+                    superstep,
                     doc,
                 },
             );
@@ -137,6 +149,7 @@ impl Catalog {
                 location: 0,
                 peer: None,
                 kind: None,
+                superstep: None,
                 doc: "custom provenance relation",
             },
         );
@@ -162,6 +175,7 @@ impl Catalog {
                 location: 0,
                 peer: Some(peer),
                 kind: Some(kind),
+                superstep: None,
                 doc: "custom communication-certifying relation",
             },
         );
@@ -207,6 +221,24 @@ mod tests {
         }
         assert_eq!(c.get("value").unwrap().arity, 3);
         assert_eq!(c.get("receive_message").unwrap().peer, Some(1));
+    }
+
+    #[test]
+    fn superstep_columns_of_table1() {
+        let c = Catalog::standard();
+        let col = |name: &str| c.get(name).unwrap().superstep;
+        assert_eq!(col("superstep"), Some(1));
+        assert_eq!(col("value"), Some(2));
+        assert_eq!(col("evolution"), Some(2));
+        for name in ["send_message", "receive_message", "edge_value"] {
+            assert_eq!(col(name), Some(3), "{name}");
+        }
+        for name in ["edge", "in_edge", "vertex_value", "prov_node"] {
+            assert_eq!(col(name), None, "{name}");
+        }
+        let mut custom = Catalog::standard();
+        custom.register("prov_error", 4);
+        assert_eq!(custom.get("prov_error").unwrap().superstep, None);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! EXPLAIN output: a human-readable rendering of an analyzed query's
 //! evaluation plan — strata, per-rule step order, semi-join marks,
-//! direction class and shipped predicates. What a developer reads to
-//! understand why a query can (or cannot) run online.
+//! direction class, shipped predicates and the layers each read
+//! predicate is replayed at. What a developer reads to understand why a
+//! query can (or cannot) run online, and what a replay of it reads.
 
 use crate::analysis::{AnalyzedQuery, AnalyzedRule, Step};
 use std::fmt::Write as _;
@@ -21,6 +22,10 @@ pub fn explain(query: &AnalyzedQuery) -> String {
     if !query.edbs.is_empty() {
         let edbs: Vec<&str> = query.edbs.iter().map(|p| p.as_str()).collect();
         writeln!(s, "reads: {}", edbs.join(", ")).unwrap();
+        let layers: Vec<String> = (query.layers.iter())
+            .map(|(pred, layers)| format!("{pred} @ {layers}"))
+            .collect();
+        writeln!(s, "layers: {}", layers.join(", ")).unwrap();
     }
     if !query.shipped.is_empty() {
         let shipped: Vec<&str> = query.shipped.iter().map(|p| p.as_str()).collect();
@@ -92,6 +97,28 @@ mod tests {
         assert!(plan.contains("udf udf_diff"), "{plan}");
         assert!(plan.contains("check not-in change"), "{plan}");
         assert!(plan.contains("assign j"), "{plan}");
+    }
+
+    #[test]
+    fn shows_the_layers_of_query_10() {
+        let q = analyze(
+            &parse(
+                "back_trace(x, i) :- superstep(x, i), i = $sigma, x = $alpha.
+                 back_trace(x, i) :- send_message(x, y, m, i), back_trace(y, j), j = i + 1.
+                 back_lineage(x, d) :- back_trace(x, i), value(x, d, i), i = 0.",
+            )
+            .unwrap(),
+            &Catalog::standard(),
+            &Params::new()
+                .with("sigma", Value::Int(6))
+                .with("alpha", Value::Id(3)),
+        )
+        .unwrap();
+        let plan = explain(&q);
+        assert!(
+            plan.contains("layers: send_message @ [0, 5], superstep @ {6}, value @ {0}\n"),
+            "{plan}"
+        );
     }
 
     #[test]

@@ -607,12 +607,15 @@ impl ProvStore {
             Durability::None | Durability::Spill => {
                 let path = segment_path(dir, key.0, &key.1);
                 let fsync = self.config.durability == Durability::Spill;
-                // Append whole records to the unsealed tail. The write
-                // is made retry-idempotent by truncating back to the
-                // pre-write length before every attempt.
-                let existing_len = std::fs::metadata(&path).ok().map(|m| m.len());
-                let new_file = existing_len.is_none();
-                let before = existing_len.unwrap_or(0);
+                // Append whole records to the unsealed tail: at the end
+                // of what this store registered for the path, never of
+                // what the file holds. Bytes past that end are not this
+                // store's (a stale file from another run, or a failed
+                // attempt's prefix) and are truncated away before every
+                // attempt, which also makes the write retry-idempotent.
+                let registered = existing.iter().find(|f| f.path == path);
+                let new_file = registered.is_none();
+                let before = registered.map_or(0, |f| f.offset + f.bytes as u64);
                 with_spill_retries(fault, &path, || {
                     let mut file = OpenOptions::new()
                         .create(true)
@@ -752,6 +755,27 @@ mod tests {
         read_extent(&path, 0, 0, &mut buf).unwrap();
         assert!(buf.is_empty());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A fresh store over a used spool directory reads its own rows,
+    /// never the earlier run's: its first spill of a segment truncates
+    /// the stale file instead of appending after it.
+    #[test]
+    fn a_fresh_store_never_reads_a_stale_spool() {
+        let dir = temp_dir("stale-spool");
+        std::fs::remove_dir_all(&dir).ok();
+        for k in 1..=2 {
+            let mut store = ProvStore::new(StoreConfig::spilling(0, dir.clone()));
+            let rows = (0..5).map(|i| vec![Value::Id(i), Value::Int(k)]).collect();
+            store.ingest(0, "p", rows).unwrap();
+            assert!(store.disk_bytes() > 0, "budget 0 spills");
+            let layer = store.layer(0).unwrap();
+            let (pred, tuples) = &layer[0];
+            assert_eq!(pred, "p");
+            assert_eq!(tuples.len(), 5, "run {k}");
+            assert!(tuples.iter().all(|t| t[1] == Value::Int(k)), "run {k} read {tuples:?}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1028,14 +1052,22 @@ mod tests {
 
     /// A segment file can hold v1, v2 and v3-writer records one after
     /// another; the per-record version byte dispatches the decoder. The
-    /// fixture's file holds a v1 then a v2 record, and a store spilling
-    /// to the same path (unsealed: not resumed) appends the third.
+    /// fixture's file holds a v1 then a v2 record, and the test appends
+    /// a v3 record that another store spilled.
     #[test]
     fn mixed_v1_v2_records_in_one_segment() {
         let dir = fixture("mixed-records");
-        let mut store = ProvStore::new(StoreConfig::spilling(0, dir.clone()));
+        // A fresh store never appends to a file it did not write, so the
+        // v3 record is written by one of its own and appended by hand.
+        let v3_dir = temp_dir("mixed-records-v3");
+        std::fs::remove_dir_all(&v3_dir).ok();
+        let mut store = ProvStore::new(StoreConfig::spilling(0, v3_dir.clone()));
         store.ingest(0, "value", id_int(12..20, 0)).unwrap();
         drop(store);
+        let v3 = std::fs::read(segment_path(&v3_dir, 0, "value")).unwrap();
+        let mut file = OpenOptions::new().append(true).open(segment_path(&dir, 0, "value")).unwrap();
+        file.write_all(&v3).unwrap();
+        std::fs::remove_dir_all(&v3_dir).ok();
         let magics = record_magics(&segment_path(&dir, 0, "value"));
         assert_eq!(magics[..2], [*b"ARSG", *b"ARS2"]);
         assert_eq!(magics.len(), 3);

@@ -1046,6 +1046,17 @@ impl ProvStore {
         &self.epochs
     }
 
+    /// Whether any segment, at any layer and in any epoch, quarantined
+    /// or not, is stored under `pred` or one of its epoch diff spellings.
+    /// Reads only the index.
+    pub fn holds(&self, pred: &str) -> bool {
+        let base = |p: &'_ str| {
+            let diff = p.strip_prefix("~add~").or_else(|| p.strip_prefix("~del~"));
+            diff.unwrap_or(p) == pred
+        };
+        (self.segments.keys().chain(self.quarantined.keys())).any(|(_, p)| base(p))
+    }
+
     /// The per-(superstep, predicate) segment index: tuple and byte
     /// counts per segment, in (superstep, predicate) order, without
     /// decoding anything.

@@ -60,6 +60,7 @@ const APT_EXPLAIN: &str = "
 direction: Forward
 modes: online=true layered=true vc-compatible=true
 reads: evolution, receive_message, superstep, value
+layers: evolution @ all, receive_message @ all, superstep @ [1, inf), value @ all
 shipped with messages: change
 stratum 0:
   rule change/2 (line 4):
@@ -89,6 +90,7 @@ const BACKWARD_LINEAGE_EXPLAIN: &str = "
 direction: Backward
 modes: online=false layered=true vc-compatible=true
 reads: send_message, superstep, value
+layers: send_message @ [0, 1], superstep @ {2}, value @ {0}
 shipped with messages: back_trace
 stratum 0:
   rule back_trace/2 (line 3):
@@ -109,6 +111,7 @@ const FORWARD_LINEAGE_EXPLAIN: &str = "
 direction: Forward
 modes: online=true layered=true vc-compatible=true
 reads: receive_message, superstep, value
+layers: receive_message @ all, superstep @ {0}, value @ all
 shipped with messages: fwd_lineage
 stratum 0:
   rule fwd_lineage/3 (line 2):
@@ -126,6 +129,7 @@ const NO_MESSAGE_NO_CHANGE_EXPLAIN: &str = "
 direction: Local
 modes: online=true layered=true vc-compatible=true
 reads: evolution, receive_message, value
+layers: evolution @ all, receive_message @ all, value @ all
 stratum 0:
   rule neighbor_change/2 (line 2):
     scan receive_message
@@ -142,6 +146,7 @@ const PAGERANK_CHECK_EXPLAIN: &str = "
 direction: Local
 modes: online=true layered=true vc-compatible=true
 reads: in_edge, receive_message
+layers: in_edge @ all, receive_message @ all
 stratum 0:
   rule in_degree/2 (line 2) [aggregate]:
     scan in_edge
@@ -157,6 +162,7 @@ const VALUE_CHECK_EXPLAIN: &str = "
 direction: Local
 modes: online=true layered=true vc-compatible=true
 reads: evolution, receive_message, value
+layers: evolution @ all, receive_message @ all, value @ all
 stratum 0:
   rule check_failed/2 (line 2):
     scan evolution

@@ -1,9 +1,10 @@
 //! The store's read side calls the allocator per segment and per record,
 //! not per row.
 //!
-//! Three readers decode whole captures: `compact` re-encodes every
-//! segment of a spool, `append_epoch` decodes both sides of a diff and
-//! re-encodes what changed, and a logical layer read folds an epoch
+//! Three readers decode whole captures: `compact` walks every segment
+//! of a spool, copying the bytes of a segment one pack wrote and
+//! re-encoding the others, `append_epoch` decodes both sides of a diff
+//! and re-encodes what changed, and a logical layer read folds an epoch
 //! chain. All three decode into row blocks — one buffer per segment,
 //! filled record by record — so what they cost the allocator is a
 //! handful of calls per segment (the block, the extent buffer, the
