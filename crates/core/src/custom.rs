@@ -18,6 +18,8 @@ use ariadne_vc::{Envelope, VertexProgram};
 pub trait CustomProv<A: VertexProgram>: Send + Sync {
     /// Produce tuples for one vertex-superstep. `value` is the vertex
     /// value after computing; `messages` are the envelopes it received.
+    /// Each row is located at `vertex` and, like a Table-1 row, carries
+    /// `superstep`: a capture keeps set semantics per vertex-step.
     fn tuples(
         &self,
         graph: &Csr,

@@ -64,14 +64,11 @@
 //! After the last round the pool runs one more phase, **finish**, under
 //! the same failure and panic protocol: each worker walks its slabs in
 //! ascending vertex order, moves out only the IDB tuples *located at*
-//! that vertex, and drops the rest; the coordinator appends the
-//! per-chunk lists in chunk order. Owner-only is exact:
-//! [`Evaluator::step`] pre-binds every head's location to the evaluating
-//! vertex, so a tuple in a slab located elsewhere is a replica of one its
-//! owner holds. A result relation's scan order is therefore ascending
-//! owner vertex, then that owner's insertion order — the same at every
-//! thread count. Every tuple a slab holds is allocated and freed by the
-//! worker that owns the slab.
+//! that vertex ([`QueryState::into_owned`]), and drops the rest; the
+//! coordinator appends the per-chunk lists in chunk order. A result
+//! relation's scan order is therefore ascending owner vertex, then that
+//! owner's insertion order — the same at every thread count. Every tuple
+//! a slab holds is allocated and freed by the worker that owns the slab.
 //!
 //! A slab holds states only for vertices actually touched (plus one
 //! `u32` per vertex of a touched chunk to find them) — replaying a small
@@ -93,7 +90,7 @@ use ariadne_pql::analysis::Layers;
 use ariadne_pql::{
     AnalyzedQuery, Database, Direction, EvalScratch, EvalStats, Evaluator, PqlError, Tuple, Value,
 };
-use ariadne_provenance::{EdbFlags, LayerFilter, LayerRead, ProvStore, RowBlock, Rows, StoreError};
+use ariadne_provenance::{LayerFilter, LayerRead, ProvStore, RouteTable, RowBlock, Rows, StoreError};
 use std::any::Any;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -399,7 +396,7 @@ impl Outbox {
         for (p, pred) in pool.shipped_preds.iter().enumerate() {
             let before = self.tuples.len();
             // Only tuples located here ship: replicas are not forwarded.
-            let fresh = state.fresh_window(pred, true).iter();
+            let fresh = state.fresh_window(pred).iter();
             self.tuples
                 .extend(fresh.filter(|t| t.first() == Some(&own)).cloned());
             if self.tuples.len() > before {
@@ -409,7 +406,7 @@ impl Outbox {
         if self.runs.len() == runs_from {
             return 0;
         }
-        // Route replicas over both edge directions: analytics like WCC
+        // Send replicas along both edge directions: analytics like WCC
         // message their in-neighbours too, so the communication graph is
         // a superset of the out-adjacency. Shipping to a superset of the
         // true routes is always sound (replicas are true tuples at their
@@ -530,7 +527,7 @@ impl Slab {
             let slot = &mut self.slots[slot as usize];
             slot.queued = false;
             let vertex = VertexId(slot.vertex as u64);
-            slot.state.inject_statics(pool.graph, vertex, pool.statics);
+            slot.state.statics(&pool.routes, &mut [], pool.graph, vertex);
             slot.state
                 .evaluate_stats(pool.evaluator, vertex, &mut self.stats, &mut self.scratch)?;
             self.shipped += outbox.collect(pool, vertex, &mut slot.state);
@@ -582,18 +579,14 @@ impl Slab {
         self.scratch = EvalScratch::default();
         slots.sort_unstable_by_key(|slot| slot.vertex);
         for slot in slots {
-            let own = Value::Id(slot.vertex as u64);
-            for (name, rel) in slot.state.db.into_relations() {
-                let Ok(idb) = pool.idbs.binary_search_by(|(n, _)| (*n).cmp(&name)) else {
-                    continue;
-                };
-                let arity = pool.idbs[idb].1;
-                if rel.arity() != arity && !rel.is_empty() {
-                    let error = StoreError::mixed_arity(&name, arity, rel.arity());
+            let find = |name: &str| pool.idbs.binary_search_by(|(n, _)| (*n).cmp(name)).ok();
+            for (idb, arity, owned) in slot.state.into_owned(VertexId(slot.vertex as u64), find) {
+                let (name, want) = pool.idbs[idb];
+                if arity != want {
+                    let error = StoreError::mixed_arity(name, want, arity);
                     return Err(AriadneError::Store(error));
                 }
-                let owned = rel.into_tuples().into_iter();
-                results[idb].extend(owned.filter(|t| t.first() == Some(&own)));
+                results[idb].extend(owned);
             }
         }
         Ok(())
@@ -637,8 +630,9 @@ struct Layer {
 struct Pool<'a> {
     graph: &'a Csr,
     evaluator: &'a Evaluator,
-    /// Which static graph EDBs the query reads.
-    statics: EdbFlags,
+    /// Routes every static graph EDB row the query reads into the
+    /// database.
+    routes: RouteTable,
     /// Shipped predicates in `BTreeSet` (sorted) order — fixed, so every
     /// vertex ships and receives them in the same predicate order.
     shipped_preds: Vec<&'a str>,
@@ -900,7 +894,7 @@ pub fn run_layered_with(
     let pool = Pool {
         graph,
         evaluator: query.evaluator().as_ref(),
-        statics: EdbFlags::of(&analyzed.edbs),
+        routes: RouteTable::reading(&analyzed.edbs),
         shipped_preds: analyzed.shipped.iter().map(String::as_str).collect(),
         barrier: Barrier::new(threads),
         idbs: analyzed.idbs.iter().map(|(n, &a)| (n.as_str(), a)).collect(),

@@ -24,7 +24,8 @@ use crate::session::AriadneError;
 use crate::state::QueryState;
 use ariadne_graph::{Csr, VertexId};
 use ariadne_pql::{Database, EvalScratch, EvalStats, Value};
-use ariadne_provenance::{EdbFlags, ProvStore, UnfoldedGraph};
+use ariadne_provenance::edb::Outlet;
+use ariadne_provenance::{ProvStore, RouteTable, UnfoldedGraph};
 
 /// The outcome of a naive evaluation.
 #[derive(Debug)]
@@ -90,9 +91,9 @@ pub fn run_naive(
             }
         }
     }
-    let statics = EdbFlags::of(&analyzed.edbs);
+    let routes = RouteTable::reading(&analyzed.edbs);
     for v in graph.vertices() {
-        states[v.index()].inject_statics(graph, v, statics);
+        states[v.index()].statics(&routes, &mut [], graph, v);
     }
     // ...plus the unfolded graph view (part of the memory blowup).
     let mut full_db = Database::new();
@@ -144,12 +145,12 @@ pub fn run_naive(
 
     // Merge IDB results.
     let mut merged = Database::new();
-    for st in &states {
-        for (name, rel) in st.db.iter() {
-            if analyzed.idbs.contains_key(name) {
-                for t in rel.scan() {
-                    merged.insert(name, t.clone());
-                }
+    for (v, state) in states.into_iter().enumerate() {
+        let idb = |name: &str| analyzed.idbs.get_key_value(name).map(|(name, _)| name);
+        for (name, arity, owned) in state.into_owned(VertexId(v as u64), idb) {
+            let into = merged.relation_mut(name, arity);
+            for t in owned {
+                into.insert(t);
             }
         }
     }
@@ -215,16 +216,9 @@ pub fn run_centralized(
     query: &CompiledQuery,
 ) -> Result<Database, AriadneError> {
     let mut db = store.to_database().map_err(AriadneError::Store)?;
-    let analyzed = query.query();
-    if analyzed.edbs.contains("edge") {
-        for (s, d, _) in graph.edges() {
-            db.insert("edge", vec![Value::Id(s.0), Value::Id(d.0)]);
-        }
-    }
-    if analyzed.edbs.contains("in_edge") {
-        for (s, d, _) in graph.edges() {
-            db.insert("in_edge", vec![Value::Id(d.0), Value::Id(s.0)]);
-        }
+    let routes = RouteTable::reading(&query.query().edbs);
+    for v in graph.vertices() {
+        Outlet::new(&routes, &mut db, &mut []).statics(graph, v);
     }
     query.evaluator().run(&mut db).map_err(AriadneError::Pql)?;
     Ok(db)

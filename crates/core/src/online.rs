@@ -7,18 +7,18 @@
 //!    its local query database (neighbour replicas of shipped tables);
 //! 2. runs the analytic's `compute` against a recording context that
 //!    defers its sends;
-//! 3. generates the superstep's provenance EDB tuples (only the
-//!    predicates the query needs — declarative capture customization):
-//!    into its database where a rule reads them, into the capturing
-//!    worker's row blocks where the store keeps them;
+//! 3. generates the superstep's provenance rows — Table 1's (only the
+//!    predicates the query needs: declarative capture customization) and
+//!    the analytic's custom ones;
 //! 4. runs the compiled query incrementally to a local fixpoint;
-//! 5. copies newly derived capture tuples into the same row blocks
-//!    (capture runs);
-//! 6. attaches the new tuples of *shipped* predicates to the analytic's
+//! 5. attaches the new tuples of *shipped* predicates to the analytic's
 //!    deferred messages and releases them.
 //!
-//! At the barrier the row blocks go to the store's writer, one message
-//! per (worker, predicate).
+//! Every row a step makes — generated, static, custom, or derived by a
+//! capture rule — goes through the run's one [`RouteTable`]: into the
+//! vertex's database where a rule reads it, into the capturing worker's
+//! row block where the store keeps it. At the barrier the row blocks go to
+//! the store's writer, one message per (worker, predicate).
 //!
 //! Query messages therefore travel only where analytic messages travel,
 //! and query state is disjoint from analytic state — the two halves of
@@ -38,7 +38,7 @@
 //! aggregate rule scans. A blind run keeps the analytic's combiner
 //! ([`VertexProgram::combiner`]) and generates `receive_message` projected:
 //! one `receive_message(x, Unit, Unit, i)` row per vertex-step with a
-//! non-empty inbox ([`EdbFlags::receive_projected`]). The mask proves no
+//! non-empty inbox ([`RouteTable::receive_projected`]). The mask proves no
 //! rule's result depends on the dropped columns, the set of vertex-steps
 //! with a non-empty inbox does not depend on combining, and the analytic
 //! sees the inbox its bare run sees — Theorem 5.4's "analytic untouched"
@@ -62,19 +62,12 @@
 //! called for the tuples a step stores and for the payload it ships,
 //! nothing else (`tests/online_alloc_budget.rs` counts).
 //!
-//! # What a captured row costs
+//! # Where captured rows go
 //!
-//! A row a capture stores and no rule reads is never a tuple. The worker
-//! holds one [`RowBlock`] per persisted predicate; the generator builds the
-//! row on the stack and appends it there, and that is the only copy until
-//! the store's encoder reads it: no per-vertex relation (no hash, no
-//! dedup table, no `Vec` per row), no persistence mark to find it again,
-//! no message per vertex. After a raw capture every vertex's database is
-//! empty. Only the heads of capture rules and custom provenance relations,
-//! which rules or the generator put into the database anyway, are copied
-//! from there (own-located rows past the persistence mark).
-//!
-//! The blocks are handed to the writer in
+//! A worker holds one [`RowBlock`] per persisted predicate, which the
+//! route table fills (a stored row no rule reads is never a tuple, so
+//! after a raw capture every vertex's database is empty). The blocks are
+//! handed to the writer in
 //! [`should_halt`](VertexProgram::should_halt): the engine calls it once
 //! per superstep, on the coordinating thread, after every `compute` of
 //! the superstep has returned and before the barrier's checkpoint hook —
@@ -97,7 +90,7 @@ use crate::custom::CustomProv;
 use crate::state::QueryState;
 use ariadne_graph::{Csr, VertexId};
 use ariadne_pql::{EvalScratch, EvalStats, Evaluator, PqlError, Tuple, Value};
-use ariadne_provenance::edb::{Dest, EdbFlags, EdbPred, EdbSink, NeededEdbs};
+use ariadne_provenance::edb::{NeededEdbs, Outlet, RouteTable};
 use ariadne_provenance::store::StoreSender;
 use ariadne_provenance::{ProvEncode, RowBlock, Rows};
 use ariadne_vc::{AggOp, AggValue, Aggregates, Combiner, Context, Envelope, VertexProgram};
@@ -239,64 +232,23 @@ struct Worker<M> {
     /// Query counters of the compute calls this worker served.
     stats: EvalStats,
     /// The rows this worker captured in superstep `step`, one block per
-    /// persisted predicate (in [`Capture::preds`] order).
+    /// persisted predicate (in [`RouteTable::persisted`] order).
     blocks: Vec<RowBlock>,
     step: u32,
-}
-
-/// Where a generated Table-1 predicate's rows go.
-#[derive(Clone, Copy, Default)]
-struct Route {
-    /// Into the vertex's database: a rule reads the predicate.
-    to_db: bool,
-    /// Into this block of the worker: the capture persists it.
-    block: Option<usize>,
-}
-
-/// The persisting half of a capture run, resolved once per run.
-struct Capture {
-    sender: StoreSender,
-    /// The persisted predicates; a worker's block `k` holds `preds[k]`.
-    preds: Vec<Arc<str>>,
-    /// Which of `preds` are read back out of the vertex's database:
-    /// capture-rule heads, custom provenance relations, static EDBs.
-    from_db: Vec<usize>,
-    /// [`Persist::sync`].
-    sync: bool,
-}
-
-/// [`EdbSink`] of one vertex-step: the vertex's database and the
-/// worker's blocks, per [`Route`].
-struct StepSink<'a> {
-    routes: &'a [Route; EdbPred::ALL.len()],
-    db: &'a mut ariadne_pql::Database,
-    blocks: &'a mut [RowBlock],
-}
-
-impl EdbSink for StepSink<'_> {
-    fn open(&mut self, pred: EdbPred, n: usize) -> Dest<'_> {
-        let route = self.routes[pred as usize];
-        let rel = route
-            .to_db
-            .then(|| self.db.relation_mut(pred.name(), pred.arity()));
-        let block = route.block.map(|k| &mut self.blocks[k]);
-        Dest::new(rel, block, n, pred.arity())
-    }
+    /// The capture-rule head lengths before a step's evaluation
+    /// ([`RouteTable::head_marks`]).
+    marks: Vec<usize>,
 }
 
 /// The online wrapper program. See module docs.
 pub struct OnlineProgram<'a, A: VertexProgram> {
     analytic: &'a A,
     config: OnlineConfig<A>,
-    /// `config.needed`, resolved to flags once.
-    flags: EdbFlags,
     /// The run is blind to senders: the analytic's combiner stays on
     /// (see the module docs).
     blind: bool,
-    /// Where each generated predicate's rows go, by `EdbPred as usize`.
-    routes: [Route; EdbPred::ALL.len()],
-    /// `config.persist`, resolved once.
-    capture: Option<Capture>,
+    /// Where every row a vertex-step makes goes.
+    routes: RouteTable,
     /// Idle workers. Each holds the query-evaluation counters of the
     /// calls it served; a total is a sum of per-vertex logical counts, so
     /// it does not depend on which worker served which vertex.
@@ -310,29 +262,13 @@ pub struct OnlineProgram<'a, A: VertexProgram> {
 impl<'a, A: VertexProgram> OnlineProgram<'a, A> {
     /// Wrap `analytic` with the given query configuration.
     pub fn new(analytic: &'a A, config: OnlineConfig<A>) -> Self {
-        let capture = config.persist.as_ref().map(|persist| {
-            let preds: Vec<Arc<str>> = persist.preds.iter().map(|p| p.as_str().into()).collect();
-            let generated = |p: &str| EdbPred::ALL.iter().any(|e| e.name() == p);
-            let from_db = (0..preds.len()).filter(|&k| !generated(&preds[k])).collect();
-            Capture {
-                sender: persist.sender.clone(),
-                preds,
-                from_db,
-                sync: persist.sync,
-            }
-        });
-        // A generated predicate goes into the database unless the only
-        // reason to generate it is that the capture stores it.
-        let read = config.evaluator.as_ref().map(|e| &e.query().edbs);
-        let routes = EdbPred::ALL.map(|pred| {
-            let block = capture
-                .as_ref()
-                .and_then(|c| c.preds.iter().position(|p| **p == *pred.name()));
-            Route {
-                to_db: block.is_none() || read.is_some_and(|r| r.contains(pred.name())),
-                block,
-            }
-        });
+        let query = config.evaluator.as_ref().map(|e| e.query());
+        let mut routes = RouteTable::new(
+            &config.needed,
+            query.map_or(&BTreeSet::new(), |q| &q.edbs),
+            config.persist.as_ref().map_or(&BTreeSet::new(), |p| &p.preds),
+            |pred| query.is_some_and(|q| q.idbs.contains_key(pred)),
+        );
         let drops_sender = |e: &Arc<Evaluator>| {
             let masks = column_masks(e.query());
             matches!(masks.get("receive_message").map(|m| &m[..]), Some([_, false, false, ..]))
@@ -342,14 +278,11 @@ impl<'a, A: VertexProgram> OnlineProgram<'a, A> {
             && config.shipped.is_empty()
             && (!config.needed.contains("receive_message")
                 || config.evaluator.as_ref().is_some_and(drops_sender));
-        let mut flags = EdbFlags::of(&config.needed);
-        flags.receive_projected = blind && flags.receive_message;
+        routes.receive_projected = blind;
         OnlineProgram {
             analytic,
-            flags,
             blind,
             routes,
-            capture,
             config,
             workers: Mutex::new(Vec::new()),
             failed: AtomicBool::new(false),
@@ -396,17 +329,17 @@ impl<'a, A: VertexProgram> OnlineProgram<'a, A> {
     /// barrier; a capture driver calls it once more after the engine
     /// returns, for a run that ended between barriers.
     pub fn flush(&self) {
-        let Some(capture) = &self.capture else {
+        let Some(persist) = &self.config.persist else {
             return;
         };
         let mut workers = self.workers.lock().expect("worker pool lock");
         for worker in workers.iter_mut() {
-            for (block, pred) in worker.blocks.iter_mut().zip(&capture.preds) {
+            for (block, pred) in worker.blocks.iter_mut().zip(self.routes.persisted()) {
                 if !block.is_empty() {
                     // The next superstep's rows are about as many.
                     let next = RowBlock::with_capacity(block.value_count());
                     let full = std::mem::replace(block, next);
-                    capture.sender.ingest_block(worker.step, pred, full);
+                    persist.sender.ingest_block(worker.step, pred, full);
                 }
             }
         }
@@ -441,8 +374,9 @@ where
             sends: Vec::new(),
             eval: EvalScratch::default(),
             stats: EvalStats::default(),
-            blocks: vec![RowBlock::default(); self.capture.as_ref().map_or(0, |c| c.preds.len())],
+            blocks: vec![RowBlock::default(); self.routes.persisted().len()],
             step: 0,
+            marks: Vec::new(),
         });
         self.compute_in(&mut worker, ctx, state, messages);
         self.workers.lock().expect("worker pool lock").push(worker);
@@ -475,8 +409,8 @@ where
         // Every compute call of `superstep` has returned: its captured
         // rows go to the writer before the barrier's checkpoint.
         self.flush();
-        if let Some(capture) = self.capture.as_ref().filter(|c| c.sync) {
-            capture.sender.sync();
+        if let Some(persist) = self.config.persist.as_ref().filter(|p| p.sync) {
+            persist.sender.sync();
         }
         self.failed.load(Ordering::Acquire) || self.analytic.should_halt(superstep, aggregates)
     }
@@ -510,6 +444,7 @@ where
             stats,
             blocks,
             step,
+            marks,
         } = worker;
         debug_assert!(*step == superstep || blocks.iter().all(|b| b.is_empty()));
         *step = superstep;
@@ -520,7 +455,7 @@ where
                 state.q.inject(pred, tuples);
             }
         }
-        state.q.inject_statics(ctx.graph(), vertex, self.flags);
+        state.q.statics(&self.routes, blocks, ctx.graph(), vertex);
 
         // 2. Run the analytic against a recording shim.
         inbox.clear();
@@ -529,14 +464,10 @@ where
         let mut recorder = Recorder { inner: ctx, sends };
         self.analytic.compute(&mut recorder, &mut state.value, inbox);
 
-        // 3. Generate this superstep's provenance EDB tuples.
+        // 3. Generate this superstep's provenance rows, then the custom
+        // ones.
         state.q.tracker.record_step(
-            &mut StepSink {
-                routes: &self.routes,
-                db: &mut state.q.db,
-                blocks,
-            },
-            self.flags,
+            &mut Outlet::new(&self.routes, &mut state.q.db, blocks),
             ctx.graph(),
             vertex,
             superstep,
@@ -545,39 +476,26 @@ where
             sends.iter().map(|(dst, m)| (*dst, m.encode())),
         );
 
-        // 4. Custom provenance relations.
         if let Some(custom) = &cfg.custom {
-            for (pred, tuple) in custom.tuples(ctx.graph(), vertex, superstep, &state.value, inbox)
-            {
-                state.q.db.insert(&pred, tuple);
-            }
+            let rows = custom.tuples(ctx.graph(), vertex, superstep, &state.value, inbox);
+            Outlet::new(&self.routes, &mut state.q.db, blocks).custom(rows);
         }
 
-        // 5. Local incremental fixpoint. Errors abort the run at the next
-        // barrier (via should_halt) instead of panicking the worker; the
-        // analytic's deferred sends are dropped, which is fine because
-        // the whole run is discarded.
+        // 4. Local incremental fixpoint; the capture stores the heads it
+        // derives here. Errors abort the run at the next barrier (via
+        // should_halt) instead of panicking the worker; the analytic's
+        // deferred sends are dropped, which is fine because the whole run
+        // is discarded.
         if let Some(evaluator) = &cfg.evaluator {
+            self.routes.head_marks(&state.q.db, marks);
             if let Err(e) = state.q.evaluate_stats(evaluator, vertex, stats, eval) {
                 self.record_failure(vertex, superstep, e);
                 return;
             }
+            Outlet::new(&self.routes, &mut state.q.db, blocks).heads(marks, vertex);
         }
 
-        // 6. Persist what the capture stores out of the database: the
-        // fresh own-located rows (replicas are their owner's to store).
-        if let Some(capture) = &self.capture {
-            let own = Value::Id(vertex.0);
-            for &k in &capture.from_db {
-                for row in state.q.fresh_window(&capture.preds[k], false) {
-                    if row.first() == Some(&own) {
-                        blocks[k].push(row);
-                    }
-                }
-            }
-        }
-
-        // 7. Ship fresh tuples with the analytic's deferred sends. Marks
+        // 5. Ship fresh tuples with the analytic's deferred sends. Marks
         // advance only when something is actually sent, so tuples derived
         // during quiet supersteps are back-logged until the next send.
         if !sends.is_empty() {

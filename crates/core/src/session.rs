@@ -6,8 +6,8 @@ use crate::custom::CustomProv;
 use crate::layered::{run_layered_with, LayeredConfig, LayeredRun};
 use crate::naive::{run_centralized, run_naive, NaiveRun};
 use crate::online::{OnlineConfig, OnlineProgram, OnlineRun, OnlineState, Persist};
-use ariadne_graph::Csr;
-use ariadne_pql::{Database, Direction, EvalStats, PqlError, Value};
+use ariadne_graph::{Csr, VertexId};
+use ariadne_pql::{Database, Direction, EvalStats, PqlError};
 use ariadne_provenance::{ProvEncode, ProvStore, StoreConfig, StoreError, StoreWriter};
 use ariadne_vc::{Engine, EngineConfig, EngineError, RunResult, Snapshot, VertexProgram};
 use std::fmt;
@@ -444,11 +444,9 @@ fn check_query_failure<A: VertexProgram>(program: &OnlineProgram<'_, A>) -> Resu
 }
 
 /// Split an online engine result into analytic values and the merged
-/// query result tables (IDB relations only; transient EDB partitions are
-/// working state, not results). Only the tuples located at each vertex
-/// are merged: evaluation pins every head's location to the evaluating
-/// vertex, so any other IDB tuple a partition holds is a replica of one
-/// its owner holds.
+/// query result tables: each vertex's own IDB tuples
+/// ([`QueryState::into_owned`](crate::state::QueryState::into_owned));
+/// transient EDB partitions are working state, not results.
 fn finish_online<V>(
     result: WrappedRun<V>,
     idbs: &std::collections::BTreeMap<String, usize>,
@@ -458,16 +456,12 @@ fn finish_online<V>(
     let mut values = Vec::with_capacity(result.values.len());
     for (vertex, state) in result.values.into_iter().enumerate() {
         values.push(state.value);
-        let own = Value::Id(vertex as u64);
         // The per-vertex partitions end here: move their own tuples.
-        for (name, rel) in state.q.db.into_relations() {
-            if idbs.contains_key(&name) && !rel.is_empty() {
-                let into = merged.relation_mut(&name, rel.arity());
-                for t in rel.into_tuples() {
-                    if t.first() == Some(&own) {
-                        into.insert(t);
-                    }
-                }
+        let idb = |name: &str| idbs.get_key_value(name).map(|(name, _)| name);
+        for (name, arity, owned) in state.q.into_owned(VertexId(vertex as u64), idb) {
+            let into = merged.relation_mut(name, arity);
+            for t in owned {
+                into.insert(t);
             }
         }
     }

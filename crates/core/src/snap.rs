@@ -5,8 +5,13 @@
 //! it to serialize [`OnlineState`] and [`OnlineMsg`], so online and
 //! capture runs can checkpoint at barriers and resume bit-identically
 //! after a crash (the query partition — database, delta frontiers,
-//! activation history, shipping and persistence marks — is part of the
-//! recovered state, not recomputed).
+//! activation history, shipping marks — is part of the recovered state,
+//! not recomputed).
+//!
+//! A [`QueryState`]'s shipping marks are followed by an empty mark list,
+//! the layout older snapshots have: theirs held counts of stored
+//! relations, each equal to its relation's length at a barrier, so a
+//! read ignores them.
 //!
 //! PQL values are foreign to the engine crate; their tuples are written
 //! with the provenance store's row codec ([`ariadne_provenance::codec`]),
@@ -45,8 +50,8 @@ fn read_tuples(input: &mut &[u8]) -> Result<Vec<Tuple>, SnapError> {
 }
 
 /// Serialize a database preserving both relation name order and tuple
-/// insertion order, so shipping/persistence marks (scan indices) stay
-/// valid after a restore.
+/// insertion order, so shipping marks (scan indices) stay valid after a
+/// restore.
 pub fn write_database(db: &Database, out: &mut Vec<u8>) {
     let rels: Vec<_> = db.iter().collect();
     rels.len().write_snap(out);
@@ -87,12 +92,7 @@ impl Snapshot for QueryState {
             .map(|(k, v)| (k.clone(), *v))
             .collect();
         marks.write_snap(out);
-        let marks: Vec<(String, usize)> = self
-            .persist_marks
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        marks.write_snap(out);
+        Vec::<(String, usize)>::new().write_snap(out);
         self.statics_done.write_snap(out);
     }
 
@@ -103,14 +103,14 @@ impl Snapshot for QueryState {
         let aggs = Vec::<(usize, usize)>::read_snap(input)?;
         let last_active = Option::<u32>::read_snap(input)?;
         let ship_marks = Vec::<(String, usize)>::read_snap(input)?;
-        let persist_marks = Vec::<(String, usize)>::read_snap(input)?;
+        // See the module docs: a stored-relation count equals its length.
+        Vec::<(String, usize)>::read_snap(input)?;
         let statics_done = bool::read_snap(input)?;
         Ok(QueryState {
             db,
             eval: EvalState::from_parts(frontiers, scan_free, aggs),
             tracker: EdbTracker::from_last_active(last_active),
             ship_marks: ship_marks.into_iter().collect(),
-            persist_marks: persist_marks.into_iter().collect(),
             statics_done,
         })
     }
@@ -243,6 +243,40 @@ mod tests {
         // A restored state takes nothing new (marks survived).
         let mut restored = back;
         assert!(restored.take_shippable(["p"], VertexId(1)).is_empty());
+    }
+
+    /// A state an older writer snapshotted mid-capture: its mark list
+    /// holds the count of a head relation the capture had stored. It
+    /// decodes to the same state, and writes back with the list empty.
+    #[test]
+    fn a_state_with_stored_relation_counts_decodes() {
+        let mut db = Database::new();
+        db.insert("h", vec![Value::Id(1), Value::Int(0)]);
+        db.insert("h", vec![Value::Id(1), Value::Int(1)]);
+        let layout = |stored: Vec<(String, usize)>| {
+            let mut out = Vec::new();
+            write_database(&db, &mut out);
+            Vec::<(usize, String, usize)>::new().write_snap(&mut out);
+            Vec::<usize>::new().write_snap(&mut out);
+            Vec::<(usize, usize)>::new().write_snap(&mut out);
+            Some(3u32).write_snap(&mut out);
+            vec![("h".to_string(), 1usize)].write_snap(&mut out);
+            stored.write_snap(&mut out);
+            true.write_snap(&mut out);
+            out
+        };
+        let old = layout(vec![("h".to_string(), 2)]);
+
+        let mut input = old.as_slice();
+        let q = QueryState::read_snap(&mut input).unwrap();
+        assert!(input.is_empty());
+        assert_eq!(q.db.sorted("h"), db.sorted("h"));
+        assert_eq!(q.tracker.last_active(), Some(3));
+        assert_eq!(q.ship_marks, [("h".to_string(), 1)].into());
+        assert!(q.statics_done);
+        let mut new = Vec::new();
+        q.write_snap(&mut new);
+        assert_eq!(new, layout(Vec::new()));
     }
 
     #[test]

@@ -1,24 +1,25 @@
 //! Per-vertex query evaluation state, shared by the online wrapper and
-//! the layered offline driver.
+//! the layered and naive offline drivers.
 //!
 //! The database holds what rules join against: the EDB rows a query
-//! reads, the IDB rows it derives, neighbour replicas. Rows a capture only
-//! *stores* never enter it — they go from the generator straight into the
-//! capturing worker's row blocks (see [`crate::online`]) — so after a raw
-//! capture every vertex's database is empty. The persistence marks cover
-//! the relations a capture both keeps here and stores: capture-rule heads
-//! and custom provenance relations.
+//! reads, the IDB rows it derives, neighbour replicas. Which rows enter
+//! it is the run's [`RouteTable`]'s decision: a row a capture only
+//! *stores* goes from the generator straight into the capturing worker's
+//! row block and never becomes a tuple, so after a raw capture every
+//! vertex's database is empty. The shipping marks say how much of each
+//! shipped relation the vertex has already piggybacked to its
+//! neighbours. A state ends in [`QueryState::into_owned`], which moves
+//! out the IDB tuples located at the vertex.
 
 use ariadne_graph::{Csr, VertexId};
 use ariadne_pql::{Database, EvalScratch, EvalStats, Evaluator, PqlError, Tuple, Value};
-use ariadne_provenance::edb::{EdbFlags, EdbTracker};
-use ariadne_provenance::insert_static_edbs;
+use ariadne_provenance::edb::{EdbTracker, Outlet, RouteTable};
+use ariadne_provenance::RowBlock;
 use std::collections::BTreeMap;
 
 /// The query-side state one vertex carries: its partition of the
 /// (transient or replayed) provenance database, incremental evaluation
-/// frontiers, its activation history, and high-water marks for shipping
-/// and persistence.
+/// frontiers, its activation history, and high-water marks for shipping.
 #[derive(Clone, Debug, Default)]
 pub struct QueryState {
     /// Local EDB tuples, derived IDB tuples and neighbour replicas.
@@ -29,10 +30,6 @@ pub struct QueryState {
     pub tracker: EdbTracker,
     /// Per-predicate counts already piggybacked to neighbours.
     pub(crate) ship_marks: BTreeMap<String, usize>,
-    /// Per-predicate counts already handed to the store, for the
-    /// relations a capture persists *from this database* (capture-rule
-    /// heads, custom provenance relations).
-    pub(crate) persist_marks: BTreeMap<String, usize>,
     pub(crate) statics_done: bool,
 }
 
@@ -56,10 +53,17 @@ impl QueryState {
         }
     }
 
-    /// Inject the flagged static graph EDBs (`edge`, `in_edge`) once.
-    pub fn inject_statics(&mut self, graph: &Csr, vertex: VertexId, flags: EdbFlags) {
+    /// Send the generated static graph EDBs (`edge`, `in_edge`) of
+    /// `vertex` through `routes`, once.
+    pub fn statics(
+        &mut self,
+        routes: &RouteTable,
+        blocks: &mut [RowBlock],
+        graph: &Csr,
+        vertex: VertexId,
+    ) {
         if !std::mem::replace(&mut self.statics_done, true) {
-            insert_static_edbs(&mut self.db, flags, graph, vertex);
+            Outlet::new(routes, &mut self.db, blocks).statics(graph, vertex);
         }
     }
 
@@ -93,7 +97,7 @@ impl QueryState {
         for pred in preds {
             let pred = pred.as_ref();
             let fresh: Vec<Tuple> = self
-                .fresh_window(pred, true)
+                .fresh_window(pred)
                 .iter()
                 .filter(|t| t.first() == Some(&own))
                 .cloned()
@@ -105,27 +109,43 @@ impl QueryState {
         out
     }
 
-    /// Everything appended to `pred` since its shipping (or persistence)
-    /// mark, replicas included; advances the mark to the relation's end.
-    pub(crate) fn fresh_window(&mut self, pred: &str, shipping: bool) -> &[Tuple] {
+    /// Everything appended to `pred` since its shipping mark, replicas
+    /// included; advances the mark to the relation's end.
+    pub(crate) fn fresh_window(&mut self, pred: &str) -> &[Tuple] {
         let Some(rel) = self.db.relation(pred) else {
             return &[];
         };
-        let marks = if shipping {
-            &mut self.ship_marks
-        } else {
-            &mut self.persist_marks
-        };
-        let from = match marks.get_mut(pred) {
+        let from = match self.ship_marks.get_mut(pred) {
             Some(mark) => std::mem::replace(mark, rel.len()),
             // An absent mark is a mark at 0: an empty relation needs none.
             None if rel.is_empty() => 0,
             None => {
-                marks.insert(pred.to_string(), rel.len());
+                self.ship_marks.insert(pred.to_string(), rel.len());
                 0
             }
         };
         rel.scan_from(from)
+    }
+
+    /// End the state: each non-empty relation `idb` names (by some key
+    /// `K`), with only its tuples located at `vertex`, in insertion order,
+    /// and its arity. Owner-only is exact: evaluation pins every head's
+    /// location to the evaluating vertex, so an IDB tuple located
+    /// elsewhere is a replica of one its owner holds. Every other
+    /// relation is dropped here.
+    pub fn into_owned<K>(
+        self,
+        vertex: VertexId,
+        mut idb: impl FnMut(&str) -> Option<K>,
+    ) -> impl Iterator<Item = (K, usize, Vec<Tuple>)> {
+        let own = Value::Id(vertex.0);
+        self.db.into_relations().filter_map(move |(name, rel)| {
+            let key = idb(&name).filter(|_| !rel.is_empty())?;
+            let arity = rel.arity();
+            let mut tuples = rel.into_tuples();
+            tuples.retain(|t| t.first() == Some(&own));
+            Some((key, arity, tuples))
+        })
     }
 }
 
@@ -144,13 +164,10 @@ mod tests {
     #[test]
     fn statics_once() {
         let g = star(3);
-        let flags = EdbFlags {
-            edge: true,
-            ..EdbFlags::default()
-        };
+        let routes = RouteTable::reading(&["edge".to_string()].into());
         let mut q = QueryState::new();
-        q.inject_statics(&g, VertexId(0), flags);
-        q.inject_statics(&g, VertexId(0), flags);
+        q.statics(&routes, &mut [], &g, VertexId(0));
+        q.statics(&routes, &mut [], &g, VertexId(0));
         assert_eq!(q.db.len("edge"), 2);
     }
 
@@ -170,9 +187,19 @@ mod tests {
         assert_eq!(first[0].1, vec![vec![Value::Id(1), Value::Int(0)]]);
         // Nothing new: second take is empty.
         assert!(q.take_shippable(["change"], VertexId(1)).is_empty());
-        // Persist marks are independent.
-        assert_eq!(q.fresh_window("change", false).len(), 2);
-        assert!(q.fresh_window("change", false).is_empty());
+    }
+
+    #[test]
+    fn into_owned_keeps_the_vertex_s_idb_tuples() {
+        let mut q = QueryState::new();
+        let row = |v: u64| vec![Value::Id(v), Value::Int(0)];
+        q.inject("h", &[row(9), row(1)]);
+        q.inject("edb", &[row(1)]);
+        q.db.relation_mut("empty", 2);
+        let owned: Vec<_> = q
+            .into_owned(VertexId(1), |name| (name != "edb").then_some(name.len()))
+            .collect();
+        assert_eq!(owned, vec![(1, 2, vec![row(1)])]);
     }
 
     #[test]

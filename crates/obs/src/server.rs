@@ -229,7 +229,7 @@ pub fn status_reason(status: u16) -> &'static str {
 pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
 /// The transport core: listener, bounded accept queue, fixed worker
-/// pool, request-head reassembly, response framing. Route logic is the
+/// pool, request-head reassembly, response framing. Routing logic is the
 /// mounted [`Handler`]'s; [`ObsServer`] mounts [`obs_route`].
 ///
 /// Dropping without [`HttpServer::shutdown`] performs the same graceful

@@ -55,7 +55,7 @@ pub mod v3;
 pub mod writer;
 
 pub use columnar::{ColumnStat, Encoding};
-pub use edb::{insert_static_edbs, EdbFlags, EdbTracker};
+pub use edb::{EdbTracker, Outlet, RouteTable};
 pub use epoch::{EpochInfo, EpochStats};
 pub use encode::ProvEncode;
 pub use rows::{RowBlock, Rows};

@@ -337,9 +337,8 @@ impl RowBlock {
     /// Drop every row from row `from` on that repeats an earlier row at
     /// or after `from`, keeping first occurrences in order — what
     /// inserting that tail into a relation would have kept. It hashes
-    /// every row of the tail; the EDB generator calls it only for a batch
-    /// whose peers decrease, and finds the repeats of any other batch by
-    /// scanning the run of rows with one peer.
+    /// every row of the tail; the row router calls it only for a checked
+    /// batch with no relation beside the block (see [`crate::edb`]).
     pub fn dedup_from(&mut self, from: usize) {
         let keep: Vec<bool> = {
             let mut seen: HashSet<&[Value], BuildHasherDefault<MulHasher>> = HashSet::default();

@@ -505,6 +505,71 @@ fn custom_provenance_online_run_resumes_bit_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A capture that stores a capture-rule head (`over`, derived from the
+/// custom `prov_error` its rule reads) and a custom relation no rule
+/// reads (`prov_prediction`), killed at every superstep and resumed from
+/// its spool, is the uninterrupted capture row for row.
+#[test]
+fn head_and_custom_capture_resumes_at_every_superstep() {
+    let ratings = BipartiteRatings::generate(&RatingsConfig {
+        users: 30,
+        items: 10,
+        ratings_per_user: 5,
+        planted_rank: 2,
+        noise: 0.2,
+        seed: 9,
+    });
+    let mut config = AlsConfig::new(ratings.users, 3);
+    config.supersteps = 6;
+    let als = Als::new(config);
+    let rules = compile_with(
+        "over(x, y, i) :- prov_error(x, y, i, e), e > 0.",
+        Params::new(),
+        &queries::als_catalog(),
+        UdfRegistry::standard(),
+    )
+    .unwrap();
+    let spec = CaptureSpec::raw(["prov_prediction"]).with_query(rules);
+    let options = |resume| RunOptions {
+        custom: Some(Arc::new(AlsProv)),
+        resume,
+    };
+    let reference = Ariadne::default()
+        .capture_with(&als, &ratings.graph, &spec, &options(false))
+        .unwrap();
+    let want = sorted_layers(&reference.store);
+    for pred in ["over", "prov_prediction"] {
+        let stored = want.iter().flatten().any(|(p, rows)| p == pred && !rows.is_empty());
+        assert!(stored, "{pred}: nothing to compare");
+    }
+    let mut fired = 0;
+    for kill in 0..reference.metrics.num_supersteps() {
+        let dir = scratch(&format!("head-custom-{kill}"));
+        let session = |fault| Ariadne {
+            store: StoreConfig::spilling(256, dir.join("spool")),
+            ..ckpt_session(&dir.join("ckpt"), 1, fault)
+        };
+        let plan = FaultPlan::new();
+        plan.kill_at_superstep(kill);
+        let graph = &ratings.graph;
+        let crashed = session(Some(plan)).capture_with(&als, graph, &spec, &options(false));
+        if let Err(err) = crashed {
+            let AriadneError::Engine(EngineError::InjectedCrash { superstep }) = err else {
+                panic!("{err:?}");
+            };
+            assert_eq!(superstep, kill);
+            let resumed = session(None)
+                .capture_with(&als, &ratings.graph, &spec, &options(true))
+                .unwrap();
+            assert_eq!(reference.store.tuple_count(), resumed.store.tuple_count(), "kill {kill}");
+            assert_eq!(want, sorted_layers(&resumed.store), "kill {kill}");
+            fired += 1;
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    assert!(fired >= 3, "want >=3 exercised fault points, got {fired}");
+}
+
 /// `online_with` snapshots the run when `EngineConfig::checkpoint` is
 /// set; `online`, the infallible path, never writes one.
 #[test]
