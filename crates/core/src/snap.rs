@@ -6,12 +6,9 @@
 //! capture runs can checkpoint at barriers and resume bit-identically
 //! after a crash (the query partition — database, delta frontiers,
 //! activation history, shipping marks — is part of the recovered state,
-//! not recomputed).
-//!
-//! A [`QueryState`]'s shipping marks are followed by an empty mark list,
-//! the layout older snapshots have: theirs held counts of stored
-//! relations, each equal to its relation's length at a barrier, so a
-//! read ignores them.
+//! not recomputed). The delta frontiers are written positionally, as the
+//! evaluator holds them; a resume under a query with another frontier
+//! layout is refused at its first step.
 //!
 //! PQL values are foreign to the engine crate; their tuples are written
 //! with the provenance store's row codec ([`ariadne_provenance::codec`]),
@@ -81,10 +78,9 @@ pub fn read_database(input: &mut &[u8]) -> Result<Database, SnapError> {
 impl Snapshot for QueryState {
     fn write_snap(&self, out: &mut Vec<u8>) {
         write_database(&self.db, out);
-        let (frontiers, scan_free, aggs) = self.eval.to_parts();
-        frontiers.write_snap(out);
-        scan_free.write_snap(out);
-        aggs.write_snap(out);
+        self.eval.frontiers().to_vec().write_snap(out);
+        self.eval.ran_scan_free().collect::<Vec<_>>().write_snap(out);
+        self.eval.agg_input_sizes().collect::<Vec<_>>().write_snap(out);
         self.tracker.last_active().write_snap(out);
         let marks: Vec<(String, usize)> = self
             .ship_marks
@@ -92,23 +88,20 @@ impl Snapshot for QueryState {
             .map(|(k, v)| (k.clone(), *v))
             .collect();
         marks.write_snap(out);
-        Vec::<(String, usize)>::new().write_snap(out);
         self.statics_done.write_snap(out);
     }
 
     fn read_snap(input: &mut &[u8]) -> Result<Self, SnapError> {
         let db = read_database(input)?;
-        let frontiers = Vec::<(usize, String, usize)>::read_snap(input)?;
+        let frontiers = Vec::<usize>::read_snap(input)?;
         let scan_free = Vec::<usize>::read_snap(input)?;
         let aggs = Vec::<(usize, usize)>::read_snap(input)?;
         let last_active = Option::<u32>::read_snap(input)?;
         let ship_marks = Vec::<(String, usize)>::read_snap(input)?;
-        // See the module docs: a stored-relation count equals its length.
-        Vec::<(String, usize)>::read_snap(input)?;
         let statics_done = bool::read_snap(input)?;
         Ok(QueryState {
             db,
-            eval: EvalState::from_parts(frontiers, scan_free, aggs),
+            eval: EvalState::restore(frontiers, scan_free, aggs),
             tracker: EdbTracker::from_last_active(last_active),
             ship_marks: ship_marks.into_iter().collect(),
             statics_done,
@@ -243,40 +236,6 @@ mod tests {
         // A restored state takes nothing new (marks survived).
         let mut restored = back;
         assert!(restored.take_shippable(["p"], VertexId(1)).is_empty());
-    }
-
-    /// A state an older writer snapshotted mid-capture: its mark list
-    /// holds the count of a head relation the capture had stored. It
-    /// decodes to the same state, and writes back with the list empty.
-    #[test]
-    fn a_state_with_stored_relation_counts_decodes() {
-        let mut db = Database::new();
-        db.insert("h", vec![Value::Id(1), Value::Int(0)]);
-        db.insert("h", vec![Value::Id(1), Value::Int(1)]);
-        let layout = |stored: Vec<(String, usize)>| {
-            let mut out = Vec::new();
-            write_database(&db, &mut out);
-            Vec::<(usize, String, usize)>::new().write_snap(&mut out);
-            Vec::<usize>::new().write_snap(&mut out);
-            Vec::<(usize, usize)>::new().write_snap(&mut out);
-            Some(3u32).write_snap(&mut out);
-            vec![("h".to_string(), 1usize)].write_snap(&mut out);
-            stored.write_snap(&mut out);
-            true.write_snap(&mut out);
-            out
-        };
-        let old = layout(vec![("h".to_string(), 2)]);
-
-        let mut input = old.as_slice();
-        let q = QueryState::read_snap(&mut input).unwrap();
-        assert!(input.is_empty());
-        assert_eq!(q.db.sorted("h"), db.sorted("h"));
-        assert_eq!(q.tracker.last_active(), Some(3));
-        assert_eq!(q.ship_marks, [("h".to_string(), 1)].into());
-        assert!(q.statics_done);
-        let mut new = Vec::new();
-        q.write_snap(&mut new);
-        assert_eq!(new, layout(Vec::new()));
     }
 
     #[test]

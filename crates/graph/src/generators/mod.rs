@@ -9,13 +9,11 @@
 pub mod bipartite;
 pub mod datasets;
 pub mod erdos_renyi;
-pub mod preferential;
 pub mod regular;
 pub mod rmat;
 
 pub use bipartite::{BipartiteRatings, RatingsConfig};
 pub use datasets::{paper_graph, paper_ratings, Dataset};
 pub use erdos_renyi::erdos_renyi;
-pub use preferential::preferential_attachment;
 pub use regular::{complete, cycle, grid, path, star, tree};
 pub use rmat::{rmat, RmatConfig};

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Any error raised while lexing, parsing or analyzing a PQL query.
+/// Any error raised while lexing, parsing, analyzing or evaluating a query.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PqlError {
     /// Lexical error (bad character, malformed number).
@@ -29,6 +29,14 @@ pub enum PqlError {
         line: Option<usize>,
         /// What went wrong.
         message: String,
+    },
+    /// An evaluation state carries delta frontiers laid out for another
+    /// query (a checkpoint resumed under a query it was not taken with).
+    FrontierMismatch {
+        /// Frontiers the evaluator tracks.
+        expected: usize,
+        /// Frontiers the state carries.
+        found: usize,
     },
 }
 
@@ -64,6 +72,9 @@ impl fmt::Display for PqlError {
             }
             PqlError::Analysis { line: None, message } => {
                 write!(f, "analysis error: {message}")
+            }
+            PqlError::FrontierMismatch { expected, found } => {
+                write!(f, "state has {found} delta frontiers, the query tracks {expected}")
             }
         }
     }

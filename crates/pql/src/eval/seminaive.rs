@@ -22,7 +22,7 @@ use crate::eval::database::Database;
 use crate::eval::plan::{relation_len, EvalScratch, Preds, RulePlan};
 use crate::eval::udf::UdfRegistry;
 use crate::eval::value::Value;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Cached global-registry handles for evaluator metrics. All of these
@@ -122,22 +122,18 @@ impl EvalStats {
     }
 }
 
-/// Per stratum, the names of the predicates its rules scan or negate —
-/// the `(stratum, predicate)` pairs that carry a delta frontier. One per
-/// evaluator, shared by every [`EvalState`] it advances, so a per-vertex
-/// state holds counts only.
-type FrontierLayout = Vec<Vec<String>>;
-
-/// Per-database incremental evaluation state (delta frontiers).
+/// Per-database incremental evaluation state. The delta frontiers are
+/// positional, one per (stratum, predicate it scans or negates) in the
+/// evaluator's order; which evaluator laid them out is a pointer compare.
 #[derive(Clone, Debug, Default)]
 pub struct EvalState {
-    /// What `frontiers` is laid out by: `None` before the first step.
-    layout: Option<Arc<FrontierLayout>>,
-    /// Tuples already consumed, per stratum and tracked predicate, in
-    /// `layout` order, flat.
+    /// The frontier count of the evaluator that laid the state out:
+    /// `None` before the first step and in a restored state.
+    layout: Option<Arc<usize>>,
+    /// Tuples already consumed, per stratum and tracked predicate, flat.
     frontiers: Vec<usize>,
     /// Scan-free rules that have produced their output already.
-    ran_scan_free: HashSet<usize>,
+    ran_scan_free: BTreeSet<usize>,
     /// Aggregate rule → total body-relation size at its last evaluation;
     /// unchanged inputs mean the aggregate is already current.
     agg_input_sizes: BTreeMap<usize, usize>,
@@ -147,68 +143,51 @@ pub struct EvalState {
 }
 
 impl EvalState {
-    /// Decompose into plain, deterministically ordered parts — used by
-    /// checkpointing to serialize the delta frontiers.
-    #[allow(clippy::type_complexity)]
-    pub fn to_parts(&self) -> (Vec<(usize, String, usize)>, Vec<usize>, Vec<(usize, usize)>) {
-        let names = self.layout.iter().flat_map(|layout| {
-            layout
-                .iter()
-                .enumerate()
-                .flat_map(|(s, preds)| preds.iter().map(move |p| (s, p.clone())))
-        });
-        let frontiers = names.zip(&self.frontiers).map(|((s, p), n)| (s, p, *n)).collect();
-        let mut scan_free: Vec<usize> = self.ran_scan_free.iter().copied().collect();
-        scan_free.sort_unstable();
-        let aggs = self.agg_input_sizes.iter().map(|(k, v)| (*k, *v)).collect();
-        (frontiers, scan_free, aggs)
-    }
-
-    /// Rebuild from [`EvalState::to_parts`] output.
-    pub fn from_parts(
-        frontiers: Vec<(usize, String, usize)>,
-        ran_scan_free: Vec<usize>,
-        agg_input_sizes: Vec<(usize, usize)>,
-    ) -> Self {
-        // The parts describe their own layout; the first step re-lays
-        // them out by the evaluator's.
-        let mut nested: BTreeMap<usize, BTreeMap<String, usize>> = BTreeMap::new();
-        for (s, p, n) in frontiers {
-            nested.entry(s).or_default().insert(p, n);
-        }
-        let strata = nested.keys().next_back().map_or(0, |last| last + 1);
-        let mut layout: FrontierLayout = vec![Vec::new(); strata];
-        let mut counts = Vec::new();
-        for (s, preds) in nested {
-            for (p, n) in preds {
-                layout[s].push(p);
-                counts.push(n);
-            }
-        }
+    /// A state from what [`EvalState::frontiers`], [`EvalState::ran_scan_free`]
+    /// and [`EvalState::agg_input_sizes`] give. Its first step refuses
+    /// frontiers of another layout ([`PqlError::FrontierMismatch`]).
+    pub fn restore(frontiers: Vec<usize>, ran: Vec<usize>, aggs: Vec<(usize, usize)>) -> Self {
         EvalState {
-            layout: Some(Arc::new(layout)),
-            frontiers: counts,
-            ran_scan_free: ran_scan_free.into_iter().collect(),
-            agg_input_sizes: agg_input_sizes.into_iter().collect(),
+            layout: None,
+            frontiers,
+            ran_scan_free: ran.into_iter().collect(),
+            agg_input_sizes: aggs.into_iter().collect(),
             at: Vec::new(),
         }
     }
 
-    /// Lay the frontiers out by `layout`, carrying counts over by name
-    /// when they were laid out by another (a restored checkpoint).
-    fn lay_out(&mut self, layout: &Arc<FrontierLayout>) {
+    /// The delta frontiers, in the evaluator's order.
+    pub fn frontiers(&self) -> &[usize] {
+        &self.frontiers
+    }
+
+    /// The scan-free rules that have run, ascending.
+    pub fn ran_scan_free(&self) -> impl Iterator<Item = usize> + '_ {
+        self.ran_scan_free.iter().copied()
+    }
+
+    /// Each aggregate rule's input size at its last evaluation, by rule.
+    pub fn agg_input_sizes(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.agg_input_sizes.iter().map(|(&rule, &size)| (rule, size))
+    }
+
+    /// Lay the frontiers out for the evaluator whose layout is `layout`:
+    /// zeros for a fresh state, the restored counts when there are as
+    /// many as the evaluator tracks.
+    fn lay_out(&mut self, layout: &Arc<usize>) -> Result<(), PqlError> {
         if self.layout.as_ref().is_some_and(|l| Arc::ptr_eq(l, layout)) {
-            return;
+            return Ok(());
         }
-        let (old, _, _) = self.to_parts();
-        self.frontiers.clear();
-        for (s, preds) in layout.iter().enumerate() {
-            self.frontiers.extend(preds.iter().map(|p| {
-                let carried = old.iter().find(|(os, op, _)| *os == s && op == p);
-                carried.map_or(0, |(_, _, n)| *n)
-            }));
+        if self.frontiers.is_empty() {
+            self.frontiers.resize(**layout, 0);
+        } else if self.frontiers.len() != **layout {
+            return Err(PqlError::FrontierMismatch {
+                expected: **layout,
+                found: self.frontiers.len(),
+            });
         }
         self.layout = Some(Arc::clone(layout));
+        Ok(())
     }
 }
 
@@ -240,7 +219,7 @@ struct PivotExec {
 struct StratumExec {
     rules: Vec<usize>,
     /// Ids of the predicates the stratum's rules scan or negate, in name
-    /// order (the stratum's row of the [`FrontierLayout`]).
+    /// order.
     tracked: Vec<usize>,
     /// Where the stratum's frontiers start in [`EvalState::frontiers`].
     offset: usize,
@@ -254,7 +233,8 @@ pub struct Evaluator {
     preds: Preds,
     rules: Vec<RuleExec>,
     strata: Vec<StratumExec>,
-    layout: Arc<FrontierLayout>,
+    /// The frontier count, shared with every state this evaluator lays out.
+    layout: Arc<usize>,
 }
 
 impl std::fmt::Debug for Evaluator {
@@ -281,7 +261,6 @@ impl Evaluator {
     pub fn new(query: AnalyzedQuery, udfs: UdfRegistry) -> Self {
         let mut preds = Preds::default();
         let mut strata = Vec::with_capacity(query.strata.len());
-        let mut layout = FrontierLayout::new();
         let mut stratum_of = vec![0; query.rules.len()];
         let mut offset = 0;
         for (s, rules) in query.strata.iter().enumerate() {
@@ -296,7 +275,6 @@ impl Evaluator {
                 offset,
             });
             offset += names.len();
-            layout.push(names.iter().map(|(name, _)| name.to_string()).collect());
         }
         let compile = |rule: &AnalyzedRule, steps: &[Step], preds: &mut Preds| {
             [false, true].map(|seeded| RulePlan::compile(rule, steps, seeded, &udfs, preds))
@@ -341,7 +319,7 @@ impl Evaluator {
             preds,
             rules,
             strata,
-            layout: Arc::new(layout),
+            layout: Arc::new(offset),
         }
     }
 
@@ -417,7 +395,7 @@ impl Evaluator {
         stats: &mut EvalStats,
         scratch: &mut EvalScratch,
     ) -> Result<(), PqlError> {
-        state.lay_out(&self.layout);
+        state.lay_out(&self.layout)?;
         self.preds.locate(db, &mut state.at);
         scratch.begin();
         let mut local = EvalStats::default();
@@ -801,6 +779,34 @@ mod tests {
         assert_eq!(
             db.sorted("seeded"),
             vec![vec![Value::Id(4), Value::Int(0)]]
+        );
+    }
+
+    /// A restored state resumes from its positional frontiers when they
+    /// fit the evaluator, and is refused when there are more or fewer.
+    #[test]
+    fn restored_frontiers_resume_or_are_refused() {
+        let ev = evaluator("out(x, y) :- edge(x, y).");
+        let mut db = edge_db(&[(1, 2), (3, 4)]);
+        let mut state = EvalState::restore(vec![1], vec![], vec![]);
+        step(&ev, &mut db, &mut state, None);
+        assert_eq!(db.sorted("out"), vec![vec![Value::Id(3), Value::Id(4)]]);
+        assert_eq!(state.frontiers(), [2]);
+
+        let mut foreign = EvalState::restore(vec![0, 0], vec![], vec![]);
+        let refused = ev.step(
+            &mut db,
+            &mut foreign,
+            None,
+            &mut EvalStats::default(),
+            &mut EvalScratch::default(),
+        );
+        assert_eq!(
+            refused,
+            Err(PqlError::FrontierMismatch {
+                expected: 1,
+                found: 2
+            })
         );
     }
 

@@ -576,32 +576,16 @@ impl ProvStore {
                 });
             }
         }
-        // A scripted bit flip silently corrupts the bytes on their way
-        // to disk (scrub-detection tests); a torn write persists only a
-        // prefix and then fails like a crash.
-        let mut payload = std::borrow::Cow::Borrowed(mem);
-        let mut torn_at: Option<usize> = None;
-        if let Some(fault) = fault {
-            if fault.take_bit_flip(attempt) {
-                let mut owned = payload.into_owned();
-                let mid = owned.len() / 2;
-                if let Some(b) = owned.get_mut(mid) {
-                    *b ^= 0x01;
-                }
-                note_fault(
-                    "injected_bit_flip",
-                    &[("attempt", attempt.into()), ("offset", mid.into())],
-                );
-                payload = std::borrow::Cow::Owned(owned);
-            }
-            if let Some(keep) = fault.take_torn_write(attempt) {
+        // A torn write persists only a prefix and then fails like a crash.
+        let torn_at = fault
+            .and_then(|fault| fault.take_torn_write(attempt))
+            .map(|keep| {
                 note_fault(
                     "injected_torn_write",
                     &[("attempt", attempt.into()), ("keep_bytes", keep.into())],
                 );
-                torn_at = Some(keep.min(payload.len()));
-            }
-        }
+                keep.min(mem.len())
+            });
 
         match self.config.durability {
             Durability::None | Durability::Spill => {
@@ -626,13 +610,13 @@ impl ProvStore {
                     std::io::Seek::seek(&mut file, std::io::SeekFrom::Start(before))?;
                     if let Some(keep) = torn_at {
                         // Crash mid-record: persist the prefix, fail.
-                        file.write_all(&payload[..keep])?;
+                        file.write_all(&mem[..keep])?;
                         let _ = file.sync_all();
                         return Err(std::io::Error::other(
                             "injected torn write (crash mid-record)",
                         ));
                     }
-                    file.write_all(&payload)?;
+                    file.write_all(mem)?;
                     if fsync {
                         timed_sync(&file)?;
                     }
@@ -678,12 +662,12 @@ impl ProvStore {
                 for f in &absorbed {
                     read_extent(&f.path, f.offset, f.bytes, &mut full).map_err(io_err(&f.path))?;
                 }
-                full.extend_from_slice(&payload);
+                full.extend_from_slice(mem);
                 with_spill_retries(fault, &seal_path, || {
                     if let Some(keep) = torn_at {
                         // Crash mid-seal: only the temp file is torn;
                         // the published .seal is untouched.
-                        write_temp(&seal_path, &full[..full.len() - payload.len() + keep], true)?;
+                        write_temp(&seal_path, &full[..full.len() - mem.len() + keep], true)?;
                         return Err(std::io::Error::other(
                             "injected torn write (crash mid-seal)",
                         ));

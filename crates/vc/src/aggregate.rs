@@ -5,7 +5,6 @@
 //! condition at the barrier. PageRank's tolerance-based termination and
 //! ALS's global-error tracking use these.
 
-use crate::checkpoint::SnapError;
 use std::sync::Arc;
 
 /// A value contributed to / read from an aggregator.
@@ -87,9 +86,9 @@ impl AggOp {
 /// matters because PageRank contributes once per vertex-step.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Aggregates {
-    ops: Arc<[(String, AggOp)]>,
-    current: Vec<Option<AggValue>>,
-    previous: Vec<Option<AggValue>>,
+    pub(crate) ops: Arc<[(String, AggOp)]>,
+    pub(crate) current: Vec<Option<AggValue>>,
+    pub(crate) previous: Vec<Option<AggValue>>,
 }
 
 impl Default for Aggregates {
@@ -185,49 +184,6 @@ impl Aggregates {
     pub fn rotate(&mut self) {
         std::mem::swap(&mut self.previous, &mut self.current);
         self.current.fill(None);
-    }
-
-    /// Decompose into sorted `(ops, current, previous)` vectors — the
-    /// deterministic form the checkpoint codec serializes. Only values
-    /// that were set appear.
-    #[allow(clippy::type_complexity)]
-    pub fn to_parts(
-        &self,
-    ) -> (
-        Vec<(String, AggOp)>,
-        Vec<(String, AggValue)>,
-        Vec<(String, AggValue)>,
-    ) {
-        let set = |values: &[Option<AggValue>]| -> Vec<(String, AggValue)> {
-            self.ops
-                .iter()
-                .zip(values)
-                .filter_map(|((name, _), v)| v.map(|v| (name.clone(), v)))
-                .collect()
-        };
-        (self.ops.to_vec(), set(&self.current), set(&self.previous))
-    }
-
-    /// Rebuild a store from [`Aggregates::to_parts`] output. A value for
-    /// a name with no registration is [`SnapError::UnknownAggregator`].
-    pub fn from_parts(
-        ops: Vec<(String, AggOp)>,
-        current: Vec<(String, AggValue)>,
-        previous: Vec<(String, AggValue)>,
-    ) -> Result<Aggregates, SnapError> {
-        let mut store = Aggregates::new(ops);
-        for (values, named) in [
-            (&mut store.current, current),
-            (&mut store.previous, previous),
-        ] {
-            for (name, value) in named {
-                match store.ops.iter().position(|(n, _)| *n == name) {
-                    Some(k) => values[k] = Some(value),
-                    None => return Err(SnapError::UnknownAggregator(name)),
-                }
-            }
-        }
-        Ok(store)
     }
 
     /// A worker-local copy with the same (shared) registrations and empty

@@ -9,12 +9,7 @@
 //! superstep counts to an uninterrupted run — the determinism tests
 //! rely on this.
 //!
-//! # On-disk format (version 2)
-//!
-//! Version 2 extends the [`SuperstepMetrics`] encoding with the buffered
-//! message/byte counters introduced by the flat message plane
-//! (`buffered_messages`, `buffered_bytes`). Version-1 files are rejected
-//! with a typed error; there is no silent migration.
+//! # On-disk format (version 6)
 //!
 //! ```text
 //! +---------+---------+-------------+-----------+----------------+
@@ -23,13 +18,22 @@
 //! +---------+---------+-------------+-----------+----------------+
 //! ```
 //!
-//! The payload is the [`Snapshot`] encoding of an [`EngineCheckpoint`].
+//! The payload is the [`Snapshot`] encoding of an [`EngineCheckpoint`],
+//! each piece in the layout the engine runs on: the inbox as one flat
+//! [`Inbox`] (per-vertex offsets, then every message; the engine's
+//! per-chunk inboxes written back to back, so the file does not depend
+//! on the thread count) and the aggregates as their sorted registrations
+//! followed by the current and previous slot vectors. A file of another
+//! version is refused; there is no migration, since a snapshot is a
+//! crash-recovery file, not an archive.
+//!
 //! Truncation, a bad magic/version, a length mismatch or a CRC mismatch
 //! all surface as [`EngineError::Corrupt`] — never a panic. Files are
 //! written to a temporary sibling and atomically renamed so a crash
 //! mid-write can never leave a half-written file under the final name.
 
 use crate::aggregate::{AggOp, AggValue, Aggregates};
+use crate::engine::Inbox;
 use crate::message::Envelope;
 use crate::metrics::{PhaseTimes, RunMetrics, SuperstepMetrics};
 use ariadne_graph::VertexId;
@@ -42,19 +46,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"ARSN";
 
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject other versions with a typed error rather than misparsing.
-/// v3: `SuperstepMetrics` gained `messages_delivered`, per-phase wall
-/// times and a `checkpoint` duration.
-/// v4: no layout change in the snapshot file itself, but the
-/// capture-resume contract it anchors now spans the provenance store's
-/// record format too — a store resumed alongside a v4 snapshot may hold
-/// mixed v1/v2 (columnar) segment records, and replay after resume must
-/// stay bit-identical across both. Readers predating the v2 record
-/// magic would accept an old-versioned snapshot yet choke on the spool,
-/// so the version gates the pair.
-/// v5: the online wrapper's PQL tuples are written as length-prefixed
-/// batches of the provenance store's row codec (u32 lengths), replacing
-/// its own value codec with u64 lengths.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// When and where the engine writes barrier snapshots.
 #[derive(Clone, Debug)]
@@ -271,9 +263,17 @@ pub enum SnapError {
     /// A length prefix was absurd (guards against misparses allocating
     /// gigabytes from garbage bytes).
     BadLength(u64),
-    /// An aggregator value named an aggregator the snapshot does not
-    /// register.
-    UnknownAggregator(String),
+    /// An aggregator slot vector's length differs from the number of
+    /// registrations it sits beside.
+    SlotMismatch {
+        /// Aggregators registered.
+        registered: usize,
+        /// Values in the slot vector.
+        slots: usize,
+    },
+    /// An inbox's offsets do not index its messages: they do not start at
+    /// zero, run backwards, or end short of or past the last message.
+    BadOffsets,
 }
 
 impl fmt::Display for SnapError {
@@ -283,9 +283,10 @@ impl fmt::Display for SnapError {
             SnapError::BadTag(t) => write!(f, "unknown tag byte {t:#04x}"),
             SnapError::BadUtf8 => write!(f, "non-UTF-8 string field"),
             SnapError::BadLength(n) => write!(f, "implausible length prefix {n}"),
-            SnapError::UnknownAggregator(name) => {
-                write!(f, "value for unregistered aggregator {name:?}")
+            SnapError::SlotMismatch { registered, slots } => {
+                write!(f, "{slots} aggregator slots for {registered} registrations")
             }
+            SnapError::BadOffsets => write!(f, "inbox offsets do not index its messages"),
         }
     }
 }
@@ -555,17 +556,63 @@ impl Snapshot for AggValue {
 
 impl Snapshot for Aggregates {
     fn write_snap(&self, out: &mut Vec<u8>) {
-        // to_parts returns sorted vectors — deterministic bytes.
-        let (ops, current, previous) = self.to_parts();
-        ops.write_snap(out);
-        current.write_snap(out);
-        previous.write_snap(out);
+        self.ops.len().write_snap(out);
+        for (name, op) in self.ops.iter() {
+            name.write_snap(out);
+            op.write_snap(out);
+        }
+        self.current.write_snap(out);
+        self.previous.write_snap(out);
     }
     fn read_snap(input: &mut &[u8]) -> Result<Self, SnapError> {
         let ops = Vec::<(String, AggOp)>::read_snap(input)?;
-        let current = Vec::<(String, AggValue)>::read_snap(input)?;
-        let previous = Vec::<(String, AggValue)>::read_snap(input)?;
-        Aggregates::from_parts(ops, current, previous)
+        let current = Vec::<Option<AggValue>>::read_snap(input)?;
+        let previous = Vec::<Option<AggValue>>::read_snap(input)?;
+        for slots in [&current, &previous] {
+            if slots.len() != ops.len() {
+                return Err(SnapError::SlotMismatch {
+                    registered: ops.len(),
+                    slots: slots.len(),
+                });
+            }
+        }
+        Ok(Aggregates {
+            ops: ops.into(),
+            current,
+            previous,
+        })
+    }
+}
+
+/// Write `chunks`, inboxes of consecutive vertex runs, as the one
+/// [`Inbox`] they make together: every vertex's offset, then every
+/// message. This is how the engine writes its per-chunk inboxes, and
+/// how [`Inbox::write_snap`] writes one.
+pub(crate) fn write_inboxes<M: Snapshot>(chunks: &[Inbox<M>], out: &mut Vec<u8>) {
+    let vertices: usize = chunks.iter().map(Inbox::vertex_count).sum();
+    (vertices + 1).write_snap(out);
+    0usize.write_snap(out);
+    let mut offset = 0;
+    for chunk in chunks {
+        for start in &chunk.starts[1..] {
+            (offset + start).write_snap(out);
+        }
+        offset += chunk.data.len();
+    }
+    offset.write_snap(out);
+    for envelope in chunks.iter().flat_map(|chunk| &chunk.data) {
+        envelope.write_snap(out);
+    }
+}
+
+impl<M: Snapshot> Snapshot for Inbox<M> {
+    fn write_snap(&self, out: &mut Vec<u8>) {
+        write_inboxes(std::slice::from_ref(self), out);
+    }
+    fn read_snap(input: &mut &[u8]) -> Result<Self, SnapError> {
+        let starts = Vec::<usize>::read_snap(input)?;
+        let data = Vec::<Envelope<M>>::read_snap(input)?;
+        Inbox::new(starts, data)
     }
 }
 
@@ -639,8 +686,9 @@ pub struct EngineCheckpoint<V, M> {
     pub superstep: u32,
     /// Vertex values as of the barrier.
     pub values: Vec<V>,
-    /// Messages already delivered for superstep `superstep`.
-    pub inbox: Vec<Vec<Envelope<M>>>,
+    /// Messages already delivered for superstep `superstep`, one flat
+    /// inbox over every vertex.
+    pub inbox: Inbox<M>,
     /// Aggregator state after barrier rotation.
     pub aggregates: Aggregates,
     /// Metrics recorded up to the barrier.
@@ -659,7 +707,7 @@ impl<V: Snapshot, M: Snapshot> Snapshot for EngineCheckpoint<V, M> {
         Ok(EngineCheckpoint {
             superstep: u32::read_snap(input)?,
             values: Vec::read_snap(input)?,
-            inbox: Vec::read_snap(input)?,
+            inbox: Inbox::read_snap(input)?,
             aggregates: Aggregates::read_snap(input)?,
             metrics: RunMetrics::read_snap(input)?,
         })

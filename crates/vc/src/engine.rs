@@ -10,9 +10,9 @@
 //! chunk filled by a two-pass counting scatter (messages move, they are
 //! never cloned), degree-weighted chunk boundaries cut from the CSR
 //! out-degree prefix sums, and *sender-side* combining for combiners
-//! that declare themselves [`Combiner::is_exact`]. The per-vertex
-//! `Vec<Vec<_>>` inbox layout survives only as the checkpoint wire
-//! format ([`EngineCheckpoint::inbox`]).
+//! that declare themselves [`Combiner::is_exact`]. A checkpoint holds
+//! the same flat layout over the whole graph ([`EngineCheckpoint::inbox`]),
+//! cut at the chunk bounds on resume.
 //!
 //! Combining policy (see [`Combiner::is_exact`] for the full argument):
 //! sender-side combining partitions the per-destination fold by chunk
@@ -30,8 +30,8 @@
 
 use crate::aggregate::{AggValue, Aggregates};
 use crate::checkpoint::{
-    checkpoint_path, load_latest_checkpoint, CheckpointConfig, EngineCheckpoint, EngineError,
-    Snapshot,
+    checkpoint_path, load_latest_checkpoint, write_inboxes, CheckpointConfig, EngineCheckpoint,
+    EngineError, SnapError, Snapshot,
 };
 use crate::context::Context;
 use crate::fault::FaultPlan;
@@ -381,9 +381,9 @@ impl Engine {
         // bytes, not cross-field invariants). Left unchecked, a worker
         // would read past the short inbox mid-superstep — validate it
         // here, typed.
-        if checkpoint.inbox.len() != graph.num_vertices() {
+        if checkpoint.inbox.vertex_count() != graph.num_vertices() {
             return Err(EngineError::InboxMismatch {
-                snapshot_inboxes: checkpoint.inbox.len(),
+                snapshot_inboxes: checkpoint.inbox.vertex_count(),
                 graph_vertices: graph.num_vertices(),
             });
         }
@@ -401,7 +401,7 @@ impl Engine {
         let state = LoopState {
             superstep: checkpoint.superstep,
             values: checkpoint.values,
-            inbox: flat_inbox(checkpoint.inbox, &table),
+            inbox: split_inbox(checkpoint.inbox, &table),
             aggregates: checkpoint.aggregates,
             metrics: checkpoint.metrics,
         };
@@ -454,7 +454,7 @@ impl Engine {
     /// read-only flat inbox, buffering sends into recycled per-(worker,
     /// destination-chunk) buffers (combined at the sender for exact
     /// combiners); phase 2 counts arrivals per destination, then moves
-    /// every envelope into a flat `ChunkInbox` with a counting scatter.
+    /// every envelope into a flat [`Inbox`] per chunk with a counting scatter.
     /// The pair of inbox sets is double-buffered, so after the first few
     /// supersteps the steady state allocates nothing.
     fn drive<P: VertexProgram>(
@@ -490,7 +490,7 @@ impl Engine {
         // Recycled buffers: the spare inbox set double-buffers against
         // `st.inbox`; outbox shells and dedup maps round-trip through
         // pools; `cursors` is per-destination-chunk scatter scratch.
-        let mut spare: Vec<ChunkInbox<P::M>> = empty_inbox(&table);
+        let mut spare: Vec<Inbox<P::M>> = empty_inbox(&table);
         let mut box_pool: Vec<Vec<(VertexId, Envelope<P::M>)>> = Vec::new();
         let mut dedup_pool: Vec<DedupTable> = Vec::new();
         let mut agg_pool: Vec<Vec<Option<AggValue>>> = Vec::new();
@@ -522,7 +522,7 @@ impl Engine {
             let mut worker_out: Vec<WorkerOutput<P::M>> = Vec::with_capacity(num_chunks);
             let mut active_total = 0usize;
             {
-                let inbox_chunks: &[ChunkInbox<P::M>] = &st.inbox;
+                let inbox_chunks: &[Inbox<P::M>] = &st.inbox;
                 let value_chunks = split_by_table(&mut st.values, &table);
                 let agg_ref = &st.aggregates;
                 let table_ref = &table;
@@ -724,69 +724,84 @@ fn per_chunk<T: Send, R: Send>(
     })
 }
 
-/// Messages delivered for one destination chunk, stored flat.
+/// Messages delivered for a run of consecutive vertices, stored flat.
 ///
-/// `data` holds every envelope for vertices `base..base + len` in
-/// ascending local-vertex order; `starts` (length `len + 1`) indexes it,
-/// so vertex `base + i`'s inbox is `data[starts[i]..starts[i + 1]]`.
-/// Within one vertex's slice, envelopes are in global sender order.
-struct ChunkInbox<M> {
-    /// First global vertex index of the chunk.
-    base: usize,
+/// `data` holds every envelope for vertices `base..base + len` grouped by
+/// destination, and `starts` (length `len + 1`) indexes it, so vertex
+/// `base + i`'s inbox is `data[starts[i]..starts[i + 1]]`, in global
+/// sender order. The engine holds one per chunk; a checkpoint holds one
+/// for the whole graph.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Inbox<M> {
+    /// First global vertex index covered.
+    pub(crate) base: usize,
     /// Per-local-vertex offsets into `data` (exclusive prefix sums).
-    starts: Vec<usize>,
-    /// All envelopes for the chunk, grouped by destination.
-    data: Vec<Envelope<M>>,
+    pub(crate) starts: Vec<usize>,
+    /// All envelopes, grouped by destination.
+    pub(crate) data: Vec<Envelope<M>>,
 }
 
-impl<M> ChunkInbox<M> {
+impl<M> Inbox<M> {
+    /// The inbox of vertices `0..starts.len() - 1` from its offsets and
+    /// messages. Offsets that do not start at zero, run backwards or end
+    /// anywhere but `data.len()` are [`SnapError::BadOffsets`].
+    pub fn new(starts: Vec<usize>, data: Vec<Envelope<M>>) -> Result<Self, SnapError> {
+        let ordered = starts.windows(2).all(|w| w[0] <= w[1]);
+        if starts.first() != Some(&0) || starts.last() != Some(&data.len()) || !ordered {
+            return Err(SnapError::BadOffsets);
+        }
+        Ok(Inbox {
+            base: 0,
+            starts,
+            data,
+        })
+    }
+
     /// An empty inbox for the vertex range `[start, end)`.
-    fn empty((start, end): (usize, usize)) -> Self {
-        ChunkInbox {
+    pub(crate) fn empty((start, end): (usize, usize)) -> Self {
+        Inbox {
             base: start,
             starts: vec![0; end - start + 1],
             data: Vec::new(),
         }
     }
 
-    /// Number of vertices this chunk covers.
-    fn vertex_count(&self) -> usize {
+    /// Number of vertices covered.
+    pub(crate) fn vertex_count(&self) -> usize {
         self.starts.len() - 1
     }
 
-    /// Messages for local vertex `local` (index within the chunk).
+    /// Messages for local vertex `local` (index from `base`).
     #[inline]
-    fn msgs(&self, local: usize) -> &[Envelope<M>] {
+    pub(crate) fn msgs(&self, local: usize) -> &[Envelope<M>] {
         &self.data[self.starts[local]..self.starts[local + 1]]
     }
 }
 
 /// One empty inbox per chunk of `table`.
-fn empty_inbox<M>(table: &ChunkTable) -> Vec<ChunkInbox<M>> {
+fn empty_inbox<M>(table: &ChunkTable) -> Vec<Inbox<M>> {
     (0..table.num_chunks())
-        .map(|c| ChunkInbox::empty(table.bounds(c)))
+        .map(|c| Inbox::empty(table.bounds(c)))
         .collect()
 }
 
-/// Lay a checkpoint's per-vertex inbox out flat for `table`'s chunking,
-/// preserving per-vertex message order exactly (the flat data is the
-/// concatenation of the per-vertex lists in vertex order), so a resumed
-/// run is bit-identical.
-///
-/// Resume validates inbox length against the graph before any state
-/// reaches here ([`EngineError::InboxMismatch`]), so a short inbox is an
-/// internal-invariant breach, not a reachable input state; it still
-/// degrades to empty inboxes rather than panicking a worker.
-fn flat_inbox<M>(per_vertex: Vec<Vec<Envelope<M>>>, table: &ChunkTable) -> Vec<ChunkInbox<M>> {
-    debug_assert_eq!(per_vertex.len(), table.num_vertices());
-    let mut iter = per_vertex.into_iter();
-    let mut chunks = empty_inbox(table);
-    for inbox in &mut chunks {
-        for i in 0..inbox.vertex_count() {
-            inbox.data.extend(iter.next().unwrap_or_default());
-            inbox.starts[i + 1] = inbox.data.len();
-        }
-    }
+/// Cut a checkpoint's inbox, which covers every vertex, at `table`'s
+/// chunk bounds. Resume has checked that it covers the graph
+/// ([`EngineError::InboxMismatch`]).
+fn split_inbox<M>(mut whole: Inbox<M>, table: &ChunkTable) -> Vec<Inbox<M>> {
+    let mut chunks: Vec<Inbox<M>> = (0..table.num_chunks())
+        .rev()
+        .map(|c| {
+            let (start, end) = table.bounds(c);
+            let from = whole.starts[start];
+            Inbox {
+                base: start,
+                starts: whole.starts[start..=end].iter().map(|s| s - from).collect(),
+                data: whole.data.split_off(from),
+            }
+        })
+        .collect();
+    chunks.reverse();
     chunks
 }
 
@@ -799,7 +814,7 @@ struct LoopState<P: VertexProgram> {
     values: Vec<P::V>,
     /// Messages delivered for superstep `superstep`, one flat buffer per
     /// chunk of the run's chunk table.
-    inbox: Vec<ChunkInbox<P::M>>,
+    inbox: Vec<Inbox<P::M>>,
     /// Aggregator state (rotated: `previous` holds the last barrier's
     /// reductions).
     aggregates: Aggregates,
@@ -944,24 +959,6 @@ where
     }
 }
 
-/// Encode the flat inbox exactly as `Vec<Vec<Envelope<M>>>::write_snap`
-/// would ([`EngineCheckpoint::inbox`]'s layout): outer vertex count, then
-/// per vertex a length prefix and its envelopes. Snapshot files therefore
-/// do not depend on the chunk layout.
-fn write_inbox_snap<M: Snapshot>(chunks: &[ChunkInbox<M>], out: &mut Vec<u8>) {
-    let n: usize = chunks.iter().map(|c| c.vertex_count()).sum();
-    n.write_snap(out);
-    for chunk in chunks {
-        for i in 0..chunk.vertex_count() {
-            let msgs = chunk.msgs(i);
-            msgs.len().write_snap(out);
-            for e in msgs {
-                e.write_snap(out);
-            }
-        }
-    }
-}
-
 /// Serialize `state` into a checkpoint file (field-by-field, matching
 /// [`EngineCheckpoint`]'s layout, without cloning the state), then apply
 /// any scripted corruption to the file that just landed.
@@ -978,7 +975,7 @@ where
     let mut payload = Vec::new();
     state.superstep.write_snap(&mut payload);
     state.values.write_snap(&mut payload);
-    write_inbox_snap(&state.inbox, &mut payload);
+    write_inboxes(&state.inbox, &mut payload);
     state.aggregates.write_snap(&mut payload);
     state.metrics.write_snap(&mut payload);
 
@@ -1070,7 +1067,7 @@ fn run_chunk<P: VertexProgram>(
     always_active: bool,
     bounds: (usize, usize),
     values: &mut [P::V],
-    inbox: &ChunkInbox<P::M>,
+    inbox: &Inbox<P::M>,
     global_aggs: &Aggregates,
     table: &ChunkTable,
     sender_combiner: Option<&dyn Combiner<P::M>>,
@@ -1164,7 +1161,7 @@ impl DeliverCounts {
 fn deliver_chunk<P: VertexProgram>(
     program: &P,
     combiner: Option<&dyn Combiner<P::M>>,
-    inbox: &mut ChunkInbox<P::M>,
+    inbox: &mut Inbox<P::M>,
     producers: &mut [OutboxBuf<P::M>],
     cursors: &mut Vec<usize>,
 ) -> DeliverCounts {
@@ -1970,9 +1967,9 @@ mod tests {
 
     /// Both ways a run starts build the flat inbox directly for the
     /// run's chunk table: a fresh run gets one empty inbox per chunk
-    /// (and a run that never sends terminates on it), a resumed run lays
-    /// the checkpoint's per-vertex lists out flat — re-encoding to the
-    /// same wire bytes — and finishes bit-identically.
+    /// (and a run that never sends terminates on it), a resumed run cuts
+    /// the checkpoint's whole-graph inbox at the chunk bounds — which
+    /// write back as the same bytes — and finishes bit-identically.
     #[test]
     fn fresh_and_resumed_runs_build_the_flat_inbox_directly() {
         let g = cycle(100);
@@ -1991,13 +1988,19 @@ mod tests {
             assert_eq!(r.metrics.total_messages(), 0);
             assert_eq!(r.values, (1..=100).collect::<Vec<u64>>());
 
-            let per_vertex: Vec<Vec<Envelope<u64>>> = (0..100u64)
-                .map(|v| (0..v % 3).map(|k| Envelope::new(VertexId(k), v)).collect())
-                .collect();
+            let (mut starts, mut data) = (vec![0], Vec::new());
+            for v in 0..100u64 {
+                data.extend((0..v % 3).map(|k| Envelope::new(VertexId(k), v)));
+                starts.push(data.len());
+            }
+            let whole = Inbox::new(starts, data).unwrap();
             let mut wire = Vec::new();
-            per_vertex.write_snap(&mut wire);
+            whole.write_snap(&mut wire);
+            assert_eq!(Inbox::read_snap(&mut wire.as_slice()), Ok(whole.clone()));
+            let chunks = split_inbox(whole, &table);
+            assert_eq!(chunks.len(), threads);
             let mut flat = Vec::new();
-            write_inbox_snap(&flat_inbox(per_vertex, &table), &mut flat);
+            write_inboxes(&chunks, &mut flat);
             assert_eq!(flat, wire, "{threads} threads: inbox wire bytes");
 
             let dir = std::env::temp_dir().join(format!(
@@ -2042,7 +2045,7 @@ mod tests {
         let ckpt: EngineCheckpoint<u64, u64> = EngineCheckpoint {
             superstep: 1,
             values: vec![0u64; g.num_vertices()],
-            inbox: vec![Vec::new(); g.num_vertices() - 3],
+            inbox: Inbox::new(vec![0; g.num_vertices() - 2], Vec::new()).unwrap(),
             aggregates: Aggregates::new(Vec::new()),
             metrics: RunMetrics::default(),
         };

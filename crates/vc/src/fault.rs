@@ -45,9 +45,6 @@ pub struct FaultPlan {
     /// Zero-based spill-write ordinals torn mid-record, mapped to the
     /// number of bytes actually written before the simulated crash.
     torn_writes: Mutex<std::collections::BTreeMap<u64, usize>>,
-    /// Zero-based spill-write ordinals whose bytes get one byte flipped
-    /// on the way to disk (silent corruption for scrub tests).
-    bit_flips: Mutex<BTreeSet<u64>>,
     /// Cumulative spilled-byte threshold past which the next spill write
     /// fails like a full disk (ENOSPC).
     enospc_after: Mutex<Option<u64>>,
@@ -115,14 +112,6 @@ impl FaultPlan {
         self
     }
 
-    /// Flip one byte of the `n`-th (zero-based) spill write on its way
-    /// to disk. The write *succeeds* — the corruption is silent until a
-    /// read or a scrub re-verifies the record CRCs.
-    pub fn bit_flip_at(&self, n: u64) -> &Self {
-        self.bit_flips.lock().unwrap().insert(n);
-        self
-    }
-
     /// Fail the first spill write that would push cumulative spilled
     /// bytes past `bytes`, with an ENOSPC-style (non-retryable) IO
     /// error — the simulated full disk.
@@ -185,12 +174,6 @@ impl FaultPlan {
         self.torn_writes.lock().unwrap().remove(&attempt)
     }
 
-    /// Store hook: should spill-write attempt `attempt` have one byte
-    /// flipped? Consumes the fault when it fires.
-    pub fn take_bit_flip(&self, attempt: u64) -> bool {
-        self.bit_flips.lock().unwrap().remove(&attempt)
-    }
-
     /// Store hook: with `written` cumulative spilled bytes about to be
     /// exceeded, has the scripted disk-full threshold been crossed?
     /// Consumes the fault when it fires.
@@ -242,7 +225,6 @@ impl FaultPlan {
             + self.truncations.lock().unwrap().len()
             + self.ingest_stalls.lock().unwrap().len()
             + self.torn_writes.lock().unwrap().len()
-            + self.bit_flips.lock().unwrap().len()
             + usize::from(self.enospc_after.lock().unwrap().is_some())
             + self.transient_budget.load(Ordering::SeqCst) as usize
             + self.compact_kills.lock().unwrap().len()
@@ -309,16 +291,13 @@ mod tests {
     }
 
     #[test]
-    fn torn_write_and_bit_flip_target_exact_ordinals() {
+    fn torn_write_targets_exact_ordinal() {
         let plan = FaultPlan::new();
-        plan.torn_write_at(2, 17).bit_flip_at(1);
-        assert_eq!(plan.pending(), 2);
+        plan.torn_write_at(2, 17);
+        assert_eq!(plan.pending(), 1);
         assert_eq!(plan.take_torn_write(0), None);
         assert_eq!(plan.take_torn_write(2), Some(17));
         assert_eq!(plan.take_torn_write(2), None, "consumed");
-        assert!(!plan.take_bit_flip(0));
-        assert!(plan.take_bit_flip(1));
-        assert!(!plan.take_bit_flip(1), "consumed");
         assert_eq!(plan.pending(), 0);
     }
 

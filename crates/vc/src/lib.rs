@@ -76,7 +76,7 @@ pub use checkpoint::{
     Snapshot, SNAPSHOT_VERSION,
 };
 pub use context::Context;
-pub use engine::{Engine, EngineConfig, RunResult};
+pub use engine::{Engine, EngineConfig, Inbox, RunResult};
 pub use incremental::{IncrementalMode, IncrementalRun};
 pub use fault::FaultPlan;
 pub use message::{Combiner, Envelope, MaxCombiner, MinCombiner, SumCombiner};

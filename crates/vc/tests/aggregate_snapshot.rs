@@ -2,7 +2,7 @@
 //! edge cases of registration and decoding.
 //!
 //! `fixtures/checkpoint_aggregates.hex` is a whole versioned checkpoint
-//! file (magic, `SNAPSHOT_VERSION` 5, CRC) of a two-vertex run paused at
+//! file (magic, `SNAPSHOT_VERSION` 6, CRC) of a two-vertex run paused at
 //! superstep 3 with two aggregators, each with a current and a previous
 //! value. A checkpoint built the same way must be byte-identical to it,
 //! and reading the fixture must give back an equal state.
@@ -10,8 +10,8 @@
 use ariadne_graph::VertexId;
 use ariadne_vc::checkpoint::{read_checkpoint, write_versioned};
 use ariadne_vc::{
-    AggOp, AggValue, Aggregates, EngineCheckpoint, Envelope, PhaseTimes, RunMetrics, SnapError,
-    Snapshot, SuperstepMetrics, SNAPSHOT_VERSION,
+    AggOp, AggValue, Aggregates, EngineCheckpoint, Envelope, Inbox, PhaseTimes, RunMetrics,
+    SnapError, Snapshot, SuperstepMetrics, SNAPSHOT_VERSION,
 };
 use std::time::Duration;
 
@@ -50,7 +50,7 @@ fn checkpoint() -> EngineCheckpoint<f64, f64> {
     EngineCheckpoint {
         superstep: 3,
         values: vec![1.5, f64::INFINITY],
-        inbox: vec![vec![], vec![Envelope::new(VertexId(0), 2.5)]],
+        inbox: Inbox::new(vec![0, 0, 1], vec![Envelope::new(VertexId(0), 2.5)]).unwrap(),
         aggregates,
         metrics: RunMetrics {
             supersteps: vec![step],
@@ -79,7 +79,7 @@ fn scratch_file(name: &str) -> std::path::PathBuf {
 
 #[test]
 fn checkpoint_bytes_match_the_fixture_and_read_back_equal() {
-    assert_eq!(SNAPSHOT_VERSION, 5);
+    assert_eq!(SNAPSHOT_VERSION, 6);
     let ckpt = checkpoint();
     let mut payload = Vec::new();
     ckpt.write_snap(&mut payload);
@@ -119,7 +119,9 @@ fn a_duplicate_registration_keeps_the_last_op() {
     a.contribute("x", AggValue::I64(2));
     a.contribute("x", AggValue::I64(9));
     assert_eq!(a.current("x"), Some(AggValue::I64(9)));
-    let (ops, _, _) = a.to_parts();
+    let mut bytes = Vec::new();
+    a.write_snap(&mut bytes);
+    let ops = Vec::<(String, AggOp)>::read_snap(&mut bytes.as_slice()).unwrap();
     assert_eq!(
         ops,
         vec![("x".to_string(), AggOp::Max), ("y".to_string(), AggOp::Sum)]
@@ -136,8 +138,8 @@ fn an_unknown_name_panics_on_contribute() {
 #[test]
 fn a_value_for_an_unregistered_aggregator_is_a_typed_error() {
     let ops = vec![("x".to_string(), AggOp::Sum)];
-    let registered = vec![("x".to_string(), AggValue::F64(1.0))];
-    let stray = vec![("y".to_string(), AggValue::F64(1.0))];
+    let registered = vec![Some(AggValue::F64(1.0))];
+    let stray = vec![Some(AggValue::F64(1.0)), Some(AggValue::F64(1.0))];
     for (current, previous) in [(&stray, &registered), (&registered, &stray)] {
         let mut bytes = Vec::new();
         ops.write_snap(&mut bytes);
@@ -145,7 +147,10 @@ fn a_value_for_an_unregistered_aggregator_is_a_typed_error() {
         previous.write_snap(&mut bytes);
         assert_eq!(
             Aggregates::read_snap(&mut bytes.as_slice()),
-            Err(SnapError::UnknownAggregator("y".to_string()))
+            Err(SnapError::SlotMismatch {
+                registered: 1,
+                slots: 2
+            })
         );
     }
 }

@@ -7,7 +7,7 @@
 //! A provenance capture over a big graph is a long-running job; this
 //! example shows the recovery story end to end:
 //!
-//! 1. run PageRank with barrier checkpoints (snapshot format v1:
+//! 1. run PageRank with barrier checkpoints (`SNAPSHOT_VERSION` files:
 //!    `"ARSN" | version | payload len | payload | CRC32`, one file per
 //!    checkpointed superstep, written atomically);
 //! 2. inject a deterministic crash mid-run with a [`FaultPlan`];

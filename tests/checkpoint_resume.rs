@@ -693,3 +693,55 @@ fn graph_mismatch_on_resume_is_a_typed_error() {
     assert!(matches!(err, EngineError::GraphMismatch { .. }));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A snapshot holds each vertex's delta frontiers positionally, in the
+/// checkpointed query's layout. Resuming under a query that tracks
+/// another number of (stratum, predicate) frontiers is refused at the
+/// first step with a typed error, not evaluated against foreign counts.
+#[test]
+fn query_layout_mismatch_on_resume_is_a_typed_error() {
+    let g = path(8);
+    // Two strata: `receive_message`, then `evolution`, `neighbor_change`
+    // and `value` — four frontiers.
+    let checkpointed = queries::sssp_wcc_no_message_no_change().unwrap();
+    // One stratum over `evolution`, `receive_message` and `value` — three.
+    let resumed_under = queries::sssp_wcc_value_check().unwrap();
+
+    let dir = scratch("layout");
+    let plan = FaultPlan::new();
+    plan.kill_at_superstep(2);
+    let err = ckpt_session(&dir, 1, Some(plan))
+        .online_with(&Wcc, &g, &checkpointed, &RunOptions::default())
+        .expect_err("fault must fire");
+    assert!(matches!(
+        err,
+        AriadneError::Engine(EngineError::InjectedCrash { superstep: 2 })
+    ));
+    let resume = RunOptions {
+        resume: true,
+        ..RunOptions::default()
+    };
+    let err = ckpt_session(&dir, 1, None)
+        .online_with(&Wcc, &g, &resumed_under, &resume)
+        .expect_err("a snapshot of another query's frontiers must be refused");
+    match err {
+        AriadneError::Query {
+            superstep, source, ..
+        } => {
+            assert_eq!(superstep, 2);
+            assert_eq!(
+                source,
+                ariadne_pql::PqlError::FrontierMismatch {
+                    expected: 3,
+                    found: 4
+                }
+            );
+        }
+        other => panic!("expected a typed frontier mismatch, got {other:?}"),
+    }
+    // The same snapshot resumes under the query it was taken with.
+    ckpt_session(&dir, 1, None)
+        .online_with(&Wcc, &g, &checkpointed, &resume)
+        .expect("resume under the checkpointed query");
+    std::fs::remove_dir_all(&dir).ok();
+}
