@@ -61,7 +61,10 @@ impl BipartiteRatings {
     /// sampled with probability ∝ 1/(k+1)), mirroring the long tail of
     /// movie popularity in MovieLens.
     pub fn generate(cfg: &RatingsConfig) -> Self {
-        assert!(cfg.users > 0 && cfg.items > 0, "need at least one user and item");
+        assert!(
+            cfg.users > 0 && cfg.items > 0,
+            "need at least one user and item"
+        );
         let mut rng = StdRng::seed_from_u64(cfg.seed);
 
         // Planted latent factors in [0, 1]; rating = clamp(5 * <u, v> / r + noise).
@@ -169,7 +172,9 @@ mod tests {
             ..Default::default()
         });
         let first = br.graph.in_degree(VertexId(br.users as u64));
-        let last = br.graph.in_degree(VertexId((br.users + br.items - 1) as u64));
+        let last = br
+            .graph
+            .in_degree(VertexId((br.users + br.items - 1) as u64));
         assert!(first > last, "zipf head {first} should beat tail {last}");
     }
 

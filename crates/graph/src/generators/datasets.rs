@@ -99,7 +99,7 @@ pub fn paper_graph(ds: Dataset, denominator: u64) -> Csr {
     let target_v = (ds.full_vertices() / denominator).max(64);
     // R-MAT wants a power of two; round up so the average degree computed
     // against the realized vertex count stays close to the target.
-    let scale = (64 - (target_v - 1).leading_zeros()) .max(6);
+    let scale = (64 - (target_v - 1).leading_zeros()).max(6);
     let edge_factor = ds.avg_degree().round() as usize;
     rmat(RmatConfig {
         scale,

@@ -44,7 +44,10 @@ impl Default for RmatConfig {
 /// merged by the builder, so the realized edge count is slightly below
 /// `edge_factor * 2^scale`, more so for small scales.
 pub fn rmat(cfg: RmatConfig) -> Csr {
-    assert!(cfg.a + cfg.b + cfg.c <= 1.0 + 1e-9, "quadrant probabilities exceed 1");
+    assert!(
+        cfg.a + cfg.b + cfg.c <= 1.0 + 1e-9,
+        "quadrant probabilities exceed 1"
+    );
     let n: u64 = 1 << cfg.scale;
     let m = cfg.edge_factor * n as usize;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -108,8 +111,18 @@ mod tests {
 
     #[test]
     fn different_seed_differs() {
-        let g1 = rmat(RmatConfig { scale: 8, edge_factor: 8, seed: 1, ..Default::default() });
-        let g2 = rmat(RmatConfig { scale: 8, edge_factor: 8, seed: 2, ..Default::default() });
+        let g1 = rmat(RmatConfig {
+            scale: 8,
+            edge_factor: 8,
+            seed: 1,
+            ..Default::default()
+        });
+        let g2 = rmat(RmatConfig {
+            scale: 8,
+            edge_factor: 8,
+            seed: 2,
+            ..Default::default()
+        });
         let e1: Vec<_> = g1.edges().collect();
         let e2: Vec<_> = g2.edges().collect();
         assert_ne!(e1, e2);
@@ -117,7 +130,11 @@ mod tests {
 
     #[test]
     fn expected_size() {
-        let g = rmat(RmatConfig { scale: 10, edge_factor: 16, ..Default::default() });
+        let g = rmat(RmatConfig {
+            scale: 10,
+            edge_factor: 16,
+            ..Default::default()
+        });
         assert_eq!(g.num_vertices(), 1024);
         // Duplicates and self-loops shave some edges off.
         assert!(g.num_edges() > 8 * 1024, "edges = {}", g.num_edges());
@@ -126,7 +143,11 @@ mod tests {
 
     #[test]
     fn no_self_loops() {
-        let g = rmat(RmatConfig { scale: 7, edge_factor: 8, ..Default::default() });
+        let g = rmat(RmatConfig {
+            scale: 7,
+            edge_factor: 8,
+            ..Default::default()
+        });
         assert!(g.edges().all(|(s, d, _)| s != d));
     }
 
@@ -134,13 +155,13 @@ mod tests {
     fn skewed_degrees() {
         // With a=0.57 the top vertex should have far more than the average
         // degree — the hallmark of the web-crawl degree distribution.
-        let g = rmat(RmatConfig { scale: 10, edge_factor: 16, ..Default::default() });
+        let g = rmat(RmatConfig {
+            scale: 10,
+            edge_factor: 16,
+            ..Default::default()
+        });
         let avg = g.num_edges() as f64 / g.num_vertices() as f64;
-        let max = g
-            .vertices()
-            .map(|v| g.out_degree(v))
-            .max()
-            .unwrap() as f64;
+        let max = g.vertices().map(|v| g.out_degree(v)).max().unwrap() as f64;
         assert!(max > 4.0 * avg, "max {max} avg {avg}");
     }
 }

@@ -78,10 +78,12 @@ fn parse_vertex(tok: Option<&str>, line: usize, what: &str) -> Result<VertexId, 
         line,
         message: format!("missing {what} vertex"),
     })?;
-    tok.parse::<u64>().map(VertexId).map_err(|e| IoError::Parse {
-        line,
-        message: format!("bad {what} vertex {tok:?}: {e}"),
-    })
+    tok.parse::<u64>()
+        .map(VertexId)
+        .map_err(|e| IoError::Parse {
+            line,
+            message: format!("bad {what} vertex {tok:?}: {e}"),
+        })
 }
 
 /// Load an edge list from a file path.
@@ -91,7 +93,12 @@ pub fn load_edge_list<P: AsRef<Path>>(path: P) -> Result<Csr, IoError> {
 
 /// Write a graph as an edge list to any writer. Unit weights are omitted.
 pub fn write_edge_list<W: Write>(graph: &Csr, mut w: W) -> io::Result<()> {
-    writeln!(w, "# {} vertices, {} edges", graph.num_vertices(), graph.num_edges())?;
+    writeln!(
+        w,
+        "# {} vertices, {} edges",
+        graph.num_vertices(),
+        graph.num_edges()
+    )?;
     for (s, d, weight) in graph.edges() {
         if weight == 1.0 {
             writeln!(w, "{s} {d}")?;
@@ -151,7 +158,10 @@ mod tests {
         let mut buf = Vec::new();
         write_edge_list(&g, &mut buf).unwrap();
         let g2 = read_edge_list(buf.as_slice()).unwrap();
-        assert_eq!(g.edges().collect::<Vec<_>>(), g2.edges().collect::<Vec<_>>());
+        assert_eq!(
+            g.edges().collect::<Vec<_>>(),
+            g2.edges().collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -167,8 +167,7 @@ mod tests {
         let mean = (m + 64) / t.num_chunks();
         for c in 0..t.num_chunks() {
             let (s, e) = t.bounds(c);
-            let work: usize =
-                (s..e).map(|v| 1 + g.out_degree(VertexId(v as u64))).sum();
+            let work: usize = (s..e).map(|v| 1 + g.out_degree(VertexId(v as u64))).sum();
             assert!(work <= 2 * mean + 1, "chunk {c} work {work} >> mean {mean}");
         }
     }

@@ -26,7 +26,11 @@ pub struct GraphStats {
 /// sources are evenly spaced ids).
 pub fn graph_stats(g: &Csr, samples: usize) -> GraphStats {
     let n = g.num_vertices();
-    let avg_degree = if n == 0 { 0.0 } else { g.num_edges() as f64 / n as f64 };
+    let avg_degree = if n == 0 {
+        0.0
+    } else {
+        g.num_edges() as f64 / n as f64
+    };
     GraphStats {
         vertices: n,
         edges: g.num_edges(),
