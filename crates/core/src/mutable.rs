@@ -40,10 +40,10 @@ pub struct MutableSession {
     pub session: Ariadne,
     graph: MutableGraph,
     pending: GraphDelta,
-    /// The pre-commit snapshot backing the taint closure of the last
-    /// commit (incremental re-execution taints over the *old* graph).
-    prev_csr: Option<Csr>,
-    last_report: Option<MutationReport>,
+    /// The last commit's report and its pre-commit snapshot, which backs
+    /// the taint closure (incremental re-execution taints over the *old*
+    /// graph).
+    last_commit: Option<(MutationReport, Csr)>,
 }
 
 impl MutableSession {
@@ -53,8 +53,7 @@ impl MutableSession {
             session,
             graph: MutableGraph::new(graph),
             pending: GraphDelta::new(),
-            prev_csr: None,
-            last_report: None,
+            last_commit: None,
         }
     }
 
@@ -84,11 +83,9 @@ impl MutableSession {
     /// and bump the epoch. Returns what changed — the report seeds
     /// [`MutableSession::rerun_incremental`].
     pub fn commit(&mut self) -> MutationReport {
-        let old = self.graph.csr().clone();
         let delta = std::mem::take(&mut self.pending);
-        let report = self.graph.apply(&delta);
-        self.prev_csr = Some(old);
-        self.last_report = Some(report.clone());
+        let (report, old) = self.graph.apply_returning_old(&delta);
+        self.last_commit = Some((report.clone(), old));
         report
     }
 
@@ -115,7 +112,7 @@ impl MutableSession {
         A: VertexProgram,
         A::V: Sync,
     {
-        let (Some(old), Some(report)) = (&self.prev_csr, &self.last_report) else {
+        let Some((report, old)) = &self.last_commit else {
             return Err(AriadneError::NoCommittedMutation);
         };
         Ok(Engine::new(self.session.engine.clone()).run_incremental(

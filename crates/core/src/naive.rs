@@ -77,17 +77,17 @@ pub fn run_naive(
     let n = graph.num_vertices();
     let mut states: Vec<QueryState> = vec![QueryState::new(); n];
 
-    // Materialize everything at once: all layers into their vertices...
-    if let Some(max) = store.max_superstep() {
-        for s in 0..=max {
-            for (pred, tuples) in store.layer(s).map_err(AriadneError::Store)? {
-                for t in tuples {
-                    if let Some(v) = t.first().and_then(|v| v.as_id()) {
-                        if (v as usize) < n {
-                            states[v as usize].db.insert(&pred, t);
-                        }
-                    }
-                }
+    // Materialize everything at once, as one database (a predicate whose
+    // rows differ in arity is refused, typed, as centralized refuses it),
+    // its unfolded view over the owners inside the graph (part of the
+    // memory blowup), and every such row handed to its owner.
+    let db = store.to_database().map_err(AriadneError::Store)?;
+    let inside = |v: u64| (v as usize) < n;
+    let unfolded = UnfoldedGraph::from_database_owned_by(&db, inside);
+    for (name, rel) in db.into_relations() {
+        for t in rel.into_tuples() {
+            if let Some(v) = t.first().and_then(Value::as_id).filter(|&v| inside(v)) {
+                states[v as usize].db.insert(&name, t);
             }
         }
     }
@@ -95,17 +95,6 @@ pub fn run_naive(
     for v in graph.vertices() {
         states[v.index()].statics(&routes, &mut [], graph, v);
     }
-    // ...plus the unfolded graph view (part of the memory blowup).
-    let mut full_db = Database::new();
-    for st in &states {
-        for (name, rel) in st.db.iter() {
-            for t in rel.scan() {
-                full_db.insert(name, t.clone());
-            }
-        }
-    }
-    let unfolded = UnfoldedGraph::from_database(&full_db);
-    drop(full_db);
 
     // Global fixpoint, stratum by stratum. Within a stratum, every round
     // evaluates every vertex and ships fresh shipped-table tuples to all
@@ -114,11 +103,11 @@ pub fn run_naive(
     let shipped: Vec<&String> = analyzed.shipped.iter().collect();
     let evaluator = query.evaluator();
     let (mut stats, mut scratch) = (EvalStats::default(), EvalScratch::default());
-    let mut rounds = 0u32;
 
     // Priming round: replicate shipped EDB partitions before any rule
     // evaluates, so remote negation never reads an incomplete replica.
-    ship_fresh(graph, &mut states, &shipped, &mut rounds);
+    let mut rounds = u32::from(!shipped.is_empty());
+    ship_fresh(graph, &mut states, &shipped);
 
     for stratum in 0..evaluator.num_strata() {
         loop {
@@ -136,8 +125,7 @@ pub fn run_naive(
                     )
                     .map_err(AriadneError::Pql)?;
             }
-            let mut dummy = 0;
-            if !ship_fresh(graph, &mut states, &shipped, &mut dummy) {
+            if !ship_fresh(graph, &mut states, &shipped) {
                 break;
             }
         }
@@ -168,12 +156,10 @@ fn ship_fresh(
     graph: &Csr,
     states: &mut [QueryState],
     shipped: &[&String],
-    rounds: &mut u32,
 ) -> bool {
     if shipped.is_empty() {
         return false;
     }
-    *rounds += 1;
     let mut moved = false;
     #[allow(clippy::type_complexity)]
     let mut deliveries: Vec<(usize, String, Vec<ariadne_pql::Tuple>)> = Vec::new();
@@ -270,6 +256,27 @@ mod tests {
         assert_eq!(run.database.len("active"), 2);
         assert!(run.unfolded_nodes >= 2);
         assert!(run.rounds >= 1);
+    }
+
+    /// A predicate stored at two arities is refused, typed, as
+    /// centralized evaluation refuses it, not loaded row by row until a
+    /// relation's arity check panics.
+    #[test]
+    fn mixed_arity_store_is_a_typed_error() {
+        let g = path(2);
+        let mut store = store_with_steps();
+        let row = vec![Value::Id(1), Value::Int(0), Value::Int(7)];
+        store.ingest(0, "superstep", vec![row]).unwrap();
+        let q = compile("active(x, i) :- superstep(x, i).", Params::new()).unwrap();
+        for err in [
+            run_naive(&g, &store, &q, None).map(|run| run.database).unwrap_err(),
+            run_centralized(&g, &store, &q).unwrap_err(),
+        ] {
+            let AriadneError::Store(e) = err else {
+                panic!("expected a store error, got {err:?}");
+            };
+            assert!(e.to_string().contains("holds rows of arity 2 and 3"), "{e}");
+        }
     }
 
     #[test]

@@ -418,6 +418,20 @@ where
     fn message_bytes(&self, msg: &Self::M) -> usize {
         self.analytic.message_bytes(&msg.msg) + msg.payload.as_ref().map_or(0, |p| p.bytes)
     }
+
+    // A resume must wrap the query and persist the predicates the
+    // snapshot was taken with: under another query the restored
+    // databases hold none of its rows from before the snapshot.
+    fn identity(&self) -> String {
+        let mut identity = self.analytic.identity();
+        if let Some(evaluator) = &self.config.evaluator {
+            identity.push_str(&evaluator.query().identity);
+        }
+        if let Some(persist) = &self.config.persist {
+            identity.push_str(&format!("persist {:?}\n", persist.preds));
+        }
+        identity
+    }
 }
 
 impl<A> OnlineProgram<'_, A>

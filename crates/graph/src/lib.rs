@@ -33,6 +33,6 @@ pub mod types;
 
 pub use builder::GraphBuilder;
 pub use csr::{Csr, EdgeRef};
-pub use delta::{forward_closure, undirected_closure, GraphDelta, MutableGraph, MutationReport};
+pub use delta::{forward_closure, GraphDelta, MutableGraph, MutationReport};
 pub use partition::ChunkTable;
 pub use types::{Direction, VertexId};

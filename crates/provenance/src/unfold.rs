@@ -33,43 +33,45 @@ impl UnfoldedGraph {
     /// Build from a database holding full provenance (`superstep`,
     /// `evolution`, `send_message` and/or `receive_message` relations).
     pub fn from_database(db: &Database) -> Self {
+        Self::from_database_owned_by(db, |_| true)
+    }
+
+    /// [`UnfoldedGraph::from_database`] over the rows whose owner (first
+    /// column) `owned` accepts.
+    pub fn from_database_owned_by(db: &Database, owned: impl Fn(u64) -> bool) -> Self {
         let mut g = UnfoldedGraph::default();
+        let rows = |pred: &str| {
+            let rows = db.relation(pred).map_or(&[][..], |rel| rel.scan());
+            rows.iter().filter(|t| t[0].as_id().is_some_and(&owned))
+        };
 
         // Nodes from the superstep relation.
-        if let Some(rel) = db.relation("superstep") {
-            for t in rel.scan() {
-                if let (Some(x), Some(i)) = (t[0].as_id(), t[1].as_i64()) {
-                    g.add_node((x, i as u32));
-                }
+        for t in rows("superstep") {
+            if let (Some(x), Some(i)) = (t[0].as_id(), t[1].as_i64()) {
+                g.add_node((x, i as u32));
             }
         }
         // Evolution edges: (x, i) -> (x, j).
-        if let Some(rel) = db.relation("evolution") {
-            for t in rel.scan() {
-                if let (Some(x), Some(i), Some(j)) = (t[0].as_id(), t[1].as_i64(), t[2].as_i64()) {
-                    g.add_edge((x, i as u32), (x, j as u32));
-                }
+        for t in rows("evolution") {
+            if let (Some(x), Some(i), Some(j)) = (t[0].as_id(), t[1].as_i64(), t[2].as_i64()) {
+                g.add_edge((x, i as u32), (x, j as u32));
             }
         }
         // Message edges from the receiver's perspective:
         // receive_message(x, y, m, i) means y's node at i-1 sent to x's
         // node at i.
-        if let Some(rel) = db.relation("receive_message") {
-            for t in rel.scan() {
-                if let (Some(x), Some(y), Some(i)) = (t[0].as_id(), t[1].as_id(), t[3].as_i64()) {
-                    if i > 0 && y != u64::MAX {
-                        g.add_edge((y, i as u32 - 1), (x, i as u32));
-                    }
+        for t in rows("receive_message") {
+            if let (Some(x), Some(y), Some(i)) = (t[0].as_id(), t[1].as_id(), t[3].as_i64()) {
+                if i > 0 && y != u64::MAX {
+                    g.add_edge((y, i as u32 - 1), (x, i as u32));
                 }
             }
         }
         // And from the sender's perspective:
         // send_message(x, y, m, i) means x's node at i sent to y at i+1.
-        if let Some(rel) = db.relation("send_message") {
-            for t in rel.scan() {
-                if let (Some(x), Some(y), Some(i)) = (t[0].as_id(), t[1].as_id(), t[3].as_i64()) {
-                    g.add_edge((x, i as u32), (y, i as u32 + 1));
-                }
+        for t in rows("send_message") {
+            if let (Some(x), Some(y), Some(i)) = (t[0].as_id(), t[1].as_id(), t[3].as_i64()) {
+                g.add_edge((x, i as u32), (y, i as u32 + 1));
             }
         }
         g

@@ -9,7 +9,7 @@
 //! superstep counts to an uninterrupted run — the determinism tests
 //! rely on this.
 //!
-//! # On-disk format (version 6)
+//! # On-disk format (version 7)
 //!
 //! ```text
 //! +---------+---------+-------------+-----------+----------------+
@@ -18,14 +18,16 @@
 //! +---------+---------+-------------+-----------+----------------+
 //! ```
 //!
-//! The payload is the [`Snapshot`] encoding of an [`EngineCheckpoint`],
-//! each piece in the layout the engine runs on: the inbox as one flat
-//! [`Inbox`] (per-vertex offsets, then every message; the engine's
-//! per-chunk inboxes written back to back, so the file does not depend
-//! on the thread count) and the aggregates as their sorted registrations
-//! followed by the current and previous slot vectors. A file of another
-//! version is refused; there is no migration, since a snapshot is a
-//! crash-recovery file, not an archive.
+//! The payload is the [`Snapshot`] encoding of an [`EngineCheckpoint`]:
+//! the identity of the program that wrote it
+//! ([`crate::VertexProgram::identity`]), then each piece in the layout
+//! the engine runs on: the inbox as one flat [`Inbox`] (per-vertex
+//! offsets, then every message; the engine's per-chunk inboxes written
+//! back to back, so the file does not depend on the thread count) and
+//! the aggregates as their sorted registrations followed by the current
+//! and previous slot vectors. A file of another version is refused;
+//! there is no migration, since a snapshot is a crash-recovery file,
+//! not an archive.
 //!
 //! Truncation, a bad magic/version, a length mismatch or a CRC mismatch
 //! all surface as [`EngineError::Corrupt`] — never a panic. Files are
@@ -46,7 +48,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"ARSN";
 
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject other versions with a typed error rather than misparsing.
-pub const SNAPSHOT_VERSION: u32 = 6;
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// When and where the engine writes barrier snapshots.
 #[derive(Clone, Debug)]
@@ -119,6 +121,15 @@ pub enum EngineError {
         /// Vertices in the graph handed to resume.
         graph_vertices: usize,
     },
+    /// A snapshot was written by another program than the one passed to
+    /// resume ([`crate::VertexProgram::identity`]): for an online run,
+    /// another query or another set of persisted predicates.
+    ProgramMismatch {
+        /// The identity the snapshot records.
+        snapshot: String,
+        /// The identity of the program handed to resume.
+        program: String,
+    },
     /// A snapshot is internally inconsistent: its inbox table does not
     /// cover the same vertices as its value table / the graph. A
     /// CRC-valid file can still carry this (the checksum covers bytes,
@@ -159,6 +170,10 @@ impl fmt::Display for EngineError {
             } => write!(
                 f,
                 "snapshot covers {snapshot_vertices} vertices but graph has {graph_vertices}"
+            ),
+            EngineError::ProgramMismatch { snapshot, program } => write!(
+                f,
+                "snapshot was written by program {snapshot:?}, not by {program:?}"
             ),
             EngineError::InboxMismatch {
                 snapshot_inboxes,
@@ -682,6 +697,9 @@ impl Snapshot for RunMetrics {
 /// Everything needed to resume a BSP run from a superstep barrier.
 #[derive(Clone, Debug)]
 pub struct EngineCheckpoint<V, M> {
+    /// The identity of the program that wrote it
+    /// ([`crate::VertexProgram::identity`]).
+    pub program: String,
     /// The next superstep to execute.
     pub superstep: u32,
     /// Vertex values as of the barrier.
@@ -697,6 +715,7 @@ pub struct EngineCheckpoint<V, M> {
 
 impl<V: Snapshot, M: Snapshot> Snapshot for EngineCheckpoint<V, M> {
     fn write_snap(&self, out: &mut Vec<u8>) {
+        self.program.write_snap(out);
         self.superstep.write_snap(out);
         self.values.write_snap(out);
         self.inbox.write_snap(out);
@@ -705,6 +724,7 @@ impl<V: Snapshot, M: Snapshot> Snapshot for EngineCheckpoint<V, M> {
     }
     fn read_snap(input: &mut &[u8]) -> Result<Self, SnapError> {
         Ok(EngineCheckpoint {
+            program: String::read_snap(input)?,
             superstep: u32::read_snap(input)?,
             values: Vec::read_snap(input)?,
             inbox: Inbox::read_snap(input)?,

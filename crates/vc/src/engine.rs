@@ -370,6 +370,13 @@ impl Engine {
         P::V: Snapshot,
         P::M: Snapshot,
     {
+        let program_identity = program.identity();
+        if checkpoint.program != program_identity {
+            return Err(EngineError::ProgramMismatch {
+                snapshot: checkpoint.program,
+                program: program_identity,
+            });
+        }
         if checkpoint.values.len() != graph.num_vertices() {
             return Err(EngineError::GraphMismatch {
                 snapshot_vertices: checkpoint.values.len(),
@@ -426,10 +433,14 @@ impl Engine {
         let fault = self.config.fault.as_deref();
         match self.config.checkpoint.as_ref() {
             Some(cfg) => {
+                let mut sink = DirSink {
+                    cfg,
+                    fault,
+                    program: program.identity(),
+                };
                 if write_initial {
-                    write_state_snapshot(cfg, fault, &state)?;
+                    write_state_snapshot(&sink, &state)?;
                 }
-                let mut sink = DirSink { cfg, fault };
                 self.drive(program, graph, table, state, &mut sink, fault)
             }
             None => self.drive(program, graph, table, state, &mut NoSink, fault),
@@ -942,6 +953,8 @@ impl<P: VertexProgram> BarrierSink<P> for NoSink {
 struct DirSink<'a> {
     cfg: &'a CheckpointConfig,
     fault: Option<&'a FaultPlan>,
+    /// The running program's identity, written into every snapshot.
+    program: String,
 }
 
 impl<P> BarrierSink<P> for DirSink<'_>
@@ -952,7 +965,7 @@ where
 {
     fn on_barrier(&mut self, state: &LoopState<P>) -> Result<bool, EngineError> {
         if state.superstep.is_multiple_of(self.cfg.interval()) {
-            write_state_snapshot(self.cfg, self.fault, state)?;
+            write_state_snapshot(self, state)?;
             return Ok(true);
         }
         Ok(false)
@@ -962,17 +975,15 @@ where
 /// Serialize `state` into a checkpoint file (field-by-field, matching
 /// [`EngineCheckpoint`]'s layout, without cloning the state), then apply
 /// any scripted corruption to the file that just landed.
-fn write_state_snapshot<P>(
-    cfg: &CheckpointConfig,
-    fault: Option<&FaultPlan>,
-    state: &LoopState<P>,
-) -> Result<(), EngineError>
+fn write_state_snapshot<P>(sink: &DirSink<'_>, state: &LoopState<P>) -> Result<(), EngineError>
 where
     P: VertexProgram,
     P::V: Snapshot,
     P::M: Snapshot,
 {
+    let (cfg, fault) = (sink.cfg, sink.fault);
     let mut payload = Vec::new();
+    sink.program.write_snap(&mut payload);
     state.superstep.write_snap(&mut payload);
     state.values.write_snap(&mut payload);
     write_inboxes(&state.inbox, &mut payload);
@@ -2043,6 +2054,7 @@ mod tests {
     fn resume_from_inconsistent_inbox_is_typed_error() {
         let g = cycle(8);
         let ckpt: EngineCheckpoint<u64, u64> = EngineCheckpoint {
+            program: String::new(),
             superstep: 1,
             values: vec![0u64; g.num_vertices()],
             inbox: Inbox::new(vec![0; g.num_vertices() - 2], Vec::new()).unwrap(),

@@ -93,6 +93,15 @@ pub trait VertexProgram: Send + Sync {
         std::mem::size_of::<Self::M>()
     }
 
+    /// What a checkpoint records of this program: [`crate::Engine::resume`]
+    /// refuses a snapshot written under another identity
+    /// ([`crate::EngineError::ProgramMismatch`]). Empty by default; a
+    /// program whose resumable state depends on more than its types (a
+    /// wrapped query, say) names that here.
+    fn identity(&self) -> String {
+        String::new()
+    }
+
     /// How this program's fixpoint behaves under graph mutations. The
     /// default, [`Incrementality::Restart`], disables value reuse;
     /// programs returning [`Incrementality::Monotone`] must also

@@ -2,9 +2,9 @@
 //! edge cases of registration and decoding.
 //!
 //! `fixtures/checkpoint_aggregates.hex` is a whole versioned checkpoint
-//! file (magic, `SNAPSHOT_VERSION` 6, CRC) of a two-vertex run paused at
-//! superstep 3 with two aggregators, each with a current and a previous
-//! value. A checkpoint built the same way must be byte-identical to it,
+//! file (magic, `SNAPSHOT_VERSION` 7, CRC) of a two-vertex run of a
+//! program whose identity is `pagerank`, paused at superstep 3 with two
+//! aggregators, each with a current and a previous value. A checkpoint built the same way must be byte-identical to it,
 //! and reading the fixture must give back an equal state.
 
 use ariadne_graph::VertexId;
@@ -48,6 +48,7 @@ fn checkpoint() -> EngineCheckpoint<f64, f64> {
         checkpoint: Duration::from_nanos(50),
     };
     EngineCheckpoint {
+        program: "pagerank".to_string(),
         superstep: 3,
         values: vec![1.5, f64::INFINITY],
         inbox: Inbox::new(vec![0, 0, 1], vec![Envelope::new(VertexId(0), 2.5)]).unwrap(),
@@ -79,7 +80,7 @@ fn scratch_file(name: &str) -> std::path::PathBuf {
 
 #[test]
 fn checkpoint_bytes_match_the_fixture_and_read_back_equal() {
-    assert_eq!(SNAPSHOT_VERSION, 6);
+    assert_eq!(SNAPSHOT_VERSION, 7);
     let ckpt = checkpoint();
     let mut payload = Vec::new();
     ckpt.write_snap(&mut payload);
@@ -95,6 +96,7 @@ fn checkpoint_bytes_match_the_fixture_and_read_back_equal() {
     let fixture = scratch_file("fixture.snap");
     std::fs::write(&fixture, unhex(FIXTURE)).unwrap();
     let back: EngineCheckpoint<f64, f64> = read_checkpoint(&fixture).unwrap();
+    assert_eq!(back.program, ckpt.program);
     assert_eq!(back.superstep, ckpt.superstep);
     assert_eq!(back.values, ckpt.values);
     assert_eq!(back.inbox, ckpt.inbox);

@@ -7,8 +7,8 @@
 use ariadne::custom::AlsProv;
 use ariadne::session::{Ariadne, AriadneError, RunOptions};
 use ariadne::{
-    compile_with, queries, CaptureSpec, CheckpointConfig, EngineConfig, EngineError, FaultPlan,
-    StoreConfig,
+    compile_with, queries, CaptureSpec, CheckpointConfig, CompiledQuery, EngineConfig, EngineError,
+    FaultPlan, StoreConfig,
 };
 use ariadne_analytics::als::{Als, AlsConfig};
 use ariadne_analytics::{PageRank, Sssp, Wcc};
@@ -694,24 +694,20 @@ fn graph_mismatch_on_resume_is_a_typed_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A snapshot holds each vertex's delta frontiers positionally, in the
-/// checkpointed query's layout. Resuming under a query that tracks
-/// another number of (stratum, predicate) frontiers is refused at the
-/// first step with a typed error, not evaluated against foreign counts.
-#[test]
-fn query_layout_mismatch_on_resume_is_a_typed_error() {
+/// Kill an online WCC run of `checkpointed` on `path(8)` at superstep 2,
+/// then resume it under `resumed_under`: the error the resume returns.
+/// The same snapshot still resumes under the query it was taken with.
+fn resume_under_another_query(
+    tag: &str,
+    checkpointed: &CompiledQuery,
+    resumed_under: &CompiledQuery,
+) -> AriadneError {
     let g = path(8);
-    // Two strata: `receive_message`, then `evolution`, `neighbor_change`
-    // and `value` — four frontiers.
-    let checkpointed = queries::sssp_wcc_no_message_no_change().unwrap();
-    // One stratum over `evolution`, `receive_message` and `value` — three.
-    let resumed_under = queries::sssp_wcc_value_check().unwrap();
-
-    let dir = scratch("layout");
+    let dir = scratch(tag);
     let plan = FaultPlan::new();
     plan.kill_at_superstep(2);
     let err = ckpt_session(&dir, 1, Some(plan))
-        .online_with(&Wcc, &g, &checkpointed, &RunOptions::default())
+        .online_with(&Wcc, &g, checkpointed, &RunOptions::default())
         .expect_err("fault must fire");
     assert!(matches!(
         err,
@@ -722,26 +718,60 @@ fn query_layout_mismatch_on_resume_is_a_typed_error() {
         ..RunOptions::default()
     };
     let err = ckpt_session(&dir, 1, None)
-        .online_with(&Wcc, &g, &resumed_under, &resume)
-        .expect_err("a snapshot of another query's frontiers must be refused");
-    match err {
-        AriadneError::Query {
-            superstep, source, ..
-        } => {
-            assert_eq!(superstep, 2);
-            assert_eq!(
-                source,
-                ariadne_pql::PqlError::FrontierMismatch {
-                    expected: 3,
-                    found: 4
-                }
-            );
-        }
-        other => panic!("expected a typed frontier mismatch, got {other:?}"),
-    }
-    // The same snapshot resumes under the query it was taken with.
+        .online_with(&Wcc, &g, resumed_under, &resume)
+        .expect_err("a snapshot of another query must be refused");
     ckpt_session(&dir, 1, None)
-        .online_with(&Wcc, &g, &checkpointed, &resume)
+        .online_with(&Wcc, &g, checkpointed, &resume)
         .expect("resume under the checkpointed query");
     std::fs::remove_dir_all(&dir).ok();
+    err
+}
+
+/// Assert `err` refuses a snapshot of `checkpointed` resumed under
+/// `resumed_under` before superstep 0: the query identities differ.
+fn assert_program_mismatch(
+    err: AriadneError,
+    checkpointed: &CompiledQuery,
+    resumed_under: &CompiledQuery,
+) {
+    match err {
+        AriadneError::Engine(EngineError::ProgramMismatch { snapshot, program }) => {
+            assert_eq!(snapshot, checkpointed.query().identity);
+            assert_eq!(program, resumed_under.query().identity);
+        }
+        other => panic!("expected a typed program mismatch, got {other:?}"),
+    }
+}
+
+/// A snapshot records the wrapped query, and holds each vertex's delta
+/// frontiers positionally, in that query's layout. Resuming under a query
+/// that tracks another number of (stratum, predicate) frontiers is
+/// refused with a typed error, not evaluated against foreign counts.
+#[test]
+fn query_layout_mismatch_on_resume_is_a_typed_error() {
+    // Two strata: `receive_message`, then `evolution`, `neighbor_change`
+    // and `value` — four frontiers.
+    let checkpointed = queries::sssp_wcc_no_message_no_change().unwrap();
+    // One stratum over `evolution`, `receive_message` and `value` — three.
+    let resumed_under = queries::sssp_wcc_value_check().unwrap();
+    let err = resume_under_another_query("layout", &checkpointed, &resumed_under);
+    assert_program_mismatch(err, &checkpointed, &resumed_under);
+}
+
+/// A query with as many frontiers as the checkpointed one is refused
+/// too: its layout fits the snapshot, but the restored databases hold
+/// none of its rows from before the snapshot, so it would answer short.
+#[test]
+fn another_query_of_the_same_layout_is_refused_on_resume() {
+    let checkpointed = queries::sssp_wcc_no_message_no_change().unwrap();
+    // One stratum over `receive_message`, `superstep`, `value` and
+    // `evolution` — four frontiers, like the checkpointed query.
+    let resumed_under = ariadne::compile(
+        "a(x, i) :- receive_message(x, y, m, i), superstep(x, i).
+         b(x, i) :- value(x, d, i), evolution(x, j, i).",
+        Params::new(),
+    )
+    .unwrap();
+    let err = resume_under_another_query("same-layout", &checkpointed, &resumed_under);
+    assert_program_mismatch(err, &checkpointed, &resumed_under);
 }
