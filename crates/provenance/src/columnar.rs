@@ -1103,7 +1103,13 @@ mod tests {
         // What a full-capture PageRank layer batch looks like:
         // value(x, score, i) with dense ids, distinct floats, const step.
         let tuples: Vec<Tuple> = (0..512)
-            .map(|x| vec![Value::Id(x), Value::Float(1.0 / (x + 1) as f64), Value::Int(9)])
+            .map(|x| {
+                vec![
+                    Value::Id(x),
+                    Value::Float(1.0 / (x + 1) as f64),
+                    Value::Int(9),
+                ]
+            })
             .collect();
         let batch = encode_columnar(&tuples).unwrap();
         let v1 = v1_batch_size(&tuples);

@@ -169,7 +169,13 @@ impl RouteTable {
             }
         }
         let receive_projected = false;
-        RouteTable { receive_projected, persisted, generated, custom, heads }
+        RouteTable {
+            receive_projected,
+            persisted,
+            generated,
+            custom,
+            heads,
+        }
     }
 
     /// The routes of a run that stores nothing and reads `edbs`: every
@@ -225,7 +231,13 @@ impl<'a> Outlet<'a> {
             &mut self.blocks[k]
         });
         let from = block.as_ref().map_or(0, |b| b.len());
-        Dest { rel, block, from, run: None, checked }
+        Dest {
+            rel,
+            block,
+            from,
+            run: None,
+            checked,
+        }
     }
 
     /// A batch of `n` rows of the generated `pred`.
@@ -258,7 +270,11 @@ impl<'a> Outlet<'a> {
     pub fn custom(&mut self, mut rows: Vec<(String, Tuple)>) {
         let table = self.table;
         for (name, lane) in &table.custom {
-            let mine = || rows.iter().filter(|(pred, _)| **pred == **name).map(|(_, row)| row);
+            let mine = || {
+                rows.iter()
+                    .filter(|(pred, _)| **pred == **name)
+                    .map(|(_, row)| row)
+            };
             let Some(arity) = mine().next().map(Vec::len) else {
                 continue;
             };
@@ -280,7 +296,11 @@ impl<'a> Outlet<'a> {
             let Some(rel) = self.db.relation(&self.table.persisted[k]) else {
                 continue;
             };
-            for row in rel.scan_from(from).iter().filter(|t| t.first() == Some(&own)) {
+            for row in rel
+                .scan_from(from)
+                .iter()
+                .filter(|t| t.first() == Some(&own))
+            {
                 self.blocks[k].push(row);
             }
         }
@@ -393,15 +413,29 @@ impl EdbTracker {
                 .push(&[x.clone(), value(), i.clone()]);
         }
         if let (true, Some(prev)) = (on(EdbPred::Evolution), self.last_active) {
-            out.generated(EdbPred::Evolution, 1, false)
-                .push(&[x.clone(), Value::Int(prev as i64), i.clone()]);
+            out.generated(EdbPred::Evolution, 1, false).push(&[
+                x.clone(),
+                Value::Int(prev as i64),
+                i.clone(),
+            ]);
         }
         let projected = out.table.receive_projected;
         if on(EdbPred::ReceiveMessage) && projected && received.len() > 0 {
-            out.generated(EdbPred::ReceiveMessage, 1, false)
-                .push(&[x.clone(), Value::Unit, Value::Unit, i.clone()]);
+            out.generated(EdbPred::ReceiveMessage, 1, false).push(&[
+                x.clone(),
+                Value::Unit,
+                Value::Unit,
+                i.clone(),
+            ]);
         } else if on(EdbPred::ReceiveMessage) && !projected {
-            push_peer_rows(out, EdbPred::ReceiveMessage, &x, &i, received.len(), received);
+            push_peer_rows(
+                out,
+                EdbPred::ReceiveMessage,
+                &x,
+                &i,
+                received.len(),
+                received,
+            );
         }
         if on(EdbPred::SendMessage) {
             push_peer_rows(out, EdbPred::SendMessage, &x, &i, sent.len(), sent);
@@ -469,7 +503,9 @@ mod tests {
     }
 
     fn tuples(db: &Database, pred: &str) -> Vec<Tuple> {
-        db.relation(pred).map(|r| r.scan().to_vec()).unwrap_or_default()
+        db.relation(pred)
+            .map(|r| r.scan().to_vec())
+            .unwrap_or_default()
     }
 
     fn held(block: &RowBlock) -> Vec<Tuple> {
@@ -482,7 +518,10 @@ mod tests {
         step(&mut t, &mut db, &into_db(&["value", "superstep"]), 1, 0);
         let preds: Vec<&str> = db.iter().map(|(p, _)| p).collect();
         assert_eq!(preds, vec!["superstep", "value"]);
-        assert_eq!(tuples(&db, "superstep"), vec![vec![Value::Id(1), Value::Int(0)]]);
+        assert_eq!(
+            tuples(&db, "superstep"),
+            vec![vec![Value::Id(1), Value::Int(0)]]
+        );
         assert_eq!(
             tuples(&db, "value"),
             vec![vec![Value::Id(1), Value::Float(0.5), Value::Int(0)]]
@@ -527,14 +566,30 @@ mod tests {
     #[test]
     fn message_tuples_carry_peers() {
         let (mut t, mut db) = (EdbTracker::default(), Database::new());
-        step(&mut t, &mut db, &into_db(&["receive_message", "send_message"]), 1, 3);
+        step(
+            &mut t,
+            &mut db,
+            &into_db(&["receive_message", "send_message"]),
+            1,
+            3,
+        );
         assert_eq!(
             tuples(&db, "receive_message"),
-            vec![vec![Value::Id(1), Value::Id(9), Value::Float(0.1), Value::Int(3)]]
+            vec![vec![
+                Value::Id(1),
+                Value::Id(9),
+                Value::Float(0.1),
+                Value::Int(3)
+            ]]
         );
         assert_eq!(
             tuples(&db, "send_message"),
-            vec![vec![Value::Id(1), Value::Id(8), Value::Float(0.2), Value::Int(3)]]
+            vec![vec![
+                Value::Id(1),
+                Value::Id(8),
+                Value::Float(0.2),
+                Value::Int(3)
+            ]]
         );
     }
 
@@ -551,18 +606,26 @@ mod tests {
 
     /// A capture that stores `pred` and no rule that reads it.
     fn stored(pred: &str) -> RouteTable {
-        RouteTable::new(&names(&[pred]), &BTreeSet::new(), &names(&[pred]), |_| false)
+        RouteTable::new(&names(&[pred]), &BTreeSet::new(), &names(&[pred]), |_| {
+            false
+        })
     }
 
     #[test]
     fn a_block_holds_what_the_relation_holds() {
         let sends = |peers: &[u64]| -> Vec<(VertexId, Value)> {
-            peers.iter().map(|&p| (VertexId(p), Value::Int((p % 2) as i64))).collect()
+            peers
+                .iter()
+                .map(|&p| (VertexId(p), Value::Int((p % 2) as i64)))
+                .collect()
         };
         let (table, only) = (both("send_message"), stored("send_message"));
         let (mut t, mut db, mut blocks) = (EdbTracker::default(), Database::new(), block());
         let (mut u, mut empty, mut alone) = (EdbTracker::default(), Database::new(), block());
-        for (step, peers) in [&[1, 2, 3][..], &[3, 1, 3, 2, 1], &[2, 2], &[]].iter().enumerate() {
+        for (step, peers) in [&[1, 2, 3][..], &[3, 1, 3, 2, 1], &[2, 2], &[]]
+            .iter()
+            .enumerate()
+        {
             for (t, table, db, blocks) in [
                 (&mut t, &table, &mut db, &mut blocks),
                 (&mut u, &only, &mut empty, &mut alone),
@@ -611,7 +674,8 @@ mod tests {
                 std::iter::empty(),
             );
         }
-        let row = |p: u64, m: i64, i: i64| vec![Value::Id(0), Value::Id(p), Value::Int(m), Value::Int(i)];
+        let row =
+            |p: u64, m: i64, i: i64| vec![Value::Id(0), Value::Id(p), Value::Int(m), Value::Int(i)];
         let want = vec![
             row(1, 0, 0),
             row(2, 0, 0),
@@ -670,7 +734,10 @@ mod tests {
         Outlet::new(&into_db(&["edge"]), &mut db, &mut []).statics(&g, VertexId(0));
         assert_eq!(db.len("edge"), 3);
         Outlet::new(&into_db(&["in_edge"]), &mut db, &mut []).statics(&g, VertexId(2));
-        assert_eq!(tuples(&db, "in_edge"), vec![vec![Value::Id(2), Value::Id(0)]]);
+        assert_eq!(
+            tuples(&db, "in_edge"),
+            vec![vec![Value::Id(2), Value::Id(0)]]
+        );
         // A relation that holds a row already keeps one copy of it.
         let before = db.total_tuples();
         Outlet::new(&into_db(&["edge"]), &mut db, &mut []).statics(&g, VertexId(0));
@@ -700,7 +767,10 @@ mod tests {
         Outlet::new(&table, &mut db, &mut blocks).custom(rows());
         assert_eq!(held(&blocks[0]), vec![row(1), row(2)]);
         assert_eq!(held(&blocks[1]), vec![row(3)]);
-        assert!(db.relation("err").is_none(), "a stored, unread row became a tuple");
+        assert!(
+            db.relation("err").is_none(),
+            "a stored, unread row became a tuple"
+        );
         assert_eq!(tuples(&db, "pred"), vec![row(3)]);
         assert_eq!(tuples(&db, "seen"), vec![row(1)]);
         // The next step's repeat of a row the relation holds is not stored

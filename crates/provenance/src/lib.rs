@@ -56,8 +56,8 @@ pub mod writer;
 
 pub use columnar::{ColumnStat, Encoding};
 pub use edb::{EdbTracker, Outlet, RouteTable};
-pub use epoch::{EpochInfo, EpochStats};
 pub use encode::ProvEncode;
+pub use epoch::{EpochInfo, EpochStats};
 pub use rows::{RowBlock, Rows};
 pub use store::{
     compact_spool, scrub_spool, CompactReport, Durability, LayerFilter, LayerRead, ProvStore,

@@ -757,7 +757,10 @@ mod tests {
             let (pred, tuples) = &layer[0];
             assert_eq!(pred, "p");
             assert_eq!(tuples.len(), 5, "run {k}");
-            assert!(tuples.iter().all(|t| t[1] == Value::Int(k)), "run {k} read {tuples:?}");
+            assert!(
+                tuples.iter().all(|t| t[1] == Value::Int(k)),
+                "run {k} read {tuples:?}"
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1049,7 +1052,10 @@ mod tests {
         store.ingest(0, "value", id_int(12..20, 0)).unwrap();
         drop(store);
         let v3 = std::fs::read(segment_path(&v3_dir, 0, "value")).unwrap();
-        let mut file = OpenOptions::new().append(true).open(segment_path(&dir, 0, "value")).unwrap();
+        let mut file = OpenOptions::new()
+            .append(true)
+            .open(segment_path(&dir, 0, "value"))
+            .unwrap();
         file.write_all(&v3).unwrap();
         std::fs::remove_dir_all(&v3_dir).ok();
         let magics = record_magics(&segment_path(&dir, 0, "value"));

@@ -176,7 +176,10 @@ pub fn encode_footer(entries: &[FooterEntry]) -> Vec<u8> {
 /// bearing: a flipped magic, length, CRC, or payload byte all fail.
 pub fn parse_footer(data: &[u8]) -> Result<(Vec<FooterEntry>, usize), String> {
     let Some(body_len) = data.len().checked_sub(FOOTER_TRAILER) else {
-        return Err(format!("file too short for a v3 footer ({} bytes)", data.len()));
+        return Err(format!(
+            "file too short for a v3 footer ({} bytes)",
+            data.len()
+        ));
     };
     let (body, mut trailer) = data.split_at(body_len);
     let stored_crc = u32::from_le_bytes(take_array(&mut trailer)?);
@@ -200,7 +203,9 @@ pub fn parse_footer(data: &[u8]) -> Result<(Vec<FooterEntry>, usize), String> {
     let input = &mut &*payload;
     let count = u32::from_le_bytes(take_array(input)?) as usize;
     if count > payload.len() {
-        return Err(format!("footer claims {count} entries in {payload_len} bytes"));
+        return Err(format!(
+            "footer claims {count} entries in {payload_len} bytes"
+        ));
     }
     let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
@@ -294,11 +299,17 @@ pub fn parse_manifest(data: &[u8]) -> Result<Manifest, String> {
         for _ in 0..entry_count {
             entries.push(read_entry(input)?);
         }
-        live.push(GenFileInfo { name, size, entries });
+        live.push(GenFileInfo {
+            name,
+            size,
+            entries,
+        });
     }
     let superseded_count = u32::from_le_bytes(take_array(input)?) as usize;
     if superseded_count > payload.len() {
-        return Err(format!("manifest claims {superseded_count} superseded files"));
+        return Err(format!(
+            "manifest claims {superseded_count} superseded files"
+        ));
     }
     let mut superseded = Vec::with_capacity(superseded_count);
     for _ in 0..superseded_count {
@@ -372,7 +383,10 @@ pub fn decode_compressed_payload(payload: &[u8]) -> Result<(u8, Vec<u8>), String
 /// one buffer record after record. Returns the inner version tag.
 pub fn decode_compressed_payload_into(payload: &[u8], raw: &mut Vec<u8>) -> Result<u8, String> {
     if payload.len() < 5 {
-        return Err(format!("compressed payload too short ({} bytes)", payload.len()));
+        return Err(format!(
+            "compressed payload too short ({} bytes)",
+            payload.len()
+        ));
     }
     let mut packed = payload;
     let [inner] = take_array(&mut packed)?;
@@ -381,7 +395,9 @@ pub fn decode_compressed_payload_into(payload: &[u8], raw: &mut Vec<u8>) -> Resu
     }
     let raw_len = u32::from_le_bytes(take_array(&mut packed)?) as usize;
     if raw_len > V3_MAX_RAW {
-        return Err(format!("raw length {raw_len} exceeds the {V3_MAX_RAW} bound"));
+        return Err(format!(
+            "raw length {raw_len} exceeds the {V3_MAX_RAW} bound"
+        ));
     }
     raw.clear();
     raw.reserve(raw_len);

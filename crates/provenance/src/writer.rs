@@ -85,7 +85,15 @@ impl StoreSender {
         // Counted before the send so the writer's decrement never comes
         // first; a block that was not delivered is not pending.
         self.pending.fetch_add(1, Relaxed);
-        if self.sender.send(WriterMsg::Ingest { superstep, pred, block }).is_err() {
+        if self
+            .sender
+            .send(WriterMsg::Ingest {
+                superstep,
+                pred,
+                block,
+            })
+            .is_err()
+        {
             self.pending.fetch_sub(1, Relaxed);
         }
     }

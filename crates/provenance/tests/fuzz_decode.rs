@@ -12,7 +12,11 @@ use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
 
 fn tuple(v: u64, i: i64) -> Vec<Value> {
-    vec![Value::Id(v), Value::Float(1.0 / (v + 1) as f64), Value::Int(i)]
+    vec![
+        Value::Id(v),
+        Value::Float(1.0 / (v + 1) as f64),
+        Value::Int(i),
+    ]
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -25,7 +29,9 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn mutate(rng: &mut StdRng, bytes: &[u8]) -> Vec<u8> {
     let mut out = bytes.to_vec();
     if out.is_empty() {
-        return (0..rng.gen_range(0usize..64)).map(|_| rng.gen::<u64>() as u8).collect();
+        return (0..rng.gen_range(0usize..64))
+            .map(|_| rng.gen::<u64>() as u8)
+            .collect();
     }
     match rng.gen_range(0u32..4) {
         0 => {
@@ -58,12 +64,13 @@ fn mutate(rng: &mut StdRng, bytes: &[u8]) -> Vec<u8> {
 #[test]
 fn v1_decoder_survives_mutations() {
     let mut rng = StdRng::seed_from_u64(0xA51AD4E);
-    let valid = ariadne_provenance::codec::encode_tuples(
-        &(0..50).map(|v| tuple(v, 3)).collect::<Vec<_>>(),
-    );
+    let valid =
+        ariadne_provenance::codec::encode_tuples(&(0..50).map(|v| tuple(v, 3)).collect::<Vec<_>>());
     for round in 0..600 {
         let bytes = if round % 3 == 0 {
-            (0..rng.gen_range(0usize..256)).map(|_| rng.gen::<u64>() as u8).collect()
+            (0..rng.gen_range(0usize..256))
+                .map(|_| rng.gen::<u64>() as u8)
+                .collect()
         } else {
             mutate(&mut rng, &valid)
         };
@@ -93,7 +100,9 @@ fn columnar_decoder_survives_mutations() {
     let valid = encode_columnar(&batch).expect("encodable").payload;
     for round in 0..600 {
         let bytes = if round % 3 == 0 {
-            (0..rng.gen_range(0usize..256)).map(|_| rng.gen::<u64>() as u8).collect()
+            (0..rng.gen_range(0usize..256))
+                .map(|_| rng.gen::<u64>() as u8)
+                .collect()
         } else {
             mutate(&mut rng, &valid)
         };
