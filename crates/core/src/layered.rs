@@ -302,7 +302,7 @@ impl LayeredRun {
 struct Reads {
     /// `(first layer, filter)`, ascending: each filter holds from its
     /// first layer up to the next one's.
-    spans: Vec<(u32, LayerFilter<'static>)>,
+    spans: Vec<(u32, LayerFilter)>,
     /// The layers from the first to the last one any filter wants a
     /// predicate at, within the requested range; `None` when none does.
     hull: Option<(u32, u32)>,
@@ -354,7 +354,7 @@ impl Reads {
     }
 
     /// The filter layer `layer` is read through.
-    fn filter(&self, layer: u32) -> &LayerFilter<'static> {
+    fn filter(&self, layer: u32) -> &LayerFilter {
         let at = self.spans.partition_point(|(start, _)| *start <= layer);
         &self.spans[at - 1].1
     }

@@ -168,7 +168,7 @@ impl ProvStore {
                 report.copied += 1;
                 records as u32
             } else {
-                let (bytes, _) = seg.decode_into(None, &mut rows, None)?;
+                let (bytes, _) = seg.decode_into(None, &mut rows)?;
                 report.bytes_in += bytes;
                 // Large merged records, compressed where LZ wins.
                 append_records(&mut buf, &rows, |_, _, _| {})

@@ -29,25 +29,28 @@
 //!
 //! # Reading: a newest-first fold
 //!
-//! Logical reads ([`crate::ProvStore::layer_blocks`] and the adapters
-//! over it, [`crate::ProvStore::to_database`],
-//! [`crate::ProvStore::max_superstep`]) materialize superstep `s` from
-//! the chain of physical layers `base + s`, oldest epoch first. A
-//! replacement sets a predicate's content outright and a tombstone
-//! removes it, so nothing *before* the newest of them can show through;
-//! an epoch whose run stopped short of `s` clears everything before it
-//! the same way. The fold therefore works out, from the segment index
-//! alone, where each predicate's content starts — its newest replacement
-//! or tombstone — and decodes only from there on: that replacement, then
+//! Every logical read ([`crate::ProvStore::layer_blocks`], the adapters
+//! over it and [`crate::ProvStore::to_database`]) materializes superstep
+//! `s` from the chain of physical layers `base + s`, oldest epoch first.
+//! A store that never absorbed a mutation is a one-epoch chain: base 0,
+//! reaching every layer its index holds. The chain is implicit, so its
+//! epoch table stays empty and no stored byte changes. A replacement
+//! sets a predicate's content outright and a tombstone removes it, so
+//! nothing *before* the newest of them can show through; an epoch whose
+//! run stopped short of `s` clears everything before it the same way.
+//! The fold therefore works out, from the segment index alone, where
+//! each predicate's content starts — its newest replacement or
+//! tombstone — and decodes only from there on: that replacement, then
 //! the later `~add~` suffixes, in epoch order, each appended straight
 //! into the predicate's [`RowBlock`]. Every other segment of the chain
-//! is skipped undecoded and counted as skipped. The quarantine check
-//! still covers every physical layer of the chain, so a quarantined
-//! segment fails the read exactly as a full oldest-first fold would;
-//! a corrupt record inside a superseded segment is simply never read
-//! (scrub still finds it). A store with no epochs reads its physical
-//! layers directly, byte for byte the pre-epoch behaviour. Column masks
-//! apply *after* the fold.
+//! is skipped undecoded and counted as skipped. A filter and its
+//! column masks act on each segment's base predicate: since the fold
+//! picks its segments from the index and never compares rows, a mask
+//! applies as each segment decodes, and masked columns are skipped as
+//! in any read. The quarantine check covers every physical layer of the
+//! chain, so a quarantined segment of a wanted predicate fails the read
+//! exactly as a full oldest-first fold would; a corrupt record inside a
+//! superseded segment is simply never read (scrub still finds it).
 //!
 //! # Appending: a permutation-sorted diff
 //!
@@ -86,7 +89,7 @@ use crate::spool::{sealed_segment_path, segment_path};
 use crate::store::{layer_bounds, LayerFilter, LayerRead, ProvStore, Segment, StoreError};
 use ariadne_obs::trace::{self, Level};
 use ariadne_pql::Value;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// One epoch's slice of the physical layer space.
@@ -140,13 +143,13 @@ pub fn shadow_del(pred: &str) -> String {
 
 /// Whether `pred` is one of the reserved epoch-encoding spellings.
 pub fn is_reserved(pred: &str) -> bool {
-    pred == EPOCH_MARKER || pred.starts_with("~add~") || pred.starts_with("~del~")
+    op_of(pred).1 != Some(Op::Replace)
 }
 
 /// What a segment of an epoch chain does to its base predicate's
 /// logical content.
 #[derive(Copy, Clone, PartialEq, Eq)]
-enum Op {
+pub(crate) enum Op {
     /// Set it to the segment's rows.
     Replace,
     /// Extend it by the segment's rows.
@@ -156,16 +159,17 @@ enum Op {
 }
 
 /// The base predicate segment predicate `pred` acts on in an epoch
-/// chain, and how; `None` for the epoch marker.
-fn op_of(pred: &str) -> Option<(&str, Op)> {
+/// chain, and how: the one parser of the reserved spellings. The epoch
+/// marker is its own base and does nothing (`None`).
+pub(crate) fn op_of(pred: &str) -> (&str, Option<Op>) {
     if pred == EPOCH_MARKER {
-        None
+        (pred, None)
     } else if let Some(base) = pred.strip_prefix("~add~") {
-        Some((base, Op::Add))
+        (base, Some(Op::Add))
     } else if let Some(base) = pred.strip_prefix("~del~") {
-        Some((base, Op::Del))
+        (base, Some(Op::Del))
     } else {
-        Some((pred, Op::Replace))
+        (pred, Some(Op::Replace))
     }
 }
 
@@ -237,16 +241,47 @@ fn adoptable<'a>(next: &'a ProvStore, key: &(u32, String)) -> Option<&'a Segment
 }
 
 impl ProvStore {
-    /// Materialize one logical layer of an epoch-layered store by the
-    /// newest-first fold (see [`crate::epoch`]): decode each predicate's
-    /// newest replacement and the `~add~` suffixes after it, skip every
-    /// segment they supersede. Column masks are applied *after* the fold
-    /// (it must see raw rows), so the column-skip byte accounting of the
-    /// physical fast path does not apply here — `cols_skipped` stays 0.
-    pub(crate) fn logical_layer_blocks(
+    /// Where each epoch of the store keeps `superstep`, oldest first: its
+    /// physical layer, or `None` where the epoch's run stopped short of
+    /// it. A store that never absorbed a mutation is one implicit epoch
+    /// at base 0 that reaches every layer its index holds, whatever
+    /// [`ProvStore::max_superstep`] says.
+    fn chain(&self, superstep: u32) -> impl Iterator<Item = Option<u32>> + '_ {
+        let implicit = self.epochs.is_empty().then_some(Some(superstep));
+        let epochs = (self.epochs.iter())
+            .map(move |info| (superstep < info.supersteps).then(|| info.base + superstep));
+        implicit.into_iter().chain(epochs)
+    }
+
+    /// The logical supersteps the newest epoch reaches and some epoch
+    /// holds a segment at, ascending: the layers
+    /// [`ProvStore::to_database`] loads. Read from the index alone.
+    pub(crate) fn logical_layers(&self) -> Vec<u32> {
+        let base = |layer: u32| {
+            let epoch = self.epochs.iter().rfind(|info| info.base <= layer);
+            epoch.map_or(0, |info| info.base)
+        };
+        let mut steps: Vec<u32> = (self.segments.keys())
+            .map(|&(layer, _)| layer - base(layer))
+            .collect();
+        steps.sort_unstable();
+        steps.dedup();
+        steps.retain(|&s| self.chain(s).last().flatten().is_some());
+        steps
+    }
+
+    /// Fold logical layer `superstep` newest-first (see [`crate::epoch`]):
+    /// for each base predicate `filter` wants, in predicate order, decode
+    /// its newest replacement and the `~add~` suffixes after it onto
+    /// `rows` (cleared first), masked as they decode, and hand the result
+    /// to `emit`. Every segment they supersede is skipped undecoded.
+    /// Returns what the read touched and skipped; its `tuples` are empty.
+    pub(crate) fn fold_layer(
         &self,
         superstep: u32,
         filter: &LayerFilter,
+        rows: &mut RowBlock,
+        mut emit: impl FnMut(&str, &mut RowBlock) -> Result<(), StoreError>,
     ) -> Result<LayerRead<RowBlock>, StoreError> {
         let _read_span = trace::span(
             Level::Trace,
@@ -254,86 +289,79 @@ impl ProvStore {
             "layer_read",
             &[("superstep", u64::from(superstep).into())],
         );
-        // Widen the predicate allow-set to the diff spellings.
-        let chain_filter = match &filter.preds {
-            None => LayerFilter::all(),
-            Some(set) => {
-                let mut wide = BTreeSet::clone(set);
-                for p in set.iter() {
-                    wide.insert(shadow_add(p));
-                    wide.insert(shadow_del(p));
-                }
-                LayerFilter::for_preds(wide)
-            }
-        };
         let mut out = LayerRead::<RowBlock>::default();
-        // An epoch whose run stopped before `superstep` has no such
-        // layer, and clears what the epochs before it held there (a
-        // later epoch rewrites it in full, diffed against nothing).
-        let live_from = (self.epochs.iter())
-            .rposition(|info| superstep >= info.supersteps)
-            .map_or(0, |at| at + 1);
-        // The chain, oldest first: every segment the filter wants, with
-        // what it does — or nothing, when no fold can need it.
-        let mut chain: Vec<(Option<(&str, Op)>, _)> = Vec::new();
-        let mut filtered = 0u64;
-        for (at, info) in self.epochs.iter().enumerate() {
-            if superstep >= info.supersteps {
+        let skip = |out: &mut LayerRead<RowBlock>, seg: &Segment| {
+            out.segments_skipped += 1;
+            out.bytes_skipped += seg.total_bytes();
+        };
+        // The chain, oldest first: every segment whose base predicate the
+        // filter wants, with what it does — or nothing, when no fold can
+        // need it.
+        let mut chain: Vec<(&str, Option<Op>, &Segment)> = Vec::new();
+        for layer in self.chain(superstep) {
+            let Some(layer) = layer else {
+                // An epoch whose run stopped before `superstep` has no
+                // such layer, and clears what the epochs before it held
+                // there (a later epoch rewrites it in full, diffed
+                // against nothing).
+                chain.iter_mut().for_each(|(_, op, _)| *op = None);
                 continue;
+            };
+            let mut quarantined = self.quarantined.range(layer_bounds(layer));
+            if let Some((_, path)) = quarantined.find(|((_, pred), _)| filter.wants(op_of(pred).0))
+            {
+                return Err(StoreError::Quarantined { path: path.clone() });
             }
-            let layer = info.base + superstep;
-            self.check_damage(layer, &chain_filter)?;
             for ((_, pred), seg) in self.segments.range(layer_bounds(layer)) {
-                if chain_filter.wants(pred) {
-                    chain.push((op_of(pred).filter(|_| at >= live_from), seg));
-                } else {
-                    filtered += 1;
-                    out.segments_skipped += 1;
-                    out.bytes_skipped += seg.total_bytes();
+                match op_of(pred) {
+                    (base, op) if filter.wants(base) => chain.push((base, op, seg)),
+                    _ => skip(&mut out, seg),
                 }
             }
         }
-        // Each predicate's newest replacement or tombstone: where its
-        // content starts. Found from the index; nothing is decoded.
-        let mut reset: BTreeMap<&str, usize> = BTreeMap::new();
-        for (at, (op, _)) in chain.iter().enumerate() {
-            if let Some((base, Op::Replace | Op::Del)) = op {
-                reset.insert(base, at);
-            }
-        }
-        let mut folded: BTreeMap<&str, RowBlock> = BTreeMap::new();
-        let mut superseded = 0u64;
-        for (at, (op, seg)) in chain.into_iter().enumerate() {
-            match op {
+        let filtered = out.segments_skipped;
+        // Each base predicate's segments, in chain order.
+        chain.sort_by_key(|&(base, ..)| base);
+        for run in chain.chunk_by(|a, b| a.0 == b.0) {
+            // Its newest replacement or tombstone: where its content
+            // starts. Found from the index; nothing is decoded.
+            let from = (run.iter())
+                .rposition(|(_, op, _)| matches!(op, Some(Op::Replace | Op::Del)))
+                .unwrap_or(0);
+            rows.clear();
+            let mut decoded = false;
+            for (at, &(base, op, seg)) in run.iter().enumerate() {
                 // Decoded onto the predicate's rows: its newest
-                // replacement (starting them afresh), then every suffix
-                // after it.
-                Some((base, Op::Replace | Op::Add))
-                    if reset.get(base).is_none_or(|&from| at >= from) =>
-                {
-                    let rows = folded.entry(base).or_default();
-                    self.decode_segment(seg, None, rows, &mut out)?;
-                }
-                // A newest tombstone has nothing to decode (the content
-                // before it is gone, and the fold never read it); the
-                // rest is superseded or the marker.
-                _ => {
-                    superseded += 1;
-                    out.segments_skipped += 1;
-                    out.bytes_skipped += seg.total_bytes();
+                // replacement, then every suffix after it. A newest
+                // tombstone has nothing to decode (the content before it
+                // is gone, and the fold never read it); the rest is
+                // superseded or the marker.
+                if at >= from && matches!(op, Some(Op::Replace | Op::Add)) {
+                    let (bytes, counts) = seg.decode_into(filter.mask(base), rows)?;
+                    out.segments_read += 1;
+                    out.bytes_read += bytes;
+                    out.cols_skipped += counts.cols_skipped;
+                    out.col_bytes_skipped += counts.col_bytes_skipped;
+                    decoded = true;
+                } else {
+                    skip(&mut out, seg);
                 }
             }
-        }
-        for (base, mut rows) in folded {
-            if let Some(mask) = filter.mask(base) {
-                rows.blank(0, mask);
+            if decoded {
+                emit(run[0].0, rows)?;
             }
-            out.tuples.push((base.to_string(), rows));
         }
         obs_handles::segments_read().add(out.segments_read as u64);
-        obs_handles::segments_skipped().add(filtered);
-        obs_handles::epoch_fold_segments_read().add(out.segments_read as u64);
-        obs_handles::epoch_fold_segments_skipped().add(superseded);
+        obs_handles::segments_skipped().add(filtered as u64);
+        obs_handles::col_bytes_skipped().add(out.col_bytes_skipped as u64);
+        // The fold's own counters count reads of a store with an epoch
+        // table, the first append's diff included: what they show is the
+        // saving over reading every epoch's layer.
+        if !self.epochs.is_empty() {
+            obs_handles::epoch_fold_segments_read().add(out.segments_read as u64);
+            let superseded = out.segments_skipped - filtered;
+            obs_handles::epoch_fold_segments_skipped().add(superseded as u64);
+        }
         Ok(out)
     }
 
@@ -346,8 +374,9 @@ impl ProvStore {
     /// storage grew only by the diff — the paper's online story
     /// extended to mutable graphs.
     ///
-    /// `next` is usually an in-memory scratch capture; predicates with
-    /// reserved `~`-spellings in it are ignored. A replaced pair that
+    /// `next` is usually an in-memory scratch capture, read through the
+    /// same fold as this store; a predicate it reads under a reserved
+    /// `~`-spelling is ignored. A replaced pair that
     /// `next` holds as one in-order record of this store's format is
     /// copied, not re-encoded, into the same bytes (see [`crate::epoch`]).
     /// The returned [`EpochStats`] reports the carried/appended/replaced
@@ -527,7 +556,7 @@ impl ProvStore {
                 continue;
             }
             rows.clear();
-            seg.decode_into(None, &mut rows, None)?;
+            seg.decode_into(None, &mut rows)?;
             for row in rows.rows() {
                 if let [Value::Int(idx), Value::Int(mbase), Value::Int(sup)] = row {
                     markers.push((*idx, *mbase, *sup));
