@@ -41,10 +41,16 @@ impl CaptureSpec {
     /// range-check query — like every other Table-1 predicate.
     pub fn full() -> Self {
         CaptureSpec {
-            edbs: ["superstep", "value", "evolution", "send_message", "receive_message"]
-                .into_iter()
-                .map(String::from)
-                .collect(),
+            edbs: [
+                "superstep",
+                "value",
+                "evolution",
+                "send_message",
+                "receive_message",
+            ]
+            .into_iter()
+            .map(String::from)
+            .collect(),
             query: None,
         }
     }
@@ -118,7 +124,13 @@ mod tests {
         let spec = CaptureSpec::full();
         // The compact representation of the unfolded provenance graph:
         // its nodes and its evolution + message edges.
-        for pred in ["superstep", "value", "evolution", "send_message", "receive_message"] {
+        for pred in [
+            "superstep",
+            "value",
+            "evolution",
+            "send_message",
+            "receive_message",
+        ] {
             assert!(spec.edbs.contains(pred), "full() must capture {pred}");
         }
         // Static input data is NOT captured: edge weights live in the

@@ -36,7 +36,12 @@ impl CompiledQuery {
 
 /// Compile PQL source with the standard catalog and UDFs.
 pub fn compile(source: &str, params: Params) -> Result<CompiledQuery, PqlError> {
-    compile_with(source, params, &Catalog::standard(), UdfRegistry::standard())
+    compile_with(
+        source,
+        params,
+        &Catalog::standard(),
+        UdfRegistry::standard(),
+    )
 }
 
 /// Compile PQL source against a custom catalog (extra EDBs registered for

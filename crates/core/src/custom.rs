@@ -107,6 +107,8 @@ mod tests {
         b.ensure_vertex(VertexId(5));
         let g1 = b.build();
         drop(g);
-        assert!(prov.tuples(&g1, VertexId(0), 1, &vec![1.0], &msgs).is_empty());
+        assert!(prov
+            .tuples(&g1, VertexId(0), 1, &vec![1.0], &msgs)
+            .is_empty());
     }
 }

@@ -25,7 +25,6 @@
 //!
 //! `docs/MUTATIONS.md` walks through the full protocol.
 
-
 #![warn(missing_docs)]
 use crate::capture::{CaptureRun, CaptureSpec};
 use crate::session::{Ariadne, AriadneError};

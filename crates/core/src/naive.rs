@@ -152,11 +152,7 @@ pub fn run_naive(
 
 /// Ship every vertex's fresh shipped-table tuples to all its neighbours
 /// (both directions). Returns whether anything moved.
-fn ship_fresh(
-    graph: &Csr,
-    states: &mut [QueryState],
-    shipped: &[&String],
-) -> bool {
+fn ship_fresh(graph: &Csr, states: &mut [QueryState], shipped: &[&String]) -> bool {
     if shipped.is_empty() {
         return false;
     }
@@ -220,15 +216,16 @@ mod tests {
 
     fn store_with_steps() -> ProvStore {
         let mut store = ProvStore::new(StoreConfig::in_memory());
-        store.ingest(
-            0,
-            "superstep",
-            vec![
-                vec![Value::Id(0), Value::Int(0)],
-                vec![Value::Id(1), Value::Int(0)],
-            ],
-        )
-        .unwrap();
+        store
+            .ingest(
+                0,
+                "superstep",
+                vec![
+                    vec![Value::Id(0), Value::Int(0)],
+                    vec![Value::Id(1), Value::Int(0)],
+                ],
+            )
+            .unwrap();
         store
     }
 
@@ -269,7 +266,9 @@ mod tests {
         store.ingest(0, "superstep", vec![row]).unwrap();
         let q = compile("active(x, i) :- superstep(x, i).", Params::new()).unwrap();
         for err in [
-            run_naive(&g, &store, &q, None).map(|run| run.database).unwrap_err(),
+            run_naive(&g, &store, &q, None)
+                .map(|run| run.database)
+                .unwrap_err(),
             run_centralized(&g, &store, &q).unwrap_err(),
         ] {
             let AriadneError::Store(e) = err else {

@@ -200,8 +200,7 @@ mod tests {
         let ariadne = crate::session::Ariadne::default();
         let analytic = DeltaPageRank::exact(12);
         let points =
-            sweep_apt_thresholds(&ariadne, &analytic, &g, "udf_diff", &[0.001, 0.01, 0.1])
-                .unwrap();
+            sweep_apt_thresholds(&ariadne, &analytic, &g, "udf_diff", &[0.001, 0.01, 0.1]).unwrap();
         assert_eq!(points.len(), 3);
         // Skippable work is monotone in the threshold.
         for w in points.windows(2) {

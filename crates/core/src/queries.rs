@@ -179,10 +179,7 @@ pub fn backward_custom_catalog() -> Catalog {
 }
 
 /// Query 12 — backward lineage over the custom capture of Query 11.
-pub fn backward_lineage_custom(
-    alpha: VertexId,
-    sigma: u32,
-) -> Result<CompiledQuery, PqlError> {
+pub fn backward_lineage_custom(alpha: VertexId, sigma: u32) -> Result<CompiledQuery, PqlError> {
     compile_with(
         "back_trace(x, i) :- prov_value(x, i, v), i = $sigma, x = $alpha.
          back_trace(x, i) :- prov_edges(x, y), prov_send(x, i), back_trace(y, j), j = i + 1.

@@ -360,7 +360,12 @@ impl Ariadne {
         store: &ProvStore,
         query: &CompiledQuery,
     ) -> Result<LayeredRun, AriadneError> {
-        run_layered_with(graph, store, query, &LayeredConfig::parallel(self.engine.threads))
+        run_layered_with(
+            graph,
+            store,
+            query,
+            &LayeredConfig::parallel(self.engine.threads),
+        )
     }
 
     /// Naive offline evaluation: materialize the whole provenance graph
@@ -432,7 +437,9 @@ fn online_config<A: VertexProgram>(
 
 /// Surface a query failure recorded inside the wrapped program as a
 /// typed error (it used to panic the engine worker).
-fn check_query_failure<A: VertexProgram>(program: &OnlineProgram<'_, A>) -> Result<(), AriadneError> {
+fn check_query_failure<A: VertexProgram>(
+    program: &OnlineProgram<'_, A>,
+) -> Result<(), AriadneError> {
     match program.take_failure() {
         Some(f) => Err(AriadneError::Query {
             vertex: f.vertex,

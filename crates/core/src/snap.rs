@@ -79,8 +79,14 @@ impl Snapshot for QueryState {
     fn write_snap(&self, out: &mut Vec<u8>) {
         write_database(&self.db, out);
         self.eval.frontiers().to_vec().write_snap(out);
-        self.eval.ran_scan_free().collect::<Vec<_>>().write_snap(out);
-        self.eval.agg_input_sizes().collect::<Vec<_>>().write_snap(out);
+        self.eval
+            .ran_scan_free()
+            .collect::<Vec<_>>()
+            .write_snap(out);
+        self.eval
+            .agg_input_sizes()
+            .collect::<Vec<_>>()
+            .write_snap(out);
         self.tracker.last_active().write_snap(out);
         let marks: Vec<(String, usize)> = self
             .ship_marks
