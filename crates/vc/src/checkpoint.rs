@@ -494,7 +494,11 @@ impl<A: Snapshot, B: Snapshot, C: Snapshot> Snapshot for (A, B, C) {
         self.2.write_snap(out);
     }
     fn read_snap(input: &mut &[u8]) -> Result<Self, SnapError> {
-        Ok((A::read_snap(input)?, B::read_snap(input)?, C::read_snap(input)?))
+        Ok((
+            A::read_snap(input)?,
+            B::read_snap(input)?,
+            C::read_snap(input)?,
+        ))
     }
 }
 
@@ -763,7 +767,11 @@ pub fn write_versioned(path: &Path, payload: &[u8]) -> Result<(), EngineError> {
 /// is true the temp file is synced to disk *before* the rename and the
 /// parent directory entry is synced *after* it, so the published
 /// snapshot survives power loss, not just process crash.
-pub fn write_versioned_durable(path: &Path, payload: &[u8], fsync: bool) -> Result<(), EngineError> {
+pub fn write_versioned_durable(
+    path: &Path,
+    payload: &[u8],
+    fsync: bool,
+) -> Result<(), EngineError> {
     let mut framed = Vec::with_capacity(payload.len() + 20);
     framed.extend_from_slice(&SNAPSHOT_MAGIC);
     framed.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
@@ -800,7 +808,10 @@ pub fn fsync_dir(dir: &Path) -> std::io::Result<()> {
 pub fn read_versioned(path: &Path) -> Result<Vec<u8>, EngineError> {
     let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
     if bytes.len() < 16 {
-        return Err(corrupt(path, format!("file too short ({} bytes)", bytes.len())));
+        return Err(corrupt(
+            path,
+            format!("file too short ({} bytes)", bytes.len()),
+        ));
     }
     if bytes[0..4] != SNAPSHOT_MAGIC {
         return Err(corrupt(path, "bad magic bytes"));
@@ -871,8 +882,7 @@ pub fn read_checkpoint<V: Snapshot, M: Snapshot>(
 ) -> Result<EngineCheckpoint<V, M>, EngineError> {
     let payload = read_versioned(path)?;
     let mut input = payload.as_slice();
-    let ckpt =
-        EngineCheckpoint::read_snap(&mut input).map_err(|e| corrupt(path, e.to_string()))?;
+    let ckpt = EngineCheckpoint::read_snap(&mut input).map_err(|e| corrupt(path, e.to_string()))?;
     if !input.is_empty() {
         return Err(corrupt(
             path,
@@ -981,10 +991,7 @@ mod tests {
 
     #[test]
     fn aggregates_roundtrip_deterministically() {
-        let mut a = Aggregates::new([
-            ("z".to_string(), AggOp::Sum),
-            ("a".to_string(), AggOp::Min),
-        ]);
+        let mut a = Aggregates::new([("z".to_string(), AggOp::Sum), ("a".to_string(), AggOp::Min)]);
         a.contribute("z", AggValue::F64(2.0));
         a.rotate();
         a.contribute("a", AggValue::F64(1.0));

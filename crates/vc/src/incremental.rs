@@ -31,15 +31,14 @@
 //! full re-run; both paths return the same values, only the work
 //! differs. See `docs/MUTATIONS.md` for the worked example.
 
-
 #![warn(missing_docs)]
+use crate::aggregate::{AggOp, Aggregates};
 use crate::context::Context;
 use crate::engine::{Engine, RunResult};
 use crate::message::{Combiner, Envelope};
 use crate::program::{Incrementality, VertexProgram};
 use ariadne_graph::delta::{forward_closure, MutationReport};
 use ariadne_graph::{Csr, VertexId};
-use crate::aggregate::{AggOp, Aggregates};
 
 /// Which path an incremental run actually took.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -91,16 +90,16 @@ where
         }
     }
 
-    fn compute(
-        &self,
-        ctx: &mut dyn Context<P::M>,
-        value: &mut P::V,
-        messages: &[Envelope<P::M>],
-    ) {
+    fn compute(&self, ctx: &mut dyn Context<P::M>, value: &mut P::V, messages: &[Envelope<P::M>]) {
         if ctx.superstep() == 0 {
             // Reseed pass: only frontier vertices act; everyone else
             // keeps their seeded value and stays silent.
-            if self.activate.get(ctx.vertex().index()).copied().unwrap_or(false) {
+            if self
+                .activate
+                .get(ctx.vertex().index())
+                .copied()
+                .unwrap_or(false)
+            {
                 self.inner.reseed(ctx, value);
             }
         } else {
@@ -153,14 +152,9 @@ impl Engine {
     {
         let seedable = match program.incrementality() {
             Incrementality::Restart => false,
-            Incrementality::Monotone { deletion_safe } => {
-                !report.has_removals() || deletion_safe
-            }
+            Incrementality::Monotone { deletion_safe } => !report.has_removals() || deletion_safe,
         };
-        if !seedable
-            || program.always_active()
-            || prev_values.len() != old_graph.num_vertices()
-        {
+        if !seedable || program.always_active() || prev_values.len() != old_graph.num_vertices() {
             return IncrementalRun {
                 result: self.run(program, new_graph),
                 mode: IncrementalMode::FullRerun,
@@ -377,8 +371,7 @@ mod tests {
         let mut d = GraphDelta::new();
         d.remove_edge(VertexId(0), VertexId(1));
         let report = g.apply(&d);
-        let inc =
-            engine.run_incremental(&MonotoneNoDel, &old, g.csr(), &before.values, &report);
+        let inc = engine.run_incremental(&MonotoneNoDel, &old, g.csr(), &before.values, &report);
         assert_eq!(inc.mode, IncrementalMode::FullRerun);
 
         // Insert-only batches may seed.
@@ -387,8 +380,7 @@ mod tests {
         let mut d = GraphDelta::new();
         d.add_edge(VertexId(2), VertexId(9), 1.0);
         let report = g.apply(&d);
-        let inc =
-            engine.run_incremental(&MonotoneNoDel, &old, g.csr(), &before.values, &report);
+        let inc = engine.run_incremental(&MonotoneNoDel, &old, g.csr(), &before.values, &report);
         assert_eq!(inc.mode, IncrementalMode::Frontier);
     }
 }

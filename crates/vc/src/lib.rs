@@ -77,8 +77,8 @@ pub use checkpoint::{
 };
 pub use context::Context;
 pub use engine::{Engine, EngineConfig, Inbox, RunResult};
-pub use incremental::{IncrementalMode, IncrementalRun};
 pub use fault::FaultPlan;
+pub use incremental::{IncrementalMode, IncrementalRun};
 pub use message::{Combiner, Envelope, MaxCombiner, MinCombiner, SumCombiner};
 pub use metrics::{PhaseTimes, RunMetrics, SuperstepMetrics};
 pub use program::{Incrementality, VertexProgram};
