@@ -6,7 +6,7 @@
 //! `superstep` column of a layer's batch is a single repeated constant,
 //! vertex-id columns are near-monotone, predicate payloads repeat a
 //! handful of distinct values. The v2 payload transposes a batch into
-//! columns and picks a per-column [`Encoding`] at pack time from a cheap
+//! columns and picks a per-column [`Encoding`] at encode time from a cheap
 //! single-pass stats sweep:
 //!
 //! ```text

@@ -21,10 +21,10 @@
 //! or the other. Layer reads of compacted keys seek directly to the
 //! extent instead of scanning whole files.
 //!
-//! A key whose stored bytes are the output of one segment pack is
+//! A key whose stored bytes are the output of one ingest is
 //! **copied**: the record writer ([`crate::frame`]) is a pure function
 //! of the rows, so re-encoding would write those bytes again. Every
-//! other key (several packs, a ragged record, resumed or adopted
+//! other key (several ingests, a ragged record, resumed or adopted
 //! bytes) is decoded into one [`RowBlock`], reused from key to key, and
 //! re-encoded from it by that writer, which merges its records. Both
 //! paths check and decode every record, so damage fails the pass typed;
@@ -49,7 +49,7 @@ pub struct CompactReport {
     pub generation: u64,
     /// Segments rewritten into the new generation file.
     pub segments: usize,
-    /// Of those, segments whose bytes were copied as one pack wrote
+    /// Of those, segments whose bytes were copied as one ingest wrote
     /// them instead of re-encoded.
     pub copied: usize,
     /// Tuples carried across (compaction never drops live tuples).
@@ -96,7 +96,7 @@ impl ProvStore {
     /// (superstep, predicate) key out as one contiguous extent of a
     /// single `gen-{G}-0.ars3` file with an indexed footer, publish it
     /// by atomically swapping the spool manifest, and only then delete
-    /// the superseded files. A key one pack wrote is copied as it is;
+    /// the superseded files. A key one ingest wrote is copied as it is;
     /// every other key is re-encoded, so its small records merge into
     /// large ones (fewer frame overheads, better column encodings, LZ
     /// when it wins) and v1 records are upgraded. Quarantined bytes are
@@ -126,7 +126,6 @@ impl ProvStore {
             "compact_pass",
             &[("generation", (self.generation + 1).into())],
         );
-        self.pack_all();
         let mpath = manifest_path(&dir);
         let fault = self.config.fault.clone();
         // One protocol step ends: charge its wall time to `timer`, then
@@ -162,7 +161,7 @@ impl ProvStore {
             }
             rows.clear();
             let offset = buf.len();
-            let records = if seg.one_pack {
+            let records = if seg.one_ingest {
                 let records = seg.copy_into(&mut buf, &mut rows)?;
                 report.bytes_in += buf.len() - offset;
                 report.copied += 1;
@@ -243,7 +242,7 @@ impl ProvStore {
             seg.disk.files.clear();
             seg.mem.clear();
             seg.mem_tuples = 0;
-            seg.one_pack = false;
+            seg.one_ingest = false;
         }
         for e in &manifest.live[0].entries {
             let seg = self
@@ -252,11 +251,7 @@ impl ProvStore {
                 .expect("compacted key exists");
             seg.disk.files = vec![DiskFile::extent(&gpath, e)];
         }
-        self.mem_bytes = self
-            .segments
-            .values()
-            .map(|s| s.mem.len() + s.pending_bytes)
-            .sum();
+        self.mem_bytes = self.segments.values().map(|s| s.mem.len()).sum();
         self.disk_bytes = self.segments.values().map(|s| s.disk.bytes()).sum();
         self.generation = gen;
         self.compactions += 1;

@@ -23,7 +23,7 @@
 //!
 //! * **v1**: the row-major tagged encoding of [`crate::codec`].
 //! * **v2**: the columnar encoding of [`crate::columnar`], with a
-//!   per-column [`Encoding`] chosen by a stats pass at pack time.
+//!   per-column [`Encoding`] chosen by a stats pass at encode time.
 //! * **v3**: an LZ-compressed block (see [`crate::v3`]) stacked *under*
 //!   a v1 or v2 payload — the payload is an inner version tag, the raw
 //!   length, and the compressed inner payload.
@@ -134,7 +134,7 @@ thread_local! {
 /// each in the compressed v3 frame when LZ strictly wins. `on_column`
 /// sees each column of every columnar record written: its index,
 /// encoding and accounting. Returns the records written. The one record
-/// writer behind segment packing and compaction; a payload is encoded
+/// writer behind ingest and compaction; a payload is encoded
 /// into a buffer the thread reuses, then compressed into its frame.
 pub(crate) fn append_records(
     buf: &mut Vec<u8>,

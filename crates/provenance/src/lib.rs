@@ -7,7 +7,7 @@
 //!   annotating input-graph vertices rather than an unfolded node per
 //!   vertex-superstep).
 //! * [`store`] — the captured-provenance store facade ([`ProvStore`]):
-//!   per-superstep segments, ingest and pack, layer reads, and byte
+//!   per-superstep segments, ingest, layer reads, and byte
 //!   accounting for Tables 3–4. Each storage decision behind it lives
 //!   in one sibling module: [`frame`] (the checksummed record frame,
 //!   its magic table, the record walk and payload decode dispatch),
@@ -25,13 +25,13 @@
 //!   segments (the v1 row-major record payload).
 //! * [`columnar`] — the v2 columnar record payload: per-column
 //!   [`columnar::Encoding`]s (delta+varint, dictionary, raw floats)
-//!   chosen by a stats pass at pack time, with skippable column blocks
+//!   chosen by a stats pass at encode time, with skippable column blocks
 //!   for column-selective replay reads.
 //! * [`v3`] — the v3 on-disk structures: LZ-compressed record frames,
 //!   indexed generation-file footers, and the spool manifest published
 //!   by [`ProvStore::compact`].
 //! * [`rows`] — [`RowBlock`], the flat buffer a captured row lives in from
-//!   the vertex-step that generates it to the encoder that packs it, and
+//!   the vertex-step that generates it to the encoder that frames it, and
 //!   [`Rows`], the view the encoders read blocks and tuple slices
 //!   through.
 

@@ -1,10 +1,12 @@
-//! Cached global-registry handles for store metrics. Ingested tuple
-//! counts and what reads decode per segment are functions of the
-//! captured provenance alone and are flagged deterministic. Everything
-//! that follows how a capture's threads delivered its rows is flagged
-//! non-deterministic: ingest batches, the records packs cut (their
-//! count, bytes, LZ wins and column blocks), which segments spill and
-//! when, which keys compaction copies, and record verifications.
+//! Cached global-registry handles for store metrics. A capture hands
+//! the store each (superstep, predicate) once, its rows in vertex order,
+//! so what the store ingests and writes — batches, records, their bytes,
+//! LZ wins and column blocks, which keys compaction copies, which epoch
+//! records are adopted — is a function of the captured provenance alone
+//! and is flagged deterministic, like what reads decode per segment.
+//! So are spills, which follow that and the memory budget. Wall-clock
+//! timings, record verifications and extent reads are flagged
+//! non-deterministic.
 
 use ariadne_obs::metrics::Histogram;
 use ariadne_obs::{static_counter, static_histogram};
@@ -13,7 +15,7 @@ static_counter!(
     ingest_batches,
     "store_ingest_batches_total",
     "tuple batches ingested into the provenance store",
-    false
+    true
 );
 static_counter!(
     ingest_tuples,
@@ -25,19 +27,19 @@ static_counter!(
     ingest_bytes,
     "store_ingest_bytes_total",
     "encoded record bytes appended to in-memory segments",
-    false
+    true
 );
 static_counter!(
     spills,
     "store_spills_total",
-    "segment spills to the spool directory (budget/arrival dependent)",
-    false
+    "segment spills to the spool directory",
+    true
 );
 static_counter!(
     spilled_bytes,
     "store_spilled_bytes_total",
-    "bytes written to spool segment files (budget/arrival dependent)",
-    false
+    "bytes written to spool segment files",
+    true
 );
 static_counter!(
     records_verified,
@@ -61,7 +63,7 @@ static_counter!(
     sealed_segments,
     "store_sealed_segments_total",
     "segments recovered and sealed during spool resume",
-    false
+    true
 );
 static_counter!(
     faults_injected,
@@ -90,8 +92,8 @@ static_counter!(
 static_counter!(
     encoded_bytes,
     "store_encoded_bytes",
-    "record bytes (framing included) produced by columnar segment packing",
-    false
+    "record bytes (framing included) of the columnar records ingests wrote",
+    true
 );
 static_counter!(
     encode_ns,
@@ -108,14 +110,14 @@ static_counter!(
 static_counter!(
     packs,
     "store_packs_total",
-    "pending batches packed into columnar records",
-    false
+    "ingested blocks framed as columnar records",
+    true
 );
 static_counter!(
     col_bytes_skipped,
     "store_col_bytes_skipped_total",
     "encoded column-block bytes skipped (never materialized) by masked reads",
-    false
+    true
 );
 static_counter!(
     fsync_ns,
@@ -151,31 +153,31 @@ static_counter!(
     compact_bytes_in,
     "store_compact_bytes_in",
     "segment bytes read (decoded) by compaction passes",
-    false
+    true
 );
 static_counter!(
     compact_bytes_out,
     "store_compact_bytes_out",
     "generation-file record bytes written by compaction passes",
-    false
+    true
 );
 static_counter!(
     compact_copied,
     "store_compact_copied_total",
-    "segments compaction copied as one pack wrote them instead of re-encoding",
-    false
+    "segments compaction copied as one ingest wrote them instead of re-encoding",
+    true
 );
 static_counter!(
     lz_records,
     "store_lz_records_total",
     "records written in the v3 compressed frame (LZ strictly won)",
-    false
+    true
 );
 static_counter!(
     lz_saved_bytes,
     "store_lz_saved_bytes",
     "payload bytes saved by v3 LZ compression over the plain frame",
-    false
+    true
 );
 // Compaction protocol step timers (PR 7 landed the protocol with no
 // obs): one wall-clock counter per kill-point-delimited step, so a
@@ -250,19 +252,17 @@ static_counter!(
     "(layer, predicate) pairs an epoch append tombstoned with ~del~",
     true
 );
-// Whether a captured segment is one record in canonical order depends
-// on the order the capture's threads delivered its rows.
 static_counter!(
     epoch_adopted,
     "store_epoch_adopted_total",
-    "replaced (layer, predicate) pairs an epoch append copied as the capture's one record instead of re-encoding (arrival dependent)",
-    false
+    "replaced (layer, predicate) pairs an epoch append copied as the capture's one record instead of re-encoding",
+    true
 );
 static_counter!(
     epoch_adopted_bytes,
     "store_epoch_adopted_bytes_total",
-    "record bytes epoch appends copied from the capture instead of re-encoding (arrival dependent)",
-    false
+    "record bytes epoch appends copied from the capture instead of re-encoding",
+    true
 );
 static_counter!(
     epoch_append_ns,
@@ -317,13 +317,13 @@ static_counter!(
     scrub_files,
     "store_scrub_files_total",
     "spool files verified by scrub passes",
-    false
+    true
 );
 static_counter!(
     scrub_records,
     "store_scrub_records_total",
     "records whose CRC and payload decode were re-verified by scrub",
-    false
+    true
 );
 static_counter!(
     scrub_tuples,
@@ -338,27 +338,27 @@ static_counter!(
     true
 );
 
-const ENC_HELP: &str = "encoded column-block bytes per packed column for this encoding";
-static_histogram!(enc_plain, "store_encoding_bytes_plain", ENC_HELP, false);
-static_histogram!(enc_const, "store_encoding_bytes_const", ENC_HELP, false);
+const ENC_HELP: &str = "encoded column-block bytes per columnar record column for this encoding";
+static_histogram!(enc_plain, "store_encoding_bytes_plain", ENC_HELP, true);
+static_histogram!(enc_const, "store_encoding_bytes_const", ENC_HELP, true);
 static_histogram!(
     enc_delta_id,
     "store_encoding_bytes_delta_id",
     ENC_HELP,
-    false
+    true
 );
 static_histogram!(
     enc_delta_int,
     "store_encoding_bytes_delta_int",
     ENC_HELP,
-    false
+    true
 );
-static_histogram!(enc_dict, "store_encoding_bytes_dict", ENC_HELP, false);
+static_histogram!(enc_dict, "store_encoding_bytes_dict", ENC_HELP, true);
 static_histogram!(
     enc_float_raw,
     "store_encoding_bytes_float_raw",
     ENC_HELP,
-    false
+    true
 );
 
 /// The per-encoding column-size histogram for `enc`.

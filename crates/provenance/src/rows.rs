@@ -3,7 +3,8 @@
 //! A [`RowBlock`] holds the rows of one predicate back to back in one
 //! `Vec<Value>`. On the write side a captured row is written into a block
 //! once, where it is generated, and stays there — through the writer's
-//! channel and the segment's pending buffer — until the encoder reads it.
+//! channel, where a layer's per-chunk blocks are moved into one — until
+//! the encoder reads it at ingest.
 //! On the read side the one record decoder ([`crate::frame`]) writes every
 //! record straight into a block, a columnar record column by column into
 //! its strided slots; compaction, the epoch fold and diff and
@@ -321,19 +322,6 @@ impl RowBlock {
         order
     }
 
-    /// Blank every position the keep-mask `mask` drops to [`Value::Unit`]
-    /// in rows `from..`; positions past the end of the mask are kept.
-    pub(crate) fn blank(&mut self, from: usize, mask: &[bool]) {
-        for i in from..self.len() {
-            let (start, end) = (self.start(i), self.end(i));
-            for (v, keep) in self.values[start..end].iter_mut().zip(mask) {
-                if !keep {
-                    *v = Value::Unit;
-                }
-            }
-        }
-    }
-
     /// Drop every row from row `from` on that repeats an earlier row at
     /// or after `from`, keeping first occurrences in order — what
     /// inserting that tail into a relation would have kept. It hashes
@@ -500,20 +488,6 @@ mod tests {
         let order = ragged.sorted_order();
         ragged.permute(order);
         assert_eq!(ragged.to_tuples(), [vec![], vec![Value::Id(1)], row(2, 0)]);
-    }
-
-    #[test]
-    fn blank_masks_rows_from_an_offset() {
-        let mut b = RowBlock::from_tuples(vec![row(1, 1), row(2, 2), vec![Value::Id(3)]]);
-        b.blank(1, &[true, false]);
-        assert_eq!(
-            b.to_tuples(),
-            [
-                row(1, 1),
-                vec![Value::Id(2), Value::Unit],
-                vec![Value::Id(3)]
-            ]
-        );
     }
 
     #[test]

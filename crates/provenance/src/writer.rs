@@ -5,12 +5,14 @@
 //! [`StoreWriter::finish`] drains the queue with a timeout instead of
 //! joining unconditionally.
 //!
-//! A message is one [`RowBlock`]: the rows one capture worker generated
-//! for one (superstep, predicate), handed over whole at the barrier. The
-//! writer thread moves the block into the segment's pending rows and
-//! frees it after the pack — one buffer crossing threads per block, where
-//! a `Vec` per tuple used to be freed into the arena the engine thread
-//! was allocating from (DESIGN.md §3.14).
+//! A message is every row a capture made for one (superstep, predicate):
+//! one [`RowBlock`] per engine chunk, in chunk order, handed over whole at
+//! the barrier. The writer thread concatenates them, in vertex order,
+//! ingests the result once — framed at once, so a layer's records are
+//! what one thread would have written — and frees it: one buffer
+//! crossing threads per block, where a `Vec` per tuple used to be freed
+//! into the arena the engine thread was allocating from (DESIGN.md
+//! §3.14).
 
 use crate::obs_handles;
 use crate::rows::{RowBlock, Rows};
@@ -28,7 +30,7 @@ enum WriterMsg {
     Ingest {
         superstep: u32,
         pred: Arc<str>,
-        block: RowBlock,
+        blocks: Vec<RowBlock>,
     },
     /// Spill everything ingested so far, then answer.
     Sync(Sender<()>),
@@ -72,13 +74,14 @@ pub struct StoreSender {
 }
 
 impl StoreSender {
-    /// Queue a block for ingestion. If the writer thread has died (for
-    /// example after a spill failure) the block is dropped; the failure
-    /// itself is reported by [`StoreWriter::finish`], keeping this
-    /// hot-path call infallible.
-    pub fn ingest_block(&self, superstep: u32, pred: &Arc<str>, block: RowBlock) {
+    /// Queue every row of (`superstep`, `pred`), as `blocks` in order,
+    /// for one ingestion: the writer ingests their concatenation once.
+    /// If the writer thread has died (for example after a spill failure)
+    /// the blocks are dropped; the failure itself is reported by
+    /// [`StoreWriter::finish`], keeping this hot-path call infallible.
+    pub fn ingest_blocks(&self, superstep: u32, pred: &Arc<str>, blocks: Vec<RowBlock>) {
         use std::sync::atomic::Ordering::Relaxed;
-        if block.is_empty() {
+        if blocks.iter().all(Rows::is_empty) {
             return;
         }
         let pred = Arc::clone(pred);
@@ -90,7 +93,7 @@ impl StoreSender {
             .send(WriterMsg::Ingest {
                 superstep,
                 pred,
-                block,
+                blocks,
             })
             .is_err()
         {
@@ -151,8 +154,12 @@ impl StoreWriter {
                         WriterMsg::Ingest {
                             superstep,
                             pred,
-                            block,
-                        } => store.ingest_block(superstep, &pred, block)?,
+                            blocks,
+                        } => {
+                            let mut rows = RowBlock::default();
+                            blocks.into_iter().for_each(|block| rows.append(block));
+                            store.ingest_block(superstep, &pred, rows)?;
+                        }
                         WriterMsg::Sync(answer) => {
                             store.spill_down_to(0)?;
                             let _ = answer.send(());
@@ -160,10 +167,6 @@ impl StoreWriter {
                         WriterMsg::Finish => break,
                     }
                 }
-                // Final pack so the handed-back store reports fully
-                // encoded bytes and later spills never race a pending
-                // buffer.
-                store.pack_all();
                 Ok(store)
             })();
             let _ = done_tx.send(result);
@@ -248,12 +251,12 @@ mod tests {
         let pred: Arc<str> = "superstep".into();
         let p2 = Arc::clone(&pred);
         std::thread::spawn(move || {
-            s2.ingest_block(0, &p2, block(7..8, 0));
+            s2.ingest_blocks(0, &p2, vec![block(7..8, 0)]);
         })
         .join()
         .unwrap();
-        sender.ingest_block(1, &pred, block(7..8, 1));
-        sender.ingest_block(2, &pred, RowBlock::default()); // empty: not sent
+        sender.ingest_blocks(1, &pred, vec![block(7..8, 1)]);
+        sender.ingest_blocks(2, &pred, vec![RowBlock::default()]); // empty: not sent
         let store = writer.finish().unwrap();
         assert_eq!(store.tuple_count(), 2);
     }
@@ -268,14 +271,14 @@ mod tests {
             StoreWriter::spawn(StoreConfig::spilling(8, dir.clone()).with_fault(Arc::clone(&plan)));
         let sender = writer.sender();
         let pred: Arc<str> = "value".into();
-        sender.ingest_block(0, &pred, block(0..20, 0));
+        sender.ingest_blocks(0, &pred, vec![block(0..20, 0)]);
         while !writer.handle.is_finished() {
             std::thread::yield_now();
         }
         // Further sends after the writer died are silently dropped, not
         // a panic on the hot path — and not counted as pending, so a
         // finish timeout reports only blocks the writer could still get.
-        sender.ingest_block(1, &pred, block(1..2, 1));
+        sender.ingest_blocks(1, &pred, vec![block(1..2, 1)]);
         assert_eq!(writer.pending.load(Ordering::Relaxed), 0);
         match writer.finish() {
             Err(StoreError::InjectedSpillFailure { attempt: 0 }) => {}
@@ -302,7 +305,7 @@ mod tests {
         let sender = writer.sender();
         let pred: Arc<str> = "value".into();
         for k in 0..32 {
-            sender.ingest_block(0, &pred, block(k..k + 1, 0));
+            sender.ingest_blocks(0, &pred, vec![block(k..k + 1, 0)]);
         }
         match writer.finish_timeout(Duration::from_millis(10)) {
             Err(StoreError::FinishTimeout { pending, .. }) => {

@@ -1,8 +1,8 @@
 //! An epoch append that adopts a capture's record (copies it instead of
 //! encoding its rows again) counts it in the store's ingest, pack and LZ
 //! counters as the re-encode it stands in for: the record's bytes are
-//! the same either way, so which pairs a capture's thread arrival lets
-//! the append adopt moves none of those counters.
+//! the same either way, so which pairs the append adopts moves none of
+//! those counters.
 //!
 //! Lives in its own test binary: the metric registry is process-wide.
 
@@ -28,13 +28,11 @@ fn counter(name: &str) -> u64 {
 }
 
 /// A capture of `tag`: a compressible columnar segment and a ragged one,
-/// one batch each. When `adoptable`, the columnar rows are packed and
-/// the ragged rows (a record at once) are in canonical order, so each
-/// segment is one record the append can adopt; otherwise the columnar
-/// rows are pending and the ragged rows reversed, and both are
-/// re-encoded.
+/// one batch each, so each segment is one record. When `adoptable`, both
+/// hold their rows in canonical order and the append can adopt them;
+/// otherwise both hold them reversed, and both are re-encoded.
 fn capture(tag: i64, adoptable: bool) -> ProvStore {
-    let rows: Vec<Tuple> = (0..300u64)
+    let mut rows: Vec<Tuple> = (0..300u64)
         .map(|x| vec![Value::Id(x / 4), Value::Int(tag)])
         .collect();
     let mut ragged: Vec<Tuple> = vec![
@@ -43,14 +41,12 @@ fn capture(tag: i64, adoptable: bool) -> ProvStore {
         vec![Value::Id(3)],
     ];
     if !adoptable {
+        rows.reverse();
         ragged.reverse();
     }
     let mut store = ProvStore::new(StoreConfig::in_memory());
     store.ingest(0, "a", rows).unwrap();
     store.ingest(0, "rg", ragged).unwrap();
-    if adoptable {
-        store.pack_all();
-    }
     store
 }
 

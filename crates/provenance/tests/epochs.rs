@@ -135,7 +135,6 @@ fn epoch_table_survives_spool_resume() {
     next.ingest(1, "value", vec![t(&[1, 1])]).unwrap();
     store.append_epoch(&next).expect("append epoch");
     let expect = all_layers(&store);
-    store.pack_all();
     drop(store);
 
     let resumed = ProvStore::resume_from_spool(StoreConfig::spilling(0, dir.clone()))

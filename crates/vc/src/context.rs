@@ -16,6 +16,11 @@ pub trait Context<M> {
     /// The id of the vertex currently computing.
     fn vertex(&self) -> VertexId;
 
+    /// The index of the engine chunk this call runs in. A chunk's calls
+    /// run on one thread, one after another, in ascending vertex order,
+    /// so state kept per chunk sees its vertices in id order.
+    fn chunk(&self) -> usize;
+
     /// The (immutable) input graph.
     fn graph(&self) -> &Csr;
 
@@ -86,6 +91,9 @@ mod tests {
         }
         fn vertex(&self) -> VertexId {
             self.vertex
+        }
+        fn chunk(&self) -> usize {
+            0
         }
         fn graph(&self) -> &Csr {
             &self.graph

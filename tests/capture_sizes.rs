@@ -215,7 +215,7 @@ fn spool_dir(tag: &str) -> PathBuf {
 }
 
 /// The budget counts encoded bytes, and spilling evicts whole segments
-/// only while the packed bytes in memory exceed it. So when the capture
+/// only while the encoded bytes in memory exceed it. So when the capture
 /// ends, memory falls short of the budget by at most one segment, and
 /// the rest of the capture stays in memory rather than in the spool.
 #[test]
@@ -242,11 +242,11 @@ fn extents(dir: &Path, generation: u64) -> BTreeMap<(u32, String), Vec<u8>> {
         .collect()
 }
 
-/// Compaction copies a key one pack wrote, and the copy is the bytes a
+/// Compaction copies a key one ingest wrote, and the copy is the bytes a
 /// re-encode writes: a resumed store flags nothing, so compacting it
 /// again re-encodes every key, and every extent comes out the same.
-/// Beside the capture, whose keys one thread packs once each, two keys
-/// are written otherwise, so the first pass re-encodes too: one packed
+/// Beside the capture, whose keys are ingested once each, two keys are
+/// written otherwise, so the first pass re-encodes too: one ingested
 /// twice, one holding a ragged record.
 #[test]
 fn compaction_copies_what_a_reencode_writes() {
@@ -254,7 +254,6 @@ fn compaction_copies_what_a_reencode_writes() {
     let mut store = spilling_pagerank(&dir);
     let row = |v: u64| vec![Value::Id(v), Value::Float(0.5), Value::Int(99)];
     store.ingest(99, "value", vec![row(1), row(2)]).unwrap();
-    store.pack_all();
     store.ingest(99, "value", vec![row(3)]).unwrap();
     let ragged = vec![vec![Value::Id(1)], vec![Value::Id(2), Value::Int(3)]];
     store.ingest(99, "ragged", ragged).unwrap();

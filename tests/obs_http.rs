@@ -178,10 +178,10 @@ fn validate_prometheus(text: &str) {
         samples["store_lz_records_total"] > 0.0,
         "no LZ record written"
     );
-    // Counts that follow thread arrival are not flagged deterministic
-    // (docs/OBSERVABILITY.md, determinism taxonomy). This run registers
-    // the first eleven; the rest only when it happens to touch them (no
-    // scrub runs here).
+    // A capture hands the store each layer once, in vertex order, so
+    // what the store writes is flagged deterministic (docs/OBSERVABILITY.md,
+    // determinism taxonomy). This run registers the first eleven; the
+    // rest only when it happens to touch them (no scrub runs here).
     for name in [
         "store_compact_copied_total",
         "store_compact_bytes_in",
@@ -195,7 +195,7 @@ fn validate_prometheus(text: &str) {
         "store_lz_saved_bytes",
         "store_col_bytes_skipped_total",
     ] {
-        assert_eq!(det[name], "false", "{name} is flagged deterministic");
+        assert_eq!(det[name], "true", "{name} is not flagged deterministic");
     }
     for name in [
         "store_scrub_records_total",
@@ -208,8 +208,8 @@ fn validate_prometheus(text: &str) {
         "store_encoding_bytes_dict",
         "store_encoding_bytes_float_raw",
     ] {
-        let flag = det.get(name).copied().unwrap_or("false");
-        assert_eq!(flag, "false", "{name} is flagged deterministic");
+        let flag = det.get(name).copied().unwrap_or("true");
+        assert_eq!(flag, "true", "{name} is not flagged deterministic");
     }
     // The latency histogram must expose interpolated quantile series.
     assert!(

@@ -4,13 +4,16 @@
 
 use ariadne::queries;
 use ariadne::session::Ariadne;
-use ariadne::CaptureSpec;
+use ariadne::{CaptureSpec, StoreConfig};
 use ariadne_analytics::{PageRank, Sssp, Wcc};
 use ariadne_graph::generators::{rmat, RmatConfig};
 use ariadne_graph::{Csr, VertexId};
 use ariadne_pql::Value;
+use ariadne_provenance::{ProvEncode, ProvStore, SegmentInfo};
+use ariadne_vc::VertexProgram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::path::PathBuf;
 
 fn graph() -> Csr {
     rmat(RmatConfig {
@@ -54,28 +57,72 @@ fn parallel_online_matches_sequential_online() {
     }
 }
 
+/// A full capture of `analytic` at `threads`: in memory, or (with a
+/// `spool`) spilling past a 4 KiB budget and reopened from its spool.
+fn captured<A>(analytic: &A, g: &Csr, threads: usize, spool: Option<PathBuf>) -> ProvStore
+where
+    A: VertexProgram,
+    A::V: ProvEncode,
+    A::M: ProvEncode,
+{
+    let store = spool.map_or_else(StoreConfig::in_memory, |dir| {
+        let _ = std::fs::remove_dir_all(&dir);
+        StoreConfig::spilling(4 << 10, dir)
+    });
+    let session = Ariadne {
+        store: store.clone(),
+        ..Ariadne::with_threads(threads)
+    };
+    let run = session.capture(analytic, g, &CaptureSpec::full()).unwrap();
+    if store.spool_dir.is_none() {
+        return run.store;
+    }
+    assert!(run.store.spills() > 0, "the capture never spilled");
+    drop(run.store);
+    ProvStore::resume_from_spool(store).unwrap()
+}
+
+/// Full PageRank, SSSP and WCC captures at every thread count store the
+/// rows of one thread, layer by layer in the same order, as the same
+/// records: a capture hands the store each layer once, in vertex order.
+/// In memory, and spilled through a small budget and reopened.
 #[test]
 fn parallel_capture_matches_sequential_capture() {
+    let mut rng = StdRng::seed_from_u64(5);
     let g = graph();
-    let seq = Ariadne::default()
-        .capture(&Wcc, &g, &CaptureSpec::full())
-        .unwrap();
-    let par = Ariadne::with_threads(3)
-        .capture(&Wcc, &g, &CaptureSpec::full())
-        .unwrap();
-    assert_eq!(seq.values, par.values);
-    assert_eq!(seq.store.tuple_count(), par.store.tuple_count());
-    // Same tuples layer by layer (order within a layer may differ by
-    // ingestion interleaving; compare as sorted sets).
-    let max = seq.store.max_superstep().unwrap();
-    assert_eq!(par.store.max_superstep(), Some(max));
-    for s in 0..=max {
-        let mut a: Vec<_> = seq.store.layer(s).unwrap();
-        let mut b: Vec<_> = par.store.layer(s).unwrap();
-        a.iter_mut().for_each(|(_, t)| t.sort());
-        b.iter_mut().for_each(|(_, t)| t.sort());
-        assert_eq!(a, b, "layer {s} differs");
+    let weighted = g.map_weights(|_, _, _| 0.1 + rng.gen::<f64>());
+    let pagerank = PageRank {
+        supersteps: 6,
+        ..Default::default()
+    };
+    let sssp = Sssp::new(VertexId(0));
+    let dir = std::env::temp_dir().join(format!("ariadne-parallel-{}", std::process::id()));
+    for spill in [false, true] {
+        let spool =
+            |label: &str, threads: usize| spill.then(|| dir.join(format!("{label}-{threads}")));
+        for label in ["pagerank", "sssp", "wcc"] {
+            let capture = |threads| match label {
+                "pagerank" => captured(&pagerank, &g, threads, spool(label, threads)),
+                "sssp" => captured(&sssp, &weighted, threads, spool(label, threads)),
+                _ => captured(&Wcc, &g, threads, spool(label, threads)),
+            };
+            let seq = capture(1);
+            let max = seq.max_superstep().unwrap();
+            let index: Vec<SegmentInfo> = seq.segment_index().collect();
+            for threads in [2, 3, 7] {
+                let what = format!("{label} at {threads} threads, spilled: {spill}");
+                let par = capture(threads);
+                assert_eq!(par.max_superstep(), Some(max), "{what}");
+                for s in 0..=max {
+                    let (a, b) = (seq.layer(s).unwrap(), par.layer(s).unwrap());
+                    assert_eq!(a, b, "{what}: layer {s}");
+                }
+                let par_index: Vec<SegmentInfo> = par.segment_index().collect();
+                assert_eq!(index, par_index, "{what}: segment index");
+            }
+        }
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
