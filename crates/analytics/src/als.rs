@@ -121,7 +121,8 @@ impl VertexProgram for Als {
         // Solve (sum f f^T + lambda * k * I) x = sum r * f over incoming
         // neighbour features f with ratings r (the edge weights).
         let me = ctx.vertex();
-        let mut a = SquareMat::scaled_identity(rank, self.config.lambda * messages.len().max(1) as f64);
+        let mut a =
+            SquareMat::scaled_identity(rank, self.config.lambda * messages.len().max(1) as f64);
         let mut b = vec![0.0; rank];
         for e in messages {
             debug_assert!(!e.is_combined(), "ALS requires per-source messages");
@@ -167,8 +168,14 @@ impl VertexProgram for Als {
     fn should_halt(&self, superstep: u32, aggregates: &Aggregates) -> bool {
         match self.config.rmse_target {
             Some(target) if superstep > 0 => {
-                let sse = aggregates.current(SSE_AGG).map(|v| v.as_f64()).unwrap_or(f64::MAX);
-                let count = aggregates.current(COUNT_AGG).map(|v| v.as_i64()).unwrap_or(0);
+                let sse = aggregates
+                    .current(SSE_AGG)
+                    .map(|v| v.as_f64())
+                    .unwrap_or(f64::MAX);
+                let count = aggregates
+                    .current(COUNT_AGG)
+                    .map(|v| v.as_i64())
+                    .unwrap_or(0);
                 count > 0 && (sse / count as f64).sqrt() < target
             }
             _ => false,

@@ -184,8 +184,7 @@ mod tests {
         let g = grid(20, 20).map_weights(|_, _, _| 0.05 + rng.gen::<f64>());
         let src = VertexId(0);
         let exact = Engine::new(EngineConfig::sequential()).run(&Sssp::new(src), &g);
-        let approx =
-            Engine::new(EngineConfig::sequential()).run(&ApproxSssp::new(src, 0.1), &g);
+        let approx = Engine::new(EngineConfig::sequential()).run(&ApproxSssp::new(src, 0.1), &g);
         // Approximate distances are never better than exact and are close.
         for (e, a) in exact.values.iter().zip(&approx.values) {
             assert!(*a >= *e - 1e-12, "approx {a} beat exact {e}");

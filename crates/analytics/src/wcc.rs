@@ -175,10 +175,8 @@ mod tests {
     #[test]
     fn approx_wcc_with_huge_epsilon_only_first_hop() {
         let g = two_components();
-        let approx = Engine::new(EngineConfig::sequential()).run(
-            &ApproxWcc { epsilon: u64::MAX },
-            &g,
-        );
+        let approx =
+            Engine::new(EngineConfig::sequential()).run(&ApproxWcc { epsilon: u64::MAX }, &g);
         // Nothing propagates beyond superstep 0's initial broadcast.
         assert_ne!(approx.values, vec![0, 0, 0, 3, 3, 3]);
     }
