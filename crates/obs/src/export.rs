@@ -29,7 +29,11 @@ pub fn prometheus_text(snapshot: &MetricsSnapshot) -> String {
     for s in &snapshot.samples {
         let _ = writeln!(out, "# HELP {} {}", s.name, s.help);
         let _ = writeln!(out, "# TYPE {} {}", s.name, s.kind.as_str());
-        let _ = writeln!(out, "# ARIADNE deterministic {} {}", s.name, s.deterministic);
+        let _ = writeln!(
+            out,
+            "# ARIADNE deterministic {} {}",
+            s.name, s.deterministic
+        );
         match &s.value {
             SampleValue::Counter(v) => {
                 let _ = writeln!(out, "{} {}", s.name, v);
@@ -50,8 +54,7 @@ pub fn prometheus_text(snapshot: &MetricsSnapshot) -> String {
                 let _ = writeln!(out, "{}_count {}", s.name, h.count);
                 for (label, q) in [("0.5", 0.5), ("0.9", 0.9), ("0.99", 0.99)] {
                     if let Some(v) = h.quantile(q) {
-                        let _ =
-                            writeln!(out, "{}{{quantile=\"{}\"}} {}", s.name, label, v);
+                        let _ = writeln!(out, "{}{{quantile=\"{}\"}} {}", s.name, label, v);
                     }
                 }
             }
@@ -124,7 +127,10 @@ fn write_value(out: &mut String, v: &Value) {
 /// hand-rolled JSON writer in the workspace shares; borrows `s` when
 /// nothing needs escaping.
 pub fn escape(s: &str) -> Cow<'_, str> {
-    if !s.chars().any(|c| matches!(c, '"' | '\\') || (c as u32) < 0x20) {
+    if !s
+        .chars()
+        .any(|c| matches!(c, '"' | '\\') || (c as u32) < 0x20)
+    {
         return Cow::Borrowed(s);
     }
     let mut out = String::with_capacity(s.len() + 8);

@@ -249,9 +249,9 @@ impl HistogramSnapshot {
             if cumulative >= rank {
                 let in_bucket = cumulative - prev_cumulative;
                 let into = rank - prev_cumulative; // 1-based within bucket
-                // Bucket range is (prev_bound, bound]; the first bucket
-                // is the single value 0. +Inf interpolates to its lower
-                // edge (there is no finite upper bound to lerp toward).
+                                                   // Bucket range is (prev_bound, bound]; the first bucket
+                                                   // is the single value 0. +Inf interpolates to its lower
+                                                   // edge (there is no finite upper bound to lerp toward).
                 if bound == prev_bound || in_bucket == 0 {
                     return Some(bound);
                 }
@@ -353,12 +353,13 @@ impl MetricsSnapshot {
 
     /// Look up a counter value by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.samples.iter().find(|s| s.name == name).and_then(|s| {
-            match s.value {
+        self.samples
+            .iter()
+            .find(|s| s.name == name)
+            .and_then(|s| match s.value {
                 SampleValue::Counter(v) => Some(v),
                 _ => None,
-            }
-        })
+            })
     }
 }
 
@@ -521,7 +522,10 @@ mod tests {
         h.record(u64::MAX); // last bucket
         let snap = h.snapshot();
         assert_eq!(snap.count, 4);
-        assert_eq!(snap.sum, 0u64.wrapping_add(1).wrapping_add(7).wrapping_add(u64::MAX));
+        assert_eq!(
+            snap.sum,
+            0u64.wrapping_add(1).wrapping_add(7).wrapping_add(u64::MAX)
+        );
         assert_eq!(snap.buckets[0], (0, 1));
         assert_eq!(snap.buckets[1], (1, 2));
         assert_eq!(snap.buckets[3], (7, 3));

@@ -370,8 +370,7 @@ fn read_request_head(stream: &mut TcpStream) -> Option<String> {
             Ok(0) => return None,
             Ok(n) => {
                 buf.extend_from_slice(&chunk[..n]);
-                if buf.windows(4).any(|w| w == b"\r\n\r\n")
-                    || buf.windows(2).any(|w| w == b"\n\n")
+                if buf.windows(4).any(|w| w == b"\r\n\r\n") || buf.windows(2).any(|w| w == b"\n\n")
                 {
                     break;
                 }
@@ -673,9 +672,38 @@ mod tests {
     /// request lines and headers, separators, broken escapes, control
     /// bytes and multi-byte characters.
     const PIECES: [&str; 32] = [
-        "GET", "POST", "get", "G3T", "/", "/query", "?", "&", "=", "pql", "cursor", "%", "%2",
-        "%zz", "%41", "%e2%82", "+", "HTTP/1.1", "HTTP/1.", "HTTP/2", " ", "\t", "\r\n", "\n",
-        "\r\n\r\n", ":", "Host: x", "X-Ariadne-Tenant: a", "é", "€", "\0", "\u{7f}",
+        "GET",
+        "POST",
+        "get",
+        "G3T",
+        "/",
+        "/query",
+        "?",
+        "&",
+        "=",
+        "pql",
+        "cursor",
+        "%",
+        "%2",
+        "%zz",
+        "%41",
+        "%e2%82",
+        "+",
+        "HTTP/1.1",
+        "HTTP/1.",
+        "HTTP/2",
+        " ",
+        "\t",
+        "\r\n",
+        "\n",
+        "\r\n\r\n",
+        ":",
+        "Host: x",
+        "X-Ariadne-Tenant: a",
+        "é",
+        "€",
+        "\0",
+        "\u{7f}",
     ];
 
     /// Random request heads — a valid request line with random bytes
@@ -684,27 +712,42 @@ mod tests {
     /// invariants.
     #[test]
     fn random_request_heads_never_panic() {
-        check("random_request_heads_never_panic", 0x0b5e_0001, 3000, |rng| {
-            let mut head = String::new();
-            if rng.below(2) == 0 {
-                head.push_str("GET /query?pql=a%28x%29&layers=1..2 HTTP/1.1\r\n");
-                for _ in 0..rng.below(3) {
-                    let (at, _) = head.char_indices().nth(rng.below(head.chars().count())).unwrap();
-                    head.insert_str(at, rng.pick(&PIECES));
+        check(
+            "random_request_heads_never_panic",
+            0x0b5e_0001,
+            3000,
+            |rng| {
+                let mut head = String::new();
+                if rng.below(2) == 0 {
+                    head.push_str("GET /query?pql=a%28x%29&layers=1..2 HTTP/1.1\r\n");
+                    for _ in 0..rng.below(3) {
+                        let (at, _) = head
+                            .char_indices()
+                            .nth(rng.below(head.chars().count()))
+                            .unwrap();
+                        head.insert_str(at, rng.pick(&PIECES));
+                    }
                 }
-            }
-            for _ in 0..rng.below(24) {
-                head.push_str(rng.pick(&PIECES));
-            }
-            let Ok(req) = parse_request(&head) else { return };
-            assert!(req.path.starts_with('/'), "{head:?}");
-            assert!(!req.method.is_empty() && req.method.chars().all(|c| c.is_ascii_uppercase()));
-            assert!(req.headers.iter().all(|(k, _)| *k == k.to_ascii_lowercase()));
-            for pair in req.query.split('&') {
-                let name = pair.split_once('=').map_or(pair, |(k, _)| k);
-                assert!(req.param(name).is_some(), "{head:?}");
-            }
-        });
+                for _ in 0..rng.below(24) {
+                    head.push_str(rng.pick(&PIECES));
+                }
+                let Ok(req) = parse_request(&head) else {
+                    return;
+                };
+                assert!(req.path.starts_with('/'), "{head:?}");
+                assert!(
+                    !req.method.is_empty() && req.method.chars().all(|c| c.is_ascii_uppercase())
+                );
+                assert!(req
+                    .headers
+                    .iter()
+                    .all(|(k, _)| *k == k.to_ascii_lowercase()));
+                for pair in req.query.split('&') {
+                    let name = pair.split_once('=').map_or(pair, |(k, _)| k);
+                    assert!(req.param(name).is_some(), "{head:?}");
+                }
+            },
+        );
     }
 
     /// Every byte string percent-encoded byte by byte decodes back to
@@ -712,21 +755,29 @@ mod tests {
     /// decode without panicking.
     #[test]
     fn percent_decoding_roundtrips_random_bytes() {
-        check("percent_decoding_roundtrips_random_bytes", 0x0b5e_0002, 2000, |rng| {
-            let bytes: Vec<u8> = (0..rng.below(40)).map(|_| rng.next() as u8).collect();
-            let encoded: String = bytes.iter().map(|b| format!("%{b:02X}")).collect();
-            assert_eq!(percent_decode(&encoded), String::from_utf8_lossy(&bytes));
-            let junk: String = (0..rng.below(24)).map(|_| rng.pick(&PIECES)).collect();
-            percent_decode(&junk);
-        });
+        check(
+            "percent_decoding_roundtrips_random_bytes",
+            0x0b5e_0002,
+            2000,
+            |rng| {
+                let bytes: Vec<u8> = (0..rng.below(40)).map(|_| rng.next() as u8).collect();
+                let encoded: String = bytes.iter().map(|b| format!("%{b:02X}")).collect();
+                assert_eq!(percent_decode(&encoded), String::from_utf8_lossy(&bytes));
+                let junk: String = (0..rng.below(24)).map(|_| rng.pick(&PIECES)).collect();
+                percent_decode(&junk);
+            },
+        );
     }
 
     #[test]
     fn custom_handler_mounts_on_the_shared_core() {
         let handler: Handler = Arc::new(|req: &Request| {
             if req.path == "/echo" {
-                Response::json(200, format!("{{\"q\":\"{}\"}}", req.param("q").unwrap_or_default()))
-                    .with_header("X-Test", "1")
+                Response::json(
+                    200,
+                    format!("{{\"q\":\"{}\"}}", req.param("q").unwrap_or_default()),
+                )
+                .with_header("X-Test", "1")
             } else {
                 obs_route(req)
             }

@@ -346,7 +346,8 @@ thread_local! {
 pub fn set_filter(spec: &str) {
     let st = state();
     let filter = Filter::parse(spec);
-    st.max_level.store(filter.max_level() as u8, Ordering::Relaxed);
+    st.max_level
+        .store(filter.max_level() as u8, Ordering::Relaxed);
     *st.filter.lock().unwrap() = filter;
 }
 
@@ -367,7 +368,12 @@ pub fn enabled(level: Level, target: &str) -> bool {
 /// Record an event if the filter allows it. `fields` is only cloned
 /// when the event is actually captured. The event is attributed to the
 /// calling thread's innermost active span (see [`SpanContext`]).
-pub fn event(level: Level, target: &'static str, name: &'static str, fields: &[(&'static str, Value)]) {
+pub fn event(
+    level: Level,
+    target: &'static str,
+    name: &'static str,
+    fields: &[(&'static str, Value)],
+) {
     if !enabled(level, target) {
         return;
     }
@@ -431,8 +437,10 @@ impl Drop for SpanGuard {
             CONTEXT.with(|c| {
                 c.borrow_mut().pop();
             });
-            data.fields
-                .push(("dur_ns", Value::U64(data.started.elapsed().as_nanos() as u64)));
+            data.fields.push((
+                "dur_ns",
+                Value::U64(data.started.elapsed().as_nanos() as u64),
+            ));
             let st = state();
             let ev = Event {
                 seq: st.seq.fetch_add(1, Ordering::Relaxed),
@@ -593,7 +601,12 @@ mod tests {
         set_filter("debug");
         let _ = drain();
         {
-            let _s = span(Level::Debug, "engine", "phase", &[("superstep", 0u64.into())]);
+            let _s = span(
+                Level::Debug,
+                "engine",
+                "phase",
+                &[("superstep", 0u64.into())],
+            );
         }
         let evs = drain();
         set_filter("off");
