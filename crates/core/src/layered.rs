@@ -38,16 +38,16 @@
 //! The vertex range is cut into contiguous chunks by the degree-weighted
 //! [`ChunkTable`] (the layout the engine's flat message plane uses) and
 //! every chunk's vertex states live, for the whole run, in a slab owned
-//! by one worker of a pool spawned once per replay (chunk `c` belongs to
-//! worker `c mod threads`; the calling thread is worker 0 and reads the
-//! store). A round is three phases, each run by every worker over its own
-//! chunks and closed by a barrier:
+//! by one worker of a crew spawned once per replay (`crate::crew`;
+//! chunk `c` belongs to worker `c mod threads`; the calling thread is
+//! worker 0 and the coordinator that reads the store). A round is three
+//! crew runs, each over every worker's own chunks:
 //!
 //! * **inject** — the coordinator has decoded the layer once, into one
 //!   [`RowBlock`] per predicate, and listed per chunk the `(block, row)`
 //!   of every row the chunk owns, in store order; each worker inserts
 //!   its chunks' rows straight from those shared, read-only blocks. The
-//!   blocks are dropped as soon as the phase ends;
+//!   coordinator drops the blocks before the next run;
 //! * **eval** — each worker evaluates its pending vertices in ascending
 //!   order and records what they ship in the chunk's outbox;
 //! * **apply** — each worker walks *all* outboxes in chunk order and
@@ -57,18 +57,23 @@
 //! **are** ascending source-vertex order whatever the chunk layout: every
 //! receiving partition sees its replicas in the same sequence, and so
 //! every relation's insertion order and every counter is identical at any
-//! thread count. `threads = 1` runs the same protocol on the calling
+//! thread count. `threads = 1` runs the same rounds on the calling
 //! thread; it is the reference, not a special case. Outboxes, row lists
 //! and pending lists keep their buffers from round to round.
 //!
-//! After the last round the pool runs one more phase, **finish**, under
-//! the same failure and panic protocol: each worker walks its slabs in
-//! ascending vertex order, moves out only the IDB tuples *located at*
-//! that vertex ([`QueryState::into_owned`]), and drops the rest; the
-//! coordinator appends the per-chunk lists in chunk order. A result
-//! relation's scan order is therefore ascending owner vertex, then that
-//! owner's insertion order — the same at every thread count. Every tuple
-//! a slab holds is allocated and freed by the worker that owns the slab.
+//! After the last round one more run, **finish**, has each worker walk
+//! its slabs in ascending vertex order, move out only the IDB tuples
+//! *located at* that vertex ([`QueryState::into_owned`]), and drop the
+//! rest; the coordinator appends the per-chunk lists in chunk order. A
+//! result relation's scan order is therefore ascending owner vertex, then
+//! that owner's insertion order — the same at every thread count. Every
+//! tuple a slab holds is allocated and freed by the worker that owns the
+//! slab.
+//!
+//! A worker stops at its first failing chunk, and the run reports the
+//! lowest failing chunk's typed error, so the error does not depend on
+//! thread timing. A panic on any worker is re-raised on the caller once
+//! the run is over, and wins over a typed error of the same run.
 //!
 //! A slab holds states only for vertices actually touched (plus one
 //! `u32` per vertex of a touched chunk to find them) — replaying a small
@@ -79,9 +84,9 @@
 //! ([`crate::state::QueryState`]); only the tuple source differs (replay
 //! from the store instead of live generation).
 
-use crate::barrier::Barrier;
 use crate::columns::column_masks;
 use crate::compile::CompiledQuery;
+use crate::crew::{self, Crew};
 use crate::session::AriadneError;
 use crate::state::QueryState;
 use ariadne_graph::{ChunkTable, Csr, VertexId};
@@ -93,11 +98,9 @@ use ariadne_pql::{
 use ariadne_provenance::{
     LayerFilter, LayerRead, ProvStore, RouteTable, RowBlock, Rows, StoreError,
 };
-use std::any::Any;
 use std::collections::BTreeSet;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::RwLock;
 use std::time::Instant;
 
 /// Cached global-registry handles for layered-replay metrics. Round,
@@ -469,6 +472,8 @@ struct Slab {
     stats: EvalStats,
     /// Evaluation buffers shared by every vertex of the slab.
     scratch: EvalScratch,
+    /// Per entry of [`Pool::idbs`]: the tuples the finish run moved out.
+    results: Vec<Vec<Tuple>>,
 }
 
 impl Slab {
@@ -495,8 +500,10 @@ impl Slab {
     }
 
     /// Insert the layer's rows this chunk owns, in store order, straight
-    /// from the shared blocks.
-    fn inject(&mut self, pool: &Pool<'_>, plan: Plan) {
+    /// from the shared blocks. `preload` injects without queueing the
+    /// owners (layer-0 pre-injection); `wake_preloaded` queues the
+    /// pre-injected owners (the replay reached layer 0).
+    fn inject(&mut self, pool: &Pool<'_>, preload: bool, wake_preloaded: bool) {
         let layer = pool.layer.read().expect("layer lock");
         for &(block, row) in &layer.rows[self.chunk] {
             let (pred, rows) = &layer.blocks[block as usize];
@@ -505,14 +512,14 @@ impl Slab {
             let slot = self.slot(owner as usize);
             let rel = self.slots[slot].state.db.relation_mut(pred, row.len());
             rel.insert_slice(row);
-            if !plan.preload {
+            if !preload {
                 self.enqueue(slot);
             }
         }
-        if plan.preload {
+        if preload {
             self.preloaded = self.slots.len();
         }
-        if plan.wake_preloaded {
+        if wake_preloaded {
             (0..self.preloaded).for_each(|slot| self.enqueue(slot));
         }
     }
@@ -583,13 +590,12 @@ impl Slab {
     }
 
     /// Move the IDB tuples located at each touched vertex, ascending,
-    /// onto the chunk's result lists, and drop everything else the slab
+    /// onto the slab's result lists, and drop everything else the slab
     /// holds — replicas included — on this thread. A stored row that
     /// gave an IDB relation another arity than the query's head is
     /// refused, as a mixed-arity layer is.
     fn finish(&mut self, pool: &Pool<'_>) -> Result<(), AriadneError> {
-        let mut results = pool.results[self.chunk].lock().expect("results lock");
-        results.resize_with(pool.idbs.len(), Vec::new);
+        self.results.resize_with(pool.idbs.len(), Vec::new);
         let mut slots = std::mem::take(&mut self.slots);
         (self.slot_of, self.pending) = (Vec::new(), Vec::new());
         self.scratch = EvalScratch::default();
@@ -602,37 +608,15 @@ impl Slab {
                     let error = StoreError::mixed_arity(name, want, arity);
                     return Err(AriadneError::Store(error));
                 }
-                results[idb].extend(owned);
+                self.results[idb].extend(owned);
             }
         }
         Ok(())
     }
 }
 
-/// What the coordinator tells the pool before each round's first barrier.
-#[derive(Clone, Copy, Default)]
-struct Plan {
-    /// No more rounds: workers return.
-    exit: bool,
-    /// Not a round: the finish phase, after the last one.
-    finish: bool,
-    /// Inject without queueing the owners (layer-0 pre-injection).
-    preload: bool,
-    /// Queue the pre-injected owners (the replay reached layer 0).
-    wake_preloaded: bool,
-    /// The coordinator's innermost span; chunk spans hang off it.
-    ctx: trace::SpanContext,
-}
-
-/// Why a run stops early: a typed error, or a panic carried to the
-/// coordinator so no worker is left parked on a barrier.
-enum Failure {
-    Error(AriadneError),
-    Panic(Box<dyn Any + Send>),
-}
-
-/// One decoded layer, published read-only to the pool for its inject
-/// phase.
+/// One decoded layer, published read-only to the crew for its inject
+/// run.
 struct Layer {
     /// Each predicate's rows, as the store decoded them.
     blocks: Vec<(String, RowBlock)>,
@@ -655,115 +639,35 @@ struct Pool<'a> {
     /// The query's IDB predicates and their arities, in name order.
     idbs: Vec<(&'a str, usize)>,
     table: ChunkTable,
-    barrier: Barrier,
-    /// Written by the coordinator while every worker waits for the round.
-    plan: Mutex<Plan>,
     /// Written by the coordinator between rounds, read by all in inject.
     layer: RwLock<Layer>,
     /// Per chunk: written by its owner in eval, read by all in apply.
     outboxes: Vec<RwLock<Outbox>>,
-    /// Per chunk, per entry of `idbs`: the tuples the finish phase moved
-    /// out of the chunk's slab.
-    results: Vec<Mutex<Vec<Vec<Tuple>>>>,
-    /// The failure of the lowest-numbered chunk, so the error a run
-    /// reports does not depend on thread timing.
-    failure: Mutex<Option<(usize, Failure)>>,
     /// Whether any slab has vertices to evaluate next round.
     pending: AtomicBool,
 }
 
-/// Releases the workers when the coordinator leaves — by return, `?` or
-/// unwinding. The coordinator only ever leaves between rounds, where
-/// every worker waits on the round barrier.
-struct Release<'p, 'a>(&'p Pool<'a>);
+/// A worker's chunks, in chunk order.
+type Share<'s> = Vec<&'s mut Slab>;
 
-impl Drop for Release<'_, '_> {
-    fn drop(&mut self) {
-        if let Ok(mut plan) = self.0.plan.lock() {
-            plan.exit = true;
-        }
-        self.0.barrier.wait();
-    }
+/// Run `f` over every worker's chunks in chunk order, each worker
+/// stopping at its first failing chunk. The lowest failing chunk's error
+/// is the run's, so it does not depend on thread timing.
+fn each<'p>(
+    crew: &Crew<'p, Share<'_>>,
+    f: impl Fn(&mut Slab) -> Result<(), AriadneError> + Send + Sync + 'p,
+) -> Result<(), AriadneError> {
+    let failures = crew.run(move |share| {
+        (share.iter_mut()).find_map(|slab| f(slab).err().map(|e| (slab.chunk, e)))
+    });
+    let lowest = failures
+        .into_iter()
+        .flatten()
+        .min_by_key(|(chunk, _)| *chunk);
+    lowest.map_or(Ok(()), |(_, e)| Err(e))
 }
 
 impl Pool<'_> {
-    /// A worker thread: one round (or the finish phase) per plan until
-    /// told to exit.
-    fn work(&self, mut share: Vec<&mut Slab>) {
-        loop {
-            self.barrier.wait();
-            let plan = *self.plan.lock().expect("plan lock");
-            if plan.exit {
-                return;
-            }
-            let _ctx = plan.ctx.enter();
-            if plan.finish {
-                self.finish(&mut share);
-            } else {
-                self.phases(&mut share, plan, false);
-            }
-        }
-    }
-
-    /// The three phases of a round over `share`; returns when each ended
-    /// (every thread's phase ends at a barrier all of them pass). The
-    /// `coordinator` drops the layer once inject is over, so a round that
-    /// loads none injects nothing.
-    fn phases(&self, share: &mut [&mut Slab], plan: Plan, coordinator: bool) -> [Instant; 3] {
-        self.each(share, |slab| {
-            slab.inject(self, plan);
-            Ok(())
-        });
-        self.barrier.wait();
-        if coordinator {
-            // The row lists keep their buffers for the next layer.
-            let mut layer = self.layer.write().expect("layer lock");
-            layer.blocks.clear();
-            layer.rows.iter_mut().for_each(Vec::clear);
-        }
-        let injected = Instant::now();
-        self.each(share, |slab| slab.evaluate(self).map_err(AriadneError::Pql));
-        self.barrier.wait();
-        let evaluated = Instant::now();
-        // A failed eval leaves outboxes half-written; the run is over.
-        if self.failure.lock().expect("failure lock").is_none() {
-            self.each(share, |slab| {
-                slab.apply(self);
-                Ok(())
-            });
-        }
-        self.barrier.wait();
-        [injected, evaluated, Instant::now()]
-    }
-
-    /// The finish phase over `share`.
-    fn finish(&self, share: &mut [&mut Slab]) {
-        self.each(share, |slab| slab.finish(self));
-        self.barrier.wait();
-    }
-
-    /// Run `f` over the slabs of `share` in chunk order, stopping at the
-    /// first that fails or panics; that failure is recorded, never thrown,
-    /// so the thread still reaches the phase barrier.
-    fn each(
-        &self,
-        share: &mut [&mut Slab],
-        mut f: impl FnMut(&mut Slab) -> Result<(), AriadneError>,
-    ) {
-        for slab in share {
-            let failure = match catch_unwind(AssertUnwindSafe(|| f(slab))) {
-                Ok(Ok(())) => continue,
-                Ok(Err(e)) => Failure::Error(e),
-                Err(payload) => Failure::Panic(payload),
-            };
-            let mut first = self.failure.lock().expect("failure lock");
-            if first.as_ref().is_none_or(|(chunk, _)| slab.chunk < *chunk) {
-                *first = Some((slab.chunk, failure));
-            }
-            return;
-        }
-    }
-
     /// Coordinator: read `layer` and list each chunk's rows of it. Rows
     /// for vertices outside the graph are skipped, not a panic; a
     /// predicate whose rows differ in arity is refused, as
@@ -818,53 +722,42 @@ impl Pool<'_> {
         Ok(())
     }
 
-    /// Coordinator: hand `plan` to the pool and start it.
-    fn publish(&self, plan: Plan) -> Plan {
-        let plan = Plan {
-            ctx: trace::current_context(),
-            ..plan
-        };
-        *self.plan.lock().expect("plan lock") = plan;
-        self.pending.store(false, Ordering::SeqCst);
-        self.barrier.wait();
-        plan
-    }
-
-    /// Coordinator: the failure a phase recorded, if any — a panic is
-    /// resumed here, on the calling thread.
-    fn outcome(&self) -> Result<(), AriadneError> {
-        match self.failure.lock().expect("failure lock").take() {
-            Some((_, Failure::Error(e))) => Err(e),
-            Some((_, Failure::Panic(payload))) => resume_unwind(payload),
-            None => Ok(()),
-        }
-    }
-
-    /// Coordinator: run one round with the pool and account its phases;
+    /// Coordinator: run one round on the crew and account its phases;
     /// `started` is when the round's inject work (the layer read) began.
-    fn round(
-        &self,
-        share: &mut [&mut Slab],
-        plan: Plan,
+    /// [`Slab::inject`] says what the two flags do.
+    fn round<'p>(
+        &'p self,
+        crew: &Crew<'p, Share<'_>>,
+        preload: bool,
+        wake_preloaded: bool,
         started: Instant,
         run: &mut LayeredRun,
     ) -> Result<(), AriadneError> {
-        let plan = self.publish(plan);
-        let [injected, evaluated, applied] = self.phases(share, plan, true);
-        run.phase_inject_ns += (injected - started).as_nanos() as u64;
-        run.phase_eval_ns += (evaluated - injected).as_nanos() as u64;
-        run.phase_merge_ns += (applied - evaluated).as_nanos() as u64;
-        self.outcome()
-    }
-
-    /// Coordinator: run the finish phase with the pool.
-    fn finish_round(&self, share: &mut [&mut Slab]) -> Result<(), AriadneError> {
-        self.publish(Plan {
-            finish: true,
-            ..Plan::default()
+        self.pending.store(false, Ordering::SeqCst);
+        crew.run(move |share| {
+            for slab in share {
+                slab.inject(self, preload, wake_preloaded);
+            }
         });
-        self.finish(share);
-        self.outcome()
+        // The row lists keep their buffers for the next layer.
+        let mut layer = self.layer.write().expect("layer lock");
+        layer.blocks.clear();
+        layer.rows.iter_mut().for_each(Vec::clear);
+        drop(layer);
+        let injected = Instant::now();
+        let evaluated = each(crew, |slab| slab.evaluate(self).map_err(AriadneError::Pql));
+        run.phase_inject_ns += (injected - started).as_nanos() as u64;
+        run.phase_eval_ns += injected.elapsed().as_nanos() as u64;
+        // A failed eval leaves outboxes half-written; the run is over.
+        evaluated?;
+        let applying = Instant::now();
+        crew.run(move |share| {
+            for slab in share {
+                slab.apply(self);
+            }
+        });
+        run.phase_merge_ns += applying.elapsed().as_nanos() as u64;
+        Ok(())
     }
 }
 
@@ -921,20 +814,16 @@ pub fn run_layered_with(
         evaluator: query.evaluator().as_ref(),
         routes: RouteTable::reading(&analyzed.edbs),
         shipped_preds: analyzed.shipped.iter().map(String::as_str).collect(),
-        barrier: Barrier::new(threads),
         idbs: analyzed
             .idbs
             .iter()
             .map(|(n, &a)| (n.as_str(), a))
             .collect(),
-        plan: Mutex::new(Plan::default()),
         layer: RwLock::new(Layer {
             blocks: Vec::new(),
             rows: vec![Vec::new(); slabs.len()],
         }),
         outboxes: slabs.iter().map(|_| RwLock::default()).collect(),
-        results: slabs.iter().map(|_| Mutex::default()).collect(),
-        failure: Mutex::new(None),
         pending: AtomicBool::new(false),
         table,
     };
@@ -955,19 +844,11 @@ pub fn run_layered_with(
 
     // Chunk `c` belongs to worker `c % threads` for the whole run; the
     // calling thread is worker 0 and the coordinator.
-    let mut shares: Vec<Vec<&mut Slab>> = (0..threads).map(|_| Vec::new()).collect();
+    let mut shares: Vec<Share<'_>> = (0..threads).map(|_| Vec::new()).collect();
     for slab in &mut slabs {
         shares[slab.chunk % threads].push(slab);
     }
-    let (finished, merge_span) = std::thread::scope(|scope| {
-        let mut shares = shares.into_iter();
-        let mut mine = shares.next().expect("threads >= 1");
-        for share in shares {
-            let pool = &pool;
-            scope.spawn(move || pool.work(share));
-        }
-        let _release = Release(&pool);
-
+    let (finished, merge_span) = crew::scope(shares, |crew| {
         // Descending replay visits layer 0 last, but layer 0 carries the
         // *structural* annotations of the compact representation (static
         // relations like Query 11's `prov_edges`, graph EDBs, initial
@@ -978,11 +859,7 @@ pub fn run_layered_with(
         if preloaded {
             let t0 = Instant::now();
             pool.load(store, 0, reads.filter(0), &mut run)?;
-            let preload = Plan {
-                preload: true,
-                ..Plan::default()
-            };
-            pool.round(&mut mine, preload, t0, &mut run)?;
+            pool.round(crew, true, false, t0, &mut run)?;
         }
 
         let order: Box<dyn Iterator<Item = u32>> = if ascending {
@@ -1017,11 +894,7 @@ pub fn run_layered_with(
             if !wake_preloaded {
                 pool.load(store, layer, reads.filter(layer), &mut run)?;
             }
-            let plan = Plan {
-                wake_preloaded,
-                ..Plan::default()
-            };
-            pool.round(&mut mine, plan, t0, &mut run)?;
+            pool.round(crew, false, wake_preloaded, t0, &mut run)?;
         }
 
         // Fixpoint flush: vertices holding just-delivered replicas keep
@@ -1034,24 +907,23 @@ pub fn run_layered_with(
         while pool.pending.load(Ordering::SeqCst) {
             run.flush_rounds += 1;
             obs_handles::flush_rounds().inc();
-            pool.round(&mut mine, Plan::default(), Instant::now(), &mut run)?;
+            pool.round(crew, false, false, Instant::now(), &mut run)?;
         }
 
         // Finish: every worker moves its slabs' own IDB tuples out and
         // frees the rest itself.
         let merge_span = trace::span(Level::Trace, "layered", "merge_results", &[]);
         let finished = Instant::now();
-        pool.finish_round(&mut mine)?;
+        each(crew, |slab| slab.finish(&pool))?;
         Ok::<_, AriadneError>((finished, merge_span))
     })?;
 
     // Append the per-chunk lists in chunk order: ascending owner vertex.
-    for (slab, results) in slabs.iter().zip(pool.results) {
+    for slab in slabs {
         run.evaluated_vertices += slab.evaluated;
         run.shipped_tuples += slab.shipped;
         run.query_stats.merge(&slab.stats);
-        let lists = results.into_inner().expect("results lock");
-        for (tuples, &(name, arity)) in lists.into_iter().zip(&pool.idbs) {
+        for (tuples, &(name, arity)) in slab.results.into_iter().zip(&pool.idbs) {
             if !tuples.is_empty() {
                 let merged = run.query_results.relation_mut(name, arity);
                 merged.reserve(tuples.len());

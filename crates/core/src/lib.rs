@@ -42,10 +42,10 @@
 //! assert!(run.query_results.sorted("problem").is_empty()); // invariant holds
 //! ```
 
-mod barrier;
 pub mod capture;
 pub mod columns;
 pub mod compile;
+mod crew;
 pub mod custom;
 pub mod layered;
 pub mod mutable;

@@ -717,7 +717,8 @@ impl Engine {
 
 /// Run `f` on every per-chunk item — inline for a single chunk, one
 /// scoped thread per chunk otherwise — collecting results in chunk
-/// order.
+/// order. A panic in a chunk reaches the caller with its own payload
+/// (the lowest panicking chunk's), after every chunk has finished.
 fn per_chunk<T: Send, R: Send>(
     items: impl ExactSizeIterator<Item = T>,
     f: impl Fn(T) -> R + Sync,
@@ -728,9 +729,10 @@ fn per_chunk<T: Send, R: Send>(
     let f = &f;
     std::thread::scope(|scope| {
         let handles: Vec<_> = items.map(|item| scope.spawn(move || f(item))).collect();
-        handles
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        joined
             .into_iter()
-            .map(|h| h.join().expect("chunk worker panicked"))
+            .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
             .collect()
     })
 }
@@ -2099,5 +2101,31 @@ mod tests {
         assert!(r.metrics.total_message_bytes() > 0);
         assert!(r.metrics.total_buffered_messages() >= r.metrics.total_messages());
         assert!(r.metrics.peak_buffered_bytes() > 0);
+    }
+
+    /// A vertex program's panic reaches the caller with the program's
+    /// own payload at every thread count, whichever chunk it panicked in.
+    #[test]
+    fn vertex_program_panic_keeps_its_payload() {
+        struct Boom;
+        impl VertexProgram for Boom {
+            type V = ();
+            type M = ();
+            fn init(&self, _: VertexId, _: &Csr) {}
+            fn compute(&self, ctx: &mut dyn Context<()>, _: &mut (), _: &[Envelope<()>]) {
+                if ctx.vertex() == VertexId(150) {
+                    panic!("boom");
+                }
+            }
+        }
+        let g = path(200);
+        for threads in [1usize, 2, 3] {
+            let engine = Engine::new(EngineConfig::parallel(threads));
+            assert_eq!(engine.chunk_table(&g).num_chunks(), threads);
+            let payload = std::panic::catch_unwind(|| engine.run(&Boom, &g))
+                .expect_err("the program's panic reaches the caller");
+            let message = payload.downcast_ref::<&str>().copied();
+            assert_eq!(message, Some("boom"), "at {threads} threads");
+        }
     }
 }
