@@ -125,7 +125,11 @@ impl CachedResult {
                     + t.iter().map(ariadne_pql::Value::byte_size).sum::<usize>()
             })
             .sum();
-        CachedResult { rows, bytes, replay }
+        CachedResult {
+            rows,
+            bytes,
+            replay,
+        }
     }
 }
 
@@ -182,11 +186,7 @@ impl ReplayCache {
             self.used -= old.value.bytes;
         }
         while self.used + value.bytes > self.budget {
-            let Some((&lru_key, _)) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-            else {
+            let Some((&lru_key, _)) = self.entries.iter().min_by_key(|(_, e)| e.last_used) else {
                 break;
             };
             let evicted = self.entries.remove(&lru_key).expect("lru key present");
@@ -267,7 +267,12 @@ mod tests {
         assert_eq!(hit.rows.len(), 4);
         // Distinct queries, ranges and epochs are distinct entries.
         assert!(c.get(&key(2)).is_none());
-        assert!(c.get(&CacheKey { layer_range: (0, 2), ..key(1) }).is_none());
+        assert!(c
+            .get(&CacheKey {
+                layer_range: (0, 2),
+                ..key(1)
+            })
+            .is_none());
         assert!(c.get(&CacheKey { epoch: 1, ..key(1) }).is_none());
     }
 

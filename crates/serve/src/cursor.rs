@@ -101,8 +101,12 @@ impl Cursor {
         }
         let mut raw = [0u8; RAW_LEN + 4];
         for (i, chunk) in token.as_bytes().chunks_exact(2).enumerate() {
-            let hi = (chunk[0] as char).to_digit(16).ok_or(CursorError::Malformed)?;
-            let lo = (chunk[1] as char).to_digit(16).ok_or(CursorError::Malformed)?;
+            let hi = (chunk[0] as char)
+                .to_digit(16)
+                .ok_or(CursorError::Malformed)?;
+            let lo = (chunk[1] as char)
+                .to_digit(16)
+                .ok_or(CursorError::Malformed)?;
             raw[i] = (hi * 16 + lo) as u8;
         }
         let check = u32::from_be_bytes(raw[RAW_LEN..].try_into().unwrap());
@@ -195,24 +199,37 @@ mod tests {
     /// a checksum failure, never another cursor.
     #[test]
     fn random_cursors_roundtrip_and_reject_damage() {
-        check("random_cursors_roundtrip_and_reject_damage", 0xc0de_0001, 500, |rng| {
-            let c = random_cursor(rng);
-            let token = c.encode();
-            assert_eq!(Cursor::decode(&token), Ok(c));
-            assert_eq!(Cursor::decode(&token.to_ascii_uppercase()), Ok(c));
+        check(
+            "random_cursors_roundtrip_and_reject_damage",
+            0xc0de_0001,
+            500,
+            |rng| {
+                let c = random_cursor(rng);
+                let token = c.encode();
+                assert_eq!(Cursor::decode(&token), Ok(c));
+                assert_eq!(Cursor::decode(&token.to_ascii_uppercase()), Ok(c));
 
-            let cut = rng.gen_range(0..TOKEN_LEN);
-            assert_eq!(Cursor::decode(&token[..cut]), Err(CursorError::Malformed));
+                let cut = rng.gen_range(0..TOKEN_LEN);
+                assert_eq!(Cursor::decode(&token[..cut]), Err(CursorError::Malformed));
 
-            let mut bad = token.into_bytes();
-            let at = rng.gen_range(0..TOKEN_LEN);
-            let old = (bad[at] as char).to_digit(16).unwrap();
-            let new = (old + rng.gen_range(1..16u32)) % 16;
-            let digit = char::from_digit(new, 16).unwrap();
-            bad[at] = if rng.gen() { digit.to_ascii_uppercase() } else { digit } as u8;
-            let bad = String::from_utf8(bad).unwrap();
-            assert_eq!(Cursor::decode(&bad), Err(CursorError::Checksum), "digit {at} of {c:?}");
-        });
+                let mut bad = token.into_bytes();
+                let at = rng.gen_range(0..TOKEN_LEN);
+                let old = (bad[at] as char).to_digit(16).unwrap();
+                let new = (old + rng.gen_range(1..16u32)) % 16;
+                let digit = char::from_digit(new, 16).unwrap();
+                bad[at] = if rng.gen() {
+                    digit.to_ascii_uppercase()
+                } else {
+                    digit
+                } as u8;
+                let bad = String::from_utf8(bad).unwrap();
+                assert_eq!(
+                    Cursor::decode(&bad),
+                    Err(CursorError::Checksum),
+                    "digit {at} of {c:?}"
+                );
+            },
+        );
     }
 
     /// Random strings — hex and not, ASCII and not, near the token
@@ -222,32 +239,40 @@ mod tests {
     #[test]
     fn random_strings_never_panic_the_decoder() {
         const PALETTE: [char; 10] = ['0', '7', 'a', 'F', 'g', ' ', '%', '\0', 'é', '€'];
-        check("random_strings_never_panic_the_decoder", 0xc0de_0002, 2000, |rng| {
-            let mut chars: Vec<char> = match rng.gen_range(0..3u8) {
-                0 => random_cursor(rng).encode().chars().collect(),
-                kind => {
-                    let len = match rng.gen() {
-                        true => TOKEN_LEN - 2 + rng.gen_range(0..5usize),
-                        false => rng.gen_range(0..2 * TOKEN_LEN),
-                    };
-                    let pick = if kind == 1 { 4 } else { PALETTE.len() };
-                    (0..len).map(|_| PALETTE[rng.gen_range(0..pick)]).collect()
+        check(
+            "random_strings_never_panic_the_decoder",
+            0xc0de_0002,
+            2000,
+            |rng| {
+                let mut chars: Vec<char> = match rng.gen_range(0..3u8) {
+                    0 => random_cursor(rng).encode().chars().collect(),
+                    kind => {
+                        let len = match rng.gen() {
+                            true => TOKEN_LEN - 2 + rng.gen_range(0..5usize),
+                            false => rng.gen_range(0..2 * TOKEN_LEN),
+                        };
+                        let pick = if kind == 1 { 4 } else { PALETTE.len() };
+                        (0..len).map(|_| PALETTE[rng.gen_range(0..pick)]).collect()
+                    }
+                };
+                for _ in 0..rng.gen_range(0..4u8) {
+                    let (at, other) = (
+                        rng.gen_range(0..=chars.len()),
+                        rng.gen_range(0..=chars.len()),
+                    );
+                    match rng.gen_range(0..3u8) {
+                        0 => chars.insert(at, PALETTE[rng.gen_range(0..PALETTE.len())]),
+                        1 if at < chars.len() => drop(chars.remove(at)),
+                        _ if at.max(other) < chars.len() => chars.swap(at, other),
+                        _ => {}
+                    }
                 }
-            };
-            for _ in 0..rng.gen_range(0..4u8) {
-                let (at, other) = (rng.gen_range(0..=chars.len()), rng.gen_range(0..=chars.len()));
-                match rng.gen_range(0..3u8) {
-                    0 => chars.insert(at, PALETTE[rng.gen_range(0..PALETTE.len())]),
-                    1 if at < chars.len() => drop(chars.remove(at)),
-                    _ if at.max(other) < chars.len() => chars.swap(at, other),
-                    _ => {}
+                let s: String = chars.into_iter().collect();
+                if let Ok(c) = Cursor::decode(&s) {
+                    assert_eq!(c.encode(), s.to_ascii_lowercase());
                 }
-            }
-            let s: String = chars.into_iter().collect();
-            if let Ok(c) = Cursor::decode(&s) {
-                assert_eq!(c.encode(), s.to_ascii_lowercase());
-            }
-        });
+            },
+        );
     }
 
     #[test]

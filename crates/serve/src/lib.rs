@@ -354,9 +354,7 @@ impl QueryService {
             Admit::Throttled { retry_after_secs } => {
                 return Err(ServeError::Throttled { retry_after_secs })
             }
-            Admit::Busy { retry_after_secs } => {
-                return Err(ServeError::Busy { retry_after_secs })
-            }
+            Admit::Busy { retry_after_secs } => return Err(ServeError::Busy { retry_after_secs }),
         };
 
         // One read lock for the whole request: every decision below
@@ -456,7 +454,11 @@ impl QueryService {
                     .map_err(|e| ServeError::Replay(e.to_string()))?;
                 debug_assert_eq!(
                     run.layer_range,
-                    if run.layers == 0 { run.layer_range } else { effective },
+                    if run.layers == 0 {
+                        run.layer_range
+                    } else {
+                        effective
+                    },
                     "service clamp must agree with the replay's"
                 );
                 obs_handles::replay_bytes().add(run.bytes_read as u64);
@@ -476,10 +478,7 @@ impl QueryService {
                         segments_skipped: run.segments_skipped,
                     },
                 ));
-                self.cache
-                    .lock()
-                    .unwrap()
-                    .insert(key, Arc::clone(&result));
+                self.cache.lock().unwrap().insert(key, Arc::clone(&result));
                 (result, false)
             }
         };
@@ -544,10 +543,7 @@ impl QueryService {
             )));
         }
         let q = Arc::new(q);
-        self.compiled
-            .lock()
-            .unwrap()
-            .insert(fp, Arc::clone(&q));
+        self.compiled.lock().unwrap().insert(fp, Arc::clone(&q));
         Ok(q)
     }
 }
@@ -555,10 +551,7 @@ impl QueryService {
 /// Mount `service` on the shared HTTP core at `addr`: `GET /query` plus
 /// the whole observability surface (`/metrics`, `/trace`, `/report`,
 /// `/healthz`) on one listener.
-pub fn serve(
-    service: Arc<QueryService>,
-    addr: &str,
-) -> std::io::Result<ariadne_obs::HttpServer> {
+pub fn serve(service: Arc<QueryService>, addr: &str) -> std::io::Result<ariadne_obs::HttpServer> {
     ariadne_obs::HttpServer::bind_with(addr, api::handler(service))
 }
 
@@ -597,7 +590,11 @@ mod tests {
         let mut store = ProvStore::new(StoreConfig::in_memory());
         for s in 0..layers {
             store
-                .ingest(s, "superstep", vec![vec![Value::Id(1), Value::Int(s as i64)]])
+                .ingest(
+                    s,
+                    "superstep",
+                    vec![vec![Value::Id(1), Value::Int(s as i64)]],
+                )
                 .unwrap();
         }
         (g, store)
@@ -614,7 +611,10 @@ mod tests {
     fn paginates_to_the_unpaged_sequence() {
         let svc = service(6, ServeConfig::default());
         let full = svc
-            .execute(&QueryRequest { pql: Some(PQL), ..Default::default() })
+            .execute(&QueryRequest {
+                pql: Some(PQL),
+                ..Default::default()
+            })
             .unwrap();
         assert_eq!(full.total_rows, 6);
         assert!(full.next_cursor.is_none());
@@ -643,7 +643,10 @@ mod tests {
     #[test]
     fn second_query_hits_the_cache_and_reads_nothing() {
         let svc = service(4, ServeConfig::default());
-        let req = QueryRequest { pql: Some(PQL), ..Default::default() };
+        let req = QueryRequest {
+            pql: Some(PQL),
+            ..Default::default()
+        };
         let cold = svc.execute(&req).unwrap();
         assert!(!cold.cache_hit);
         assert!(cold.replay.bytes_read > 0);
@@ -658,9 +661,16 @@ mod tests {
 
     #[test]
     fn concurrent_misses_share_the_replay_threads() {
-        let config = ServeConfig { threads: 4, cache_budget_bytes: 0, ..Default::default() };
+        let config = ServeConfig {
+            threads: 4,
+            cache_budget_bytes: 0,
+            ..Default::default()
+        };
         let svc = service(6, config);
-        let req = QueryRequest { pql: Some(PQL), ..Default::default() };
+        let req = QueryRequest {
+            pql: Some(PQL),
+            ..Default::default()
+        };
         let alone = svc.execute(&req).unwrap();
         // Nothing is cached, so every request replays; whatever share of
         // the threads a replay gets, its rows are the lone replay's.
@@ -705,7 +715,10 @@ mod tests {
     fn cursor_errors_are_typed() {
         let svc = service(3, ServeConfig::default());
         let err = svc
-            .execute(&QueryRequest { cursor: Some("zz"), ..Default::default() })
+            .execute(&QueryRequest {
+                cursor: Some("zz"),
+                ..Default::default()
+            })
             .unwrap_err();
         assert_eq!(err, ServeError::Cursor(CursorError::Malformed));
         assert_eq!(err.status(), 400);
@@ -730,7 +743,10 @@ mod tests {
 
         // Alone against a fresh daemon it is unknown (restart story).
         let err = svc
-            .execute(&QueryRequest { cursor: Some(&other), ..Default::default() })
+            .execute(&QueryRequest {
+                cursor: Some(&other),
+                ..Default::default()
+            })
             .unwrap_err();
         assert_eq!(err, ServeError::UnknownCursorQuery);
 
@@ -769,7 +785,10 @@ mod tests {
 
         // The old cursor is a typed 410, with or without the PQL.
         for req in [
-            QueryRequest { cursor: Some(&token), ..Default::default() },
+            QueryRequest {
+                cursor: Some(&token),
+                ..Default::default()
+            },
             QueryRequest {
                 pql: Some(PQL),
                 cursor: Some(&token),
@@ -779,7 +798,10 @@ mod tests {
             let err = svc.execute(&req).unwrap_err();
             assert_eq!(
                 err,
-                ServeError::StaleCursor { cursor_epoch: 0, store_epoch: 1 }
+                ServeError::StaleCursor {
+                    cursor_epoch: 0,
+                    store_epoch: 1
+                }
             );
             assert_eq!(err.status(), 410);
         }
@@ -787,7 +809,10 @@ mod tests {
         // A fresh query sees only the new epoch: no stale rows, no
         // stale cache entry (the replay must re-read the store).
         let fresh = svc
-            .execute(&QueryRequest { pql: Some(PQL), ..Default::default() })
+            .execute(&QueryRequest {
+                pql: Some(PQL),
+                ..Default::default()
+            })
             .unwrap();
         assert!(!fresh.cache_hit, "pre-mutation cache must not answer");
         assert!(fresh.replay.bytes_read > 0);
@@ -807,8 +832,11 @@ mod tests {
             .unwrap();
         let token = paged.next_cursor.expect("more pages");
         assert_eq!(Cursor::decode(&token).unwrap().epoch, 1);
-        svc.execute(&QueryRequest { cursor: Some(&token), ..Default::default() })
-            .expect("current-epoch cursor resumes fine");
+        svc.execute(&QueryRequest {
+            cursor: Some(&token),
+            ..Default::default()
+        })
+        .expect("current-epoch cursor resumes fine");
     }
 
     /// An edge insert that opens a new lineage path reaches the served
@@ -832,7 +860,10 @@ mod tests {
         let spec = CaptureSpec::full();
         let ariadne = Ariadne::default();
         let base = || ariadne.capture(&sssp, &g, &spec).unwrap().store;
-        let config = ServeConfig { threads: 2, ..ServeConfig::default() };
+        let config = ServeConfig {
+            threads: 2,
+            ..ServeConfig::default()
+        };
         let swapped = QueryService::new(g.clone(), base(), config.clone());
         let kept = QueryService::new(g.clone(), base(), config);
 
@@ -843,7 +874,13 @@ mod tests {
         let mut mine = base();
         let (run, _) = session.capture_epoch(&sssp, &spec, &mut mine).unwrap();
         let new_graph = session.csr().clone();
-        assert_eq!(swapped.append_epoch_on(new_graph.clone(), &run.store).unwrap().epoch, 1);
+        assert_eq!(
+            swapped
+                .append_epoch_on(new_graph.clone(), &run.store)
+                .unwrap()
+                .epoch,
+            1
+        );
         assert_eq!(kept.append_epoch(&run.store).unwrap().epoch, 1);
 
         // Vertex 3 at superstep 2 now descends from 4, and 4 from 0.
@@ -851,12 +888,25 @@ mod tests {
                    back_trace(x, i) :- send_message(x, y, m, i), back_trace(y, j), j = i + 1.
                    back_lineage(x, d) :- back_trace(x, i), value(x, d, i), i = 0.";
         let params = [("alpha", "v3"), ("sigma", "2")];
-        let request = QueryRequest { pql: Some(pql), params: &params, ..Default::default() };
-        let bound = Params::new().with("alpha", Value::Id(3)).with("sigma", Value::Int(2));
-        let oracle = ariadne.centralized(&new_graph, &mine, &compile(pql, bound).unwrap()).unwrap();
+        let request = QueryRequest {
+            pql: Some(pql),
+            params: &params,
+            ..Default::default()
+        };
+        let bound = Params::new()
+            .with("alpha", Value::Id(3))
+            .with("sigma", Value::Int(2));
+        let oracle = ariadne
+            .centralized(&new_graph, &mine, &compile(pql, bound).unwrap())
+            .unwrap();
         let want: Vec<(String, Tuple)> = ["back_lineage", "back_trace"]
             .into_iter()
-            .flat_map(|pred| oracle.sorted(pred).into_iter().map(move |t| (pred.to_string(), t)))
+            .flat_map(|pred| {
+                oracle
+                    .sorted(pred)
+                    .into_iter()
+                    .map(move |t| (pred.to_string(), t))
+            })
             .collect();
         let traced = |rows: &[(String, Tuple)]| -> Vec<u64> {
             rows.iter()
@@ -869,14 +919,21 @@ mod tests {
         let page = swapped.execute(&request).unwrap();
         assert_eq!(page.rows(), want, "served lineage over the new graph");
         let stale = kept.execute(&request).unwrap();
-        assert_eq!(traced(stale.rows()), [3], "the start-up graph has no 4 -> 3");
+        assert_eq!(
+            traced(stale.rows()),
+            [3],
+            "the start-up graph has no 4 -> 3"
+        );
     }
 
     #[test]
     fn layer_ranges_are_distinct_results() {
         let svc = service(6, ServeConfig::default());
         let full = svc
-            .execute(&QueryRequest { pql: Some(PQL), ..Default::default() })
+            .execute(&QueryRequest {
+                pql: Some(PQL),
+                ..Default::default()
+            })
             .unwrap();
         let slice = svc
             .execute(&QueryRequest {
@@ -917,7 +974,10 @@ mod tests {
                 ..Default::default()
             })
             .unwrap_err();
-        assert!(matches!(err, ServeError::LayersPastStore { lo: 50, last: 5 }));
+        assert!(matches!(
+            err,
+            ServeError::LayersPastStore { lo: 50, last: 5 }
+        ));
         assert_eq!(err.status(), 400);
         assert!(err.to_string().contains("last layer 5"), "{err}");
         assert_eq!(svc.cache.lock().unwrap().len(), cached);
@@ -936,7 +996,11 @@ mod tests {
                 ..ServeConfig::default()
             },
         );
-        let req = QueryRequest { pql: Some(PQL), tenant: "t1", ..Default::default() };
+        let req = QueryRequest {
+            pql: Some(PQL),
+            tenant: "t1",
+            ..Default::default()
+        };
         svc.execute(&req).unwrap();
         let err = svc.execute(&req).unwrap_err();
         assert!(matches!(err, ServeError::Throttled { .. }));
@@ -954,7 +1018,10 @@ mod tests {
             },
         );
         let err = closed
-            .execute(&QueryRequest { pql: Some(PQL), ..Default::default() })
+            .execute(&QueryRequest {
+                pql: Some(PQL),
+                ..Default::default()
+            })
             .unwrap_err();
         assert!(matches!(err, ServeError::Busy { .. }));
         assert_eq!(err.status(), 503);
@@ -965,17 +1032,27 @@ mod tests {
         let svc = service(4, ServeConfig::default());
         let pql = "hit(x, i) :- superstep(x, i), i = $s.";
         let run = |params: &[(&str, &str)]| {
-            svc.execute(&QueryRequest { pql: Some(pql), params, ..Default::default() })
+            svc.execute(&QueryRequest {
+                pql: Some(pql),
+                params,
+                ..Default::default()
+            })
         };
         for params in [[("s", "1"), ("s", "2")], [("s", "2"), ("s", "1")]] {
             let err = run(&params).unwrap_err();
-            assert!(matches!(&err, ServeError::Compile(m) if m.contains("`s`")), "{err}");
+            assert!(
+                matches!(&err, ServeError::Compile(m) if m.contains("`s`")),
+                "{err}"
+            );
             assert_eq!(err.status(), 400);
         }
         // Each single binding is its own query with its own row.
         for s in [1i64, 2] {
             let page = run(&[("s", &s.to_string())]).unwrap();
-            assert_eq!(page.rows(), [("hit".to_string(), vec![Value::Id(1), Value::Int(s)])]);
+            assert_eq!(
+                page.rows(),
+                [("hit".to_string(), vec![Value::Id(1), Value::Int(s)])]
+            );
         }
     }
 
@@ -983,7 +1060,10 @@ mod tests {
     fn compile_errors_are_400() {
         let svc = service(2, ServeConfig::default());
         let err = svc
-            .execute(&QueryRequest { pql: Some("not pql at all"), ..Default::default() })
+            .execute(&QueryRequest {
+                pql: Some("not pql at all"),
+                ..Default::default()
+            })
             .unwrap_err();
         assert!(matches!(err, ServeError::Compile(_)));
         assert_eq!(err.status(), 400);
