@@ -243,6 +243,7 @@ impl ProvStore {
             seg.mem.clear();
             seg.mem_tuples = 0;
             seg.one_ingest = false;
+            seg.in_order = false;
         }
         for e in &manifest.live[0].entries {
             let seg = self

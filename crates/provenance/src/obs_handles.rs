@@ -265,6 +265,18 @@ static_counter!(
     true
 );
 static_counter!(
+    epoch_pairs_indexed,
+    "store_epoch_pairs_indexed_total",
+    "(layer, predicate) pairs an epoch append classified from the segment index and record bytes, decoding nothing",
+    true
+);
+static_counter!(
+    epoch_pairs_decoded,
+    "store_epoch_pairs_decoded_total",
+    "(layer, predicate) pairs an epoch append decoded to classify (a grown pair's two segments, or the sorted diff)",
+    true
+);
+static_counter!(
     epoch_append_ns,
     "store_epoch_append_ns",
     "wall nanoseconds spent in epoch appends (fold, diff and ingest)",

@@ -295,6 +295,12 @@ pub(crate) struct Segment {
     /// record writer is a pure function of the rows, so re-encoding
     /// them would write these bytes again, and compaction copies them.
     pub(crate) one_ingest: bool,
+    /// `mem` holds exactly one frame of rows in canonical (sorted)
+    /// order: the frame of a `one_ingest` segment whose rows came
+    /// sorted, or an adopted record. False wherever `one_ingest` is,
+    /// except after adoption; it says nothing about spilled parts, so a
+    /// reader that trusts it checks `disk` is empty.
+    pub(crate) in_order: bool,
 }
 
 /// The spilled portion of a segment: one or more spool files, read in
@@ -385,6 +391,7 @@ impl Segment {
         let before = self.mem.len();
         let ragged = rows.is_ragged();
         self.one_ingest = before == 0 && self.disk.files.is_empty() && !ragged;
+        self.in_order = self.one_ingest && (1..rows.len()).all(|i| rows.row(i - 1) <= rows.row(i));
         if ragged {
             append_frame_best(&mut self.mem, 1, &encode_tuples(rows));
         } else {

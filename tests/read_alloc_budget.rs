@@ -130,8 +130,9 @@ fn read_side_allocates_per_segment_not_per_row() {
     drop(spilled);
     std::fs::remove_dir_all(&dir).ok();
 
-    // An epoch append of a PageRank re-capture after a mutation: both
-    // sides decoded, every changed layer re-encoded.
+    // An epoch append of a PageRank re-capture after a mutation: the
+    // pairs the index cannot decide decoded, every changed layer
+    // re-encoded or adopted.
     let in_memory = Ariadne {
         store: StoreConfig::in_memory().with_format(SegmentFormat::V3),
         ..Ariadne::with_threads(1)
