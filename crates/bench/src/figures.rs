@@ -160,7 +160,9 @@ pub fn fig8(w: &Workloads) -> Vec<ModeRow> {
             .capture(&pr, &c.graph, &CaptureSpec::full())
             .unwrap()
             .store;
-        rows.push(mode_row(w, name, "PageRank", "Q4", &pr, &c.graph, &q4, &store, base));
+        rows.push(mode_row(
+            w, name, "PageRank", "Q4", &pr, &c.graph, &q4, &store, base,
+        ));
         // SSSP + Queries 5, 6.
         let ss = w.sssp(c);
         let base = w.ariadne.baseline(&ss, &c.weighted).metrics.elapsed;
@@ -169,8 +171,28 @@ pub fn fig8(w: &Workloads) -> Vec<ModeRow> {
             .capture(&ss, &c.weighted, &CaptureSpec::full())
             .unwrap()
             .store;
-        rows.push(mode_row(w, name, "SSSP", "Q5", &ss, &c.weighted, &q5, &store, base));
-        rows.push(mode_row(w, name, "SSSP", "Q6", &ss, &c.weighted, &q6, &store, base));
+        rows.push(mode_row(
+            w,
+            name,
+            "SSSP",
+            "Q5",
+            &ss,
+            &c.weighted,
+            &q5,
+            &store,
+            base,
+        ));
+        rows.push(mode_row(
+            w,
+            name,
+            "SSSP",
+            "Q6",
+            &ss,
+            &c.weighted,
+            &q6,
+            &store,
+            base,
+        ));
         // WCC + Queries 5, 6.
         let wc = w.wcc();
         let base = w.ariadne.baseline(&wc, &c.graph).metrics.elapsed;
@@ -179,8 +201,12 @@ pub fn fig8(w: &Workloads) -> Vec<ModeRow> {
             .capture(&wc, &c.graph, &CaptureSpec::full())
             .unwrap()
             .store;
-        rows.push(mode_row(w, name, "WCC", "Q5", &wc, &c.graph, &q5, &store, base));
-        rows.push(mode_row(w, name, "WCC", "Q6", &wc, &c.graph, &q6, &store, base));
+        rows.push(mode_row(
+            w, name, "WCC", "Q5", &wc, &c.graph, &q5, &store, base,
+        ));
+        rows.push(mode_row(
+            w, name, "WCC", "Q6", &wc, &c.graph, &q6, &store, base,
+        ));
     }
     rows
 }
@@ -373,8 +399,22 @@ pub fn fig12(w: &Workloads) -> Vec<BackwardRow> {
     let undirected = queries::capture_backward_custom_undirected().unwrap();
     let mut rows = Vec::new();
     for c in &w.crawls {
-        rows.push(backward_row(w, c, "PageRank", &w.pagerank(), &c.graph, &directed));
-        rows.push(backward_row(w, c, "SSSP", &w.sssp(c), &c.weighted, &directed));
+        rows.push(backward_row(
+            w,
+            c,
+            "PageRank",
+            &w.pagerank(),
+            &c.graph,
+            &directed,
+        ));
+        rows.push(backward_row(
+            w,
+            c,
+            "SSSP",
+            &w.sssp(c),
+            &c.weighted,
+            &directed,
+        ));
         rows.push(backward_row(w, c, "WCC", &w.wcc(), &c.graph, &undirected));
     }
     rows

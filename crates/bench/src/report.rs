@@ -25,7 +25,11 @@ fn naive_cell(r: Option<f64>) -> String {
 /// Render Table 2.
 pub fn render_table2(rows: &[Table2Row]) -> String {
     let mut s = String::new();
-    writeln!(s, "| Dataset | |V| | |E| | Avg deg | Avg diam | paper |V| | paper |E| | paper deg |").unwrap();
+    writeln!(
+        s,
+        "| Dataset | |V| | |E| | Avg deg | Avg diam | paper |V| | paper |E| | paper deg |"
+    )
+    .unwrap();
     writeln!(s, "|---|---|---|---|---|---|---|---|").unwrap();
     for r in rows {
         writeln!(
@@ -48,7 +52,11 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
 /// Render Tables 3/4.
 pub fn render_sizes(rows: &[SizeRow]) -> String {
     let mut s = String::new();
-    writeln!(s, "| Dataset | Analytic | Input | Provenance | Ratio | Vertex coverage |").unwrap();
+    writeln!(
+        s,
+        "| Dataset | Analytic | Input | Provenance | Ratio | Vertex coverage |"
+    )
+    .unwrap();
     writeln!(s, "|---|---|---|---|---|---|").unwrap();
     for r in rows {
         writeln!(
@@ -85,7 +93,11 @@ pub fn render_errors(rows: &[ErrorRow], norm: &str) -> String {
 /// Render Figure 7.
 pub fn render_fig7(rows: &[CaptureRow]) -> String {
     let mut s = String::new();
-    writeln!(s, "| Dataset | Analytic | Baseline T | Full / T | Custom / T |").unwrap();
+    writeln!(
+        s,
+        "| Dataset | Analytic | Baseline T | Full / T | Custom / T |"
+    )
+    .unwrap();
     writeln!(s, "|---|---|---|---|---|").unwrap();
     for r in rows {
         writeln!(
@@ -105,7 +117,11 @@ pub fn render_fig7(rows: &[CaptureRow]) -> String {
 /// Render Figures 8/11 mode rows.
 pub fn render_modes(rows: &[ModeRow]) -> String {
     let mut s = String::new();
-    writeln!(s, "| Dataset | Analytic | Query | Baseline T | Online / T | Layered / T | Naive / T |").unwrap();
+    writeln!(
+        s,
+        "| Dataset | Analytic | Query | Baseline T | Online / T | Layered / T | Naive / T |"
+    )
+    .unwrap();
     writeln!(s, "|---|---|---|---|---|---|---|").unwrap();
     for r in rows {
         writeln!(
@@ -166,7 +182,11 @@ pub fn render_fig10(rows: &[SpeedupRow]) -> String {
 pub fn render_fig11(rows: &[AptRow]) -> String {
     let mut s = render_modes(&rows.iter().map(|r| r.modes.clone()).collect::<Vec<_>>());
     writeln!(s).unwrap();
-    writeln!(s, "| Dataset | Analytic | no_execute | safe | unsafe | skippable | verdict |").unwrap();
+    writeln!(
+        s,
+        "| Dataset | Analytic | no_execute | safe | unsafe | skippable | verdict |"
+    )
+    .unwrap();
     writeln!(s, "|---|---|---|---|---|---|---|").unwrap();
     for r in rows {
         writeln!(
@@ -178,7 +198,11 @@ pub fn render_fig11(rows: &[AptRow]) -> String {
             r.report.safe,
             r.report.unsafe_count,
             r.report.skippable_fraction * 100.0,
-            if r.report.recommended { "optimize" } else { "reject" }
+            if r.report.recommended {
+                "optimize"
+            } else {
+                "reject"
+            }
         )
         .unwrap();
     }
@@ -188,7 +212,11 @@ pub fn render_fig11(rows: &[AptRow]) -> String {
 /// Render Figure 12.
 pub fn render_fig12(rows: &[BackwardRow]) -> String {
     let mut s = String::new();
-    writeln!(s, "| Dataset | Analytic | Full (Q10) / T | Custom (Q12) / T | Lineage size |").unwrap();
+    writeln!(
+        s,
+        "| Dataset | Analytic | Full (Q10) / T | Custom (Q12) / T | Lineage size |"
+    )
+    .unwrap();
     writeln!(s, "|---|---|---|---|---|").unwrap();
     for r in rows {
         writeln!(
@@ -228,7 +256,11 @@ pub fn render_wcc(n: &WccNarrative) -> String {
         n.report.no_execute,
         n.report.safe,
         n.report.unsafe_count,
-        if n.report.recommended { "optimize" } else { "reject" },
+        if n.report.recommended {
+            "optimize"
+        } else {
+            "reject"
+        },
         n.mismatch_fraction * 100.0
     )
 }

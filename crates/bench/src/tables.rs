@@ -159,13 +159,9 @@ pub fn table4(w: &Workloads) -> Vec<SizeRow> {
         let spec_hub = queries::capture_forward_lineage(hub).unwrap();
         let spec_src = queries::capture_forward_lineage(c.source).unwrap();
 
-        let pr = ariadne
-            .capture(&w.pagerank(), &c.graph, &spec_hub)
-            .unwrap();
+        let pr = ariadne.capture(&w.pagerank(), &c.graph, &spec_hub).unwrap();
         rows.push(size_row(c.dataset.name(), "PageRank", &c.graph, &pr.store));
-        let ss = ariadne
-            .capture(&w.sssp(c), &c.weighted, &spec_src)
-            .unwrap();
+        let ss = ariadne.capture(&w.sssp(c), &c.weighted, &spec_src).unwrap();
         rows.push(size_row(c.dataset.name(), "SSSP", &c.weighted, &ss.store));
         let wc = ariadne.capture(&w.wcc(), &c.graph, &spec_hub).unwrap();
         rows.push(size_row(c.dataset.name(), "WCC", &c.graph, &wc.store));
@@ -249,7 +245,13 @@ mod tests {
         let rows = table3(&w);
         assert_eq!(rows.len(), 12);
         for r in &rows {
-            assert!(r.ratio > 1.0, "{}/{} ratio {}", r.dataset, r.analytic, r.ratio);
+            assert!(
+                r.ratio > 1.0,
+                "{}/{} ratio {}",
+                r.dataset,
+                r.analytic,
+                r.ratio
+            );
         }
     }
 
