@@ -32,27 +32,26 @@
 //! design (it drains the rings, like [`crate::trace::drain`]) — point
 //! exactly one consumer at it.
 //!
-//! The server is bounded everywhere: `WORKERS` handler threads, a
-//! `QUEUE_DEPTH`-deep accept queue (excess connections wait in the OS
-//! backlog), `MAX_REQUEST_BYTES` per request head, and read/write
+//! The server is bounded everywhere: `WORKERS` threads that each accept
+//! and serve their own connections (the OS listen backlog is the one
+//! queue), `MAX_REQUEST_BYTES` per request head, and read/write
 //! timeouts so a stalled peer cannot pin a worker. A request head split
 //! across TCP segments is reassembled by looping the read until the
 //! blank line, the byte cap, or the timeout — a flushed half-request is
 //! not a malformed request. [`HttpServer::shutdown`] stops accepting,
-//! drains in-flight requests, and joins every thread.
+//! finishes in-flight requests, and joins every thread.
 
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Handler threads serving accepted connections.
+use crate::trace::{self, Level};
+
+/// Threads that each accept and serve connections.
 pub const WORKERS: usize = 4;
-/// Accepted-but-unserved connections held between accept and a worker.
-pub const QUEUE_DEPTH: usize = 32;
 /// Upper bound on the request head (request line + headers) we read.
 pub const MAX_REQUEST_BYTES: usize = 8 * 1024;
 /// Per-connection socket read/write timeout.
@@ -60,12 +59,18 @@ pub const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Cached handles for the server's own metrics (it eats its own food).
 mod obs_handles {
-    use crate::static_counter;
+    use crate::{static_counter, static_histogram};
 
     static_counter!(
         requests,
         "obs_http_requests_total",
         "HTTP requests accepted by the exposition server",
+        false
+    );
+    static_histogram!(
+        request_ns,
+        "obs_http_request_ns",
+        "per-connection time from accept to close",
         false
     );
     static_counter!(
@@ -225,11 +230,11 @@ pub fn status_reason(status: u16) -> &'static str {
 }
 
 /// A request handler mounted on an [`HttpServer`]. Called concurrently
-/// from the worker pool.
+/// from the workers.
 pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
-/// The transport core: listener, bounded accept queue, fixed worker
-/// pool, request-head reassembly, response framing. Routing logic is the
+/// The transport core: listener, fixed set of accepting workers,
+/// request-head reassembly, response framing. Routing logic is the
 /// mounted [`Handler`]'s; [`ObsServer`] mounts [`obs_route`].
 ///
 /// Dropping without [`HttpServer::shutdown`] performs the same graceful
@@ -237,7 +242,6 @@ pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -246,58 +250,29 @@ impl HttpServer {
     /// port) and serve `handler` in background threads.
     pub fn bind_with<A: ToSocketAddrs>(addr: A, handler: Handler) -> io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) = sync_channel(QUEUE_DEPTH);
-        let rx = Arc::new(Mutex::new(rx));
-
-        let mut workers = Vec::with_capacity(WORKERS);
+        // Built first, so a failed spawn drops it and joins the workers.
+        let mut server = HttpServer {
+            addr: listener.local_addr()?,
+            stop: Arc::new(AtomicBool::new(false)),
+            workers: Vec::with_capacity(WORKERS),
+        };
         for i in 0..WORKERS {
-            let rx = Arc::clone(&rx);
+            let listener = listener.try_clone()?;
+            let stop = Arc::clone(&server.stop);
             let handler = Arc::clone(&handler);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("obs-http-{i}"))
-                    .spawn(move || loop {
-                        // Take the next connection; exit when the accept
-                        // thread has gone and the queue is drained.
-                        let stream = match rx.lock().unwrap().recv() {
-                            Ok(s) => s,
-                            Err(_) => break,
-                        };
-                        handle_connection(stream, &handler);
-                    })?,
-            );
-        }
-
-        let accept_stop = Arc::clone(&stop);
-        let accept = std::thread::Builder::new()
-            .name("obs-http-accept".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if accept_stop.load(Ordering::SeqCst) {
-                        break; // the wake-up connection lands here too
+            let thread = std::thread::Builder::new().name(format!("obs-http-{i}"));
+            server.workers.push(thread.spawn(move || {
+                for stream in listener.incoming().flatten() {
+                    // A wake-up connection, or any accepted after the
+                    // stop, closes unserved.
+                    if stop.load(Ordering::SeqCst) {
+                        break;
                     }
-                    match conn {
-                        // A full queue blocks here, bounding in-flight
-                        // work; further peers wait in the OS backlog.
-                        Ok(stream) => {
-                            if tx.send(stream).is_err() {
-                                break;
-                            }
-                        }
-                        Err(_) => continue,
-                    }
+                    handle_connection(stream, &handler);
                 }
-                // tx drops here: workers drain the queue and exit.
-            })?;
-
-        Ok(HttpServer {
-            addr,
-            stop,
-            accept: Some(accept),
-            workers,
-        })
+            })?);
+        }
+        Ok(server)
     }
 
     /// The bound address (useful with an ephemeral port 0).
@@ -305,8 +280,8 @@ impl HttpServer {
         self.addr
     }
 
-    /// Graceful shutdown: stop accepting, finish queued requests, join
-    /// every thread.
+    /// Graceful shutdown: stop accepting, finish in-flight requests,
+    /// join every thread.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -315,10 +290,11 @@ impl HttpServer {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Wake the accept thread out of its blocking accept().
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
+        // Each worker leaves after the first connection it accepts past
+        // the stop: one connection per worker wakes every one out of
+        // its blocking accept().
+        for _ in &self.workers {
+            let _ = TcpStream::connect(self.addr);
         }
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -351,8 +327,8 @@ impl ObsServer {
         self.inner.local_addr()
     }
 
-    /// Graceful shutdown: stop accepting, finish queued requests, join
-    /// every thread.
+    /// Graceful shutdown: stop accepting, finish in-flight requests,
+    /// join every thread.
     pub fn shutdown(self) {
         self.inner.shutdown();
     }
@@ -457,21 +433,39 @@ pub fn obs_route(req: &Request) -> Response {
     }
 }
 
+/// Serve one accepted connection inside its `http`/`request` span, so
+/// the handler's spans nest under it.
 fn handle_connection(mut stream: TcpStream, handler: &Handler) {
+    let accepted = Instant::now();
+    let _span = trace::span(Level::Debug, "http", "request", &[]);
     let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     obs_handles::requests().inc();
 
+    let mut path = String::new();
     let response = match read_request_head(&mut stream) {
         None => Response::plain(400, "bad request\n"),
         Some(head) => match parse_request(&head) {
-            Ok(req) => handler(&req),
+            Ok(req) => {
+                let response = handler(&req);
+                path = req.path;
+                response
+            }
             Err(status) => Response::plain(status, format!("{}\n", status_reason(status))),
         },
     };
     if response.status >= 400 {
         obs_handles::bad_requests().inc();
     }
+    trace::event(
+        Level::Debug,
+        "http",
+        "response",
+        &[
+            ("path", path.into()),
+            ("status", u64::from(response.status).into()),
+        ],
+    );
 
     let mut out = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
@@ -491,6 +485,8 @@ fn handle_connection(mut stream: TcpStream, handler: &Handler) {
     let _ = stream.write_all(out.as_bytes());
     let _ = stream.flush();
     let _ = stream.shutdown(Shutdown::Both);
+    drop(stream);
+    obs_handles::request_ns().record(accepted.elapsed().as_nanos() as u64);
 }
 
 #[cfg(test)]
@@ -792,5 +788,101 @@ mod tests {
         let (status, _, body) = get(addr, "/healthz");
         assert_eq!((status, body.as_str()), (200, "ok\n"));
         server.shutdown();
+    }
+
+    /// Run `f` on its own thread and fail (instead of hanging the suite)
+    /// if it has not finished in a minute: a worker left parked in
+    /// `accept` would otherwise block `shutdown`'s join forever.
+    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            // A panic in `f` drops `tx`, which `recv_timeout` reports at once.
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("shutdown neither returned nor failed: a worker is parked in accept")
+    }
+
+    /// Four times as many concurrent clients as workers, 25 requests
+    /// each: every one is served, with the listen backlog as the only
+    /// queue between the clients and the workers.
+    #[test]
+    fn more_clients_than_workers_are_all_served() {
+        let server = ObsServer::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr();
+        let served: usize = std::thread::scope(|s| {
+            let clients: Vec<_> = (0..4 * WORKERS)
+                .map(|_| {
+                    s.spawn(move || {
+                        (0..25)
+                            .filter(|_| {
+                                let (status, _, body) = get(addr, "/healthz");
+                                status == 200 && body == "ok\n"
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            clients.into_iter().map(|c| c.join().unwrap()).sum()
+        });
+        assert_eq!(served, 4 * WORKERS * 25);
+        within_a_minute(move || server.shutdown());
+    }
+
+    /// `shutdown` with every worker parked in `accept` wakes each one,
+    /// and returns once it has joined them all.
+    #[test]
+    fn shutdown_wakes_every_worker_parked_in_accept() {
+        let server = ObsServer::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr();
+        // Every worker has served and is back in accept.
+        for _ in 0..2 * WORKERS {
+            assert_eq!(get(addr, "/healthz").0, 200);
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        within_a_minute(move || server.shutdown());
+    }
+
+    /// A request in flight when `shutdown` starts still gets its whole
+    /// response, and `shutdown` waits for it.
+    #[test]
+    fn in_flight_request_completes_across_shutdown() {
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (entered_tx, release_rx) = (Mutex::new(entered_tx), Mutex::new(release_rx));
+        let body = "x".repeat(256 * 1024);
+        let reply = body.clone();
+        let handler: Handler = Arc::new(move |_: &Request| {
+            entered_tx.lock().unwrap().send(()).unwrap();
+            release_rx.lock().unwrap().recv().unwrap();
+            Response::plain(200, reply.clone())
+        });
+        let server = HttpServer::bind_with("127.0.0.1:0", handler).unwrap();
+        let addr = server.local_addr();
+        let client = std::thread::spawn(move || get(addr, "/slow"));
+        entered_rx.recv().unwrap();
+        let stopping = std::thread::spawn(move || within_a_minute(move || server.shutdown()));
+        // Give shutdown time to set the flag and wake the idle workers;
+        // it must still be waiting on the one serving `/slow`. A slow
+        // host can only make this check weaker, never fail it falsely.
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(
+            !stopping.is_finished(),
+            "shutdown did not wait for the in-flight request"
+        );
+        release_tx.send(()).unwrap();
+        let (status, headers, got) = client.join().unwrap();
+        assert_eq!(status, 200);
+        assert!(
+            headers.contains(&format!("Content-Length: {}", body.len())),
+            "{headers:?}"
+        );
+        assert!(
+            got == body,
+            "truncated body: {} of {} bytes",
+            got.len(),
+            body.len()
+        );
+        stopping.join().unwrap();
     }
 }

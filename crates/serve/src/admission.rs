@@ -11,8 +11,8 @@
 //! 2. **In-flight semaphore** (`503 Service Unavailable`): at most
 //!    `max_in_flight` queries execute concurrently; everything beyond
 //!    that is shed immediately rather than queued, because replay work
-//!    parked behind a mutex would still pin its worker thread. The
-//!    accept queue in the HTTP core is the only buffering layer.
+//!    parked behind a mutex would still pin its worker thread. The OS
+//!    listen backlog under the HTTP core is the only buffering layer.
 //!
 //! Both rejections carry `Retry-After` seconds. The current admitted
 //! count is exported as the `serve_queue_depth` gauge.

@@ -549,3 +549,81 @@ fn concurrent_trace_drains_partition_exactly() {
     assert_eq!(events_of(&third), 0);
     server.shutdown();
 }
+
+/// A `/query` miss over TCP is one trace from socket accept down: the
+/// HTTP worker's `http`/`request` span is the trace's root, the
+/// replay's `layered`/`run` span belongs to it, and the `response`
+/// event inside it names the path and the status.
+#[test]
+fn query_miss_is_traced_from_accept() {
+    let _gate = serialize();
+    let graph = ariadne_graph::generators::regular::path(16);
+    let capture = Ariadne::default()
+        .capture(
+            &ariadne_analytics::Sssp::new(VertexId(0)),
+            &graph,
+            &CaptureSpec::full(),
+        )
+        .expect("capture");
+    let service = ariadne_serve::QueryService::new(
+        graph,
+        capture.store,
+        ariadne_serve::ServeConfig::default(),
+    );
+    let server = ariadne_serve::serve(std::sync::Arc::new(service), "127.0.0.1:0").expect("bind");
+    trace::set_filter("http=debug,layered=debug");
+    trace::drain();
+
+    let miss = get(
+        server.local_addr(),
+        "/query?pql=active(x,%20i)%20:-%20superstep(x,%20i).&limit=5",
+    );
+    assert_eq!(miss.status, 200, "{}", miss.body);
+    assert!(miss.body.contains("\"cache\":\"miss\""), "{}", miss.body);
+
+    // The worker closes its span after the socket, so the client can see
+    // the response before the span lands in the rings: poll for it.
+    let mut events = Vec::new();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let request = loop {
+        events.extend(trace::drain());
+        let found = events
+            .iter()
+            .find(|e| (e.target, e.name) == ("http", "request") && e.span_id != 0)
+            .cloned();
+        if let Some(span) = found {
+            break span;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no http request span: {events:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    trace::set_filter("off");
+    server.shutdown();
+
+    assert_eq!(
+        request.trace_id, request.span_id,
+        "the request span roots its trace"
+    );
+    let run = events
+        .iter()
+        .find(|e| (e.target, e.name) == ("layered", "run"))
+        .unwrap_or_else(|| panic!("no layered run span: {events:?}"));
+    assert_eq!(
+        run.trace_id, request.span_id,
+        "the replay is not in the request's trace"
+    );
+    let response = events
+        .iter()
+        .find(|e| (e.target, e.name) == ("http", "response"))
+        .unwrap_or_else(|| panic!("no http response event: {events:?}"));
+    assert_eq!(response.parent_id, request.span_id);
+    let field = |name: &str| {
+        let (_, value) = response.fields.iter().find(|(k, _)| *k == name)?;
+        Some(value.clone())
+    };
+    assert_eq!(field("path"), Some("/query".into()));
+    assert_eq!(field("status"), Some(200u64.into()));
+}
